@@ -499,45 +499,45 @@ fn bench_speculative(c: &mut Criterion) {
 }
 
 /// Persistent-pool serve mode: the open-system driver calls `run_until`
-/// once per arrival chunk, so this is the workload the coordinator-free
-/// pool exists for. Guards (loud, before the benchmark): the steady
-/// state moves zero worker `Runtime`s through channels, performs zero
-/// coordinator rendezvous, reuses one pool across all chunks, and the
-/// request dispositions are bit-identical to the single-threaded run.
-/// The benchmark then reports host time per offered request across
-/// thread counts — on a single-CPU container expect overhead, not
-/// speedup (EXPERIMENTS.md records the honest numbers).
+/// once per arrival chunk, so this is the workload the persistent pool
+/// exists for. Guards (loud, before the benchmark), under both threaded
+/// executors — they share the one pool: the steady state moves zero
+/// worker `Runtime`s, performs zero coordinator rendezvous, reuses one
+/// pool across all chunks, and the request dispositions are bit-identical
+/// to the single-threaded run. The benchmark then reports host time per
+/// offered request across thread counts — on a single-CPU container
+/// expect overhead, not speedup (EXPERIMENTS.md records the honest
+/// numbers).
 fn bench_pool_chunks(c: &mut Criterion) {
-    let serve_cfg = |threads: usize| {
+    let serve_cfg = |threads: usize, speculative: bool| {
         let mut cfg = hem_bench::serve::ServeConfig::new();
         cfg.p = 16;
         cfg.backends = 16;
         cfg.horizon = 40_000;
         cfg.warmup = 4_000;
         cfg.threads = threads;
+        cfg.speculative = speculative;
         cfg
     };
-    let outcome = |threads: usize| {
-        let (rt, out) = serve_cfg(threads).run();
+    let outcome = |threads: usize, speculative: bool| {
+        let (rt, out) = serve_cfg(threads, speculative).run();
         (rt.stats(), out.records.len(), rt.makespan())
     };
-    let (_, base_reqs, base_mk) = outcome(1);
-    for threads in [2usize, 4] {
-        let (st, reqs, mk) = outcome(threads);
-        assert_eq!(base_reqs, reqs, "serve({threads}) changed the offered load");
-        assert_eq!(base_mk, mk, "serve({threads}) changed the makespan");
-        assert!(st.sched.windows > 0, "serve({threads}) never windowed");
-        assert_eq!(
-            st.sched.runtime_moves, 0,
-            "serve({threads}) moved a worker Runtime through a channel"
-        );
+    let (_, base_reqs, base_mk) = outcome(1, false);
+    for (threads, speculative) in [(2usize, false), (4, false), (2, true), (4, true)] {
+        let what = format!("serve({threads}, speculative={speculative})");
+        let (st, reqs, mk) = outcome(threads, speculative);
+        assert_eq!(base_reqs, reqs, "{what} changed the offered load");
+        assert_eq!(base_mk, mk, "{what} changed the makespan");
+        assert!(st.sched.windows > 0, "{what} never windowed");
+        assert_eq!(st.sched.runtime_moves, 0, "{what} moved a worker Runtime");
         assert_eq!(
             st.sched.coord_roundtrips, 0,
-            "serve({threads}) paid a coordinator rendezvous"
+            "{what} paid a coordinator rendezvous"
         );
         assert!(
             st.sched.pool_reuses > 0,
-            "serve({threads}) rebuilt the pool between run_until chunks"
+            "{what} rebuilt the pool between run_until chunks"
         );
     }
 
@@ -548,7 +548,7 @@ fn bench_pool_chunks(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new(format!("threads{threads}"), "P16"),
             &threads,
-            |b, &threads| b.iter(|| serve_cfg(threads).run().1.records.len()),
+            |b, &threads| b.iter(|| serve_cfg(threads, false).run().1.records.len()),
         );
     }
     g.finish();

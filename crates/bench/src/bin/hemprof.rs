@@ -57,7 +57,8 @@
 //!   --cost C          cm5|t3d|unit (default cm5)
 //!   --threads N       host worker threads (sharded executor; default 1)
 //!   --shard-map M     even|profile (default even): shard partition for
-//!                     --threads > 1. "profile" first runs a cheap
+//!                     --threads > 1, with or without --speculative.
+//!                     "profile" first runs a cheap
 //!                     single-threaded pilot of the same kernel, feeds
 //!                     its per-node busy time back as shard weights, and
 //!                     cuts shard boundaries by cumulative busy time —
@@ -203,7 +204,7 @@ fn main() {
     match args.get::<String>("--shard-map").as_deref() {
         None | Some("even") => {}
         Some("profile") => {
-            if cfg.threads > 1 && !cfg.speculative {
+            if cfg.threads > 1 {
                 cfg.shard_weights = Some(pilot_weights(&cfg));
             }
         }

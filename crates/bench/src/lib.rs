@@ -58,14 +58,27 @@ impl Args {
         self.argv.iter().any(|a| a == flag)
     }
 
-    /// Value of `--key <v>`, parsed.
+    /// Value of `--key <v>`, parsed; `None` when the flag is absent. A
+    /// flag that is present with a missing or unparsable value is a usage
+    /// error: one line on stderr, exit 2 (never a silent default).
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.argv
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.argv.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let i = self.argv.iter().position(|a| a == key)?;
+        let Some(v) = self.argv.get(i + 1) else {
+            bad_value(&self.argv[0], &format!("{key} needs a value"));
+        };
+        match v.parse() {
+            Ok(parsed) => Some(parsed),
+            Err(_) => bad_value(&self.argv[0], &format!("{key}: invalid value '{v}'")),
+        }
     }
+}
+
+fn bad_value(argv0: &str, what: &str) -> ! {
+    let bin = std::path::Path::new(argv0)
+        .file_name()
+        .map_or(argv0.into(), |n| n.to_string_lossy());
+    eprintln!("{bin}: {what}");
+    std::process::exit(2)
 }
 
 impl Default for Args {

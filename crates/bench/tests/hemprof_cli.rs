@@ -3,7 +3,8 @@
 //!
 //! * 0 — reports compared (even when the numbers differ);
 //! * 1 — an input is unreadable or not a rollup JSON;
-//! * 2 — usage error (missing operands, unknown flags values);
+//! * 2 — usage error (missing operands, missing or unparsable flag
+//!   values);
 //! * 3 — the reports profile different kernels or machine sizes.
 //!
 //! CI keys on 3 vs 1: a mismatch means "this delta is meaningless",
@@ -89,25 +90,58 @@ fn unknown_kernel_is_a_usage_error() {
 #[test]
 fn profile_shard_map_is_observationally_invisible() {
     // `--shard-map profile` re-cuts the shard boundaries by pilot busy
-    // time; the JSON report (makespan, traffic, every rollup cell) must
-    // be byte-identical to the default even map.
-    let base = &["sor", "--p", "4", "--size", "8", "--threads", "2"];
-    let even = hemprof(&[base, &["--report", "json"] as &[&str]].concat());
-    let prof = hemprof(
-        &[
-            base,
-            &["--shard-map", "profile", "--report", "json"] as &[&str],
+    // time — under either threaded executor — and the JSON report
+    // (makespan, traffic, every rollup cell) must be byte-identical to
+    // the default even map, up to the trailing `speculative`/`sched`
+    // host-diagnostics sections (rollback patterns follow the partition).
+    let invariant = |out: &Output| -> String {
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let cut = text.find(",\"speculative\":").unwrap_or(text.len());
+        text[..cut].to_string()
+    };
+    for executor in [&[] as &[&str], &["--speculative"]] {
+        let base = [
+            &["sor", "--p", "4", "--size", "8", "--threads", "2"],
+            executor,
+            &["--report", "json"],
         ]
-        .concat(),
-    );
-    assert!(even.status.success() && prof.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&even.stdout),
-        String::from_utf8_lossy(&prof.stdout),
-        "profile-guided map changed an observable"
-    );
-    assert!(
-        String::from_utf8_lossy(&prof.stderr).contains("profile-guided shard map"),
-        "pilot run announced on stderr"
-    );
+        .concat();
+        let even = hemprof(&base);
+        let prof = hemprof(&[&base[..], &["--shard-map", "profile"]].concat());
+        assert!(even.status.success() && prof.status.success());
+        assert_eq!(
+            invariant(&even),
+            invariant(&prof),
+            "{executor:?}: profile-guided map changed an observable"
+        );
+        assert!(
+            String::from_utf8_lossy(&prof.stderr).contains("profile-guided shard map"),
+            "{executor:?}: pilot run announced on stderr"
+        );
+    }
+}
+
+/// A flag that is present with a missing or unparsable value is a usage
+/// error (one line on stderr, exit 2) — never a silent fall-back to the
+/// default — in `hemprof` and in the table binaries alike.
+#[test]
+fn bad_flag_values_are_usage_errors() {
+    let table4 = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_table4"))
+            .args(args)
+            .output()
+            .expect("spawn table4")
+    };
+    for out in [
+        hemprof(&["sor", "--threads", "banana"]),
+        hemprof(&["sor", "--threads"]),
+        hemprof(&["serve", "--until", "soon"]),
+        table4(&["--n", "banana"]),
+        table4(&["--iters"]),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "bad value exits 2");
+        assert!(out.stdout.is_empty(), "nothing ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one line on stderr: {err:?}");
+    }
 }

@@ -87,8 +87,9 @@ pub enum SchedImpl {
         /// which admits no lookahead).
         threads: usize,
     },
-    /// Host-parallel optimistic (Time-Warp) executor: like
-    /// [`SchedImpl::Sharded`], but windows extend *past* the conservative
+    /// Host-parallel optimistic (Time-Warp) executor: the same window
+    /// engine as [`SchedImpl::Sharded`] (one pool, one coordinator loop),
+    /// but windows extend *past* the conservative
     /// lookahead bound. Shards checkpoint dirty nodes copy-on-write,
     /// advance speculatively, and the coordinator validates every
     /// cross-shard message at the window barrier: a message due inside
@@ -400,9 +401,9 @@ pub struct Runtime {
     /// count events per window, so counters collide across windows).
     pub(crate) san_step: (Cycles, u8, u32),
     /// Present iff this runtime is a shard worker inside
-    /// [`SchedImpl::Sharded`] execution: trace capture, the cross-shard
+    /// windowed execution: trace capture, the cross-shard
     /// outbox, and the node-ownership map (see [`crate::shard`]). `None`
-    /// on every user-constructed runtime, including the sharded
+    /// on every user-constructed runtime, including the window
     /// coordinator itself.
     pub(crate) shard: Option<Box<crate::shard::ShardCtx>>,
     /// Sequence counter for externally injected requests (open-system
@@ -427,7 +428,8 @@ pub struct Runtime {
     /// contiguous slices. Host-time tuning only — any contiguous
     /// partition yields bit-identical observables.
     pub(crate) shard_weights: Option<Vec<u64>>,
-    /// Persistent shard pool: worker threads with nodes pinned to shards,
+    /// Persistent shard pool, shared by both threaded executors: worker
+    /// threads with nodes pinned to shards,
     /// kept alive across windows *and* across `run_until` chunks so the
     /// steady-state window edge is an atomic epoch publication with zero
     /// runtime moves and zero coordinator channel round-trips (see
@@ -552,7 +554,7 @@ impl Runtime {
     }
 
     /// Install (or clear, with `None`) per-node busy-time weights for the
-    /// sharded executor's partition. The partition stays contiguous but
+    /// threaded executors' partition. The partition stays contiguous but
     /// cuts shard boundaries by cumulative weight instead of node count,
     /// so a placement whose hot nodes sit in one contiguous slice no
     /// longer idles most workers. Feed this from a profile —
@@ -566,7 +568,7 @@ impl Runtime {
         self.pool_gen += 1; // the pool pins the node→shard map
     }
 
-    /// The contiguous node→shard map the sharded executor would use at
+    /// The contiguous node→shard map the threaded executors use at
     /// this thread count, honoring any installed
     /// [`Self::set_shard_weights`]. Diagnostic: lets callers and tests
     /// inspect how a profile-guided weighting splits the machine.
@@ -2364,17 +2366,13 @@ impl Runtime {
             // Every record emitted during this step is captured under the
             // event's (time, kind, node) key for the deterministic merge.
             // The per-shard ordinal marks event boundaries within equal
-            // keys (zero-cost steps can repeat a key) and carries the
-            // shard-local dispatch order the speculative commit merge
-            // replays (see `crate::timewarp`).
+            // keys (zero-cost steps can repeat a key). The dispatch log
+            // is what the commit merge replays to reconstruct the serial
+            // schedule (and pick the serial-first trap) even when tracing
+            // is off (see `crate::shard`).
             sh.cur = (t, kind, i as u32);
             sh.ord += 1;
-            if sh.ckpt.is_some() {
-                // Speculative window: log the dispatch order so the
-                // commit merge can reconstruct the serial schedule (and
-                // pick the serial-first trap) even when tracing is off.
-                sh.dispatched.push(sh.cur);
-            }
+            sh.dispatched.push(sh.cur);
         }
         self.tw_save(i);
         self.poll_floor = t;

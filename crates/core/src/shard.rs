@@ -1,9 +1,19 @@
-//! Host-parallel sharded execution with bit-identical observables.
+//! Host-parallel windowed execution with bit-identical observables: one
+//! window engine, two window policies.
 //!
-//! [`SchedImpl::Sharded`] partitions the simulated nodes into contiguous
-//! shards, one OS worker thread per shard, and advances each shard with
-//! its own `(time, kind, node)` event index inside **conservative
-//! virtual-time windows** — the classical conservative-PDES discipline,
+//! The engine partitions the simulated nodes into contiguous shards, one
+//! OS worker thread per shard, and advances each shard with its own
+//! `(time, kind, node)` event index inside virtual-time windows. A
+//! [`WindowPolicy`], derived from the [`SchedImpl`], decides how far a
+//! window reaches and whether its outcome has to be checked:
+//! [`SchedImpl::Sharded`] runs **conservative** windows (below), whose
+//! validation cannot fail; [`SchedImpl::Speculative`] runs **optimistic**
+//! ones, which checkpoint, validate at the barrier and roll back on a
+//! straggler (see [`crate::timewarp`] for that policy and its proofs).
+//! Everything else — pool, partition, window edge, barrier fold, outbox
+//! routing, commit merge, serial steps — is this module's, once.
+//!
+//! Conservative windows are the classical conservative-PDES discipline,
 //! specialized to this machine's structure:
 //!
 //! - **Lookahead** `L` is the minimum latency any packet can spend on the
@@ -60,13 +70,20 @@
 //! most workers. The merge rule below is partition-independent, so any
 //! weighting is observationally invisible.
 //!
-//! **Determinism.** Worker shards capture every trace record under its
-//! dispatching event's `(time, kind, node)` key. At each window barrier
-//! the coordinator concatenates the shard captures, stable-sorts by key
-//! (keys are unique per event, and each shard's buffer is already
-//! sorted), and replays them through the coordinator's trace buffer and
-//! observer — reconstructing the exact single-threaded emission order,
-//! including bounded-ring truncation counts. Cross-shard packets are
+//! **Determinism.** Worker shards log every dispatched event's `(time,
+//! kind, node)` key in dispatch order and capture every trace record
+//! under it. At each window barrier the coordinator **heads-merges** the
+//! shard logs — repeatedly committing, among the shards' next
+//! undispatched events, the one with the minimum key (equal keys across
+//! shards are impossible: the node id is part of the key and nodes are
+//! partitioned) — and replays each event's records through the
+//! coordinator's trace buffer and observer, reconstructing the exact
+//! single-threaded emission order, including bounded-ring truncation
+//! counts. A conservative shard dispatches in non-decreasing key order,
+//! where the merge is an ordinary sorted merge; an optimistic
+//! zero-lookahead window need not (a dispatched event can create a
+//! smaller-key candidate via a zero-latency send), which is why the merge
+//! follows the dispatch logs instead of sorting. Cross-shard packets are
 //! parked in per-shard outboxes and routed into destination inboxes at
 //! the barrier (inbox order is a deterministic function of
 //! `(delivery time, wire seq)`, so routing order is irrelevant). Wire
@@ -77,10 +94,10 @@
 //! with the single documented exception of the scheduler heap
 //! diagnostics, which read 0 under `Sharded` (as under `LinearScan`).
 //!
-//! **Traps.** If any shard traps, the coordinator keeps the trap with
-//! the minimum event key (windows are thread-count-invariant, so this is
-//! the trap a single-threaded run would hit first), truncates the merged
-//! capture to records at or below that key, and returns the error.
+//! **Traps.** If any shard traps, the merge stops at the first trapping
+//! event it reaches (the trap a single-threaded run would hit first),
+//! having replayed exactly the records emitted up to and during it, and
+//! the coordinator returns that error.
 //! Machine *state* past the trapping event (work other shards completed
 //! inside the same window) is not rolled back; only the error and the
 //! trace are normative after a trap.
@@ -88,6 +105,7 @@
 use crate::error::Trap;
 use crate::explore::TieBreak;
 use crate::rt::{InboxEntry, Node, Runtime, SchedImpl};
+use crate::timewarp::Delta;
 use crate::trace::TraceRecord;
 use hem_machine::net::Network;
 use hem_machine::stats::{NetStats, SchedStats};
@@ -95,7 +113,6 @@ use hem_machine::{Cycles, NodeId};
 use std::cell::UnsafeCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
@@ -110,12 +127,7 @@ pub(crate) struct ShardCtx {
     /// `owns[i]` — does this shard own global node `i`?
     pub owns: Vec<bool>,
     /// Records emitted this window, each under its dispatching event's
-    /// key and shard-local dispatch ordinal. Appended in dispatch order;
-    /// under conservative windows the buffer is also key-sorted, while
-    /// the speculative executor's zero-lookahead windows may interleave
-    /// keys non-monotonically (a dispatched event can create a
-    /// smaller-key candidate via a zero-latency send) — the ordinal
-    /// preserves the true shard-local order either way.
+    /// key and shard-local dispatch ordinal, appended in dispatch order.
     pub capture: Vec<(EventKey, u32, TraceRecord)>,
     /// Packets addressed to nodes of other shards, parked for the
     /// coordinator to route at the window barrier.
@@ -129,13 +141,13 @@ pub(crate) struct ShardCtx {
     /// Capture records at all? Mirrors "trace buffer enabled or observer
     /// attached" on the coordinator.
     pub record: bool,
-    /// Copy-on-dirty window checkpoint, armed only by the speculative
-    /// executor (see [`crate::timewarp`]); `None` under conservative
-    /// sharded execution, where `Runtime::tw_save` is a no-op.
+    /// Copy-on-dirty window checkpoint, armed only for optimistic
+    /// windows (see [`crate::timewarp`]); `None` inside conservative
+    /// ones, where `Runtime::tw_save` is a no-op.
     pub ckpt: Option<crate::timewarp::TwCkpt>,
-    /// Event keys in shard-local dispatch order, logged only while a
-    /// checkpoint is armed: the speculative commit merge's master order
-    /// (available even when tracing is off, unlike `capture`).
+    /// Event keys of this window in shard-local dispatch order: the
+    /// commit merge's master order (available even when tracing is off,
+    /// unlike `capture`).
     pub dispatched: Vec<EventKey>,
     /// Earliest retransmission-timer deadline armed during the current
     /// speculative window (`Cycles::MAX` when none). Conservative
@@ -201,22 +213,25 @@ pub(crate) fn spin_tiers(threads: usize) -> SpinTiers {
     }
 }
 
-/// Blocking channel receive with the graded spin/yield/park discipline
-/// (see [`spin_tiers`]); used by the speculative executor's rendezvous.
-pub(crate) fn recv_spin<T>(rx: &Receiver<T>, threads: usize) -> T {
-    let tiers = spin_tiers(threads);
-    for tier in 0..2u8 {
-        let budget = if tier == 0 { tiers.spin } else { tiers.yields };
-        for _ in 0..budget {
-            match rx.try_recv() {
-                Ok(v) => return v,
-                Err(TryRecvError::Empty) if tier == 0 => std::hint::spin_loop(),
-                Err(TryRecvError::Empty) => std::thread::yield_now(),
-                Err(TryRecvError::Disconnected) => panic!("shard worker thread died"),
-            }
+/// The one graded wait (see [`spin_tiers`]): spin, then `yield_now`, then
+/// park until `ready` holds; returns whether it had to park. Whoever
+/// makes `ready` hold unparks the waiter afterwards; park tokens
+/// saturate, so an unpark that races a not-yet-parked waiter is not lost.
+fn graded_wait(tiers: &SpinTiers, mut ready: impl FnMut() -> bool) -> bool {
+    let (mut spins, mut yields, mut parked) = (0u32, 0u32, false);
+    while !ready() {
+        if spins < tiers.spin {
+            spins += 1;
+            std::hint::spin_loop();
+        } else if yields < tiers.yields {
+            yields += 1;
+            std::thread::yield_now();
+        } else {
+            parked = true;
+            std::thread::park();
         }
     }
-    rx.recv().expect("shard worker thread died")
+    parked
 }
 
 /// One shard's in-window dispatch loop: the event index restricted to
@@ -321,7 +336,7 @@ pub(crate) fn shard_partition(p: usize, threads: usize, weights: Option<&[u64]>)
 
 /// One shard's slot in the pool: the pinned worker runtime plus the
 /// results it publishes at each window edge. Ownership alternates with
-/// the epoch protocol (see [`PoolShared::cells`]).
+/// the epoch protocol (see [`PoolShared`]).
 struct WorkerCell {
     rt: Runtime,
     /// Global indices of the nodes this shard owns (the dense form of
@@ -331,8 +346,9 @@ struct WorkerCell {
     min_key: Option<EventKey>,
     /// Earliest retransmission-timer candidate over owned nodes.
     min_timer: Cycles,
-    /// The window's trap, if any, keyed by the trapping event.
-    trap: Option<(EventKey, Trap)>,
+    /// The window's trap, if any (the trapping event is the last entry
+    /// of the shard's dispatch log).
+    trap: Option<Trap>,
 }
 
 /// State shared between the coordinator and the pinned worker threads.
@@ -346,13 +362,19 @@ struct WorkerCell {
 /// inline on the coordinating thread). All cell writes are published by
 /// the Release store that transfers ownership (`epoch` coordinator →
 /// worker, `acks[s]` worker → coordinator) and read after the matching
-/// Acquire load — hence the manual `Sync`.
+/// Acquire load — hence the manual `Sync`. A window is in flight only
+/// inside [`ShardPool::run_attempt`], which returns once every ack is in:
+/// everywhere else on the coordinating thread, the coordinator owns every
+/// cell.
 struct PoolShared {
     /// Window-publication epoch: the seqlock edge. Strictly monotone;
     /// bumped only while the coordinator owns every cell.
     epoch: AtomicU64,
     /// Window end `E` for the current epoch (written before the bump).
     end: AtomicU64,
+    /// Arm a checkpoint for the current epoch's window? (Optimistic
+    /// policy; written before the bump, like `end`.)
+    arm: AtomicBool,
     /// Per-worker ack: the last epoch worker `s` finished. Slot 0 is
     /// unused (shard 0 is inline).
     acks: Vec<AtomicU64>,
@@ -369,6 +391,15 @@ struct PoolShared {
 // Safety: see the protocol above — every cell access is serialized by
 // the epoch/ack handoff, and all other fields are atomics or a Mutex.
 unsafe impl Sync for PoolShared {}
+
+impl PoolShared {
+    /// Safety: the caller must own every cell under the epoch/ack
+    /// protocol (the coordinator, with no window in flight) and must not
+    /// hold two of these views at once.
+    unsafe fn all_cells(&self) -> impl Iterator<Item = &mut WorkerCell> {
+        self.cells.iter().map(|c| &mut *c.get())
+    }
+}
 
 fn unpark_coord(shared: &PoolShared) {
     let guard = shared.coord.lock().unwrap_or_else(|e| e.into_inner());
@@ -397,12 +428,15 @@ fn publish_minima(cell: &mut WorkerCell) {
     cell.min_timer = mt;
 }
 
-/// Run one window on a shard cell: reseed the index from owned
-/// candidates below `end`, dispatch, then publish the post-window minima
-/// and any trap. Shared verbatim by the pinned workers and the inline
-/// shard 0.
-fn run_shard_window(cell: &mut WorkerCell, end: Cycles) {
+/// Run one window on a shard cell: arm the checkpoint when the policy
+/// asks for one, reseed the index from owned candidates below `end`,
+/// dispatch, then publish the post-window minima and any trap. Shared
+/// verbatim by the pinned workers and the inline shard 0.
+fn run_shard_window(cell: &mut WorkerCell, end: Cycles, arm: bool) {
     let rt = &mut cell.rt;
+    if arm {
+        rt.tw_arm();
+    }
     rt.sched.clear();
     for &i in &cell.owned {
         let i = i as usize;
@@ -413,10 +447,7 @@ fn run_shard_window(cell: &mut WorkerCell, end: Cycles) {
             }
         }
     }
-    let r = run_window(rt, end);
-    cell.trap = r
-        .err()
-        .map(|trap| (rt.shard.as_ref().expect("shard ctx").cur, trap));
+    cell.trap = run_window(rt, end).err();
     publish_minima(cell);
 }
 
@@ -426,42 +457,61 @@ fn run_shard_window(cell: &mut WorkerCell, end: Cycles) {
 fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
     let tiers = spin_tiers(threads);
     let mut seen = 0u64;
+    let mut parked = false;
     loop {
-        // Graded wait for the next epoch; parks between windows and
-        // across chunk gaps (the unconditional `unpark` at publication
-        // makes a lost-wakeup race impossible: park tokens saturate).
-        let mut spins = 0u32;
-        let mut yields = 0u32;
-        let e = loop {
-            let e = shared.epoch.load(Ordering::Acquire);
-            if e != seen {
-                break e;
-            }
-            if spins < tiers.spin {
-                spins += 1;
-                std::hint::spin_loop();
-            } else if yields < tiers.yields {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
-            }
+        // Parks between windows and across chunk gaps; the coordinator
+        // unparks unconditionally at publication. A wait that ended in a
+        // park predicts the next one will too — the coordinator's serial
+        // section after a wide optimistic window (validate, commit
+        // hundreds of events) outlasts any spin budget — so it skips the
+        // spin tier instead of burning a core through it.
+        let tiers = SpinTiers {
+            spin: if parked { 0 } else { tiers.spin },
+            yields: tiers.yields,
         };
+        let mut e = seen;
+        parked = graded_wait(&tiers, || {
+            e = shared.epoch.load(Ordering::Acquire);
+            e != seen
+        });
         seen = e;
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
         let end = shared.end.load(Ordering::Relaxed);
+        let arm = shared.arm.load(Ordering::Relaxed);
         // Safety: `acks[s] < epoch` here, so this worker owns its cell.
         let cell = unsafe { &mut *shared.cells[s].get() };
-        run_shard_window(cell, end);
+        run_shard_window(cell, end, arm);
         shared.acks[s].store(e, Ordering::Release);
         unpark_coord(shared);
     }
 }
 
+/// Host stack reserved per nested sequential activation on a worker
+/// thread. The interpreter recurses on the host stack up to
+/// `Runtime::max_seq_depth` activations deep; a plain call chain measures
+/// ~5 KiB per activation in release builds and ~12 KiB unoptimized, and
+/// the rest is headroom for nested poll handling. The reservation is
+/// virtual: it costs nothing until a chain actually goes that deep.
+const SEQ_FRAME_BYTES: usize = 32 << 10;
+
+/// How far a window reaches and whether its outcome has to be checked:
+/// the only thing the two host-parallel executors differ in.
+pub(crate) enum WindowPolicy {
+    /// `end = W + lookahead`: nothing sent inside the window can come due
+    /// inside it, so no checkpoint is taken and validation is vacuous.
+    Conservative(Cycles),
+    /// `end = W + δ`, past the lookahead: workers checkpoint, the
+    /// coordinator validates at the barrier and rolls a straggler's
+    /// window back (see [`crate::timewarp`]).
+    Optimistic(Delta),
+}
+
 /// Pool identity: a pool is reusable by a later chunk only if nothing a
-/// worker runtime snapshots at build time has changed.
+/// worker runtime snapshots at build time has changed. The window policy
+/// is not part of it — it travels with each epoch publication, so
+/// conservative and optimistic chunks share one pool.
 #[derive(PartialEq, Eq, Clone, Copy)]
 struct PoolKey {
     threads: usize,
@@ -494,67 +544,92 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    /// Safety: caller must hold coordinator ownership of cell `s` under
-    /// the epoch/ack protocol (no window in flight, or `acks[s]` caught
-    /// up; cell 0 is always coordinator-owned).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn cell(&self, s: usize) -> &mut WorkerCell {
-        &mut *self.shared.cells[s].get()
+    /// Every cell, for the coordinator between windows (see the
+    /// [`PoolShared`] protocol; `&mut self` keeps two views from
+    /// coexisting).
+    fn cells(&mut self) -> impl Iterator<Item = &mut WorkerCell> {
+        // Safety: no window is in flight outside `run_attempt`.
+        unsafe { self.shared.all_cells() }
     }
 
     /// Swap every owned node between the coordinator and its shard cell.
     /// An involution: called once at chunk entry (nodes → cells) and
     /// once at chunk exit (nodes → coordinator); also brackets serial
-    /// steps, which need full-machine visibility. Only the coordinator
-    /// may call this (it owns every cell at those points).
+    /// steps, which need full-machine visibility.
     fn swap_nodes(&mut self, rt: &mut Runtime) {
-        for s in 0..self.threads {
-            // Safety: coordinator owns all cells between windows.
-            let cell = unsafe { self.cell(s) };
+        for cell in self.cells() {
             for &i in &cell.owned {
                 std::mem::swap(&mut rt.nodes[i as usize], &mut cell.rt.nodes[i as usize]);
             }
         }
     }
 
-    /// Publish window `[_, end)` to the pinned workers: the seqlock
-    /// edge. The Release bump transfers cell ownership to the workers;
-    /// the unconditional unparks cover parked ones (tokens saturate, so
-    /// an unpark racing a not-yet-parked worker is harmless).
-    fn publish(&mut self, end: Cycles) {
+    /// Recompute every cell's published minima from its nodes: at chunk
+    /// entry and after anything but a window changed them (a serial
+    /// step, a rollback).
+    fn republish_minima(&mut self) {
+        self.cells().for_each(publish_minima);
+    }
+
+    /// The next window base `W` (the minimum candidate key anywhere) and
+    /// the earliest timer candidate, from the per-shard published minima
+    /// — O(T), not a scan over nodes. `None` when the machine is
+    /// quiescent.
+    fn minima(&mut self) -> Option<(EventKey, Cycles)> {
+        let wkey = self.cells().filter_map(|c| c.min_key).min()?;
+        let timer = self.cells().map(|c| c.min_timer).min();
+        Some((wkey, timer.unwrap_or(Cycles::MAX)))
+    }
+
+    /// Run one attempt at window `[_, end)` on every shard: publish it
+    /// to the pinned workers (the seqlock edge — the Release bump
+    /// transfers cell ownership to them, and the unconditional unparks
+    /// cover parked ones), run shard 0 inline, then wait until every
+    /// worker has acked, which transfers all cells back to the
+    /// coordinator.
+    fn run_attempt(&mut self, end: Cycles, arm: bool) {
         self.shared.end.store(end, Ordering::Relaxed);
+        self.shared.arm.store(arm, Ordering::Relaxed);
         self.epoch += 1;
         self.shared.epoch.store(self.epoch, Ordering::Release);
         for t in &self.worker_threads[1..] {
             t.unpark();
         }
-    }
-
-    /// Graded wait until every pinned worker has acked the current
-    /// epoch, transferring all cells back to the coordinator.
-    fn wait_acks(&self) {
+        // Safety: cell 0 is always coordinator-owned.
+        run_shard_window(unsafe { &mut *self.shared.cells[0].get() }, end, arm);
         let tiers = spin_tiers(self.threads);
-        for s in 1..self.threads {
-            let mut spins = 0u32;
-            let mut yields = 0u32;
-            loop {
-                if self.shared.acks[s].load(Ordering::Acquire) == self.epoch {
-                    break;
+        for ack in &self.shared.acks[1..] {
+            graded_wait(&tiers, || {
+                if ack.load(Ordering::Acquire) == self.epoch {
+                    return true;
                 }
                 if self.shared.died.load(Ordering::Relaxed) {
                     panic!("shard worker thread died");
                 }
-                if spins < tiers.spin {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else if yields < tiers.yields {
-                    yields += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::park();
-                }
-            }
+                false
+            });
         }
+    }
+
+    /// Optimistic validation: the earliest straggler of the attempt that
+    /// just ran to `end`, over all shards (`None`: the window is clean).
+    fn first_straggler(&mut self, end: Cycles) -> Option<Cycles> {
+        self.cells().filter_map(|c| c.rt.tw_straggler(end)).min()
+    }
+
+    /// Cancel the attempt that just ran: roll every shard back to the
+    /// window edge, in the cells, and republish their minima. Traps the
+    /// cancelled attempt found are speculative state — if real, the
+    /// retry re-encounters them (its run is a prefix of the cancelled
+    /// one). Returns the number of anti-messages.
+    fn rollback(&mut self) -> u64 {
+        let mut anti = 0;
+        for cell in self.cells() {
+            anti += cell.rt.tw_rollback();
+            cell.trap = None;
+            publish_minima(cell);
+        }
+        anti
     }
 }
 
@@ -572,28 +647,33 @@ impl Drop for ShardPool {
 }
 
 impl Runtime {
-    /// Drive the machine until every candidate is at or past `horizon`
-    /// (`Cycles::MAX` = quiescence) with the sharded executor. Falls
-    /// back to the plain event index when fewer than two shards are
-    /// possible or the cost model has zero wire latency (no lookahead —
-    /// every window would be empty).
-    pub(crate) fn run_sharded(&mut self, threads: usize, horizon: Cycles) -> Result<(), Trap> {
-        let p = self.nodes.len();
-        let threads = threads.min(p);
+    /// The conservative lookahead `L`: the minimum latency any packet can
+    /// spend on the wire, capped by the retransmission timeout base when
+    /// the reliable transport is engaged. Fault plans may only *delay*
+    /// delivery, so any plan-derived slack is additive (today always
+    /// zero; the call records the dependency).
+    pub(crate) fn lookahead(&self) -> Cycles {
         let wire = self.cost.min_wire_latency();
-        let mut lookahead = if self.reliable {
+        let base = if self.reliable {
             wire.min(self.retx_base)
         } else {
             wire
         };
-        // Fault plans may only *delay* delivery, so any plan-derived slack
-        // is additive (today always zero; the call records the dependency).
-        lookahead =
-            lookahead.saturating_add(self.net.plan().map_or(0, |plan| plan.min_extra_latency()));
+        base.saturating_add(self.net.plan().map_or(0, |plan| plan.min_extra_latency()))
+    }
+
+    /// Drive the machine until every candidate is at or past `horizon`
+    /// (`Cycles::MAX` = quiescence) with conservative windows. Falls
+    /// back to the plain event index when fewer than two shards are
+    /// possible or the cost model has zero wire latency (no lookahead —
+    /// every window would be empty).
+    pub(crate) fn run_sharded(&mut self, threads: usize, horizon: Cycles) -> Result<(), Trap> {
+        let threads = threads.min(self.nodes.len());
+        let lookahead = self.lookahead();
         if threads <= 1 || lookahead == 0 {
             return self.run_sharded_fallback(horizon);
         }
-        self.run_sharded_windows(threads, lookahead, horizon)
+        self.run_windows(threads, WindowPolicy::Conservative(lookahead), horizon)
     }
 
     /// Zero-lookahead / single-shard path: run the plain event index,
@@ -626,7 +706,7 @@ impl Runtime {
     /// node present so global indexing works, but only owned nodes ever
     /// hold state during a window) sharing the program and fault plan,
     /// with tracing redirected into the shard capture.
-    pub(crate) fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
+    fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
         let mut net = Network::new();
         net.set_plan(self.net.plan().cloned());
         Runtime {
@@ -730,6 +810,7 @@ impl Runtime {
         let shared = Arc::new(PoolShared {
             epoch: AtomicU64::new(0),
             end: AtomicU64::new(0),
+            arm: AtomicBool::new(false),
             acks: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             cells,
             coord: Mutex::new(None),
@@ -742,6 +823,7 @@ impl Runtime {
             let shared = Arc::clone(&shared);
             let h = std::thread::Builder::new()
                 .name(format!("hem-shard-{s}"))
+                .stack_size(self.max_seq_depth as usize * SEQ_FRAME_BYTES)
                 .spawn(move || {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_loop(&shared, s, threads)
@@ -766,15 +848,15 @@ impl Runtime {
         });
     }
 
-    /// The windowed coordinator loop (see the [module docs](self)):
-    /// steady state is publish-epoch → inline shard 0 → wait acks →
-    /// merge/route at the barrier. Whole chunks share one pool; node
-    /// state only crosses a thread boundary by `mem::swap` at chunk
-    /// edges and serial steps, never through a channel.
-    fn run_sharded_windows(
+    /// The one windowed coordinator loop (see the [module docs](self)):
+    /// pick `W` from the published minima, size the window by `policy`,
+    /// run it on every shard, and — once it stands — commit it at the
+    /// barrier. Whole chunks share one pool; node state only crosses a
+    /// thread boundary by `mem::swap` at chunk edges and serial steps.
+    pub(crate) fn run_windows(
         &mut self,
         threads: usize,
-        lookahead: Cycles,
+        mut policy: WindowPolicy,
         horizon: Cycles,
     ) -> Result<(), Trap> {
         let record = self.trace_buf.enabled() || self.observer.is_some();
@@ -783,174 +865,79 @@ impl Runtime {
         *pool.shared.coord.lock().unwrap_or_else(|e| e.into_inner()) = Some(std::thread::current());
         // Chunk entry: pin the nodes into their shard cells.
         pool.swap_nodes(self);
-        // Initial per-shard minima (the coordinator owns every cell).
-        let mut shard_min: Vec<Option<EventKey>> = vec![None; threads];
-        let mut shard_timer: Vec<Cycles> = vec![Cycles::MAX; threads];
-        for s in 0..threads {
-            // Safety: no window in flight.
-            let cell = unsafe { pool.cell(s) };
-            publish_minima(cell);
-            shard_min[s] = cell.min_key;
-            shard_timer[s] = cell.min_timer;
-        }
+        pool.republish_minima();
 
-        let mut outcome: Result<(), (EventKey, Trap)> = Ok(());
-        let mut merged: Vec<(EventKey, u32, TraceRecord)> = Vec::new();
-        'windows: loop {
-            // W and the timer bound from the published per-shard minima
-            // (O(T), replacing the old coordinator's O(P) rescan).
-            let mut wkey: Option<EventKey> = None;
-            let mut timer_bound = Cycles::MAX;
-            for s in 0..threads {
-                if let Some(k) = shard_min[s] {
-                    if wkey.is_none_or(|b| k < b) {
-                        wkey = Some(k);
-                    }
-                }
-                timer_bound = timer_bound.min(shard_timer[s]);
-            }
-            let Some(wkey) = wkey else {
-                break; // quiescent
-            };
+        let arm = matches!(policy, WindowPolicy::Optimistic(_));
+        let mut outcome = Ok(());
+        while let Some((wkey, timer_bound)) = pool.minima() {
             if wkey.0 >= horizon {
                 break; // every candidate is at or past the horizon
             }
-            // Capping the window at the horizon keeps horizon-bounded
-            // runs an exact event-set prefix of unbounded ones; the
-            // serial-step branch below stays unreachable from the cap
-            // because `wkey.0 < horizon` here.
-            let end = wkey
-                .0
-                .saturating_add(lookahead)
-                .min(timer_bound)
-                .min(horizon);
-            if end <= wkey.0 {
+            let width = match &policy {
+                WindowPolicy::Conservative(lookahead) => *lookahead,
+                WindowPolicy::Optimistic(delta) => delta.width(),
+            };
+            // Never window past a retransmission timer — its handler
+            // inspects remote inboxes, which no windowed worker may do.
+            // Capping at the horizon keeps horizon-bounded runs an exact
+            // event-set prefix of unbounded ones.
+            let mut end = wkey.0.saturating_add(width).min(timer_bound).min(horizon);
+            // Attempts at [W, end). A conservative window stands as run;
+            // an optimistic one is validated, and on a straggler rolled
+            // back and retried shrunk to the straggler's due time — a
+            // retry that is provably clean (see `crate::timewarp`), so
+            // this loops at most twice.
+            while end > wkey.0 {
+                pool.run_attempt(end, arm);
+                let WindowPolicy::Optimistic(delta) = &mut policy else {
+                    break;
+                };
+                let Some(d_min) = pool.first_straggler(end) else {
+                    break;
+                };
+                delta.rolled_back();
+                self.spec.rollbacks += 1;
+                self.spec.anti_messages += pool.rollback();
+                end = d_min;
+            }
+            let r = if end <= wkey.0 {
                 // Serial step: the next event is (or ties with) a
-                // retransmission timer; run it with full-machine
-                // visibility and exact single-threaded semantics.
+                // retransmission timer, or a straggler lands exactly on
+                // the window base (the rollback put the machine back at
+                // the window edge, so `wkey` is still the minimum). Run
+                // it with full-machine visibility and exact
+                // single-threaded semantics.
                 pool.swap_nodes(self); // every node home
                 self.sched_stats.serial_steps += 1;
+                self.spec.serial_steps += arm as u64;
                 let r = self.dispatch_event(wkey.0, wkey.1, wkey.2 as usize);
                 pool.swap_nodes(self); // and back out
-                if let Err(trap) = r {
-                    outcome = Err((wkey, trap));
-                    break 'windows;
+                pool.republish_minima();
+                r
+            } else {
+                if let WindowPolicy::Optimistic(delta) = &mut policy {
+                    delta.committed();
+                    self.spec.windows += 1;
+                    self.spec.max_window = self.spec.max_window.max(end - wkey.0);
                 }
-                for s in 0..threads {
-                    // Safety: no window in flight.
-                    let cell = unsafe { pool.cell(s) };
-                    publish_minima(cell);
-                    shard_min[s] = cell.min_key;
-                    shard_timer[s] = cell.min_timer;
-                }
-                continue;
-            }
-
-            // Parallel window [wkey.0, end): one atomic publication.
-            pool.publish(end);
-            // Safety: cell 0 is always coordinator-owned.
-            run_shard_window(unsafe { pool.cell(0) }, end);
-            pool.wait_acks();
-
-            // Barrier pass 1 (coordinator owns every cell again): fold
-            // dispatch counts and completion logs, collect traps and the
-            // published minima, concatenate the captures.
-            let mut wevents = 0u64;
-            let mut fails: Vec<(EventKey, Trap)> = Vec::new();
-            merged.clear();
-            for s in 0..threads {
-                // Safety: all acks collected.
-                let cell = unsafe { pool.cell(s) };
-                let wk = &mut cell.rt;
-                wevents += wk.sched_stats.events_dispatched;
-                self.sched_stats.events_dispatched += wk.sched_stats.events_dispatched;
-                wk.sched_stats.events_dispatched = 0;
-                if wk.result.is_some() {
-                    self.result = wk.result.take();
-                }
-                if !wk.completions.is_empty() {
-                    // Request ids are unique, so folding worker logs
-                    // into the id-ordered coordinator map is
-                    // insertion-order independent.
-                    self.completions.append(&mut wk.completions);
-                }
-                shard_min[s] = cell.min_key;
-                shard_timer[s] = cell.min_timer;
-                if let Some(f) = cell.trap.take() {
-                    fails.push(f);
-                }
-                merged.append(&mut wk.shard.as_mut().expect("shard ctx").capture);
-            }
-            // Barrier pass 2: route cross-shard packets straight into
-            // the destination cells (all published minima are in hand,
-            // so lowering a destination shard's minimum is sound even
-            // when the destination shard index precedes the source's).
-            for s in 0..threads {
-                // Safety: coordinator owns all cells; the take below
-                // ends the borrow before the destination cell is
-                // touched, and a shard never outboxes to itself.
-                let mut out = {
-                    let cell = unsafe { pool.cell(s) };
-                    std::mem::take(&mut cell.rt.shard.as_mut().expect("shard ctx").outbox)
-                };
-                for (d, entry) in out.drain(..) {
-                    let ds = pool.owner[d as usize];
-                    // Safety: as above.
-                    let dcell = unsafe { pool.cell(ds) };
-                    let node = &mut dcell.rt.nodes[d as usize];
-                    let key = (node.time.max(entry.deliver), 0u8, d);
-                    node.inbox.push(entry);
-                    if shard_min[ds].is_none_or(|b| key < b) {
-                        shard_min[ds] = Some(key);
-                    }
-                }
-                // Hand the drained buffer back so its capacity is reused.
-                let cell = unsafe { pool.cell(s) };
-                cell.rt.shard.as_mut().expect("shard ctx").outbox = out;
-            }
-            self.sched_stats.windows += 1;
-            self.sched_stats.window_events += wevents;
-            self.sched_stats.max_window_events = self.sched_stats.max_window_events.max(wevents);
-            // Stable sort of key-sorted shard runs == deterministic
-            // merge; keys are unique per event and the ordinal orders
-            // records within one, so the order is total. (Conservative
-            // windows dispatch in non-decreasing key order per shard —
-            // only the speculative executor needs the general
-            // heads-merge; see `crate::timewarp`.)
-            merged.sort_by_key(|(k, o, _)| (*k, *o));
-            if let Some(&(trap_key, _)) = fails.iter().min_by_key(|(k, _)| *k) {
-                // Keep only what a single-threaded run would have
-                // emitted before (and during) the trapping event.
-                for (k, _, rec) in merged.drain(..) {
-                    if k <= trap_key {
-                        self.flush_record(rec);
-                    }
-                }
-                let (key, trap) = fails
-                    .into_iter()
-                    .min_by_key(|(k, _)| *k)
-                    .expect("nonempty fails");
-                outcome = Err((key, trap));
-                break 'windows;
-            }
-            for (_, _, rec) in merged.drain(..) {
-                self.flush_record(rec);
+                self.commit_window(&mut pool)
+            };
+            if let Err(trap) = r {
+                outcome = Err(trap);
+                break;
             }
         }
 
         // Chunk exit: unpin the nodes (the involution swaps them home)
-        // and fold worker-side global state into the coordinator. The
-        // pool itself — threads, shard map, worker husks — stays put for
-        // the next chunk.
+        // and fold worker-side global state into the coordinator,
+        // draining it so the next chunk's fold doesn't double-count. The
+        // pool itself — threads, shard map, worker husks — stays put.
         pool.swap_nodes(self);
-        for s in 0..threads {
-            // Safety: no window in flight after the loop.
-            let cell = unsafe { pool.cell(s) };
+        for cell in pool.cells() {
             let wk = &mut cell.rt;
             self.net.absorb_counters(&wk.net);
-            // `absorb_counters` reads without draining; zero the source
-            // so the next chunk's fold doesn't double-count.
             wk.net.restore_counters(&NetStats::default());
+            self.spec.ckpt_nodes += std::mem::take(&mut wk.spec.ckpt_nodes);
             if let (Some(main_s), Some(wk_s)) =
                 (self.sanitizer.as_deref_mut(), wk.sanitizer.as_deref_mut())
             {
@@ -961,7 +948,108 @@ impl Runtime {
             n.sched_noted = None;
         }
         self.pool = Some(pool);
-        outcome.map_err(|(_, trap)| trap)
+        outcome
+    }
+
+    /// The window barrier, once the window stands: fold the shards'
+    /// results into the coordinator, route cross-shard packets into their
+    /// destination cells, and replay the captures in serial order,
+    /// returning the serial-first trap if any shard trapped.
+    fn commit_window(&mut self, pool: &mut ShardPool) -> Result<(), Trap> {
+        let owner = &pool.owner;
+        // Safety: the window's acks are all in, so the coordinator owns
+        // every cell, and this is the only view of them.
+        let mut cells: Vec<&mut WorkerCell> = unsafe { pool.shared.all_cells() }.collect();
+        let mut wevents = 0u64;
+        for cell in &mut cells {
+            let wk = &mut cell.rt;
+            wevents += std::mem::take(&mut wk.sched_stats.events_dispatched);
+            if wk.result.is_some() {
+                self.result = wk.result.take();
+            }
+            // Request ids are unique, so folding worker logs into the
+            // id-ordered coordinator map is insertion-order independent.
+            self.completions.append(&mut wk.completions);
+            wk.shard.as_mut().expect("shard ctx").ckpt = None;
+        }
+        self.sched_stats.events_dispatched += wevents;
+        self.sched_stats.windows += 1;
+        self.sched_stats.window_events += wevents;
+        self.sched_stats.max_window_events = self.sched_stats.max_window_events.max(wevents);
+        // Every shard's published minimum is in hand, so lowering a
+        // destination shard's minimum while routing is sound whichever
+        // way the shard indices are ordered. A shard never outboxes to
+        // itself.
+        for s in 0..cells.len() {
+            let mut out =
+                std::mem::take(&mut cells[s].rt.shard.as_mut().expect("shard ctx").outbox);
+            for (d, entry) in out.drain(..) {
+                let dcell = &mut *cells[owner[d as usize]];
+                let node = &mut dcell.rt.nodes[d as usize];
+                let key = (node.time.max(entry.deliver), 0u8, d);
+                node.inbox.push(entry);
+                if dcell.min_key.is_none_or(|b| key < b) {
+                    dcell.min_key = Some(key);
+                }
+            }
+            // Hand the drained buffer back so its capacity is reused.
+            cells[s].rt.shard.as_mut().expect("shard ctx").outbox = out;
+        }
+        let trap = self.replay_in_serial_order(&mut cells);
+        for cell in &mut cells {
+            let sh = cell.rt.shard.as_mut().expect("shard ctx");
+            sh.capture.clear();
+            sh.dispatched.clear();
+            cell.trap = None;
+        }
+        trap.map_or(Ok(()), Err)
+    }
+
+    /// The heads-merge (module docs): commit the window's events in
+    /// serial order — always the minimum key among the shards'
+    /// next-undispatched events — flushing each event's records as it
+    /// commits, and stop at the serial-first trap, which is returned.
+    fn replay_in_serial_order(&mut self, cells: &mut [&mut WorkerCell]) -> Option<Trap> {
+        // The order only matters to records and traps: with tracing off
+        // and nothing trapped there is nothing to replay.
+        if cells
+            .iter()
+            .all(|c| c.trap.is_none() && c.rt.shard.as_ref().expect("shard ctx").capture.is_empty())
+        {
+            return None;
+        }
+        let mut cursors = vec![(0usize, 0usize); cells.len()]; // (event, record) per shard
+        loop {
+            let (key, s) = cells
+                .iter()
+                .zip(&cursors)
+                .enumerate()
+                .filter_map(|(s, (cell, &(ev, _)))| {
+                    let sh = cell.rt.shard.as_ref().expect("shard ctx");
+                    sh.dispatched.get(ev).map(|&k| (k, s))
+                })
+                .min()?;
+            let sh = cells[s].rt.shard.as_ref().expect("shard ctx");
+            let (ev, rec) = &mut cursors[s];
+            *ev += 1;
+            // This event's records sit at the shard's record cursor,
+            // under its key and one ordinal (the ordinal splits
+            // back-to-back events that share a key).
+            if let Some(&(k0, o0, _)) = sh.capture.get(*rec).filter(|r| r.0 == key) {
+                while let Some(&(k, o, record)) = sh.capture.get(*rec) {
+                    if (k, o) != (k0, o0) {
+                        break;
+                    }
+                    self.flush_record(record);
+                    *rec += 1;
+                }
+            }
+            // A trapping dispatch ends its shard's log: nothing a
+            // single-threaded run would have emitted lies past it.
+            if *ev == sh.dispatched.len() && cells[s].trap.is_some() {
+                return cells[s].trap.take();
+            }
+        }
     }
 }
 
@@ -1161,6 +1249,50 @@ mod tests {
         assert_eq!(st.sched.runtime_moves, 0, "zero Runtime moves");
         assert_eq!(st.sched.coord_roundtrips, 0, "zero channel round-trips");
         assert!(st.sched.pool_reuses >= 1, "second chunk reused the pool");
+    }
+
+    #[test]
+    fn rollback_republishes_the_window_edge_minima() {
+        // Unit cost = zero lookahead: a wide optimistic window is sure to
+        // find a straggler. After the rollback the cells must publish the
+        // minima of the restored state — the window-edge ones — not what
+        // the cancelled attempt left behind.
+        let (mut rt, root, bounce) = ring_runtime(4, CostModel::unit());
+        crate::wrapper::run_invocation(
+            &mut rt,
+            root.node.idx(),
+            root.index,
+            bounce,
+            vec![Value::Int(25)],
+            crate::cont::Continuation::Root,
+            false,
+        )
+        .expect("root invocation");
+        rt.ensure_pool(2, false);
+        let mut pool = rt.pool.take().expect("pool");
+        *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
+        pool.swap_nodes(&mut rt);
+        pool.republish_minima();
+        let published = |pool: &mut ShardPool| -> Vec<(Option<EventKey>, Cycles)> {
+            pool.cells().map(|c| (c.min_key, c.min_timer)).collect()
+        };
+        let edge = published(&mut pool);
+        let (wkey, _) = pool.minima().expect("work pending");
+        let end = wkey.0 + 1_000;
+        pool.run_attempt(end, true);
+        assert_ne!(published(&mut pool), edge, "the attempt moved the minima");
+        assert!(pool.first_straggler(end).is_some(), "straggler expected");
+        assert!(pool.rollback() > 0, "anti-messages expected");
+        let rolled_back = published(&mut pool);
+        pool.republish_minima();
+        assert_eq!(rolled_back, published(&mut pool), "fresh publish_minima");
+        assert_eq!(rolled_back, edge, "window-edge minima");
+        // The machine is back at the window edge: finish the run.
+        pool.swap_nodes(&mut rt);
+        rt.pool = Some(pool);
+        rt.sched_impl = SchedImpl::Speculative { threads: 2 };
+        rt.run_to_quiescence().expect("drain");
+        assert_eq!(rt.result, Some(Value::Int(325)));
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Optimistic (Time-Warp) execution at window granularity, for the
-//! zero-lookahead regime.
+//! Optimistic (Time-Warp) windows, for the zero-lookahead regime: the
+//! second window policy of the one window engine in [`crate::shard`].
 //!
-//! [`SchedImpl::Speculative`] keeps the sharded executor's structure —
-//! contiguous node shards, one OS worker per shard, windowed advance, a
-//! deterministic commit at each barrier — but drops the conservative
-//! premise that a window may only extend as far as the lookahead
-//! guarantees no cross-shard message can land. Instead each window
-//! *speculates*:
+//! [`SchedImpl::Speculative`] runs on the sharded executor's engine —
+//! the same pool, partition, epoch/ack window edge, barrier and commit
+//! merge — and differs only in its [`crate::shard::WindowPolicy`]: it
+//! drops the conservative premise that a window may only extend as far
+//! as the lookahead guarantees no cross-shard message can land. (A
+//! conservative window is an optimistic one whose validation cannot
+//! fail.) This module holds what is speculation-specific: the checkpoint,
+//! the validate and rollback routines the coordinator calls on each
+//! worker runtime, the window-width adaptation, and the argument for
+//! why it is all invisible. Each window *speculates*:
 //!
-//! 1. **Checkpoint.** Every worker arms a copy-on-dirty checkpoint: the
+//! 1. **Checkpoint.** The epoch publication tells every worker to arm a
+//!    copy-on-dirty checkpoint for its owned nodes: the
 //!    first time a window dispatch (or an intra-shard delivery) touches
 //!    a node, the node is cloned whole — objects, contexts, inbox,
 //!    transport maps, and the wire-sequence counter (see
@@ -18,12 +23,13 @@
 //!    with `δ` well past the conservative lookahead (adaptively sized,
 //!    see below), parking cross-shard sends in their outboxes exactly as
 //!    the conservative executor does.
-//! 3. **Validate.** At the barrier the coordinator scans every outbox: a
+//! 3. **Validate.** At the barrier the coordinator (which owns every
+//!    cell once the acks are in) scans every outbox: a
 //!    packet due *inside* the window (`deliver < end`) is a
 //!    **straggler** — its destination shard just ran the window without
 //!    it, so the optimistic run is invalid.
 //! 4. **Rollback + anti-messages.** On any straggler, *all* shards roll
-//!    back: checkpointed nodes are moved back in place, parked outbox
+//!    back, in their cells: checkpointed nodes are moved back in place, parked outbox
 //!    packets are discarded (each one an **anti-message** — the send
 //!    never happened; the per-node wire-sequence counters rewind with
 //!    the node snapshots, so a re-send re-draws the *same* sequence
@@ -31,8 +37,9 @@
 //!    which is a pure function of `(seed, seq, src, dest)`), worker
 //!    network counters are reset to their window-edge snapshot
 //!    ([`hem_machine::net::Network::restore_counters`]), sanitizer state
-//!    rewinds, and the trace capture of the cancelled attempt is
-//!    dropped. The window re-runs with `end` shrunk to the earliest
+//!    rewinds, the trace capture and dispatch log of the cancelled
+//!    attempt are dropped, and the shards' minima are republished. The
+//!    window re-runs with `end` shrunk to the earliest
 //!    straggler's delivery time `d_min` — and that second attempt is
 //!    provably clean (below). When `d_min == W` (a zero-latency message
 //!    delivered exactly at the window base) the shrunken window would be
@@ -42,8 +49,8 @@
 //!    after the fact — exactly the conservative invariant, established
 //!    by checking rather than by bounding — so the union of their runs
 //!    is the serial run's event set for `[W, end)`, and per-shard state,
-//!    counters, and captures fold into the coordinator as under
-//!    [`SchedImpl::Sharded`].
+//!    counters, and captures fold into the coordinator through the same
+//!    barrier code as under [`SchedImpl::Sharded`].
 //!
 //! **Why the retry is clean.** Shard-local dispatch consumes no foreign
 //! input inside a window (stragglers are precisely the foreign input
@@ -64,21 +71,19 @@
 //! counters, final state, and fault fates are bit-identical to
 //! [`SchedImpl::EventIndex`].
 //!
-//! **The commit merge is a heads-merge, not a sort.** Under zero
+//! **Why the commit merge is a heads-merge, not a sort.** Under zero
 //! lookahead a dispatched event can *create* a smaller-key candidate —
 //! dispatching `(t, local-work, n)` may send a zero-latency message that
 //! becomes `(t, message, n')` with `message < local-work` in the kind
 //! order — so neither the serial dispatch order nor a shard's capture
-//! buffer is key-sorted, and the conservative executor's global
-//! sort-by-key would interleave records wrongly. The serial order is
-//! instead reconstructed by repeatedly taking, among the shards' *next
-//! undispatched* events, the one with the minimum key (equal keys across
-//! shards are impossible — the node id is part of the key and nodes are
-//! partitioned). In conservative windows per-shard dispatch keys are
-//! non-decreasing and the heads-merge degenerates to exactly that sort.
+//! buffer is key-sorted, and a global sort-by-key would interleave
+//! records wrongly. The engine's merge therefore follows the shards'
+//! dispatch logs (see [`crate::shard`]); in conservative windows
+//! per-shard dispatch keys are non-decreasing and it degenerates to a
+//! sorted merge.
 //!
 //! **Windows never cross timers.** `end` is capped at the earliest
-//! retransmission-timer candidate, as under the conservative executor:
+//! retransmission-timer candidate, under either policy:
 //! timer handlers inspect *remote* inboxes (`frame_in_flight`), which no
 //! windowed worker may do. Timers are handled by coordinator serial
 //! steps with full-machine visibility.
@@ -100,11 +105,9 @@
 use crate::error::Trap;
 use crate::explore::Mutant;
 use crate::rt::{Node, Runtime};
-use crate::shard::{recv_spin, run_window, EventKey};
-use crate::trace::TraceRecord;
+use crate::shard::WindowPolicy;
 use hem_machine::stats::NetStats;
 use hem_machine::Cycles;
-use std::sync::mpsc::{channel, Sender};
 
 /// A worker's armed window checkpoint: copy-on-dirty node snapshots plus
 /// the window-edge values of the worker-global state a rollback must
@@ -145,6 +148,42 @@ pub struct SpecStats {
     pub max_window: Cycles,
 }
 
+/// The adaptive window width `δ` (module docs): a pure function of the
+/// sequence of rollback outcomes.
+pub(crate) struct Delta {
+    width: Cycles,
+    cap: Cycles,
+    clean_streak: u32,
+}
+
+impl Delta {
+    /// `base` is the conservative lookahead, floored at 1.
+    pub fn new(base: Cycles) -> Delta {
+        Delta {
+            width: base.saturating_mul(8),
+            cap: base.saturating_mul(64),
+            clean_streak: 0,
+        }
+    }
+
+    pub fn width(&self) -> Cycles {
+        self.width
+    }
+
+    pub fn rolled_back(&mut self) {
+        self.clean_streak = 0;
+        self.width = (self.width / 2).max(1);
+    }
+
+    pub fn committed(&mut self) {
+        self.clean_streak += 1;
+        if self.clean_streak >= 4 {
+            self.clean_streak = 0;
+            self.width = self.width.saturating_mul(2).min(self.cap);
+        }
+    }
+}
+
 impl Runtime {
     /// Speculation diagnostics accumulated by
     /// [`crate::SchedImpl::Speculative`] runs on this runtime (zeros
@@ -153,6 +192,35 @@ impl Runtime {
     /// speculating the executor did, not what the machine computed.
     pub fn spec_stats(&self) -> SpecStats {
         self.spec
+    }
+
+    /// Drive the machine until every candidate is at or past `horizon`
+    /// with optimistic windows. Falls back to the plain event index only
+    /// for degenerate thread counts — a zero-lookahead cost model runs
+    /// speculatively (that regime is the point; conservative windows
+    /// cannot form there).
+    pub(crate) fn run_speculative(&mut self, threads: usize, horizon: Cycles) -> Result<(), Trap> {
+        let threads = threads.min(self.nodes.len());
+        if threads <= 1 {
+            return self.run_sharded_fallback(horizon);
+        }
+        // Base window scale: the conservative lookahead when there is
+        // one, a small constant when there is none.
+        let delta = Delta::new(self.lookahead().max(1));
+        self.run_windows(threads, WindowPolicy::Optimistic(delta), horizon)
+    }
+
+    /// Worker side, at the window edge: arm a fresh checkpoint.
+    pub(crate) fn tw_arm(&mut self) {
+        let ck = TwCkpt {
+            saved: self.nodes.iter().map(|_| None).collect(),
+            net: self.net.stats(),
+            san: self.sanitizer.as_deref().map(|s| s.snapshot()),
+            next_task: self.next_task,
+        };
+        let sh = self.shard.as_mut().expect("shard ctx");
+        sh.ckpt = Some(ck);
+        sh.min_timer = Cycles::MAX;
     }
 
     /// Copy-on-dirty checkpoint hook: called before the first mutation
@@ -174,376 +242,55 @@ impl Runtime {
         }
     }
 
-    /// Drive the machine until every candidate is at or past `horizon`
-    /// with the optimistic executor. Falls back to the plain event index
-    /// only for degenerate thread counts — a zero-lookahead cost model
-    /// runs speculatively (that regime is the point; the conservative
-    /// executor serializes there).
-    pub(crate) fn run_speculative(&mut self, threads: usize, horizon: Cycles) -> Result<(), Trap> {
-        let p = self.nodes.len();
-        let threads = threads.min(p);
-        if threads <= 1 {
-            return self.run_sharded_fallback(horizon);
-        }
-        let wire = self.cost.min_wire_latency();
-        let mut lookahead = if self.reliable {
-            wire.min(self.retx_base)
-        } else {
-            wire
-        };
-        lookahead =
-            lookahead.saturating_add(self.net.plan().map_or(0, |plan| plan.min_extra_latency()));
-        // Base window scale: the conservative lookahead when there is
-        // one, a small constant when there is none.
-        let base = lookahead.max(1);
-        self.run_timewarp_windows(threads, base, horizon)
+    /// Validate this worker's attempt at a window ending at `end`: a
+    /// parked cross-shard packet due inside the window is a straggler,
+    /// and so is a retransmission timer armed mid-window with a deadline
+    /// inside it (workers never fire timers; the serial run would).
+    /// Returns the earliest such due time.
+    pub(crate) fn tw_straggler(&self, end: Cycles) -> Option<Cycles> {
+        let sh = self.shard.as_ref().expect("shard ctx");
+        sh.outbox
+            .iter()
+            .map(|(_, entry)| entry.deliver)
+            .chain([sh.min_timer])
+            .filter(|&due| due < end)
+            .min()
     }
 
-    /// The optimistic coordinator loop (see the [module docs](self)).
-    fn run_timewarp_windows(
-        &mut self,
-        threads: usize,
-        base: Cycles,
-        horizon: Cycles,
-    ) -> Result<(), Trap> {
-        let p = self.nodes.len();
-        let mut owner = vec![0usize; p];
-        for (s, chunk) in (0..threads).map(|s| (s, (s * p / threads, (s + 1) * p / threads))) {
-            for o in &mut owner[chunk.0..chunk.1] {
-                *o = s;
+    /// Roll this worker back to the window edge and cancel its attempt:
+    /// checkpointed nodes return in place, parked packets are dropped
+    /// (anti-messages; their count is returned), the capture and the
+    /// dispatch log are discarded, and the worker-global state rewinds.
+    pub(crate) fn tw_rollback(&mut self) -> u64 {
+        let keep_wseq = self.mutant_is(Mutant::SkipWireSeqRestore);
+        let sh = self.shard.as_mut().expect("shard ctx");
+        let anti = sh.outbox.len() as u64;
+        sh.outbox.clear();
+        sh.capture.clear();
+        sh.dispatched.clear();
+        let ck = sh.ckpt.take().expect("armed checkpoint");
+        for (i, saved) in ck.saved.into_iter().enumerate() {
+            if let Some(saved) = saved {
+                let wseq = self.nodes[i].wire_seq;
+                self.nodes[i] = *saved;
+                if keep_wseq {
+                    // Mutation site (`skip-wire-seq-restore`): keep the
+                    // speculatively advanced counter, so re-sends draw
+                    // fresh sequence numbers and re-roll their fault
+                    // fates.
+                    self.nodes[i].wire_seq = wseq;
+                }
             }
         }
-        let record = self.trace_buf.enabled() || self.observer.is_some();
-        let mut workers: Vec<Option<Runtime>> = (0..threads)
-            .map(|s| Some(self.make_worker(s, &owner, record)))
-            .collect();
-
-        let mut delta = base.saturating_mul(8);
-        let delta_cap = base.saturating_mul(64);
-        let mut clean_streak = 0u32;
-
-        let mut outcome: Result<(), (EventKey, Trap)> = Ok(());
-        std::thread::scope(|scope| {
-            type Job = (Runtime, Cycles);
-            type Done = (usize, Runtime, Result<(), Trap>);
-            let mut job_tx: Vec<Sender<Job>> = Vec::with_capacity(threads - 1);
-            let (res_tx, res_rx) = channel::<Done>();
-            for s in 1..threads {
-                let (tx, rx) = channel::<Job>();
-                job_tx.push(tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((mut rt, end)) = rx.recv() {
-                        let r = run_window(&mut rt, end);
-                        if res_tx.send((s, rt, r)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(res_tx);
-
-            'windows: loop {
-                // All nodes live in `self` here. Find W and the timer
-                // bound, exactly as the conservative executor does.
-                let mut wkey: Option<EventKey> = None;
-                let mut timer_bound = Cycles::MAX;
-                for i in 0..p {
-                    if let Some((t, k)) = self.node_candidate(i) {
-                        let key = (t, k, i as u32);
-                        if wkey.is_none_or(|b| key < b) {
-                            wkey = Some(key);
-                        }
-                    }
-                    if let Some(t2) = self.node_timer_candidate(i) {
-                        timer_bound = timer_bound.min(t2);
-                    }
-                }
-                let Some(wkey) = wkey else {
-                    break; // quiescent
-                };
-                if wkey.0 >= horizon {
-                    break;
-                }
-                let mut end = wkey.0.saturating_add(delta).min(timer_bound).min(horizon);
-                if end <= wkey.0 {
-                    // A retransmission timer is (or ties with) the next
-                    // event: never speculate past it — its handler
-                    // inspects remote inboxes. Exact serial semantics.
-                    self.spec.serial_steps += 1;
-                    self.sched_stats.serial_steps += 1;
-                    if let Err(trap) = self.dispatch_event(wkey.0, wkey.1, wkey.2 as usize) {
-                        outcome = Err((wkey, trap));
-                        break 'windows;
-                    }
-                    continue;
-                }
-
-                // Optimistic attempts at [wkey.0, end): validate, shrink
-                // on stragglers. Terminates — `end` strictly decreases,
-                // and the retry at `d_min` is provably clean (module
-                // docs), so in practice this loop runs at most twice.
-                loop {
-                    // Hand-out, with checkpoints armed.
-                    let mut active = vec![false; threads];
-                    for (s, slot) in workers.iter_mut().enumerate() {
-                        let wk = slot.as_mut().expect("worker at barrier");
-                        wk.sched.clear();
-                        wk.sched_stats.events_dispatched = 0;
-                        let ck = TwCkpt {
-                            saved: (0..p).map(|_| None).collect(),
-                            net: wk.net.stats(),
-                            san: wk.sanitizer.as_deref().map(|s| s.snapshot()),
-                            next_task: wk.next_task,
-                        };
-                        let sh = wk.shard.as_mut().expect("shard ctx");
-                        sh.ckpt = Some(ck);
-                        sh.min_timer = Cycles::MAX;
-                        for (i, &own) in owner.iter().enumerate() {
-                            if own != s {
-                                continue;
-                            }
-                            std::mem::swap(&mut self.nodes[i], &mut wk.nodes[i]);
-                            wk.nodes[i].sched_noted = None;
-                            if let Some((t, k)) = wk.node_candidate(i) {
-                                if t < end {
-                                    wk.sched_note(t, k, i);
-                                    active[s] = true;
-                                }
-                            }
-                        }
-                    }
-                    for s in 1..threads {
-                        if active[s] {
-                            let wk = workers[s].take().expect("worker at barrier");
-                            job_tx[s - 1].send((wk, end)).expect("worker thread died");
-                            // One whole runtime shipped out through the
-                            // channel; its twin comes back at the Done
-                            // receive below. The sharded executor's
-                            // pinned pool counts zero of either.
-                            self.sched_stats.runtime_moves += 1;
-                        }
-                    }
-                    let mut fails: Vec<(EventKey, Trap)> = Vec::new();
-                    if active[0] {
-                        let wk = workers[0].as_mut().expect("inline shard");
-                        if let Err(trap) = run_window(wk, end) {
-                            fails.push((wk.shard.as_ref().expect("shard ctx").cur, trap));
-                        }
-                    }
-                    let jobs_out = (1..threads).filter(|&s| active[s]).count();
-                    for _ in 0..jobs_out {
-                        let (s, wk, r) = recv_spin(&res_rx, threads);
-                        self.sched_stats.runtime_moves += 1;
-                        self.sched_stats.coord_roundtrips += 1;
-                        if let Err(trap) = r {
-                            fails.push((wk.shard.as_ref().expect("shard ctx").cur, trap));
-                        }
-                        workers[s] = Some(wk);
-                    }
-
-                    // Barrier, pass 1: every node back into the
-                    // coordinator (restores below target `self.nodes`).
-                    for (s, slot) in workers.iter_mut().enumerate() {
-                        let wk = slot.as_mut().expect("worker at barrier");
-                        for (i, &own) in owner.iter().enumerate() {
-                            if own == s {
-                                std::mem::swap(&mut self.nodes[i], &mut wk.nodes[i]);
-                            }
-                        }
-                    }
-
-                    // Validate: a parked cross-shard packet due inside
-                    // the window is a straggler, and so is a
-                    // retransmission timer armed mid-window with a
-                    // deadline inside it (workers never fire timers;
-                    // the serial run would). `d_min` is the earliest
-                    // either anywhere.
-                    let mut d_min: Option<Cycles> = None;
-                    for slot in workers.iter() {
-                        let wk = slot.as_ref().expect("worker at barrier");
-                        let sh = wk.shard.as_ref().expect("shard ctx");
-                        for (_, entry) in &sh.outbox {
-                            if entry.deliver < end && d_min.is_none_or(|m| entry.deliver < m) {
-                                d_min = Some(entry.deliver);
-                            }
-                        }
-                        if sh.min_timer < end && d_min.is_none_or(|m| sh.min_timer < m) {
-                            d_min = Some(sh.min_timer);
-                        }
-                    }
-
-                    let Some(d_min) = d_min else {
-                        // Clean window: commit.
-                        self.spec.windows += 1;
-                        self.spec.max_window = self.spec.max_window.max(end - wkey.0);
-                        self.sched_stats.windows += 1;
-                        clean_streak += 1;
-                        if clean_streak >= 4 {
-                            clean_streak = 0;
-                            delta = delta.saturating_mul(2).min(delta_cap);
-                        }
-                        let mut captures: Vec<Vec<(EventKey, u32, TraceRecord)>> =
-                            Vec::with_capacity(threads);
-                        let mut dispatched: Vec<Vec<EventKey>> = Vec::with_capacity(threads);
-                        let mut wevents = 0u64;
-                        for slot in workers.iter_mut() {
-                            let wk = slot.as_mut().expect("worker at barrier");
-                            self.sched_stats.events_dispatched += wk.sched_stats.events_dispatched;
-                            wevents += wk.sched_stats.events_dispatched;
-                            if wk.result.is_some() {
-                                self.result = wk.result.take();
-                            }
-                            if !wk.completions.is_empty() {
-                                self.completions.append(&mut wk.completions);
-                            }
-                            let sh = wk.shard.as_mut().expect("shard ctx");
-                            sh.ckpt = None;
-                            for (d, entry) in sh.outbox.drain(..) {
-                                self.nodes[d as usize].inbox.push(entry);
-                            }
-                            captures.push(std::mem::take(&mut sh.capture));
-                            dispatched.push(std::mem::take(&mut sh.dispatched));
-                        }
-                        self.sched_stats.window_events += wevents;
-                        self.sched_stats.max_window_events =
-                            self.sched_stats.max_window_events.max(wevents);
-                        // Heads-merge (module docs): replay events in
-                        // serial order — always the minimum key among the
-                        // shards' next-undispatched events — flushing each
-                        // event's records as it commits, and stopping at
-                        // the serial-first trap if any shard trapped.
-                        let fail_keys: Vec<EventKey> = fails.iter().map(|(k, _)| *k).collect();
-                        let mut ev_cur = vec![0usize; threads];
-                        let mut rec_cur = vec![0usize; threads];
-                        let mut trap_key: Option<EventKey> = None;
-                        loop {
-                            let mut head: Option<(EventKey, usize)> = None;
-                            for (s, d) in dispatched.iter().enumerate() {
-                                if let Some(&k) = d.get(ev_cur[s]) {
-                                    if head.is_none_or(|(hk, _)| k < hk) {
-                                        head = Some((k, s));
-                                    }
-                                }
-                            }
-                            let Some((k, s)) = head else {
-                                break;
-                            };
-                            ev_cur[s] += 1;
-                            // This event's records sit at the shard's
-                            // record cursor: same key, same ordinal (the
-                            // ordinal splits back-to-back events that
-                            // share a key).
-                            if let Some(&(k0, o0, _)) = captures[s].get(rec_cur[s]) {
-                                if k0 == k {
-                                    while let Some(&(k2, o2, rec)) = captures[s].get(rec_cur[s]) {
-                                        if (k2, o2) != (k0, o0) {
-                                            break;
-                                        }
-                                        self.flush_record(rec);
-                                        rec_cur[s] += 1;
-                                    }
-                                }
-                            }
-                            if fail_keys.contains(&k) {
-                                trap_key = Some(k);
-                                break;
-                            }
-                        }
-                        if let Some(tk) = trap_key {
-                            let (_, trap) = fails
-                                .into_iter()
-                                .find(|(k, _)| *k == tk)
-                                .expect("trap for merged key");
-                            outcome = Err((tk, trap));
-                            break 'windows;
-                        } else if let Some((key, trap)) = fails.into_iter().min_by_key(|(k, _)| *k)
-                        {
-                            // Defensive: a trapping dispatch always logs
-                            // its key, so the merge should have found it.
-                            outcome = Err((key, trap));
-                            break 'windows;
-                        }
-                        break; // next window
-                    };
-
-                    // Straggler: roll every shard back to the window
-                    // edge and cancel the attempt. Traps found by the
-                    // cancelled attempt are speculative state — if real,
-                    // the retry re-encounters them (its run is a prefix
-                    // of the cancelled one).
-                    self.spec.rollbacks += 1;
-                    clean_streak = 0;
-                    delta = (delta / 2).max(1);
-                    fails.clear();
-                    let keep_wseq = self.mutant_is(Mutant::SkipWireSeqRestore);
-                    for slot in workers.iter_mut() {
-                        let wk = slot.as_mut().expect("worker at barrier");
-                        let sh = wk.shard.as_mut().expect("shard ctx");
-                        self.spec.anti_messages += sh.outbox.len() as u64;
-                        sh.outbox.clear();
-                        sh.capture.clear();
-                        sh.dispatched.clear();
-                        let ck = sh.ckpt.take().expect("armed checkpoint");
-                        for (i, saved) in ck.saved.into_iter().enumerate() {
-                            if let Some(saved) = saved {
-                                let wseq = self.nodes[i].wire_seq;
-                                self.nodes[i] = *saved;
-                                if keep_wseq {
-                                    // Mutation site (`skip-wire-seq-restore`):
-                                    // keep the speculatively advanced
-                                    // counter, so re-sends draw fresh
-                                    // sequence numbers and re-roll their
-                                    // fault fates.
-                                    self.nodes[i].wire_seq = wseq;
-                                }
-                            }
-                        }
-                        wk.net.restore_counters(&ck.net);
-                        if let (Some(sn), Some(snap)) =
-                            (wk.sanitizer.as_deref_mut(), ck.san.as_ref())
-                        {
-                            sn.rollback(snap);
-                        }
-                        wk.next_task = ck.next_task;
-                        wk.result = None;
-                        wk.completions.clear();
-                    }
-                    if d_min <= wkey.0 {
-                        // The straggler lands exactly on the window base:
-                        // the shrunken window would be empty. Step the
-                        // global-minimum event serially (the rollback put
-                        // the machine back at the window edge, so `wkey`
-                        // is still the minimum) and open a fresh window.
-                        self.spec.serial_steps += 1;
-                        self.sched_stats.serial_steps += 1;
-                        if let Err(trap) = self.dispatch_event(wkey.0, wkey.1, wkey.2 as usize) {
-                            outcome = Err((wkey, trap));
-                            break 'windows;
-                        }
-                        break; // next window
-                    }
-                    end = d_min; // retry, shrunken — provably clean
-                }
-            }
-            drop(job_tx); // workers exit; scope joins them
-        });
-
-        // Fold worker-side global state back into the coordinator.
-        for slot in &mut workers {
-            let wk = slot.as_mut().expect("worker after run");
-            self.net.absorb_counters(&wk.net);
-            self.spec.ckpt_nodes += wk.spec.ckpt_nodes;
-            if let (Some(main_s), Some(wk_s)) =
-                (self.sanitizer.as_deref_mut(), wk.sanitizer.as_deref_mut())
-            {
-                main_s.absorb(wk_s);
-            }
+        self.net.restore_counters(&ck.net);
+        if let (Some(sn), Some(snap)) = (self.sanitizer.as_deref_mut(), ck.san.as_ref()) {
+            sn.rollback(snap);
         }
-        for n in &mut self.nodes {
-            n.sched_noted = None;
-        }
-        outcome.map_err(|(_, trap)| trap)
+        self.next_task = ck.next_task;
+        self.result = None;
+        self.completions.clear();
+        self.sched_stats.events_dispatched = 0;
+        anti
     }
 }
 
@@ -552,7 +299,7 @@ mod tests {
     use super::*;
     use crate::msg::Packet;
     use crate::rt::{InboxEntry, SchedImpl};
-    use crate::trace::Observer;
+    use crate::trace::{Observer, TraceRecord};
     use crate::{ExecMode, InterfaceSet};
     use hem_ir::{BinOp, MethodId, ObjRef, ProgramBuilder, Value};
     use hem_machine::cost::CostModel;
@@ -739,6 +486,94 @@ mod tests {
             let (dropped, tail) = run(SchedImpl::Speculative { threads });
             assert_eq!(dropped, base_dropped, "threads={threads}: evictions");
             assert_eq!(tail, base_tail, "threads={threads}: ring tail");
+        }
+    }
+
+    /// Start `bounce(25)` at the ring's root without draining the
+    /// machine, so a test can drive it through `run_until` chunks.
+    fn start_ring(sched: SchedImpl) -> Runtime {
+        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
+        rt.sched_impl = sched;
+        rt.enable_trace();
+        crate::wrapper::run_invocation(
+            &mut rt,
+            root.node.idx(),
+            root.index,
+            bounce,
+            vec![Value::Int(25)],
+            crate::cont::Continuation::Root,
+            false,
+        )
+        .expect("root invocation");
+        rt
+    }
+
+    #[test]
+    fn speculative_chunks_share_the_pool_and_fold_stats_once() {
+        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
+        let mut rt = start_ring(SchedImpl::Speculative { threads: 2 });
+        for chunk in 1..=8 {
+            let horizon = base.makespan * chunk / 8;
+            rt.run_until(horizon).expect("chunk");
+            // A chunk with nothing left below its horizon folds the
+            // workers' tallies again: they must have been drained.
+            let (spec, net) = (rt.spec_stats(), rt.stats().net);
+            rt.run_until(horizon).expect("empty chunk");
+            assert_eq!(rt.spec_stats(), spec, "chunk {chunk}: SpecStats re-folded");
+            assert_eq!(rt.stats().net, net, "chunk {chunk}: net counters re-folded");
+        }
+        rt.run_to_quiescence().expect("drain");
+        assert_eq!(rt.result, base.result);
+        assert_eq!(rt.makespan(), base.makespan);
+        assert_eq!(rt.take_trace(), base.trace, "chunked trace");
+        let (st, spec) = (rt.stats(), rt.spec_stats());
+        assert_eq!(st.net, base.stats.net);
+        assert!(st.sched.pool_reuses > 0, "later chunks reused the pool");
+        assert_eq!(st.sched.runtime_moves, 0, "zero Runtime moves");
+        assert_eq!(st.sched.coord_roundtrips, 0, "zero channel round-trips");
+        assert!(
+            spec.windows > 0 && spec.ckpt_nodes > 0,
+            "speculated: {spec:?}"
+        );
+        // Every attempt checkpoints each of the 4 nodes at most once.
+        assert!(
+            spec.ckpt_nodes <= 4 * (spec.windows + spec.rollbacks),
+            "checkpoints double-counted across chunks: {spec:?}"
+        );
+    }
+
+    #[test]
+    fn policies_alternate_on_one_runtime_and_one_pool() {
+        // The window policy travels with each window, not with the pool:
+        // a conservative chunk followed by an optimistic one (and the
+        // reverse) is still the event-index run, bit for bit.
+        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
+        let (sharded, spec) = (
+            SchedImpl::Sharded { threads: 2 },
+            SchedImpl::Speculative { threads: 2 },
+        );
+        for (first, second) in [(sharded, spec), (spec, sharded)] {
+            let what = format!("{first:?} then {second:?}");
+            let mut rt = start_ring(first);
+            rt.run_until(base.makespan / 2).expect("first chunk");
+            rt.sched_impl = second;
+            rt.run_to_quiescence().expect("second chunk");
+            assert_eq!(rt.result, base.result, "{what}: result");
+            assert_eq!(rt.makespan(), base.makespan, "{what}: makespan");
+            assert_eq!(rt.take_trace(), base.trace, "{what}: trace");
+            let st = rt.stats();
+            assert_eq!(st.node_time, base.stats.node_time, "{what}: clocks");
+            assert_eq!(st.per_node, base.stats.per_node, "{what}: counters");
+            assert_eq!(st.net, base.stats.net, "{what}: net stats");
+            assert_eq!(
+                st.sched.events_dispatched, base.stats.sched.events_dispatched,
+                "{what}: dispatch count"
+            );
+            assert_eq!(st.sched.pool_reuses, 1, "{what}: one pool served both");
+            assert!(
+                rt.spec_stats().windows > 0,
+                "{what}: the optimistic chunk ran"
+            );
         }
     }
 

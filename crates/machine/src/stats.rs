@@ -186,14 +186,13 @@ pub struct SchedStats {
     /// Most events dispatched in any single parallel window.
     pub max_window_events: u64,
     /// Whole worker runtimes shipped through an OS channel to reach or
-    /// leave a worker thread. The coordinator-free sharded executor pins
-    /// worker state to its thread and never moves a runtime — this reads
-    /// 0 there at every thread count — while the optimistic (Time-Warp)
-    /// executor still rendezvouses through channels and counts honestly.
+    /// leave a worker thread. 0 under every executor: the one window
+    /// engine pins worker state to its thread and never moves a runtime.
+    /// Kept so reports and benchmark baselines stay comparable.
     pub runtime_moves: u64,
     /// Coordinator channel rendezvous (a job send paired with a result
-    /// receive). 0 under the coordinator-free sharded executor, whose
-    /// window edges advance by an atomic epoch publication instead.
+    /// receive). 0 under every executor: window edges advance by an
+    /// atomic epoch publication instead.
     pub coord_roundtrips: u64,
     /// Times a later `run_until` chunk reused the persistent shard pool
     /// (worker threads, shard map, and pinned worker runtimes) instead of

@@ -28,11 +28,13 @@ use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
 use hem::core::trace::TraceRecord;
 use hem::core::{ExecMode, Runtime, SchedImpl};
+use hem::ir::{BinOp, ProgramBuilder, Value};
 use hem::machine::cost::CostModel;
 use hem::machine::fault::FaultPlan;
 use hem::machine::stats::MachineStats;
 use hem::machine::topology::ProcGrid;
 use hem::obs::{Report, Rollup};
+use hem::NodeId;
 
 /// Everything observable about one run, including the rendered rollup
 /// report fed by an *online* observer (not the trace buffer).
@@ -243,5 +245,87 @@ fn degenerate_thread_counts_match() {
     for threads in [0usize, 1, 16, 64] {
         let sh = run_kernel("sor", 1, SchedImpl::Sharded { threads }, None);
         assert_bit_identical(&format!("sor/degenerate/threads{threads}"), &base, &sh);
+    }
+}
+
+/// A sequential call chain as deep as `max_seq_depth` allows, on a node
+/// owned by shard 1: the worker thread's host stack must hold it under
+/// both threaded executors. (The 2 MiB spawn default did not — `hemprof
+/// sor --p 64 --size 512 --threads 2` aborted with a stack overflow while
+/// the serial run passed on the 8 MiB main stack.)
+#[test]
+fn deep_local_chain_fits_the_worker_stack() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C", false);
+    let peer = pb.field(c, "peer");
+    let down = pb.declare(c, "down", 1);
+    pb.define(down, |mb| {
+        let k = mb.arg(0);
+        let done = mb.binl(BinOp::Le, k, 0);
+        mb.if_else(
+            done,
+            |mb| mb.reply(0i64),
+            |mb| {
+                let me = mb.self_ref();
+                let k1 = mb.binl(BinOp::Sub, k, 1);
+                let s = mb.invoke_into(me, down, &[k1.into()]);
+                let v = mb.touch_get(s);
+                let r = mb.binl(BinOp::Add, v, 1);
+                mb.reply(r);
+            },
+        );
+    });
+    // The root invocation runs on the calling thread, so reach node 1
+    // through a message: its handler runs in a window, on worker 1.
+    let relay = pb.declare(c, "relay", 1);
+    pb.define(relay, |mb| {
+        let pr = mb.get_field(peer);
+        let s = mb.invoke_into(pr, down, &[mb.arg(0).into()]);
+        let v = mb.touch_get(s);
+        mb.reply(v);
+    });
+    let program = pb.finish();
+    let run = move |sched: SchedImpl| {
+        let mut rt = Runtime::new(
+            program.clone(),
+            2,
+            CostModel::cm5(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
+        )
+        .expect("valid program");
+        rt.sched_impl = sched;
+        rt.enable_trace();
+        let root = rt.alloc_object_by_name("C", NodeId(0));
+        let far = rt.alloc_object_by_name("C", NodeId(1));
+        rt.set_field(root, peer, Value::Obj(far));
+        let depth = rt.max_seq_depth as i64 - 8;
+        let result = rt.call(root, relay, &[Value::Int(depth)]).expect("runs");
+        assert_eq!(result, Some(Value::Int(depth)));
+        let stats = rt.stats();
+        assert_eq!(stats.per_node[1].fallbacks, 0, "chain stayed on the stack");
+        (rt.makespan(), rt.take_trace(), stats)
+    };
+    // The serial reference recurses on the calling thread, and test
+    // threads get the 2 MiB default too: give it a main-thread-class
+    // stack of its own.
+    let base = std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn({
+            let run = run.clone();
+            move || run(SchedImpl::EventIndex)
+        })
+        .expect("spawn reference thread")
+        .join()
+        .expect("reference run");
+    for sched in [
+        SchedImpl::Sharded { threads: 2 },
+        SchedImpl::Speculative { threads: 2 },
+    ] {
+        let got = run(sched);
+        assert_eq!(got.0, base.0, "{sched:?}: makespan");
+        assert_eq!(got.1, base.1, "{sched:?}: trace");
+        assert_eq!(got.2.per_node, base.2.per_node, "{sched:?}: counters");
+        assert_eq!(got.2.net, base.2.net, "{sched:?}: net stats");
     }
 }

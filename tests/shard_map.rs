@@ -11,12 +11,15 @@
 //! * the weighted map is **observationally invisible** — traces,
 //!   makespan, `MachineStats`, and the rendered rollup report stay
 //!   bit-identical to the single-threaded event index at threads {2, 4},
-//!   with and without weights, with and without a fault plan;
+//!   under both threaded executors, with and without weights, with and
+//!   without a fault plan;
 //! * the weighted map actually **splits the hot slice** — the hottest
 //!   shard's busy share drops strictly below the equal-slice map's, and
 //!   the hot nodes no longer share one shard;
 //! * the persistent pool survives `run_until` chunks (serve mode) with
-//!   zero `Runtime` moves and zero coordinator round-trips.
+//!   zero `Runtime` moves and zero coordinator round-trips;
+//! * all of it under both window policies — `Sharded` and `Speculative`
+//!   run on the one pool and take the same partition.
 
 use hem::analysis::InterfaceSet;
 use hem::core::trace::TraceRecord;
@@ -192,14 +195,17 @@ fn skewed_placement_stays_bit_identical() {
                     if plan.is_some() { "/faulty" } else { "" }
                 )
             };
-            let (even, _) = run_skewed(SchedImpl::Sharded { threads }, None, plan.as_ref());
-            assert_bit_identical(&label("even"), &base, &even);
-            let (prof, _) = run_skewed(
-                SchedImpl::Sharded { threads },
-                Some(weights.clone()),
-                plan.as_ref(),
-            );
-            assert_bit_identical(&label("profile"), &base, &prof);
+            // Both window policies run on the one pool and take the same
+            // partition, so both get the full even/profile matrix.
+            for (name, sched) in [
+                ("sharded", SchedImpl::Sharded { threads }),
+                ("speculative", SchedImpl::Speculative { threads }),
+            ] {
+                let (even, _) = run_skewed(sched, None, plan.as_ref());
+                assert_bit_identical(&label(&format!("{name}/even")), &base, &even);
+                let (prof, _) = run_skewed(sched, Some(weights.clone()), plan.as_ref());
+                assert_bit_identical(&label(&format!("{name}/profile")), &base, &prof);
+            }
         }
     }
 }
@@ -261,6 +267,21 @@ fn profile_guided_map_splits_the_hot_slice() {
         prof_peak * 4 <= total * 3,
         "per-shard busy spread bound: {prof_peak} > 3/4 of {total}"
     );
+
+    // The optimistic policy partitions by the same map (it used to
+    // hard-code equal slices): with the hot pair split across shards the
+    // hot exchange crosses a shard boundary on every hop, which shows up
+    // as stragglers the equal-slice run never sees.
+    let spec = SchedImpl::Speculative { threads: 2 };
+    let (_, rt_even) = run_skewed(spec, None, None);
+    let (_, rt_prof) = run_skewed(spec, Some(weights.clone()), None);
+    assert_eq!(rt_prof.shard_plan(2), prof);
+    assert!(
+        rt_prof.spec_stats().rollbacks > rt_even.spec_stats().rollbacks,
+        "weighted map in use under Speculative: {:?} vs even {:?}",
+        rt_prof.spec_stats(),
+        rt_even.spec_stats()
+    );
 }
 
 /// (c) Serve mode: one pool serves every `run_until` chunk of the
@@ -268,12 +289,19 @@ fn profile_guided_map_splits_the_hot_slice() {
 /// round-trips, and a pool reuse per subsequent chunk.
 #[test]
 fn serve_mode_reuses_one_pool_across_chunks() {
+    for speculative in [false, true] {
+        serve_reuses_one_pool(speculative);
+    }
+}
+
+fn serve_reuses_one_pool(speculative: bool) {
     let mut cfg = ServeConfig::new();
     cfg.p = 8;
     cfg.backends = 8;
     cfg.horizon = 30_000;
     cfg.warmup = 2_000;
     cfg.threads = 2;
+    cfg.speculative = speculative;
     let (rt, out) = cfg.run();
     let completed =
         out.count(|r| matches!(r.disposition, hem::apps::service::Disposition::Completed(_)));
