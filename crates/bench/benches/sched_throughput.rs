@@ -520,7 +520,7 @@ fn bench_pool_chunks(c: &mut Criterion) {
         cfg
     };
     let outcome = |threads: usize, speculative: bool| {
-        let (rt, out) = serve_cfg(threads, speculative).run();
+        let (rt, out) = serve_cfg(threads, speculative).run().expect("service run");
         (rt.stats(), out.records.len(), rt.makespan())
     };
     let (_, base_reqs, base_mk) = outcome(1, false);
@@ -548,7 +548,7 @@ fn bench_pool_chunks(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new(format!("threads{threads}"), "P16"),
             &threads,
-            |b, &threads| b.iter(|| serve_cfg(threads, false).run().1.records.len()),
+            |b, &threads| b.iter(|| outcome(threads, false).1),
         );
     }
     g.finish();

@@ -19,6 +19,7 @@ use hem_machine::topology::{BlockCyclic, ProcGrid};
 fn main() {
     let args = Args::capture();
     let n: u32 = args.get("--n").unwrap_or(96);
+    args.finish();
     let procs = ProcGrid::square(64);
     let iters = 1u32;
 

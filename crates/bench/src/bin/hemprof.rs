@@ -125,34 +125,79 @@ fn parse_cost(args: &Args) -> CostModel {
     }
 }
 
+/// What to print and export once the run is over — parsed before it, so
+/// that every flag has been looked up when [`Args::finish`] runs.
+struct Output {
+    json: bool,
+    events: bool,
+    critical_path: bool,
+    perfetto: Option<String>,
+}
+
+impl Output {
+    fn parse(args: &Args) -> Output {
+        let out = Output {
+            json: match args.get::<String>("--report").as_deref() {
+                None | Some("table") => false,
+                Some("json") => true,
+                Some(_) => usage(),
+            },
+            events: args.has("--events"),
+            critical_path: args.has("--critical-path"),
+            perfetto: args.get("--perfetto"),
+        };
+        // Validate the perfetto destination before the (potentially
+        // long) run, so a typo'd path fails in milliseconds, not minutes.
+        if let Some(path) = &out.perfetto {
+            if let Err(e) = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)
+            {
+                eprintln!("hemprof: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+        out
+    }
+}
+
+/// Host stack for the run. The sequential interpreter recurses on it up
+/// to `Runtime::max_seq_depth` (1200) activations deep before it traps,
+/// and an unoptimized build spends well over the main thread's 8 MiB on
+/// that — it would overflow before the depth check fires. Sized like the
+/// shard workers' stacks (32 KiB per activation, rounded up); the
+/// reservation is virtual and costs nothing until a chain goes that deep.
+const RUN_STACK_BYTES: usize = 64 << 20;
+
 fn main() {
+    let run = std::thread::Builder::new()
+        .name("hemprof".into())
+        .stack_size(RUN_STACK_BYTES)
+        .spawn(run)
+        .expect("spawn the run thread");
+    if run.join().is_err() {
+        // The panic message is already on stderr.
+        std::process::exit(101);
+    }
+}
+
+fn run() {
     let args = Args::capture();
     let sub = match std::env::args().nth(1) {
         Some(name) if !name.starts_with('-') => name,
         _ => usage(),
     };
 
-    // Validate the perfetto destination before the (potentially long) run,
-    // so a typo'd path fails in milliseconds, not minutes.
-    let perfetto_path = args.get::<String>("--perfetto");
-    if let Some(path) = &perfetto_path {
-        if let Err(e) = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-        {
-            eprintln!("hemprof: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
     if sub == "diff" {
+        args.finish();
         run_diff();
     }
+    let output = Output::parse(&args);
 
     if sub == "serve" || sub == "blame" {
-        run_serve(&args, perfetto_path, sub == "blame");
+        run_serve(&args, output, sub == "blame");
         return;
     }
 
@@ -210,6 +255,7 @@ fn main() {
         }
         Some(_) => usage(),
     }
+    args.finish();
 
     // The rollup observes the stream online — reports stay exact even
     // when a bounded ring evicts records.
@@ -219,7 +265,7 @@ fn main() {
     if let Some(s) = &spec {
         report = report.with_speculative(s.clone());
     }
-    emit(&args, report, &mut rt, perfetto_path, None, spec, None);
+    emit(output, report, &mut rt, None, spec, None);
 }
 
 /// `hemprof diff A.json B.json` — compare two rollup JSON reports
@@ -469,7 +515,7 @@ fn delta(a: u64, b: u64) -> String {
     }
 }
 
-fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
+fn run_serve(args: &Args, output: Output, blame: bool) {
     let mut cfg = ServeConfig::new();
     if let Some(p) = args.get("--p") {
         cfg.p = p;
@@ -540,6 +586,7 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
         } else {
             None
         };
+    args.finish();
 
     // One observer slot on the runtime, several consumers of the stream:
     // tee the rollup (always), the blame tracker (`blame` subcommand),
@@ -551,7 +598,10 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
     if let Some(w) = series_window {
         fan = fan.with(Box::new(Series::new(w)));
     }
-    let (mut rt, out) = cfg.run_with_observer(Box::new(fan));
+    let (mut rt, out) = cfg.run_with_observer(Box::new(fan)).unwrap_or_else(|trap| {
+        eprintln!("hemprof: {trap}");
+        std::process::exit(1);
+    });
 
     let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
     let any: Box<dyn std::any::Any> = rt.take_observer().expect("fanout attached");
@@ -595,10 +645,9 @@ fn run_serve(args: &Args, perfetto_path: Option<String>, blame: bool) {
         report = report.with_speculative(s.clone());
     }
     emit(
-        args,
+        output,
         report,
         &mut rt,
-        perfetto_path,
         Some(cfg.horizon),
         spec,
         series_summary,
@@ -659,10 +708,9 @@ fn report_from(rt: &mut Runtime, title: &str) -> Report {
 /// `--perfetto`, `--critical-path`). `horizon` clamps the critical path
 /// for horizon-bounded runs.
 fn emit(
-    args: &Args,
+    output: Output,
     report: Report,
     rt: &mut Runtime,
-    perfetto_path: Option<String>,
     horizon: Option<Cycles>,
     spec: Option<hem_obs::SpecSummary>,
     series: Option<hem_obs::SeriesSummary>,
@@ -678,20 +726,19 @@ fn emit(
         );
     }
 
-    match args.get::<String>("--report").as_deref() {
-        None | Some("table") => print!("{}", report.text()),
-        Some("json") => println!("{}", report.json()),
-        Some(_) => usage(),
+    if output.json {
+        println!("{}", report.json());
+    } else {
+        print!("{}", report.text());
     }
 
-    let need_records =
-        args.has("--events") || args.has("--critical-path") || perfetto_path.is_some();
-    if !need_records {
+    let need_timeline = output.critical_path || output.perfetto.is_some();
+    if !(output.events || need_timeline) {
         return;
     }
     let records = rt.take_trace();
 
-    if args.has("--events") {
+    if output.events {
         for rec in &records {
             println!(
                 "{:<12} {}",
@@ -702,13 +749,12 @@ fn emit(
         println!();
     }
 
-    let need_timeline = args.has("--critical-path") || perfetto_path.is_some();
     if !need_timeline {
         return;
     }
     let tl = Timeline::build(&records, stats.per_node.len());
 
-    if let Some(path) = perfetto_path {
+    if let Some(path) = output.perfetto {
         let json =
             perfetto::to_json_full(&records, &tl, rt.program(), spec.as_ref(), series.as_ref());
         std::fs::write(&path, &json).unwrap_or_else(|e| {
@@ -721,7 +767,7 @@ fn emit(
         );
     }
 
-    if args.has("--critical-path") {
+    if output.critical_path {
         let cp = match horizon {
             Some(h) => critpath::critical_path_until(&tl, h),
             None => critpath::critical_path(&tl),

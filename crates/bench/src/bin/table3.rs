@@ -46,6 +46,7 @@ fn time_c(b: &Bench) -> f64 {
 fn main() {
     let args = Args::capture();
     let full = args.has("--full");
+    args.finish();
     let suite = hem_apps::callintensive::build();
     let (fib_n, tak, nq, qs, nrev_n, ackmn) = if full {
         (

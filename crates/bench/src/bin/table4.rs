@@ -17,6 +17,7 @@ fn main() {
     let full = args.has("--full");
     let n: u32 = args.get("--n").unwrap_or(if full { 512 } else { 192 });
     let iters: u32 = args.get("--iters").unwrap_or(if full { 100 } else { 2 });
+    args.finish();
     let procs = ProcGrid::square(64);
     // Block sizes from fully cyclic to pure block (n / 8 per processor).
     let mut blocks = vec![1u32, 2, 4, n / 16, n / 8];

@@ -18,6 +18,7 @@ fn main() {
     let n_atoms: u32 = args
         .get("--atoms")
         .unwrap_or(if full { 10503 } else { 2000 });
+    args.finish();
     let cutoff = 1.1f64;
     let nodes = 64u32;
 

@@ -20,6 +20,7 @@ fn main() {
         .unwrap_or(if full { 4096 } else { 512 });
     let degree = 16u32;
     let iters: u32 = args.get("--iters").unwrap_or(if full { 100 } else { 2 });
+    args.finish();
 
     println!(
         "Table 6: EM3D ({} graph nodes of degree {degree}, {iters} iterations)\n\

@@ -39,36 +39,74 @@ pub fn rt(
     hem_apps::make_runtime(program, nodes, cost, mode, ifaces)
 }
 
-/// Trivial flag scanner for the harness binaries: `has("--full")`,
-/// `get("--n")`.
+/// Flag scanner for the harness binaries: `has("--full")`, `get("--n")`,
+/// then [`Args::finish`] once everything has been looked up — a flag no
+/// lookup asked for is a usage error, not a silent no-op.
 pub struct Args {
     argv: Vec<String>,
+    /// `consumed[i]` — has a lookup matched `argv[i]` (as a flag or as a
+    /// flag's value)?
+    consumed: std::cell::RefCell<Vec<bool>>,
 }
 
 impl Args {
     /// Capture the process arguments.
     pub fn capture() -> Self {
+        let argv: Vec<String> = std::env::args().collect();
         Args {
-            argv: std::env::args().collect(),
+            consumed: std::cell::RefCell::new(vec![false; argv.len()]),
+            argv,
         }
+    }
+
+    /// Position of the first `flag`; every occurrence counts as consumed
+    /// (a repeated flag is not an unknown one).
+    fn find(&self, flag: &str) -> Option<usize> {
+        let mut consumed = self.consumed.borrow_mut();
+        let mut first = None;
+        for (i, a) in self.argv.iter().enumerate() {
+            if a == flag {
+                consumed[i] = true;
+                first = first.or(Some(i));
+            }
+        }
+        first
     }
 
     /// Is a bare flag present?
     pub fn has(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
+        self.find(flag).is_some()
     }
 
     /// Value of `--key <v>`, parsed; `None` when the flag is absent. A
     /// flag that is present with a missing or unparsable value is a usage
     /// error: one line on stderr, exit 2 (never a silent default).
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        let i = self.argv.iter().position(|a| a == key)?;
+        let i = self.find(key)?;
         let Some(v) = self.argv.get(i + 1) else {
             bad_value(&self.argv[0], &format!("{key} needs a value"));
         };
+        self.consumed.borrow_mut()[i + 1] = true;
         match v.parse() {
             Ok(parsed) => Some(parsed),
             Err(_) => bad_value(&self.argv[0], &format!("{key}: invalid value '{v}'")),
+        }
+    }
+
+    /// The first `--flag` on the command line that no [`Self::has`] or
+    /// [`Self::get`] has asked for.
+    fn unknown(&self) -> Option<&str> {
+        let consumed = self.consumed.borrow();
+        (1..self.argv.len())
+            .find(|&i| !consumed[i] && self.argv[i].starts_with("--"))
+            .map(|i| self.argv[i].as_str())
+    }
+
+    /// Call once every flag the binary understands has been looked up:
+    /// an unknown `--flag` is a usage error (one line on stderr, exit 2).
+    pub fn finish(&self) {
+        if let Some(flag) = self.unknown() {
+            bad_value(&self.argv[0], &format!("unknown flag '{flag}'"));
         }
     }
 }

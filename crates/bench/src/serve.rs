@@ -8,7 +8,7 @@
 
 use hem_analysis::InterfaceSet;
 use hem_apps::service::{self, Disposition, ServeOutcome, ServeParams};
-use hem_core::{ExecMode, Runtime};
+use hem_core::{ExecMode, Runtime, Trap};
 use hem_machine::arrival::ArrivalDist;
 use hem_machine::cost::CostModel;
 use hem_machine::fault::FaultPlan;
@@ -98,18 +98,20 @@ impl ServeConfig {
 
     /// Build the service world, enable tracing plus a streaming rollup
     /// observer, and play the arrival stream. Returns the runtime (trace
-    /// still buffered, observer still attached) and the raw outcome.
-    ///
-    /// # Panics
-    /// On a trap — the service kernel is deadlock-free by construction.
-    pub fn run(&self) -> (Runtime, ServeOutcome) {
+    /// still buffered, observer still attached) and the raw outcome, or
+    /// the trap that ended the run: an overloaded configuration can drive
+    /// a non-blocking call chain past the sequential depth limit.
+    pub fn run(&self) -> Result<(Runtime, ServeOutcome), Trap> {
         self.run_with_observer(Box::new(hem_obs::Rollup::new()))
     }
 
     /// [`ServeConfig::run`] with a caller-supplied observer in place of
     /// the plain rollup — e.g. a [`hem_obs::Fanout`] teeing a rollup, a
     /// blame tracker, and a series collector over the same stream.
-    pub fn run_with_observer(&self, obs: Box<dyn hem_core::Observer>) -> (Runtime, ServeOutcome) {
+    pub fn run_with_observer(
+        &self,
+        obs: Box<dyn hem_core::Observer>,
+    ) -> Result<(Runtime, ServeOutcome), Trap> {
         let ids = service::build();
         let mut rt = crate::rt(
             ids.program.clone(),
@@ -146,8 +148,8 @@ impl ServeConfig {
             deadline: self.deadline,
             max_queue: self.max_queue,
         };
-        let out = service::run_service(&mut rt, &inst, &params).expect("service run");
-        (rt, out)
+        let out = service::run_service(&mut rt, &inst, &params)?;
+        Ok((rt, out))
     }
 
     /// Aggregate the raw outcome into the report's steady-state summary:

@@ -145,3 +145,56 @@ fn bad_flag_values_are_usage_errors() {
         assert_eq!(err.lines().count(), 1, "one line on stderr: {err:?}");
     }
 }
+
+/// A `--flag` nothing looks up is a usage error too (the first one is
+/// named on stderr, exit 2), before anything runs — not a silent no-op.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let table4 = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_table4"))
+            .args(args)
+            .output()
+            .expect("spawn table4")
+    };
+    for out in [
+        hemprof(&["sor", "--p", "4", "--bogus-flag", "3"]),
+        hemprof(&["serve", "--until", "20000", "--bogus-flag"]),
+        hemprof(&["diff", "a.json", "b.json", "--bogus-flag"]),
+        table4(&["--n", "16", "--bogus-flag"]),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "unknown flag exits 2");
+        assert!(out.stdout.is_empty(), "nothing ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one line on stderr: {err:?}");
+        assert!(err.contains("unknown flag '--bogus-flag'"), "{err:?}");
+    }
+    // A repeated known flag is not an unknown one (the first value wins).
+    let out = hemprof(&["sor", "--p", "4", "--size", "8", "--p", "16"]);
+    assert!(out.status.success(), "repeated flag still runs");
+}
+
+/// A service run that traps (here: a bursty overload drives a
+/// non-blocking call chain past the sequential depth limit) ends with one
+/// `hemprof: trap…` line and exit 1 — not a panic backtrace and 101.
+#[test]
+fn trapped_service_run_exits_1_with_one_line() {
+    for sub in ["serve", "blame"] {
+        let out = hemprof(&[
+            sub,
+            "--arrival",
+            "bursty",
+            "--rate",
+            "40",
+            "--until",
+            "2000000",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{sub}: a trap exits 1");
+        assert!(out.stdout.is_empty(), "{sub}: no report for a trapped run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{sub}: one line: {err:?}");
+        assert!(
+            err.starts_with("hemprof: trap") && err.contains("sequential depth limit"),
+            "{sub}: {err:?}"
+        );
+    }
+}

@@ -49,7 +49,7 @@ impl SlotState {
 /// (which wrap one in scheduling state). Falling back from stack to heap
 /// is *moving* an `ActFrame` into a [`Context`] — the mechanical heart of
 /// the paper's lazy context allocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ActFrame {
     /// Executing method.
     pub method: MethodId,
@@ -61,6 +61,36 @@ pub struct ActFrame {
     pub locals: Vec<Value>,
     /// Embedded future slots.
     pub slots: Vec<SlotState>,
+}
+
+/// `clone_from` refills the target's register and slot vectors in place:
+/// a standing checkpoint buffer (see [`crate::timewarp`]) is re-used
+/// window after window without touching the allocator.
+impl Clone for ActFrame {
+    fn clone(&self) -> Self {
+        ActFrame {
+            method: self.method,
+            obj: self.obj,
+            pc: self.pc,
+            locals: self.locals.clone(),
+            slots: self.slots.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let ActFrame {
+            method,
+            obj,
+            pc,
+            locals,
+            slots,
+        } = src;
+        self.method = *method;
+        self.obj = *obj;
+        self.pc = *pc;
+        self.locals.clone_from(locals);
+        self.slots.clone_from(slots);
+    }
 }
 
 impl ActFrame {
@@ -106,7 +136,7 @@ pub enum WaitState {
 }
 
 /// A heap activation record: frame + scheduling metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Context {
     /// The activation state.
     pub frame: ActFrame,
@@ -129,11 +159,40 @@ pub struct Context {
     pub req: u64,
 }
 
+impl Clone for Context {
+    fn clone(&self) -> Self {
+        Context {
+            frame: self.frame.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Context {
+            frame,
+            cont,
+            wait,
+            gen,
+            holds_lock,
+            cont_consumed,
+            req,
+        } = src;
+        self.frame.clone_from(frame);
+        self.cont = *cont;
+        self.wait = *wait;
+        self.gen = *gen;
+        self.holds_lock = *holds_lock;
+        self.cont_consumed = *cont_consumed;
+        self.req = *req;
+    }
+}
+
 /// Per-node context table: slab with free list and generations. `Clone`
 /// (used by the speculative executor's node checkpoints) captures the
 /// slab, free list, and generation counters exactly, so a restored table
-/// re-allocates the same indices and generations on re-execution.
-#[derive(Debug, Default, Clone)]
+/// re-allocates the same indices and generations on re-execution;
+/// `clone_from` does so into the target's existing storage.
+#[derive(Debug, Default)]
 pub struct CtxTable {
     entries: Vec<Context>,
     free: Vec<u32>,
@@ -141,6 +200,31 @@ pub struct CtxTable {
     pub live: u64,
     /// High-water mark of simultaneously live contexts.
     pub peak: u64,
+}
+
+impl Clone for CtxTable {
+    fn clone(&self) -> Self {
+        CtxTable {
+            entries: self.entries.clone(),
+            free: self.free.clone(),
+            live: self.live,
+            peak: self.peak,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let CtxTable {
+            entries,
+            free,
+            live,
+            peak,
+        } = src;
+        // Element-wise `Context::clone_from` over the common prefix.
+        self.entries.clone_from(entries);
+        self.free.clone_from(free);
+        self.live = *live;
+        self.peak = *peak;
+    }
 }
 
 impl CtxTable {
@@ -183,6 +267,29 @@ impl CtxTable {
         e.frame.slots.clear();
         self.free.push(i);
         self.live -= 1;
+    }
+
+    /// Hand the frame vectors of a finished activation back to entry `i`.
+    /// A running context's frame is out of the table, so when the
+    /// activation releases itself the entry holds only an empty
+    /// placeholder; returning the (emptied) vectors keeps one set of
+    /// frame storage per slab entry whatever its state. That shape is
+    /// what lets a Time-Warp snapshot buffer that traded places with the
+    /// live node on rollback be refilled in place (see
+    /// [`crate::timewarp`]). No-op if the entry is no longer free.
+    pub fn retire(&mut self, i: u32, frame: ActFrame) {
+        let e = &mut self.entries[i as usize];
+        if e.wait == WaitState::Free {
+            let ActFrame {
+                mut locals,
+                mut slots,
+                ..
+            } = frame;
+            locals.clear();
+            slots.clear();
+            e.frame.locals = locals;
+            e.frame.slots = slots;
+        }
     }
 
     /// Borrow a context.
@@ -264,6 +371,28 @@ mod tests {
         assert_eq!(t.gen(b), 1, "generation bumped");
         assert_eq!(t.get(b).wait, WaitState::Shell);
         assert_eq!(t.peak, 1);
+    }
+
+    #[test]
+    fn retire_returns_frame_storage_to_a_free_entry_only() {
+        let mut t = CtxTable::default();
+        let a = t.alloc(frame(), Continuation::Unset, WaitState::Running);
+        // The stepper holds the frame out of the table; the activation
+        // releases itself, then hands the vectors back.
+        let out = std::mem::replace(
+            &mut t.get_mut(a).frame,
+            ActFrame::new(MethodId(0), frame().obj, 0, 0, &[]),
+        );
+        t.release(a);
+        t.retire(a, out);
+        let f = &t.get(a).frame;
+        assert!(f.locals.is_empty() && f.slots.is_empty(), "emptied");
+        assert!(f.locals.capacity() >= 4 && f.slots.capacity() >= 2, "kept");
+        // A reused entry is left alone.
+        let b = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
+        assert_eq!(b, a);
+        t.retire(b, ActFrame::new(MethodId(0), frame().obj, 9, 9, &[]));
+        assert_eq!(t.get(b).frame, frame());
     }
 
     #[test]

@@ -93,12 +93,10 @@ fn eval(
             }
             Instr::NewLocal { dst, class } => {
                 *cycles += rt.cost.ctx_alloc;
-                let o = rt.layouts[class.idx()].instantiate(*class);
-                let objs = &mut rt.nodes[obj.node.idx()].objects;
-                objs.push(o);
+                let index = rt.nodes[obj.node.idx()].new_object(&rt.layouts[class.idx()], *class);
                 locals[dst.idx()] = Value::Obj(ObjRef {
                     node: obj.node,
-                    index: (objs.len() - 1) as u32,
+                    index,
                 });
             }
             Instr::GetField { dst, field } => {
@@ -252,8 +250,8 @@ fn fill_slot(slots: &mut [SlotState], s: hem_ir::Slot, v: Value) {
 
 fn group_refs(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<Vec<ObjRef>, Trap> {
     match kind(rt, obj, field) {
-        FieldKind::Array(a) => rt.nodes[obj.node.idx()].objects[obj.index as usize].arrays
-            [a as usize]
+        FieldKind::Array(a) => rt.nodes[obj.node.idx()]
+            .array(obj.index, a)
             .iter()
             .map(|v| {
                 v.as_obj()
@@ -271,9 +269,7 @@ fn kind(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> FieldKind {
 
 fn field_get(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<Value, Trap> {
     match kind(rt, obj, field) {
-        FieldKind::Scalar(i) => {
-            Ok(rt.nodes[obj.node.idx()].objects[obj.index as usize].scalars[i as usize])
-        }
+        FieldKind::Scalar(i) => Ok(rt.nodes[obj.node.idx()].scalars(obj.index)[i as usize]),
         FieldKind::Array(_) => Err(Trap::new("scalar access to array field")),
     }
 }
@@ -281,7 +277,7 @@ fn field_get(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<Value,
 fn field_set(rt: &mut Runtime, obj: ObjRef, field: hem_ir::FieldId, v: Value) -> Result<(), Trap> {
     match kind(rt, obj, field) {
         FieldKind::Scalar(i) => {
-            rt.nodes[obj.node.idx()].objects[obj.index as usize].scalars[i as usize] = v;
+            rt.nodes[obj.node.idx()].scalars_mut(obj.index)[i as usize] = v;
             Ok(())
         }
         FieldKind::Array(_) => Err(Trap::new("scalar access to array field")),
@@ -298,7 +294,7 @@ fn elem_get(
 ) -> Result<Value, Trap> {
     match kind(rt, obj, field) {
         FieldKind::Array(a) => {
-            let arr = &rt.nodes[obj.node.idx()].objects[obj.index as usize].arrays[a as usize];
+            let arr = rt.nodes[obj.node.idx()].array(obj.index, a);
             arr.get(i as usize)
                 .copied()
                 .ok_or_else(|| Trap::at(m, pc, format!("array index {i} out of range")))
@@ -318,7 +314,7 @@ fn elem_set(
 ) -> Result<(), Trap> {
     match kind(rt, obj, field) {
         FieldKind::Array(a) => {
-            let arr = &mut rt.nodes[obj.node.idx()].objects[obj.index as usize].arrays[a as usize];
+            let arr = rt.nodes[obj.node.idx()].array_mut(obj.index, a);
             let len = arr.len();
             *arr.get_mut(i as usize).ok_or_else(|| {
                 Trap::at(m, pc, format!("array index {i} out of range ({len})"))
@@ -332,8 +328,7 @@ fn elem_set(
 fn arr_new(rt: &mut Runtime, obj: ObjRef, field: hem_ir::FieldId, len: usize) -> Result<(), Trap> {
     match kind(rt, obj, field) {
         FieldKind::Array(a) => {
-            rt.nodes[obj.node.idx()].objects[obj.index as usize].arrays[a as usize] =
-                vec![Value::Nil; len];
+            rt.nodes[obj.node.idx()].arr_new(obj.index, a, len);
             Ok(())
         }
         FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
@@ -342,9 +337,7 @@ fn arr_new(rt: &mut Runtime, obj: ObjRef, field: hem_ir::FieldId, len: usize) ->
 
 fn arr_len(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<usize, Trap> {
     match kind(rt, obj, field) {
-        FieldKind::Array(a) => {
-            Ok(rt.nodes[obj.node.idx()].objects[obj.index as usize].arrays[a as usize].len())
-        }
+        FieldKind::Array(a) => Ok(rt.nodes[obj.node.idx()].array(obj.index, a).len()),
         FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
     }
 }

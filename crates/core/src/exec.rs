@@ -9,7 +9,7 @@
 use crate::context::{ActFrame, SlotState};
 use crate::error::Trap;
 use crate::object::FieldKind;
-use crate::rt::Runtime;
+use crate::rt::{Node, Runtime};
 use hem_ir::value::{bin_op, un_op};
 use hem_ir::{Instr, ObjRef, Operand, Value};
 
@@ -76,17 +76,15 @@ pub(crate) fn exec_simple(
         Instr::NewLocal { dst, class } => {
             // Local allocation only; remote placement is harness business.
             rt.charge(node, rt.cost.ctx_alloc);
-            let o = rt.layouts[class.idx()].instantiate(*class);
-            let objs = &mut rt.nodes[node].objects;
-            objs.push(o);
+            let index = rt.nodes[node].new_object(&rt.layouts[class.idx()], *class);
             fr.locals[dst.idx()] = Value::Obj(ObjRef {
                 node: hem_machine::NodeId(node as u32),
-                index: (objs.len() - 1) as u32,
+                index,
             });
         }
         Instr::GetField { dst, field } => {
             let v = match field_kind(rt, fr, *field) {
-                FieldKind::Scalar(i) => obj(rt, fr, node).scalars[i as usize],
+                FieldKind::Scalar(i) => home(rt, fr, node).scalars(fr.obj.index)[i as usize],
                 FieldKind::Array(_) => unreachable!("validated"),
             };
             fr.locals[dst.idx()] = v;
@@ -94,7 +92,9 @@ pub(crate) fn exec_simple(
         Instr::SetField { field, src } => {
             let v = read(fr, src);
             match field_kind(rt, fr, *field) {
-                FieldKind::Scalar(i) => obj_mut(rt, fr, node).scalars[i as usize] = v,
+                FieldKind::Scalar(i) => {
+                    home_mut(rt, fr, node).scalars_mut(fr.obj.index)[i as usize] = v
+                }
                 FieldKind::Array(_) => unreachable!("validated"),
             }
         }
@@ -102,7 +102,7 @@ pub(crate) fn exec_simple(
             let i = read(fr, idx).as_int().map_err(trap_v)?;
             let v = match field_kind(rt, fr, *field) {
                 FieldKind::Array(a) => {
-                    let arr = &obj(rt, fr, node).arrays[a as usize];
+                    let arr = home(rt, fr, node).array(fr.obj.index, a);
                     *arr.get(i as usize).ok_or_else(|| {
                         Trap::at(
                             fr.method,
@@ -120,7 +120,7 @@ pub(crate) fn exec_simple(
             let v = read(fr, src);
             match field_kind(rt, fr, *field) {
                 FieldKind::Array(a) => {
-                    let arr = &mut obj_mut(rt, fr, node).arrays[a as usize];
+                    let arr = home_mut(rt, fr, node).array_mut(fr.obj.index, a);
                     let len = arr.len();
                     *arr.get_mut(i as usize).ok_or_else(|| {
                         Trap::at(
@@ -145,7 +145,7 @@ pub(crate) fn exec_simple(
             rt.charge(node, rt.cost.ctx_alloc);
             match field_kind(rt, fr, *field) {
                 FieldKind::Array(a) => {
-                    obj_mut(rt, fr, node).arrays[a as usize] = vec![Value::Nil; l as usize];
+                    home_mut(rt, fr, node).arr_new(fr.obj.index, a, l as usize);
                 }
                 FieldKind::Scalar(_) => unreachable!("validated"),
             }
@@ -153,7 +153,7 @@ pub(crate) fn exec_simple(
         Instr::ArrLen { dst, field } => {
             let v = match field_kind(rt, fr, *field) {
                 FieldKind::Array(a) => {
-                    Value::Int(obj(rt, fr, node).arrays[a as usize].len() as i64)
+                    Value::Int(home(rt, fr, node).array(fr.obj.index, a).len() as i64)
                 }
                 FieldKind::Scalar(_) => unreachable!("validated"),
             };
@@ -203,7 +203,8 @@ pub(crate) fn read_group(
     field: hem_ir::FieldId,
 ) -> Result<Vec<ObjRef>, Trap> {
     match field_kind(rt, fr, field) {
-        FieldKind::Array(a) => obj(rt, fr, node).arrays[a as usize]
+        FieldKind::Array(a) => home(rt, fr, node)
+            .array(fr.obj.index, a)
             .iter()
             .map(|v| {
                 v.as_obj()
@@ -220,14 +221,15 @@ fn field_kind(rt: &Runtime, fr: &ActFrame, field: hem_ir::FieldId) -> FieldKind 
     rt.layouts[class.idx()].kinds[field.idx()]
 }
 
+/// The executing node, which hosts the frame's receiver.
 #[inline]
-fn obj<'a>(rt: &'a Runtime, fr: &ActFrame, node: usize) -> &'a crate::object::Object {
+fn home<'a>(rt: &'a Runtime, fr: &ActFrame, node: usize) -> &'a Node {
     debug_assert_eq!(fr.obj.node.idx(), node, "owner-computes violated");
-    &rt.nodes[node].objects[fr.obj.index as usize]
+    &rt.nodes[node]
 }
 
 #[inline]
-fn obj_mut<'a>(rt: &'a mut Runtime, fr: &ActFrame, node: usize) -> &'a mut crate::object::Object {
+fn home_mut<'a>(rt: &'a mut Runtime, fr: &ActFrame, node: usize) -> &'a mut Node {
     debug_assert_eq!(fr.obj.node.idx(), node, "owner-computes violated");
-    &mut rt.nodes[node].objects[fr.obj.index as usize]
+    &mut rt.nodes[node]
 }

@@ -87,18 +87,197 @@ impl LockState {
     }
 }
 
-/// An object: class tag, scalar fields, array fields, optional lock.
+/// A run of values in a node's [`Arena`] (or, for [`Object::arrays`], a
+/// run of entries in its span table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    /// First index.
+    pub off: u32,
+    /// Length.
+    pub len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.off as usize..self.off as usize + self.len as usize
+    }
+}
+
+/// One node's object field storage: every scalar block and every array
+/// of every object on the node lives in one value vector, addressed by
+/// [`Span`]s. A bump allocator — storage is never returned (an array
+/// re-created at a larger length leaves its old span behind), which is
+/// what makes a node snapshot two slice copies instead of a walk over a
+/// vector per field: `clone_from` reuses the target's capacity, so a
+/// standing Time-Warp checkpoint buffer (see [`crate::timewarp`]) is
+/// refilled at memcpy cost.
+#[derive(Debug, Default)]
+pub struct Arena {
+    values: Vec<Value>,
+    /// Array-field spans: array `a` of object `o` is
+    /// `spans[o.arrays.off + a]`.
+    spans: Vec<Span>,
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Self {
+        Arena {
+            values: self.values.clone(),
+            spans: self.spans.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.values.clone_from(&src.values);
+        self.spans.clone_from(&src.spans);
+    }
+}
+
+impl Arena {
+    /// Bump-allocate `len` nil values.
+    fn alloc(&mut self, len: usize) -> Span {
+        let off = self.values.len();
+        self.values.resize(off + len, Value::Nil);
+        // Spans index with `u32`: storage safety depends on this check.
+        assert!(
+            self.values.len() <= u32::MAX as usize,
+            "node arena exceeds 2^32 values"
+        );
+        Span {
+            off: off as u32,
+            len: len as u32,
+        }
+    }
+
+    /// The run of the span table the next `len` pushed spans will occupy.
+    fn next_spans(&self, len: u32) -> Span {
+        Span {
+            off: u32::try_from(self.spans.len()).expect("span table exceeds 2^32 entries"),
+            len,
+        }
+    }
+
+    /// Values allocated so far (live and abandoned).
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Has nothing been allocated?
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The array-field span table.
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
+    }
+
+    /// An object's scalar fields, in class declaration order.
+    #[inline]
+    pub fn scalars(&self, o: &Object) -> &[Value] {
+        &self.values[o.scalars.range()]
+    }
+
+    /// Mutable view of [`Self::scalars`].
+    #[inline]
+    pub fn scalars_mut(&mut self, o: &Object) -> &mut [Value] {
+        &mut self.values[o.scalars.range()]
+    }
+
+    #[inline]
+    fn array_span(&self, o: &Object, a: u16) -> usize {
+        debug_assert!((a as u32) < o.arrays.len, "array field out of range");
+        o.arrays.off as usize + a as usize
+    }
+
+    /// Contents of an object's array field `a` (index among its array
+    /// fields, in class declaration order).
+    #[inline]
+    pub fn array(&self, o: &Object, a: u16) -> &[Value] {
+        &self.values[self.spans[self.array_span(o, a)].range()]
+    }
+
+    /// Mutable view of [`Self::array`].
+    #[inline]
+    pub fn array_mut(&mut self, o: &Object, a: u16) -> &mut [Value] {
+        let sp = self.spans[self.array_span(o, a)];
+        &mut self.values[sp.range()]
+    }
+
+    /// Re-create array field `a` as `len` nils: in place when the length
+    /// is unchanged (the steady state of every kernel that re-initializes
+    /// per phase), else by bump allocation.
+    pub fn arr_new(&mut self, o: &Object, a: u16, len: usize) -> &mut [Value] {
+        let ix = self.array_span(o, a);
+        if self.spans[ix].len as usize == len {
+            self.values[self.spans[ix].range()].fill(Value::Nil);
+        } else {
+            self.spans[ix] = self.alloc(len);
+        }
+        &mut self.values[self.spans[ix].range()]
+    }
+
+    /// Every array field of an object, in declaration order.
+    pub fn arrays<'a>(&'a self, o: &Object) -> impl Iterator<Item = &'a [Value]> {
+        self.spans[o.arrays.range()]
+            .iter()
+            .map(|sp| &self.values[sp.range()])
+    }
+
+    /// Allocate the storage of a nil-initialized object of `class`.
+    pub fn instantiate(&mut self, layout: &ClassLayout, class: ClassId) -> Object {
+        let scalars = self.alloc(layout.n_scalars as usize);
+        let arrays = self.next_spans(layout.n_arrays as u32);
+        self.spans
+            .resize(self.spans.len() + layout.n_arrays as usize, Span::default());
+        Object {
+            class,
+            scalars,
+            arrays,
+            lock: layout.locked.then(LockState::default),
+            moved_to: None,
+        }
+    }
+
+    /// Migration: copy `o`'s field values out of `from` into fresh storage
+    /// here, returning the arrived object (lock state cloned, no
+    /// forwarding address).
+    pub fn adopt(&mut self, from: &Arena, o: &Object) -> Object {
+        let scalars = self.alloc(o.scalars.len as usize);
+        self.values[scalars.range()].copy_from_slice(from.scalars(o));
+        let arrays = self.next_spans(o.arrays.len);
+        for vs in from.arrays(o) {
+            let sp = self.alloc(vs.len());
+            self.values[sp.range()].copy_from_slice(vs);
+            self.spans.push(sp);
+        }
+        Object {
+            class: o.class,
+            scalars,
+            arrays,
+            lock: o.lock.clone(),
+            moved_to: None,
+        }
+    }
+}
+
+/// An object: class tag, where its fields live in the hosting node's
+/// [`Arena`], optional lock.
 ///
-/// Field storage is split by kind; the per-class
-/// [`ClassLayout`] maps declared field ids to the right vector.
+/// Field storage is split by kind; the per-class [`ClassLayout`] maps
+/// declared field ids to a scalar index or an array index. The derived
+/// `clone_from` allocates nothing unless a lock has queued waiters.
 #[derive(Debug, Clone)]
 pub struct Object {
     /// The object's class.
     pub class: ClassId,
-    /// Scalar field values, in class declaration order of scalar fields.
-    pub scalars: Vec<Value>,
-    /// Array field contents, in class declaration order of array fields.
-    pub arrays: Vec<Vec<Value>>,
+    /// Scalar field values, in class declaration order of scalar fields
+    /// (a span of arena values; empty once the object has migrated away).
+    pub scalars: Span,
+    /// Array fields, in class declaration order of array fields (a span
+    /// of the arena's span table; empty once the object has migrated
+    /// away).
+    pub arrays: Span,
     /// Lock (present iff the class is locked).
     pub lock: Option<LockState>,
     /// Forwarding address left behind by migration: invocations (and
@@ -110,9 +289,9 @@ pub struct Object {
 /// Where a declared field lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldKind {
-    /// Index into [`Object::scalars`].
+    /// Index into [`Arena::scalars`].
     Scalar(u16),
-    /// Index into [`Object::arrays`].
+    /// Index for [`Arena::array`].
     Array(u16),
 }
 
@@ -148,21 +327,6 @@ impl ClassLayout {
             n_scalars: ns,
             n_arrays: na,
             locked: class.locked,
-        }
-    }
-
-    /// Instantiate a nil-initialized object of this class.
-    pub fn instantiate(&self, class: ClassId) -> Object {
-        Object {
-            class,
-            scalars: vec![Value::Nil; self.n_scalars as usize],
-            arrays: vec![Vec::new(); self.n_arrays as usize],
-            lock: if self.locked {
-                Some(LockState::default())
-            } else {
-                None
-            },
-            moved_to: None,
         }
     }
 }
@@ -206,16 +370,51 @@ mod tests {
         );
         assert_eq!(l.n_scalars, 2);
         assert_eq!(l.n_arrays, 1);
-        let o = l.instantiate(ClassId(0));
-        assert_eq!(o.scalars.len(), 2);
-        assert_eq!(o.arrays.len(), 1);
+        let mut arena = Arena::default();
+        let o = arena.instantiate(&l, ClassId(0));
+        assert_eq!(arena.scalars(&o), [Value::Nil; 2]);
+        assert_eq!(arena.arrays(&o).count(), 1);
+        assert!(arena.array(&o, 0).is_empty());
         assert!(o.lock.is_none());
     }
 
     #[test]
     fn locked_class_gets_lock() {
-        let o = layout(true).instantiate(ClassId(0));
+        let o = Arena::default().instantiate(&layout(true), ClassId(0));
         assert!(o.lock.is_some());
+    }
+
+    #[test]
+    fn arr_new_reuses_a_same_length_span_and_bumps_otherwise() {
+        let l = layout(false);
+        let mut arena = Arena::default();
+        let o = arena.instantiate(&l, ClassId(0));
+        let p = arena.instantiate(&l, ClassId(0));
+        arena.arr_new(&o, 0, 3).fill(Value::Int(7));
+        arena.scalars_mut(&p)[1] = Value::Int(9);
+        let (len, span) = (arena.len(), arena.spans()[0]);
+        assert_eq!(arena.arr_new(&o, 0, 3), [Value::Nil; 3], "re-created");
+        assert_eq!((arena.len(), arena.spans()[0]), (len, span), "in place");
+        arena.arr_new(&o, 0, 5)[4] = Value::Int(1);
+        assert_eq!(arena.len(), len + 5, "grown: bump-allocated");
+        arena.arr_new(&o, 0, 2);
+        assert_eq!(arena.len(), len + 7, "shrunk: bump-allocated");
+        assert_eq!(arena.array(&o, 0), [Value::Nil; 2]);
+        assert_eq!(arena.scalars(&p)[1], Value::Int(9), "neighbours untouched");
+    }
+
+    #[test]
+    fn adopt_copies_values_across_arenas() {
+        let l = layout(true);
+        let (mut src, mut dst) = (Arena::default(), Arena::default());
+        let o = src.instantiate(&l, ClassId(0));
+        src.scalars_mut(&o)[0] = Value::Int(4);
+        src.arr_new(&o, 0, 2)[1] = Value::Int(5);
+        dst.instantiate(&l, ClassId(0)); // the arrival is not the first object
+        let moved = dst.adopt(&src, &o);
+        assert_eq!(dst.scalars(&moved), [Value::Int(4), Value::Nil]);
+        assert_eq!(dst.array(&moved, 0), [Value::Nil, Value::Int(5)]);
+        assert!(moved.lock.is_some() && moved.moved_to.is_none());
     }
 
     #[test]

@@ -68,6 +68,7 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     match res {
         Ok(StepEnd::Finished) => {
             rt.active = None;
+            rt.nodes[node].ctxs.retire(id, fr);
             Ok(())
         }
         Ok(StepEnd::Suspend { mask, missing }) => {

@@ -7,7 +7,7 @@ use crate::context::{ActFrame, CtxTable, SlotState, WaitState};
 use crate::error::Trap;
 use crate::explore::{Mutant, TieBreak, TieChoice};
 use crate::msg::{Msg, Packet};
-use crate::object::{ClassLayout, DeferredInvoke, FieldKind, LockHolder, Object};
+use crate::object::{Arena, ClassLayout, DeferredInvoke, FieldKind, LockHolder, Object, Span};
 use crate::{ExecMode, InterfaceSet, SchemaMap};
 use hem_analysis::Analysis;
 use hem_ir::{ClassId, ContRef, FieldId, MethodId, ObjRef, Program, ValidationError, Value};
@@ -167,16 +167,19 @@ pub(crate) struct Pending {
     pub req: u64,
 }
 
-/// One simulated processor. `Clone` is the speculative executor's
-/// checkpoint primitive: a cloned `Node` captures the complete per-node
-/// state — objects, contexts, inbox, transport maps, and the wire
-/// sequence counter — so restoring it rewinds everything a rolled-back
-/// window could have touched (see [`crate::timewarp`]).
-#[derive(Clone)]
+/// One simulated processor. `Clone::clone_from` is the speculative
+/// executor's checkpoint primitive: it copies the complete per-node state
+/// — objects and their field arena, contexts, inbox, transport maps, and
+/// the wire sequence counter — into a standing buffer, reusing the
+/// buffer's storage, so swapping the buffer back rewinds everything a
+/// rolled-back window could have touched (see [`crate::timewarp`]).
+#[derive(Debug)]
 pub(crate) struct Node {
     pub id: NodeId,
     pub time: Cycles,
     pub objects: Vec<Object>,
+    /// Field storage of every object in `objects`.
+    pub arena: Arena,
     pub ctxs: CtxTable,
     pub ready: VecDeque<u32>,
     /// Lock grants awaiting execution (drained before `ready`).
@@ -249,12 +252,70 @@ pub(crate) struct CollState {
     pub cont: Option<Continuation>,
 }
 
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        let mut n = Node::new(self.id);
+        n.clone_from(self);
+        n
+    }
+
+    /// Field-wise, so every vector, deque and heap refills its existing
+    /// storage: once a buffer has held a node, snapshotting that node
+    /// into it again allocates only if the node has grown past it. (The
+    /// transport and collective maps re-clone; they are empty on a
+    /// fault-free run.) The destructuring makes a forgotten field a
+    /// compile error.
+    fn clone_from(&mut self, src: &Self) {
+        let Node {
+            id,
+            time,
+            objects,
+            arena,
+            ctxs,
+            ready,
+            granted,
+            inbox,
+            counters,
+            sched_noted,
+            tx_next,
+            tx_pending,
+            tx_timers,
+            rx_floor,
+            rx_seen,
+            wire_seq,
+            coll,
+            coll_early,
+            coll_next,
+        } = src;
+        self.id = *id;
+        self.time = *time;
+        self.objects.clone_from(objects);
+        self.arena.clone_from(arena);
+        self.ctxs.clone_from(ctxs);
+        self.ready.clone_from(ready);
+        self.granted.clone_from(granted);
+        self.inbox.clone_from(inbox);
+        self.counters.clone_from(counters);
+        self.sched_noted = *sched_noted;
+        self.tx_next.clone_from(tx_next);
+        self.tx_pending.clone_from(tx_pending);
+        self.tx_timers.clone_from(tx_timers);
+        self.rx_floor.clone_from(rx_floor);
+        self.rx_seen.clone_from(rx_seen);
+        self.wire_seq = *wire_seq;
+        self.coll.clone_from(coll);
+        self.coll_early.clone_from(coll_early);
+        self.coll_next = *coll_next;
+    }
+}
+
 impl Node {
     pub(crate) fn new(id: NodeId) -> Self {
         Node {
             id,
             time: 0,
             objects: Vec::new(),
+            arena: Arena::default(),
             ctxs: CtxTable::default(),
             ready: VecDeque::new(),
             granted: VecDeque::new(),
@@ -275,6 +336,39 @@ impl Node {
 
     pub(crate) fn has_local_work(&self) -> bool {
         !self.granted.is_empty() || !self.ready.is_empty()
+    }
+
+    /// Allocate a nil-initialized object of `class`; returns its index.
+    pub(crate) fn new_object(&mut self, layout: &ClassLayout, class: ClassId) -> u32 {
+        self.objects.push(self.arena.instantiate(layout, class));
+        (self.objects.len() - 1) as u32
+    }
+
+    /// Scalar fields of object `obj`.
+    #[inline]
+    pub(crate) fn scalars(&self, obj: u32) -> &[Value] {
+        self.arena.scalars(&self.objects[obj as usize])
+    }
+
+    #[inline]
+    pub(crate) fn scalars_mut(&mut self, obj: u32) -> &mut [Value] {
+        self.arena.scalars_mut(&self.objects[obj as usize])
+    }
+
+    /// Array field `a` of object `obj`.
+    #[inline]
+    pub(crate) fn array(&self, obj: u32, a: u16) -> &[Value] {
+        self.arena.array(&self.objects[obj as usize], a)
+    }
+
+    #[inline]
+    pub(crate) fn array_mut(&mut self, obj: u32, a: u16) -> &mut [Value] {
+        self.arena.array_mut(&self.objects[obj as usize], a)
+    }
+
+    /// Re-create array field `a` of object `obj` as `len` nils.
+    pub(crate) fn arr_new(&mut self, obj: u32, a: u16, len: usize) -> &mut [Value] {
+        self.arena.arr_new(&self.objects[obj as usize], a, len)
     }
 
     /// Record receipt of transport seq `seq` from `src`; returns true when
@@ -649,13 +743,8 @@ impl Runtime {
     /// Allocate an object of `class` on `node` (harness-side placement —
     /// data layout is an input to the execution model).
     pub fn alloc_object(&mut self, class: ClassId, node: NodeId) -> ObjRef {
-        let o = self.layouts[class.idx()].instantiate(class);
-        let objs = &mut self.nodes[node.idx()].objects;
-        objs.push(o);
-        ObjRef {
-            node,
-            index: (objs.len() - 1) as u32,
-        }
+        let index = self.nodes[node.idx()].new_object(&self.layouts[class.idx()], class);
+        ObjRef { node, index }
     }
 
     /// Allocate by class name; panics on unknown class (harness error).
@@ -731,28 +820,20 @@ impl Runtime {
                 );
             }
         }
-        let (class, scalars, arrays, lock) = {
-            let o = &mut self.nodes[src.node.idx()].objects[src.index as usize];
-            (
-                o.class,
-                std::mem::take(&mut o.scalars),
-                std::mem::take(&mut o.arrays),
-                o.lock.clone(),
-            )
-        };
-        let objs = &mut self.nodes[dest.idx()].objects;
-        objs.push(Object {
-            class,
-            scalars,
-            arrays,
-            lock,
-            moved_to: None,
-        });
+        // Field values are copied across arenas; the source keeps only a
+        // forwarding stub (its old storage is abandoned, not reclaimed).
+        let [from, to] = self
+            .nodes
+            .get_disjoint_mut([src.node.idx(), dest.idx()])
+            .expect("distinct nodes");
+        let stub = &mut from.objects[src.index as usize];
+        to.objects.push(to.arena.adopt(&from.arena, stub));
         let new_ref = ObjRef {
             node: dest,
-            index: (objs.len() - 1) as u32,
+            index: (to.objects.len() - 1) as u32,
         };
-        self.nodes[src.node.idx()].objects[src.index as usize].moved_to = Some(new_ref);
+        (stub.scalars, stub.arrays) = (Span::default(), Span::default());
+        stub.moved_to = Some(new_ref);
         new_ref
     }
 
@@ -767,7 +848,7 @@ impl Runtime {
         let obj = self.resolve_ref(obj);
         match self.field_slot(obj, field) {
             FieldKind::Scalar(i) => {
-                self.nodes[obj.node.idx()].objects[obj.index as usize].scalars[i as usize] = v;
+                self.nodes[obj.node.idx()].scalars_mut(obj.index)[i as usize] = v;
             }
             FieldKind::Array(_) => panic!("set_field on array field"),
         }
@@ -777,9 +858,7 @@ impl Runtime {
     pub fn get_field(&self, obj: ObjRef, field: FieldId) -> Value {
         let obj = self.resolve_ref(obj);
         match self.field_slot(obj, field) {
-            FieldKind::Scalar(i) => {
-                self.nodes[obj.node.idx()].objects[obj.index as usize].scalars[i as usize]
-            }
+            FieldKind::Scalar(i) => self.nodes[obj.node.idx()].scalars(obj.index)[i as usize],
             FieldKind::Array(_) => panic!("get_field on array field"),
         }
     }
@@ -788,9 +867,9 @@ impl Runtime {
     pub fn set_array(&mut self, obj: ObjRef, field: FieldId, vs: Vec<Value>) {
         let obj = self.resolve_ref(obj);
         match self.field_slot(obj, field) {
-            FieldKind::Array(i) => {
-                self.nodes[obj.node.idx()].objects[obj.index as usize].arrays[i as usize] = vs;
-            }
+            FieldKind::Array(i) => self.nodes[obj.node.idx()]
+                .arr_new(obj.index, i, vs.len())
+                .copy_from_slice(&vs),
             FieldKind::Scalar(_) => panic!("set_array on scalar field"),
         }
     }
@@ -799,9 +878,7 @@ impl Runtime {
     pub fn get_array(&self, obj: ObjRef, field: FieldId) -> &[Value] {
         let obj = self.resolve_ref(obj);
         match self.field_slot(obj, field) {
-            FieldKind::Array(i) => {
-                &self.nodes[obj.node.idx()].objects[obj.index as usize].arrays[i as usize]
-            }
+            FieldKind::Array(i) => self.nodes[obj.node.idx()].array(obj.index, i),
             FieldKind::Scalar(_) => panic!("get_array on scalar field"),
         }
     }
@@ -838,7 +915,10 @@ impl Runtime {
             .map(|n| {
                 n.objects
                     .iter()
-                    .map(|o| (o.class.0, o.scalars.clone(), o.arrays.clone()))
+                    .map(|o| {
+                        let arrays = n.arena.arrays(o).map(<[Value]>::to_vec).collect();
+                        (o.class.0, n.arena.scalars(o).to_vec(), arrays)
+                    })
                     .collect()
             })
             .collect()
@@ -1044,7 +1124,7 @@ impl Runtime {
         let d = dest.0;
         let deadline = self.nodes[from].time + self.retx_base;
         if let Some(sh) = &mut self.shard {
-            if sh.ckpt.is_some() {
+            if sh.ckpt.armed {
                 // Speculative window: a timer armed mid-window may come
                 // due *before* the window edge (conservative windows
                 // cannot outrun `retx_base`, optimistic ones can), and

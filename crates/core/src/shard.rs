@@ -141,10 +141,11 @@ pub(crate) struct ShardCtx {
     /// Capture records at all? Mirrors "trace buffer enabled or observer
     /// attached" on the coordinator.
     pub record: bool,
-    /// Copy-on-dirty window checkpoint, armed only for optimistic
-    /// windows (see [`crate::timewarp`]); `None` inside conservative
-    /// ones, where `Runtime::tw_save` is a no-op.
-    pub ckpt: Option<crate::timewarp::TwCkpt>,
+    /// Copy-on-dirty window checkpoint with its standing snapshot
+    /// buffers, armed only for optimistic windows (see
+    /// [`crate::timewarp`]); disarmed inside conservative ones, where
+    /// `Runtime::tw_save` is a no-op.
+    pub ckpt: crate::timewarp::TwCkpt,
     /// Event keys of this window in shard-local dispatch order: the
     /// commit merge's master order (available even when tracing is off,
     /// unlike `capture`).
@@ -267,7 +268,7 @@ pub(crate) fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
             // attempt back below the deadline. Timer handlers need
             // full-machine visibility, so don't fire it: stop the shard
             // early and let the rollback discard everything.
-            if rt.shard.as_ref().is_some_and(|sh| sh.ckpt.is_some()) {
+            if rt.shard.as_ref().is_some_and(|sh| sh.ckpt.armed) {
                 debug_assert!(
                     rt.shard.as_ref().is_some_and(|sh| sh.min_timer < end),
                     "in-window timer not recorded for validation"
@@ -761,7 +762,7 @@ impl Runtime {
                 cur: (0, 0, 0),
                 ord: 0,
                 record,
-                ckpt: None,
+                ckpt: crate::timewarp::TwCkpt::new(owner.len()),
                 dispatched: Vec::new(),
                 min_timer: Cycles::MAX,
             })),
@@ -970,7 +971,7 @@ impl Runtime {
             // Request ids are unique, so folding worker logs into the
             // id-ordered coordinator map is insertion-order independent.
             self.completions.append(&mut wk.completions);
-            wk.shard.as_mut().expect("shard ctx").ckpt = None;
+            wk.shard.as_mut().expect("shard ctx").ckpt.disarm();
         }
         self.sched_stats.events_dispatched += wevents;
         self.sched_stats.windows += 1;
@@ -1293,6 +1294,161 @@ mod tests {
         rt.sched_impl = SchedImpl::Speculative { threads: 2 };
         rt.run_to_quiescence().expect("drain");
         assert_eq!(rt.result, Some(Value::Int(325)));
+    }
+
+    #[test]
+    fn standing_buffers_serve_rollback_commit_rollback_windows() {
+        // One pool, one set of snapshot buffers, driven by hand through
+        // consecutive windows that alternate fates: a wide attempt is
+        // cancelled on its straggler (buffers swapped in), the shrunken
+        // retry stands (buffers left holding the edge state), the next
+        // wide attempt checkpoints over that and is cancelled again.
+        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
+        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
+        rt.enable_trace();
+        crate::wrapper::run_invocation(
+            &mut rt,
+            root.node.idx(),
+            root.index,
+            bounce,
+            vec![Value::Int(25)],
+            crate::cont::Continuation::Root,
+            false,
+        )
+        .expect("root invocation");
+        rt.ensure_pool(2, true);
+        let mut pool = rt.pool.take().expect("pool");
+        *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
+        pool.swap_nodes(&mut rt);
+        pool.republish_minima();
+        // Where the buffer table and each node's two field arenas (live
+        // and snapshot; a rollback trades them) sit in memory.
+        let storage = |pool: &mut ShardPool| -> Vec<(usize, Vec<[usize; 2]>)> {
+            pool.cells()
+                .map(|c| {
+                    let bufs = c.rt.shard.as_ref().expect("shard ctx").ckpt.bufs();
+                    let arenas = c
+                        .owned
+                        .iter()
+                        .map(|&i| {
+                            let at = |n: &Node| n.scalars(0).as_ptr() as usize;
+                            let mut pair = [at(&c.rt.nodes[i as usize]), at(&bufs[i as usize])];
+                            pair.sort();
+                            pair
+                        })
+                        .collect();
+                    (bufs.as_ptr() as usize, arenas)
+                })
+                .collect()
+        };
+        let (mut rollbacks, mut commits, mut warm) = (0, 0, None);
+        while rollbacks < 4 {
+            let (wkey, _) = pool.minima().expect("the ring is still bouncing");
+            let mut end = wkey.0 + 1_000;
+            pool.run_attempt(end, true);
+            if let Some(d_min) = pool.first_straggler(end) {
+                assert!(pool.rollback() > 0, "anti-messages expected");
+                rollbacks += 1;
+                end = d_min;
+                assert!(end > wkey.0, "cm5 has lookahead: the retry is non-empty");
+                pool.run_attempt(end, true);
+                assert_eq!(pool.first_straggler(end), None, "the retry is clean");
+            }
+            rt.commit_window(&mut pool).expect("no trap");
+            commits += 1;
+            // Every node has been snapshotted once after two rounds.
+            if commits == 2 {
+                warm = Some(storage(&mut pool));
+            }
+        }
+        assert!(commits >= 3, "several windows stood in between");
+        assert_eq!(
+            Some(storage(&mut pool)),
+            warm,
+            "later windows reused the same buffers and arenas"
+        );
+        // Back to the production loop, on the same pool.
+        pool.swap_nodes(&mut rt);
+        rt.pool = Some(pool);
+        rt.sched_impl = SchedImpl::Speculative { threads: 2 };
+        rt.run_to_quiescence().expect("drain");
+        assert_eq!(rt.result, base.result);
+        assert_eq!(rt.makespan(), base.makespan);
+        assert_eq!(rt.take_trace(), base.trace, "trace");
+        let st = rt.stats();
+        assert_eq!(st.node_time, base.stats.node_time, "clocks");
+        assert_eq!(st.per_node, base.stats.per_node, "counters");
+        assert_eq!(st.net, base.stats.net, "net stats");
+        assert_eq!(st.sched.pool_reuses, 1, "one pool throughout");
+    }
+
+    #[test]
+    fn rolled_back_arr_new_restores_the_arena() {
+        // `ArrNew` at the same length rewrites its span in place; grown or
+        // shrunk it bump-allocates. Inside a cancelled window all three
+        // must vanish: arena length, span table and contents.
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C", false);
+        let xs = pb.array_field(c, "xs");
+        let resize = pb.method(c, "resize", 1, |mb| {
+            let n = mb.arg(0);
+            mb.arr_new(xs, n);
+            mb.set_elem(xs, 0i64, n);
+            mb.reply(n);
+        });
+        let mut rt = Runtime::new(
+            pb.finish(),
+            2,
+            CostModel::cm5(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
+        )
+        .expect("valid program");
+        let o = rt.alloc_object_by_name("C", NodeId(0));
+        let neighbour = rt.alloc_object_by_name("C", NodeId(0));
+        rt.set_array(o, xs, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        rt.set_array(neighbour, xs, vec![Value::Int(9)]);
+        let mut wk = rt.make_worker(0, &[0, 1], false);
+        std::mem::swap(&mut wk.nodes[0], &mut rt.nodes[0]);
+        let state = |n: &Node| {
+            (
+                n.arena.len(),
+                n.arena.spans().to_vec(),
+                format!("{:?}", n.arena),
+            )
+        };
+        for (what, len, bumps) in [
+            ("same length", 3, false),
+            ("grown", 7, true),
+            ("shrunk", 1, true),
+        ] {
+            let edge = state(&wk.nodes[0]);
+            wk.tw_arm();
+            wk.tw_save(0);
+            crate::wrapper::run_invocation(
+                &mut wk,
+                0,
+                o.index,
+                resize,
+                vec![Value::Int(len)],
+                crate::cont::Continuation::Discard,
+                false,
+            )
+            .expect("resize runs");
+            assert_eq!(
+                wk.nodes[0].array(o.index, 0)[0],
+                Value::Int(len),
+                "{what}: ran"
+            );
+            assert_eq!(
+                wk.nodes[0].arena.len() > edge.0,
+                bumps,
+                "{what}: arena growth"
+            );
+            wk.tw_rollback();
+            assert_eq!(state(&wk.nodes[0]), edge, "{what}: restored");
+        }
+        assert_eq!(wk.spec.ckpt_nodes, 3, "one snapshot per window, one buffer");
     }
 
     #[test]

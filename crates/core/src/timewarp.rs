@@ -15,9 +15,13 @@
 //! 1. **Checkpoint.** The epoch publication tells every worker to arm a
 //!    copy-on-dirty checkpoint for its owned nodes: the
 //!    first time a window dispatch (or an intra-shard delivery) touches
-//!    a node, the node is cloned whole — objects, contexts, inbox,
-//!    transport maps, and the wire-sequence counter (see
-//!    [`crate::rt::Node`]'s `Clone`). Untouched nodes cost nothing.
+//!    a node, the node is copied whole — objects and their field arena,
+//!    contexts, inbox, transport maps, and the wire-sequence counter —
+//!    into that node's standing snapshot buffer, which the worker keeps
+//!    for the life of the pool ([`crate::rt::Node`]'s `clone_from`
+//!    refills it in place: a handful of slice copies, no allocation once
+//!    the buffer has grown to the node's size). Untouched nodes cost
+//!    nothing.
 //! 2. **Optimistic advance.** Shards run the ordinary in-window dispatch
 //!    loop ([`crate::shard::run_window`]) to a window edge `end = W + δ`
 //!    with `δ` well past the conservative lookahead (adaptively sized,
@@ -29,7 +33,8 @@
 //!    **straggler** — its destination shard just ran the window without
 //!    it, so the optimistic run is invalid.
 //! 4. **Rollback + anti-messages.** On any straggler, *all* shards roll
-//!    back, in their cells: checkpointed nodes are moved back in place, parked outbox
+//!    back, in their cells: checkpointed nodes are swapped with their
+//!    snapshot buffers, parked outbox
 //!    packets are discarded (each one an **anti-message** — the send
 //!    never happened; the per-node wire-sequence counters rewind with
 //!    the node snapshots, so a re-send re-draws the *same* sequence
@@ -107,23 +112,66 @@ use crate::explore::Mutant;
 use crate::rt::{Node, Runtime};
 use crate::shard::WindowPolicy;
 use hem_machine::stats::NetStats;
-use hem_machine::Cycles;
+use hem_machine::{Cycles, NodeId};
 
-/// A worker's armed window checkpoint: copy-on-dirty node snapshots plus
-/// the window-edge values of the worker-global state a rollback must
-/// rewind (network counters, sanitizer state, task-token counter).
+/// A worker's window checkpoint, standing for the life of the pool:
+/// copy-on-dirty node snapshots plus the window-edge values of the
+/// worker-global state a rollback must rewind (network counters,
+/// sanitizer state, task-token counter). Arming, saving, committing and
+/// rolling back move no storage in or out — the snapshot buffers are
+/// refilled in place ([`Node::clone_from`]) and swapped with the live
+/// nodes on rollback — so steady-state windows do not allocate.
 pub(crate) struct TwCkpt {
-    /// `saved[i]` — node `i` as it stood at the window edge, populated
-    /// lazily by [`Runtime::tw_save`] the first time the window touches
-    /// the node. Only this worker's owned nodes ever appear.
-    pub saved: Vec<Option<Box<Node>>>,
+    /// Is a checkpoint armed for the window in flight? Conservative
+    /// windows and everything between windows run disarmed, where
+    /// [`Runtime::tw_save`] is a no-op.
+    pub armed: bool,
+    /// `bufs[i]` — the snapshot buffer of node `i` (global index, like
+    /// the worker's `nodes`; only this worker's owned nodes are ever
+    /// written, the rest stay empty husks). Meaningful only while
+    /// `saved[i]`: otherwise it holds whatever an earlier window left.
+    bufs: Vec<Node>,
+    /// `saved[i]` — does `bufs[i]` hold node `i` as it stood at the
+    /// current window's edge? Set by [`Runtime::tw_save`] the first time
+    /// the window touches the node (which makes it the window's dirty
+    /// mark).
+    saved: Vec<bool>,
     /// The worker network's counter snapshot at the window edge.
-    pub net: NetStats,
+    net: NetStats,
     /// The worker sanitizer's snapshot, when one is attached.
-    pub san: Option<crate::sanitize::SanSnapshot>,
+    san: Option<crate::sanitize::SanSnapshot>,
     /// Task-token counter at the window edge, so a re-run draws
     /// identical tokens.
-    pub next_task: u64,
+    next_task: u64,
+}
+
+impl TwCkpt {
+    /// A disarmed checkpoint with an (empty) buffer per node of a
+    /// `p`-node machine.
+    pub fn new(p: usize) -> TwCkpt {
+        TwCkpt {
+            armed: false,
+            bufs: (0..p as u32).map(|i| Node::new(NodeId(i))).collect(),
+            saved: vec![false; p],
+            net: NetStats::default(),
+            san: None,
+            next_task: 0,
+        }
+    }
+
+    /// The snapshot buffers, for tests that check they stay put.
+    #[cfg(test)]
+    pub fn bufs(&self) -> &[Node] {
+        &self.bufs
+    }
+
+    /// The window stands (or was cancelled): forget its snapshots. The
+    /// buffers keep their contents and capacity for the next window to
+    /// overwrite; nothing is dropped.
+    pub fn disarm(&mut self) {
+        self.armed = false;
+        self.saved.fill(false);
+    }
 }
 
 /// Speculation diagnostics for [`crate::SchedImpl::Speculative`] runs;
@@ -210,16 +258,18 @@ impl Runtime {
         self.run_windows(threads, WindowPolicy::Optimistic(delta), horizon)
     }
 
-    /// Worker side, at the window edge: arm a fresh checkpoint.
+    /// Worker side, at the window edge: arm the checkpoint.
     pub(crate) fn tw_arm(&mut self) {
-        let ck = TwCkpt {
-            saved: self.nodes.iter().map(|_| None).collect(),
-            net: self.net.stats(),
-            san: self.sanitizer.as_deref().map(|s| s.snapshot()),
-            next_task: self.next_task,
-        };
         let sh = self.shard.as_mut().expect("shard ctx");
-        sh.ckpt = Some(ck);
+        let ck = &mut sh.ckpt;
+        debug_assert!(
+            !ck.saved.contains(&true),
+            "previous window neither stood nor fell"
+        );
+        ck.armed = true;
+        ck.net = self.net.stats();
+        ck.san = self.sanitizer.as_deref().map(|s| s.snapshot());
+        ck.next_task = self.next_task;
         sh.min_timer = Cycles::MAX;
     }
 
@@ -233,11 +283,10 @@ impl Runtime {
         let Some(sh) = self.shard.as_deref_mut() else {
             return;
         };
-        let Some(ck) = sh.ckpt.as_mut() else {
-            return;
-        };
-        if ck.saved[i].is_none() {
-            ck.saved[i] = Some(Box::new(self.nodes[i].clone()));
+        let ck = &mut sh.ckpt;
+        if ck.armed && !ck.saved[i] {
+            ck.bufs[i].clone_from(&self.nodes[i]);
+            ck.saved[i] = true;
             self.spec.ckpt_nodes += 1;
         }
     }
@@ -258,9 +307,11 @@ impl Runtime {
     }
 
     /// Roll this worker back to the window edge and cancel its attempt:
-    /// checkpointed nodes return in place, parked packets are dropped
-    /// (anti-messages; their count is returned), the capture and the
-    /// dispatch log are discarded, and the worker-global state rewinds.
+    /// every dirty node trades places with its snapshot (the buffer is
+    /// left holding the cancelled state, which the next save overwrites),
+    /// parked packets are dropped (anti-messages; their count is
+    /// returned), the capture and the dispatch log are discarded, and the
+    /// worker-global state rewinds.
     pub(crate) fn tw_rollback(&mut self) -> u64 {
         let keep_wseq = self.mutant_is(Mutant::SkipWireSeqRestore);
         let sh = self.shard.as_mut().expect("shard ctx");
@@ -268,18 +319,17 @@ impl Runtime {
         sh.outbox.clear();
         sh.capture.clear();
         sh.dispatched.clear();
-        let ck = sh.ckpt.take().expect("armed checkpoint");
-        for (i, saved) in ck.saved.into_iter().enumerate() {
-            if let Some(saved) = saved {
-                let wseq = self.nodes[i].wire_seq;
-                self.nodes[i] = *saved;
-                if keep_wseq {
-                    // Mutation site (`skip-wire-seq-restore`): keep the
-                    // speculatively advanced counter, so re-sends draw
-                    // fresh sequence numbers and re-roll their fault
-                    // fates.
-                    self.nodes[i].wire_seq = wseq;
-                }
+        let ck = &mut sh.ckpt;
+        debug_assert!(ck.armed, "rollback of an unarmed window");
+        for (i, _) in ck.saved.iter().enumerate().filter(|(_, &saved)| saved) {
+            let (node, buf) = (&mut self.nodes[i], &mut ck.bufs[i]);
+            std::mem::swap(node, buf);
+            if keep_wseq {
+                // Mutation site (`skip-wire-seq-restore`): keep the
+                // speculatively advanced counter, so re-sends draw
+                // fresh sequence numbers and re-roll their fault
+                // fates.
+                node.wire_seq = buf.wire_seq;
             }
         }
         self.net.restore_counters(&ck.net);
@@ -287,6 +337,7 @@ impl Runtime {
             sn.rollback(snap);
         }
         self.next_task = ck.next_task;
+        ck.disarm();
         self.result = None;
         self.completions.clear();
         self.sched_stats.events_dispatched = 0;
@@ -297,7 +348,10 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Packet;
+    use crate::cont::Continuation;
+    use crate::context::{ActFrame, WaitState};
+    use crate::msg::{Msg, Packet};
+    use crate::object::DeferredInvoke;
     use crate::rt::{InboxEntry, SchedImpl};
     use crate::trace::{Observer, TraceRecord};
     use crate::{ExecMode, InterfaceSet};
@@ -577,32 +631,36 @@ mod tests {
         }
     }
 
-    /// Everything a rollback must restore on a node, in comparable form.
-    type NodeFingerprint = (
-        Vec<(u32, Vec<Value>, Vec<Vec<Value>>)>,
-        Vec<(Cycles, u64, u32, String)>,
-        u64,
-        Cycles,
-        String,
-    );
+    /// Everything a rollback must restore on a node, in comparable form:
+    /// the `Debug` rendering of every field — object table and lock
+    /// waiters, arena values and span table, context slab with
+    /// generations and free list, `ready`/`granted`, the inbox in heap
+    /// order, counters, clocks, transport and collective maps.
+    fn fingerprint(n: &Node) -> String {
+        format!("{n:#?}")
+    }
 
-    fn fingerprint(n: &Node) -> NodeFingerprint {
-        let mut inbox: Vec<(Cycles, u64, u32, String)> = n
-            .inbox
-            .iter()
-            .map(|e| (e.deliver, e.seq, e.src.0, format!("{:?}", e.msg)))
-            .collect();
-        inbox.sort();
-        (
-            n.objects
-                .iter()
-                .map(|o| (o.class.0, o.scalars.clone(), o.arrays.clone()))
-                .collect(),
-            inbox,
-            n.wire_seq,
-            n.time,
-            format!("{:?} {:?} {:?}", n.tx_next, n.rx_floor, n.rx_seen),
+    /// A two-node machine whose node 0 hosts two instances of a locked
+    /// class with a scalar and an array field — every kind of per-node
+    /// storage a snapshot has to carry.
+    fn storage_runtime() -> Runtime {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C", true);
+        pb.field(c, "a");
+        pb.array_field(c, "xs");
+        let m = pb.declare(c, "noop", 1);
+        pb.define(m, |mb| mb.reply(mb.arg(0)));
+        let mut rt = Runtime::new(
+            pb.finish(),
+            2,
+            CostModel::cm5(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
         )
+        .expect("valid program");
+        rt.alloc_object_by_name("C", NodeId(0));
+        rt.alloc_object_by_name("C", NodeId(0));
+        rt
     }
 
     /// One random mutation against node 0 — the kinds of writes a
@@ -610,56 +668,125 @@ mod tests {
     fn apply_op(rt: &mut Runtime, op: (u8, u64)) {
         let (kind, x) = op;
         let n = &mut rt.nodes[0];
-        match kind % 4 {
-            0 => {
-                if let Some(o) = n.objects.first_mut() {
-                    if let Some(s) = o.scalars.first_mut() {
-                        *s = Value::Int(x as i64);
-                    }
-                }
-            }
+        let obj = (x % 2) as u32;
+        let frame = || {
+            ActFrame::new(
+                MethodId(0),
+                ObjRef {
+                    node: NodeId(0),
+                    index: obj,
+                },
+                3,
+                2,
+                &[Value::Int(x as i64)],
+            )
+        };
+        match kind % 10 {
+            0 => n.scalars_mut(obj)[0] = Value::Int(x as i64),
             1 => n.inbox.push(InboxEntry {
                 deliver: x % 1000,
                 seq: x,
                 src: NodeId(1),
-                msg: Packet::Ack { seq: x },
+                msg: Packet::Raw(Msg::Invoke {
+                    obj,
+                    method: MethodId(0),
+                    args: vec![Value::Int(x as i64); (x % 3) as usize],
+                    cont: Continuation::Discard,
+                    forwarded: false,
+                }),
                 req: 0,
                 retx: false,
             }),
             2 => {
                 n.inbox.pop();
             }
-            _ => {
+            3 => {
                 n.wire_seq = n.wire_seq.wrapping_add(1 + x % 3);
                 n.time = n.time.max(x % 500);
+            }
+            // ArrNew: same length, grown, shrunk — then written.
+            4 => {
+                let len = match x % 3 {
+                    0 => n.array(obj, 0).len(),
+                    1 => n.array(obj, 0).len() + 1 + (x % 5) as usize,
+                    _ => n.array(obj, 0).len() / 2,
+                };
+                if let Some(v) = n.arr_new(obj, 0, len).last_mut() {
+                    *v = Value::Int(x as i64);
+                }
+            }
+            5 => {
+                let i = n.ctxs.alloc(frame(), Continuation::Root, WaitState::Ready);
+                n.ready.push_back(i);
+            }
+            6 => {
+                if let Some(i) = n.ready.pop_front() {
+                    n.ctxs.release(i);
+                }
+            }
+            7 => {
+                let d = DeferredInvoke {
+                    method: MethodId(0),
+                    args: vec![Value::Int(x as i64)],
+                    cont: Continuation::Discard,
+                    forwarded: false,
+                    req: x,
+                };
+                let lock = n.objects[obj as usize].lock.as_mut().expect("locked class");
+                if x % 2 == 0 {
+                    lock.waiters.push_back(d);
+                } else {
+                    lock.waiters.pop_front();
+                    n.granted.push_back((obj, d));
+                }
+            }
+            8 => {
+                n.granted.pop_front();
+            }
+            _ => {
+                let class = n.objects[0].class;
+                n.new_object(&rt.layouts[class.idx()], class);
             }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Random checkpoint point, random speculative mutations, rollback:
-        /// the node fingerprint (object state, inbox, wire seq, clock,
-        /// transport maps) round-trips exactly — the snapshot aliases
-        /// nothing with the live node.
+        /// One standing buffer, several windows: each window checkpoints
+        /// into whatever the buffer last held — nothing, an earlier
+        /// committed state, or (after a rollback's swap) the *later*
+        /// cancelled state — and `clone_from` must still equal a fresh
+        /// `clone`; a rolled-back window's swap must restore the
+        /// window-edge fingerprint exactly, arena length and span table
+        /// included.
         #[test]
-        fn node_snapshot_restore_round_trips(
-            pre in proptest::collection::vec((0u8..4, 0u64..10_000), 0..24),
-            post in proptest::collection::vec((0u8..4, 0u64..10_000), 1..24),
+        fn standing_snapshot_buffer_round_trips(
+            pre in proptest::collection::vec((0u8..10, 0u64..10_000), 0..24),
+            windows in proptest::collection::vec(
+                (proptest::collection::vec((0u8..10, 0u64..10_000), 1..24), 0u8..2),
+                1..5,
+            ),
         ) {
-            let (mut rt, _, _) = ring_runtime(2, CostModel::cm5());
+            let mut rt = storage_runtime();
             for op in pre {
                 apply_op(&mut rt, op);
             }
-            let at_ckpt = fingerprint(&rt.nodes[0]);
-            // Checkpoint exactly as tw_save does.
-            let saved = Box::new(rt.nodes[0].clone());
-            for op in post {
-                apply_op(&mut rt, op);
+            let mut buf = Node::new(NodeId(0));
+            for (ops, rolls_back) in windows {
+                let at_edge = fingerprint(&rt.nodes[0]);
+                // Checkpoint exactly as tw_save does.
+                buf.clone_from(&rt.nodes[0]);
+                prop_assert_eq!(&fingerprint(&buf), &fingerprint(&rt.nodes[0].clone()));
+                prop_assert_eq!(&fingerprint(&buf), &at_edge);
+                for op in ops {
+                    apply_op(&mut rt, op);
+                }
+                if rolls_back == 1 {
+                    // Rollback exactly as the straggler path does.
+                    std::mem::swap(&mut rt.nodes[0], &mut buf);
+                    prop_assert_eq!(&fingerprint(&rt.nodes[0]), &at_edge);
+                }
             }
-            // Rollback exactly as the straggler path does.
-            rt.nodes[0] = *saved;
-            prop_assert_eq!(fingerprint(&rt.nodes[0]), at_ckpt);
         }
     }
 

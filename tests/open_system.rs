@@ -279,7 +279,7 @@ fn serve_quantiles_match_brute_force() {
         cfg.dist = ArrivalDist::Poisson { mean_gap: 250.0 };
         cfg.clients = 3;
         cfg.seed = seed;
-        let (_rt, out) = cfg.run();
+        let (_rt, out) = cfg.run().expect("service run");
         let summary = cfg.summary(&out);
 
         let mut samples: Vec<u64> = out
@@ -331,7 +331,7 @@ fn serve_reports_are_identical_across_thread_counts() {
         cfg.seed = 271_828;
         cfg.deadline = 8_000;
         cfg.threads = threads;
-        let (mut rt, out) = cfg.run();
+        let (mut rt, out) = cfg.run().expect("service run");
         let stats = rt.stats();
         let any: Box<dyn std::any::Any> = rt.take_observer().unwrap();
         let rollup = any.downcast::<Rollup>().unwrap();

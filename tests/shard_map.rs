@@ -302,7 +302,7 @@ fn serve_reuses_one_pool(speculative: bool) {
     cfg.warmup = 2_000;
     cfg.threads = 2;
     cfg.speculative = speculative;
-    let (rt, out) = cfg.run();
+    let (rt, out) = cfg.run().expect("service run");
     let completed =
         out.count(|r| matches!(r.disposition, hem::apps::service::Disposition::Completed(_)));
     assert!(completed > 1, "service did work ({completed} completions)");
