@@ -1,9 +1,10 @@
 //! Scheduler throughput: events dispatched per second of host time, event
-//! index vs linear scan, as the machine grows.
+//! index vs the linear-scan reference loop, as the machine grows.
 //!
 //! The dispatch loop selects the next actionable `(time, kind, node)`
-//! event; the linear scan pays O(P) per event where the event index pays
-//! O(log P). Both run the same kernels bit-identically (the determinism
+//! event; the reference loop (`Runtime::arm_reference_loop`) re-scans
+//! every node per event, O(P), where the event index pays O(log P). Both
+//! run the same kernels bit-identically (the determinism
 //! tests prove it), so the throughput ratio isolates pure scheduler
 //! overhead. Expect parity at P = 1 and a widening gap from P = 64 up.
 
@@ -15,13 +16,16 @@ use hem_machine::cost::CostModel;
 use hem_machine::topology::ProcGrid;
 
 const PROCS: [u32; 4] = [1, 16, 64, 256];
-const SCHEDS: [(&str, SchedImpl); 2] = [
-    ("event-index", SchedImpl::EventIndex),
-    ("linear-scan", SchedImpl::LinearScan),
+/// What a bench row does to a fresh runtime before the kernel runs.
+type Arm = fn(&mut Runtime);
+/// The two loops under comparison.
+const LOOPS: [(&str, Arm); 2] = [
+    ("event-index", |_| {}),
+    ("linear-scan", Runtime::arm_reference_loop),
 ];
 
 /// One SOR run (64x64 grid, 4x4 blocks = 256 block objects) on `p` nodes.
-fn run_sor(p: u32, sched: SchedImpl) -> Runtime {
+fn run_sor_armed<A: Fn(&mut Runtime)>(p: u32, arm: A) -> Runtime {
     let ids = sor::build();
     let mut rt = hem_apps::make_runtime(
         ids.program.clone(),
@@ -30,7 +34,7 @@ fn run_sor(p: u32, sched: SchedImpl) -> Runtime {
         ExecMode::Hybrid,
         InterfaceSet::Full,
     );
-    rt.sched_impl = sched;
+    arm(&mut rt);
     let inst = sor::setup(
         &mut rt,
         &ids,
@@ -44,9 +48,13 @@ fn run_sor(p: u32, sched: SchedImpl) -> Runtime {
     rt
 }
 
+fn run_sor(p: u32, sched: SchedImpl) -> Runtime {
+    run_sor_armed(p, |rt| rt.sched_impl = sched)
+}
+
 /// One EM3D run (graph scaled with the machine: 4 nodes' worth of E/H
 /// objects per processor) on `p` nodes.
-fn run_em3d(p: u32, sched: SchedImpl) -> Runtime {
+fn run_em3d(p: u32, arm: Arm) -> Runtime {
     let ids = em3d::build(4);
     let graph = em3d::generate(4 * p, 4, p, 0.5, 7);
     let mut rt = hem_apps::make_runtime(
@@ -56,33 +64,31 @@ fn run_em3d(p: u32, sched: SchedImpl) -> Runtime {
         ExecMode::Hybrid,
         InterfaceSet::Full,
     );
-    rt.sched_impl = sched;
+    arm(&mut rt);
     let inst = em3d::setup(&mut rt, &ids, &graph);
     em3d::run(&mut rt, &inst, em3d::Style::Pull, 1).unwrap();
     rt
 }
 
-fn bench_kernel(c: &mut Criterion, name: &str, run: fn(u32, SchedImpl) -> Runtime) {
+fn bench_kernel(c: &mut Criterion, name: &str, run: fn(u32, Arm) -> Runtime) {
     let mut g = c.benchmark_group(format!("sched_throughput/{name}"));
     g.sample_size(10);
     for p in PROCS {
-        for (label, sched) in SCHEDS {
+        for (label, arm) in LOOPS {
             // The event count is a property of the (deterministic) run, not
             // of the scheduler implementation; report events/sec.
-            let events = run(p, sched).stats().sched.events_dispatched;
+            let events = run(p, arm).stats().sched.events_dispatched;
             g.throughput(Throughput::Elements(events));
-            g.bench_with_input(
-                BenchmarkId::new(label, format!("P{p}")),
-                &(p, sched),
-                |b, &(p, sched)| b.iter(|| run(p, sched).makespan()),
-            );
+            g.bench_with_input(BenchmarkId::new(label, format!("P{p}")), &p, |b, &p| {
+                b.iter(|| run(p, arm).makespan())
+            });
         }
     }
     g.finish();
 }
 
 fn bench_sor_sched(c: &mut Criterion) {
-    bench_kernel(c, "sor64", run_sor);
+    bench_kernel(c, "sor64", run_sor_armed::<Arm>);
 }
 
 fn bench_em3d_sched(c: &mut Criterion) {

@@ -1,8 +1,18 @@
-//! Schedule exploration: seeded tie-breaking in the event loop and a
-//! bounded-exhaustive explorer over tie-break decisions.
+//! The reference dispatch loop — the executable specification of the
+//! scheduler — with seeded tie-breaking and a bounded-exhaustive explorer
+//! over tie-break decisions.
 //!
-//! The dispatch loop is deterministic: the next event is the minimum
-//! `(virtual time, kind, node)` candidate. But candidates **tied on
+//! The selection rule is one sentence: dispatch the minimum `(virtual
+//! time, kind, node)` candidate. [`Runtime::run_reference`] implements
+//! that sentence literally — re-scan every node per event, keep the
+//! candidates at the minimum time, sort them by `(kind, node)`, take the
+//! first — at O(P) per event, and the production loop
+//! ([`crate::sched`]) is checked against it trace record by trace record.
+//! It runs only when a test arms it ([`Runtime::arm_reference_loop`], or
+//! [`Runtime::set_tie_break`] with a non-default policy), through one
+//! `Option` test in `run_until`.
+//!
+//! The rule is deterministic, but candidates **tied on
 //! virtual time** are causally independent — each is enabled *now*, on a
 //! different `(node, kind)`, and dispatching any one of them first is a
 //! legal execution of the simulated machine (messages still deliver no
@@ -23,14 +33,19 @@
 //! read back the full decision log, advance the rightmost decision that
 //! still has unexplored siblings.
 
+use crate::error::Trap;
+use crate::rt::Runtime;
+use crate::sched::EventKey;
+use hem_machine::Cycles;
+
 /// How the event loop breaks ties among candidates with equal virtual
 /// time. Set via [`crate::Runtime::set_tie_break`]; the default
-/// ([`TieBreak::Det`]) routes through the production dispatch loops and
-/// costs nothing.
+/// ([`TieBreak::Det`]) leaves the executor selected by
+/// [`crate::Runtime::sched_impl`] in charge and costs nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TieBreak {
     /// Canonical order: minimum `(kind, node)` among the tied set — the
-    /// same schedule the event index and the linear scan produce.
+    /// schedule every production executor produces.
     #[default]
     Det,
     /// Uniform choice from the tied set, from a SplitMix64 stream over
@@ -53,9 +68,108 @@ pub struct TieChoice {
     pub arity: u32,
 }
 
+/// State of an armed reference loop: the tie policy and the log of
+/// non-forced decisions taken under it.
+#[derive(Debug, Default)]
+pub(crate) struct Explore {
+    /// A [`TieBreak::Seeded`] payload doubles as the SplitMix64 state.
+    policy: TieBreak,
+    log: Vec<TieChoice>,
+}
+
+impl Explore {
+    /// Which of `arity > 1` tied candidates (in canonical order) to
+    /// dispatch; logs the decision.
+    fn pick(&mut self, arity: u32) -> u32 {
+        let choice = match &mut self.policy {
+            TieBreak::Det => 0,
+            TieBreak::Seeded(state) => (splitmix64(state) % arity as u64) as u32,
+            // The i-th non-forced decision is the i-th log entry.
+            TieBreak::Replay(v) => v.get(self.log.len()).map_or(0, |&c| c.min(arity - 1)),
+        };
+        self.log.push(TieChoice { choice, arity });
+        choice
+    }
+}
+
+impl Runtime {
+    /// Select how same-timestamp ties are broken. [`TieBreak::Det`] (the
+    /// default) means "production schedule": it disarms the reference
+    /// loop and hands [`Self::run_until`] back to [`Self::sched_impl`].
+    /// Any other policy arms the reference loop with it, a fresh decision
+    /// log and (for [`TieBreak::Seeded`]) a fresh RNG stream.
+    pub fn set_tie_break(&mut self, policy: TieBreak) {
+        self.explore = (policy != TieBreak::Det).then(|| {
+            Box::new(Explore {
+                policy,
+                log: Vec::new(),
+            })
+        });
+    }
+
+    /// Route [`Self::run_until`] through the reference loop in canonical
+    /// order — the executable specification the bit-identity suites diff
+    /// every [`crate::SchedImpl`] against. Overrides `sched_impl` until
+    /// [`Self::set_tie_break`]`(TieBreak::Det)` disarms it.
+    pub fn arm_reference_loop(&mut self) {
+        self.explore = Some(Box::default());
+    }
+
+    /// The non-forced tie decisions the reference loop has taken since it
+    /// was armed, in order (empty while it is not).
+    pub fn tie_log(&self) -> &[TieChoice] {
+        self.explore.as_ref().map_or(&[], |ex| &ex.log)
+    }
+
+    /// The decision vector alone — feed to [`TieBreak::Replay`] to rerun
+    /// this exact schedule.
+    pub fn tie_choices(&self) -> Vec<u32> {
+        self.tie_log().iter().map(|t| t.choice).collect()
+    }
+
+    /// The reference dispatch loop (module docs): collect *every*
+    /// candidate tied at the minimum time — all of them causally enabled
+    /// now — and let the armed [`TieBreak`] policy pick which to dispatch,
+    /// logging each non-forced decision. Choice 0 in canonical `(kind,
+    /// node)` order is the deterministic selection, so [`TieBreak::Det`]
+    /// and an empty replay vector both reproduce the production schedule.
+    pub(crate) fn run_reference(&mut self, horizon: Cycles) -> Result<(), Trap> {
+        self.drop_index();
+        let mut cands: Vec<EventKey> = Vec::new();
+        loop {
+            cands.clear();
+            for (i, n) in self.nodes.iter().enumerate() {
+                if let Some(e) = n.inbox.peek() {
+                    cands.push((n.time.max(e.deliver), 0, i as u32));
+                }
+                if n.has_local_work() {
+                    cands.push((n.time, 1, i as u32));
+                }
+                if let Some(&(dl, _, _)) = n.tx_timers.first() {
+                    cands.push((n.time.max(dl), 2, i as u32));
+                }
+            }
+            let Some(min_t) = cands.iter().map(|c| c.0).min() else {
+                return Ok(());
+            };
+            if min_t >= horizon {
+                return Ok(());
+            }
+            cands.retain(|c| c.0 == min_t);
+            cands.sort_unstable_by_key(|c| (c.1, c.2));
+            let pick = match cands.len() as u32 {
+                1 => 0,
+                arity => self.explore.as_mut().expect("armed").pick(arity),
+            };
+            let (t, kind, node) = cands[pick as usize];
+            self.dispatch_event(t, kind, node as usize)?;
+        }
+    }
+}
+
 /// Advance a SplitMix64 stream (same generator the test shims use).
 #[inline]
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

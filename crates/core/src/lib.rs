@@ -21,6 +21,7 @@
 //! | heap contexts with embedded futures | [`context`] |
 //! | implicit per-object locks | [`object`] |
 //! | the machine itself (nodes, clocks, interconnect) | [`rt`] on top of `hem-machine` |
+//! | the dispatch loop and its executable specification | [`sched`], [`explore`] |
 //!
 //! The runtime executes `hem-ir` programs under a [`SchemaMap`] produced by
 //! `hem-analysis`, in one of two [`ExecMode`]s: `ParallelOnly` (the paper's
@@ -74,11 +75,14 @@ pub mod cref;
 pub mod error;
 pub mod exec;
 pub mod explore;
+#[cfg(test)]
+mod fixture;
 pub mod msg;
 pub mod object;
 pub mod par;
 pub mod rt;
 pub mod sanitize;
+pub mod sched;
 pub mod seq;
 pub mod shard;
 pub mod timewarp;
@@ -91,8 +95,9 @@ pub use error::Trap;
 pub use explore::{Explorer, Mutant, TieBreak, TieChoice};
 pub use msg::CollKind;
 pub use object::Object;
-pub use rt::{NodeObjectState, Runtime, SchedImpl};
+pub use rt::{NodeObjectState, Runtime};
 pub use sanitize::Sanitizer;
+pub use sched::SchedImpl;
 pub use timewarp::SpecStats;
 pub use trace::{MsgCause, Observer, Trace, TraceEvent, TraceRecord};
 

@@ -1,13 +1,15 @@
-//! The runtime: simulated machine state, the deterministic event loop, and
-//! the low-level operations (slot filling, continuation delivery, locks,
-//! context fallback) shared by the two interpreters.
+//! The runtime: simulated machine state, the reliable transport, and the
+//! low-level operations (slot filling, continuation delivery, locks,
+//! context fallback) shared by the two interpreters. Which event runs
+//! next is [`crate::sched`]'s business.
 
 use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, CtxTable, SlotState, WaitState};
 use crate::error::Trap;
-use crate::explore::{Mutant, TieBreak, TieChoice};
+use crate::explore::Mutant;
 use crate::msg::{Msg, Packet};
 use crate::object::{Arena, ClassLayout, DeferredInvoke, FieldKind, LockHolder, Object, Span};
+use crate::sched::{SchedEntry, SchedImpl};
 use crate::{ExecMode, InterfaceSet, SchemaMap};
 use hem_analysis::Analysis;
 use hem_ir::{ClassId, ContRef, FieldId, MethodId, ObjRef, Program, ValidationError, Value};
@@ -51,98 +53,6 @@ impl Ord for InboxEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap by (deliver, seq).
         (other.deliver, other.seq).cmp(&(self.deliver, self.seq))
-    }
-}
-
-/// Which dispatch-loop implementation `run_to_quiescence` uses.
-///
-/// All implementations are bit-identical in observable behavior (selection
-/// order, costs, counters, traces); the event index is O(log P) per event
-/// where the scan is O(P), and the sharded executor spreads the event
-/// index across host threads. The linear scan is kept as the executable
-/// specification — the determinism tests diff full traces across the
-/// implementations, and the `sched_throughput` bench measures the gaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedImpl {
-    /// Global `BinaryHeap` of `(time, kind, node)` candidates with lazy
-    /// invalidation (the default).
-    #[default]
-    EventIndex,
-    /// Reference implementation: re-scan every node per dispatched event.
-    LinearScan,
-    /// Host-parallel conservative-window executor: nodes are partitioned
-    /// into `threads` shards, each advanced by its own OS thread inside
-    /// lookahead-bounded virtual-time windows, with traces and stats
-    /// merged deterministically so every observable is bit-identical to
-    /// [`SchedImpl::EventIndex`] at any thread count (see [`crate::shard`]).
-    ///
-    /// One departure: the heap-diagnostic fields of
-    /// `MachineStats.sched` (`heap_pushes`, `stale_pops`,
-    /// `max_heap_depth`) report 0, as under [`SchedImpl::LinearScan`] —
-    /// per-shard heap shapes depend on the thread count, so they cannot
-    /// be both meaningful and thread-count-invariant.
-    Sharded {
-        /// Worker thread count; `0` and `1` both mean "run the plain
-        /// event index" (as does a cost model with zero wire latency,
-        /// which admits no lookahead).
-        threads: usize,
-    },
-    /// Host-parallel optimistic (Time-Warp) executor: the same window
-    /// engine as [`SchedImpl::Sharded`] (one pool, one coordinator loop),
-    /// but windows extend *past* the conservative
-    /// lookahead bound. Shards checkpoint dirty nodes copy-on-write,
-    /// advance speculatively, and the coordinator validates every
-    /// cross-shard message at the window barrier: a message due inside
-    /// the window (a *straggler*) rolls all shards back to the window
-    /// edge, cancels speculatively sent traffic (anti-messages), and
-    /// re-runs a shrunken window (see [`crate::timewarp`]). Observables
-    /// are bit-identical to [`SchedImpl::EventIndex`] at every thread
-    /// count — including under zero-lookahead cost models, where
-    /// [`SchedImpl::Sharded`] degrades to serial stepping.
-    ///
-    /// The heap-diagnostic fields of `MachineStats.sched` report 0, as
-    /// under [`SchedImpl::Sharded`]; speculation diagnostics (rollback
-    /// and anti-message counts) live in [`crate::timewarp::SpecStats`],
-    /// off to the side, because they *are* thread-count-dependent.
-    Speculative {
-        /// Worker thread count; `0` and `1` both mean "run the plain
-        /// event index". Zero lookahead does **not** fall back — that
-        /// regime is the whole point of speculating.
-        threads: usize,
-    },
-}
-
-/// A candidate next-event in the global event index: node `node` believes
-/// it can act at `time` (`kind` 0 = handle a message, 1 = run local work).
-///
-/// Entries are *lower bounds*: a node's clock only advances after an entry
-/// is pushed, so a popped entry is re-validated against the node's current
-/// state and re-keyed (or dropped) when stale — the same generation-style
-/// lazy-invalidation discipline `ContRef` uses for continuations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SchedEntry {
-    pub time: Cycles,
-    pub kind: u8,
-    pub node: u32,
-}
-
-impl SchedEntry {
-    #[inline]
-    fn key(&self) -> (Cycles, u8, u32) {
-        (self.time, self.kind, self.node)
-    }
-}
-
-impl PartialOrd for SchedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SchedEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap: the earliest (time, message-before-compute, node id)
-        // candidate is the greatest heap element.
-        other.key().cmp(&self.key())
     }
 }
 
@@ -439,12 +349,14 @@ pub struct Runtime {
     /// (§4.2 includes it in all measurements; ablation benches turn it
     /// off).
     pub enable_inlining: bool,
-    /// Dispatch-loop implementation. Set before the first `call` and do not
-    /// switch mid-run: the event index is only maintained while selected.
+    /// The executor [`Self::run_until`] drives the machine with. May be
+    /// switched between `run_until` chunks: every executor resumes
+    /// exactly where the previous one stopped.
     pub sched_impl: SchedImpl,
-    /// Global event index (see [`SchedEntry`]); maintained only under
-    /// [`SchedImpl::EventIndex`].
-    pub(crate) sched: BinaryHeap<SchedEntry>,
+    /// Global event index (see [`crate::sched`]); `None` while an executor
+    /// that does not maintain it — windows, the reference loop — has the
+    /// machine, and on a window coordinator between its chunks.
+    pub(crate) sched: Option<BinaryHeap<SchedEntry>>,
     pub(crate) sched_stats: SchedStats,
     pub(crate) trace_buf: crate::trace::Trace,
     /// Zero-virtual-time streaming trace consumer (see
@@ -454,16 +366,11 @@ pub struct Runtime {
     /// Online invariant sanitizer (see [`crate::sanitize`]); off by
     /// default, where every hook is one `Option` discriminant test.
     pub(crate) sanitizer: Option<Box<crate::sanitize::Sanitizer>>,
-    /// Same-timestamp tie-break policy (see [`crate::explore`]). The
-    /// default [`TieBreak::Det`] routes through the production dispatch
-    /// loops unchanged.
-    pub(crate) tie_break: TieBreak,
-    /// SplitMix64 state for [`TieBreak::Seeded`].
-    pub(crate) tie_rng: u64,
-    /// Next index into a [`TieBreak::Replay`] vector.
-    pub(crate) tie_cursor: usize,
-    /// Log of non-forced tie decisions taken by the exploring loop.
-    pub(crate) tie_log: Vec<TieChoice>,
+    /// The reference dispatch loop's state (see [`crate::explore`]):
+    /// armed only by conformance tests, where it overrides
+    /// [`Self::sched_impl`]; `None` on every production and worker
+    /// runtime.
+    pub(crate) explore: Option<Box<crate::explore::Explore>>,
     /// Seeded protocol mutant under test (`HEM_MUTANT`); see
     /// [`Mutant`]. Test/mutants builds only.
     #[cfg(any(test, feature = "mutants"))]
@@ -566,8 +473,25 @@ impl Runtime {
         let analysis = Analysis::analyze(&program);
         let schemas = analysis.schemas(interfaces);
         let layouts = program.classes.iter().map(ClassLayout::of).collect();
-        Ok(Runtime {
-            program: Arc::new(program),
+        let program = Arc::new(program);
+        Ok(Self::assemble(
+            program, layouts, schemas, cost, mode, n_nodes,
+        ))
+    }
+
+    /// An idle `n_nodes` machine over an already-analysed program, every
+    /// field at its initial value ([`Self::new`], and the shard pool's
+    /// worker runtimes, which share the coordinator's program).
+    pub(crate) fn assemble(
+        program: Arc<Program>,
+        layouts: Vec<ClassLayout>,
+        schemas: SchemaMap,
+        cost: CostModel,
+        mode: ExecMode,
+        n_nodes: u32,
+    ) -> Runtime {
+        Runtime {
+            program,
             layouts,
             schemas,
             cost,
@@ -583,15 +507,12 @@ impl Runtime {
             max_seq_depth: 1200,
             enable_inlining: true,
             sched_impl: SchedImpl::default(),
-            sched: BinaryHeap::new(),
+            sched: Some(BinaryHeap::new()),
             sched_stats: SchedStats::default(),
             trace_buf: crate::trace::Trace::default(),
             observer: None,
             sanitizer: None,
-            tie_break: TieBreak::Det,
-            tie_rng: 0,
-            tie_cursor: 0,
-            tie_log: Vec::new(),
+            explore: None,
             #[cfg(any(test, feature = "mutants"))]
             mutant: Mutant::from_env(),
             reliable: false,
@@ -606,7 +527,7 @@ impl Runtime {
             shard_weights: None,
             pool: None,
             pool_gen: 0,
-        })
+        }
     }
 
     /// Sentinel [`Self::san_step`] for "not inside a dispatched event"
@@ -673,34 +594,6 @@ impl Runtime {
     /// Is the reliable transport engaged?
     pub fn reliable_transport(&self) -> bool {
         self.reliable
-    }
-
-    /// Select how the dispatch loop breaks same-timestamp ties (see
-    /// [`crate::explore`]). Resets the decision log and, for
-    /// [`TieBreak::Seeded`], the RNG stream. [`TieBreak::Det`] (the
-    /// default) uses the production dispatch loops unchanged; any other
-    /// policy routes [`Self::run_to_quiescence`] through the exploring
-    /// loop, which logs every non-forced decision for replay.
-    pub fn set_tie_break(&mut self, tb: TieBreak) {
-        self.tie_rng = match tb {
-            TieBreak::Seeded(seed) => seed,
-            _ => 0,
-        };
-        self.tie_cursor = 0;
-        self.tie_log.clear();
-        self.tie_break = tb;
-    }
-
-    /// The non-forced tie decisions taken since the last
-    /// [`Self::set_tie_break`], in order.
-    pub fn tie_log(&self) -> &[TieChoice] {
-        &self.tie_log
-    }
-
-    /// The decision vector alone — feed to [`TieBreak::Replay`] to rerun
-    /// this exact schedule.
-    pub fn tie_choices(&self) -> Vec<u32> {
-        self.tie_log.iter().map(|t| t.choice).collect()
     }
 
     /// Is the named protocol mutant active? Always false outside
@@ -984,41 +877,6 @@ impl Runtime {
 
     // ================= messaging =================
 
-    /// Push a candidate onto the event index (no-op under the linear scan).
-    /// Suppressed when the node already has an entry at or below this key:
-    /// that entry is a sufficient lower bound, and validation on pop
-    /// recomputes the true candidate anyway.
-    #[inline]
-    pub(crate) fn sched_note(&mut self, time: Cycles, kind: u8, node: usize) {
-        if self.sched_impl != SchedImpl::EventIndex {
-            return;
-        }
-        if self.nodes[node]
-            .sched_noted
-            .is_some_and(|k| k <= (time, kind))
-        {
-            return;
-        }
-        self.nodes[node].sched_noted = Some((time, kind));
-        self.sched.push(SchedEntry {
-            time,
-            kind,
-            node: node as u32,
-        });
-        self.sched_stats.heap_pushes += 1;
-        let depth = self.sched.len() as u64;
-        if depth > self.sched_stats.max_heap_depth {
-            self.sched_stats.max_heap_depth = depth;
-        }
-    }
-
-    /// Note that `node` gained runnable local work (ready context or lock
-    /// grant) at its current virtual time.
-    #[inline]
-    pub(crate) fn sched_note_local(&mut self, node: usize) {
-        self.sched_note(self.nodes[node].time, 1, node);
-    }
-
     /// Inject a packet into the interconnect and drain it straight into
     /// the destination inbox. The wire is drained once per injection — the
     /// `Network` heap assigns the global sequence number, applies the fault
@@ -1271,7 +1129,7 @@ impl Runtime {
     /// [`InboxEntry`]: the originating request's blame tag (which becomes
     /// the current tag for all work this handling triggers), the wire
     /// delivery time, and whether the consumed copy was a retransmission.
-    fn handle_packet(
+    pub(crate) fn handle_packet(
         &mut self,
         node: usize,
         src: NodeId,
@@ -1409,7 +1267,7 @@ impl Runtime {
     /// injection: it takes a new *global* sequence number, so the fault
     /// plan rolls a fresh fate and the frame eventually gets through with
     /// probability 1.
-    fn run_retransmits(&mut self, node: usize) {
+    pub(crate) fn run_retransmits(&mut self, node: usize) {
         loop {
             let now = self.nodes[node].time;
             let Some(&(dl, dest, seq)) = self.nodes[node].tx_timers.first() else {
@@ -2279,7 +2137,7 @@ impl Runtime {
         std::mem::take(&mut self.completions).into_iter().collect()
     }
 
-    // ================= event loop =================
+    // ================= root invocation & message handling =================
 
     /// Root invocation: run `method` on `obj` with `args` to quiescence and
     /// return the reply (if the program replied).
@@ -2305,284 +2163,6 @@ impl Runtime {
         )?;
         self.run_to_quiescence()?;
         Ok(self.result.take())
-    }
-
-    /// Drive the machine until no work remains anywhere. Deterministic:
-    /// the next event is always the minimum `(virtual time,
-    /// message-before-compute, node id)` candidate, with message order
-    /// within a node fixed by `(delivery time, sequence number)` — the
-    /// tie-break is a specification both implementations satisfy
-    /// bit-identically (see [`SchedImpl`]).
-    pub fn run_to_quiescence(&mut self) -> Result<(), Trap> {
-        self.run_until(Cycles::MAX)
-    }
-
-    /// Drive the machine until every candidate event is at or past
-    /// `horizon` (exclusive: an event whose selected time is exactly
-    /// `horizon` is *not* dispatched), then return with the machine
-    /// **resumable** — a later `run_until` with a larger horizon, or
-    /// [`Self::run_to_quiescence`], continues exactly where this left
-    /// off. Work injected between calls (e.g. [`Self::inject_request`])
-    /// is picked up on the next call.
-    ///
-    /// The event selected is always the global minimum `(time, kind,
-    /// node)` candidate, exactly as under [`Self::run_to_quiescence`]
-    /// (which is this with `horizon = Cycles::MAX`), so a horizon-bounded
-    /// run is a *prefix* of the unbounded run: traces, stats, clocks, and
-    /// rollups are bit-identical across all [`SchedImpl`]s at every
-    /// thread count for the same horizon. Note that node clocks may
-    /// stand past `horizon` afterwards — a step *starting* before the
-    /// horizon charges all of its work.
-    pub fn run_until(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        if !matches!(self.tie_break, TieBreak::Det) {
-            return self.run_explore(horizon);
-        }
-        match self.sched_impl {
-            SchedImpl::EventIndex => self.run_event_index(horizon),
-            SchedImpl::LinearScan => self.run_linear_scan(horizon),
-            SchedImpl::Sharded { threads } => self.run_sharded(threads, horizon),
-            SchedImpl::Speculative { threads } => self.run_speculative(threads, horizon),
-        }
-    }
-
-    /// Exploring dispatch loop: like the linear scan, but where the
-    /// deterministic rule picks the minimum `(time, kind, node)`, this
-    /// loop collects *every* candidate tied at the minimum time — all of
-    /// them causally enabled now — and lets the [`TieBreak`] policy pick
-    /// which to dispatch, logging each non-forced decision. Choice 0 in
-    /// canonical `(kind, node)` order is the deterministic selection, so
-    /// an empty replay vector reproduces the default schedule.
-    fn run_explore(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        let mut cands: Vec<(Cycles, u8, u32)> = Vec::new();
-        loop {
-            cands.clear();
-            for i in 0..self.nodes.len() {
-                let n = &self.nodes[i];
-                if let Some(e) = n.inbox.peek() {
-                    cands.push((n.time.max(e.deliver), 0, i as u32));
-                }
-                if n.has_local_work() {
-                    cands.push((n.time, 1, i as u32));
-                }
-                if let Some(&(dl, _, _)) = n.tx_timers.first() {
-                    cands.push((n.time.max(dl), 2, i as u32));
-                }
-            }
-            let Some(min_t) = cands.iter().map(|c| c.0).min() else {
-                return Ok(());
-            };
-            if min_t >= horizon {
-                return Ok(());
-            }
-            cands.retain(|c| c.0 == min_t);
-            cands.sort_unstable_by_key(|c| (c.1, c.2));
-            let arity = cands.len() as u32;
-            let pick = if arity == 1 {
-                0
-            } else {
-                let pick = match self.tie_break {
-                    TieBreak::Det => 0,
-                    TieBreak::Seeded(_) => {
-                        (crate::explore::splitmix64(&mut self.tie_rng) % arity as u64) as u32
-                    }
-                    TieBreak::Replay(ref v) => {
-                        let c = v.get(self.tie_cursor).copied().unwrap_or(0);
-                        self.tie_cursor += 1;
-                        c.min(arity - 1)
-                    }
-                };
-                self.tie_log.push(TieChoice {
-                    choice: pick,
-                    arity,
-                });
-                pick
-            };
-            let (t, kind, node) = cands[pick as usize];
-            self.dispatch_event(t, kind, node as usize)?;
-        }
-    }
-
-    /// A node's current best candidate, under the same selection rule the
-    /// linear scan applies: an inbox head is actionable at
-    /// `max(node time, delivery time)` (kind 0); any ready context or lock
-    /// grant at the node's current time (kind 1); the earliest pending
-    /// retransmission timer at `max(node time, deadline)` (kind 2).
-    #[inline]
-    pub(crate) fn node_candidate(&self, i: usize) -> Option<(Cycles, u8)> {
-        let n = &self.nodes[i];
-        let mut best: Option<(Cycles, u8)> = None;
-        if let Some(e) = n.inbox.peek() {
-            best = Some((n.time.max(e.deliver), 0u8));
-        }
-        if n.has_local_work() {
-            let cand = (n.time, 1u8);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        if let Some(&(dl, _, _)) = n.tx_timers.first() {
-            let cand = (n.time.max(dl), 2u8);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// The node's earliest retransmission-timer candidate time (the kind-2
-    /// component of [`Self::node_candidate`]), used by the sharded
-    /// executor to cap windows below the first timer fire.
-    #[inline]
-    pub(crate) fn node_timer_candidate(&self, i: usize) -> Option<Cycles> {
-        let n = &self.nodes[i];
-        n.tx_timers.first().map(|&(dl, _, _)| n.time.max(dl))
-    }
-
-    /// Dispatch the selected event on node `i`. `t` is the (validated)
-    /// candidate time; `kind` 0 handles the inbox head, 1 runs a grant or
-    /// ready context, 2 fires due retransmission timers.
-    pub(crate) fn dispatch_event(&mut self, t: Cycles, kind: u8, i: usize) -> Result<(), Trap> {
-        if let Some(sh) = &mut self.shard {
-            // Every record emitted during this step is captured under the
-            // event's (time, kind, node) key for the deterministic merge.
-            // The per-shard ordinal marks event boundaries within equal
-            // keys (zero-cost steps can repeat a key). The dispatch log
-            // is what the commit merge replays to reconstruct the serial
-            // schedule (and pick the serial-first trap) even when tracing
-            // is off (see `crate::shard`).
-            sh.cur = (t, kind, i as u32);
-            sh.ord += 1;
-            sh.dispatched.push(sh.cur);
-        }
-        self.tw_save(i);
-        self.poll_floor = t;
-        self.san_step = (t, kind, i as u32);
-        self.sched_stats.events_dispatched += 1;
-        let r = if kind == 0 {
-            let e = self.nodes[i].inbox.pop().expect("selected inbox entry");
-            self.nodes[i].time = t;
-            self.current_req = e.req;
-            self.emit_event_start(i, kind, e.req);
-            self.handle_packet(i, e.src, e.msg, e.req, e.deliver, e.retx)
-        } else if kind == 2 {
-            self.nodes[i].time = t;
-            self.current_req = 0;
-            self.emit_event_start(i, kind, 0);
-            self.run_retransmits(i);
-            Ok(())
-        } else if let Some((obj, d)) = self.nodes[i].granted.pop_front() {
-            self.current_req = d.req;
-            self.emit_event_start(i, kind, d.req);
-            self.run_granted(i, obj, d)
-        } else {
-            let c = self.nodes[i].ready.pop_front().expect("selected ready ctx");
-            let req = self.nodes[i].ctxs.get(c).req;
-            self.current_req = req;
-            self.emit_event_start(i, kind, req);
-            crate::par::dispatch(self, i, c)
-        };
-        if r.is_ok() {
-            self.emit(
-                i,
-                crate::trace::TraceEvent::EventEnd {
-                    node: NodeId(i as u32),
-                },
-            );
-        }
-        r
-    }
-
-    /// Emit the step-start marker for a dispatched event (the node's clock
-    /// already stands at the event's start time). `req` is the step's
-    /// blame tag (the caller has just set `current_req` to it).
-    #[inline]
-    fn emit_event_start(&mut self, i: usize, kind: u8, req: u64) {
-        self.emit(
-            i,
-            crate::trace::TraceEvent::EventStart {
-                node: NodeId(i as u32),
-                kind,
-                req,
-            },
-        );
-    }
-
-    /// O(log P)-per-event dispatch: pop the minimum candidate from the
-    /// event index, re-validate it against the node's live state (lazy
-    /// invalidation), execute it, and re-arm the node's next candidate.
-    ///
-    /// Every heap entry is a lower bound on its node's true candidate key
-    /// (clocks only advance), and every inbox/ready/granted insertion notes
-    /// a candidate — so whenever a node is actionable the heap holds an
-    /// entry at or below its true key, and the first entry that validates
-    /// exactly equal to its node's recomputed candidate is the global
-    /// minimum: the same event the linear scan selects.
-    pub(crate) fn run_event_index(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        loop {
-            // Heap entries are lower bounds on their nodes' true
-            // candidate keys, and every actionable node keeps one in the
-            // heap — so a minimum at or past the horizon means the whole
-            // machine is. Stop *before* popping: the intact index (plus
-            // re-keys pushed below for stale pops past the horizon) is
-            // what makes the run resumable.
-            match self.sched.peek() {
-                None => break,
-                Some(e) if e.time >= horizon => return Ok(()),
-                Some(_) => {}
-            }
-            let e = self.sched.pop().expect("peeked entry");
-            let i = e.node as usize;
-            // A node's entries pop in key order, so the first pop carries
-            // the tracked minimum; consuming it clears the suppression
-            // marker (an equal-key duplicate left behind is harmless).
-            if self.nodes[i].sched_noted == Some((e.time, e.kind)) {
-                self.nodes[i].sched_noted = None;
-            }
-            let Some((t, kind)) = self.node_candidate(i) else {
-                // Dangling entry: the work it announced was consumed by an
-                // earlier event (e.g. a send-time poll).
-                self.sched_stats.stale_pops += 1;
-                continue;
-            };
-            if (t, kind) != (e.time, e.kind) {
-                // Stale lower bound: re-key with the node's live candidate.
-                self.sched_stats.stale_pops += 1;
-                self.sched_note(t, kind, i);
-                continue;
-            }
-            self.dispatch_event(t, kind, i)?;
-            if let Some((t, kind)) = self.node_candidate(i) {
-                self.sched_note(t, kind, i);
-            }
-        }
-        debug_assert!(
-            (0..self.nodes.len()).all(|i| self.node_candidate(i).is_none()),
-            "event index drained while work remains"
-        );
-        Ok(())
-    }
-
-    /// Reference dispatch: re-scan every node per event, O(P) per event.
-    fn run_linear_scan(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        loop {
-            // Select the earliest actionable (time, kind, node).
-            let mut best: Option<(Cycles, u8, usize)> = None;
-            for i in 0..self.nodes.len() {
-                if let Some((t, kind)) = self.node_candidate(i) {
-                    let cand = (t, kind, i);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            let Some((t, kind, i)) = best else {
-                return Ok(());
-            };
-            if t >= horizon {
-                return Ok(());
-            }
-            self.dispatch_event(t, kind, i)?;
-        }
     }
 
     fn handle_msg(&mut self, node: usize, msg: Msg) -> Result<(), Trap> {
@@ -2692,7 +2272,12 @@ impl Runtime {
     /// Run a lock grant: the lock was released with this invocation queued.
     /// The lock may have been re-taken in the meantime (a later stack task
     /// can sneak in); in that case the invocation goes back on the queue.
-    fn run_granted(&mut self, node: usize, obj: u32, d: DeferredInvoke) -> Result<(), Trap> {
+    pub(crate) fn run_granted(
+        &mut self,
+        node: usize,
+        obj: u32,
+        d: DeferredInvoke,
+    ) -> Result<(), Trap> {
         let held = self.nodes[node].objects[obj as usize]
             .lock
             .as_ref()

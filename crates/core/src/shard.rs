@@ -3,11 +3,14 @@
 //!
 //! The engine partitions the simulated nodes into contiguous shards, one
 //! OS worker thread per shard, and advances each shard with its own
-//! `(time, kind, node)` event index inside virtual-time windows. A
-//! [`WindowPolicy`], derived from the [`SchedImpl`], decides how far a
+//! `(time, kind, node)` event index inside virtual-time windows — by the
+//! same dispatch loop the single-threaded executor runs
+//! (`Runtime::run_index` in [`crate::sched`]), stopped at the window end
+//! instead of the caller's horizon. A
+//! [`WindowPolicy`], derived from the [`crate::SchedImpl`], decides how far a
 //! window reaches and whether its outcome has to be checked:
-//! [`SchedImpl::Sharded`] runs **conservative** windows (below), whose
-//! validation cannot fail; [`SchedImpl::Speculative`] runs **optimistic**
+//! [`crate::SchedImpl::Sharded`] runs **conservative** windows (below), whose
+//! validation cannot fail; [`crate::SchedImpl::Speculative`] runs **optimistic**
 //! ones, which checkpoint, validate at the barrier and roll back on a
 //! straggler (see [`crate::timewarp`] for that policy and its proofs).
 //! Everything else — pool, partition, window edge, barrier fold, outbox
@@ -92,7 +95,7 @@
 //! The result: traces, makespan, `MachineStats`, and observer rollups
 //! are bit-identical between `threads = 1` and any other thread count —
 //! with the single documented exception of the scheduler heap
-//! diagnostics, which read 0 under `Sharded` (as under `LinearScan`).
+//! diagnostics, which read 0 under `Sharded` (as under the reference loop).
 //!
 //! **Traps.** If any shard traps, the merge stops at the first trapping
 //! event it reaches (the trap a single-threaded run would hit first),
@@ -103,22 +106,17 @@
 //! trace are normative after a trap.
 
 use crate::error::Trap;
-use crate::explore::TieBreak;
-use crate::rt::{InboxEntry, Node, Runtime, SchedImpl};
+use crate::rt::{InboxEntry, Runtime};
+use crate::sched::EventKey;
 use crate::timewarp::Delta;
 use crate::trace::TraceRecord;
 use hem_machine::net::Network;
-use hem_machine::stats::{NetStats, SchedStats};
-use hem_machine::{Cycles, NodeId};
+use hem_machine::stats::NetStats;
+use hem_machine::Cycles;
 use std::cell::UnsafeCell;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
-
-/// A dispatched event's identity: `(virtual time, kind, node)` — the
-/// total order every dispatch loop implementation selects by.
-pub(crate) type EventKey = (Cycles, u8, u32);
 
 /// Shard-worker state hung off a worker [`Runtime`] (absent on every
 /// user-constructed runtime). Holds the node-ownership map, the trace
@@ -233,61 +231,6 @@ fn graded_wait(tiers: &SpinTiers, mut ready: impl FnMut() -> bool) -> bool {
         }
     }
     parked
-}
-
-/// One shard's in-window dispatch loop: the event index restricted to
-/// candidates with key strictly below `end`. Mirrors
-/// `Runtime::run_event_index` (pop, lazy re-validation, dispatch,
-/// re-arm), except that candidates at or past the window edge are left
-/// for the next window's reseeding instead of being re-keyed.
-pub(crate) fn run_window(rt: &mut Runtime, end: Cycles) -> Result<(), Trap> {
-    while rt.sched.peek().is_some_and(|e| e.time < end) {
-        let e = rt.sched.pop().expect("peeked entry");
-        let i = e.node as usize;
-        if rt.nodes[i].sched_noted == Some((e.time, e.kind)) {
-            rt.nodes[i].sched_noted = None;
-        }
-        let Some((t, kind)) = rt.node_candidate(i) else {
-            continue;
-        };
-        if (t, kind) != (e.time, e.kind) {
-            if t < end {
-                rt.sched_note(t, kind, i);
-            }
-            continue;
-        }
-        if t >= end {
-            continue;
-        }
-        if kind == 2 {
-            // A retransmission timer came due inside the window. Under
-            // conservative windows this is impossible (`end` never
-            // outruns `retx_base`); under a speculative window it means
-            // a timer armed mid-window — already recorded in
-            // `min_timer`, so validation is guaranteed to roll this
-            // attempt back below the deadline. Timer handlers need
-            // full-machine visibility, so don't fire it: stop the shard
-            // early and let the rollback discard everything.
-            if rt.shard.as_ref().is_some_and(|sh| sh.ckpt.armed) {
-                debug_assert!(
-                    rt.shard.as_ref().is_some_and(|sh| sh.min_timer < end),
-                    "in-window timer not recorded for validation"
-                );
-                break;
-            }
-            debug_assert!(
-                false,
-                "retransmission timer fired inside a window (lookahead bound violated)"
-            );
-        }
-        rt.dispatch_event(t, kind, i)?;
-        if let Some((t, kind)) = rt.node_candidate(i) {
-            if t < end {
-                rt.sched_note(t, kind, i);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Contiguous node→shard partition. With `weights == None`, shard `s`
@@ -438,17 +381,8 @@ fn run_shard_window(cell: &mut WorkerCell, end: Cycles, arm: bool) {
     if arm {
         rt.tw_arm();
     }
-    rt.sched.clear();
-    for &i in &cell.owned {
-        let i = i as usize;
-        rt.nodes[i].sched_noted = None;
-        if let Some((t, k)) = rt.node_candidate(i) {
-            if t < end {
-                rt.sched_note(t, k, i);
-            }
-        }
-    }
-    cell.trap = run_window(rt, end).err();
+    rt.reseed(cell.owned.iter().map(|&i| i as usize), end);
+    cell.trap = rt.run_index(end).err();
     publish_minima(cell);
 }
 
@@ -677,29 +611,14 @@ impl Runtime {
         self.run_windows(threads, WindowPolicy::Conservative(lookahead), horizon)
     }
 
-    /// Zero-lookahead / single-shard path: run the plain event index,
-    /// then zero the heap diagnostics so `MachineStats` is identical to
-    /// what the windowed path reports at higher thread counts. Reseeds
-    /// the index from scratch and clears it afterwards, so repeated
-    /// horizon-bounded calls compose.
+    /// Zero-lookahead / single-shard path: the plain index loop over a
+    /// freshly seeded index, taken down again afterwards — so the heap
+    /// diagnostics read 0, as the windowed path reports at higher thread
+    /// counts, and repeated horizon-bounded calls compose.
     pub(crate) fn run_sharded_fallback(&mut self, horizon: Cycles) -> Result<(), Trap> {
-        let saved = self.sched_impl;
-        self.sched_impl = SchedImpl::EventIndex;
-        for i in 0..self.nodes.len() {
-            self.nodes[i].sched_noted = None;
-            if let Some((t, k)) = self.node_candidate(i) {
-                self.sched_note(t, k, i);
-            }
-        }
-        let r = self.run_event_index(horizon);
-        self.sched_impl = saved;
-        self.sched.clear();
-        for n in &mut self.nodes {
-            n.sched_noted = None;
-        }
-        self.sched_stats.heap_pushes = 0;
-        self.sched_stats.stale_pops = 0;
-        self.sched_stats.max_heap_depth = 0;
+        self.reseed(0..self.nodes.len(), horizon);
+        let r = self.run_index(horizon);
+        self.drop_index();
         r
     }
 
@@ -707,54 +626,23 @@ impl Runtime {
     /// node present so global indexing works, but only owned nodes ever
     /// hold state during a window) sharing the program and fault plan,
     /// with tracing redirected into the shard capture.
-    fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
+    pub(crate) fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
         let mut net = Network::new();
         net.set_plan(self.net.plan().cloned());
         Runtime {
-            program: Arc::clone(&self.program),
-            layouts: self.layouts.clone(),
-            schemas: self.schemas.clone(),
-            cost: self.cost.clone(),
-            mode: self.mode,
-            nodes: (0..owner.len() as u32)
-                .map(|i| Node::new(NodeId(i)))
-                .collect(),
             net,
             // Namespaced so worker-created task tokens (lock-holder
             // identities, live only within one dispatched event) never
             // collide with the coordinator's or another shard's.
             next_task: (s as u64 + 1) << 48,
-            current_task: 0,
-            current_req: 0,
-            result: None,
-            active: None,
-            seq_depth: 0,
             max_seq_depth: self.max_seq_depth,
             enable_inlining: self.enable_inlining,
-            sched_impl: SchedImpl::EventIndex,
-            sched: BinaryHeap::new(),
-            sched_stats: SchedStats::default(),
-            trace_buf: crate::trace::Trace::default(),
-            observer: None,
-            sanitizer: if self.sanitizer.is_some() {
-                Some(Box::default())
-            } else {
-                None
-            },
-            tie_break: TieBreak::Det,
-            tie_rng: 0,
-            tie_cursor: 0,
-            tie_log: Vec::new(),
+            sanitizer: self.sanitizer.as_ref().map(|_| Box::default()),
             #[cfg(any(test, feature = "mutants"))]
             mutant: self.mutant,
             reliable: self.reliable,
             retx_base: self.retx_base,
             retx_cap: self.retx_cap,
-            poll_floor: Cycles::MAX,
-            san_step: Self::SAN_ROOT_STEP,
-            ext_seq: 0,
-            completions: std::collections::BTreeMap::new(),
-            spec: crate::timewarp::SpecStats::default(),
             shard: Some(Box::new(ShardCtx {
                 owns: owner.iter().map(|&o| o == s).collect(),
                 capture: Vec::new(),
@@ -766,9 +654,14 @@ impl Runtime {
                 dispatched: Vec::new(),
                 min_timer: Cycles::MAX,
             })),
-            shard_weights: None,
-            pool: None,
-            pool_gen: 0,
+            ..Runtime::assemble(
+                Arc::clone(&self.program),
+                self.layouts.clone(),
+                self.schemas.clone(),
+                self.cost.clone(),
+                self.mode,
+                owner.len() as u32,
+            )
         }
     }
 
@@ -860,6 +753,9 @@ impl Runtime {
         mut policy: WindowPolicy,
         horizon: Cycles,
     ) -> Result<(), Trap> {
+        // The coordinator dispatches nothing but serial steps: its index
+        // stays down, and only the workers' indices are live.
+        self.drop_index();
         let record = self.trace_buf.enabled() || self.observer.is_some();
         self.ensure_pool(threads, record);
         let mut pool = self.pool.take().expect("pool just ensured");
@@ -944,9 +840,6 @@ impl Runtime {
             {
                 main_s.absorb(wk_s); // drains the worker-side tallies
             }
-        }
-        for n in &mut self.nodes {
-            n.sched_noted = None;
         }
         self.pool = Some(pool);
         outcome
@@ -1057,180 +950,94 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Observer, TraceRecord};
+    use crate::fixture::{assert_bit_identical, ring_runtime, run_ring, start_ring, Outcome};
+    use crate::rt::Node;
+    use crate::sched::SchedImpl;
     use crate::{ExecMode, InterfaceSet};
-    use hem_ir::{BinOp, MethodId, ObjRef, ProgramBuilder, Value};
+    use hem_ir::{ProgramBuilder, Value};
     use hem_machine::cost::CostModel;
     use hem_machine::fault::FaultPlan;
+    use hem_machine::NodeId;
 
-    /// A ring of P objects, one per node; `bounce(n)` hops to the next
-    /// peer `n` times, summing the countdown on the way back — every hop
-    /// is cross-node traffic, so windows, outboxes, and the merge all see
-    /// work.
-    fn ring_runtime(p: u32, cost: CostModel) -> (Runtime, ObjRef, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C", false);
-        let peer = pb.field(c, "peer");
-        let bounce = pb.declare(c, "bounce", 1);
-        pb.define(bounce, |mb| {
-            let n = mb.arg(0);
-            let done = mb.binl(BinOp::Lt, n, 1);
-            mb.if_else(
-                done,
-                |mb| mb.reply(n),
-                |mb| {
-                    let pr = mb.get_field(peer);
-                    let n1 = mb.binl(BinOp::Sub, n, 1);
-                    let s = mb.invoke_into(pr, bounce, &[n1.into()]);
-                    let v = mb.touch_get(s);
-                    let r = mb.binl(BinOp::Add, v, n);
-                    mb.reply(r);
-                },
-            );
-        });
-        let mut rt = Runtime::new(pb.finish(), p, cost, ExecMode::Hybrid, InterfaceSet::Full)
-            .expect("valid ring program");
-        let objs: Vec<ObjRef> = (0..p)
-            .map(|i| rt.alloc_object_by_name("C", NodeId(i)))
-            .collect();
-        for (i, &o) in objs.iter().enumerate() {
-            rt.set_field(o, peer, Value::Obj(objs[(i + 1) % objs.len()]));
-        }
-        (rt, objs[0], bounce)
-    }
-
-    struct Collect(Vec<TraceRecord>);
-    impl Observer for Collect {
-        fn on_record(&mut self, rec: &TraceRecord) {
-            self.0.push(*rec);
-        }
-    }
-
-    struct Outcome {
-        result: Option<Value>,
-        makespan: Cycles,
-        trace: Vec<TraceRecord>,
-        observed: Vec<TraceRecord>,
-        stats: hem_machine::stats::MachineStats,
-    }
-
-    fn run_ring(sched: SchedImpl, cost: CostModel, faults: Option<FaultPlan>) -> Outcome {
-        run_ring_weighted(sched, cost, faults, None)
-    }
-
-    fn run_ring_weighted(
-        sched: SchedImpl,
-        cost: CostModel,
-        faults: Option<FaultPlan>,
-        weights: Option<Vec<u64>>,
-    ) -> Outcome {
-        let (mut rt, root, bounce) = ring_runtime(4, cost);
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        rt.attach_observer(Box::new(Collect(Vec::new())));
-        if let Some(plan) = faults {
-            rt.set_fault_plan(plan);
-        }
-        rt.set_shard_weights(weights);
-        let result = rt.call(root, bounce, &[Value::Int(25)]).expect("ring runs");
-        let obs = rt.take_observer().expect("observer attached");
-        let observed = (obs as Box<dyn std::any::Any>)
-            .downcast::<Collect>()
-            .expect("collect observer")
-            .0;
-        Outcome {
-            result,
-            makespan: rt.makespan(),
-            trace: rt.take_trace(),
-            observed,
-            stats: rt.stats(),
-        }
-    }
-
-    fn assert_bit_identical(a: &Outcome, b: &Outcome, what: &str) {
-        assert_eq!(a.result, b.result, "{what}: result");
-        assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-        if let Some(i) = (0..a.trace.len().min(b.trace.len())).find(|&i| a.trace[i] != b.trace[i]) {
-            panic!(
-                "{what}: traces diverge at record {i}:\n  a: {:?}\n  b: {:?}",
-                a.trace[i], b.trace[i]
-            );
-        }
-        assert_eq!(a.trace.len(), b.trace.len(), "{what}: trace length");
-        assert_eq!(a.observed, b.observed, "{what}: observer stream");
-        assert_eq!(a.stats.node_time, b.stats.node_time, "{what}: clocks");
-        assert_eq!(a.stats.per_node, b.stats.per_node, "{what}: counters");
-        assert_eq!(a.stats.net, b.stats.net, "{what}: net stats");
-        assert_eq!(
-            a.stats.sched.events_dispatched, b.stats.sched.events_dispatched,
-            "{what}: dispatch count"
-        );
+    /// Both window policies at one thread count.
+    fn windowed(threads: usize) -> [SchedImpl; 2] {
+        [
+            SchedImpl::Sharded { threads },
+            SchedImpl::Speculative { threads },
+        ]
     }
 
     #[test]
-    fn sharded_matches_event_index_on_a_ring() {
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        assert_eq!(base.result, Some(Value::Int(325)), "25+24+...+1");
-        for threads in [2, 3, 4, 7] {
-            let sharded = run_ring(SchedImpl::Sharded { threads }, CostModel::cm5(), None);
-            assert_bit_identical(&base, &sharded, &format!("threads={threads}"));
-            assert_eq!(
-                sharded.stats.sched.heap_pushes, 0,
-                "sharded heap stats read 0"
-            );
-            assert_eq!(sharded.stats.sched.max_heap_depth, 0);
+    fn windowed_executors_match_event_index_on_a_ring() {
+        for plan in [None, Some(FaultPlan::seeded(7))] {
+            let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), plan.clone());
+            assert_eq!(base.result, Some(Value::Int(325)), "25+24+...+1");
+            for sched in [2, 3, 4, 7].into_iter().flat_map(windowed) {
+                let out = run_ring(sched, CostModel::cm5(), plan.clone());
+                let what = format!("{sched:?}, faults: {}", plan.is_some());
+                assert_bit_identical(&base, &out, &what);
+                let st = &out.stats.sched;
+                assert_eq!((st.heap_pushes, st.max_heap_depth), (0, 0), "{what}: heap");
+                assert!(
+                    st.windows + st.serial_steps > 0,
+                    "{what}: the windowed path actually ran"
+                );
+            }
         }
     }
 
     #[test]
-    fn sharded_matches_event_index_under_faults() {
-        let plan = FaultPlan::seeded(7);
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), Some(plan.clone()));
-        for threads in [2, 4] {
-            let sharded = run_ring(
-                SchedImpl::Sharded { threads },
-                CostModel::cm5(),
-                Some(plan.clone()),
-            );
-            assert_bit_identical(&base, &sharded, &format!("faulty threads={threads}"));
+    fn degenerate_configs_fall_back_and_only_speculation_survives_zero_lookahead() {
+        // `threads <= 1` runs the plain index loop under either policy
+        // (and still reports zeroed heap diagnostics).
+        for cost in [CostModel::cm5(), CostModel::unit()] {
+            let base = run_ring(SchedImpl::EventIndex, cost.clone(), None);
+            for sched in [0, 1].into_iter().flat_map(windowed) {
+                let out = run_ring(sched, cost.clone(), None);
+                assert_bit_identical(&base, &out, &format!("{sched:?}"));
+                assert_eq!(out.stats.sched.heap_pushes, 0, "{sched:?}");
+                assert_eq!(out.stats.sched.windows, 0, "{sched:?}: no windows");
+                assert_eq!(out.spec, Default::default(), "{sched:?}: no speculation");
+            }
         }
-    }
-
-    #[test]
-    fn zero_lookahead_and_degenerate_thread_counts_fall_back() {
-        // The unit cost model has zero wire latency: no lookahead, so the
-        // sharded executor must run the plain event index (and still
-        // report zeroed heap diagnostics).
+        // The unit cost model has zero wire latency, hence no lookahead:
+        // conservative windows cannot form and `Sharded` falls back too;
+        // `Speculative` keeps windowing — that regime is its point.
         let base = run_ring(SchedImpl::EventIndex, CostModel::unit(), None);
-        for threads in [0, 1, 4] {
-            let sharded = run_ring(SchedImpl::Sharded { threads }, CostModel::unit(), None);
-            assert_bit_identical(&base, &sharded, &format!("unit-cost threads={threads}"));
-            assert_eq!(sharded.stats.sched.heap_pushes, 0);
+        for [sharded, spec] in [2, 4].map(windowed) {
+            let out = run_ring(sharded, CostModel::unit(), None);
+            assert_bit_identical(&base, &out, &format!("unit-cost {sharded:?}"));
+            assert_eq!(out.stats.sched.heap_pushes, 0);
+            assert_eq!(out.stats.sched.windows, 0, "{sharded:?}: fell back");
+            let out = run_ring(spec, CostModel::unit(), None);
+            assert_bit_identical(&base, &out, &format!("unit-cost {spec:?}"));
+            assert!(out.spec.windows > 0, "{spec:?}: must not fall back");
         }
-        // Degenerate thread counts on a real cost model: same story.
+        // More threads than nodes clamps to the node count and still
+        // runs windowed.
         let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        for threads in [0, 1] {
-            let sharded = run_ring(SchedImpl::Sharded { threads }, CostModel::cm5(), None);
-            assert_bit_identical(&base, &sharded, &format!("cm5 threads={threads}"));
+        for sched in windowed(64) {
+            let out = run_ring(sched, CostModel::cm5(), None);
+            assert_bit_identical(&base, &out, &format!("{sched:?} > p=4"));
         }
     }
 
     #[test]
-    fn sharded_ring_truncation_counts_match() {
-        // Bounded trace ring: eviction counts must survive the merge.
+    fn ring_truncation_counts_survive_the_merge() {
+        // Bounded trace ring: eviction counts must match the serial run's.
         let run = |sched: SchedImpl| {
-            let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
+            let (mut rt, root, method) = ring_runtime(4, CostModel::cm5());
             rt.sched_impl = sched;
             rt.enable_trace_ring(16);
-            rt.call(root, bounce, &[Value::Int(25)]).expect("ring runs");
+            rt.call(root, method, &[Value::Int(25)]).expect("ring runs");
             (rt.trace_dropped_total(), rt.take_trace())
         };
         let (base_dropped, base_tail) = run(SchedImpl::EventIndex);
         assert!(base_dropped > 0, "ring must truncate for the test to bite");
-        for threads in [2, 4] {
-            let (dropped, tail) = run(SchedImpl::Sharded { threads });
-            assert_eq!(dropped, base_dropped, "threads={threads}: evictions");
-            assert_eq!(tail, base_tail, "threads={threads}: ring tail");
+        for sched in [2, 4].into_iter().flat_map(windowed) {
+            let (dropped, tail) = run(sched);
+            assert_eq!(dropped, base_dropped, "{sched:?}: evictions");
+            assert_eq!(tail, base_tail, "{sched:?}: ring tail");
         }
     }
 
@@ -1240,10 +1047,10 @@ mod tests {
         // the pinned worker pool, and the steady-state window protocol
         // must never ship a runtime through a channel or rendezvous with
         // a coordinator channel pair.
-        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
+        let (mut rt, root, method) = ring_runtime(4, CostModel::cm5());
         rt.sched_impl = SchedImpl::Sharded { threads: 2 };
-        let a = rt.call(root, bounce, &[Value::Int(25)]).expect("chunk 1");
-        let b = rt.call(root, bounce, &[Value::Int(25)]).expect("chunk 2");
+        let a = rt.call(root, method, &[Value::Int(25)]).expect("chunk 1");
+        let b = rt.call(root, method, &[Value::Int(25)]).expect("chunk 2");
         assert_eq!(a, b, "bounce is pure; both chunks agree");
         let st = rt.stats();
         assert!(st.sched.windows > 0, "windowed path exercised");
@@ -1258,18 +1065,8 @@ mod tests {
         // find a straggler. After the rollback the cells must publish the
         // minima of the restored state — the window-edge ones — not what
         // the cancelled attempt left behind.
-        let (mut rt, root, bounce) = ring_runtime(4, CostModel::unit());
-        crate::wrapper::run_invocation(
-            &mut rt,
-            root.node.idx(),
-            root.index,
-            bounce,
-            vec![Value::Int(25)],
-            crate::cont::Continuation::Root,
-            false,
-        )
-        .expect("root invocation");
-        rt.ensure_pool(2, false);
+        let mut rt = start_ring(SchedImpl::EventIndex, CostModel::unit(), None);
+        rt.ensure_pool(2, true);
         let mut pool = rt.pool.take().expect("pool");
         *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
         pool.swap_nodes(&mut rt);
@@ -1304,18 +1101,7 @@ mod tests {
         // retry stands (buffers left holding the edge state), the next
         // wide attempt checkpoints over that and is cancelled again.
         let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
-        rt.enable_trace();
-        crate::wrapper::run_invocation(
-            &mut rt,
-            root.node.idx(),
-            root.index,
-            bounce,
-            vec![Value::Int(25)],
-            crate::cont::Continuation::Root,
-            false,
-        )
-        .expect("root invocation");
+        let mut rt = start_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
         rt.ensure_pool(2, true);
         let mut pool = rt.pool.take().expect("pool");
         *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
@@ -1372,14 +1158,9 @@ mod tests {
         rt.pool = Some(pool);
         rt.sched_impl = SchedImpl::Speculative { threads: 2 };
         rt.run_to_quiescence().expect("drain");
-        assert_eq!(rt.result, base.result);
-        assert_eq!(rt.makespan(), base.makespan);
-        assert_eq!(rt.take_trace(), base.trace, "trace");
-        let st = rt.stats();
-        assert_eq!(st.node_time, base.stats.node_time, "clocks");
-        assert_eq!(st.per_node, base.stats.per_node, "counters");
-        assert_eq!(st.net, base.stats.net, "net stats");
-        assert_eq!(st.sched.pool_reuses, 1, "one pool throughout");
+        let out = Outcome::of(rt);
+        assert_bit_identical(&base, &out, "hand-driven windows");
+        assert_eq!(out.stats.sched.pool_reuses, 1, "one pool throughout");
     }
 
     #[test]
@@ -1453,15 +1234,15 @@ mod tests {
 
     #[test]
     fn pool_rebuilds_when_the_fault_plan_changes() {
-        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
+        let (mut rt, root, method) = ring_runtime(4, CostModel::cm5());
         rt.sched_impl = SchedImpl::Sharded { threads: 2 };
-        rt.call(root, bounce, &[Value::Int(5)]).expect("chunk 1");
+        rt.call(root, method, &[Value::Int(5)]).expect("chunk 1");
         rt.set_fault_plan(FaultPlan::seeded(7));
-        rt.call(root, bounce, &[Value::Int(5)]).expect("chunk 2");
+        rt.call(root, method, &[Value::Int(5)]).expect("chunk 2");
         // The plan change invalidated the pool (worker networks hold a
         // plan copy), so the second chunk built a fresh one.
         assert_eq!(rt.stats().sched.pool_reuses, 0);
-        rt.call(root, bounce, &[Value::Int(5)]).expect("chunk 3");
+        rt.call(root, method, &[Value::Int(5)]).expect("chunk 3");
         assert_eq!(rt.stats().sched.pool_reuses, 1);
     }
 
@@ -1511,12 +1292,10 @@ mod tests {
         // must not change a single observable bit.
         let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
         for threads in [2, 4] {
-            let skew = run_ring_weighted(
-                SchedImpl::Sharded { threads },
-                CostModel::cm5(),
-                None,
-                Some(vec![1_000_000, 1, 1, 1]),
-            );
+            let mut rt = start_ring(SchedImpl::Sharded { threads }, CostModel::cm5(), None);
+            rt.set_shard_weights(Some(vec![1_000_000, 1, 1, 1]));
+            rt.run_to_quiescence().expect("ring runs");
+            let skew = Outcome::of(rt);
             assert_bit_identical(&base, &skew, &format!("weighted threads={threads}"));
         }
     }

@@ -22,8 +22,8 @@
 //!    refills it in place: a handful of slice copies, no allocation once
 //!    the buffer has grown to the node's size). Untouched nodes cost
 //!    nothing.
-//! 2. **Optimistic advance.** Shards run the ordinary in-window dispatch
-//!    loop ([`crate::shard::run_window`]) to a window edge `end = W + δ`
+//! 2. **Optimistic advance.** Shards run the ordinary index loop
+//!    (`Runtime::run_index`, see [`crate::sched`]) to a window edge `end = W + δ`
 //!    with `δ` well past the conservative lookahead (adaptively sized,
 //!    see below), parking cross-shard sends in their outboxes exactly as
 //!    the conservative executor does.
@@ -350,222 +350,27 @@ mod tests {
     use super::*;
     use crate::cont::Continuation;
     use crate::context::{ActFrame, WaitState};
+    use crate::fixture::{assert_bit_identical, run_ring, start_ring, Exec, Outcome};
     use crate::msg::{Msg, Packet};
     use crate::object::DeferredInvoke;
-    use crate::rt::{InboxEntry, SchedImpl};
-    use crate::trace::{Observer, TraceRecord};
+    use crate::rt::InboxEntry;
+    use crate::sched::SchedImpl;
     use crate::{ExecMode, InterfaceSet};
-    use hem_ir::{BinOp, MethodId, ObjRef, ProgramBuilder, Value};
+    use hem_ir::{MethodId, ObjRef, ProgramBuilder, Value};
     use hem_machine::cost::CostModel;
     use hem_machine::fault::FaultPlan;
     use hem_machine::net::{Network, WireClass};
     use hem_machine::NodeId;
     use proptest::prelude::*;
 
-    /// Same bounce-ring as the sharded executor's tests: every hop is
-    /// cross-node traffic, so speculation, stragglers, and rollbacks all
-    /// get exercised.
-    fn ring_runtime(p: u32, cost: CostModel) -> (Runtime, ObjRef, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C", false);
-        let peer = pb.field(c, "peer");
-        let bounce = pb.declare(c, "bounce", 1);
-        pb.define(bounce, |mb| {
-            let n = mb.arg(0);
-            let done = mb.binl(BinOp::Lt, n, 1);
-            mb.if_else(
-                done,
-                |mb| mb.reply(n),
-                |mb| {
-                    let pr = mb.get_field(peer);
-                    let n1 = mb.binl(BinOp::Sub, n, 1);
-                    let s = mb.invoke_into(pr, bounce, &[n1.into()]);
-                    let v = mb.touch_get(s);
-                    let r = mb.binl(BinOp::Add, v, n);
-                    mb.reply(r);
-                },
-            );
-        });
-        let mut rt = Runtime::new(pb.finish(), p, cost, ExecMode::Hybrid, InterfaceSet::Full)
-            .expect("valid ring program");
-        let objs: Vec<ObjRef> = (0..p)
-            .map(|i| rt.alloc_object_by_name("C", NodeId(i)))
-            .collect();
-        for (i, &o) in objs.iter().enumerate() {
-            rt.set_field(o, peer, Value::Obj(objs[(i + 1) % objs.len()]));
-        }
-        (rt, objs[0], bounce)
-    }
-
-    struct Collect(Vec<TraceRecord>);
-    impl Observer for Collect {
-        fn on_record(&mut self, rec: &TraceRecord) {
-            self.0.push(*rec);
-        }
-    }
-
-    struct Outcome {
-        result: Option<Value>,
-        makespan: Cycles,
-        trace: Vec<TraceRecord>,
-        observed: Vec<TraceRecord>,
-        stats: hem_machine::stats::MachineStats,
-        spec: SpecStats,
-    }
-
-    fn run_ring(sched: SchedImpl, cost: CostModel, faults: Option<FaultPlan>) -> Outcome {
-        let (mut rt, root, bounce) = ring_runtime(4, cost);
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        rt.attach_observer(Box::new(Collect(Vec::new())));
-        if let Some(plan) = faults {
-            rt.set_fault_plan(plan);
-        }
-        let result = rt.call(root, bounce, &[Value::Int(25)]).expect("ring runs");
-        let obs = rt.take_observer().expect("observer attached");
-        let observed = (obs as Box<dyn std::any::Any>)
-            .downcast::<Collect>()
-            .expect("collect observer")
-            .0;
-        Outcome {
-            result,
-            makespan: rt.makespan(),
-            trace: rt.take_trace(),
-            observed,
-            stats: rt.stats(),
-            spec: rt.spec_stats(),
-        }
-    }
-
-    fn assert_bit_identical(a: &Outcome, b: &Outcome, what: &str) {
-        assert_eq!(a.result, b.result, "{what}: result");
-        assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-        if let Some(i) = (0..a.trace.len().min(b.trace.len())).find(|&i| a.trace[i] != b.trace[i]) {
-            panic!(
-                "{what}: traces diverge at record {i}:\n  a: {:?}\n  b: {:?}",
-                a.trace[i], b.trace[i]
-            );
-        }
-        assert_eq!(a.trace.len(), b.trace.len(), "{what}: trace length");
-        assert_eq!(a.observed, b.observed, "{what}: observer stream");
-        assert_eq!(a.stats.node_time, b.stats.node_time, "{what}: clocks");
-        assert_eq!(a.stats.per_node, b.stats.per_node, "{what}: counters");
-        assert_eq!(a.stats.net, b.stats.net, "{what}: net stats");
-        assert_eq!(
-            a.stats.sched.events_dispatched, b.stats.sched.events_dispatched,
-            "{what}: dispatch count"
-        );
-    }
-
-    #[test]
-    fn speculative_matches_event_index_on_a_ring() {
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        assert_eq!(base.result, Some(Value::Int(325)), "25+24+...+1");
-        for threads in [2, 3, 4, 7] {
-            let spec = run_ring(SchedImpl::Speculative { threads }, CostModel::cm5(), None);
-            assert_bit_identical(&base, &spec, &format!("threads={threads}"));
-            assert_eq!(spec.stats.sched.heap_pushes, 0, "heap stats read 0");
-            assert_eq!(spec.stats.sched.max_heap_depth, 0);
-            assert!(
-                spec.spec.windows + spec.spec.serial_steps > 0,
-                "threads={threads}: the speculative path actually ran"
-            );
-        }
-    }
-
-    #[test]
-    fn speculative_matches_event_index_under_faults() {
-        let plan = FaultPlan::seeded(7);
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), Some(plan.clone()));
-        for threads in [2, 4] {
-            let spec = run_ring(
-                SchedImpl::Speculative { threads },
-                CostModel::cm5(),
-                Some(plan.clone()),
-            );
-            assert_bit_identical(&base, &spec, &format!("faulty threads={threads}"));
-        }
-    }
-
-    #[test]
-    fn speculative_runs_the_zero_lookahead_regime() {
-        // Unit cost: zero wire latency, zero lookahead. The conservative
-        // sharded executor must serialize here; the speculative one keeps
-        // windowing — and must still be bit-identical.
-        let base = run_ring(SchedImpl::EventIndex, CostModel::unit(), None);
-        for threads in [2, 4] {
-            let spec = run_ring(SchedImpl::Speculative { threads }, CostModel::unit(), None);
-            assert_bit_identical(&base, &spec, &format!("unit-cost threads={threads}"));
-            assert!(
-                spec.spec.windows > 0,
-                "threads={threads}: zero lookahead must not fall back to serial"
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_thread_counts_fall_back() {
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        for threads in [0, 1] {
-            let spec = run_ring(SchedImpl::Speculative { threads }, CostModel::cm5(), None);
-            assert_bit_identical(&base, &spec, &format!("cm5 threads={threads}"));
-            assert_eq!(
-                spec.spec,
-                SpecStats::default(),
-                "fallback must not speculate"
-            );
-        }
-        // More threads than nodes clamps to the node count and still runs
-        // speculatively.
-        let spec = run_ring(
-            SchedImpl::Speculative { threads: 64 },
-            CostModel::cm5(),
-            None,
-        );
-        assert_bit_identical(&base, &spec, "threads=64 > p=4");
-    }
-
-    #[test]
-    fn speculative_ring_truncation_counts_match() {
-        let run = |sched: SchedImpl| {
-            let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
-            rt.sched_impl = sched;
-            rt.enable_trace_ring(16);
-            rt.call(root, bounce, &[Value::Int(25)]).expect("ring runs");
-            (rt.trace_dropped_total(), rt.take_trace())
-        };
-        let (base_dropped, base_tail) = run(SchedImpl::EventIndex);
-        assert!(base_dropped > 0, "ring must truncate for the test to bite");
-        for threads in [2, 4] {
-            let (dropped, tail) = run(SchedImpl::Speculative { threads });
-            assert_eq!(dropped, base_dropped, "threads={threads}: evictions");
-            assert_eq!(tail, base_tail, "threads={threads}: ring tail");
-        }
-    }
-
-    /// Start `bounce(25)` at the ring's root without draining the
-    /// machine, so a test can drive it through `run_until` chunks.
-    fn start_ring(sched: SchedImpl) -> Runtime {
-        let (mut rt, root, bounce) = ring_runtime(4, CostModel::cm5());
-        rt.sched_impl = sched;
-        rt.enable_trace();
-        crate::wrapper::run_invocation(
-            &mut rt,
-            root.node.idx(),
-            root.index,
-            bounce,
-            vec![Value::Int(25)],
-            crate::cont::Continuation::Root,
-            false,
-        )
-        .expect("root invocation");
-        rt
-    }
-
     #[test]
     fn speculative_chunks_share_the_pool_and_fold_stats_once() {
         let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        let mut rt = start_ring(SchedImpl::Speculative { threads: 2 });
+        let mut rt = start_ring(
+            SchedImpl::Speculative { threads: 2 },
+            CostModel::cm5(),
+            None,
+        );
         for chunk in 1..=8 {
             let horizon = base.makespan * chunk / 8;
             rt.run_until(horizon).expect("chunk");
@@ -577,11 +382,9 @@ mod tests {
             assert_eq!(rt.stats().net, net, "chunk {chunk}: net counters re-folded");
         }
         rt.run_to_quiescence().expect("drain");
-        assert_eq!(rt.result, base.result);
-        assert_eq!(rt.makespan(), base.makespan);
-        assert_eq!(rt.take_trace(), base.trace, "chunked trace");
-        let (st, spec) = (rt.stats(), rt.spec_stats());
-        assert_eq!(st.net, base.stats.net);
+        let out = Outcome::of(rt);
+        assert_bit_identical(&base, &out, "chunked");
+        let (st, spec) = (out.stats, out.spec);
         assert!(st.sched.pool_reuses > 0, "later chunks reused the pool");
         assert_eq!(st.sched.runtime_moves, 0, "zero Runtime moves");
         assert_eq!(st.sched.coord_roundtrips, 0, "zero channel round-trips");
@@ -598,36 +401,43 @@ mod tests {
 
     #[test]
     fn policies_alternate_on_one_runtime_and_one_pool() {
-        // The window policy travels with each window, not with the pool:
-        // a conservative chunk followed by an optimistic one (and the
-        // reverse) is still the event-index run, bit for bit.
+        // The executor travels with each `run_until` chunk, not with the
+        // runtime (and the window policy with each window, not with the
+        // pool): any executor up to mid-run followed by any other is
+        // still the event-index run, bit for bit.
         let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        let (sharded, spec) = (
-            SchedImpl::Sharded { threads: 2 },
-            SchedImpl::Speculative { threads: 2 },
-        );
-        for (first, second) in [(sharded, spec), (spec, sharded)] {
-            let what = format!("{first:?} then {second:?}");
-            let mut rt = start_ring(first);
-            rt.run_until(base.makespan / 2).expect("first chunk");
-            rt.sched_impl = second;
-            rt.run_to_quiescence().expect("second chunk");
-            assert_eq!(rt.result, base.result, "{what}: result");
-            assert_eq!(rt.makespan(), base.makespan, "{what}: makespan");
-            assert_eq!(rt.take_trace(), base.trace, "{what}: trace");
-            let st = rt.stats();
-            assert_eq!(st.node_time, base.stats.node_time, "{what}: clocks");
-            assert_eq!(st.per_node, base.stats.per_node, "{what}: counters");
-            assert_eq!(st.net, base.stats.net, "{what}: net stats");
-            assert_eq!(
-                st.sched.events_dispatched, base.stats.sched.events_dispatched,
-                "{what}: dispatch count"
-            );
-            assert_eq!(st.sched.pool_reuses, 1, "{what}: one pool served both");
-            assert!(
-                rt.spec_stats().windows > 0,
-                "{what}: the optimistic chunk ran"
-            );
+        let sharded = Exec::Impl(SchedImpl::Sharded { threads: 2 });
+        let spec = Exec::Impl(SchedImpl::Speculative { threads: 2 });
+        let all = [
+            Exec::Impl(SchedImpl::EventIndex),
+            sharded,
+            spec,
+            Exec::Reference,
+        ];
+        for first in all {
+            for second in all {
+                let what = format!("{first:?} then {second:?}");
+                let mut rt = start_ring(first, CostModel::cm5(), None);
+                rt.run_until(base.makespan / 2).expect("first chunk");
+                assert!(!rt.is_quiescent(), "{what}: switched mid-run");
+                second.arm(&mut rt);
+                rt.run_to_quiescence().expect("second chunk");
+                assert!(rt.is_quiescent(), "{what}: drained");
+                let out = Outcome::of(rt);
+                assert_bit_identical(&base, &out, &what);
+                let windowed = |e: Exec| e == sharded || e == spec;
+                if windowed(first) && windowed(second) {
+                    assert_eq!(
+                        out.stats.sched.pool_reuses, 1,
+                        "{what}: one pool served both"
+                    );
+                }
+                assert_eq!(
+                    out.spec.windows > 0,
+                    first == spec || second == spec,
+                    "{what}: optimistic windows ran iff asked for"
+                );
+            }
         }
     }
 

@@ -17,6 +17,9 @@
 //! A property test drives the same invariants over generated
 //! `(seed, drop, dup, jitter)` fault plans.
 
+mod common;
+
+use common::Exec;
 use hem::apps::service::{self, ServeParams};
 use hem::core::{Runtime, SchedImpl};
 use hem::machine::arrival::ArrivalDist;
@@ -38,16 +41,19 @@ fn seeds() -> Vec<u64> {
 }
 
 /// Every executor the runtime offers, with the thread counts under test.
-fn executors() -> Vec<(String, SchedImpl)> {
+fn executors() -> Vec<(String, Exec)> {
     let mut v = vec![
-        ("event-index".into(), SchedImpl::EventIndex),
-        ("linear-scan".into(), SchedImpl::LinearScan),
+        ("event-index".into(), SchedImpl::EventIndex.into()),
+        ("linear-scan".into(), Exec::Reference),
     ];
     for t in THREADS {
-        v.push((format!("sharded-{t}"), SchedImpl::Sharded { threads: t }));
+        v.push((
+            format!("sharded-{t}"),
+            SchedImpl::Sharded { threads: t }.into(),
+        ));
         v.push((
             format!("speculative-{t}"),
-            SchedImpl::Speculative { threads: t },
+            SchedImpl::Speculative { threads: t }.into(),
         ));
     }
     v
@@ -61,7 +67,7 @@ struct Observed {
 
 /// Run the service mix at P=8 with a blame tracker and a series
 /// collector teed behind the rollup, streaming — no drained trace.
-fn run_observed(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Observed {
+fn run_observed(seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -> Observed {
     let ids = service::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -71,7 +77,7 @@ fn run_observed(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Observ
         InterfaceSet::Full,
     )
     .unwrap();
-    rt.sched_impl = sched;
+    exec.into().arm(&mut rt);
     rt.enable_trace();
     if let Some(p) = plan {
         rt.set_fault_plan(p.clone());

@@ -26,6 +26,9 @@
 //! Seeds come from `HYBRID_TEST_SEED` when set (the CI collectives job
 //! pins them), else a built-in trio.
 
+mod common;
+
+use common::{assert_same_trace, seeds, Exec};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, sor, sync};
 use hem::core::trace::{MsgCause, TraceEvent, TraceRecord};
@@ -50,30 +53,24 @@ struct Outcome {
 
 /// Every non-baseline executor the matrix diffs against
 /// `SchedImpl::EventIndex`.
-fn executors() -> Vec<(&'static str, SchedImpl)> {
+fn executors() -> Vec<(&'static str, Exec)> {
     vec![
-        ("linear-scan", SchedImpl::LinearScan),
-        ("sharded-2", SchedImpl::Sharded { threads: 2 }),
-        ("sharded-4", SchedImpl::Sharded { threads: 4 }),
-        ("speculative-2", SchedImpl::Speculative { threads: 2 }),
-        ("speculative-4", SchedImpl::Speculative { threads: 4 }),
+        ("linear-scan", Exec::Reference),
+        ("sharded-2", SchedImpl::Sharded { threads: 2 }.into()),
+        ("sharded-4", SchedImpl::Sharded { threads: 4 }.into()),
+        (
+            "speculative-2",
+            SchedImpl::Speculative { threads: 2 }.into(),
+        ),
+        (
+            "speculative-4",
+            SchedImpl::Speculative { threads: 4 }.into(),
+        ),
     ]
 }
 
-/// Seeds: `HYBRID_TEST_SEED` (one seed) when set, else a pinned trio,
-/// matching the fault-matrix harness.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
-fn arm(rt: &mut Runtime, sched: SchedImpl, plan: Option<&FaultPlan>) {
-    rt.sched_impl = sched;
+fn arm(rt: &mut Runtime, exec: Exec, plan: Option<&FaultPlan>) {
+    exec.arm(rt);
     rt.enable_trace();
     rt.attach_observer(Box::new(Rollup::new()));
     if let Some(p) = plan {
@@ -97,7 +94,8 @@ fn finish(kernel: &str, mut rt: Runtime, results: Vec<Option<Value>>) -> Outcome
 
 /// Run one collectives-exercising kernel at P=16. `seed` drives graph
 /// generation (EM3D) and the fault plan.
-fn run_kernel(kernel: &str, seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
+fn run_kernel(kernel: &str, seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -> Outcome {
+    let sched = exec.into();
     match kernel {
         "sor" => {
             let ids = sor::build();
@@ -178,15 +176,7 @@ fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
         "{label}: per-node counters"
     );
     assert_eq!(base.stats.net, other.stats.net, "{label}: net/fault stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  baseline: {:?}\n  other:    {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
+    assert_same_trace(label, &base.trace, &other.trace);
     assert_eq!(
         base.stats.sched.events_dispatched, other.stats.sched.events_dispatched,
         "{label}: events dispatched"
@@ -246,7 +236,7 @@ fn collectives_bit_identical_under_faults() {
 
 /// Run the sync structures over a `n_cells`-member group at P=4 and
 /// return (outcome, reduce result, barrier result).
-fn run_degenerate(n_cells: u32, sched: SchedImpl) -> Outcome {
+fn run_degenerate(n_cells: u32, exec: impl Into<Exec>) -> Outcome {
     let ids = sync::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -256,7 +246,7 @@ fn run_degenerate(n_cells: u32, sched: SchedImpl) -> Outcome {
         InterfaceSet::Full,
     )
     .unwrap();
-    arm(&mut rt, sched, None);
+    arm(&mut rt, exec.into(), None);
     let inst = sync::setup(&mut rt, &ids, n_cells);
     // Drivers live on every node; cells fill nodes round-robin from node
     // 0 — so driver 0's collectives include a self-leg (root == member

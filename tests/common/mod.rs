@@ -1,12 +1,15 @@
-//! Shared helpers for the schedule-exploration conformance harness: micro
-//! kernels built for specific protocol invariants, reduced-size app-kernel
-//! runners with the sanitizer armed, and the state-comparison assertions
-//! (mirroring the fault-matrix conventions).
+//! Shared helpers for the integration suites: the executor rows and the
+//! first-divergence trace assertion of the bit-identity suites, and the
+//! schedule-exploration conformance harness — micro kernels built for
+//! specific protocol invariants, reduced-size app-kernel runners with the
+//! sanitizer armed, and the state-comparison assertions (mirroring the
+//! fault-matrix conventions).
 
 #![allow(dead_code)] // each integration test uses a subset
 
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
+use hem::core::trace::{TraceEvent, TraceRecord};
 use hem::core::{ExecMode, NodeObjectState, Runtime, SchedImpl, TieBreak, TieChoice};
 use hem::ir::{BinOp, LocalityHint, MethodId, Program, ProgramBuilder, Value};
 use hem::machine::cost::CostModel;
@@ -66,7 +69,62 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+// ================= executors =================
+
+/// One executor row of a bit-identity suite: a production [`SchedImpl`], or
+/// the reference loop that specifies it (`Runtime::arm_reference_loop`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// `rt.sched_impl = ..`.
+    Impl(SchedImpl),
+    /// The O(P)-per-event reference loop in canonical tie order.
+    Reference,
+}
+
+impl From<SchedImpl> for Exec {
+    fn from(s: SchedImpl) -> Exec {
+        Exec::Impl(s)
+    }
+}
+
+impl Exec {
+    /// Hand `rt`'s next `run_until` chunk (and all later ones) to this
+    /// executor.
+    pub fn arm(self, rt: &mut Runtime) {
+        match self {
+            Exec::Impl(s) => {
+                rt.set_tie_break(TieBreak::Det);
+                rt.sched_impl = s;
+            }
+            Exec::Reference => rt.arm_reference_loop(),
+        }
+    }
+}
+
 // ================= comparison =================
+
+/// Panic at the first record `a` and `b` differ in, with its index, both
+/// records, and the `(time, kind, node)` key of the event `a` was
+/// dispatching there.
+pub fn assert_same_trace(label: &str, a: &[TraceRecord], b: &[TraceRecord]) {
+    let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) else {
+        return;
+    };
+    let event = a[..a.len().min(i + 1)]
+        .iter()
+        .rev()
+        .find_map(|r| match r.event {
+            TraceEvent::EventStart { node, kind, .. } => Some((r.at, kind, node.0)),
+            _ => None,
+        });
+    panic!(
+        "{label}: traces diverge at record {i} of {}/{} (in event {event:?}):\n  a: {:?}\n  b: {:?}",
+        a.len(),
+        b.len(),
+        a.get(i),
+        b.get(i)
+    );
+}
 
 /// Value equality up to floating-point accumulation order: different
 /// schedules and modes re-associate float sums, so floats compare within

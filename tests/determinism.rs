@@ -9,10 +9,14 @@
 //!    makespans, per-node clocks, per-node counters, and full trace event
 //!    sequences.
 //! 2. **Implementation equivalence**: the O(log P) event-index dispatcher
-//!    and the O(P) linear-scan reference select exactly the same events in
-//!    exactly the same order — the scan is the executable specification the
-//!    heap is checked against, trace record by trace record.
+//!    and the O(P) reference loop (a linear scan over every node per
+//!    event) select exactly the same events in exactly the same order —
+//!    the scan is the executable specification the heap is checked
+//!    against, trace record by trace record.
 
+mod common;
+
+use common::{assert_same_trace, Exec};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
 use hem::core::trace::TraceRecord;
@@ -29,7 +33,8 @@ struct RunOutcome {
     trace: Vec<TraceRecord>,
 }
 
-fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
+fn run_kernel(kernel: &str, mode: ExecMode, exec: impl Into<Exec>) -> RunOutcome {
+    let exec = exec.into();
     let mut rt = match kernel {
         "sor" => {
             let ids = sor::build();
@@ -41,7 +46,7 @@ fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
                 InterfaceSet::Full,
             )
             .unwrap();
-            rt.sched_impl = sched;
+            exec.arm(&mut rt);
             rt.enable_trace();
             let inst = sor::setup(
                 &mut rt,
@@ -66,7 +71,7 @@ fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
                 InterfaceSet::Full,
             )
             .unwrap();
-            rt.sched_impl = sched;
+            exec.arm(&mut rt);
             rt.enable_trace();
             let inst = em3d::setup(&mut rt, &ids, &g);
             em3d::run(&mut rt, &inst, em3d::Style::Pull, 2).unwrap();
@@ -83,7 +88,7 @@ fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
                 InterfaceSet::Full,
             )
             .unwrap();
-            rt.sched_impl = sched;
+            exec.arm(&mut rt);
             rt.enable_trace();
             let inst = md::setup(&mut rt, &ids, &sys);
             md::run_iteration(&mut rt, &inst).unwrap();
@@ -99,7 +104,7 @@ fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl) -> RunOutcome {
                 InterfaceSet::Full,
             )
             .unwrap();
-            rt.sched_impl = sched;
+            exec.arm(&mut rt);
             rt.enable_trace();
             let inst = sync::setup(&mut rt, &ids, 16);
             rt.call(inst.drivers[0], ids.fan, &[]).unwrap();
@@ -134,12 +139,7 @@ fn kernels_repeat_bit_identically() {
                 a.stats.per_node, b.stats.per_node,
                 "{kernel}/{mode}: per-node counters"
             );
-            assert_eq!(
-                a.trace.len(),
-                b.trace.len(),
-                "{kernel}/{mode}: trace length"
-            );
-            assert_eq!(a.trace, b.trace, "{kernel}/{mode}: trace sequence");
+            assert_same_trace(&format!("{kernel}/{mode}: repeat"), &a.trace, &b.trace);
         }
     }
 }
@@ -151,7 +151,7 @@ fn event_index_matches_linear_scan() {
     for kernel in KERNELS {
         for mode in [ExecMode::Hybrid, ExecMode::ParallelOnly] {
             let heap = run_kernel(kernel, mode, SchedImpl::EventIndex);
-            let scan = run_kernel(kernel, mode, SchedImpl::LinearScan);
+            let scan = run_kernel(kernel, mode, Exec::Reference);
             assert_eq!(heap.makespan, scan.makespan, "{kernel}/{mode}: makespan");
             assert_eq!(
                 heap.stats.node_time, scan.stats.node_time,
@@ -161,20 +161,10 @@ fn event_index_matches_linear_scan() {
                 heap.stats.per_node, scan.stats.per_node,
                 "{kernel}/{mode}: per-node counters"
             );
-            // First divergence, if any, reported with its index for triage.
-            if let Some(i) = (0..heap.trace.len().min(scan.trace.len()))
-                .find(|&i| heap.trace[i] != scan.trace[i])
-            {
-                panic!(
-                    "{kernel}/{mode}: traces diverge at record {i}:\n  \
-                     event-index: {:?}\n  linear-scan: {:?}",
-                    heap.trace[i], scan.trace[i]
-                );
-            }
-            assert_eq!(
-                heap.trace.len(),
-                scan.trace.len(),
-                "{kernel}/{mode}: trace length"
+            assert_same_trace(
+                &format!("{kernel}/{mode}: event-index vs reference"),
+                &heap.trace,
+                &scan.trace,
             );
         }
     }
@@ -185,7 +175,7 @@ fn event_index_matches_linear_scan() {
 #[test]
 fn sched_stats_reflect_dispatch() {
     let heap = run_kernel("sor", ExecMode::Hybrid, SchedImpl::EventIndex);
-    let scan = run_kernel("sor", ExecMode::Hybrid, SchedImpl::LinearScan);
+    let scan = run_kernel("sor", ExecMode::Hybrid, Exec::Reference);
     assert_eq!(
         heap.stats.sched.events_dispatched, scan.stats.sched.events_dispatched,
         "both implementations dispatch the same event count"

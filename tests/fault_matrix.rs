@@ -7,7 +7,7 @@
 //! the reliable transport engaged, and the harness asserts:
 //!
 //! 1. **Scheduler equivalence under faults**: the O(log P) event-index
-//!    dispatcher and the linear-scan reference produce bit-identical
+//!    dispatcher and the linear-scan reference loop produce bit-identical
 //!    traces, clocks, counters, and final object state for the same fault
 //!    schedule, in both execution modes.
 //! 2. **Repeatability**: the same `(kernel, mode, plan)` run twice is
@@ -24,6 +24,9 @@
 //! Seeds come from `HYBRID_TEST_SEED` when set (the CI fault-soak job
 //! pins three), else a built-in trio.
 
+mod common;
+
+use common::{assert_same_trace, seeds, Exec};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
 use hem::core::trace::TraceRecord;
@@ -46,9 +49,15 @@ struct Outcome {
 
 /// Run `kernel` at P=16 with tracing on and `plan` installed (which also
 /// engages the reliable transport); `None` runs the legacy raw framing.
-fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
+fn run_kernel(
+    kernel: &str,
+    mode: ExecMode,
+    exec: impl Into<Exec>,
+    plan: Option<&FaultPlan>,
+) -> Outcome {
+    let exec = exec.into();
     let arm = |rt: &mut Runtime| {
-        rt.sched_impl = sched;
+        exec.arm(rt);
         rt.enable_trace();
         match plan {
             Some(p) => rt.set_fault_plan(p.clone()),
@@ -154,19 +163,6 @@ fn run_kernel(kernel: &str, mode: ExecMode, sched: SchedImpl, plan: Option<&Faul
 
 const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
 
-/// Seeds for the matrix: `HYBRID_TEST_SEED` (one seed) when set, else a
-/// pinned trio. The CI fault-soak job sweeps its own pinned seeds through
-/// the env var.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
 /// The fault grid for one seed: loss ∈ {0‰, 10‰, 50‰} crossed with
 /// duplication and jitter, plus a partition schedule and a stall schedule.
 fn fault_grid(seed: u64) -> Vec<FaultPlan> {
@@ -256,13 +252,7 @@ fn assert_bit_identical(label: &str, a: &Outcome, b: &Outcome) {
     assert_eq!(a.stats.node_time, b.stats.node_time, "{label}: clocks");
     assert_eq!(a.stats.per_node, b.stats.per_node, "{label}: counters");
     assert_eq!(a.stats.net, b.stats.net, "{label}: net/fault stats");
-    if let Some(i) = (0..a.trace.len().min(b.trace.len())).find(|&i| a.trace[i] != b.trace[i]) {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  a: {:?}\n  b: {:?}",
-            a.trace[i], b.trace[i]
-        );
-    }
-    assert_eq!(a.trace.len(), b.trace.len(), "{label}: trace length");
+    assert_same_trace(label, &a.trace, &b.trace);
     assert_eq!(a.objects, b.objects, "{label}: object state");
 }
 
@@ -307,8 +297,7 @@ fn fault_matrix_semantics_invariant() {
                 let label = format!("{kernel}/seed{seed}/plan{pi}");
                 let h_heap =
                     run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, Some(plan));
-                let h_scan =
-                    run_kernel(kernel, ExecMode::Hybrid, SchedImpl::LinearScan, Some(plan));
+                let h_scan = run_kernel(kernel, ExecMode::Hybrid, Exec::Reference, Some(plan));
                 assert_bit_identical(&format!("{label}/hybrid heap-vs-scan"), &h_heap, &h_scan);
                 let h_again =
                     run_kernel(kernel, ExecMode::Hybrid, SchedImpl::EventIndex, Some(plan));
@@ -319,12 +308,8 @@ fn fault_matrix_semantics_invariant() {
                     SchedImpl::EventIndex,
                     Some(plan),
                 );
-                let p_scan = run_kernel(
-                    kernel,
-                    ExecMode::ParallelOnly,
-                    SchedImpl::LinearScan,
-                    Some(plan),
-                );
+                let p_scan =
+                    run_kernel(kernel, ExecMode::ParallelOnly, Exec::Reference, Some(plan));
                 assert_bit_identical(&format!("{label}/par heap-vs-scan"), &p_heap, &p_scan);
                 assert_conservation(&format!("{label}/hybrid"), &h_heap);
                 assert_conservation(&format!("{label}/par"), &p_heap);
@@ -573,7 +558,7 @@ proptest! {
         plan.jitter_max = jitter_max;
         let clean = run_kernel("sync", ExecMode::Hybrid, SchedImpl::EventIndex, None);
         let heap = run_kernel("sync", ExecMode::Hybrid, SchedImpl::EventIndex, Some(&plan));
-        let scan = run_kernel("sync", ExecMode::Hybrid, SchedImpl::LinearScan, Some(&plan));
+        let scan = run_kernel("sync", ExecMode::Hybrid, Exec::Reference, Some(&plan));
         assert_bit_identical("random/heap-vs-scan", &heap, &scan);
         assert_conservation("random", &heap);
         assert_state_close("random: state under faults", &heap.objects, &clean.objects);

@@ -17,6 +17,9 @@
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set, else a pinned trio.
 
+mod common;
+
+use common::{assert_same_trace, seeds, Exec};
 use hem::apps::service::{self, Disposition, ServeParams};
 use hem::core::trace::TraceRecord;
 use hem::core::{Runtime, SchedImpl};
@@ -37,19 +40,9 @@ struct Outcome {
 
 const THREADS: [usize; 2] = [2, 4];
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
 /// Run the service mix at P=8 to a 30k-cycle horizon with admission
 /// control engaged (so shed paths are exercised too).
-fn run_service_mix(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Outcome {
+fn run_service_mix(seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -> Outcome {
     let ids = service::build();
     let mut rt = Runtime::new(
         ids.program.clone(),
@@ -59,7 +52,7 @@ fn run_service_mix(seed: u64, sched: SchedImpl, plan: Option<&FaultPlan>) -> Out
         InterfaceSet::Full,
     )
     .unwrap();
-    rt.sched_impl = sched;
+    exec.into().arm(&mut rt);
     rt.enable_trace();
     rt.attach_observer(Box::new(Rollup::new()));
     if let Some(p) = plan {
@@ -103,15 +96,7 @@ fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
         "{label}: per-node counters"
     );
     assert_eq!(base.stats.net, other.stats.net, "{label}: net/fault stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  base:  {:?}\n  other: {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
+    assert_same_trace(label, &base.trace, &other.trace);
     assert_eq!(
         base.dispositions, other.dispositions,
         "{label}: request dispositions"
@@ -131,7 +116,7 @@ fn open_system_is_bit_identical_across_executors() {
                 .any(|d| matches!(d.4, Disposition::Completed(_))),
             "seed {seed}: some requests complete"
         );
-        let lin = run_service_mix(seed, SchedImpl::LinearScan, None);
+        let lin = run_service_mix(seed, Exec::Reference, None);
         assert_bit_identical(&format!("seed{seed}/linear"), &base, &lin);
         for threads in THREADS {
             let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, None);
@@ -152,7 +137,7 @@ fn open_system_is_bit_identical_under_faults() {
         plan.dup_permille = 20;
         plan.jitter_max = 80;
         let base = run_service_mix(seed, SchedImpl::EventIndex, Some(&plan));
-        let lin = run_service_mix(seed, SchedImpl::LinearScan, Some(&plan));
+        let lin = run_service_mix(seed, Exec::Reference, Some(&plan));
         assert_bit_identical(&format!("seed{seed}/faulty/linear"), &base, &lin);
         for threads in THREADS {
             let sh = run_service_mix(seed, SchedImpl::Sharded { threads }, Some(&plan));
@@ -168,10 +153,13 @@ fn open_system_is_bit_identical_under_faults() {
 }
 
 /// `run_until` is resumable: many small horizons compose to the same
-/// state as one big one, on every executor.
+/// state as one big one, on every executor — and across executors, with
+/// a different one taking over at every chunk.
 #[test]
 fn run_until_composes_across_chunked_horizons() {
-    let drive = |sched: SchedImpl, chunks: &[u64]| {
+    // Open-loop drive: run to each arrival, inject it, carry on; `chunks`
+    // adds `(executor, horizon)` stops in between.
+    let drive = |chunks: &[(Exec, u64)]| {
         let ids = service::build();
         let mut rt = Runtime::new(
             ids.program.clone(),
@@ -181,31 +169,59 @@ fn run_until_composes_across_chunked_horizons() {
             InterfaceSet::Full,
         )
         .unwrap();
-        rt.sched_impl = sched;
         rt.enable_trace();
         let inst = service::setup(&mut rt, &ids, 8);
-        for (i, at) in [100u64, 230, 360, 520].iter().enumerate() {
-            let fe = inst.frontends[i % inst.frontends.len()];
-            rt.inject_request(*at, i as u64, fe, inst.ids.lookup, &[Value::Int(i as i64)]);
-        }
-        for h in chunks {
-            rt.run_until(*h).unwrap();
+        let mut arrivals = [100u64, 230, 360, 520].into_iter().enumerate().peekable();
+        for &(exec, horizon) in chunks {
+            exec.arm(&mut rt);
+            while let Some((i, at)) = arrivals.next_if(|&(_, at)| at <= horizon) {
+                rt.run_until(at).unwrap();
+                let fe = inst.frontends[i % inst.frontends.len()];
+                rt.inject_request(at, i as u64, fe, inst.ids.lookup, &[Value::Int(i as i64)]);
+            }
+            rt.run_until(horizon).unwrap();
         }
         let completions = rt.take_completed_requests();
         (rt.stats(), rt.take_trace(), completions)
     };
-    for sched in [
-        SchedImpl::EventIndex,
-        SchedImpl::LinearScan,
-        SchedImpl::Sharded { threads: 2 },
-        SchedImpl::Speculative { threads: 2 },
-    ] {
-        let whole = drive(sched, &[20_000]);
-        let chunked = drive(sched, &[150, 151, 400, 2_000, 2_001, 20_000]);
-        assert_eq!(whole.0.node_time, chunked.0.node_time, "{sched:?}: clocks");
-        assert_eq!(whole.1, chunked.1, "{sched:?}: traces");
-        assert_eq!(whole.2, chunked.2, "{sched:?}: completions");
-        assert_eq!(whole.2.len(), 4, "{sched:?}: all four requests completed");
+    type Run = (MachineStats, Vec<TraceRecord>, Vec<(u64, u64)>);
+    let same = |label: &str, whole: &Run, got: &Run| {
+        assert_eq!(whole.0.node_time, got.0.node_time, "{label}: clocks");
+        assert_eq!(whole.0.per_node, got.0.per_node, "{label}: counters");
+        assert_same_trace(&format!("{label}: traces"), &whole.1, &got.1);
+        assert_eq!(whole.2, got.2, "{label}: completions");
+    };
+    let execs = [
+        SchedImpl::EventIndex.into(),
+        Exec::Reference,
+        SchedImpl::Sharded { threads: 2 }.into(),
+        SchedImpl::Speculative { threads: 2 }.into(),
+    ];
+    let whole = drive(&[(execs[0], 20_000)]);
+    assert_eq!(whole.2.len(), 4, "all four requests completed");
+    for exec in execs {
+        let stops = [150, 151, 400, 2_000, 2_001, 20_000].map(|h| (exec, h));
+        same(&format!("{exec:?}"), &whole, &drive(&stops));
+    }
+    // Random horizons, a random executor per chunk: the index, the pool
+    // and the injected arrivals are handed over mid-run every time.
+    for seed in seeds() {
+        let mut rng = seed;
+        for round in 0..6 {
+            let mut stops = Vec::new();
+            let mut horizon = 0;
+            while horizon < 3_000 {
+                horizon += 1 + common::splitmix64(&mut rng) % 400;
+                let exec = execs[(common::splitmix64(&mut rng) % 4) as usize];
+                stops.push((exec, horizon));
+            }
+            stops.push((execs[(common::splitmix64(&mut rng) % 4) as usize], 20_000));
+            same(
+                &format!("seed {seed} round {round}: {stops:?}"),
+                &whole,
+                &drive(&stops),
+            );
+        }
     }
 }
 

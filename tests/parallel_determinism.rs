@@ -17,13 +17,16 @@
 //!
 //! The heap diagnostics (`heap_pushes`, `stale_pops`, `max_heap_depth`)
 //! are per-worker implementation details and read 0 under the sharded
-//! executor (the linear scan sets the precedent); they are deliberately
+//! executor (the reference loop sets the precedent); they are deliberately
 //! excluded from the comparison, as are the reports (which never show
 //! them).
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set (the CI
 //! parallel-determinism job pins three), else a built-in trio.
 
+mod common;
+
+use common::{assert_same_trace, seeds};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
 use hem::core::trace::TraceRecord;
@@ -150,18 +153,6 @@ const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
 /// Thread counts the matrix diffs against the single-threaded baseline.
 const THREADS: [usize; 2] = [2, 4];
 
-/// Seeds: `HYBRID_TEST_SEED` (one seed) when set, else a pinned trio,
-/// matching the fault-matrix harness.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
 fn assert_bit_identical(label: &str, base: &Outcome, sharded: &Outcome) {
     assert_eq!(base.makespan, sharded.makespan, "{label}: makespan");
     assert_eq!(
@@ -176,19 +167,7 @@ fn assert_bit_identical(label: &str, base: &Outcome, sharded: &Outcome) {
         base.stats.net, sharded.stats.net,
         "{label}: net/fault stats"
     );
-    if let Some(i) =
-        (0..base.trace.len().min(sharded.trace.len())).find(|&i| base.trace[i] != sharded.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  threads=1: {:?}\n  sharded:   {:?}",
-            base.trace[i], sharded.trace[i]
-        );
-    }
-    assert_eq!(
-        base.trace.len(),
-        sharded.trace.len(),
-        "{label}: trace length"
-    );
+    assert_same_trace(label, &base.trace, &sharded.trace);
     assert_eq!(
         base.stats.sched.events_dispatched, sharded.stats.sched.events_dispatched,
         "{label}: events dispatched"
@@ -324,7 +303,7 @@ fn deep_local_chain_fits_the_worker_stack() {
     ] {
         let got = run(sched);
         assert_eq!(got.0, base.0, "{sched:?}: makespan");
-        assert_eq!(got.1, base.1, "{sched:?}: trace");
+        assert_same_trace(&format!("{sched:?}: trace"), &base.1, &got.1);
         assert_eq!(got.2.per_node, base.2.per_node, "{sched:?}: counters");
         assert_eq!(got.2.net, base.2.net, "{sched:?}: net stats");
     }

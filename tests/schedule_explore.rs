@@ -512,13 +512,7 @@ fn speculative_rollbacks_preserve_fault_fates() {
         );
         assert_eq!(res, res2, "{label}: result");
         assert_eq!(mk, mk2, "{label}: makespan");
-        if let Some(i) = (0..trace.len().min(trace2.len())).find(|&i| trace[i] != trace2[i]) {
-            panic!(
-                "{label}: traces diverge at record {i}:\n  event-index: {:?}\n  speculative: {:?}",
-                trace[i], trace2[i]
-            );
-        }
-        assert_eq!(trace.len(), trace2.len(), "{label}: trace length");
+        assert_same_trace(&label, &trace, &trace2);
         assert_eq!(stats.net, stats2.net, "{label}: net/fault stats");
         assert_eq!(
             stats.per_node, stats2.per_node,

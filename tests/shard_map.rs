@@ -21,6 +21,9 @@
 //! * all of it under both window policies — `Sharded` and `Speculative`
 //!   run on the one pool and take the same partition.
 
+mod common;
+
+use common::assert_same_trace;
 use hem::analysis::InterfaceSet;
 use hem::core::trace::TraceRecord;
 use hem::core::{ExecMode, Runtime, SchedImpl};
@@ -164,15 +167,7 @@ fn assert_bit_identical(label: &str, base: &Outcome, other: &Outcome) {
         "{label}: per-node counters"
     );
     assert_eq!(base.stats.net, other.stats.net, "{label}: net stats");
-    if let Some(i) =
-        (0..base.trace.len().min(other.trace.len())).find(|&i| base.trace[i] != other.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  base:  {:?}\n  other: {:?}",
-            base.trace[i], other.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), other.trace.len(), "{label}: trace length");
+    assert_same_trace(label, &base.trace, &other.trace);
     assert_eq!(
         base.stats.sched.events_dispatched, other.stats.sched.events_dispatched,
         "{label}: events dispatched"

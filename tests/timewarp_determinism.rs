@@ -27,6 +27,9 @@
 //! Seeds come from `HYBRID_TEST_SEED` when set (the CI
 //! timewarp-determinism job pins three), else a built-in trio.
 
+mod common;
+
+use common::{assert_same_trace, seeds};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
 use hem::core::trace::TraceRecord;
@@ -165,18 +168,6 @@ const KERNELS: [&str; 4] = ["sor", "em3d", "md", "sync"];
 /// Thread counts the matrix diffs against the single-threaded baseline.
 const THREADS: [usize; 2] = [2, 4];
 
-/// Seeds: `HYBRID_TEST_SEED` (one seed) when set, else a pinned trio,
-/// matching the fault-matrix harness.
-fn seeds() -> Vec<u64> {
-    match std::env::var("HYBRID_TEST_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("HYBRID_TEST_SEED must be an unsigned integer")],
-        Err(_) => vec![1, 0xDEAD_BEEF, 3_141_592_653],
-    }
-}
-
 fn assert_bit_identical(label: &str, base: &Outcome, spec: &Outcome) {
     assert_eq!(base.makespan, spec.makespan, "{label}: makespan");
     assert_eq!(
@@ -188,15 +179,7 @@ fn assert_bit_identical(label: &str, base: &Outcome, spec: &Outcome) {
         "{label}: per-node counters"
     );
     assert_eq!(base.stats.net, spec.stats.net, "{label}: net/fault stats");
-    if let Some(i) =
-        (0..base.trace.len().min(spec.trace.len())).find(|&i| base.trace[i] != spec.trace[i])
-    {
-        panic!(
-            "{label}: traces diverge at record {i}:\n  threads=1:   {:?}\n  speculative: {:?}",
-            base.trace[i], spec.trace[i]
-        );
-    }
-    assert_eq!(base.trace.len(), spec.trace.len(), "{label}: trace length");
+    assert_same_trace(label, &base.trace, &spec.trace);
     assert_eq!(
         base.stats.sched.events_dispatched, spec.stats.sched.events_dispatched,
         "{label}: events dispatched"
@@ -336,7 +319,7 @@ fn single_node_machine_matches() {
     for threads in [2usize, 4] {
         let (mk2, tr2, st2, spec) = run(SchedImpl::Speculative { threads });
         assert_eq!(mk, mk2, "P=1 threads={threads}: makespan");
-        assert_eq!(tr, tr2, "P=1 threads={threads}: trace");
+        assert_same_trace(&format!("P=1 threads={threads}: trace"), &tr, &tr2);
         assert_eq!(st.per_node, st2.per_node, "P=1 threads={threads}: counters");
         assert_eq!(spec, SpecStats::default(), "P=1 cannot speculate");
     }
