@@ -2,8 +2,9 @@
 //!
 //! Runs one of the four paper kernels (closed system, to quiescence) or
 //! the open-system service mix (`serve`, to a virtual-time horizon) with
-//! tracing on and prints a Table-style rollup report; optionally exports
-//! a Perfetto timeline and the virtual-time critical path.
+//! its outputs attached as consumers of the trace-record stream, and
+//! prints a Table-style rollup report; optionally exports a Perfetto
+//! timeline and the virtual-time critical path.
 //!
 //! ```text
 //! hemprof <sor|md|em3d|fib> [options]
@@ -65,29 +66,45 @@
 //!                     host-time load balance only, observables stay
 //!                     bit-identical (kernel subcommands only)
 //!   --speculative     optimistic (Time-Warp) executor for --threads > 1
-//!   --ring N          bound the trace ring to N records
+//!   --ring N          keep the last N records, and export from them
 //!   --report F        table|json (default table)
 //!   --perfetto FILE   write a Perfetto trace_event JSON timeline
 //!   --critical-path   print the longest virtual-time path
 //!   --events          dump the raw event log (small runs only)
 //! ```
 //!
-//! The rollup report streams through the observer hook, so it is exact
-//! even when `--ring` truncates the buffered trace; only `--events`,
-//! `--perfetto` and `--critical-path` read the (possibly truncated) ring.
+//! Records are consumed, not stored. Every output is an observer of the
+//! record stream: the report's rollup (and `blame`'s tracker, `--series`'
+//! collector) always, the timeline builder when `--perfetto` or
+//! `--critical-path` asks for a timeline, which is then written to FILE
+//! event by event. A run keeps raw records only for the two outputs that
+//! read them: `--events` (all of them, 48 bytes each — small runs only)
+//! and `--ring N` (the last N). Under `--ring` the report still streams
+//! past the ring and is exact, while `--events`, `--perfetto` and
+//! `--critical-path` describe the ring's contents, under a TRUNCATED
+//! banner when anything was evicted.
+//!
+//! `--perfetto FILE` is opened once the command line has been validated
+//! and before the run; a run that fails removes the file if it created it.
 //!
 //! Example: `hemprof serve --p 32 --rate 200 --deadline 4000 --report json`
 
-use hem_bench::profile::{Kernel, ProfileConfig};
+use std::any::Any;
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, ErrorKind};
+
+use hem_bench::profile::{Kernel, ProfileConfig, TraceBuffer};
 use hem_bench::serve::ServeConfig;
 use hem_bench::Args;
-use hem_core::{ExecMode, Runtime};
+use hem_core::{ExecMode, Observer, Runtime};
 use hem_machine::arrival::ArrivalDist;
 use hem_machine::cost::CostModel;
 use hem_machine::fault::FaultPlan;
 use hem_machine::Cycles;
 use hem_obs::json::Json;
-use hem_obs::{critpath, perfetto, Blame, Fanout, Report, Rollup, SegClass, Series, Timeline};
+use hem_obs::{
+    critpath, perfetto, Blame, Fanout, Report, Rollup, SegClass, Series, Timeline, TimelineBuilder,
+};
 
 fn usage() -> ! {
     eprintln!("usage: hemprof <sor|md|em3d|fib> [--p N] [--size N] [--iters N] [--seed S]");
@@ -102,6 +119,8 @@ fn usage() -> ! {
     eprintln!("               [--shard-map even|profile] [--speculative] [--ring N]");
     eprintln!("               [--report table|json] [--perfetto FILE] [--critical-path]");
     eprintln!("               [--events]");
+    eprintln!("       every output streams off the run; raw records are kept only for --events");
+    eprintln!("       (all) and --ring N (the last N, which the exports then describe)");
     std::process::exit(2);
 }
 
@@ -131,12 +150,12 @@ struct Output {
     json: bool,
     events: bool,
     critical_path: bool,
-    perfetto: Option<String>,
+    perfetto: Option<PerfettoDest>,
 }
 
 impl Output {
     fn parse(args: &Args) -> Output {
-        let out = Output {
+        Output {
             json: match args.get::<String>("--report").as_deref() {
                 None | Some("table") => false,
                 Some("json") => true,
@@ -144,22 +163,163 @@ impl Output {
             },
             events: args.has("--events"),
             critical_path: args.has("--critical-path"),
-            perfetto: args.get("--perfetto"),
+            perfetto: args
+                .get("--perfetto")
+                .map(|path| PerfettoDest { path, file: None }),
+        }
+    }
+
+    /// Call once every flag has been looked up: an unknown flag is a
+    /// usage error before anything is touched, and the Perfetto
+    /// destination is opened before the (potentially long) run, so a
+    /// typo'd path fails in milliseconds, not minutes.
+    fn validate(&mut self, args: &Args) {
+        args.finish();
+        self.perfetto = self.perfetto.take().map(PerfettoDest::open);
+    }
+
+    fn needs_timeline(&self) -> bool {
+        self.critical_path || self.perfetto.is_some()
+    }
+
+    /// Where the raw records go. Only two things read them: the bounded
+    /// ring the user asked for, and the `--events` dump. Everything else
+    /// hemprof prints is built by an observer as the records stream past.
+    fn buffer(&self, ring: Option<usize>) -> TraceBuffer {
+        match ring {
+            Some(cap) => TraceBuffer::Ring(cap),
+            None if self.events => TraceBuffer::Unbounded,
+            None => TraceBuffer::Off,
+        }
+    }
+
+    /// The stream consumers of one run behind the runtime's one observer
+    /// slot: the rollup (always), the timeline builder when an export
+    /// needs a timeline — unless `--ring` asked for the timeline of the
+    /// ring's contents, which [`emit`] builds from the drained ring — and
+    /// whatever the subcommand adds.
+    fn observers(
+        &self,
+        buffer: TraceBuffer,
+        nodes: u32,
+        extra: impl IntoIterator<Item = Box<dyn Observer>>,
+    ) -> Box<dyn Observer> {
+        let mut fan = Fanout::new().with(Box::new(Rollup::new()));
+        if self.needs_timeline() && !matches!(buffer, TraceBuffer::Ring(_)) {
+            fan = fan.with(Box::new(TimelineBuilder::new(nodes as usize)));
+        }
+        for obs in extra {
+            fan = fan.with(obs);
+        }
+        Box::new(fan)
+    }
+}
+
+/// `--perfetto FILE`. Only a path until [`PerfettoDest::open`]; from then
+/// on, dropping it with the file still inside removes a file it created,
+/// so a run that fails (a trap, a panic, a write error) leaves nothing
+/// behind that was not there before.
+struct PerfettoDest {
+    path: String,
+    /// The open destination, and whether opening it created it.
+    file: Option<(File, bool)>,
+}
+
+impl PerfettoDest {
+    fn open(mut self) -> PerfettoDest {
+        let mut open = OpenOptions::new();
+        open.write(true);
+        let file = match open.clone().create_new(true).open(&self.path) {
+            Ok(file) => Ok((file, true)),
+            // Something is there already (an old trace, a device): it is
+            // emptied now rather than left to pass for this run's output.
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                open.truncate(true).open(&self.path).map(|f| (f, false))
+            }
+            Err(e) => Err(e),
         };
-        // Validate the perfetto destination before the (potentially
-        // long) run, so a typo'd path fails in milliseconds, not minutes.
-        if let Some(path) = &out.perfetto {
-            if let Err(e) = std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(path)
-            {
-                eprintln!("hemprof: cannot write {path}: {e}");
-                std::process::exit(1);
+        match file {
+            Ok(file) => self.file = Some(file),
+            Err(e) => self.cannot_write(&e),
+        }
+        self
+    }
+
+    /// A failed open or write: one line, exit 1 — dropping `self` first,
+    /// because `exit` would not.
+    fn cannot_write(self, e: &std::io::Error) -> ! {
+        eprintln!("hemprof: cannot write {}: {e}", self.path);
+        drop(self);
+        std::process::exit(1);
+    }
+}
+
+impl Drop for PerfettoDest {
+    fn drop(&mut self) {
+        if let Some((_, true)) = self.file {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+}
+
+/// What the observers of a finished run built.
+struct Streamed {
+    /// The report, with every section that comes off the stream.
+    report: Report,
+    timeline: Option<Timeline>,
+    series: Option<hem_obs::SeriesSummary>,
+}
+
+impl Streamed {
+    /// Detach the [`Output::observers`] tee and take its parts back.
+    fn take(rt: &mut Runtime, title: &str) -> Streamed {
+        let any: Box<dyn Any> = rt.take_observer().expect("observers attached");
+        let fan = any.downcast::<Fanout>().expect("a Fanout");
+        let (mut rollup, mut timeline, mut blame, mut series) = (None, None, None, None);
+        for part in fan.into_parts() {
+            let part: Box<dyn Any> = part;
+            let part = match part.downcast::<Rollup>() {
+                Ok(r) => {
+                    rollup = Some(r);
+                    continue;
+                }
+                Err(p) => p,
+            };
+            let part = match part.downcast::<TimelineBuilder>() {
+                Ok(b) => {
+                    timeline = Some(b.finish());
+                    continue;
+                }
+                Err(p) => p,
+            };
+            let part = match part.downcast::<Blame>() {
+                Ok(b) => {
+                    blame = Some(b.summary(0.99, 10));
+                    continue;
+                }
+                Err(p) => p,
+            };
+            if let Ok(s) = part.downcast::<Series>() {
+                series = Some(s.summary());
             }
         }
-        out
+        // The rollup observed the stream online — the report is exact
+        // even when a bounded ring evicted records.
+        let rollup = rollup.expect("a Rollup in the fanout");
+        let stats = rt.stats();
+        let mut report = Report::new(title, &rollup, &stats, rt.program(), rt.schemas())
+            .with_sched(hem_obs::SchedSummary::from_stats(&stats.sched));
+        if let Some(b) = blame {
+            report = report.with_blame(b);
+        }
+        if let Some(s) = &series {
+            report = report.with_series(s.clone());
+        }
+        Streamed {
+            report,
+            timeline,
+            series,
+        }
     }
 }
 
@@ -194,7 +354,7 @@ fn run() {
         args.finish();
         run_diff();
     }
-    let output = Output::parse(&args);
+    let mut output = Output::parse(&args);
 
     if sub == "serve" || sub == "blame" {
         run_serve(&args, output, sub == "blame");
@@ -241,31 +401,25 @@ fn run() {
     }
     cfg.mode = parse_mode(&args);
     cfg.cost = parse_cost(&args);
-    cfg.ring = args.get("--ring");
+    cfg.buffer = output.buffer(args.get("--ring"));
     if let Some(t) = args.get("--threads") {
         cfg.threads = t;
     }
     cfg.speculative = args.has("--speculative");
-    match args.get::<String>("--shard-map").as_deref() {
-        None | Some("even") => {}
-        Some("profile") => {
-            if cfg.threads > 1 {
-                cfg.shard_weights = Some(pilot_weights(&cfg));
-            }
-        }
+    let profile_shards = match args.get::<String>("--shard-map").as_deref() {
+        None | Some("even") => false,
+        Some("profile") => true,
         Some(_) => usage(),
+    };
+    output.validate(&args);
+    if profile_shards && cfg.threads > 1 {
+        cfg.shard_weights = Some(pilot_weights(&cfg));
     }
-    args.finish();
 
-    // The rollup observes the stream online — reports stay exact even
-    // when a bounded ring evicts records.
-    let mut rt = cfg.run_with_observer(Box::new(Rollup::new()));
+    let mut rt = cfg.run_with_observer(output.observers(cfg.buffer, cfg.p, []));
+    let streamed = Streamed::take(&mut rt, &cfg.title());
     let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
-    let mut report = report_from(&mut rt, &cfg.title());
-    if let Some(s) = &spec {
-        report = report.with_speculative(s.clone());
-    }
-    emit(output, report, &mut rt, None, spec, None);
+    emit(output, streamed, &mut rt, None, spec);
 }
 
 /// `hemprof diff A.json B.json` — compare two rollup JSON reports
@@ -515,7 +669,7 @@ fn delta(a: u64, b: u64) -> String {
     }
 }
 
-fn run_serve(args: &Args, output: Output, blame: bool) {
+fn run_serve(args: &Args, mut output: Output, blame: bool) {
     let mut cfg = ServeConfig::new();
     if let Some(p) = args.get("--p") {
         cfg.p = p;
@@ -555,7 +709,7 @@ fn run_serve(args: &Args, output: Output, blame: bool) {
     }
     cfg.mode = parse_mode(args);
     cfg.cost = parse_cost(args);
-    cfg.ring = args.get("--ring");
+    cfg.buffer = output.buffer(args.get("--ring"));
     if let Some(t) = args.get("--threads") {
         cfg.threads = t;
     }
@@ -586,85 +740,46 @@ fn run_serve(args: &Args, output: Output, blame: bool) {
         } else {
             None
         };
-    args.finish();
+    output.validate(args);
 
     // One observer slot on the runtime, several consumers of the stream:
-    // tee the rollup (always), the blame tracker (`blame` subcommand),
-    // and the series collector (`--series`) over the same records.
-    let mut fan = Fanout::new().with(Box::new(Rollup::new()));
+    // beside the rollup (and the timeline, for an export) tee the blame
+    // tracker (`blame` subcommand) and the series collector (`--series`).
+    let mut extra: Vec<Box<dyn Observer>> = Vec::new();
     if blame {
-        fan = fan.with(Box::new(Blame::new()));
+        extra.push(Box::new(Blame::new()));
     }
     if let Some(w) = series_window {
-        fan = fan.with(Box::new(Series::new(w)));
+        extra.push(Box::new(Series::new(w)));
     }
-    let (mut rt, out) = cfg.run_with_observer(Box::new(fan)).unwrap_or_else(|trap| {
-        eprintln!("hemprof: {trap}");
-        std::process::exit(1);
-    });
-
-    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("fanout attached");
-    let fan = any.downcast::<Fanout>().expect("a Fanout");
-    let mut rollup = None;
-    let mut blame_summary = None;
-    let mut series_summary = None;
-    for part in fan.into_parts() {
-        let part: Box<dyn std::any::Any> = part;
-        let part = match part.downcast::<Rollup>() {
-            Ok(r) => {
-                rollup = Some(r);
-                continue;
-            }
-            Err(p) => p,
-        };
-        let part = match part.downcast::<Blame>() {
-            Ok(b) => {
-                blame_summary = Some(b.summary(0.99, 10));
-                continue;
-            }
-            Err(p) => p,
-        };
-        if let Ok(s) = part.downcast::<Series>() {
-            series_summary = Some(s.summary());
+    let observers = output.observers(cfg.buffer, cfg.p, extra);
+    let (mut rt, out) = match cfg.run_with_observer(observers) {
+        Ok(ran) => ran,
+        Err(trap) => {
+            eprintln!("hemprof: {trap}");
+            // `exit` runs no destructors, and the Perfetto file's must.
+            std::mem::drop(output);
+            std::process::exit(1);
         }
-    }
-    let rollup = rollup.expect("a Rollup in the fanout");
+    };
 
-    let stats = rt.stats();
-    let mut report = Report::new(&cfg.title(), &rollup, &stats, rt.program(), rt.schemas())
-        .with_sched(hem_obs::SchedSummary::from_stats(&stats.sched))
-        .with_service(cfg.summary(&out));
-    if let Some(b) = blame_summary {
-        report = report.with_blame(b);
-    }
-    if let Some(s) = &series_summary {
-        report = report.with_series(s.clone());
-    }
-    if let Some(s) = &spec {
-        report = report.with_speculative(s.clone());
-    }
-    emit(
-        output,
-        report,
-        &mut rt,
-        Some(cfg.horizon),
-        spec,
-        series_summary,
-    );
+    let mut streamed = Streamed::take(&mut rt, &cfg.title());
+    streamed.report = streamed.report.with_service(cfg.summary(&out));
+    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
+    emit(output, streamed, &mut rt, Some(cfg.horizon), spec);
 }
 
 /// `--shard-map profile`: run a cheap single-threaded pilot of the same
 /// kernel and return its per-node busy time as shard weights. The pilot
-/// uses a tiny trace ring (the rollup streams past it, so the weights
-/// are exact) and no report is printed for it.
+/// keeps no records (the rollup is its only consumer) and no report is
+/// printed for it.
 fn pilot_weights(cfg: &ProfileConfig) -> Vec<u64> {
     let mut pilot = cfg.clone();
     pilot.threads = 1;
     pilot.speculative = false;
-    pilot.ring = Some(64);
+    pilot.buffer = TraceBuffer::Off;
     let mut rt = pilot.run_with_observer(Box::new(Rollup::new()));
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("pilot rollup attached");
+    let any: Box<dyn Any> = rt.take_observer().expect("pilot rollup attached");
     let rollup = any.downcast::<Rollup>().expect("a Rollup");
     let w = rollup.node_busy_weights(cfg.p);
     eprintln!(
@@ -694,27 +809,26 @@ fn spec_summary(rt: &Runtime, speculative: bool, threads: usize) -> Option<hem_o
     })
 }
 
-/// Build the report from the *streamed* rollup (exact under ring
-/// truncation), not from the drained ring.
-fn report_from(rt: &mut Runtime, title: &str) -> Report {
-    let any: Box<dyn std::any::Any> = rt.take_observer().expect("rollup attached");
-    let rollup = any.downcast::<Rollup>().expect("a Rollup");
-    let stats = rt.stats();
-    Report::new(title, &rollup, &stats, rt.program(), rt.schemas())
-        .with_sched(hem_obs::SchedSummary::from_stats(&stats.sched))
-}
-
-/// Print the report, then serve the ring-dependent extras (`--events`,
-/// `--perfetto`, `--critical-path`). `horizon` clamps the critical path
-/// for horizon-bounded runs.
+/// Print the report, then the extras: the `--events` dump of whatever was
+/// buffered, and `--perfetto` / `--critical-path` off the timeline — the
+/// streamed one, or, under `--ring`, the one the ring's contents give.
+/// `horizon` clamps the critical path for horizon-bounded runs; `spec` is
+/// a speculative run's report section and Perfetto counter track.
 fn emit(
     output: Output,
-    report: Report,
+    streamed: Streamed,
     rt: &mut Runtime,
     horizon: Option<Cycles>,
     spec: Option<hem_obs::SpecSummary>,
-    series: Option<hem_obs::SeriesSummary>,
 ) {
+    let Streamed {
+        mut report,
+        timeline,
+        series,
+    } = streamed;
+    if let Some(s) = &spec {
+        report = report.with_speculative(s.clone());
+    }
     let stats = rt.stats();
     if stats.sched.dropped_events > 0 {
         eprintln!(
@@ -732,10 +846,7 @@ fn emit(
         print!("{}", report.text());
     }
 
-    let need_timeline = output.critical_path || output.perfetto.is_some();
-    if !(output.events || need_timeline) {
-        return;
-    }
+    // Empty unless `Output::buffer` armed a buffer.
     let records = rt.take_trace();
 
     if output.events {
@@ -749,22 +860,27 @@ fn emit(
         println!();
     }
 
-    if !need_timeline {
+    if !output.needs_timeline() {
         return;
     }
-    let tl = Timeline::build(&records, stats.per_node.len());
+    let tl = timeline.unwrap_or_else(|| Timeline::build(&records, stats.per_node.len()));
+    drop(records);
 
-    if let Some(path) = output.perfetto {
-        let json =
-            perfetto::to_json_full(&records, &tl, rt.program(), spec.as_ref(), series.as_ref());
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
-            eprintln!("hemprof: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!(
-            "hemprof: wrote {path} ({} bytes; open at ui.perfetto.dev)",
-            json.len()
-        );
+    if let Some(mut dest) = output.perfetto {
+        let (file, _) = dest.file.as_ref().expect("opened before the run");
+        // Event by event through a buffer, flushed by the writer — its
+        // error is the write's error.
+        let out = BufWriter::with_capacity(1 << 16, file);
+        match perfetto::write_json(out, &tl, rt.program(), spec.as_ref(), series.as_ref()) {
+            Ok(bytes) => {
+                dest.file = None;
+                eprintln!(
+                    "hemprof: wrote {} ({bytes} bytes; open at ui.perfetto.dev)",
+                    dest.path
+                );
+            }
+            Err(e) => dest.cannot_write(&e),
+        }
     }
 
     if output.critical_path {

@@ -1,9 +1,9 @@
 //! Shared kernel runner for the `hemprof` profiler and the observability
 //! integration tests: builds one of the four app kernels at a given
-//! machine size / layout / seed, runs it with tracing on, and hands back
-//! the runtime for analysis. Keeping this in the library (rather than in
-//! the `hemprof` binary) means the CLI and the tests profile *the same*
-//! runs.
+//! machine size / layout / seed, runs it with its trace consumers armed
+//! (an observer, a [`TraceBuffer`], or both), and hands back the runtime
+//! for analysis. Keeping this in the library (rather than in the
+//! `hemprof` binary) means the CLI and the tests profile *the same* runs.
 
 use hem_analysis::InterfaceSet;
 use hem_apps::md::Layout;
@@ -62,6 +62,35 @@ impl Kernel {
     }
 }
 
+/// Where a run keeps its raw [`hem_core::TraceRecord`]s — one more
+/// consumer of the record stream, beside whatever observer is attached.
+/// Observers never read it: they are fed every record whichever way this
+/// is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceBuffer {
+    /// Every record, for `Runtime::take_trace` after the run. Memory
+    /// grows with the run: 48 bytes a record.
+    #[default]
+    Unbounded,
+    /// The most recent `n` records; evictions are counted in
+    /// `MachineStats.sched.dropped_events`.
+    Ring(usize),
+    /// Nowhere: records exist only while the observer looks at them, and
+    /// `take_trace` returns nothing.
+    Off,
+}
+
+impl TraceBuffer {
+    /// Arm the runtime's trace buffer accordingly.
+    pub fn arm(self, rt: &mut Runtime) {
+        match self {
+            TraceBuffer::Unbounded => rt.enable_trace(),
+            TraceBuffer::Ring(cap) => rt.enable_trace_ring(cap),
+            TraceBuffer::Off => {}
+        }
+    }
+}
+
 /// A profiling run's configuration.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
@@ -84,9 +113,8 @@ pub struct ProfileConfig {
     pub mode: ExecMode,
     /// Machine cost model.
     pub cost: CostModel,
-    /// Bound the trace to a ring of this many records (`None`:
-    /// unbounded).
-    pub ring: Option<usize>,
+    /// Where the raw records go (default: kept, all of them).
+    pub buffer: TraceBuffer,
     /// Host worker threads for the sharded executor; `1` (the default)
     /// runs the single-threaded event index. Every thread count yields a
     /// bit-identical trace and report.
@@ -118,7 +146,7 @@ impl ProfileConfig {
             style: em3d::Style::Pull,
             mode: ExecMode::Hybrid,
             cost: CostModel::cm5(),
-            ring: None,
+            buffer: TraceBuffer::default(),
             threads: 1,
             speculative: false,
             shard_weights: None,
@@ -143,9 +171,9 @@ impl ProfileConfig {
         )
     }
 
-    /// Build the kernel, enable tracing, run it, and return the runtime
-    /// (trace still buffered inside). Panics on a trap — the profiled
-    /// kernels are deadlock-free by construction.
+    /// Build the kernel, arm [`ProfileConfig::buffer`], run it, and return
+    /// the runtime (whatever was buffered still inside). Panics on a trap
+    /// — the profiled kernels are deadlock-free by construction.
     pub fn run(&self) -> Runtime {
         self.run_impl(None)
     }
@@ -248,10 +276,7 @@ impl ProfileConfig {
                 }
             };
         }
-        match self.ring {
-            Some(cap) => rt.enable_trace_ring(cap),
-            None => rt.enable_trace(),
-        }
+        self.buffer.arm(rt);
         if let Some(o) = obs {
             rt.attach_observer(o);
         }

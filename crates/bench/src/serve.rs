@@ -15,6 +15,8 @@ use hem_machine::fault::FaultPlan;
 use hem_machine::Cycles;
 use hem_obs::{Log2Hist, ServiceSummary};
 
+use crate::profile::TraceBuffer;
+
 /// An open-system run's configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -47,10 +49,10 @@ pub struct ServeConfig {
     /// Use the optimistic (Time-Warp) executor instead of the
     /// conservative sharded one when `threads > 1`; still bit-identical.
     pub speculative: bool,
-    /// Bound the trace to a ring of this many records (`None`:
-    /// unbounded). The rollup-backed report does not depend on ring
-    /// completeness — it streams through the observer hook.
-    pub ring: Option<usize>,
+    /// Where the raw records go (default: kept, all of them). The
+    /// rollup-backed report does not depend on it — it streams through
+    /// the observer hook.
+    pub buffer: TraceBuffer,
     /// Deterministic interconnect fault schedule; installing one engages
     /// the reliable transport (retransmission keeps lost work alive, and
     /// the recovered time shows up in the blame report's `retx` bucket).
@@ -76,7 +78,7 @@ impl ServeConfig {
             cost: CostModel::cm5(),
             threads: 1,
             speculative: false,
-            ring: None,
+            buffer: TraceBuffer::default(),
             fault: None,
         }
     }
@@ -96,11 +98,12 @@ impl ServeConfig {
         )
     }
 
-    /// Build the service world, enable tracing plus a streaming rollup
-    /// observer, and play the arrival stream. Returns the runtime (trace
-    /// still buffered, observer still attached) and the raw outcome, or
-    /// the trap that ended the run: an overloaded configuration can drive
-    /// a non-blocking call chain past the sequential depth limit.
+    /// Build the service world, arm [`ServeConfig::buffer`] plus a
+    /// streaming rollup observer, and play the arrival stream. Returns the
+    /// runtime (whatever was buffered still inside, observer still
+    /// attached) and the raw outcome, or the trap that ended the run: an
+    /// overloaded configuration can drive a non-blocking call chain past
+    /// the sequential depth limit.
     pub fn run(&self) -> Result<(Runtime, ServeOutcome), Trap> {
         self.run_with_observer(Box::new(hem_obs::Rollup::new()))
     }
@@ -131,10 +134,7 @@ impl ServeConfig {
                 }
             };
         }
-        match self.ring {
-            Some(cap) => rt.enable_trace_ring(cap),
-            None => rt.enable_trace(),
-        }
+        self.buffer.arm(&mut rt);
         if let Some(plan) = &self.fault {
             rt.set_fault_plan(plan.clone());
         }

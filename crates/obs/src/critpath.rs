@@ -21,7 +21,7 @@
 
 use hem_machine::Cycles;
 
-use crate::model::{Step, Timeline, KIND_MSG, KIND_TIMERS};
+use crate::model::{Step, SuspendSpan, Timeline, KIND_MSG, KIND_TIMERS};
 
 /// What a critical-path segment (or a slice of a node's time) was spent
 /// on.
@@ -56,7 +56,7 @@ impl std::fmt::Display for SegClass {
 /// One segment of the critical path. For `Network` segments, `node` is
 /// the *receiver* and `from_node` the sender; the time interval spans the
 /// sender's send time to the receiver's handle time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Node the segment is charged to.
     pub node: u32,
@@ -78,7 +78,7 @@ impl Segment {
 }
 
 /// The extracted path, earliest segment first.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Segments, contiguous in time from 0 to the makespan.
     pub segments: Vec<Segment>,
@@ -105,11 +105,31 @@ fn work_class(kind: u8) -> SegClass {
     }
 }
 
-/// Did node `n` have any context suspended during `[a, b]`?
-fn any_suspended(tl: &Timeline, n: u32, a: Cycles, b: Cycles) -> bool {
-    tl.suspends[n as usize]
-        .iter()
-        .any(|s| s.start < b && s.end.map(|e| e > a).unwrap_or(true))
+/// One node's suspend intervals (kept by the timeline in start order,
+/// overlapping and nested when several contexts wait at once) merged into
+/// a disjoint list, sorted by start and therefore by end, so a query is a
+/// binary search or a sweep instead of a scan of every span. Spans that
+/// overlap or touch become one interval; one still open when the run
+/// ended extends to `Cycles::MAX`, which every query clips (no gap
+/// reaches past the makespan).
+fn merge_suspends(spans: &[SuspendSpan]) -> Vec<(Cycles, Cycles)> {
+    let mut merged: Vec<(Cycles, Cycles)> = Vec::new();
+    for s in spans {
+        let end = s.end.unwrap_or(Cycles::MAX);
+        match merged.last_mut() {
+            Some(last) if s.start <= last.1 => last.1 = last.1.max(end),
+            _ => merged.push((s.start, end)),
+        }
+    }
+    merged
+}
+
+/// Was any context suspended during `[a, b]`, given the node's
+/// [`merge_suspends`] list? Of the intervals starting before `b` the last
+/// one ends latest, so it alone decides.
+fn any_suspended(merged: &[(Cycles, Cycles)], a: Cycles, b: Cycles) -> bool {
+    let i = merged.partition_point(|s| s.0 < b);
+    i > 0 && merged[i - 1].1 > a
 }
 
 /// Extract the critical path of a timeline. Returns an empty path for an
@@ -147,6 +167,7 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
         }
     }
     let mut time = end;
+    let suspended: Vec<_> = tl.suspends.iter().map(|s| merge_suspends(s)).collect();
 
     // Every iteration emits at least one segment ending at `time` and
     // strictly decreases `time`, so the walk terminates; the cap is pure
@@ -162,7 +183,7 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
         let si = steps.partition_point(|s| s.start < time);
         if si == 0 {
             // Nothing earlier on this node.
-            segments.push(gap_segment(tl, node, 0, time));
+            segments.push(gap_segment(&suspended[node as usize], node, 0, time));
             break;
         }
         let s = &steps[si - 1];
@@ -202,7 +223,7 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
             }
         } else {
             // In the gap after `s` (`s.end < time`).
-            segments.push(gap_segment(tl, node, s.end, time));
+            segments.push(gap_segment(&suspended[node as usize], node, s.end, time));
             time = s.end;
         }
     }
@@ -220,8 +241,8 @@ fn binding_arrival(s: &Step) -> Option<(u32, Cycles)> {
     s.msgs.iter().find_map(|m| m.sent_at.map(|at| (m.from, at)))
 }
 
-fn gap_segment(tl: &Timeline, node: u32, a: Cycles, b: Cycles) -> Segment {
-    let class = if any_suspended(tl, node, a, b) {
+fn gap_segment(suspended: &[(Cycles, Cycles)], node: u32, a: Cycles, b: Cycles) -> Segment {
+    let class = if any_suspended(suspended, a, b) {
         SegClass::Blocked
     } else {
         SegClass::Idle
@@ -236,7 +257,7 @@ fn gap_segment(tl: &Timeline, node: u32, a: Cycles, b: Cycles) -> Segment {
 }
 
 /// Where one node's `[0, makespan]` went, plus its slack.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeBreakdown {
     /// The node.
     pub node: u32,
@@ -262,22 +283,30 @@ impl NodeBreakdown {
     }
 }
 
-/// Overlap of `[a, b]` with a node's suspend intervals (clamped to the
-/// makespan), counting time where ≥1 context was suspended.
-fn suspended_overlap(tl: &Timeline, n: u32, a: Cycles, b: Cycles) -> Cycles {
-    // Merge intervals on the fly: they're sorted by start.
+/// Cycles of the gap `[a, b]` with at least one context suspended, given
+/// the node's [`merge_suspends`] list. `cursor` is the sweep's position in
+/// it: one pass over a node's gaps, asked for in ascending order, visits
+/// each interval once.
+fn suspended_overlap(
+    merged: &[(Cycles, Cycles)],
+    cursor: &mut usize,
+    a: Cycles,
+    b: Cycles,
+) -> Cycles {
+    while merged.get(*cursor).is_some_and(|s| s.1 <= a) {
+        *cursor += 1;
+    }
     let mut covered = 0;
-    let mut cursor = a;
-    for s in &tl.suspends[n as usize] {
-        let lo = s.start.max(cursor);
-        let hi = s.end.unwrap_or(tl.makespan).min(b);
-        if lo < hi {
-            covered += hi - lo;
-            cursor = hi;
-        }
-        if cursor >= b {
+    while let Some(&(start, end)) = merged.get(*cursor) {
+        if start >= b {
             break;
         }
+        covered += end.min(b) - start.max(a);
+        if end > b {
+            // Reaches into the next gap: stay on it.
+            break;
+        }
+        *cursor += 1;
     }
     covered
 }
@@ -291,10 +320,12 @@ pub fn node_breakdowns(tl: &Timeline) -> Vec<NodeBreakdown> {
                 node: ni as u32,
                 ..Default::default()
             };
+            let suspended = merge_suspends(&tl.suspends[ni]);
+            let mut swept = 0;
             let mut cursor: Cycles = 0;
             for s in &tl.steps[ni] {
                 if s.start > cursor {
-                    let blk = suspended_overlap(tl, ni as u32, cursor, s.start);
+                    let blk = suspended_overlap(&suspended, &mut swept, cursor, s.start);
                     b.blocked += blk;
                     b.idle += (s.start - cursor) - blk;
                 }
@@ -307,7 +338,7 @@ pub fn node_breakdowns(tl: &Timeline) -> Vec<NodeBreakdown> {
                 cursor = cursor.max(s.end);
             }
             if makespan > cursor {
-                let blk = suspended_overlap(tl, ni as u32, cursor, makespan);
+                let blk = suspended_overlap(&suspended, &mut swept, cursor, makespan);
                 b.blocked += blk;
                 b.idle += (makespan - cursor) - blk;
             }
@@ -323,6 +354,7 @@ mod tests {
     use crate::model::{KIND_LOCAL, KIND_ROOT};
     use hem_core::{MsgCause, TraceEvent, TraceRecord};
     use hem_machine::NodeId;
+    use proptest::prelude::*;
 
     fn rec(at: Cycles, event: TraceEvent) -> TraceRecord {
         TraceRecord { at, event }
@@ -483,6 +515,86 @@ mod tests {
         assert_eq!(b.blocked, 25);
         assert_eq!(b.compute, 17);
         assert_eq!(b.total(), 42);
+    }
+
+    /// The definition the sweep replaced: scan every span for every gap
+    /// (overlap merges on the fly; spans are sorted by start).
+    fn reference_overlap(spans: &[SuspendSpan], makespan: Cycles, a: Cycles, b: Cycles) -> Cycles {
+        let mut covered = 0;
+        let mut cursor = a;
+        for s in spans {
+            let lo = s.start.max(cursor);
+            let hi = s.end.unwrap_or(makespan).min(b);
+            if lo < hi {
+                covered += hi - lo;
+                cursor = hi;
+            }
+            if cursor >= b {
+                break;
+            }
+        }
+        covered
+    }
+
+    fn reference_any(spans: &[SuspendSpan], a: Cycles, b: Cycles) -> bool {
+        spans
+            .iter()
+            .any(|s| s.start < b && s.end.map(|e| e > a).unwrap_or(true))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Spans on a coarse grid, so that they overlap, nest, repeat a
+        /// start, have zero length, stay open, and share edges with the
+        /// gaps — which themselves touch, and run up to the makespan.
+        #[test]
+        fn merged_sweep_is_the_span_scan(
+            raw in proptest::collection::vec((0u64..4, 0u64..9, 0u8..5), 0..12),
+            cuts in proptest::collection::vec(0u64..5, 2..16),
+            slack in 0u64..4,
+        ) {
+            let mut spans = Vec::new();
+            let (mut start, mut last) = (0, 0);
+            for (gap, len, open) in raw {
+                start += gap;
+                let end = (open != 0).then_some(start + len);
+                last = last.max(end.unwrap_or(start));
+                spans.push(SuspendSpan { start, end });
+            }
+            let makespan = last + slack;
+            let mut at = 0;
+            let cuts: Vec<Cycles> = cuts
+                .into_iter()
+                .map(|d| {
+                    at = (at + d).min(makespan);
+                    at
+                })
+                .collect();
+            let gaps: Vec<(Cycles, Cycles)> = cuts
+                .chunks_exact(2)
+                .map(|c| (c[0], c[1]))
+                .filter(|(a, b)| a < b)
+                .collect();
+
+            let merged = merge_suspends(&spans);
+            prop_assert!(
+                merged.windows(2).all(|w| w[0].1 < w[1].0),
+                "disjoint and sorted: {merged:?}"
+            );
+            let mut cursor = 0;
+            for &(a, b) in &gaps {
+                prop_assert_eq!(
+                    suspended_overlap(&merged, &mut cursor, a, b),
+                    reference_overlap(&spans, makespan, a, b),
+                    "overlap of [{}, {}] with {:?}", a, b, merged
+                );
+                prop_assert_eq!(
+                    any_suspended(&merged, a, b),
+                    reference_any(&spans, a, b),
+                    "any in [{}, {}] of {:?}", a, b, merged
+                );
+            }
+        }
     }
 
     #[test]

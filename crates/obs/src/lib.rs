@@ -1,9 +1,9 @@
 //! # hem-obs — observability for the hybrid execution model
 //!
 //! Everything in this crate consumes the runtime's [`TraceRecord`] stream
-//! (offline, from a drained buffer) or observes it online through the
-//! zero-virtual-time [`hem_core::Observer`] hook, and turns it into the
-//! artifacts a performance investigation needs:
+//! — online through the zero-virtual-time [`hem_core::Observer`] hook, or
+//! offline from a drained buffer, through the same code — and turns it
+//! into the artifacts a performance investigation needs:
 //!
 //! | module | artifact |
 //! |---|---|
@@ -11,8 +11,8 @@
 //! | [`blame`] | per-request sojourn decomposition (queue/exec/wire/lock/retx), exact tiling, p99-tail view |
 //! | [`series`] | windowed virtual-time series: offered/completed rate, in-flight, queue depth, per-node occupancy |
 //! | [`fanout`] | an observer tee so one run can stream several of the above |
-//! | [`model`]  | a [`model::Timeline`]: scheduler steps, context spans, matched message flows |
-//! | [`perfetto`] | Chrome/Perfetto `trace_event` JSON of the timeline (plus series counter tracks) |
+//! | [`model`]  | a [`model::Timeline`] — scheduler steps, context spans, matched message flows, adaptation instants — built by [`model::TimelineBuilder`], an observer like the three above (or fed a slice: [`model::Timeline::build`]) |
+//! | [`perfetto`] | Chrome/Perfetto `trace_event` JSON of the timeline (plus series counter tracks), written through any `io::Write` |
 //! | [`critpath`] | the longest virtual-time path through the happens-before DAG, plus per-node time breakdowns |
 //! | [`report`] | paper-Table-style text / JSON summaries built from a rollup |
 //! | [`json`] | a dependency-free JSON DOM + parser used to validate exports |
@@ -20,7 +20,9 @@
 //! None of it charges virtual time: attaching a [`rollup::Rollup`] as an
 //! observer leaves traces, clocks and makespan bit-identical to an
 //! unobserved run (the `sched_throughput` bench guards this), and offline
-//! analysis happens after `take_trace()`.
+//! analysis happens after `take_trace()`. Nothing here needs the raw
+//! records kept: a run whose consumers are all attached as observers can
+//! leave the runtime's trace buffer off.
 
 #![warn(missing_docs)]
 
@@ -41,7 +43,7 @@ pub use critpath::{
 };
 pub use fanout::Fanout;
 pub use hist::Log2Hist;
-pub use model::Timeline;
+pub use model::{Timeline, TimelineBuilder};
 pub use report::{Report, SchedSummary, ServiceSummary, SpecSummary};
 pub use rollup::Rollup;
 pub use series::{Series, SeriesBucket, SeriesSummary};

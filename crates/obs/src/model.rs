@@ -1,5 +1,12 @@
 //! Timeline reconstruction from the trace stream.
 //!
+//! [`TimelineBuilder`] is a `feed(&TraceRecord)` state machine and an
+//! [`Observer`]: attached to a run (alone, or teed beside a rollup through
+//! [`crate::Fanout`]) it builds the [`Timeline`] as the records are
+//! generated, so neither the Perfetto export nor the critical path needs
+//! the raw records kept anywhere. [`Timeline::build`] is the same builder
+//! fed from a slice.
+//!
 //! `EventStart`/`EventEnd` pairs delimit scheduler steps; records between
 //! a pair belong to the step. Records emitted *outside* any step come from
 //! root invocations driven by the harness (`Runtime::call` runs the first
@@ -12,7 +19,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use hem_core::{MsgCause, TraceEvent, TraceRecord};
+use hem_core::{MsgCause, Observer, TraceEvent, TraceRecord};
 use hem_ir::MethodId;
 use hem_machine::Cycles;
 
@@ -134,6 +141,34 @@ pub struct SuspendSpan {
     pub end: Option<Cycles>,
 }
 
+/// What happened at an [`Instant`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InstantKind {
+    /// A stack frame lazily became a heap context.
+    Fallback(MethodId),
+    /// A caller populated the shell context a CP callee created for it.
+    ShellAdopted(MethodId),
+    /// An unacknowledged frame timed out and was sent again.
+    Retransmit {
+        /// Destination node.
+        to: u32,
+        /// Retransmissions of the frame so far (1 = first retry).
+        attempt: u32,
+    },
+}
+
+/// A moment the hybrid model *adapted* — the three record kinds the
+/// Perfetto export draws as instant events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Instant {
+    /// Acting node.
+    pub node: u32,
+    /// Its clock.
+    pub at: Cycles,
+    /// What happened.
+    pub kind: InstantKind,
+}
+
 /// The reconstructed timeline.
 #[derive(Debug)]
 pub struct Timeline {
@@ -152,6 +187,8 @@ pub struct Timeline {
     /// External request spans, in arrival order (empty for closed-system
     /// runs).
     pub requests: Vec<ReqSpan>,
+    /// Adaptation instants, in stream order.
+    pub instants: Vec<Instant>,
     /// Per-node clock at the last record.
     pub node_end: Vec<Cycles>,
     /// Largest node clock seen.
@@ -162,7 +199,7 @@ impl Timeline {
     /// Reconstruct a timeline from a drained trace. `n_nodes` must be at
     /// least the machine size (node ids beyond it grow the vectors).
     pub fn build(records: &[TraceRecord], n_nodes: usize) -> Timeline {
-        let mut b = Builder::new(n_nodes);
+        let mut b = TimelineBuilder::new(n_nodes);
         for r in records {
             b.feed(r);
         }
@@ -170,7 +207,10 @@ impl Timeline {
     }
 }
 
-struct Builder {
+/// Streaming [`Timeline`] construction: [`TimelineBuilder::feed`] every
+/// record in emission order (or attach the builder as an [`Observer`]),
+/// then [`TimelineBuilder::finish`].
+pub struct TimelineBuilder {
     steps: Vec<Vec<Step>>,
     open: Vec<Option<Step>>,
     /// Open step is synthetic root (close it on the next EventStart).
@@ -183,12 +223,21 @@ struct Builder {
     open_susp: HashMap<(u32, u32), usize>,
     requests: Vec<ReqSpan>,
     open_req: HashMap<u64, usize>,
+    instants: Vec<Instant>,
     node_end: Vec<Cycles>,
 }
 
-impl Builder {
-    fn new(n_nodes: usize) -> Builder {
-        Builder {
+impl Observer for TimelineBuilder {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        self.feed(rec);
+    }
+}
+
+impl TimelineBuilder {
+    /// An empty builder for a machine of at least `n_nodes` nodes (node
+    /// ids beyond it grow the vectors).
+    pub fn new(n_nodes: usize) -> TimelineBuilder {
+        TimelineBuilder {
             steps: vec![Vec::new(); n_nodes],
             open: (0..n_nodes).map(|_| None).collect(),
             open_is_root: vec![false; n_nodes],
@@ -200,6 +249,7 @@ impl Builder {
             open_susp: HashMap::new(),
             requests: Vec::new(),
             open_req: HashMap::new(),
+            instants: Vec::new(),
             node_end: vec![0; n_nodes],
         }
     }
@@ -242,7 +292,8 @@ impl Builder {
         }
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
+    /// Consume the next record of the stream.
+    pub fn feed(&mut self, rec: &TraceRecord) {
         let node = crate::event_node(&rec.event);
         self.grow(node);
         let ni = node as usize;
@@ -277,6 +328,22 @@ impl Builder {
         }
 
         self.node_end[ni] = self.node_end[ni].max(rec.at);
+
+        let instant = match rec.event {
+            TraceEvent::Fallback { method, .. } => Some(InstantKind::Fallback(method)),
+            TraceEvent::ShellAdopted { method, .. } => Some(InstantKind::ShellAdopted(method)),
+            TraceEvent::Retransmit { to, attempt, .. } => {
+                Some(InstantKind::Retransmit { to: to.0, attempt })
+            }
+            _ => None,
+        };
+        if let Some(kind) = instant {
+            self.instants.push(Instant {
+                node,
+                at: rec.at,
+                kind,
+            });
+        }
 
         match rec.event {
             TraceEvent::EventStart { node, kind, .. } => {
@@ -423,7 +490,8 @@ impl Builder {
         self.pending.get_mut(&(from, to, cause))?.pop_front()
     }
 
-    fn finish(mut self) -> Timeline {
+    /// Close the steps still open and hand the timeline over.
+    pub fn finish(mut self) -> Timeline {
         for ni in 0..self.open.len() {
             if let Some(s) = self.open[ni].take() {
                 self.steps[ni].push(s);
@@ -437,6 +505,7 @@ impl Builder {
             flows: self.flows,
             suspends: self.suspends,
             requests: self.requests,
+            instants: self.instants,
             node_end: self.node_end,
             makespan,
         }
@@ -689,6 +758,64 @@ mod tests {
             (100, Some(110), false)
         );
         assert!(tl.requests[1].shed);
+    }
+
+    #[test]
+    fn the_observer_hook_and_the_slice_feed_the_same_builder() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let recs = vec![
+            rec(
+                1,
+                TraceEvent::Fallback {
+                    node: a,
+                    method: MethodId(4),
+                    ctx: 0,
+                },
+            ),
+            // An arrival stamp returns early from `feed`: it must not
+            // disturb what is kept around it.
+            rec(9, TraceEvent::RequestArrived { node: b, req: 3 }),
+            rec(
+                2,
+                TraceEvent::ShellAdopted {
+                    node: b,
+                    method: MethodId(5),
+                    ctx: 1,
+                },
+            ),
+            rec(
+                6,
+                TraceEvent::Retransmit {
+                    node: a,
+                    to: b,
+                    attempt: 2,
+                },
+            ),
+            rec(7, TraceEvent::CtxFreed { node: a, ctx: 0 }),
+        ];
+        let mut obs: Box<dyn Observer> = Box::new(TimelineBuilder::new(2));
+        for r in &recs {
+            obs.on_record(r);
+        }
+        obs.on_flush();
+        let any: Box<dyn std::any::Any> = obs;
+        let streamed = any.downcast::<TimelineBuilder>().expect("the builder");
+        let streamed = streamed.finish();
+        assert_eq!(
+            format!("{streamed:?}"),
+            format!("{:?}", Timeline::build(&recs, 2))
+        );
+        let at = |node, at, kind| Instant { node, at, kind };
+        assert_eq!(
+            streamed.instants,
+            [
+                at(0, 1, InstantKind::Fallback(MethodId(4))),
+                at(1, 2, InstantKind::ShellAdopted(MethodId(5))),
+                at(0, 6, InstantKind::Retransmit { to: 1, attempt: 2 }),
+            ],
+            "the three adaptation kinds, in stream order"
+        );
+        assert_eq!(streamed.ctx_spans.len(), 1, "a fallback is still a span");
     }
 
     #[test]

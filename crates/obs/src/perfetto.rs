@@ -16,66 +16,78 @@
 //! unit), so "1 µs" in the UI reads as one machine cycle. The writer is
 //! hand-rolled — the environment has no serde — and its output is
 //! validated by the integration tests through [`crate::json`].
+//!
+//! There is one writer, [`write_json`], generic over [`io::Write`]: it
+//! reads nothing but the timeline (the adaptation instants included) and
+//! emits each event as it walks it. The `to_json*` functions run it into
+//! a `String` for callers that want the document in memory.
 
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
-use hem_core::TraceEvent;
-use hem_ir::Program;
-use hem_machine::Cycles;
-
-use crate::model::Timeline;
 use hem_core::TraceRecord;
+use hem_ir::Program;
+
+use crate::model::{InstantKind, Timeline};
 
 /// Track ids within a node's process.
 const TID_SCHED: u32 = 0;
 const TID_CTX: u32 = 1;
 const TID_REQ: u32 = 2;
 
-struct W {
-    out: String,
+/// The event-array writer: separators, braces and a byte count around a
+/// caller's sink.
+struct W<O: Write> {
+    out: O,
+    bytes: u64,
     first: bool,
 }
 
-impl W {
-    fn new() -> W {
-        W {
-            out: String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"),
+impl<O: Write> Write for W<O> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+impl<O: Write> W<O> {
+    fn new(out: O) -> io::Result<W<O>> {
+        let mut w = W {
+            out,
+            bytes: 0,
             first: true,
-        }
+        };
+        w.write_all(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")?;
+        Ok(w)
     }
 
     /// Append one event object (the caller provides the inner fields).
-    fn event(&mut self, inner: std::fmt::Arguments<'_>) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
+    fn event(&mut self, inner: std::fmt::Arguments<'_>) -> io::Result<()> {
+        let open: &[u8] = if self.first { b"{" } else { b",\n{" };
         self.first = false;
-        self.out.push('{');
-        let _ = self.out.write_fmt(inner);
-        self.out.push('}');
+        self.write_all(open)?;
+        self.write_fmt(inner)?;
+        self.write_all(b"}")
     }
 
-    fn finish(mut self) -> String {
-        self.out.push_str("\n]}\n");
-        self.out
+    /// Close the document and flush the sink; the bytes written.
+    fn finish(mut self) -> io::Result<u64> {
+        self.write_all(b"\n]}\n")?;
+        self.flush()?;
+        Ok(self.bytes)
     }
 }
 
-fn esc(s: &str) -> String {
-    crate::json::escape(s)
-}
-
-/// Serialize a timeline (plus the raw records, for instants) to a
-/// Perfetto-loadable JSON string.
+/// [`to_json_full`] without the optional tracks.
 pub fn to_json(records: &[TraceRecord], tl: &Timeline, program: &Program) -> String {
-    to_json_with_spec(records, tl, program, None)
+    to_json_full(records, tl, program, None, None)
 }
 
-/// [`to_json`], optionally with a speculative-executor diagnostics track:
-/// a synthetic "speculation" process whose counter (`C`) events carry the
-/// run's committed-window / rollback / anti-message totals, so a
-/// `hemprof --speculative --perfetto` capture shows how much optimism the
-/// host execution spent next to what the simulated machine did.
+/// [`to_json_full`] without the series tracks.
 pub fn to_json_with_spec(
     records: &[TraceRecord],
     tl: &Timeline,
@@ -85,19 +97,52 @@ pub fn to_json_with_spec(
     to_json_full(records, tl, program, spec, None)
 }
 
-/// [`to_json_with_spec`], optionally with virtual-time series counter
-/// tracks: a synthetic "series" process whose `C` (counter) events plot
-/// the windowed load (arrived/done/shed), in-flight requests, queue-wait
-/// integral, and total node occupancy over virtual time — one sample per
-/// series window, stamped at the window's start.
+/// [`write_json`] into a `String`. `_records` is not read — the timeline
+/// carries the adaptation instants itself ([`Timeline::instants`]); the
+/// parameter stays so callers that drained a buffer keep compiling.
 pub fn to_json_full(
-    records: &[TraceRecord],
+    _records: &[TraceRecord],
     tl: &Timeline,
     program: &Program,
     spec: Option<&crate::SpecSummary>,
     series: Option<&crate::SeriesSummary>,
 ) -> String {
-    let mut w = W::new();
+    let mut buf = Vec::new();
+    write_json(&mut buf, tl, program, spec, series).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("the writer emits UTF-8")
+}
+
+/// Serialize a timeline to `out` as Perfetto-loadable JSON, event by
+/// event as the timeline is walked — point it at a `BufWriter<File>` and
+/// the document never exists in memory. Flushes `out` before returning
+/// (so a buffered sink's last error is reported, not dropped) and returns
+/// the number of bytes written.
+///
+/// `spec` adds a speculative-executor diagnostics track: a synthetic
+/// "speculation" process whose counter (`C`) events carry the run's
+/// committed-window / rollback / anti-message totals, so a
+/// `hemprof --speculative --perfetto` capture shows how much optimism the
+/// host execution spent next to what the simulated machine did.
+///
+/// `series` adds virtual-time series counter tracks: a synthetic "series"
+/// process whose `C` events plot the windowed load (arrived/done/shed),
+/// in-flight requests, queue-wait integral, and total node occupancy over
+/// virtual time — one sample per series window, stamped at the window's
+/// start.
+pub fn write_json<O: Write>(
+    out: O,
+    tl: &Timeline,
+    program: &Program,
+    spec: Option<&crate::SpecSummary>,
+    series: Option<&crate::SeriesSummary>,
+) -> io::Result<u64> {
+    let mut w = W::new(out)?;
+    // Escaped once per method, not once per event that names it.
+    let names: Vec<String> = program
+        .methods
+        .iter()
+        .map(|m| crate::json::escape(&m.name))
+        .collect();
 
     if let Some(se) = series {
         // One process above both the node pids and the speculation pid.
@@ -106,29 +151,29 @@ pub fn to_json_full(
             "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\"series (window {} cycles)\"}}",
             se.window
-        ));
+        ))?;
         for b in &se.buckets {
             let ts = b.start;
             w.event(format_args!(
                 "\"ph\":\"C\",\"cat\":\"series\",\"name\":\"load\",\"pid\":{pid},\"tid\":0,\
                  \"ts\":{ts},\"args\":{{\"arrived\":{},\"done\":{},\"shed\":{}}}",
                 b.arrived, b.done, b.shed
-            ));
+            ))?;
             w.event(format_args!(
                 "\"ph\":\"C\",\"cat\":\"series\",\"name\":\"in-flight\",\"pid\":{pid},\
                  \"tid\":0,\"ts\":{ts},\"args\":{{\"requests\":{}}}",
                 b.in_flight
-            ));
+            ))?;
             w.event(format_args!(
                 "\"ph\":\"C\",\"cat\":\"series\",\"name\":\"queue wait\",\"pid\":{pid},\
                  \"tid\":0,\"ts\":{ts},\"args\":{{\"cycles\":{}}}",
                 b.queue_wait
-            ));
+            ))?;
             w.event(format_args!(
                 "\"ph\":\"C\",\"cat\":\"series\",\"name\":\"occupancy\",\"pid\":{pid},\
                  \"tid\":0,\"ts\":{ts},\"args\":{{\"busy_cycles\":{}}}",
                 b.busy_total()
-            ));
+            ))?;
         }
     }
 
@@ -142,17 +187,17 @@ pub fn to_json_full(
             "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\"speculation ({} threads)\"}}",
             s.threads
-        ));
+        ))?;
         w.event(format_args!(
             "\"ph\":\"C\",\"cat\":\"spec\",\"name\":\"windows\",\"pid\":{pid},\"tid\":0,\
              \"ts\":{at},\"args\":{{\"committed\":{},\"rolled_back\":{},\"serial_steps\":{}}}",
             s.windows, s.rollbacks, s.serial_steps
-        ));
+        ))?;
         w.event(format_args!(
             "\"ph\":\"C\",\"cat\":\"spec\",\"name\":\"rollback cost\",\"pid\":{pid},\"tid\":0,\
              \"ts\":{at},\"args\":{{\"anti_messages\":{},\"ckpt_nodes\":{}}}",
             s.anti_messages, s.ckpt_nodes
-        ));
+        ))?;
     }
 
     // Process/thread naming metadata.
@@ -160,20 +205,20 @@ pub fn to_json_full(
         w.event(format_args!(
             "\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{n},\"tid\":0,\
              \"args\":{{\"name\":\"node {n}\"}}"
-        ));
+        ))?;
         w.event(format_args!(
             "\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{n},\"tid\":{TID_SCHED},\
              \"args\":{{\"name\":\"sched\"}}"
-        ));
+        ))?;
         w.event(format_args!(
             "\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{n},\"tid\":{TID_CTX},\
              \"args\":{{\"name\":\"contexts\"}}"
-        ));
+        ))?;
         if !tl.requests.is_empty() {
             w.event(format_args!(
                 "\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{n},\"tid\":{TID_REQ},\
                  \"args\":{{\"name\":\"requests\"}}"
-            ));
+            ))?;
         }
     }
 
@@ -189,30 +234,26 @@ pub fn to_json_full(
                 s.start,
                 s.end - s.start,
                 s.msgs.len(),
-            ));
+            ))?;
         }
     }
 
     // Context residency as async spans (id = span index; ids are unique
     // trace-wide so `cat`+`id` matching never collides across reuse).
     for (i, c) in tl.ctx_spans.iter().enumerate() {
-        let name = format!(
-            "{}{} ctx{}",
-            if c.fallback { "fallback " } else { "" },
-            esc(&program.method(c.method).name),
-            c.ctx
-        );
+        let fallback = if c.fallback { "fallback " } else { "" };
+        let method = &names[c.method.0 as usize];
         w.event(format_args!(
-            "\"ph\":\"b\",\"cat\":\"ctx\",\"name\":\"{name}\",\"id\":{i},\
+            "\"ph\":\"b\",\"cat\":\"ctx\",\"name\":\"{fallback}{method} ctx{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_CTX},\"ts\":{}",
-            c.node, c.start
-        ));
+            c.ctx, c.node, c.start
+        ))?;
         let end = c.end.unwrap_or(tl.makespan);
         w.event(format_args!(
-            "\"ph\":\"e\",\"cat\":\"ctx\",\"name\":\"{name}\",\"id\":{i},\
+            "\"ph\":\"e\",\"cat\":\"ctx\",\"name\":\"{fallback}{method} ctx{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_CTX},\"ts\":{end}",
-            c.node
-        ));
+            c.ctx, c.node
+        ))?;
     }
 
     // External request sojourns (open-system runs) as async spans on the
@@ -224,21 +265,20 @@ pub fn to_json_full(
                 "\"ph\":\"i\",\"s\":\"t\",\"cat\":\"req\",\"name\":\"shed req{}\",\
                  \"pid\":{},\"tid\":{TID_REQ},\"ts\":{}",
                 r.req, r.node, r.start
-            ));
+            ))?;
             continue;
         }
-        let name = format!("req{}", r.req);
         w.event(format_args!(
-            "\"ph\":\"b\",\"cat\":\"req\",\"name\":\"{name}\",\"id\":{i},\
+            "\"ph\":\"b\",\"cat\":\"req\",\"name\":\"req{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_REQ},\"ts\":{}",
-            r.node, r.start
-        ));
+            r.req, r.node, r.start
+        ))?;
         let end = r.end.unwrap_or(tl.makespan).max(r.start);
         w.event(format_args!(
-            "\"ph\":\"e\",\"cat\":\"req\",\"name\":\"{name}\",\"id\":{i},\
+            "\"ph\":\"e\",\"cat\":\"req\",\"name\":\"req{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_REQ},\"ts\":{end}",
-            r.node
-        ));
+            r.req, r.node
+        ))?;
     }
 
     // Message flows as arrows between sched tracks.
@@ -247,54 +287,42 @@ pub fn to_json_full(
             "\"ph\":\"s\",\"cat\":\"msg\",\"name\":\"{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_SCHED},\"ts\":{}",
             f.cause, f.from, f.sent_at
-        ));
+        ))?;
         w.event(format_args!(
             "\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"msg\",\"name\":\"{}\",\"id\":{i},\
              \"pid\":{},\"tid\":{TID_SCHED},\"ts\":{}",
             f.cause, f.to, f.handled_at
-        ));
+        ))?;
     }
 
     // Adaptation instants.
-    for r in records {
-        match r.event {
-            TraceEvent::Fallback { node, method, .. } => instant(
-                &mut w,
-                node.0,
-                r.at,
-                &format!("fallback {}", esc(&program.method(method).name)),
-            ),
-            TraceEvent::ShellAdopted { node, method, .. } => instant(
-                &mut w,
-                node.0,
-                r.at,
-                &format!("shell adopted {}", esc(&program.method(method).name)),
-            ),
-            TraceEvent::Retransmit { node, to, attempt } => instant(
-                &mut w,
-                node.0,
-                r.at,
-                &format!("retransmit->n{} #{attempt}", to.0),
-            ),
-            _ => {}
-        }
+    for i in &tl.instants {
+        let (node, at) = (i.node, i.at);
+        let head = format_args!("\"ph\":\"i\",\"s\":\"t\",\"cat\":\"adapt\",\"name\":");
+        let tail = format_args!("\"pid\":{node},\"tid\":{TID_SCHED},\"ts\":{at}");
+        match i.kind {
+            InstantKind::Fallback(m) => w.event(format_args!(
+                "{head}\"fallback {}\",{tail}",
+                names[m.0 as usize]
+            )),
+            InstantKind::ShellAdopted(m) => w.event(format_args!(
+                "{head}\"shell adopted {}\",{tail}",
+                names[m.0 as usize]
+            )),
+            InstantKind::Retransmit { to, attempt } => w.event(format_args!(
+                "{head}\"retransmit->n{to} #{attempt}\",{tail}"
+            )),
+        }?;
     }
 
     w.finish()
-}
-
-fn instant(w: &mut W, node: u32, at: Cycles, name: &str) {
-    w.event(format_args!(
-        "\"ph\":\"i\",\"s\":\"t\",\"cat\":\"adapt\",\"name\":\"{name}\",\
-         \"pid\":{node},\"tid\":{TID_SCHED},\"ts\":{at}"
-    ));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
-    use hem_core::MsgCause;
+    use hem_core::{MsgCause, TraceEvent};
     use hem_machine::NodeId;
 
     fn program_with_one_method() -> Program {
@@ -458,6 +486,91 @@ mod tests {
                 "node {n} has a slice"
             );
         }
+    }
+
+    #[test]
+    fn writer_counts_its_bytes_and_surfaces_sink_errors() {
+        /// Accepts `room` bytes, then fails every write; fails the flush
+        /// when told to (a `BufWriter` reports its last error there).
+        struct Sink {
+            room: usize,
+            flush_fails: bool,
+        }
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.room == 0 {
+                    return Err(io::Error::other("sink full"));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                if self.flush_fails {
+                    return Err(io::Error::other("flush failed"));
+                }
+                Ok(())
+            }
+        }
+
+        let a = NodeId(0);
+        let recs = vec![
+            TraceRecord {
+                at: 0,
+                event: TraceEvent::EventStart {
+                    node: a,
+                    kind: 1,
+                    req: 0,
+                },
+            },
+            TraceRecord {
+                at: 3,
+                event: TraceEvent::Fallback {
+                    node: a,
+                    method: hem_ir::MethodId(0),
+                    ctx: 0,
+                },
+            },
+            TraceRecord {
+                at: 4,
+                event: TraceEvent::Retransmit {
+                    node: a,
+                    to: NodeId(1),
+                    attempt: 2,
+                },
+            },
+            TraceRecord {
+                at: 6,
+                event: TraceEvent::EventEnd { node: a },
+            },
+        ];
+        let tl = Timeline::build(&recs, 2);
+        let program = program_with_one_method();
+
+        let text = to_json(&recs, &tl, &program);
+        assert!(text.contains("\"name\":\"fallback m\""), "{text}");
+        assert!(text.contains("\"name\":\"retransmit->n1 #2\""), "{text}");
+        let mut buf = Vec::new();
+        let bytes = write_json(&mut buf, &tl, &program, None, None).expect("a Vec takes it all");
+        assert_eq!(bytes, text.len() as u64, "the count is the document's size");
+        assert_eq!(buf, text.as_bytes(), "one writer behind both entry points");
+
+        // An error anywhere in the document comes back, and so does the
+        // one a buffered sink only reports when flushed.
+        for room in [0, 10, text.len() - 1] {
+            let sink = Sink {
+                room,
+                flush_fails: false,
+            };
+            let err = write_json(sink, &tl, &program, None, None).expect_err("sink fills up");
+            assert_eq!(err.to_string(), "sink full", "room {room}");
+        }
+        let sink = Sink {
+            room: usize::MAX,
+            flush_fails: true,
+        };
+        let err = write_json(sink, &tl, &program, None, None).expect_err("flush fails");
+        assert_eq!(err.to_string(), "flush failed");
     }
 
     #[test]

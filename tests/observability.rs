@@ -5,8 +5,12 @@
 //! four app kernels through the same `profile` runner `hemprof` uses.
 
 use hem::core::MsgCause;
-use hem::obs::{critpath, perfetto, Report, Rollup, Timeline};
-use hem_bench::profile::{Kernel, ProfileConfig};
+use hem::obs::{
+    critpath, perfetto, Blame, Fanout, Report, Rollup, SchedSummary, Series, SpecSummary, Timeline,
+    TimelineBuilder,
+};
+use hem_bench::profile::{Kernel, ProfileConfig, TraceBuffer};
+use hem_bench::serve::ServeConfig;
 
 /// Small-but-busy configurations, one per kernel.
 fn small(kernel: Kernel) -> ProfileConfig {
@@ -340,7 +344,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
 
     // Exactly at capacity: nothing dropped (the boundary).
     let mut cfg = small(Kernel::Em3d);
-    cfg.ring = Some(full);
+    cfg.buffer = TraceBuffer::Ring(full);
     let mut rt = cfg.run();
     assert_eq!(
         rt.stats().sched.dropped_events,
@@ -352,7 +356,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // One under: exactly one eviction, surfaced through MachineStats even
     // after the buffer is drained.
     let mut cfg = small(Kernel::Em3d);
-    cfg.ring = Some(full - 1);
+    cfg.buffer = TraceBuffer::Ring(full - 1);
     let mut rt = cfg.run();
     assert_eq!(rt.stats().sched.dropped_events, 1, "cap == len-1 drops one");
     let kept = rt.take_trace();
@@ -367,7 +371,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // A hard truncation still produces a usable (if partial) rollup, and
     // the report shouts about it.
     let mut cfg = small(Kernel::Em3d);
-    cfg.ring = Some(128);
+    cfg.buffer = TraceBuffer::Ring(128);
     let mut rt = cfg.run();
     let stats = rt.stats();
     assert_eq!(stats.sched.dropped_events as usize, full - 128);
@@ -375,6 +379,209 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     let rollup = Rollup::from_records(&records);
     let report = Report::new("truncated", &rollup, &stats, rt.program(), rt.schemas());
     assert!(report.text().contains("TRUNCATED"));
+}
+
+/// A run as `hemprof` would configure it.
+enum Plan {
+    Kernel(ProfileConfig),
+    /// `hemprof blame --series`, with the series window.
+    Serve(ServeConfig, u64),
+}
+
+/// Everything `hemprof` prints or writes for one run.
+struct Outputs {
+    report: String,
+    perfetto: Vec<u8>,
+    path: critpath::CriticalPath,
+    breakdowns: Vec<critpath::NodeBreakdown>,
+}
+
+/// Run `plan` and derive its outputs. `streamed`: no trace buffer, the
+/// timeline built by an observer and written through the `io::Write`
+/// writer — what `hemprof` does. Otherwise: everything buffered, then
+/// `Timeline::build` and `to_json_full` over the drained records — the
+/// reference (and what `--ring` and hembench's staged pipeline do).
+fn outputs(plan: &Plan, streamed: bool) -> Outputs {
+    let buffer = if streamed {
+        TraceBuffer::Off
+    } else {
+        TraceBuffer::Unbounded
+    };
+    let nodes = match plan {
+        Plan::Kernel(cfg) => cfg.p,
+        Plan::Serve(cfg, _) => cfg.p,
+    } as usize;
+    let mut fan = Fanout::new().with(Box::new(Rollup::new()));
+    if let Plan::Serve(_, window) = plan {
+        fan = fan
+            .with(Box::new(Blame::new()))
+            .with(Box::new(Series::new(*window)));
+    }
+    if streamed {
+        fan = fan.with(Box::new(TimelineBuilder::new(nodes)));
+    }
+
+    let (mut rt, title, service, horizon, spec_threads) = match plan {
+        Plan::Kernel(cfg) => {
+            let mut cfg = cfg.clone();
+            cfg.buffer = buffer;
+            let rt = cfg.run_with_observer(Box::new(fan));
+            let threads = (cfg.speculative && cfg.threads > 1).then_some(cfg.threads);
+            (rt, cfg.title(), None, None, threads)
+        }
+        Plan::Serve(cfg, _) => {
+            let mut cfg = cfg.clone();
+            cfg.buffer = buffer;
+            let (rt, out) = cfg.run_with_observer(Box::new(fan)).expect("no trap");
+            let summary = cfg.summary(&out);
+            (rt, cfg.title(), Some(summary), Some(cfg.horizon), None)
+        }
+    };
+
+    let records = rt.take_trace();
+    assert_eq!(
+        records.is_empty(),
+        streamed,
+        "{title}: records are kept exactly when a buffer is armed"
+    );
+    let any: Box<dyn std::any::Any> = rt.take_observer().expect("attached");
+    let mut parts = any.downcast::<Fanout>().expect("the tee").into_parts();
+    let mut take = |what: &str| -> Box<dyn std::any::Any> {
+        assert!(!parts.is_empty(), "{title}: no {what} in the tee");
+        parts.remove(0)
+    };
+    let rollup = take("rollup").downcast::<Rollup>().expect("a Rollup");
+    let stats = rt.stats();
+    let mut report = Report::new(&title, &rollup, &stats, rt.program(), rt.schemas())
+        .with_sched(SchedSummary::from_stats(&stats.sched));
+    let mut series = None;
+    if let Some(service) = service {
+        let blame = take("blame").downcast::<Blame>().expect("a Blame");
+        let s = take("series").downcast::<Series>().expect("a Series");
+        series = Some(s.summary());
+        report = report
+            .with_service(service)
+            .with_blame(blame.summary(0.99, 10))
+            .with_series(s.summary());
+    }
+    let spec = spec_threads.map(|threads| {
+        let s = rt.spec_stats();
+        SpecSummary {
+            threads,
+            windows: s.windows,
+            serial_steps: s.serial_steps,
+            rollbacks: s.rollbacks,
+            anti_messages: s.anti_messages,
+            ckpt_nodes: s.ckpt_nodes,
+            max_window: s.max_window,
+        }
+    });
+    if let Some(s) = &spec {
+        report = report.with_speculative(s.clone());
+    }
+
+    let (tl, perfetto) = if streamed {
+        let builder = take("timeline").downcast::<TimelineBuilder>();
+        let tl = builder.expect("a TimelineBuilder").finish();
+        let mut bytes = Vec::new();
+        let n = perfetto::write_json(
+            &mut bytes,
+            &tl,
+            rt.program(),
+            spec.as_ref(),
+            series.as_ref(),
+        )
+        .expect("a Vec takes every byte");
+        assert_eq!(n, bytes.len() as u64, "{title}: the writer's byte count");
+        (tl, bytes)
+    } else {
+        let tl = Timeline::build(&records, nodes);
+        let json =
+            perfetto::to_json_full(&records, &tl, rt.program(), spec.as_ref(), series.as_ref());
+        (tl, json.into_bytes())
+    };
+    Outputs {
+        report: report.json(),
+        perfetto,
+        path: match horizon {
+            Some(h) => critpath::critical_path_until(&tl, h),
+            None => critpath::critical_path(&tl),
+        },
+        breakdowns: critpath::node_breakdowns(&tl),
+    }
+}
+
+#[test]
+fn streamed_outputs_equal_the_buffered_ones() {
+    let mut plans: Vec<Plan> = Kernel::ALL.map(|k| Plan::Kernel(small(k))).into();
+
+    // Forwarded continuations: the one style whose callers adopt shells.
+    let mut forward = small(Kernel::Em3d);
+    forward.style = hem::apps::em3d::Style::Forward;
+    plans.push(Plan::Kernel(forward));
+
+    // The speculation counter track, fed by a Time-Warp run's merged
+    // stream.
+    let mut spec = small(Kernel::Sor);
+    spec.threads = 2;
+    spec.speculative = true;
+    plans.push(Plan::Kernel(spec));
+
+    // Request tracks, blame and series sections; then the same service
+    // under a fault plan lossy enough for `Retransmit` instants.
+    let mut serve = ServeConfig::new();
+    serve.p = 8;
+    serve.backends = 16;
+    serve.horizon = 40_000;
+    serve.warmup = 4_000;
+    serve.dist = hem::machine::arrival::ArrivalDist::Poisson { mean_gap: 300.0 };
+    let mut faulty = serve.clone();
+    let mut plan = hem::machine::fault::FaultPlan::seeded(serve.seed);
+    plan.drop_permille = 60;
+    plan.jitter_max = 40;
+    faulty.fault = Some(plan);
+    plans.push(Plan::Serve(serve, 800));
+    plans.push(Plan::Serve(faulty, 800));
+
+    let mut instants = [false; 3];
+    for plan in &plans {
+        let streamed = outputs(plan, true);
+        let buffered = outputs(plan, false);
+        let name = match plan {
+            Plan::Kernel(cfg) => cfg.title(),
+            Plan::Serve(cfg, _) => cfg.title(),
+        };
+        assert_eq!(streamed.report, buffered.report, "{name}: report JSON");
+        assert!(
+            streamed.perfetto == buffered.perfetto,
+            "{name}: Perfetto bytes differ ({} streamed, {} buffered)",
+            streamed.perfetto.len(),
+            buffered.perfetto.len()
+        );
+        assert_eq!(streamed.path, buffered.path, "{name}: critical path");
+        assert!(streamed.path.total > 0, "{name}: a real path");
+        assert_eq!(streamed.breakdowns, buffered.breakdowns, "{name}: nodes");
+
+        let text = String::from_utf8(streamed.perfetto).expect("UTF-8");
+        let has = |what: &str| text.contains(what);
+        instants[0] |= has("\"name\":\"fallback ");
+        instants[1] |= has("\"name\":\"shell adopted ");
+        instants[2] |= has("\"name\":\"retransmit->");
+        match plan {
+            Plan::Kernel(cfg) if cfg.speculative => {
+                assert!(has("\"cat\":\"spec\""), "{name}: speculation track");
+            }
+            Plan::Serve(..) => {
+                assert!(has("\"cat\":\"series\""), "{name}: series tracks");
+                assert!(has("\"cat\":\"req\""), "{name}: request track");
+            }
+            Plan::Kernel(_) => {}
+        }
+    }
+    assert_eq!(
+        instants, [true; 3],
+        "every adaptation-instant kind (fallback, shell adopted, retransmit) was exported"
+    );
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn run_skewed(
 /// The single-threaded busy-time profile of the skewed kernel.
 fn pilot_weights() -> Vec<u64> {
     let (mut rt, ids) = skewed_runtime();
-    rt.enable_trace_ring(64); // rollup streams past the ring
+    // No trace buffer: the rollup is the stream's only consumer.
     rt.attach_observer(Box::new(Rollup::new()));
     rt.call(ids.cold_root, ids.bounce, &[Value::Int(6)])
         .expect("cold lap");
