@@ -13,8 +13,10 @@
 //! | `fig9`   | Fig. 9 — SOR heap contexts vs block perimeter |
 //!
 //! All binaries take `--full` to run at paper scale (slow) and print the
-//! scaled defaults otherwise. The `benches/` directory adds criterion
-//! wall-clock benchmarks of the runtime itself and an ablation harness.
+//! scaled defaults otherwise. The `benches/` directory adds three
+//! criterion groups — `schemas`, `kernels` and the `ablations` harness;
+//! host-time benchmarking of the runtime itself is `benchmark/`
+//! (hembench), not here.
 
 #![warn(missing_docs)]
 

@@ -13,7 +13,14 @@
 //! caller's context already exists, its shape if not, where the return
 //! value lives, and whether the continuation was forwarded (proxy case).
 
-use hem_ir::{ContRef, MethodId, ObjRef};
+use crate::context::{ActFrame, SlotState, WaitState};
+use crate::error::Trap;
+use crate::explore::Mutant;
+use crate::msg::Msg;
+use crate::rt::Runtime;
+use crate::trace::TraceEvent;
+use hem_ir::{ContRef, MethodId, ObjRef, Value};
+use hem_machine::NodeId;
 
 /// A materialized reply capability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +47,9 @@ pub enum Continuation {
     /// continuation off-node.
     Coll {
         /// Node holding the fold state.
-        node: hem_machine::NodeId,
+        node: NodeId,
         /// Initiating node (collective identity).
-        init: hem_machine::NodeId,
+        init: NodeId,
         /// Initiator-local collective id (collective identity).
         id: u64,
         /// Tree position whose state receives the value.
@@ -87,7 +94,7 @@ pub enum CallerInfo {
     /// is a future at `ret_slot` of that context.
     Created {
         /// The caller's context.
-        node: hem_machine::NodeId,
+        node: NodeId,
         /// Context index on that node.
         ctx: u32,
         /// Context generation (stale-continuation guard).
@@ -111,10 +118,155 @@ impl CallerInfo {
     }
 }
 
+/// Using a continuation, and creating one lazily.
+impl Runtime {
+    /// Deliver a value through a continuation, from code running on `node`.
+    pub(crate) fn deliver_cont(
+        &mut self,
+        node: usize,
+        cont: Continuation,
+        v: Value,
+    ) -> Result<(), Trap> {
+        match cont {
+            Continuation::Unset => Err(Trap::new("reply through unset continuation")),
+            Continuation::Discard => Ok(()),
+            Continuation::Root => {
+                // Mutant: deliver the root reply twice; the overwrite is
+                // value-identical, so only the one-shot check sees it.
+                if self.mutant_is(Mutant::DoubleRootReply) {
+                    self.san_root_delivered();
+                    self.result = Some(v);
+                }
+                self.san_root_delivered();
+                self.result = Some(v);
+                Ok(())
+            }
+            Continuation::Into(cr) => {
+                if cr.node.idx() == node {
+                    self.fill_slot(node, cr.ctx, cr.gen, cr.slot, v)
+                } else {
+                    let reply = Msg::Reply { cont: cr, value: v };
+                    self.send_reply(node, cr.node, reply)
+                }
+            }
+            Continuation::Coll {
+                node: cn,
+                init,
+                id,
+                pos,
+                kind,
+            } => {
+                if cn.idx() == node {
+                    // The member completed on its own node (the common
+                    // case): the contribution lands in the local fold
+                    // state for zero wire words.
+                    self.coll_fill(node, init, id, pos, 0, v)
+                } else {
+                    // The member's method forwarded its continuation
+                    // off-node: the contribution degrades to a wire leg
+                    // aimed at the fold state's own-contribution slot.
+                    self.send_reply(
+                        node,
+                        cn,
+                        Msg::CollUp {
+                            init,
+                            id,
+                            parent_pos: pos,
+                            child_ix: 0,
+                            value: v,
+                            kind,
+                        },
+                    )
+                }
+            }
+            Continuation::Request(req) => {
+                // Open-system completion: log the serving node's clock
+                // under the request id. The reply value itself is not
+                // retained — service-mode experiments measure sojourn
+                // time, not payloads.
+                let done = self.nodes[node].time;
+                self.completions.insert(req, done);
+                self.emit(
+                    node,
+                    TraceEvent::RequestDone {
+                        node: NodeId(node as u32),
+                        req,
+                    },
+                );
+                Ok(())
+            }
+        }
+    }
+
+    /// Lazily materialize a continuation from `caller_info` (paper §3.2.3's
+    /// three cases). Returns the continuation and, when the caller's
+    /// context had to be created, the shell context index.
+    pub(crate) fn materialize_cont(
+        &mut self,
+        node: usize,
+        info: CallerInfo,
+    ) -> Result<(Continuation, Option<u32>), Trap> {
+        self.charge(node, self.cost.cont_create);
+        self.ctr(node).conts_created += 1;
+        self.emit(
+            node,
+            TraceEvent::ContMaterialized {
+                node: NodeId(node as u32),
+            },
+        );
+        match info {
+            CallerInfo::Proxy { cont } => Ok((cont, None)),
+            CallerInfo::Created {
+                node: cn,
+                ctx,
+                gen,
+                ret_slot,
+            } => Ok((
+                Continuation::Into(ContRef {
+                    node: cn,
+                    ctx,
+                    gen,
+                    slot: ret_slot,
+                }),
+                None,
+            )),
+            CallerInfo::NotCreated {
+                method,
+                obj,
+                ret_slot,
+            } => {
+                debug_assert_eq!(obj.node.idx(), node, "shell off-node");
+                let m = self.program.method(method);
+                let mut frame = ActFrame::new(method, obj, m.locals, m.slots, &[]);
+                // Mutant: mark slot 0 instead of the caller's declared
+                // return slot; adoption discards shell slots, so only the
+                // structural offset check sees it.
+                let mark = if self.mutant_is(Mutant::ShellSlotZero) {
+                    0
+                } else {
+                    ret_slot as usize
+                };
+                frame.slots[mark] = SlotState::Pending;
+                let id = self.new_ctx(node, frame, Continuation::Unset, WaitState::Shell, true);
+                self.san_shell_check(node, id, ret_slot);
+                let gen = self.nodes[node].ctxs.gen(id);
+                Ok((
+                    Continuation::Into(ContRef {
+                        node: NodeId(node as u32),
+                        ctx: id,
+                        gen,
+                        slot: ret_slot,
+                    }),
+                    Some(id),
+                ))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hem_machine::NodeId;
 
     #[test]
     fn continuation_message_size() {

@@ -12,7 +12,12 @@
 //! as a trap instead of corrupting an unrelated activation.
 
 use crate::cont::Continuation;
+use crate::error::Trap;
+use crate::explore::Mutant;
+use crate::rt::Runtime;
+use crate::trace::TraceEvent;
 use hem_ir::{MethodId, ObjRef, Value};
+use hem_machine::NodeId;
 
 /// The state of one future slot inside an activation frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -318,10 +323,241 @@ impl CtxTable {
     }
 }
 
+/// The context protocol: determining futures, waking their awaiters, and
+/// moving activations between the stack and the heap.
+impl Runtime {
+    /// Apply a fill to a slot array. Returns whether the slot became
+    /// satisfied, or an error message for protocol violations.
+    pub(crate) fn apply_fill(slots: &mut [SlotState], slot: u16, v: Value) -> Result<bool, String> {
+        let s = slots
+            .get_mut(slot as usize)
+            .ok_or_else(|| format!("fill of out-of-range slot {slot}"))?;
+        let was = s.satisfied();
+        match s {
+            SlotState::Join(0) => return Err("reply to completed join".into()),
+            SlotState::Join(k) => *k -= 1,
+            SlotState::Full(_) => return Err("double reply to future".into()),
+            SlotState::Empty | SlotState::Pending => *s = SlotState::Full(v),
+        }
+        Ok(!was && s.satisfied())
+    }
+
+    /// Determine the future at `slot` of context `ctx` on `tnode`,
+    /// waking the context if this resolves its touch.
+    pub(crate) fn fill_slot(
+        &mut self,
+        tnode: usize,
+        ctx: u32,
+        gen: u32,
+        slot: u16,
+        v: Value,
+    ) -> Result<(), Trap> {
+        // Route fills for the context currently being stepped through the
+        // active buffer (its frame is out of the table).
+        if let Some(a) = &mut self.active {
+            if a.node == tnode && a.id == ctx {
+                if a.gen != gen {
+                    return Err(Trap::new("stale continuation (active context)"));
+                }
+                a.fills.push((slot, v));
+                self.charge(tnode, self.cost.future_store);
+                return Ok(());
+            }
+        }
+        let cost_store = self.cost.future_store;
+        let cost_enqueue = self.cost.enqueue;
+        let eager_wake = self.mutant_is(Mutant::EagerWake);
+        let drop_join = self.mutant_is(Mutant::DropJoinDecrement);
+        let n = &mut self.nodes[tnode];
+        let c = n.ctxs.get_mut(ctx);
+        if c.gen != gen || c.wait == WaitState::Free {
+            return Err(Trap::new(format!(
+                "stale continuation: ctx {ctx} gen {gen} (now {})",
+                c.gen
+            )));
+        }
+        debug_assert_ne!(c.wait, WaitState::Shell, "fill into unpopulated shell");
+        // Mutant: swallow this fill's join decrement (the join never
+        // completes and its awaiter leaks).
+        if drop_join
+            && matches!(c.frame.slots.get(slot as usize), Some(SlotState::Join(k)) if *k >= 2)
+        {
+            n.time += cost_store;
+            n.counters.instructions += cost_store;
+            return Ok(());
+        }
+        let became = Self::apply_fill(&mut c.frame.slots, slot, v)
+            .map_err(|e| Trap::at(c.frame.method, c.frame.pc, e))?;
+        let mut wake = false;
+        let mut wake_mask = 0u64;
+        if became {
+            if let WaitState::Waiting { mask, missing } = c.wait {
+                if mask & (1u64 << slot) != 0 {
+                    let missing = missing - 1;
+                    // Mutant: wake one fill early, while a touched slot
+                    // is still unresolved.
+                    if missing == 0 || (eager_wake && missing == 1) {
+                        c.wait = WaitState::Ready;
+                        wake = true;
+                        wake_mask = mask;
+                    } else {
+                        c.wait = WaitState::Waiting { mask, missing };
+                    }
+                }
+            }
+        }
+        n.time += cost_store;
+        n.counters.instructions += cost_store;
+        if wake {
+            n.ready.push_back(ctx);
+            n.counters.resumes += 1;
+            n.time += cost_enqueue;
+            n.counters.instructions += cost_enqueue;
+            self.san_wake_check(tnode, ctx, wake_mask);
+            self.sched_note_local(tnode);
+            self.emit(
+                tnode,
+                TraceEvent::Resume {
+                    node: NodeId(tnode as u32),
+                    ctx,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Allocate a heap context, charging allocation + state-save costs.
+    /// `fallback` distinguishes lazy (stack-unwinding) creations from
+    /// eager parallel invocations in the counters.
+    pub(crate) fn new_ctx(
+        &mut self,
+        node: usize,
+        frame: ActFrame,
+        cont: Continuation,
+        wait: WaitState,
+        fallback: bool,
+    ) -> u32 {
+        let words = frame.words();
+        let c = self.cost.ctx_alloc + self.cost.ctx_word * words;
+        self.charge(node, c);
+        let method = frame.method;
+        let n = &mut self.nodes[node];
+        n.counters.ctx_alloc += 1;
+        if fallback {
+            n.counters.fallbacks += 1;
+        }
+        let id = n.ctxs.alloc(frame, cont, wait);
+        // The context inherits the creating step's blame tag, so a later
+        // resume of it (a kind-1 ready dispatch) re-establishes the tag.
+        n.ctxs.get_mut(id).req = self.current_req;
+        self.san_ctx_alloc(node, id, fallback);
+        self.emit(
+            node,
+            if fallback {
+                TraceEvent::Fallback {
+                    node: NodeId(node as u32),
+                    method,
+                    ctx: id,
+                }
+            } else {
+                TraceEvent::ParInvoke {
+                    node: NodeId(node as u32),
+                    method,
+                    ctx: id,
+                }
+            },
+        );
+        id
+    }
+
+    /// Put a context on its node's ready queue.
+    pub(crate) fn enqueue_ready(&mut self, node: usize, ctx: u32) {
+        self.charge(node, self.cost.enqueue);
+        let n = &mut self.nodes[node];
+        debug_assert_eq!(n.ctxs.get(ctx).wait, WaitState::Ready);
+        n.ready.push_back(ctx);
+        self.sched_note_local(node);
+    }
+
+    /// Finish a context: release its lock if held, free it.
+    pub(crate) fn finish_ctx(&mut self, node: usize, ctx: u32) {
+        let holds = self.nodes[node].ctxs.get(ctx).holds_lock;
+        if holds {
+            let obj = self.nodes[node].ctxs.get(ctx).frame.obj.index;
+            self.lock_release(node, obj);
+        }
+        self.charge(node, self.cost.ctx_free);
+        self.emit(
+            node,
+            TraceEvent::CtxFreed {
+                node: NodeId(node as u32),
+                ctx,
+            },
+        );
+        let n = &mut self.nodes[node];
+        n.counters.ctx_free += 1;
+        n.ctxs.release(ctx);
+        self.san_ctx_free();
+    }
+
+    /// Move a stack frame into a lazily allocated heap context: the
+    /// mechanical core of the paper's fallback (Fig. 6). The frame is left
+    /// empty; `next_pc` is where the parallel version resumes.
+    pub(crate) fn fallback_ctx(
+        &mut self,
+        node: usize,
+        fr: &mut ActFrame,
+        next_pc: u32,
+        wait: WaitState,
+    ) -> u32 {
+        let mut frame = std::mem::replace(fr, ActFrame::new(fr.method, fr.obj, 0, 0, &[]));
+        frame.pc = next_pc;
+        let id = self.new_ctx(node, frame, Continuation::Unset, wait, true);
+        if wait == WaitState::Ready {
+            self.enqueue_ready(node, id);
+        } else {
+            self.charge(node, self.cost.suspend);
+            self.ctr(node).suspends += 1;
+        }
+        id
+    }
+
+    /// Populate a shell context created on our behalf by a CP callee
+    /// (paper §3.2.3: "passing the continuation's future's context back to
+    /// its caller") and schedule it.
+    pub(crate) fn adopt_shell(&mut self, node: usize, shell: u32, fr: &mut ActFrame, next_pc: u32) {
+        let words = fr.words();
+        self.charge(node, self.cost.ctx_word * words);
+        self.ctr(node).fallbacks += 1;
+        let n = &mut self.nodes[node];
+        let c = n.ctxs.get_mut(shell);
+        debug_assert_eq!(c.wait, WaitState::Shell);
+        debug_assert_eq!(c.frame.method, fr.method);
+        // Keep the shell's slot states where the callee marked the return
+        // future pending; the stack frame has the same marking plus any
+        // earlier resolved slots, so the stack frame's view wins.
+        c.frame.locals = std::mem::take(&mut fr.locals);
+        let shell_slots = std::mem::replace(&mut c.frame.slots, std::mem::take(&mut fr.slots));
+        debug_assert_eq!(shell_slots.len(), c.frame.slots.len());
+        c.frame.pc = next_pc;
+        let method = c.frame.method;
+        c.wait = WaitState::Ready;
+        drop(shell_slots);
+        self.emit(
+            node,
+            TraceEvent::ShellAdopted {
+                node: NodeId(node as u32),
+                method,
+                ctx: shell,
+            },
+        );
+        self.enqueue_ready(node, shell);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hem_machine::NodeId;
 
     fn frame() -> ActFrame {
         ActFrame::new(
@@ -412,5 +648,22 @@ mod tests {
         let a = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
         t.release(a);
         t.release(a);
+    }
+
+    #[test]
+    fn apply_fill_state_machine() {
+        let mut slots = vec![
+            SlotState::Pending,
+            SlotState::Join(2),
+            SlotState::Full(Value::Nil),
+        ];
+        assert_eq!(Runtime::apply_fill(&mut slots, 0, Value::Int(1)), Ok(true));
+        assert_eq!(slots[0], SlotState::Full(Value::Int(1)));
+        assert_eq!(Runtime::apply_fill(&mut slots, 1, Value::Nil), Ok(false));
+        assert_eq!(Runtime::apply_fill(&mut slots, 1, Value::Nil), Ok(true));
+        assert_eq!(slots[1], SlotState::Join(0));
+        assert!(Runtime::apply_fill(&mut slots, 1, Value::Nil).is_err());
+        assert!(Runtime::apply_fill(&mut slots, 2, Value::Nil).is_err());
+        assert!(Runtime::apply_fill(&mut slots, 9, Value::Nil).is_err());
     }
 }

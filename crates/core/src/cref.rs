@@ -14,6 +14,7 @@
 
 use crate::context::SlotState;
 use crate::error::Trap;
+use crate::exec::{array_len, join_count};
 use crate::object::FieldKind;
 use crate::rt::Runtime;
 use hem_ir::value::{bin_op, un_op};
@@ -117,8 +118,9 @@ fn eval(
             }
             Instr::ArrNew { field, len } => {
                 let l = read(&locals, len).as_int().map_err(tv)?;
+                let l = array_len(method, pc as u32, l)?;
                 *cycles += rt.cost.ctx_alloc;
-                arr_new(rt, obj, *field, l as usize)?;
+                arr_new(rt, obj, *field, l)?;
             }
             Instr::ArrLen { dst, field } => {
                 locals[dst.idx()] = Value::Int(arr_len(rt, obj, *field)? as i64);
@@ -170,7 +172,7 @@ fn eval(
             }
             Instr::JoinInit { slot, count } => {
                 let c = read(&locals, count).as_int().map_err(tv)?;
-                slots[slot.idx()] = SlotState::Join(c.max(0) as u32);
+                slots[slot.idx()] = SlotState::Join(join_count(method, pc as u32, c)?);
             }
             Instr::Multicast {
                 slot,

@@ -11,7 +11,7 @@ use crate::error::Trap;
 use crate::object::FieldKind;
 use crate::rt::{Node, Runtime};
 use hem_ir::value::{bin_op, un_op};
-use hem_ir::{Instr, ObjRef, Operand, Value};
+use hem_ir::{Instr, MethodId, ObjRef, Operand, Value};
 
 /// Where control goes after a simple instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +34,21 @@ pub(crate) fn read(fr: &ActFrame, op: &Operand) -> Value {
 /// Evaluate a list of operands.
 pub(crate) fn read_args(fr: &ActFrame, ops: &[Operand]) -> Vec<Value> {
     ops.iter().map(|o| read(fr, o)).collect()
+}
+
+/// Check an `ArrNew` length operand (shared with the C baseline, so all
+/// three evaluators trap alike).
+pub(crate) fn array_len(method: MethodId, pc: u32, len: i64) -> Result<usize, Trap> {
+    usize::try_from(len).map_err(|_| Trap::at(method, pc, format!("negative array length {len}")))
+}
+
+/// Check a `JoinInit` count operand: it must fit the slot's 32-bit join
+/// counter — a silently truncated 2³² would be an already-complete join.
+pub(crate) fn join_count(method: MethodId, pc: u32, count: i64) -> Result<u32, Trap> {
+    u32::try_from(count).map_err(|_| {
+        let what = if count < 0 { "negative" } else { "oversized" };
+        Trap::at(method, pc, format!("{what} join count {count}"))
+    })
 }
 
 /// Execute one of the mode-independent instructions. The caller has
@@ -135,17 +150,11 @@ pub(crate) fn exec_simple(
         }
         Instr::ArrNew { field, len } => {
             let l = read(fr, len).as_int().map_err(trap_v)?;
-            if l < 0 {
-                return Err(Trap::at(
-                    fr.method,
-                    pc,
-                    format!("negative array length {l}"),
-                ));
-            }
+            let l = array_len(fr.method, pc, l)?;
             rt.charge(node, rt.cost.ctx_alloc);
             match field_kind(rt, fr, *field) {
                 FieldKind::Array(a) => {
-                    home_mut(rt, fr, node).arr_new(fr.obj.index, a, l as usize);
+                    home_mut(rt, fr, node).arr_new(fr.obj.index, a, l);
                 }
                 FieldKind::Scalar(_) => unreachable!("validated"),
             }
@@ -172,11 +181,9 @@ pub(crate) fn exec_simple(
         }
         Instr::JoinInit { slot, count } => {
             let c = read(fr, count).as_int().map_err(trap_v)?;
-            if c < 0 {
-                return Err(Trap::at(fr.method, pc, format!("negative join count {c}")));
-            }
+            let c = join_count(fr.method, pc, c)?;
             rt.charge(node, rt.cost.join_init);
-            fr.slots[slot.idx()] = SlotState::Join(c as u32);
+            fr.slots[slot.idx()] = SlotState::Join(c);
         }
         Instr::SendToCont { cont, value } => {
             let c = read(fr, cont).as_cont().map_err(trap_v)?;

@@ -145,7 +145,7 @@ impl Runtime {
                 if n.has_local_work() {
                     cands.push((n.time, 1, i as u32));
                 }
-                if let Some(&(dl, _, _)) = n.tx_timers.first() {
+                if let Some(dl) = n.tx.first_deadline() {
                     cands.push((n.time.max(dl), 2, i as u32));
                 }
             }

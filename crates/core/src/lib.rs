@@ -20,6 +20,7 @@
 //! | §3.3 wrapper functions & proxy contexts (Fig. 8) | [`wrapper`] |
 //! | heap contexts with embedded futures | [`context`] |
 //! | implicit per-object locks | [`object`] |
+//! | active messages: the one send path, reliable transport, modeled collectives | [`msg`]; `transport.rs`, `coll.rs` (private) |
 //! | the machine itself (nodes, clocks, interconnect) | [`rt`] on top of `hem-machine` |
 //! | the dispatch loop and its executable specification | [`sched`], [`explore`] |
 //!
@@ -69,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+mod coll;
 pub mod cont;
 pub mod context;
 pub mod cref;
@@ -87,6 +89,7 @@ pub mod seq;
 pub mod shard;
 pub mod timewarp;
 pub mod trace;
+mod transport;
 pub mod wrapper;
 
 pub use cont::{CallerInfo, Continuation};

@@ -10,7 +10,7 @@
 //! On the wire every [`Msg`] travels inside a [`Packet`]: raw (the default,
 //! for a perfectly reliable interconnect) or as a sequenced data frame of
 //! the reliable transport, which adds acknowledgement frames — see
-//! `rt.rs`'s retransmission protocol.
+//! `transport.rs`'s retransmission protocol.
 
 use crate::cont::Continuation;
 use crate::trace::MsgCause;

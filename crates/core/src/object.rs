@@ -8,7 +8,11 @@
 //! whose cost Table 3's Seq-opt column removes.
 
 use crate::cont::Continuation;
+use crate::error::Trap;
+use crate::rt::Runtime;
+use crate::trace::TraceEvent;
 use hem_ir::{ClassId, MethodId, Value};
+use hem_machine::NodeId;
 use std::collections::VecDeque;
 
 /// Who holds an object lock.
@@ -328,6 +332,103 @@ impl ClassLayout {
             n_arrays: na,
             locked: class.locked,
         }
+    }
+}
+
+/// The per-object lock operations, charged to the executing node.
+impl Runtime {
+    pub(crate) fn obj_locked_class(&self, node: usize, obj: u32) -> bool {
+        self.nodes[node].objects[obj as usize].lock.is_some()
+    }
+
+    /// Try to acquire `obj`'s lock for `who`. Unlocked classes always
+    /// succeed at no cost; the *check* cost is charged at the invoke site.
+    pub(crate) fn lock_try(&mut self, node: usize, obj: u32, who: LockHolder) -> bool {
+        let cost = self.cost.lock_acquire;
+        let n = &mut self.nodes[node];
+        match &mut n.objects[obj as usize].lock {
+            None => true,
+            Some(l) => {
+                if l.acquire(who) {
+                    n.time += cost;
+                    n.counters.instructions += cost;
+                    true
+                } else {
+                    n.counters.lock_conflicts += 1;
+                    false
+                }
+            }
+        }
+    }
+
+    /// Release one level of `obj`'s lock; if it becomes free and waiters
+    /// exist, schedule a grant.
+    pub(crate) fn lock_release(&mut self, node: usize, obj: u32) {
+        let cost = self.cost.lock_release;
+        let n = &mut self.nodes[node];
+        let Some(l) = &mut n.objects[obj as usize].lock else {
+            return;
+        };
+        n.time += cost;
+        n.counters.instructions += cost;
+        let mut granted = false;
+        if l.release() {
+            if let Some(d) = l.waiters.pop_front() {
+                n.granted.push_back((obj, d));
+                granted = true;
+            }
+        }
+        if granted {
+            self.sched_note_local(node);
+        }
+    }
+
+    /// Defer an invocation on a held lock.
+    pub(crate) fn lock_defer(&mut self, node: usize, obj: u32, mut d: DeferredInvoke) {
+        self.charge(node, self.cost.lock_enqueue);
+        self.emit(
+            node,
+            TraceEvent::LockDeferred {
+                node: NodeId(node as u32),
+                obj,
+                req: self.current_req,
+            },
+        );
+        // The deferred invocation carries the waiter's blame tag: when the
+        // lock is granted, the kind-1 dispatch re-establishes it.
+        d.req = self.current_req;
+        let n = &mut self.nodes[node];
+        let l = n.objects[obj as usize]
+            .lock
+            .as_mut()
+            .expect("defer on unlocked class");
+        l.waiters.push_back(d);
+    }
+
+    /// Transfer a lock held by the current stack task to a fallen-back
+    /// context.
+    pub(crate) fn lock_transfer(&mut self, node: usize, obj: u32, to: LockHolder) {
+        if let Some(l) = &mut self.nodes[node].objects[obj as usize].lock {
+            l.transfer(to);
+        }
+    }
+
+    /// Run a lock grant: the lock was released with this invocation queued.
+    /// The lock may have been re-taken in the meantime (a later stack task
+    /// can sneak in); in that case the invocation goes back on the queue.
+    pub(crate) fn run_granted(
+        &mut self,
+        node: usize,
+        obj: u32,
+        d: DeferredInvoke,
+    ) -> Result<(), Trap> {
+        if let Some(l) = &mut self.nodes[node].objects[obj as usize].lock {
+            if l.holder.is_some() {
+                l.waiters.push_front(d);
+                return Ok(());
+            }
+        }
+        crate::wrapper::run_invocation(self, node, obj, d.method, d.args, d.cont, d.forwarded)
     }
 }
 

@@ -16,7 +16,6 @@ use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Next};
-use crate::msg::Msg;
 use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::{ActiveCtx, Runtime};
 use crate::seq::{self, SeqOutcome};
@@ -326,17 +325,7 @@ fn par_invoke(
 
     if tobj.node.idx() != node {
         rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(
-            node,
-            tobj.node,
-            Msg::Invoke {
-                obj: tobj.index,
-                method: callee,
-                args,
-                cont,
-                forwarded: false,
-            },
-        )?;
+        rt.send_invoke(node, tobj, callee, args, cont, false)?;
         return Ok(());
     }
 
@@ -457,17 +446,7 @@ fn par_forward(
 
     if tobj.node.idx() != node {
         rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(
-            node,
-            tobj.node,
-            Msg::Invoke {
-                obj: tobj.index,
-                method: callee,
-                args,
-                cont: my_cont,
-                forwarded: true,
-            },
-        )?;
+        rt.send_invoke(node, tobj, callee, args, my_cont, true)?;
         return Ok(());
     }
 

@@ -1,81 +1,31 @@
-//! The runtime: simulated machine state, the reliable transport, and the
-//! low-level operations (slot filling, continuation delivery, locks,
-//! context fallback) shared by the two interpreters. Which event runs
-//! next is [`crate::sched`]'s business.
+//! The machine: per-node state (`Node`), the [`Runtime`] that owns the
+//! nodes and the interconnect, its construction, the harness-side
+//! setup/inspection API, root invocation ([`Runtime::call`]) and the
+//! open-system entry points. The protocols that run on it live beside the
+//! state they work on — contexts and futures in [`crate::context`],
+//! continuations in [`crate::cont`], locks in [`crate::object`], the
+//! message path in `transport.rs`, collectives in `coll.rs` — and which
+//! event runs next is [`crate::sched`]'s business.
 
-use crate::cont::{CallerInfo, Continuation};
-use crate::context::{ActFrame, CtxTable, SlotState, WaitState};
+use crate::coll::CollTable;
+use crate::cont::Continuation;
+use crate::context::CtxTable;
 use crate::error::Trap;
 use crate::explore::Mutant;
 use crate::msg::{Msg, Packet};
-use crate::object::{Arena, ClassLayout, DeferredInvoke, FieldKind, LockHolder, Object, Span};
+use crate::object::{Arena, ClassLayout, DeferredInvoke, FieldKind, Object, Span};
 use crate::sched::{SchedEntry, SchedImpl};
+use crate::transport::{InboxEntry, Transport};
 use crate::{ExecMode, InterfaceSet, SchemaMap};
 use hem_analysis::Analysis;
-use hem_ir::{ClassId, ContRef, FieldId, MethodId, ObjRef, Program, ValidationError, Value};
+use hem_ir::{ClassId, FieldId, MethodId, ObjRef, Program, ValidationError, Value};
 use hem_machine::cost::CostModel;
 use hem_machine::fault::FaultPlan;
 use hem_machine::net::Network;
 use hem_machine::stats::{Counters, MachineStats, SchedStats};
 use hem_machine::{Cycles, NodeId};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
-
-/// A packet sitting in a node's inbox awaiting its delivery time.
-#[derive(Debug, Clone)]
-pub(crate) struct InboxEntry {
-    pub deliver: Cycles,
-    pub seq: u64,
-    pub src: NodeId,
-    pub msg: Packet,
-    /// Blame tag of the step that injected the packet (request id + 1;
-    /// 0 = untagged). Not part of the ordering key: delivery order is
-    /// still exactly `(deliver, seq)`.
-    pub req: u64,
-    /// Whether this wire copy was a retransmission (blame attributes its
-    /// transit to the retransmit penalty).
-    pub retx: bool,
-}
-
-impl PartialEq for InboxEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver, self.seq) == (other.deliver, other.seq)
-    }
-}
-impl Eq for InboxEntry {}
-impl PartialOrd for InboxEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InboxEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (deliver, seq).
-        (other.deliver, other.seq).cmp(&(self.deliver, self.seq))
-    }
-}
-
-/// An unacknowledged data frame retained by its sender for retransmission
-/// (reliable transport only).
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    /// The payload, re-framed verbatim on every retransmission.
-    pub msg: Msg,
-    /// Wire size charged per copy.
-    pub words: u64,
-    /// Wire latency of the original send (requests and replies differ).
-    pub latency: Cycles,
-    /// Sender-side compose cost re-charged per retransmission.
-    pub send_cost: Cycles,
-    /// Virtual time at which the frame times out (keys `tx_timers`).
-    pub deadline: Cycles,
-    /// Retransmissions so far (drives the exponential backoff).
-    pub attempt: u32,
-    /// Blame tag of the original send (request id + 1; 0 = untagged);
-    /// retransmitted copies re-carry it.
-    pub req: u64,
-}
 
 /// One simulated processor. `Clone::clone_from` is the speculative
 /// executor's checkpoint primitive: it copies the complete per-node state
@@ -100,18 +50,8 @@ pub(crate) struct Node {
     /// index, if any — pushes that would not improve it are suppressed, so
     /// a node keeps O(1) live entries however long its queues get.
     pub sched_noted: Option<(Cycles, u8)>,
-    /// Transport sender state: next per-destination sequence number.
-    pub tx_next: BTreeMap<u32, u64>,
-    /// Transport sender state: unacked frames keyed by `(dest, seq)`.
-    pub tx_pending: BTreeMap<(u32, u64), Pending>,
-    /// Retransmit timer index over `tx_pending`: `(deadline, dest, seq)`,
-    /// minimum first. BTree (not heap) so ack-time removal is exact.
-    pub tx_timers: BTreeSet<(Cycles, u32, u64)>,
-    /// Transport receiver state: per-source floor — every seq below it has
-    /// been delivered to the application exactly once.
-    pub rx_floor: BTreeMap<u32, u64>,
-    /// Transport receiver state: out-of-order seqs at/above the floor.
-    pub rx_seen: BTreeMap<u32, BTreeSet<u64>>,
+    /// Reliable-transport sender and receiver state.
+    pub tx: Transport,
     /// Next wire sequence counter for packets *sent* by this node. The
     /// injected sequence number is `(wire_seq << 20) | id`, a pure
     /// function of the sender's own execution history — so fault fates
@@ -119,47 +59,8 @@ pub(crate) struct Node {
     /// [`SchedImpl`] and thread count, which a network-global counter
     /// (dependent on the global interleaving of sends) could not be.
     pub wire_seq: u64,
-    /// In-flight modeled-collective fold state hosted on this node, keyed
-    /// `(initiator node, initiator-local id, tree position)` — position 0
-    /// is the initiator's root record, member rank r sits at r + 1.
-    /// Multiple members of one collective can share a node (and the
-    /// initiator can be a member of its own group), hence the position in
-    /// the key. Lives in `Node` so the speculative executor's
-    /// copy-on-dirty checkpoint rewinds it for free.
-    pub coll: BTreeMap<(u32, u64, u32), CollState>,
-    /// Contributions that beat their position's down leg here (jitter and
-    /// retransmission reorder legs): stashed in arrival order, drained
-    /// into the fold state the moment the down leg creates it.
-    pub coll_early: BTreeMap<(u32, u64, u32), Vec<(u8, Value)>>,
-    /// Next initiator-local collective id — per-node, so ids are a pure
-    /// function of the initiating node's own execution history (the same
-    /// argument as `wire_seq`).
-    pub coll_next: u64,
-}
-
-/// Fold state for one tree position of one in-flight modeled collective
-/// (see [`Runtime::issue_collective`]). `acc` slot 0 is the position's own
-/// contribution, slots 1 and 2 its left and right tree children's folded
-/// sub-trees; contributions arrive in any order but are always *folded* in
-/// slot order, so reduction results are arrival-order independent.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CollState {
-    /// Which collective this record belongs to.
-    pub kind: crate::msg::CollKind,
-    /// Contributions received so far.
-    pub acc: [Option<Value>; 3],
-    /// Bitmask of `acc` slots that must fill before the fold completes.
-    pub need: u8,
-    /// Bitmask of `acc` slots filled so far.
-    pub filled: u8,
-    /// Node hosting the tree parent (up-leg destination; unused at pos 0).
-    pub parent: NodeId,
-    /// Tree position of the parent (unused at pos 0).
-    pub parent_pos: u32,
-    /// Fold slot this position fills at its parent (unused at pos 0).
-    pub child_ix: u8,
-    /// Root record only: where the folded result is delivered.
-    pub cont: Option<Continuation>,
+    /// Fold state of the modeled collectives hosted on this node.
+    pub coll: CollTable,
 }
 
 impl Clone for Node {
@@ -187,15 +88,9 @@ impl Clone for Node {
             inbox,
             counters,
             sched_noted,
-            tx_next,
-            tx_pending,
-            tx_timers,
-            rx_floor,
-            rx_seen,
+            tx,
             wire_seq,
             coll,
-            coll_early,
-            coll_next,
         } = src;
         self.id = *id;
         self.time = *time;
@@ -207,15 +102,9 @@ impl Clone for Node {
         self.inbox.clone_from(inbox);
         self.counters.clone_from(counters);
         self.sched_noted = *sched_noted;
-        self.tx_next.clone_from(tx_next);
-        self.tx_pending.clone_from(tx_pending);
-        self.tx_timers.clone_from(tx_timers);
-        self.rx_floor.clone_from(rx_floor);
-        self.rx_seen.clone_from(rx_seen);
+        self.tx.clone_from(tx);
         self.wire_seq = *wire_seq;
         self.coll.clone_from(coll);
-        self.coll_early.clone_from(coll_early);
-        self.coll_next = *coll_next;
     }
 }
 
@@ -232,15 +121,9 @@ impl Node {
             inbox: BinaryHeap::new(),
             counters: Counters::default(),
             sched_noted: None,
-            tx_next: BTreeMap::new(),
-            tx_pending: BTreeMap::new(),
-            tx_timers: BTreeSet::new(),
-            rx_floor: BTreeMap::new(),
-            rx_seen: BTreeMap::new(),
+            tx: Transport::default(),
             wire_seq: 0,
-            coll: BTreeMap::new(),
-            coll_early: BTreeMap::new(),
-            coll_next: 0,
+            coll: CollTable::default(),
         }
     }
 
@@ -279,25 +162,6 @@ impl Node {
     /// Re-create array field `a` of object `obj` as `len` nils.
     pub(crate) fn arr_new(&mut self, obj: u32, a: u16, len: usize) -> &mut [Value] {
         self.arena.arr_new(&self.objects[obj as usize], a, len)
-    }
-
-    /// Record receipt of transport seq `seq` from `src`; returns true when
-    /// it was already delivered (i.e. this copy is a duplicate). The floor
-    /// compacts the seen-set so memory stays proportional to reordering,
-    /// not traffic.
-    fn rx_mark(&mut self, src: u32, seq: u64) -> bool {
-        let floor = self.rx_floor.entry(src).or_insert(0);
-        if seq < *floor {
-            return true;
-        }
-        let seen = self.rx_seen.entry(src).or_default();
-        if !seen.insert(seq) {
-            return true;
-        }
-        while seen.remove(floor) {
-            *floor += 1;
-        }
-        false
     }
 }
 
@@ -847,10 +711,9 @@ impl Runtime {
     /// retransmission timer will fire).
     pub fn is_quiescent(&self) -> bool {
         self.net.is_empty()
-            && self
-                .nodes
-                .iter()
-                .all(|n| !n.has_local_work() && n.inbox.is_empty() && n.tx_pending.is_empty())
+            && self.nodes.iter().all(|n| {
+                !n.has_local_work() && n.inbox.is_empty() && n.tx.first_deadline().is_none()
+            })
     }
 
     // ================= cost & counter helpers =================
@@ -873,1184 +736,6 @@ impl Runtime {
         self.next_task += 1;
         self.current_task = self.next_task;
         self.current_task
-    }
-
-    // ================= messaging =================
-
-    /// Inject a packet into the interconnect and drain it straight into
-    /// the destination inbox. The wire is drained once per injection — the
-    /// `Network` heap assigns the global sequence number, applies the fault
-    /// plan, and keeps traffic stats, but packets never sit in it across
-    /// scheduler iterations, so the dispatch loop does not need to re-drain
-    /// it per event.
-    fn inject(
-        &mut self,
-        from: usize,
-        dest: NodeId,
-        deliver: Cycles,
-        words: u64,
-        class: hem_machine::net::WireClass,
-        pkt: Packet,
-    ) {
-        let src = self.nodes[from].id;
-        // Per-source wire sequence (see `Node::wire_seq`): deterministic
-        // under any scheduler implementation, unlike the network-global
-        // counter, so fault fates and same-cycle tie-breaks never depend
-        // on how sends from different nodes interleave.
-        let wseq = self.nodes[from].wire_seq;
-        self.nodes[from].wire_seq += 1;
-        let seq = (wseq << 20) | src.0 as u64;
-        let fate = self
-            .net
-            .send_tagged(seq, src, dest, deliver, words, class, pkt);
-        if fate.dropped {
-            self.emit(
-                from,
-                crate::trace::TraceEvent::MsgDropped {
-                    from: src,
-                    to: dest,
-                    partitioned: fate.partitioned,
-                },
-            );
-        } else if fate.duplicated {
-            self.emit(
-                from,
-                crate::trace::TraceEvent::MsgDuplicated {
-                    from: src,
-                    to: dest,
-                },
-            );
-        }
-        // The wire is drained synchronously within this injection, so the
-        // sending step's blame tag is still current — stamp it (and the
-        // retransmission class) onto each inbox entry so the receiving
-        // step can pick the tag up without widening the wire format.
-        let retx = class == hem_machine::net::WireClass::Retx;
-        while let Some(m) = self.net.pop() {
-            let d = m.dest.idx();
-            let entry = InboxEntry {
-                deliver: m.deliver_at,
-                seq: m.seq,
-                src: m.src,
-                msg: m.msg,
-                req: self.current_req,
-                retx,
-            };
-            // In a shard worker, a packet for a node another shard owns is
-            // parked in the outbox; the coordinator routes it at the next
-            // window barrier. The window protocol guarantees it cannot be
-            // due before the barrier (its delivery time is at least the
-            // window end; see `crate::shard`).
-            if let Some(sh) = &mut self.shard {
-                if !sh.owns[d] {
-                    sh.outbox.push((d as u32, entry));
-                    continue;
-                }
-            }
-            // Intra-shard delivery mutates a node other than the one being
-            // dispatched: checkpoint it first (cross-node state only ever
-            // changes through messages, so this hook plus the
-            // dispatch-time one cover every mutation a rollback undoes).
-            self.tw_save(d);
-            self.nodes[d].inbox.push(entry);
-            let at = self.nodes[d].time.max(m.deliver_at);
-            self.sched_note(at, 0, d);
-        }
-    }
-
-    /// Frame `msg` for the wire and inject it: raw when the reliable
-    /// transport is off (bit-identical to the pre-transport runtime), else
-    /// as a sequenced data frame retained for retransmission until acked.
-    /// `latency` and `send_cost` are recorded so a retransmission re-prices
-    /// exactly like the original.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
-        &mut self,
-        from: usize,
-        dest: NodeId,
-        deliver: Cycles,
-        words: u64,
-        latency: Cycles,
-        send_cost: Cycles,
-        class: hem_machine::net::WireClass,
-        msg: Msg,
-    ) {
-        if !self.reliable {
-            self.inject(from, dest, deliver, words, class, Packet::Raw(msg));
-            return;
-        }
-        let d = dest.0;
-        let deadline = self.nodes[from].time + self.retx_base;
-        if let Some(sh) = &mut self.shard {
-            if sh.ckpt.armed {
-                // Speculative window: a timer armed mid-window may come
-                // due *before* the window edge (conservative windows
-                // cannot outrun `retx_base`, optimistic ones can), and
-                // workers never fire timers. Record the earliest such
-                // deadline so validation can shrink the window below it.
-                sh.min_timer = sh.min_timer.min(deadline);
-            }
-        }
-        let n = &mut self.nodes[from];
-        let seq_ref = n.tx_next.entry(d).or_insert(0);
-        let seq = *seq_ref;
-        *seq_ref += 1;
-        n.tx_pending.insert(
-            (d, seq),
-            Pending {
-                msg: msg.clone(),
-                words,
-                latency,
-                send_cost,
-                deadline,
-                attempt: 0,
-                req: self.current_req,
-            },
-        );
-        n.tx_timers.insert((deadline, d, seq));
-        self.sched_note(deadline, 2, from);
-        self.inject(from, dest, deliver, words, class, Packet::Data { seq, msg });
-    }
-
-    /// Send a request message, charging sender-side costs and wire latency.
-    /// Sending also polls the network (below); a trap raised by a handler
-    /// that runs during that poll propagates promptly to the sender's
-    /// execution rather than being parked for the next scheduler iteration.
-    pub(crate) fn send_invoke(&mut self, from: usize, dest: NodeId, msg: Msg) -> Result<(), Trap> {
-        // The transport's sequence number rides in the active-message
-        // header word the wire format already reserves, so reliable mode
-        // adds no payload words to data frames.
-        let words = msg.words();
-        let c = self.cost.msg_send + self.cost.msg_word * words;
-        self.charge(from, c);
-        let ctr = self.ctr(from);
-        ctr.msgs_sent += 1;
-        ctr.req_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause: crate::trace::MsgCause::Request,
-                req: self.current_req,
-            },
-        );
-        let deliver = self.nodes[from].time + self.cost.msg_latency;
-        self.transmit(
-            from,
-            dest,
-            deliver,
-            words,
-            self.cost.msg_latency,
-            c,
-            hem_machine::net::WireClass::Data,
-            msg,
-        );
-        self.poll_network(from)
-    }
-
-    /// Send a reply message. Trap propagation as for [`Self::send_invoke`].
-    pub(crate) fn send_reply(
-        &mut self,
-        from: usize,
-        dest: NodeId,
-        cont: ContRef,
-        value: Value,
-    ) -> Result<(), Trap> {
-        let msg = Msg::Reply { cont, value };
-        let words = msg.words();
-        let c = self.cost.reply_send + self.cost.reply_word * words;
-        self.charge(from, c);
-        let ctr = self.ctr(from);
-        ctr.replies_sent += 1;
-        ctr.reply_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause: crate::trace::MsgCause::Reply,
-                req: self.current_req,
-            },
-        );
-        let deliver = self.nodes[from].time + self.cost.reply_latency;
-        self.transmit(
-            from,
-            dest,
-            deliver,
-            words,
-            self.cost.reply_latency,
-            c,
-            hem_machine::net::WireClass::Data,
-            msg,
-        );
-        self.poll_network(from)
-    }
-
-    /// Poll the network from code running on `node` — the Concert/CM-5
-    /// active-message discipline: every communication operation services
-    /// arrived messages, so a long stack sweep cannot starve incoming
-    /// requests (which would serialize the machine and hide exactly the
-    /// latency-tolerance the hybrid model is supposed to show). Handled
-    /// invocations run as nested tasks; the current task's lock identity
-    /// is restored afterwards. (Arrived messages already sit in per-node
-    /// inboxes — injection drains the wire — so only this node's due
-    /// entries are examined.) A poll services only messages that had
-    /// arrived by the current event's start (`poll_floor`): a message
-    /// delivered later — even if the node's clock ran ahead of its
-    /// delivery time mid-event — waits for its own scheduler step, so
-    /// nested handling is independent of host execution order and of the
-    /// sharded executor's node partition.
-    pub(crate) fn poll_network(&mut self, node: usize) -> Result<(), Trap> {
-        loop {
-            let due = self.nodes[node].inbox.peek().is_some_and(|e| {
-                e.deliver <= self.nodes[node].time && e.deliver <= self.poll_floor
-            });
-            if !due {
-                return Ok(());
-            }
-            let e = self.nodes[node].inbox.pop().expect("peeked entry");
-            let saved = self.current_task;
-            let saved_req = self.current_req;
-            let r = self.handle_packet(node, e.src, e.msg, e.req, e.deliver, e.retx);
-            self.current_task = saved;
-            self.current_req = saved_req;
-            r?;
-        }
-    }
-
-    /// Transport-level receive processing on `node` for a packet from
-    /// `src`: charges handler entry, acknowledges and duplicate-suppresses
-    /// data frames, retires pending state on acks, and runs any payload
-    /// through [`Self::handle_msg`]. Raw packets take the legacy path
-    /// unchanged. `req`/`deliver`/`retx` come from the consumed
-    /// [`InboxEntry`]: the originating request's blame tag (which becomes
-    /// the current tag for all work this handling triggers), the wire
-    /// delivery time, and whether the consumed copy was a retransmission.
-    pub(crate) fn handle_packet(
-        &mut self,
-        node: usize,
-        src: NodeId,
-        pkt: Packet,
-        req: u64,
-        deliver: Cycles,
-        retx: bool,
-    ) -> Result<(), Trap> {
-        self.current_req = req;
-        match pkt {
-            Packet::Raw(msg) => {
-                self.charge(node, self.cost.handler);
-                self.ctr(node).msgs_handled += 1;
-                self.emit_handled(node, src, &msg, req, deliver, retx);
-                self.handle_msg(node, msg)
-            }
-            Packet::Data { seq, msg } => {
-                self.charge(node, self.cost.handler);
-                // Ack every copy, duplicate or not: acks confirm *receipt*,
-                // and a duplicate often means the original's ack was lost.
-                self.charge(node, self.cost.ack_overhead);
-                self.ctr(node).acks_sent += 1;
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: src,
-                        words: 1,
-                        cause: crate::trace::MsgCause::Ack,
-                        req,
-                    },
-                );
-                let deliver_ack = self.nodes[node].time + self.cost.reply_latency;
-                self.inject(
-                    node,
-                    src,
-                    deliver_ack,
-                    1,
-                    hem_machine::net::WireClass::Ack,
-                    Packet::Ack { seq },
-                );
-                if self.nodes[node].rx_mark(src.0, seq) {
-                    self.ctr(node).dups_suppressed += 1;
-                    self.emit(
-                        node,
-                        crate::trace::TraceEvent::DupSuppressed {
-                            node: NodeId(node as u32),
-                            from: src,
-                        },
-                    );
-                    return Ok(());
-                }
-                self.ctr(node).msgs_handled += 1;
-                self.emit_handled(node, src, &msg, req, deliver, retx);
-                self.handle_msg(node, msg)
-            }
-            Packet::Ack { seq } => {
-                self.charge(node, self.cost.ack_overhead);
-                self.ctr(node).acks_handled += 1;
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgHandled {
-                        node: NodeId(node as u32),
-                        from: src,
-                        words: 1,
-                        cause: crate::trace::MsgCause::Ack,
-                        req,
-                        deliver,
-                        retx,
-                    },
-                );
-                let n = &mut self.nodes[node];
-                // A stale ack (retransmit raced the first ack) finds no
-                // pending entry; that is fine.
-                if let Some(p) = n.tx_pending.remove(&(src.0, seq)) {
-                    n.tx_timers.remove(&(p.deadline, src.0, seq));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Emit the [`crate::trace::TraceEvent::MsgHandled`] record for a
-    /// delivered application payload.
-    #[inline]
-    fn emit_handled(
-        &mut self,
-        node: usize,
-        src: NodeId,
-        msg: &Msg,
-        req: u64,
-        deliver: Cycles,
-        retx: bool,
-    ) {
-        if !self.tracing_active() {
-            return;
-        }
-        self.emit(
-            node,
-            crate::trace::TraceEvent::MsgHandled {
-                node: NodeId(node as u32),
-                from: src,
-                words: msg.words(),
-                cause: msg.cause(),
-                req,
-                deliver,
-                retx,
-            },
-        );
-    }
-
-    /// Is a copy of frame `(node → dest, seq)` still in flight — the data
-    /// frame queued in `dest`'s inbox, or its ack queued in `node`'s? While
-    /// one is, a timeout is premature: the simulator's retransmission timer
-    /// is clairvoyant where a real sender would run an adaptive RTO
-    /// estimator, so the zero-fault path never retransmits into a merely
-    /// slow receiver. Losses leave no copy anywhere and do time out.
-    fn frame_in_flight(&self, node: usize, dest: usize, seq: u64) -> bool {
-        let me = self.nodes[node].id;
-        let data_queued = self.nodes[dest]
-            .inbox
-            .iter()
-            .any(|e| e.src == me && matches!(e.msg, Packet::Data { seq: s, .. } if s == seq));
-        data_queued
-            || self.nodes[node].inbox.iter().any(|e| {
-                e.src.0 == dest as u32 && matches!(e.msg, Packet::Ack { seq: s } if s == seq)
-            })
-    }
-
-    /// Retransmit every pending frame on `node` whose deadline has arrived
-    /// (the caller has advanced the node's clock to the selected event
-    /// time), re-arming each with doubled, capped backoff. A frame with a
-    /// copy still in flight (see [`Self::frame_in_flight`]) is re-armed
-    /// silently — no charge, no injection. The retransmit is a fresh wire
-    /// injection: it takes a new *global* sequence number, so the fault
-    /// plan rolls a fresh fate and the frame eventually gets through with
-    /// probability 1.
-    pub(crate) fn run_retransmits(&mut self, node: usize) {
-        loop {
-            let now = self.nodes[node].time;
-            let Some(&(dl, dest, seq)) = self.nodes[node].tx_timers.first() else {
-                return;
-            };
-            if dl > now {
-                return;
-            }
-            self.nodes[node].tx_timers.remove(&(dl, dest, seq));
-            let live = self.frame_in_flight(node, dest as usize, seq);
-            let (send_cost, words, latency, msg, attempt, req) = {
-                let p = self.nodes[node]
-                    .tx_pending
-                    .get_mut(&(dest, seq))
-                    .expect("timer without pending frame");
-                p.attempt += 1;
-                (
-                    p.send_cost,
-                    p.words,
-                    p.latency,
-                    p.msg.clone(),
-                    p.attempt,
-                    p.req,
-                )
-            };
-            // Re-carry the original send's blame tag on the fresh copy
-            // (the timer step itself is untagged work).
-            self.current_req = req;
-            if !live {
-                self.charge(node, send_cost);
-                self.ctr(node).retransmits += 1;
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::Retransmit {
-                        node: NodeId(node as u32),
-                        to: NodeId(dest),
-                        attempt,
-                    },
-                );
-                // The wire-accounting record for the fresh copy (one
-                // `MsgSent` per injection; the `Retransmit` event above is
-                // the protocol-level record).
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: NodeId(dest),
-                        words,
-                        cause: crate::trace::MsgCause::Retransmit,
-                        req,
-                    },
-                );
-            }
-            let now = self.nodes[node].time;
-            let backoff = self
-                .retx_base
-                .saturating_mul(1u64 << attempt.min(20))
-                .min(self.retx_cap)
-                .max(1);
-            let deadline = now + backoff;
-            let n = &mut self.nodes[node];
-            let p = n
-                .tx_pending
-                .get_mut(&(dest, seq))
-                .expect("pending frame vanished");
-            p.deadline = deadline;
-            n.tx_timers.insert((deadline, dest, seq));
-            if !live {
-                self.inject(
-                    node,
-                    NodeId(dest),
-                    now + latency,
-                    words,
-                    hem_machine::net::WireClass::Retx,
-                    Packet::Data { seq, msg },
-                );
-            }
-        }
-    }
-
-    // ================= modeled collectives =================
-
-    /// Issue a modeled collective (multicast / reduce / barrier) from code
-    /// running on `node`, one invocation of `method(args)` per `members`
-    /// entry, completion (or the folded reduction) delivered through
-    /// `cont`.
-    ///
-    /// The interconnect models the group operation as a virtual binary
-    /// fan-out tree over the member ranks (see
-    /// [`hem_machine::net::Network::multicast`]): every down leg still
-    /// *originates* at the initiator — so transport framing, fault fates,
-    /// and per-sender wire sequencing apply to collectives exactly as to
-    /// point-to-point sends — but a leg to tree depth `d` is delivered
-    /// `d` wire hops later, and the initiator's clock is charged one
-    /// message-compose plus per-word injection costs rather than P full
-    /// sends (the tree's interior forwarding runs on the interconnect,
-    /// not on any node's clock, like transport acks). Contributions fold
-    /// up the same tree: each member combines its own result with its
-    /// tree children's sub-trees *in slot order* — so reduction results
-    /// are independent of arrival order — and sends one compact up leg to
-    /// its parent.
-    pub(crate) fn issue_collective(
-        &mut self,
-        node: usize,
-        kind: crate::msg::CollKind,
-        members: &[ObjRef],
-        method: MethodId,
-        args: Vec<Value>,
-        cont: Continuation,
-    ) -> Result<(), Trap> {
-        use crate::msg::CollKind;
-        let src = self.nodes[node].id;
-        let dests: Vec<NodeId> = members.iter().map(|o| o.node).collect();
-        let leg_words = match kind {
-            CollKind::Barrier => 1,
-            _ => 2 + args.len() as u64,
-        };
-        let plan = match kind {
-            CollKind::Cast | CollKind::CastAcked => self.net.multicast(src, &dests, leg_words),
-            CollKind::Reduce(_) => self.net.reduce(&dests, src, leg_words, self.cost.op),
-            CollKind::Barrier => self.net.barrier(src, &dests),
-        };
-        self.ctr(node).coll_initiated += 1;
-        if members.is_empty() {
-            // Degenerate group: nothing to deliver, nothing to wait for.
-            return self.deliver_cont(node, cont, Value::Nil);
-        }
-        let id = self.nodes[node].coll_next;
-        self.nodes[node].coll_next += 1;
-        if kind.has_up_phase() {
-            // Root fold state: awaits the initiator's direct tree children
-            // (positions 1 and, for groups of two or more, 2).
-            let mut need = 1u8 << 1;
-            if members.len() >= 2 {
-                need |= 1 << 2;
-            }
-            self.nodes[node].coll.insert(
-                (src.0, id, 0),
-                CollState {
-                    kind,
-                    acc: [None, None, None],
-                    need,
-                    filled: 0,
-                    parent: src,
-                    parent_pos: 0,
-                    child_ix: 0,
-                    cont: Some(cont),
-                },
-            );
-        }
-        // One compose charge for the whole collective; each leg then
-        // charges only word-injection cost.
-        self.charge(node, self.cost.msg_send);
-        // Mutant: price every leg at one hop, ignoring its tree depth.
-        let skip_hops = self.mutant_is(Mutant::CollectiveSkipsHopCost);
-        for leg in &plan.legs {
-            let msg = Msg::CollDown {
-                obj: members[leg.rank as usize].index,
-                method,
-                args: args.clone(),
-                init: src,
-                id,
-                pos: leg.pos,
-                parent: leg.parent,
-                parent_pos: leg.parent_pos,
-                child_ix: leg.child_ix,
-                children: leg.children,
-                kind,
-            };
-            let words = msg.words();
-            let c = self.cost.msg_word * words;
-            self.charge(node, c);
-            let ctr = self.ctr(node);
-            ctr.msgs_sent += 1;
-            ctr.coll_legs_sent += 1;
-            ctr.coll_words_sent += words;
-            self.emit(
-                node,
-                crate::trace::TraceEvent::MsgSent {
-                    from: src,
-                    to: leg.dest,
-                    words,
-                    cause: kind.cause(),
-                    req: self.current_req,
-                },
-            );
-            let hops = if skip_hops { 1 } else { leg.depth } as Cycles;
-            let latency = self.cost.msg_latency * hops;
-            let deliver = self.nodes[node].time + latency;
-            self.transmit(
-                node,
-                leg.dest,
-                deliver,
-                words,
-                latency,
-                c,
-                hem_machine::net::WireClass::Coll,
-                msg,
-            );
-        }
-        self.poll_network(node)
-    }
-
-    /// Deposit a contribution into fold slot `ix` of the collective state
-    /// `(init, id, pos)` hosted on `node`; when the state's last expected
-    /// slot fills, fold in slot order and either deliver the result (root)
-    /// or send the up leg to the tree parent.
-    pub(crate) fn coll_fill(
-        &mut self,
-        node: usize,
-        init: NodeId,
-        id: u64,
-        pos: u32,
-        ix: u8,
-        v: Value,
-    ) -> Result<(), Trap> {
-        let key = (init.0, id, pos);
-        let Some(st) = self.nodes[node].coll.get_mut(&key) else {
-            // The position's own down leg hasn't arrived yet (jitter or a
-            // lost-and-retransmitted frame reordered the legs): stash the
-            // contribution; the down-leg handler drains it into the fold
-            // state it creates. Root state (pos 0) is created before any
-            // leg is sent, so it can never be early.
-            self.nodes[node]
-                .coll_early
-                .entry(key)
-                .or_default()
-                .push((ix, v));
-            return Ok(());
-        };
-        if st.filled & (1 << ix) != 0 {
-            return Err(Trap::new(format!(
-                "double collective contribution (init {} id {id} pos {pos} slot {ix})",
-                init.0
-            )));
-        }
-        st.acc[ix as usize] = Some(v);
-        st.filled |= 1 << ix;
-        let done = st.filled == st.need;
-        self.charge(node, self.cost.future_store);
-        self.ctr(node).coll_contribs += 1;
-        if !done {
-            return Ok(());
-        }
-        let st = self.nodes[node]
-            .coll
-            .remove(&key)
-            .expect("completed collective state vanished");
-        let result = match st.kind {
-            crate::msg::CollKind::Reduce(op) => {
-                // Fold in slot order (own, left sub-tree, right sub-tree),
-                // never in arrival order.
-                let mut acc: Option<Value> = None;
-                for slot in st.acc.iter() {
-                    let Some(v) = slot else { continue };
-                    acc = Some(match acc {
-                        None => *v,
-                        Some(a) => {
-                            self.charge(node, self.cost.op);
-                            hem_ir::value::bin_op(op, a, *v).map_err(|e| {
-                                Trap::new(format!("collective reduce combine: {e:?}"))
-                            })?
-                        }
-                    });
-                }
-                acc.unwrap_or(Value::Nil)
-            }
-            _ => Value::Nil,
-        };
-        if pos == 0 {
-            let cont = st.cont.expect("root collective state without continuation");
-            self.deliver_cont(node, cont, result)
-        } else {
-            self.send_coll_up(
-                node,
-                st.parent,
-                Msg::CollUp {
-                    init,
-                    id,
-                    parent_pos: st.parent_pos,
-                    child_ix: st.child_ix,
-                    value: result,
-                    kind: st.kind,
-                },
-            )
-        }
-    }
-
-    /// Send an up-tree collective leg. Priced like a reply (up legs are
-    /// the collective's answer traffic) but classed and attributed as
-    /// collective wire words.
-    fn send_coll_up(&mut self, from: usize, dest: NodeId, msg: Msg) -> Result<(), Trap> {
-        let words = msg.words();
-        let cause = msg.cause();
-        let c = self.cost.reply_send + self.cost.reply_word * words;
-        self.charge(from, c);
-        let ctr = self.ctr(from);
-        ctr.msgs_sent += 1;
-        ctr.coll_legs_sent += 1;
-        ctr.coll_words_sent += words;
-        self.emit(
-            from,
-            crate::trace::TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause,
-                req: self.current_req,
-            },
-        );
-        let deliver = self.nodes[from].time + self.cost.reply_latency;
-        self.transmit(
-            from,
-            dest,
-            deliver,
-            words,
-            self.cost.reply_latency,
-            c,
-            hem_machine::net::WireClass::Coll,
-            msg,
-        );
-        self.poll_network(from)
-    }
-
-    // ================= futures & continuations =================
-
-    /// Apply a fill to a slot array. Returns whether the slot became
-    /// satisfied, or an error message for protocol violations.
-    pub(crate) fn apply_fill(slots: &mut [SlotState], slot: u16, v: Value) -> Result<bool, String> {
-        let s = slots
-            .get_mut(slot as usize)
-            .ok_or_else(|| format!("fill of out-of-range slot {slot}"))?;
-        let was = s.satisfied();
-        match s {
-            SlotState::Join(0) => return Err("reply to completed join".into()),
-            SlotState::Join(k) => *k -= 1,
-            SlotState::Full(_) => return Err("double reply to future".into()),
-            SlotState::Empty | SlotState::Pending => *s = SlotState::Full(v),
-        }
-        Ok(!was && s.satisfied())
-    }
-
-    /// Determine the future at `slot` of context `ctx` on `tnode`,
-    /// waking the context if this resolves its touch.
-    pub(crate) fn fill_slot(
-        &mut self,
-        tnode: usize,
-        ctx: u32,
-        gen: u32,
-        slot: u16,
-        v: Value,
-    ) -> Result<(), Trap> {
-        // Route fills for the context currently being stepped through the
-        // active buffer (its frame is out of the table).
-        if let Some(a) = &mut self.active {
-            if a.node == tnode && a.id == ctx {
-                if a.gen != gen {
-                    return Err(Trap::new("stale continuation (active context)"));
-                }
-                a.fills.push((slot, v));
-                self.charge(tnode, self.cost.future_store);
-                return Ok(());
-            }
-        }
-        let cost_store = self.cost.future_store;
-        let cost_enqueue = self.cost.enqueue;
-        let eager_wake = self.mutant_is(Mutant::EagerWake);
-        let drop_join = self.mutant_is(Mutant::DropJoinDecrement);
-        let n = &mut self.nodes[tnode];
-        let c = n.ctxs.get_mut(ctx);
-        if c.gen != gen || c.wait == WaitState::Free {
-            return Err(Trap::new(format!(
-                "stale continuation: ctx {ctx} gen {gen} (now {})",
-                c.gen
-            )));
-        }
-        debug_assert_ne!(c.wait, WaitState::Shell, "fill into unpopulated shell");
-        // Mutant: swallow this fill's join decrement (the join never
-        // completes and its awaiter leaks).
-        if drop_join
-            && matches!(c.frame.slots.get(slot as usize), Some(SlotState::Join(k)) if *k >= 2)
-        {
-            n.time += cost_store;
-            n.counters.instructions += cost_store;
-            return Ok(());
-        }
-        let became = Self::apply_fill(&mut c.frame.slots, slot, v)
-            .map_err(|e| Trap::at(c.frame.method, c.frame.pc, e))?;
-        let mut wake = false;
-        let mut wake_mask = 0u64;
-        if became {
-            if let WaitState::Waiting { mask, missing } = c.wait {
-                if mask & (1u64 << slot) != 0 {
-                    let missing = missing - 1;
-                    // Mutant: wake one fill early, while a touched slot
-                    // is still unresolved.
-                    if missing == 0 || (eager_wake && missing == 1) {
-                        c.wait = WaitState::Ready;
-                        wake = true;
-                        wake_mask = mask;
-                    } else {
-                        c.wait = WaitState::Waiting { mask, missing };
-                    }
-                }
-            }
-        }
-        n.time += cost_store;
-        n.counters.instructions += cost_store;
-        if wake {
-            n.ready.push_back(ctx);
-            n.counters.resumes += 1;
-            n.time += cost_enqueue;
-            n.counters.instructions += cost_enqueue;
-            self.san_wake_check(tnode, ctx, wake_mask);
-            self.sched_note_local(tnode);
-            self.emit(
-                tnode,
-                crate::trace::TraceEvent::Resume {
-                    node: NodeId(tnode as u32),
-                    ctx,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// Deliver a value through a continuation, from code running on `node`.
-    pub(crate) fn deliver_cont(
-        &mut self,
-        node: usize,
-        cont: Continuation,
-        v: Value,
-    ) -> Result<(), Trap> {
-        match cont {
-            Continuation::Unset => Err(Trap::new("reply through unset continuation")),
-            Continuation::Discard => Ok(()),
-            Continuation::Root => {
-                // Mutant: deliver the root reply twice; the overwrite is
-                // value-identical, so only the one-shot check sees it.
-                if self.mutant_is(Mutant::DoubleRootReply) {
-                    self.san_root_delivered();
-                    self.result = Some(v);
-                }
-                self.san_root_delivered();
-                self.result = Some(v);
-                Ok(())
-            }
-            Continuation::Into(cr) => {
-                if cr.node.idx() == node {
-                    self.fill_slot(node, cr.ctx, cr.gen, cr.slot, v)
-                } else {
-                    self.send_reply(node, cr.node, cr, v)
-                }
-            }
-            Continuation::Coll {
-                node: cn,
-                init,
-                id,
-                pos,
-                kind,
-            } => {
-                if cn.idx() == node {
-                    // The member completed on its own node (the common
-                    // case): the contribution lands in the local fold
-                    // state for zero wire words.
-                    self.coll_fill(node, init, id, pos, 0, v)
-                } else {
-                    // The member's method forwarded its continuation
-                    // off-node: the contribution degrades to a wire leg
-                    // aimed at the fold state's own-contribution slot.
-                    self.send_coll_up(
-                        node,
-                        cn,
-                        Msg::CollUp {
-                            init,
-                            id,
-                            parent_pos: pos,
-                            child_ix: 0,
-                            value: v,
-                            kind,
-                        },
-                    )
-                }
-            }
-            Continuation::Request(req) => {
-                // Open-system completion: log the serving node's clock
-                // under the request id. The reply value itself is not
-                // retained — service-mode experiments measure sojourn
-                // time, not payloads.
-                let done = self.nodes[node].time;
-                self.completions.insert(req, done);
-                self.emit(
-                    node,
-                    crate::trace::TraceEvent::RequestDone {
-                        node: NodeId(node as u32),
-                        req,
-                    },
-                );
-                Ok(())
-            }
-        }
-    }
-
-    /// Lazily materialize a continuation from `caller_info` (paper §3.2.3's
-    /// three cases). Returns the continuation and, when the caller's
-    /// context had to be created, the shell context index.
-    pub(crate) fn materialize_cont(
-        &mut self,
-        node: usize,
-        info: CallerInfo,
-    ) -> Result<(Continuation, Option<u32>), Trap> {
-        self.charge(node, self.cost.cont_create);
-        self.ctr(node).conts_created += 1;
-        self.emit(
-            node,
-            crate::trace::TraceEvent::ContMaterialized {
-                node: NodeId(node as u32),
-            },
-        );
-        match info {
-            CallerInfo::Proxy { cont } => Ok((cont, None)),
-            CallerInfo::Created {
-                node: cn,
-                ctx,
-                gen,
-                ret_slot,
-            } => Ok((
-                Continuation::Into(ContRef {
-                    node: cn,
-                    ctx,
-                    gen,
-                    slot: ret_slot,
-                }),
-                None,
-            )),
-            CallerInfo::NotCreated {
-                method,
-                obj,
-                ret_slot,
-            } => {
-                debug_assert_eq!(obj.node.idx(), node, "shell off-node");
-                let m = self.program.method(method);
-                let mut frame = ActFrame::new(method, obj, m.locals, m.slots, &[]);
-                // Mutant: mark slot 0 instead of the caller's declared
-                // return slot; adoption discards shell slots, so only the
-                // structural offset check sees it.
-                let mark = if self.mutant_is(Mutant::ShellSlotZero) {
-                    0
-                } else {
-                    ret_slot as usize
-                };
-                frame.slots[mark] = SlotState::Pending;
-                let id = self.new_ctx(node, frame, Continuation::Unset, WaitState::Shell, true);
-                self.san_shell_check(node, id, ret_slot);
-                let gen = self.nodes[node].ctxs.gen(id);
-                Ok((
-                    Continuation::Into(ContRef {
-                        node: NodeId(node as u32),
-                        ctx: id,
-                        gen,
-                        slot: ret_slot,
-                    }),
-                    Some(id),
-                ))
-            }
-        }
-    }
-
-    // ================= contexts =================
-
-    /// Allocate a heap context, charging allocation + state-save costs.
-    /// `fallback` distinguishes lazy (stack-unwinding) creations from
-    /// eager parallel invocations in the counters.
-    pub(crate) fn new_ctx(
-        &mut self,
-        node: usize,
-        frame: ActFrame,
-        cont: Continuation,
-        wait: WaitState,
-        fallback: bool,
-    ) -> u32 {
-        let words = frame.words();
-        let c = self.cost.ctx_alloc + self.cost.ctx_word * words;
-        self.charge(node, c);
-        let method = frame.method;
-        let n = &mut self.nodes[node];
-        n.counters.ctx_alloc += 1;
-        if fallback {
-            n.counters.fallbacks += 1;
-        }
-        let id = n.ctxs.alloc(frame, cont, wait);
-        // The context inherits the creating step's blame tag, so a later
-        // resume of it (a kind-1 ready dispatch) re-establishes the tag.
-        n.ctxs.get_mut(id).req = self.current_req;
-        self.san_ctx_alloc(node, id, fallback);
-        self.emit(
-            node,
-            if fallback {
-                crate::trace::TraceEvent::Fallback {
-                    node: NodeId(node as u32),
-                    method,
-                    ctx: id,
-                }
-            } else {
-                crate::trace::TraceEvent::ParInvoke {
-                    node: NodeId(node as u32),
-                    method,
-                    ctx: id,
-                }
-            },
-        );
-        id
-    }
-
-    /// Put a context on its node's ready queue.
-    pub(crate) fn enqueue_ready(&mut self, node: usize, ctx: u32) {
-        self.charge(node, self.cost.enqueue);
-        let n = &mut self.nodes[node];
-        debug_assert_eq!(n.ctxs.get(ctx).wait, WaitState::Ready);
-        n.ready.push_back(ctx);
-        self.sched_note_local(node);
-    }
-
-    /// Finish a context: release its lock if held, free it.
-    pub(crate) fn finish_ctx(&mut self, node: usize, ctx: u32) {
-        let holds = self.nodes[node].ctxs.get(ctx).holds_lock;
-        if holds {
-            let obj = self.nodes[node].ctxs.get(ctx).frame.obj.index;
-            self.lock_release(node, obj);
-        }
-        self.charge(node, self.cost.ctx_free);
-        self.emit(
-            node,
-            crate::trace::TraceEvent::CtxFreed {
-                node: NodeId(node as u32),
-                ctx,
-            },
-        );
-        let n = &mut self.nodes[node];
-        n.counters.ctx_free += 1;
-        n.ctxs.release(ctx);
-        self.san_ctx_free();
-    }
-
-    /// Move a stack frame into a lazily allocated heap context: the
-    /// mechanical core of the paper's fallback (Fig. 6). The frame is left
-    /// empty; `next_pc` is where the parallel version resumes.
-    pub(crate) fn fallback_ctx(
-        &mut self,
-        node: usize,
-        fr: &mut ActFrame,
-        next_pc: u32,
-        wait: WaitState,
-    ) -> u32 {
-        let mut frame = std::mem::replace(
-            fr,
-            ActFrame {
-                method: fr.method,
-                obj: fr.obj,
-                pc: 0,
-                locals: Vec::new(),
-                slots: Vec::new(),
-            },
-        );
-        frame.pc = next_pc;
-        let id = self.new_ctx(node, frame, Continuation::Unset, wait, true);
-        if wait == WaitState::Ready {
-            self.enqueue_ready(node, id);
-        } else {
-            self.charge(node, self.cost.suspend);
-            self.ctr(node).suspends += 1;
-        }
-        id
-    }
-
-    /// Populate a shell context created on our behalf by a CP callee
-    /// (paper §3.2.3: "passing the continuation's future's context back to
-    /// its caller") and schedule it.
-    pub(crate) fn adopt_shell(&mut self, node: usize, shell: u32, fr: &mut ActFrame, next_pc: u32) {
-        let words = fr.words();
-        self.charge(node, self.cost.ctx_word * words);
-        self.ctr(node).fallbacks += 1;
-        let n = &mut self.nodes[node];
-        let c = n.ctxs.get_mut(shell);
-        debug_assert_eq!(c.wait, WaitState::Shell);
-        debug_assert_eq!(c.frame.method, fr.method);
-        // Keep the shell's slot states where the callee marked the return
-        // future pending; the stack frame has the same marking plus any
-        // earlier resolved slots, so the stack frame's view wins.
-        c.frame.locals = std::mem::take(&mut fr.locals);
-        let shell_slots = std::mem::replace(&mut c.frame.slots, std::mem::take(&mut fr.slots));
-        debug_assert_eq!(shell_slots.len(), c.frame.slots.len());
-        c.frame.pc = next_pc;
-        let method = c.frame.method;
-        c.wait = WaitState::Ready;
-        drop(shell_slots);
-        self.emit(
-            node,
-            crate::trace::TraceEvent::ShellAdopted {
-                node: NodeId(node as u32),
-                method,
-                ctx: shell,
-            },
-        );
-        self.enqueue_ready(node, shell);
-    }
-
-    // ================= locks =================
-
-    pub(crate) fn obj_locked_class(&self, node: usize, obj: u32) -> bool {
-        self.nodes[node].objects[obj as usize].lock.is_some()
-    }
-
-    /// Try to acquire `obj`'s lock for `who`. Unlocked classes always
-    /// succeed at no cost; the *check* cost is charged at the invoke site.
-    pub(crate) fn lock_try(&mut self, node: usize, obj: u32, who: LockHolder) -> bool {
-        let cost = self.cost.lock_acquire;
-        let n = &mut self.nodes[node];
-        match &mut n.objects[obj as usize].lock {
-            None => true,
-            Some(l) => {
-                if l.acquire(who) {
-                    n.time += cost;
-                    n.counters.instructions += cost;
-                    true
-                } else {
-                    n.counters.lock_conflicts += 1;
-                    false
-                }
-            }
-        }
-    }
-
-    /// Release one level of `obj`'s lock; if it becomes free and waiters
-    /// exist, schedule a grant.
-    pub(crate) fn lock_release(&mut self, node: usize, obj: u32) {
-        let cost = self.cost.lock_release;
-        let n = &mut self.nodes[node];
-        let Some(l) = &mut n.objects[obj as usize].lock else {
-            return;
-        };
-        n.time += cost;
-        n.counters.instructions += cost;
-        let mut granted = false;
-        if l.release() {
-            if let Some(d) = l.waiters.pop_front() {
-                n.granted.push_back((obj, d));
-                granted = true;
-            }
-        }
-        if granted {
-            self.sched_note_local(node);
-        }
-    }
-
-    /// Defer an invocation on a held lock.
-    pub(crate) fn lock_defer(&mut self, node: usize, obj: u32, mut d: DeferredInvoke) {
-        self.charge(node, self.cost.lock_enqueue);
-        self.emit(
-            node,
-            crate::trace::TraceEvent::LockDeferred {
-                node: NodeId(node as u32),
-                obj,
-                req: self.current_req,
-            },
-        );
-        // The deferred invocation carries the waiter's blame tag: when the
-        // lock is granted, the kind-1 dispatch re-establishes it.
-        d.req = self.current_req;
-        let n = &mut self.nodes[node];
-        let l = n.objects[obj as usize]
-            .lock
-            .as_mut()
-            .expect("defer on unlocked class");
-        l.waiters.push_back(d);
-    }
-
-    /// Transfer a lock held by the current stack task to a fallen-back
-    /// context.
-    pub(crate) fn lock_transfer(&mut self, node: usize, obj: u32, to: LockHolder) {
-        if let Some(l) = &mut self.nodes[node].objects[obj as usize].lock {
-            l.transfer(to);
-        }
     }
 
     // ================= open-system service mode =================
@@ -2137,7 +822,7 @@ impl Runtime {
         std::mem::take(&mut self.completions).into_iter().collect()
     }
 
-    // ================= root invocation & message handling =================
+    // ================= root invocation =================
 
     /// Root invocation: run `method` on `obj` with `args` to quiescence and
     /// return the reply (if the program replied).
@@ -2163,135 +848,6 @@ impl Runtime {
         )?;
         self.run_to_quiescence()?;
         Ok(self.result.take())
-    }
-
-    fn handle_msg(&mut self, node: usize, msg: Msg) -> Result<(), Trap> {
-        match msg {
-            Msg::Invoke {
-                obj,
-                method,
-                args,
-                cont,
-                forwarded,
-            } => {
-                self.ctr(node).wrapper_runs += 1;
-                crate::wrapper::run_invocation(self, node, obj, method, args, cont, forwarded)
-            }
-            Msg::Reply { cont, value } => {
-                debug_assert_eq!(cont.node.idx(), node);
-                self.fill_slot(node, cont.ctx, cont.gen, cont.slot, value)
-            }
-            Msg::CollDown {
-                obj,
-                method,
-                args,
-                init,
-                id,
-                pos,
-                parent,
-                parent_pos,
-                child_ix,
-                children,
-                kind,
-            } => {
-                self.ctr(node).coll_legs_handled += 1;
-                if kind == crate::msg::CollKind::Cast {
-                    // Fire-and-forget: no fold state, nothing flows back.
-                    self.ctr(node).wrapper_runs += 1;
-                    return crate::wrapper::run_invocation(
-                        self,
-                        node,
-                        obj,
-                        method,
-                        args,
-                        Continuation::Discard,
-                        false,
-                    );
-                }
-                let mut need = 1u8;
-                if children >= 1 {
-                    need |= 1 << 1;
-                }
-                if children >= 2 {
-                    need |= 1 << 2;
-                }
-                let prev = self.nodes[node].coll.insert(
-                    (init.0, id, pos),
-                    CollState {
-                        kind,
-                        acc: [None, None, None],
-                        need,
-                        filled: 0,
-                        parent,
-                        parent_pos,
-                        child_ix,
-                        cont: None,
-                    },
-                );
-                if prev.is_some() {
-                    return Err(Trap::new(format!(
-                        "duplicate collective leg (init {} id {id} pos {pos})",
-                        init.0
-                    )));
-                }
-                // Child contributions that raced ahead of this leg were
-                // stashed; fold them in now that the state exists.
-                if let Some(early) = self.nodes[node].coll_early.remove(&(init.0, id, pos)) {
-                    for (ix, v) in early {
-                        self.coll_fill(node, init, id, pos, ix, v)?;
-                    }
-                }
-                if kind == crate::msg::CollKind::Barrier {
-                    // Arrival *is* the member's contribution; no method runs.
-                    return self.coll_fill(node, init, id, pos, 0, Value::Nil);
-                }
-                self.ctr(node).wrapper_runs += 1;
-                let cont = Continuation::Coll {
-                    node: NodeId(node as u32),
-                    init,
-                    id,
-                    pos,
-                    kind,
-                };
-                crate::wrapper::run_invocation(self, node, obj, method, args, cont, false)
-            }
-            Msg::CollUp {
-                init,
-                id,
-                parent_pos,
-                child_ix,
-                value,
-                kind: _,
-            } => {
-                self.ctr(node).coll_legs_handled += 1;
-                self.coll_fill(node, init, id, parent_pos, child_ix, value)
-            }
-        }
-    }
-
-    /// Run a lock grant: the lock was released with this invocation queued.
-    /// The lock may have been re-taken in the meantime (a later stack task
-    /// can sneak in); in that case the invocation goes back on the queue.
-    pub(crate) fn run_granted(
-        &mut self,
-        node: usize,
-        obj: u32,
-        d: DeferredInvoke,
-    ) -> Result<(), Trap> {
-        let held = self.nodes[node].objects[obj as usize]
-            .lock
-            .as_ref()
-            .is_some_and(|l| l.holder.is_some());
-        if held {
-            self.nodes[node].objects[obj as usize]
-                .lock
-                .as_mut()
-                .expect("granted on unlocked class")
-                .waiters
-                .push_front(d);
-            return Ok(());
-        }
-        crate::wrapper::run_invocation(self, node, obj, d.method, d.args, d.cont, d.forwarded)
     }
 }
 
@@ -2334,23 +890,6 @@ mod tests {
         assert_eq!(rt.get_field(o, x), Value::Int(9));
         rt.set_array(o, xs, vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(rt.get_array(o, xs).len(), 2);
-    }
-
-    #[test]
-    fn apply_fill_state_machine() {
-        let mut slots = vec![
-            SlotState::Pending,
-            SlotState::Join(2),
-            SlotState::Full(Value::Nil),
-        ];
-        assert_eq!(Runtime::apply_fill(&mut slots, 0, Value::Int(1)), Ok(true));
-        assert_eq!(slots[0], SlotState::Full(Value::Int(1)));
-        assert_eq!(Runtime::apply_fill(&mut slots, 1, Value::Nil), Ok(false));
-        assert_eq!(Runtime::apply_fill(&mut slots, 1, Value::Nil), Ok(true));
-        assert_eq!(slots[1], SlotState::Join(0));
-        assert!(Runtime::apply_fill(&mut slots, 1, Value::Nil).is_err());
-        assert!(Runtime::apply_fill(&mut slots, 2, Value::Nil).is_err());
-        assert!(Runtime::apply_fill(&mut slots, 9, Value::Nil).is_err());
     }
 
     #[test]

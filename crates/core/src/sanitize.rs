@@ -43,7 +43,7 @@
 //! run to finish so it can print the failing tie-break sequence for
 //! replay. Costs: the sanitizer never charges virtual time or emits trace
 //! events, so an enabled sanitizer leaves clocks, counters, and traces
-//! bit-identical (the `sched_throughput` bench guards this); disabled,
+//! bit-identical (`tests/determinism.rs` guards this); disabled,
 //! every hook is one `Option` discriminant test.
 
 use crate::context::{SlotState, WaitState};

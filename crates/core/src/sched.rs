@@ -25,7 +25,7 @@ use std::cmp::Ordering;
 /// production loop, and the two windowed executors spread that same loop
 /// across host threads. The determinism suites diff full traces across
 /// them and against the reference loop ([`Runtime::arm_reference_loop`]);
-/// the `sched_throughput` bench measures the gaps.
+/// hembench's three `sor_p64*` workloads measure the gaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedImpl {
     /// Global `BinaryHeap` of `(time, kind, node)` candidates with lazy
@@ -181,7 +181,7 @@ impl Runtime {
                 best = Some(cand);
             }
         }
-        if let Some(&(dl, _, _)) = n.tx_timers.first() {
+        if let Some(dl) = n.tx.first_deadline() {
             let cand = (n.time.max(dl), 2u8);
             if best.is_none_or(|b| cand < b) {
                 best = Some(cand);
@@ -196,7 +196,7 @@ impl Runtime {
     #[inline]
     pub(crate) fn node_timer_candidate(&self, i: usize) -> Option<Cycles> {
         let n = &self.nodes[i];
-        n.tx_timers.first().map(|&(dl, _, _)| n.time.max(dl))
+        n.tx.first_deadline().map(|dl| n.time.max(dl))
     }
 
     /// Drive the machine until no work remains anywhere. Deterministic:
@@ -346,7 +346,7 @@ impl Runtime {
             self.nodes[i].time = t;
             self.current_req = e.req;
             self.emit_event_start(i, kind, e.req);
-            self.handle_packet(i, e.src, e.msg, e.req, e.deliver, e.retx)
+            self.handle_packet(i, e)
         } else if kind == 2 {
             self.nodes[i].time = t;
             self.current_req = 0;
@@ -397,7 +397,7 @@ mod tests {
     use crate::cont::Continuation;
     use crate::fixture::{assert_bit_identical, ring_runtime, run_ring, start_ring, Exec, Outcome};
     use crate::msg::Msg;
-    use crate::rt::Pending;
+    use crate::transport::Pending;
     use hem_ir::Value;
     use hem_machine::cost::CostModel;
     use hem_machine::fault::FaultPlan;
@@ -447,8 +447,7 @@ mod tests {
             attempt: 0,
             req: 0,
         };
-        rt.nodes[0].tx_pending.insert((1, 0), pending);
-        rt.nodes[0].tx_timers.insert((100, 1, 0));
+        rt.nodes[0].tx.arm(1, pending);
 
         // A worker inside a speculative window must not fire it: the
         // handler looks into remote inboxes. It stops instead.
@@ -460,7 +459,7 @@ mod tests {
         wk.run_index(1_000).expect("stopped, not trapped");
         assert_eq!(wk.sched_stats.events_dispatched, 0, "nothing dispatched");
         assert_eq!(wk.nodes[0].time, 0, "clock untouched");
-        assert!(wk.nodes[0].tx_timers.contains(&(100, 1, 0)), "timer kept");
+        assert_eq!(wk.nodes[0].tx.first_deadline(), Some(100), "timer kept");
 
         // The same state on a full machine: the timer fires, the frame is
         // retransmitted, delivered and acked.

@@ -24,7 +24,6 @@ use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Next};
-use crate::msg::Msg;
 use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
@@ -415,17 +414,7 @@ fn seq_invoke(
         rt.ctr(node).remote_invokes += 1;
         return match slot {
             None => {
-                rt.send_invoke(
-                    node,
-                    tobj.node,
-                    Msg::Invoke {
-                        obj: tobj.index,
-                        method: callee,
-                        args,
-                        cont: Continuation::Discard,
-                        forwarded: false,
-                    },
-                )?;
+                rt.send_invoke(node, tobj, callee, args, Continuation::Discard, false)?;
                 Ok(None)
             }
             Some(s) => {
@@ -440,17 +429,7 @@ fn seq_invoke(
                     gen,
                     slot: s.0,
                 });
-                rt.send_invoke(
-                    node,
-                    tobj.node,
-                    Msg::Invoke {
-                        obj: tobj.index,
-                        method: callee,
-                        args,
-                        cont,
-                        forwarded: false,
-                    },
-                )?;
+                rt.send_invoke(node, tobj, callee, args, cont, false)?;
                 Ok(Some(out))
             }
         };
@@ -628,17 +607,7 @@ fn seq_forward(
         // Off-node forward: the continuation must become real now.
         rt.ctr(node).remote_invokes += 1;
         let (cont, shell) = rt.materialize_cont(node, info)?;
-        rt.send_invoke(
-            node,
-            tobj.node,
-            Msg::Invoke {
-                obj: tobj.index,
-                method: callee,
-                args,
-                cont,
-                forwarded: true,
-            },
-        )?;
+        rt.send_invoke(node, tobj, callee, args, cont, true)?;
         return Ok(SeqOutcome::Consumed { shell });
     }
 

@@ -106,10 +106,11 @@
 //! trace are normative after a trap.
 
 use crate::error::Trap;
-use crate::rt::{InboxEntry, Runtime};
+use crate::rt::Runtime;
 use crate::sched::EventKey;
 use crate::timewarp::Delta;
 use crate::trace::TraceRecord;
+use crate::transport::InboxEntry;
 use hem_machine::net::Network;
 use hem_machine::stats::NetStats;
 use hem_machine::Cycles;

@@ -1,7 +1,7 @@
 //! Optimistic (Time-Warp) windows, for the zero-lookahead regime: the
 //! second window policy of the one window engine in [`crate::shard`].
 //!
-//! [`SchedImpl::Speculative`] runs on the sharded executor's engine —
+//! [`crate::SchedImpl::Speculative`] runs on the sharded executor's engine —
 //! the same pool, partition, epoch/ack window edge, barrier and commit
 //! merge — and differs only in its [`crate::shard::WindowPolicy`]: it
 //! drops the conservative premise that a window may only extend as far
@@ -55,7 +55,7 @@
 //!    by checking rather than by bounding — so the union of their runs
 //!    is the serial run's event set for `[W, end)`, and per-shard state,
 //!    counters, and captures fold into the coordinator through the same
-//!    barrier code as under [`SchedImpl::Sharded`].
+//!    barrier code as under [`crate::SchedImpl::Sharded`].
 //!
 //! **Why the retry is clean.** Shard-local dispatch consumes no foreign
 //! input inside a window (stragglers are precisely the foreign input
@@ -74,7 +74,7 @@
 //! the identical selection rule — so each shard's in-window sequence *is*
 //! the serial schedule's projection onto that shard, and makespan,
 //! counters, final state, and fault fates are bit-identical to
-//! [`SchedImpl::EventIndex`].
+//! [`crate::SchedImpl::EventIndex`].
 //!
 //! **Why the commit merge is a heads-merge, not a sort.** Under zero
 //! lookahead a dispatched event can *create* a smaller-key candidate —
@@ -353,8 +353,8 @@ mod tests {
     use crate::fixture::{assert_bit_identical, run_ring, start_ring, Exec, Outcome};
     use crate::msg::{Msg, Packet};
     use crate::object::DeferredInvoke;
-    use crate::rt::InboxEntry;
     use crate::sched::SchedImpl;
+    use crate::transport::InboxEntry;
     use crate::{ExecMode, InterfaceSet};
     use hem_ir::{MethodId, ObjRef, ProgramBuilder, Value};
     use hem_machine::cost::CostModel;

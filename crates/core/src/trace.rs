@@ -299,7 +299,7 @@ pub struct TraceRecord {
 /// The contract is the sanitizer's: an attached observer must not (and,
 /// through this interface, cannot) charge virtual time, touch counters, or
 /// alter the event stream, so a run is bit-identical in trace, clocks, and
-/// makespan with observation on or off (the `sched_throughput` bench
+/// makespan with observation on or off (`tests/observability.rs`
 /// guards this). Attaching an observer forces record generation even when
 /// the buffering trace is disabled, so machine-sized runs can be profiled
 /// without holding the whole event stream in memory.
@@ -313,7 +313,7 @@ pub trait Observer: std::any::Any + Send {
     /// Called once per generated record, in emission order.
     fn on_record(&mut self, rec: &TraceRecord);
 
-    /// Called when the observer is detached ([`Runtime::take_observer`]).
+    /// Called when the observer is detached ([`crate::Runtime::take_observer`]).
     /// Observers that buffer records internally (to amortize per-record
     /// cost) must drain here; the default is a no-op.
     fn on_flush(&mut self) {}

@@ -53,17 +53,7 @@ pub(crate) fn run_invocation(
     if target.node.idx() != node {
         // The object moved away: forward the request to its new home.
         rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(
-            node,
-            target.node,
-            crate::msg::Msg::Invoke {
-                obj: target.index,
-                method,
-                args,
-                cont,
-                forwarded,
-            },
-        )?;
+        rt.send_invoke(node, target, method, args, cont, forwarded)?;
         return Ok(());
     }
     let obj = target.index;

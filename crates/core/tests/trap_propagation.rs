@@ -342,3 +342,66 @@ fn stalled_node_delivers_deferred_trap() {
         "an in-flight (stalled) frame is never redundantly retransmitted"
     );
 }
+
+/// A bad operand traps — it never unwinds the host — and it traps at the
+/// same method and pc whichever evaluator meets it: the hybrid runtime,
+/// the parallel-only runtime, or the C baseline.
+#[test]
+fn bad_operands_trap_alike_in_all_three_evaluators() {
+    let mut pb = ProgramBuilder::new();
+    let bad = pb.class("Bad", false);
+    let cells = pb.array_field(bad, "cells");
+    let arr = pb.method(bad, "arr", 1, |mb| {
+        mb.arr_new(cells, mb.arg(0));
+        mb.reply_nil();
+    });
+    let join = pb.method(bad, "join", 1, |mb| {
+        let s = mb.slot();
+        mb.join_init(s, mb.arg(0));
+        mb.reply_nil();
+    });
+    let elem = pb.method(bad, "elem", 1, |mb| {
+        let v = mb.get_elem(cells, mb.arg(0));
+        mb.reply(v);
+    });
+    let program = pb.finish();
+
+    let rows = [
+        ("ArrNew -1", arr, -1i64),
+        ("JoinInit -1", join, -1),
+        ("JoinInit 1<<32", join, 1 << 32),
+        ("GetElem out of range", elem, 99),
+    ];
+    for (what, method, operand) in rows {
+        let run = |mode, c_baseline: bool| {
+            let mut rt = Runtime::new(
+                program.clone(),
+                1,
+                CostModel::cm5(),
+                mode,
+                InterfaceSet::Full,
+            )
+            .unwrap();
+            let o = rt.alloc_object_by_name("Bad", NodeId(0));
+            rt.set_array(o, cells, vec![Value::Int(0)]);
+            let args = [Value::Int(operand)];
+            let r = if c_baseline {
+                rt.call_c_baseline(o, method, &args).map(|(v, _)| v)
+            } else {
+                rt.call(o, method, &args)
+            };
+            r.expect_err(what)
+        };
+        let hybrid = run(ExecMode::Hybrid, false);
+        let parallel = run(ExecMode::ParallelOnly, false);
+        let c = run(ExecMode::Hybrid, true);
+        assert_eq!(hybrid.method, Some(method), "{what}: located: {hybrid}");
+        for (name, other) in [("parallel-only", parallel), ("C baseline", c)] {
+            assert_eq!(
+                (other.method, other.pc),
+                (hybrid.method, hybrid.pc),
+                "{what}: {name} traps elsewhere: {other} vs {hybrid}"
+            );
+        }
+    }
+}

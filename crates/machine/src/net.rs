@@ -6,7 +6,8 @@
 //! deliver messages identically — the foundation for reproducible results
 //! and the hybrid ≡ parallel-only property tests.
 
-use crate::fault::{FaultPlan, FaultStats};
+use crate::fault::FaultPlan;
+use crate::stats::NetStats;
 use crate::{Cycles, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -179,33 +180,10 @@ impl<M> InFlight<M> {
 pub struct Network<M> {
     heap: BinaryHeap<InFlight<M>>,
     next_seq: u64,
-    /// Total messages ever sent (for stats cross-checks).
-    pub sent: u64,
-    /// Total messages ever delivered.
-    pub delivered: u64,
-    /// Total payload words ever sent.
-    pub words: u64,
-    /// Words that crossed the wire in first-copy application payloads.
-    pub data_words: u64,
-    /// Words that crossed the wire in acknowledgement frames.
-    pub ack_words: u64,
-    /// Words that crossed the wire in retransmitted copies.
-    pub retx_words: u64,
-    /// Words that crossed the wire in first-copy collective legs.
-    pub coll_words: u64,
-    /// Multicasts planned through this network.
-    pub multicasts: u64,
-    /// Reductions planned through this network.
-    pub reduces: u64,
-    /// Barriers planned through this network.
-    pub barriers: u64,
-    /// Collective legs planned (down-legs; up-legs mirror them 1:1 for
-    /// reductions and barriers).
-    pub coll_legs: u64,
     /// Installed fault schedule, if any (see [`FaultPlan`]).
     plan: Option<FaultPlan>,
-    /// Cumulative fault-injection counters.
-    pub faults: FaultStats,
+    /// Cumulative traffic and fault counters.
+    pub stats: NetStats,
 }
 
 impl<M> Default for Network<M> {
@@ -213,19 +191,8 @@ impl<M> Default for Network<M> {
         Network {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            sent: 0,
-            delivered: 0,
-            words: 0,
-            data_words: 0,
-            ack_words: 0,
-            retx_words: 0,
-            coll_words: 0,
-            multicasts: 0,
-            reduces: 0,
-            barriers: 0,
-            coll_legs: 0,
             plan: None,
-            faults: FaultStats::default(),
+            stats: NetStats::default(),
         }
     }
 }
@@ -286,12 +253,12 @@ impl<M> Network<M> {
     /// Words that actually crossed the wire, bucketed by class.
     #[inline]
     fn account(&mut self, class: WireClass, words: u64) {
-        self.words += words;
+        self.stats.words += words;
         match class {
-            WireClass::Data => self.data_words += words,
-            WireClass::Ack => self.ack_words += words,
-            WireClass::Retx => self.retx_words += words,
-            WireClass::Coll => self.coll_words += words,
+            WireClass::Data => self.stats.data_words += words,
+            WireClass::Ack => self.stats.ack_words += words,
+            WireClass::Retx => self.stats.retx_words += words,
+            WireClass::Coll => self.stats.coll_words += words,
         }
     }
 
@@ -302,16 +269,8 @@ impl<M> Network<M> {
     /// transport framing, fault fates, and wire-seq tagging apply
     /// unchanged).
     pub fn multicast(&mut self, src: NodeId, dests: &[NodeId], words: u64) -> CollPlan {
-        self.multicasts += 1;
-        self.coll_legs += dests.len() as u64;
-        let legs = plan_legs(src, dests);
-        let depth = legs.iter().map(|l| l.depth).max().unwrap_or(0);
-        CollPlan {
-            legs,
-            words,
-            op_cost: 0,
-            depth,
-        }
+        self.stats.multicasts += 1;
+        self.plan_tree(src, dests, words, 0)
     }
 
     /// Plan a modeled reduction over `group` toward `root`: the same tree
@@ -325,29 +284,33 @@ impl<M> Network<M> {
         words: u64,
         op_cost: Cycles,
     ) -> CollPlan {
-        self.reduces += 1;
-        self.coll_legs += group.len() as u64;
+        self.stats.reduces += 1;
+        self.plan_tree(root, group, words, op_cost)
+    }
+
+    /// Plan a modeled barrier rooted at `root` over `group`: a zero-payload
+    /// tree down-sweep followed by the up-sweep of arrivals.
+    pub fn barrier(&mut self, root: NodeId, group: &[NodeId]) -> CollPlan {
+        self.stats.barriers += 1;
+        self.plan_tree(root, group, 0, 0)
+    }
+
+    /// The plan all three collectives share: the tree over `root` +
+    /// `group`, its legs counted.
+    fn plan_tree(
+        &mut self,
+        root: NodeId,
+        group: &[NodeId],
+        words: u64,
+        op_cost: Cycles,
+    ) -> CollPlan {
+        self.stats.coll_legs += group.len() as u64;
         let legs = plan_legs(root, group);
         let depth = legs.iter().map(|l| l.depth).max().unwrap_or(0);
         CollPlan {
             legs,
             words,
             op_cost,
-            depth,
-        }
-    }
-
-    /// Plan a modeled barrier rooted at `root` over `group`: a zero-payload
-    /// tree down-sweep followed by the up-sweep of arrivals.
-    pub fn barrier(&mut self, root: NodeId, group: &[NodeId]) -> CollPlan {
-        self.barriers += 1;
-        self.coll_legs += group.len() as u64;
-        let legs = plan_legs(root, group);
-        let depth = legs.iter().map(|l| l.depth).max().unwrap_or(0);
-        CollPlan {
-            legs,
-            words: 0,
-            op_cost: 0,
             depth,
         }
     }
@@ -401,7 +364,7 @@ impl<M> Network<M> {
     where
         M: Clone,
     {
-        self.sent += 1;
+        self.stats.sent += 1;
         let mut fate = SendFate {
             seq,
             dropped: false,
@@ -425,9 +388,9 @@ impl<M> Network<M> {
             fate.dropped = true;
             fate.partitioned = d.partitioned;
             if d.partitioned {
-                self.faults.partition_drops += 1;
+                self.stats.faults.partition_drops += 1;
             } else {
-                self.faults.dropped += 1;
+                self.stats.faults.dropped += 1;
             }
             return fate;
         }
@@ -435,10 +398,10 @@ impl<M> Network<M> {
         // iterated to a fixpoint, since releasing from one window can land
         // inside another, overlapping one.
         let jittered = deliver_at + d.jitter;
-        self.faults.jitter_cycles += d.jitter;
+        self.stats.faults.jitter_cycles += d.jitter;
         let at = plan.stall_release(dest, jittered);
         if at != jittered {
-            self.faults.stall_defers += 1;
+            self.stats.faults.stall_defers += 1;
         }
         fate.extra_latency = at - deliver_at;
         if d.duplicate {
@@ -448,12 +411,12 @@ impl<M> Network<M> {
             // one cycle later. The copy takes the same stall-fixpoint path
             // as the primary: no copy may land inside a stall window.
             fate.duplicated = true;
-            self.faults.duplicated += 1;
+            self.stats.faults.duplicated += 1;
             let dup_jittered = deliver_at + 1 + d.dup_jitter;
-            self.faults.jitter_cycles += d.dup_jitter;
+            self.stats.faults.jitter_cycles += d.dup_jitter;
             let at2 = plan.stall_release(dest, dup_jittered);
             if at2 != dup_jittered {
-                self.faults.stall_defers += 1;
+                self.stats.faults.stall_defers += 1;
             }
             self.account(class, words);
             self.heap.push(InFlight {
@@ -484,7 +447,7 @@ impl<M> Network<M> {
     pub fn pop(&mut self) -> Option<InFlight<M>> {
         let m = self.heap.pop();
         if m.is_some() {
-            self.delivered += 1;
+            self.stats.delivered += 1;
         }
         m
     }
@@ -495,21 +458,8 @@ impl<M> Network<M> {
     }
 
     /// Snapshot the traffic and fault counters.
-    pub fn stats(&self) -> crate::stats::NetStats {
-        crate::stats::NetStats {
-            sent: self.sent,
-            delivered: self.delivered,
-            words: self.words,
-            data_words: self.data_words,
-            ack_words: self.ack_words,
-            retx_words: self.retx_words,
-            coll_words: self.coll_words,
-            multicasts: self.multicasts,
-            reduces: self.reduces,
-            barriers: self.barriers,
-            coll_legs: self.coll_legs,
-            faults: self.faults,
-        }
+    pub fn stats(&self) -> NetStats {
+        self.stats
     }
 
     /// True when no messages are in flight.
@@ -523,18 +473,7 @@ impl<M> Network<M> {
     /// per-shard networks can be merged back into the main one without
     /// disturbing its queue.
     pub fn absorb_counters<N>(&mut self, other: &Network<N>) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.words += other.words;
-        self.data_words += other.data_words;
-        self.ack_words += other.ack_words;
-        self.retx_words += other.retx_words;
-        self.coll_words += other.coll_words;
-        self.multicasts += other.multicasts;
-        self.reduces += other.reduces;
-        self.barriers += other.barriers;
-        self.coll_legs += other.coll_legs;
-        self.faults.absorb(&other.faults);
+        self.stats.absorb(&other.stats);
     }
 
     /// Reset the traffic and fault counters to a previously captured
@@ -543,19 +482,8 @@ impl<M> Network<M> {
     /// un-accounted wholesale, so a clean re-run re-draws identical
     /// numbers. Delivery state is untouched (callers drain the in-flight
     /// heap within each injection, so it is empty between events).
-    pub fn restore_counters(&mut self, snap: &crate::stats::NetStats) {
-        self.sent = snap.sent;
-        self.delivered = snap.delivered;
-        self.words = snap.words;
-        self.data_words = snap.data_words;
-        self.ack_words = snap.ack_words;
-        self.retx_words = snap.retx_words;
-        self.coll_words = snap.coll_words;
-        self.multicasts = snap.multicasts;
-        self.reduces = snap.reduces;
-        self.barriers = snap.barriers;
-        self.coll_legs = snap.coll_legs;
-        self.faults = snap.faults;
+    pub fn restore_counters(&mut self, snap: &NetStats) {
+        self.stats = *snap;
     }
 }
 
@@ -574,8 +502,8 @@ mod tests {
         assert_eq!(net.pop().unwrap().msg, "b");
         assert_eq!(net.pop().unwrap().msg, "c");
         assert!(net.pop().is_none());
-        assert_eq!(net.sent, 3);
-        assert_eq!(net.delivered, 3);
+        assert_eq!(net.stats.sent, 3);
+        assert_eq!(net.stats.delivered, 3);
     }
 
     #[test]
@@ -604,7 +532,7 @@ mod tests {
         let mut net: Network<u8> = Network::new();
         net.send(NodeId(0), NodeId(1), 1, 3, 0);
         net.send(NodeId(0), NodeId(1), 2, 4, 0);
-        assert_eq!(net.words, 7);
+        assert_eq!(net.stats.words, 7);
     }
 
     #[test]
@@ -621,7 +549,7 @@ mod tests {
         // Tagged sends don't consume the auto counter.
         let fate = net.send(NodeId(0), NodeId(1), 5, 1, "auto");
         assert_eq!(fate.seq, 0);
-        assert_eq!(net.sent, 3);
+        assert_eq!(net.stats.sent, 3);
     }
 
     #[test]
@@ -657,7 +585,7 @@ mod tests {
         );
         assert_eq!(fate.extra_latency, 280);
         assert_eq!(
-            net.faults.stall_defers, 1,
+            net.stats.faults.stall_defers, 1,
             "one deferral per copy, not per hop"
         );
 
@@ -680,7 +608,7 @@ mod tests {
             );
             assert_eq!(m.deliver_at, 300);
         }
-        assert_eq!(net.faults.stall_defers, 2);
+        assert_eq!(net.stats.faults.stall_defers, 2);
     }
 
     #[test]
@@ -760,8 +688,8 @@ mod tests {
         for l in &plan.legs {
             assert_eq!(l.child_ix, if l.pos % 2 == 1 { 1 } else { 2 });
         }
-        assert_eq!(net.multicasts, 1);
-        assert_eq!(net.coll_legs, 7);
+        assert_eq!(net.stats.multicasts, 1);
+        assert_eq!(net.stats.coll_legs, 7);
     }
 
     #[test]
@@ -782,10 +710,10 @@ mod tests {
         let p = net.multicast(NodeId(0), &[NodeId(0), NodeId(1)], 1);
         assert_eq!(p.legs[0].dest, NodeId(0));
         assert_eq!(p.legs[0].parent, NodeId(0));
-        assert_eq!(net.barriers, 1);
-        assert_eq!(net.reduces, 1);
-        assert_eq!(net.multicasts, 1);
-        assert_eq!(net.coll_legs, 3);
+        assert_eq!(net.stats.barriers, 1);
+        assert_eq!(net.stats.reduces, 1);
+        assert_eq!(net.stats.multicasts, 1);
+        assert_eq!(net.stats.coll_legs, 3);
     }
 
     #[test]

@@ -81,12 +81,12 @@ fn in_flight_accounting() {
         net.send(NodeId(0), NodeId(1), i, 2, 0);
     }
     assert_eq!(net.in_flight(), 10);
-    assert_eq!(net.sent, 10);
-    assert_eq!(net.delivered, 0);
+    assert_eq!(net.stats.sent, 10);
+    assert_eq!(net.stats.delivered, 0);
     for drained in 1..=10 {
         net.pop().unwrap();
         assert_eq!(net.in_flight(), 10 - drained);
-        assert_eq!(net.delivered, drained as u64);
+        assert_eq!(net.stats.delivered, drained as u64);
     }
     assert!(net.is_empty());
     assert_eq!(net.stats().words, 20);
@@ -102,10 +102,10 @@ fn faults_respect_accounting_and_ordering() {
     net.set_plan(Some(plan));
     let fate = net.send(NodeId(0), NodeId(1), 5, 3, 7);
     assert!(fate.dropped && !fate.partitioned);
-    assert_eq!(net.sent, 1);
+    assert_eq!(net.stats.sent, 1);
     assert_eq!(net.in_flight(), 0);
     assert_eq!(net.stats().words, 0);
-    assert_eq!(net.faults.dropped, 1);
+    assert_eq!(net.stats.faults.dropped, 1);
     assert!(net.pop().is_none());
 
     let mut plan = FaultPlan::seeded(42);
@@ -149,8 +149,8 @@ fn partition_windows_are_directional_in_delivery_time() {
         !net.send(NodeId(1), NodeId(0), 150, 1, 0).dropped,
         "reverse direction open"
     );
-    assert_eq!(net.faults.partition_drops, 1);
-    assert_eq!(net.faults.dropped, 0);
+    assert_eq!(net.stats.faults.partition_drops, 1);
+    assert_eq!(net.stats.faults.dropped, 0);
     assert_eq!(net.stats().faults.lost(), 1);
 }
 
@@ -173,7 +173,7 @@ fn fault_fates_replay_bit_identically() {
         let drained: Vec<_> = std::iter::from_fn(|| net.pop())
             .map(|m| (m.deliver_at, m.dest, m.seq, m.msg))
             .collect();
-        (fates, drained, net.faults)
+        (fates, drained, net.stats.faults)
     };
     let (fa, da, sa) = run();
     let (fb, db, sb) = run();

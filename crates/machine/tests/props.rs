@@ -30,8 +30,8 @@ proptest! {
         let mut ids: Vec<usize> = out.iter().map(|o| o.3).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..msgs.len()).collect::<Vec<_>>());
-        prop_assert_eq!(net.sent, msgs.len() as u64);
-        prop_assert_eq!(net.delivered, msgs.len() as u64);
+        prop_assert_eq!(net.stats.sent, msgs.len() as u64);
+        prop_assert_eq!(net.stats.delivered, msgs.len() as u64);
     }
 
     /// Block-cyclic owners are always valid nodes, and a full sweep of a

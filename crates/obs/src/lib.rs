@@ -1,9 +1,10 @@
 //! # hem-obs — observability for the hybrid execution model
 //!
-//! Everything in this crate consumes the runtime's [`TraceRecord`] stream
-//! — online through the zero-virtual-time [`hem_core::Observer`] hook, or
-//! offline from a drained buffer, through the same code — and turns it
-//! into the artifacts a performance investigation needs:
+//! Everything in this crate consumes the runtime's
+//! [`hem_core::TraceRecord`] stream — online through the zero-virtual-time
+//! [`hem_core::Observer`] hook, or offline from a drained buffer, through
+//! the same code — and turns it into the artifacts a performance
+//! investigation needs:
 //!
 //! | module | artifact |
 //! |---|---|

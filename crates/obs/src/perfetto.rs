@@ -19,8 +19,8 @@
 //!
 //! There is one writer, [`write_json`], generic over [`io::Write`]: it
 //! reads nothing but the timeline (the adaptation instants included) and
-//! emits each event as it walks it. The `to_json*` functions run it into
-//! a `String` for callers that want the document in memory.
+//! emits each event as it walks it. [`to_json_full`] runs it into a
+//! `String` for callers that want the document in memory.
 
 use std::io::{self, Write};
 
@@ -80,21 +80,6 @@ impl<O: Write> W<O> {
         self.flush()?;
         Ok(self.bytes)
     }
-}
-
-/// [`to_json_full`] without the optional tracks.
-pub fn to_json(records: &[TraceRecord], tl: &Timeline, program: &Program) -> String {
-    to_json_full(records, tl, program, None, None)
-}
-
-/// [`to_json_full`] without the series tracks.
-pub fn to_json_with_spec(
-    records: &[TraceRecord],
-    tl: &Timeline,
-    program: &Program,
-    spec: Option<&crate::SpecSummary>,
-) -> String {
-    to_json_full(records, tl, program, spec, None)
 }
 
 /// [`write_json`] into a `String`. `_records` is not read — the timeline
@@ -353,7 +338,8 @@ mod tests {
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
         // Without a summary the output is unchanged: no counter events.
-        let plain = Json::parse(&to_json(&recs, &tl, &program)).expect("valid JSON");
+        let plain =
+            Json::parse(&to_json_full(&recs, &tl, &program, None, None)).expect("valid JSON");
         let count_c = |doc: &Json| {
             doc.get("traceEvents")
                 .unwrap()
@@ -373,7 +359,7 @@ mod tests {
             ckpt_nodes: 40,
             max_window: 64,
         };
-        let out = to_json_with_spec(&recs, &tl, &program, Some(&spec));
+        let out = to_json_full(&recs, &tl, &program, Some(&spec), None);
         let doc = Json::parse(&out).expect("valid JSON");
         assert_eq!(count_c(&doc), 2, "windows + rollback-cost counters");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -454,7 +440,7 @@ mod tests {
         ];
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
-        let out = to_json(&recs, &tl, &program);
+        let out = to_json_full(&recs, &tl, &program, None, None);
         let doc = Json::parse(&out).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let ph = |p: &str| {
@@ -547,7 +533,7 @@ mod tests {
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
 
-        let text = to_json(&recs, &tl, &program);
+        let text = to_json_full(&recs, &tl, &program, None, None);
         assert!(text.contains("\"name\":\"fallback m\""), "{text}");
         assert!(text.contains("\"name\":\"retransmit->n1 #2\""), "{text}");
         let mut buf = Vec::new();
@@ -604,7 +590,7 @@ mod tests {
         ];
         let tl = Timeline::build(&recs, 1);
         let program = program_with_one_method();
-        let out = to_json(&recs, &tl, &program);
+        let out = to_json_full(&recs, &tl, &program, None, None);
         let doc = Json::parse(&out).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let req = |p: &str| {

@@ -189,3 +189,40 @@ fn sched_stats_reflect_dispatch() {
     );
     assert_eq!(scan.stats.sched.max_heap_depth, 0);
 }
+
+/// The online sanitizer is semantically free: at P = 64 a SOR run's trace
+/// and makespan are bit-identical with it armed or not (its hooks never
+/// charge virtual time or emit events). Every other suite arms it
+/// unconditionally, so only this case compares the two.
+#[test]
+fn sanitizer_on_and_off_are_bit_identical() {
+    let run = |sanitize: bool| {
+        let ids = sor::build();
+        let mut rt = Runtime::new(
+            ids.program.clone(),
+            64,
+            CostModel::cm5(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
+        )
+        .unwrap();
+        rt.enable_trace();
+        if sanitize {
+            rt.enable_sanitizer();
+        }
+        let params = sor::SorParams {
+            n: 64,
+            block: 4,
+            procs: ProcGrid::square(64),
+        };
+        let inst = sor::setup(&mut rt, &ids, params);
+        sor::run(&mut rt, &inst, 1).unwrap();
+        let violations = rt.sanitizer_violations();
+        assert!(violations.is_empty(), "clean run flagged: {violations:?}");
+        (rt.makespan(), rt.take_trace())
+    };
+    let (mk_off, trace_off) = run(false);
+    let (mk_on, trace_on) = run(true);
+    assert_eq!(mk_off, mk_on, "sanitizer changed the makespan");
+    assert_same_trace("sanitizer off vs on", &trace_off, &trace_on);
+}

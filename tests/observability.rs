@@ -184,7 +184,7 @@ fn perfetto_export_validates_with_spans_on_every_node_and_flow_arrows() {
     let records = rt.take_trace();
     let stats = rt.stats();
     let tl = Timeline::build(&records, stats.per_node.len());
-    let out = perfetto::to_json(&records, &tl, rt.program());
+    let out = perfetto::to_json_full(&records, &tl, rt.program(), None, None);
 
     let doc = hem::obs::json::Json::parse(&out).expect("perfetto JSON parses");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
