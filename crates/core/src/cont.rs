@@ -198,6 +198,17 @@ impl Runtime {
         }
     }
 
+    /// The continuation that delivers into `slot` of context `ctx` on
+    /// `node` (at the context's current generation).
+    pub(crate) fn cont_into(&self, node: usize, ctx: u32, slot: u16) -> Continuation {
+        Continuation::Into(ContRef {
+            node: NodeId(node as u32),
+            ctx,
+            gen: self.nodes[node].ctxs.gen(ctx),
+            slot,
+        })
+    }
+
     /// Lazily materialize a continuation from `caller_info` (paper §3.2.3's
     /// three cases). Returns the continuation and, when the caller's
     /// context had to be created, the shell context index.
@@ -249,16 +260,7 @@ impl Runtime {
                 frame.slots[mark] = SlotState::Pending;
                 let id = self.new_ctx(node, frame, Continuation::Unset, WaitState::Shell, true);
                 self.san_shell_check(node, id, ret_slot);
-                let gen = self.nodes[node].ctxs.gen(id);
-                Ok((
-                    Continuation::Into(ContRef {
-                        node: NodeId(node as u32),
-                        ctx: id,
-                        gen,
-                        slot: ret_slot,
-                    }),
-                    Some(id),
-                ))
+                Ok((self.cont_into(node, id, ret_slot), Some(id)))
             }
         }
     }

@@ -118,7 +118,8 @@ fn eval(
             }
             Instr::ArrNew { field, len } => {
                 let l = read(&locals, len).as_int().map_err(tv)?;
-                let l = array_len(method, pc as u32, l)?;
+                let arena = rt.nodes[obj.node.idx()].arena.len();
+                let l = array_len(method, pc as u32, l, arena)?;
                 *cycles += rt.cost.ctx_alloc;
                 arr_new(rt, obj, *field, l)?;
             }

@@ -70,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+mod call;
 mod coll;
 pub mod cont;
 pub mod context;

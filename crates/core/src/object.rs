@@ -38,9 +38,27 @@ pub struct DeferredInvoke {
     /// Whether the continuation was forwarded to this invocation.
     pub forwarded: bool,
     /// Blame tag of the deferred invocation (request id + 1; 0 =
-    /// untagged). Constructors leave it 0; `Runtime::lock_defer` stamps
+    /// untagged). `DeferredInvoke::new` leaves it 0; `Runtime::lock_defer` stamps
     /// the deferring step's tag before queueing the waiter.
     pub req: u64,
+}
+
+impl DeferredInvoke {
+    /// An invocation about to be queued on a held lock (untagged).
+    pub(crate) fn new(
+        method: MethodId,
+        args: Vec<Value>,
+        cont: Continuation,
+        forwarded: bool,
+    ) -> Self {
+        DeferredInvoke {
+            method,
+            args,
+            cont,
+            forwarded,
+            req: 0,
+        }
+    }
 }
 
 /// Lock state for instances of locked classes.

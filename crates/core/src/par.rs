@@ -10,17 +10,18 @@
 //! Under the hybrid mode, invocations issued *from* a heap context still
 //! attempt the callee's sequential version first — the caller's context
 //! existing doesn't stop the callee from running on the stack (Table 2
-//! prices exactly these heap-caller/stack-callee combinations).
+//! prices exactly these heap-caller/stack-callee combinations). That
+//! decision is the call protocol's (`call.rs`), shared with the stack
+//! interpreter; this file owns dispatch, the step loop, and the fills
+//! buffered for the context being stepped.
 
-use crate::cont::{CallerInfo, Continuation};
-use crate::context::{ActFrame, SlotState, WaitState};
+use crate::call::{self, Caller};
+use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Next};
-use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::{ActiveCtx, Runtime};
-use crate::seq::{self, SeqOutcome};
-use crate::ExecMode;
-use hem_ir::{ContRef, Instr, MethodId, Value};
+use crate::seq;
+use hem_ir::Instr;
 use hem_machine::NodeId;
 
 /// Result of stepping a context.
@@ -63,7 +64,7 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     });
 
     let mut fr = frame;
-    let res = step_loop(rt, node, id, gen, &mut fr);
+    let res = step_loop(rt, node, id, &mut fr);
     match res {
         Ok(StepEnd::Finished) => {
             rt.active = None;
@@ -93,13 +94,7 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     }
 }
 
-fn step_loop(
-    rt: &mut Runtime,
-    node: usize,
-    id: u32,
-    gen: u32,
-    fr: &mut ActFrame,
-) -> Result<StepEnd, Trap> {
+fn step_loop(rt: &mut Runtime, node: usize, id: u32, fr: &mut ActFrame) -> Result<StepEnd, Trap> {
     let prog = rt.program.clone();
     let m = prog.method(fr.method);
     loop {
@@ -119,9 +114,13 @@ fn step_loop(
                 args,
                 hint: _,
             } => {
-                let tv = exec::read(fr, target);
-                let a = exec::read_args(fr, args);
-                par_invoke(rt, node, id, gen, fr, *slot, tv, *callee, a)?;
+                let (tobj, a) = exec::read_call(fr, target, args)?;
+                let caller = Caller::HeapInvoke {
+                    fr,
+                    ctx: id,
+                    slot: *slot,
+                };
+                call::invoke(rt, node, caller, tobj, *callee, a)?;
                 fr.pc += 1;
             }
             Instr::Touch { slots } => {
@@ -136,55 +135,14 @@ fn step_loop(
                     return Ok(StepEnd::Suspend { mask, missing });
                 }
             }
-            Instr::Multicast {
-                slot,
-                group,
-                method: callee,
-                args,
-            } => {
-                let members = exec::read_group(rt, fr, node, *group)?;
-                let a = exec::read_args(fr, args);
-                let (kind, cont) = match slot {
-                    None => (crate::msg::CollKind::Cast, Continuation::Discard),
-                    Some(s) => (
-                        crate::msg::CollKind::CastAcked,
-                        par_coll_cont(fr, node, id, gen, *s),
-                    ),
+            Instr::Multicast { .. } | Instr::Reduce { .. } | Instr::Barrier { .. } => {
+                let op = exec::read_collective(rt, fr, node, ins)?;
+                let caller = Caller::HeapInvoke {
+                    slot: op.slot,
+                    ctx: id,
+                    fr,
                 };
-                rt.issue_collective(node, kind, &members, *callee, a, cont)?;
-                fr.pc += 1;
-            }
-            Instr::Reduce {
-                slot,
-                group,
-                method: callee,
-                args,
-                op,
-            } => {
-                let members = exec::read_group(rt, fr, node, *group)?;
-                let a = exec::read_args(fr, args);
-                let cont = par_coll_cont(fr, node, id, gen, *slot);
-                rt.issue_collective(
-                    node,
-                    crate::msg::CollKind::Reduce(*op),
-                    &members,
-                    *callee,
-                    a,
-                    cont,
-                )?;
-                fr.pc += 1;
-            }
-            Instr::Barrier { slot, group } => {
-                let members = exec::read_group(rt, fr, node, *group)?;
-                let cont = par_coll_cont(fr, node, id, gen, *slot);
-                rt.issue_collective(
-                    node,
-                    crate::msg::CollKind::Barrier,
-                    &members,
-                    MethodId(0),
-                    Vec::new(),
-                    cont,
-                )?;
+                call::collective(rt, node, caller, op)?;
                 fr.pc += 1;
             }
             Instr::Reply { src } => {
@@ -212,9 +170,20 @@ fn step_loop(
                 args,
                 hint: _,
             } => {
-                let tv = exec::read(fr, target);
-                let a = exec::read_args(fr, args);
-                par_forward(rt, node, id, fr, tv, *callee, a)?;
+                // The context's own continuation is passed along (it
+                // already exists — no laziness needed).
+                let (tobj, a) = exec::read_call(fr, target, args)?;
+                let c = rt.nodes[node].ctxs.get_mut(id);
+                if c.cont_consumed {
+                    return Err(Trap::at(
+                        fr.method,
+                        fr.pc,
+                        "forward after continuation consumed",
+                    ));
+                }
+                c.cont_consumed = true;
+                let caller = Caller::HeapForward { cont: c.cont };
+                call::invoke(rt, node, caller, tobj, *callee, a)?;
                 rt.finish_ctx(node, id);
                 return Ok(StepEnd::Finished);
             }
@@ -226,23 +195,7 @@ fn step_loop(
                 let cont = c.cont;
                 rt.charge(node, rt.cost.cont_create);
                 rt.ctr(node).conts_created += 1;
-                let Continuation::Into(cr) = cont else {
-                    return Err(Trap::at(
-                        fr.method,
-                        fr.pc,
-                        "cannot store a root/discard continuation into a data structure",
-                    ));
-                };
-                let src = hem_ir::Operand::K(Value::Cont(cr));
-                let ins = match idx {
-                    None => Instr::SetField { field: *field, src },
-                    Some(i) => Instr::SetElem {
-                        field: *field,
-                        idx: *i,
-                        src,
-                    },
-                };
-                exec::exec_simple(rt, node, fr, &ins)?;
+                exec::store_cont(rt, node, fr, *field, idx.as_ref(), cont)?;
                 rt.nodes[node].ctxs.get_mut(id).cont_consumed = true;
                 fr.pc += 1;
             }
@@ -252,26 +205,6 @@ fn step_loop(
             },
         }
     }
-}
-
-/// Mark a collective's result slot pending and build the continuation the
-/// collective root delivers into (the stepping context's own slot).
-fn par_coll_cont(
-    fr: &mut ActFrame,
-    node: usize,
-    id: u32,
-    gen: u32,
-    s: hem_ir::Slot,
-) -> Continuation {
-    if !matches!(fr.slots[s.idx()], SlotState::Join(_)) {
-        fr.slots[s.idx()] = SlotState::Pending;
-    }
-    Continuation::Into(ContRef {
-        node: NodeId(node as u32),
-        ctx: id,
-        gen,
-        slot: s.0,
-    })
 }
 
 /// Apply fills buffered for the context being stepped.
@@ -287,221 +220,4 @@ fn drain_fills(rt: &mut Runtime, fr: &mut ActFrame) -> Result<(), Trap> {
         Runtime::apply_fill(&mut fr.slots, slot, v).map_err(|e| Trap::at(fr.method, fr.pc, e))?;
     }
     Ok(())
-}
-
-/// Handle an `Invoke` issued from a heap context.
-#[allow(clippy::too_many_arguments)]
-fn par_invoke(
-    rt: &mut Runtime,
-    node: usize,
-    id: u32,
-    gen: u32,
-    fr: &mut ActFrame,
-    slot: Option<hem_ir::Slot>,
-    target: Value,
-    callee: MethodId,
-    args: Vec<Value>,
-) -> Result<(), Trap> {
-    let pc = fr.pc;
-    let tobj = target
-        .as_obj()
-        .map_err(|e| Trap::from_value(fr.method, pc, e))?;
-    let tobj = rt.resolve_local(node, tobj);
-    rt.charge(node, rt.cost.locality_check);
-    if let Some(s) = slot {
-        if !matches!(fr.slots[s.idx()], SlotState::Join(_)) {
-            fr.slots[s.idx()] = SlotState::Pending;
-        }
-    }
-    let my_cont = |s: hem_ir::Slot| {
-        Continuation::Into(ContRef {
-            node: NodeId(node as u32),
-            ctx: id,
-            gen,
-            slot: s.0,
-        })
-    };
-    let cont = slot.map(my_cont).unwrap_or(Continuation::Discard);
-
-    if tobj.node.idx() != node {
-        rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(node, tobj, callee, args, cont, false)?;
-        return Ok(());
-    }
-
-    rt.ctr(node).local_invokes += 1;
-    rt.charge(node, rt.cost.concurrency_check);
-
-    if rt.mode == ExecMode::ParallelOnly {
-        // The paper includes speculative inlining in *all* measurements
-        // (§4.2): even the parallel-only baseline inlines tiny provably
-        // non-blocking methods on local unlocked objects instead of
-        // allocating a context.
-        let inline_ok = rt.enable_inlining
-            && rt.program.method(callee).inlinable
-            && rt.schemas.of(callee) == hem_analysis::Schema::NonBlocking
-            && !rt.obj_locked_class(node, tobj.index);
-        if inline_ok {
-            rt.charge(node, rt.cost.inline_guard);
-            rt.ctr(node).inlined += 1;
-            let out = seq::run_seq(rt, node, tobj, callee, args, seq::Conv::Nb)?;
-            if let (SeqOutcome::Value(v), Some(s)) = (out, slot) {
-                Runtime::apply_fill(&mut fr.slots, s.0, v)
-                    .map_err(|e| Trap::at(fr.method, pc, e))?;
-            }
-            return Ok(());
-        }
-        crate::wrapper::par_invoke_ctx(rt, node, tobj, callee, args, cont, false)?;
-        return Ok(());
-    }
-
-    let locked = rt.obj_locked_class(node, tobj.index);
-    if locked && !rt.lock_try(node, tobj.index, LockHolder::Task(rt.current_task)) {
-        rt.lock_defer(
-            node,
-            tobj.index,
-            DeferredInvoke {
-                method: callee,
-                args,
-                cont,
-                forwarded: false,
-                req: 0,
-            },
-        );
-        return Ok(());
-    }
-
-    let cp_info = match slot {
-        Some(s) => CallerInfo::Created {
-            node: NodeId(node as u32),
-            ctx: id,
-            gen,
-            ret_slot: s.0,
-        },
-        None => CallerInfo::Proxy {
-            cont: Continuation::Discard,
-        },
-    };
-    let out = seq::call_seq_schema(rt, node, tobj, callee, args, cp_info)?;
-    seq::settle_lock(rt, node, tobj.index, locked, &out);
-    match out {
-        SeqOutcome::Value(v) => {
-            if let Some(s) = slot {
-                // Synchronous return-through-memory is priced by the
-                // schema call-extra, not as a future store.
-                Runtime::apply_fill(&mut fr.slots, s.0, v)
-                    .map_err(|e| Trap::at(fr.method, pc, e))?;
-            }
-            Ok(())
-        }
-        SeqOutcome::Halted => Ok(()),
-        SeqOutcome::Consumed { shell } => {
-            debug_assert!(shell.is_none(), "created-caller cannot grow a shell");
-            Ok(())
-        }
-        SeqOutcome::Blocked {
-            ctx: child,
-            shell,
-            cont_needed,
-        } => {
-            debug_assert!(shell.is_none(), "created-caller cannot grow a shell");
-            if cont_needed {
-                rt.charge(node, rt.cost.cont_link);
-                rt.nodes[node].ctxs.get_mut(child).cont = cont;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Handle a `Forward` issued from a heap context: the context's own
-/// continuation is passed along (it already exists — no laziness needed).
-fn par_forward(
-    rt: &mut Runtime,
-    node: usize,
-    id: u32,
-    fr: &mut ActFrame,
-    target: Value,
-    callee: MethodId,
-    args: Vec<Value>,
-) -> Result<(), Trap> {
-    let pc = fr.pc;
-    let tobj = target
-        .as_obj()
-        .map_err(|e| Trap::from_value(fr.method, pc, e))?;
-    let tobj = rt.resolve_local(node, tobj);
-    let my_cont = {
-        let c = rt.nodes[node].ctxs.get(id);
-        if c.cont_consumed {
-            return Err(Trap::at(
-                fr.method,
-                pc,
-                "forward after continuation consumed",
-            ));
-        }
-        c.cont
-    };
-    rt.nodes[node].ctxs.get_mut(id).cont_consumed = true;
-    rt.charge(node, rt.cost.locality_check);
-
-    if tobj.node.idx() != node {
-        rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(node, tobj, callee, args, my_cont, true)?;
-        return Ok(());
-    }
-
-    rt.ctr(node).local_invokes += 1;
-    rt.charge(node, rt.cost.concurrency_check);
-
-    if rt.mode == ExecMode::ParallelOnly {
-        crate::wrapper::par_invoke_ctx(rt, node, tobj, callee, args, my_cont, true)?;
-        return Ok(());
-    }
-
-    let locked = rt.obj_locked_class(node, tobj.index);
-    if locked && !rt.lock_try(node, tobj.index, LockHolder::Task(rt.current_task)) {
-        rt.lock_defer(
-            node,
-            tobj.index,
-            DeferredInvoke {
-                method: callee,
-                args,
-                cont: my_cont,
-                forwarded: true,
-                req: 0,
-            },
-        );
-        return Ok(());
-    }
-
-    rt.ctr(node).stack_forwards += 1;
-    let out = seq::call_seq_schema(
-        rt,
-        node,
-        tobj,
-        callee,
-        args,
-        CallerInfo::Proxy { cont: my_cont },
-    )?;
-    seq::settle_lock(rt, node, tobj.index, locked, &out);
-    match out {
-        SeqOutcome::Value(v) => rt.deliver_cont(node, my_cont, v),
-        SeqOutcome::Halted => Ok(()),
-        SeqOutcome::Consumed { shell } => {
-            debug_assert!(shell.is_none());
-            Ok(())
-        }
-        SeqOutcome::Blocked {
-            ctx: child,
-            shell,
-            cont_needed,
-        } => {
-            debug_assert!(shell.is_none());
-            if cont_needed {
-                rt.charge(node, rt.cost.cont_link);
-                rt.nodes[node].ctxs.get_mut(child).cont = my_cont;
-            }
-            Ok(())
-        }
-    }
 }

@@ -34,6 +34,11 @@
 //! * **Sequential-on-locked** — a sequential version entered on a locked
 //!   object finds the lock held, and a locked method that suspends hands
 //!   its lock to its own context (transfer, not release).
+//! * **Owner computes** — a method is entered, and a context created, only
+//!   on the node that holds its receiver's fields: never on the
+//!   forwarding stub a migration leaves behind (a stale reference must go
+//!   through name translation first; a callee without field accesses
+//!   would otherwise run on the wrong node unnoticed).
 //! * **Ready-only dispatch** — only `Ready` contexts are dispatched.
 //! * **Context conservation** — at quiescence, every allocated context
 //!   was retired ([`crate::Runtime::sanitizer_check_quiescent`], called
@@ -256,14 +261,31 @@ impl Runtime {
         }
     }
 
+    /// An activation of `method` is being given `target` as its receiver
+    /// on `node`: the object must live there, not have migrated away.
+    fn san_receiver_check(&mut self, node: usize, target: ObjRef, method: MethodId) {
+        let here = target.node.idx() == node
+            && self.nodes[node].objects[target.index as usize]
+                .moved_to
+                .is_none();
+        if !here {
+            self.sanitizer.as_deref_mut().unwrap().violation(format!(
+                "method {method:?} entered on node {node} with receiver {target:?}, which \
+                 does not live there: name translation bypassed"
+            ));
+        }
+    }
+
     /// A sequential version is being entered on `target`: the §4.1 depth
-    /// guard must have kept us under `max_seq_depth`, and a locked
-    /// receiver must actually be held.
+    /// guard must have kept us under `max_seq_depth`, a locked receiver
+    /// must actually be held, and the receiver must not be a forwarding
+    /// stub.
     #[inline]
     pub(crate) fn san_seq_entry(&mut self, node: usize, target: ObjRef, callee: MethodId) {
         if self.sanitizer.is_none() {
             return;
         }
+        self.san_receiver_check(node, target, callee);
         let depth_ok = self.seq_depth < self.max_seq_depth;
         let lock_ok = match &self.nodes[node].objects[target.index as usize].lock {
             Some(l) => l.holder.is_some(),
@@ -288,12 +310,15 @@ impl Runtime {
 
     /// A context was allocated; `fallback` creations (stack unwinding,
     /// §3.2.2–3.2.3) are only legal while a sequential activation is
-    /// live — a fallen-back activation never re-unwinds.
+    /// live — a fallen-back activation never re-unwinds. Its receiver must
+    /// not be a forwarding stub.
     #[inline]
     pub(crate) fn san_ctx_alloc(&mut self, node: usize, ctx: u32, fallback: bool) {
         if self.sanitizer.is_none() {
             return;
         }
+        let fr = &self.nodes[node].ctxs.get(ctx).frame;
+        self.san_receiver_check(node, fr.obj, fr.method);
         let depth = self.seq_depth;
         let s = self.sanitizer.as_deref_mut().unwrap();
         s.ctx_allocs += 1;
@@ -346,5 +371,43 @@ impl Runtime {
                  transfer, not release"
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ExecMode, InterfaceSet, Runtime};
+    use hem_machine::cost::CostModel;
+    use hem_machine::NodeId;
+
+    #[test]
+    fn entering_a_method_on_a_forwarding_stub_is_a_violation() {
+        let mut pb = hem_ir::ProgramBuilder::new();
+        let c = pb.class("C", false);
+        let id = pb.method(c, "id", 1, |mb| mb.reply(mb.arg(0)));
+        let mut rt = Runtime::new(
+            pb.finish(),
+            2,
+            CostModel::unit(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
+        )
+        .unwrap();
+        rt.enable_sanitizer();
+        let here = rt.alloc_object_by_name("C", NodeId(0));
+        let stale = rt.alloc_object_by_name("C", NodeId(0));
+        let moved = rt.migrate_object(stale, NodeId(1));
+        rt.san_seq_entry(0, here, id);
+        rt.san_seq_entry(1, moved, id);
+        assert!(
+            rt.sanitizer_violations().is_empty(),
+            "both live where entered"
+        );
+        // `id` touches no field, so without the check it would run on the
+        // stub and reply as if nothing were wrong.
+        rt.san_seq_entry(0, stale, id);
+        let v = rt.take_sanitizer_violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("name translation bypassed"), "{v:?}");
     }
 }

@@ -17,17 +17,22 @@
 //!   a *shell* context for the caller, which is passed back up the
 //!   unwinding stack for the caller to populate and adopt (§3.2.3).
 //!
-//! The unwinding protocol is the `SeqOutcome` enum; the invariants are
-//! documented on its variants.
+//! *When* each of these happens is decided by the call protocol
+//! (`call.rs`), which every `Invoke` and `Forward` here goes through; this
+//! file owns what the stack side contributes to it: the calling
+//! conventions and their selection (`Conv`, `call_seq_schema`, with the
+//! §4.1 depth guard), and unwinding — the `SeqOutcome` enum, whose
+//! invariants are documented on its variants, and the frame's fallback and
+//! shell adoption (`SeqState`).
 
+use crate::call::{self, Caller};
 use crate::cont::{CallerInfo, Continuation};
-use crate::context::{ActFrame, SlotState, WaitState};
+use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Next};
-use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
-use hem_ir::{ContRef, Instr, MethodId, ObjRef, Slot, Value};
+use hem_ir::{Instr, MethodId, ObjRef, Slot, Value};
 use hem_machine::NodeId;
 
 /// How a sequential execution ended.
@@ -74,8 +79,8 @@ pub(crate) enum Conv {
 }
 
 /// Interpreter-local state threaded through one sequential activation.
-struct SeqState {
-    fr: ActFrame,
+pub(crate) struct SeqState {
+    pub(crate) fr: ActFrame,
     /// `Some(shell)` once this activation's continuation has been
     /// consumed (by `StoreCont`); `Reply`/`Forward` afterwards is a trap.
     consumed: Option<Option<u32>>,
@@ -126,9 +131,12 @@ fn run_inner(
                 args,
                 hint: _,
             } => {
-                let tv = exec::read(&st.fr, target);
-                let a = exec::read_args(&st.fr, args);
-                if let Some(out) = seq_invoke(rt, node, &mut st, *slot, tv, *callee, a)? {
+                let (tobj, a) = exec::read_call(&st.fr, target, args)?;
+                let caller = Caller::StackInvoke {
+                    st: &mut st,
+                    slot: *slot,
+                };
+                if let Some(out) = call::invoke(rt, node, caller, tobj, *callee, a)? {
                     return Ok(out);
                 }
                 st.fr.pc += 1;
@@ -142,85 +150,20 @@ fn run_inner(
                 } else {
                     rt.ctr(node).touch_misses += 1;
                     let pc = st.fr.pc;
-                    let out =
-                        do_fallback(rt, node, &mut st, pc, WaitState::Waiting { mask, missing })?;
-                    return Ok(out);
+                    let wait = WaitState::Waiting { mask, missing };
+                    return Ok(st.fall_back(rt, node, pc, wait)?.1);
                 }
             }
-            Instr::Multicast {
-                slot,
-                group,
-                method: callee,
-                args,
-            } => {
-                let members = exec::read_group(rt, &st.fr, node, *group)?;
-                let a = exec::read_args(&st.fr, args);
-                match slot {
-                    None => {
-                        // Fire-and-forget: nothing flows back, the stack
-                        // execution continues.
-                        rt.issue_collective(
-                            node,
-                            crate::msg::CollKind::Cast,
-                            &members,
-                            *callee,
-                            a,
-                            Continuation::Discard,
-                        )?;
-                        st.fr.pc += 1;
-                    }
-                    Some(s) => {
-                        if let Some(out) = seq_collective(
-                            rt,
-                            node,
-                            &mut st,
-                            *s,
-                            crate::msg::CollKind::CastAcked,
-                            &members,
-                            *callee,
-                            a,
-                        )? {
-                            return Ok(out);
-                        }
-                    }
-                }
-            }
-            Instr::Reduce {
-                slot,
-                group,
-                method: callee,
-                args,
-                op,
-            } => {
-                let members = exec::read_group(rt, &st.fr, node, *group)?;
-                let a = exec::read_args(&st.fr, args);
-                if let Some(out) = seq_collective(
-                    rt,
-                    node,
-                    &mut st,
-                    *slot,
-                    crate::msg::CollKind::Reduce(*op),
-                    &members,
-                    *callee,
-                    a,
-                )? {
+            Instr::Multicast { .. } | Instr::Reduce { .. } | Instr::Barrier { .. } => {
+                let op = exec::read_collective(rt, &st.fr, node, ins)?;
+                let caller = Caller::StackInvoke {
+                    slot: op.slot,
+                    st: &mut st,
+                };
+                if let Some(out) = call::collective(rt, node, caller, op)? {
                     return Ok(out);
                 }
-            }
-            Instr::Barrier { slot, group } => {
-                let members = exec::read_group(rt, &st.fr, node, *group)?;
-                if let Some(out) = seq_collective(
-                    rt,
-                    node,
-                    &mut st,
-                    *slot,
-                    crate::msg::CollKind::Barrier,
-                    &members,
-                    MethodId(0),
-                    Vec::new(),
-                )? {
-                    return Ok(out);
-                }
+                st.fr.pc += 1;
             }
             Instr::Reply { src } => {
                 if st.consumed.is_some() {
@@ -254,9 +197,11 @@ fn run_inner(
                         "forward after continuation consumed",
                     ));
                 }
-                let tv = exec::read(&st.fr, target);
-                let a = exec::read_args(&st.fr, args);
-                return seq_forward(rt, node, tv, *callee, a, info, method, st.fr.pc);
+                // Fig. 7: our continuation — still implicit in `info` — goes
+                // to the next method.
+                let (tobj, a) = exec::read_call(&st.fr, target, args)?;
+                let out = call::invoke(rt, node, Caller::StackForward { info }, tobj, *callee, a)?;
+                return Ok(out.expect("a forward ends its frame"));
             }
             Instr::StoreCont { field, idx } => {
                 let Conv::Cp(info) = st.conv else {
@@ -270,7 +215,7 @@ fn run_inner(
                     return Err(Trap::at(method, st.fr.pc, "continuation already consumed"));
                 }
                 let (cont, shell) = rt.materialize_cont(node, info)?;
-                store_cont_value(rt, node, &mut st.fr, *field, idx.as_ref(), cont)?;
+                exec::store_cont(rt, node, &st.fr, *field, idx.as_ref(), cont)?;
                 st.consumed = Some(shell);
                 st.fr.pc += 1;
             }
@@ -295,391 +240,64 @@ pub(crate) fn unsatisfied(fr: &ActFrame, slots: &[Slot]) -> (u64, u16) {
     (mask, missing)
 }
 
-/// Store a materialized continuation into a field of `self`.
-fn store_cont_value(
-    rt: &mut Runtime,
-    node: usize,
-    fr: &mut ActFrame,
-    field: hem_ir::FieldId,
-    idx: Option<&hem_ir::Operand>,
-    cont: Continuation,
-) -> Result<(), Trap> {
-    let Continuation::Into(cr) = cont else {
-        return Err(Trap::at(
-            fr.method,
-            fr.pc,
-            "cannot store a root/discard continuation into a data structure",
-        ));
-    };
-    let v = Value::Cont(cr);
-    match idx {
-        None => {
-            // Reuse the shared field machinery via a synthetic SetField.
-            let ins = Instr::SetField {
-                field,
-                src: hem_ir::Operand::K(v),
-            };
-            exec::exec_simple(rt, node, fr, &ins)?;
+impl SeqState {
+    /// Fall back: move the stack frame into a lazily created heap context
+    /// and produce the unwinding outcome (with the context's index). A
+    /// fallback from a non-blocking method is a broken compiler promise
+    /// (e.g. an `AlwaysLocal` hint on a remote object) and traps loudly.
+    pub(crate) fn fall_back(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        next_pc: u32,
+        wait: WaitState,
+    ) -> Result<(u32, SeqOutcome), Trap> {
+        if matches!(self.conv, Conv::Nb) {
+            return Err(Trap::at(
+                self.fr.method,
+                self.fr.pc,
+                "non-blocking method attempted to block (locality hint violated?)",
+            ));
         }
-        Some(i) => {
-            let ins = Instr::SetElem {
-                field,
-                idx: *i,
-                src: hem_ir::Operand::K(v),
-            };
-            exec::exec_simple(rt, node, fr, &ins)?;
-        }
+        let ctx = rt.fallback_ctx(node, &mut self.fr, next_pc, wait);
+        Ok((ctx, self.blocked(rt, node, ctx)))
     }
-    Ok(())
-}
 
-/// Fall back: move the stack frame into a lazily created heap context and
-/// produce the unwinding outcome. A fallback from a non-blocking method is
-/// a broken compiler promise (e.g. an `AlwaysLocal` hint on a remote
-/// object) and traps loudly.
-fn do_fallback(
-    rt: &mut Runtime,
-    node: usize,
-    st: &mut SeqState,
-    next_pc: u32,
-    wait: WaitState,
-) -> Result<SeqOutcome, Trap> {
-    if matches!(st.conv, Conv::Nb) {
-        return Err(Trap::at(
-            st.fr.method,
-            st.fr.pc,
-            "non-blocking method attempted to block (locality hint violated?)",
-        ));
+    /// Adopt a shell context created on our behalf and produce the outcome.
+    pub(crate) fn adopt(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        shell: u32,
+        next_pc: u32,
+    ) -> SeqOutcome {
+        rt.adopt_shell(node, shell, &mut self.fr, next_pc);
+        self.blocked(rt, node, shell)
     }
-    let ctx = rt.fallback_ctx(node, &mut st.fr, next_pc, wait);
-    Ok(finish_block_outcome(rt, node, st, ctx))
-}
 
-/// Adopt a shell context created on our behalf and produce the outcome.
-fn do_adopt(
-    rt: &mut Runtime,
-    node: usize,
-    st: &mut SeqState,
-    shell: u32,
-    next_pc: u32,
-) -> SeqOutcome {
-    rt.adopt_shell(node, shell, &mut st.fr, next_pc);
-    finish_block_outcome(rt, node, st, shell)
-}
-
-fn finish_block_outcome(rt: &mut Runtime, node: usize, st: &mut SeqState, ctx: u32) -> SeqOutcome {
-    match st.consumed.take() {
-        Some(shell) => {
-            rt.nodes[node].ctxs.get_mut(ctx).cont_consumed = true;
-            SeqOutcome::Blocked {
+    fn blocked(&mut self, rt: &mut Runtime, node: usize, ctx: u32) -> SeqOutcome {
+        match self.consumed.take() {
+            Some(shell) => {
+                rt.nodes[node].ctxs.get_mut(ctx).cont_consumed = true;
+                SeqOutcome::Blocked {
+                    ctx,
+                    shell,
+                    cont_needed: false,
+                }
+            }
+            None => SeqOutcome::Blocked {
                 ctx,
-                shell,
-                cont_needed: false,
-            }
-        }
-        None => SeqOutcome::Blocked {
-            ctx,
-            shell: None,
-            cont_needed: true,
-        },
-    }
-}
-
-/// Handle one `Invoke` from a stack frame. Returns `Some(outcome)` when
-/// the frame fell back (the interpreter must unwind), `None` to continue.
-fn seq_invoke(
-    rt: &mut Runtime,
-    node: usize,
-    st: &mut SeqState,
-    slot: Option<Slot>,
-    target: Value,
-    callee: MethodId,
-    args: Vec<Value>,
-) -> Result<Option<SeqOutcome>, Trap> {
-    let pc = st.fr.pc;
-    let tobj = target
-        .as_obj()
-        .map_err(|e| Trap::from_value(st.fr.method, pc, e))?;
-    let tobj = rt.resolve_local(node, tobj);
-    rt.charge(node, rt.cost.locality_check);
-    // Mark the reply future pending (join counters keep their count).
-    if let Some(s) = slot {
-        if !matches!(st.fr.slots[s.idx()], SlotState::Join(_)) {
-            st.fr.slots[s.idx()] = SlotState::Pending;
-        }
-    }
-
-    if tobj.node.idx() != node {
-        // Remote: lazy creation of our own context so the reply can land.
-        rt.ctr(node).remote_invokes += 1;
-        return match slot {
-            None => {
-                rt.send_invoke(node, tobj, callee, args, Continuation::Discard, false)?;
-                Ok(None)
-            }
-            Some(s) => {
-                let out = do_fallback(rt, node, st, pc + 1, WaitState::Ready)?;
-                let SeqOutcome::Blocked { ctx, .. } = out else {
-                    unreachable!()
-                };
-                let gen = rt.nodes[node].ctxs.gen(ctx);
-                let cont = Continuation::Into(ContRef {
-                    node: NodeId(node as u32),
-                    ctx,
-                    gen,
-                    slot: s.0,
-                });
-                rt.send_invoke(node, tobj, callee, args, cont, false)?;
-                Ok(Some(out))
-            }
-        };
-    }
-
-    rt.ctr(node).local_invokes += 1;
-    rt.charge(node, rt.cost.concurrency_check);
-    let locked = rt.obj_locked_class(node, tobj.index);
-    if locked && !rt.lock_try(node, tobj.index, LockHolder::Task(rt.current_task)) {
-        // Target busy: defer the invocation on the lock.
-        return match slot {
-            None => {
-                rt.lock_defer(
-                    node,
-                    tobj.index,
-                    DeferredInvoke {
-                        method: callee,
-                        args,
-                        cont: Continuation::Discard,
-                        forwarded: false,
-                        req: 0,
-                    },
-                );
-                Ok(None)
-            }
-            Some(s) => {
-                let out = do_fallback(rt, node, st, pc + 1, WaitState::Ready)?;
-                let SeqOutcome::Blocked { ctx, .. } = out else {
-                    unreachable!()
-                };
-                let gen = rt.nodes[node].ctxs.gen(ctx);
-                let cont = Continuation::Into(ContRef {
-                    node: NodeId(node as u32),
-                    ctx,
-                    gen,
-                    slot: s.0,
-                });
-                rt.charge(node, rt.cost.cont_create);
-                rt.lock_defer(
-                    node,
-                    tobj.index,
-                    DeferredInvoke {
-                        method: callee,
-                        args,
-                        cont,
-                        forwarded: false,
-                        req: 0,
-                    },
-                );
-                Ok(Some(out))
-            }
-        };
-    }
-
-    // Local and lock held (or lock-free): run the sequential version.
-    let cp_info = match slot {
-        Some(s) => CallerInfo::NotCreated {
-            method: st.fr.method,
-            obj: st.fr.obj,
-            ret_slot: s.0,
-        },
-        None => CallerInfo::Proxy {
-            cont: Continuation::Discard,
-        },
-    };
-    let out = call_seq_schema(rt, node, tobj, callee, args, cp_info)?;
-    settle_lock(rt, node, tobj.index, locked, &out);
-    match out {
-        SeqOutcome::Value(v) => {
-            if let Some(s) = slot {
-                // No future_store charge here: a synchronous completion
-                // returns through memory, which the schema's call-extra
-                // already prices (paper §4.1).
-                Runtime::apply_fill(&mut st.fr.slots, s.0, v)
-                    .map_err(|e| Trap::at(st.fr.method, pc, e))?;
-            }
-            Ok(None)
-        }
-        SeqOutcome::Halted => Ok(None),
-        SeqOutcome::Consumed { shell: None } => Ok(None),
-        SeqOutcome::Consumed { shell: Some(sh) } => Ok(Some(do_adopt(rt, node, st, sh, pc + 1))),
-        SeqOutcome::Blocked {
-            ctx: child,
-            shell,
-            cont_needed,
-        } => match slot {
-            None => {
-                debug_assert!(shell.is_none());
-                if cont_needed {
-                    rt.charge(node, rt.cost.cont_link);
-                    rt.nodes[node].ctxs.get_mut(child).cont = Continuation::Discard;
-                }
-                Ok(None)
-            }
-            Some(s) => {
-                let out = if let Some(sh) = shell {
-                    do_adopt(rt, node, st, sh, pc + 1)
-                } else {
-                    do_fallback(rt, node, st, pc + 1, WaitState::Ready)?
-                };
-                if cont_needed {
-                    let SeqOutcome::Blocked { ctx: mine, .. } = out else {
-                        unreachable!()
-                    };
-                    let gen = rt.nodes[node].ctxs.gen(mine);
-                    rt.charge(node, rt.cost.cont_create + rt.cost.cont_link);
-                    rt.nodes[node].ctxs.get_mut(child).cont = Continuation::Into(ContRef {
-                        node: NodeId(node as u32),
-                        ctx: mine,
-                        gen,
-                        slot: s.0,
-                    });
-                }
-                Ok(Some(out))
-            }
-        },
-    }
-}
-
-/// Handle a slot-bearing collective from a stack frame. The completion
-/// arrives over the wire (up-tree legs), never synchronously, so the frame
-/// always falls back first — exactly like a remote `Invoke` with a slot —
-/// and the collective's root continuation points into the fallen-back
-/// context.
-#[allow(clippy::too_many_arguments)]
-fn seq_collective(
-    rt: &mut Runtime,
-    node: usize,
-    st: &mut SeqState,
-    slot: Slot,
-    kind: crate::msg::CollKind,
-    members: &[ObjRef],
-    callee: MethodId,
-    args: Vec<Value>,
-) -> Result<Option<SeqOutcome>, Trap> {
-    let pc = st.fr.pc;
-    if !matches!(st.fr.slots[slot.idx()], SlotState::Join(_)) {
-        st.fr.slots[slot.idx()] = SlotState::Pending;
-    }
-    let out = do_fallback(rt, node, st, pc + 1, WaitState::Ready)?;
-    let SeqOutcome::Blocked { ctx, .. } = out else {
-        unreachable!()
-    };
-    let gen = rt.nodes[node].ctxs.gen(ctx);
-    let cont = Continuation::Into(ContRef {
-        node: NodeId(node as u32),
-        ctx,
-        gen,
-        slot: slot.0,
-    });
-    rt.issue_collective(node, kind, members, callee, args, cont)?;
-    Ok(Some(out))
-}
-
-/// Handle a `Forward` from a stack frame (paper Fig. 7): pass our
-/// continuation — still implicit in `info` — to the next method, executing
-/// the whole chain on the stack when everything stays local.
-#[allow(clippy::too_many_arguments)]
-fn seq_forward(
-    rt: &mut Runtime,
-    node: usize,
-    target: Value,
-    callee: MethodId,
-    args: Vec<Value>,
-    info: CallerInfo,
-    method: MethodId,
-    pc: u32,
-) -> Result<SeqOutcome, Trap> {
-    let tobj = target
-        .as_obj()
-        .map_err(|e| Trap::from_value(method, pc, e))?;
-    rt.charge(node, rt.cost.locality_check);
-
-    if tobj.node.idx() != node {
-        // Off-node forward: the continuation must become real now.
-        rt.ctr(node).remote_invokes += 1;
-        let (cont, shell) = rt.materialize_cont(node, info)?;
-        rt.send_invoke(node, tobj, callee, args, cont, true)?;
-        return Ok(SeqOutcome::Consumed { shell });
-    }
-
-    rt.ctr(node).local_invokes += 1;
-    rt.charge(node, rt.cost.concurrency_check);
-    let locked = rt.obj_locked_class(node, tobj.index);
-    if locked && !rt.lock_try(node, tobj.index, LockHolder::Task(rt.current_task)) {
-        let (cont, shell) = rt.materialize_cont(node, info)?;
-        rt.lock_defer(
-            node,
-            tobj.index,
-            DeferredInvoke {
-                method: callee,
-                args,
-                cont,
-                forwarded: true,
-                req: 0,
+                shell: None,
+                cont_needed: true,
             },
-        );
-        return Ok(SeqOutcome::Consumed { shell });
-    }
-
-    // Local forwarding: pass caller_info along unchanged — the chain
-    // executes on the stack and the final value returns through return_val.
-    rt.ctr(node).stack_forwards += 1;
-    let out = call_seq_schema(rt, node, tobj, callee, args, info)?;
-    settle_lock(rt, node, tobj.index, locked, &out);
-    match out {
-        SeqOutcome::Value(v) => Ok(SeqOutcome::Value(v)),
-        SeqOutcome::Halted => Ok(SeqOutcome::Halted),
-        SeqOutcome::Consumed { shell } => Ok(SeqOutcome::Consumed { shell }),
-        SeqOutcome::Blocked {
-            ctx: child,
-            shell,
-            cont_needed,
-        } => {
-            if cont_needed {
-                // The target suspended without consuming: it inherits our
-                // (now materialized) continuation.
-                debug_assert!(shell.is_none());
-                let (cont, shell2) = rt.materialize_cont(node, info)?;
-                rt.charge(node, rt.cost.cont_link);
-                rt.nodes[node].ctxs.get_mut(child).cont = cont;
-                Ok(SeqOutcome::Consumed { shell: shell2 })
-            } else {
-                Ok(SeqOutcome::Consumed { shell })
-            }
         }
-    }
-}
-
-/// Release or transfer a target's lock according to how its sequential
-/// execution ended.
-pub(crate) fn settle_lock(rt: &mut Runtime, node: usize, obj: u32, locked: bool, out: &SeqOutcome) {
-    if !locked {
-        return;
-    }
-    match out {
-        SeqOutcome::Blocked { ctx, .. } => {
-            // The method still holds its receiver across the suspension.
-            rt.lock_transfer(node, obj, LockHolder::Ctx(*ctx));
-            rt.nodes[node].ctxs.get_mut(*ctx).holds_lock = true;
-            rt.san_settle_blocked(node, obj, *ctx);
-        }
-        _ => rt.lock_release(node, obj),
     }
 }
 
 /// Run a local callee through its selected sequential schema, charging the
 /// schema's call cost (or the speculative-inlining guard) and counting the
-/// completion. This is the single entry used by stack callers, heap-context
-/// callers, wrappers and lock grants.
+/// completion. Its one caller is the call protocol ([`crate::call::invoke`]),
+/// which stack callers, heap-context callers, wrappers and lock grants share.
 pub(crate) fn call_seq_schema(
     rt: &mut Runtime,
     node: usize,

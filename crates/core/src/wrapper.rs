@@ -18,22 +18,23 @@
 //! forwarded continuation can pass through several nodes and finally reply
 //! to the initial caller without a single heap context being allocated.
 //!
-//! Under `ParallelOnly` this module implements the paper's baseline
-//! instead: every arriving invocation conservatively allocates a context.
+//! All of that is the call protocol (`call.rs`) run for an *arrival*: a
+//! caller that already holds a real continuation and takes a synchronous
+//! value by delivering it. This module is the message-side entry into it,
+//! `run_invocation`, plus the paper's `ParallelOnly` baseline,
+//! `par_invoke_ctx`: every invocation conservatively allocates a context.
 
-use crate::cont::{CallerInfo, Continuation};
+use crate::call::{self, Caller};
+use crate::cont::Continuation;
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
 use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::Runtime;
-use crate::seq::{self, SeqOutcome};
-use crate::ExecMode;
-use hem_analysis::Schema;
 use hem_ir::{MethodId, ObjRef, Value};
 use hem_machine::NodeId;
 
 /// Run an invocation that arrived with a real continuation (message
-/// arrival, lock grant, or root call).
+/// arrival, lock grant, or root call) on local object index `obj`.
 pub(crate) fn run_invocation(
     rt: &mut Runtime,
     node: usize,
@@ -43,76 +44,14 @@ pub(crate) fn run_invocation(
     cont: Continuation,
     forwarded: bool,
 ) -> Result<(), Trap> {
-    let target = rt.resolve_local(
-        node,
-        ObjRef {
-            node: NodeId(node as u32),
-            index: obj,
-        },
-    );
-    if target.node.idx() != node {
-        // The object moved away: forward the request to its new home.
-        rt.ctr(node).remote_invokes += 1;
-        rt.send_invoke(node, target, method, args, cont, forwarded)?;
-        return Ok(());
-    }
-    let obj = target.index;
-    let locked = rt.obj_locked_class(node, obj);
-    if locked {
-        rt.charge(node, rt.cost.concurrency_check);
-    }
-
-    match rt.mode {
-        ExecMode::ParallelOnly => {
-            par_invoke_ctx(rt, node, target, method, args, cont, forwarded)?;
-            Ok(())
-        }
-        ExecMode::Hybrid => {
-            let task = rt.new_task();
-            if locked && !rt.lock_try(node, obj, LockHolder::Task(task)) {
-                rt.lock_defer(
-                    node,
-                    obj,
-                    DeferredInvoke {
-                        method,
-                        args,
-                        cont,
-                        forwarded,
-                        req: 0,
-                    },
-                );
-                return Ok(());
-            }
-            if rt.schemas.of(method) == Schema::ContPassing {
-                // Fig. 8: CP callees get a proxy context carrying the
-                // message's continuation, marked as forwarded.
-                rt.ctr(node).proxy_conts += 1;
-            }
-            let out =
-                seq::call_seq_schema(rt, node, target, method, args, CallerInfo::Proxy { cont })?;
-            seq::settle_lock(rt, node, obj, locked, &out);
-            match out {
-                SeqOutcome::Value(v) => rt.deliver_cont(node, cont, v),
-                SeqOutcome::Halted => Ok(()),
-                SeqOutcome::Consumed { shell } => {
-                    debug_assert!(shell.is_none(), "proxy caller cannot grow a shell");
-                    Ok(())
-                }
-                SeqOutcome::Blocked {
-                    ctx,
-                    shell,
-                    cont_needed,
-                } => {
-                    debug_assert!(shell.is_none(), "proxy caller cannot grow a shell");
-                    if cont_needed {
-                        rt.charge(node, rt.cost.cont_link);
-                        rt.nodes[node].ctxs.get_mut(ctx).cont = cont;
-                    }
-                    Ok(())
-                }
-            }
-        }
-    }
+    let target = ObjRef {
+        node: NodeId(node as u32),
+        index: obj,
+    };
+    let caller = Caller::Arrival { cont, forwarded };
+    let unwind = call::invoke(rt, node, caller, target, method, args)?;
+    debug_assert!(unwind.is_none(), "an arrival has no stack frame to unwind");
+    Ok(())
 }
 
 /// The conservative heap-based invocation (paper §3.1): allocate a
@@ -136,17 +75,8 @@ pub(crate) fn par_invoke_ctx(
             .is_some_and(|l| l.holder.is_some());
         if held {
             rt.ctr(node).lock_conflicts += 1;
-            rt.lock_defer(
-                node,
-                target.index,
-                DeferredInvoke {
-                    method,
-                    args,
-                    cont,
-                    forwarded,
-                    req: 0,
-                },
-            );
+            let d = DeferredInvoke::new(method, args, cont, forwarded);
+            rt.lock_defer(node, target.index, d);
             return Ok(None);
         }
     }

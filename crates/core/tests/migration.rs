@@ -76,6 +76,59 @@ fn stale_references_forward_and_results_are_unchanged() {
     assert_eq!(rt.live_contexts(), 0);
 }
 
+/// A `Forward` executed on the stack translates its target's name like
+/// every other call: through a stale *local* reference it follows the
+/// forwarding address instead of entering the callee on the stub.
+#[test]
+fn stack_forward_through_a_stale_local_reference() {
+    let mut pb = ProgramBuilder::new();
+    let c = pb.class("C", false);
+    let n = pb.field(c, "n");
+    let peer = pb.field(c, "peer");
+    let bump = pb.method(c, "bump", 0, |mb| {
+        let cur = mb.get_field(n);
+        let nv = mb.binl(BinOp::Add, cur, 1);
+        mb.set_field(n, nv);
+        mb.reply(nv);
+    });
+    let relay = pb.method(c, "relay", 0, |mb| {
+        let p = mb.get_field(peer);
+        mb.forward(p, bump, &[], hem_ir::LocalityHint::Unknown);
+    });
+    let program = pb.finish();
+    for mode in [ExecMode::Hybrid, ExecMode::ParallelOnly] {
+        for migrated in [false, true] {
+            let what = format!("{mode:?}, migrated: {migrated}");
+            let mut rt = Runtime::new(
+                program.clone(),
+                2,
+                CostModel::cm5(),
+                mode,
+                InterfaceSet::Full,
+            )
+            .expect("valid");
+            rt.enable_sanitizer();
+            let driver = rt.alloc_object_by_name("C", NodeId(0));
+            let cell = rt.alloc_object_by_name("C", NodeId(0));
+            rt.set_field(cell, n, Value::Int(41));
+            rt.set_field(driver, peer, Value::Obj(cell));
+            if migrated {
+                rt.migrate_object(cell, NodeId(1));
+            }
+            let r = rt.call(driver, relay, &[]).expect("no trap");
+            assert_eq!(r, Some(Value::Int(42)), "{what}");
+            assert_eq!(
+                rt.get_field(cell, n),
+                Value::Int(42),
+                "{what}: via stale ref"
+            );
+            assert_eq!(rt.live_contexts(), 0, "{what}");
+            rt.sanitizer_check_quiescent();
+            assert_eq!(rt.sanitizer_violations(), &[] as &[String], "{what}");
+        }
+    }
+}
+
 #[test]
 fn migration_toward_caller_localizes_invocations() {
     let (mut rt, driver, cell, poke, _n, peer) = world();

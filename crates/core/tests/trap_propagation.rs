@@ -368,6 +368,11 @@ fn bad_operands_trap_alike_in_all_three_evaluators() {
 
     let rows = [
         ("ArrNew -1", arr, -1i64),
+        // The node arena's spans are `u32`: one value is already there, so
+        // `u32::MAX` more is the first length that cannot fit.
+        ("ArrNew u32::MAX", arr, u32::MAX as i64),
+        ("ArrNew 1<<32", arr, 1 << 32),
+        ("ArrNew 1<<40", arr, 1 << 40),
         ("JoinInit -1", join, -1),
         ("JoinInit 1<<32", join, 1 << 32),
         ("GetElem out of range", elem, 99),
