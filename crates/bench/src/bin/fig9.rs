@@ -11,15 +11,20 @@
 use hem_analysis::InterfaceSet;
 use hem_apps::sor;
 use hem_bench::report::Table;
-use hem_bench::Args;
+use hem_bench::{flag, Args, Kind::Int, ALL};
 use hem_core::ExecMode;
 use hem_machine::cost::CostModel;
 use hem_machine::topology::{BlockCyclic, ProcGrid};
 
+const N: hem_bench::Flag = flag(
+    "--n",
+    Int(1, u32::MAX as u64),
+    ALL,
+    "grid side (default 96)",
+);
+
 fn main() {
-    let args = Args::capture();
-    let n: u32 = args.get("--n").unwrap_or(96);
-    args.finish();
+    let n: u32 = Args::capture(&[N]).get(&N).unwrap_or(96);
     let procs = ProcGrid::square(64);
     let iters = 1u32;
 
@@ -59,7 +64,7 @@ fn main() {
         let interior = (n as u64 - 2) * (n as u64 - 2);
 
         let ids = sor::build();
-        let mut rt = hem_bench::rt(
+        let mut rt = hem_apps::make_runtime(
             ids.program.clone(),
             procs.len(),
             CostModel::cm5(),

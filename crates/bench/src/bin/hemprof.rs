@@ -4,74 +4,19 @@
 //! the open-system service mix (`serve`, to a virtual-time horizon) with
 //! its outputs attached as consumers of the trace-record stream, and
 //! prints a Table-style rollup report; optionally exports a Perfetto
-//! timeline and the virtual-time critical path.
+//! timeline and the virtual-time critical path. `hemprof blame` is
+//! `serve` with the per-request blame tracker attached: the report gains
+//! a section decomposing each request's sojourn into queue/exec/wire/
+//! lock/retx segments that tile it exactly, a p99-tail view, and the
+//! slowest requests. `hemprof diff A.json B.json` compares two
+//! `--report json` rollups row by row.
 //!
-//! ```text
-//! hemprof <sor|md|em3d|fib> [options]
-//!   --p N             machine size (default 16)
-//!   --size N          problem size (kernel-specific default)
-//!   --iters N         iterations (default 1)
-//!   --seed S          generation seed (default 20260806)
-//!   --layout L        spatial|random (MD) / high|low locality (EM3D)
-//!   --style S         em3d style: pull|push|forward
-//!
-//! hemprof diff A.json B.json
-//!   compare two `--report json` rollups: signed per-cause traffic
-//!   deltas (requests/replies/acks/retransmits/multicasts/reduces/
-//!   barriers), total wire words, makespan, scheduler-window occupancy,
-//!   and — when both reports carry them — blame and series sections.
-//!
-//!   Exit codes: 0 — reports compared; 1 — an input is unreadable or
-//!   not a rollup JSON; 2 — usage error; 3 — the reports profile
-//!   different kernels or machine sizes (a configuration mismatch, not
-//!   a breakage — CI can tell "regression signal is meaningless" apart
-//!   from "the tool or its inputs are broken").
-//!
-//! hemprof serve [options]
-//!   --p N             machine size (default 16)
-//!   --backends N      backend population (default 32)
-//!   --until H         virtual-time horizon (default 100000)
-//!   --warmup W        steady-state cutoff (default 10000)
-//!   --rate G          mean inter-arrival gap in cycles (default 500)
-//!   --arrival A       poisson|bursty|diurnal (default poisson)
-//!   --clients N       independent arrival streams (default 4)
-//!   --deadline D      shed when infeasible at arrival (default 0 = off)
-//!   --max-queue Q     shed when target queue >= Q (default 0 = off)
-//!   --seed S          arrival seed (default 20260806)
-//!   --series          windowed virtual-time series section (report +
-//!                     Perfetto counter tracks)
-//!   --series-window W series window in cycles (default horizon/50)
-//!   --drop P          fault plan: drop P permille of messages
-//!   --dup P           fault plan: duplicate P permille of deliveries
-//!   --jitter J        fault plan: up to J cycles extra latency
-//!   --fault-seed S    fault-plan seed (default: the arrival seed)
-//!
-//! hemprof blame [serve options]
-//!   run the service mix with the per-request blame tracker attached:
-//!   the report gains a blame section decomposing each request's sojourn
-//!   into queue/exec/wire/lock/retx segments that tile it exactly, an
-//!   aggregate p99-tail view, and the slowest requests. Takes every
-//!   `serve` option (including --series and the fault-plan flags).
-//!
-//! common options
-//!   --mode M          hybrid|parallel (default hybrid)
-//!   --cost C          cm5|t3d|unit (default cm5)
-//!   --threads N       host worker threads (sharded executor; default 1)
-//!   --shard-map M     even|profile (default even): shard partition for
-//!                     --threads > 1, with or without --speculative.
-//!                     "profile" first runs a cheap
-//!                     single-threaded pilot of the same kernel, feeds
-//!                     its per-node busy time back as shard weights, and
-//!                     cuts shard boundaries by cumulative busy time —
-//!                     host-time load balance only, observables stay
-//!                     bit-identical (kernel subcommands only)
-//!   --speculative     optimistic (Time-Warp) executor for --threads > 1
-//!   --ring N          keep the last N records, and export from them
-//!   --report F        table|json (default table)
-//!   --perfetto FILE   write a Perfetto trace_event JSON timeline
-//!   --critical-path   print the longest virtual-time path
-//!   --events          dump the raw event log (small runs only)
-//! ```
+//! Every flag is declared once, in [`FLAGS`]: `hemprof` without arguments
+//! prints the usage of each subcommand from it, and a command line is
+//! checked against it before anything runs — an unknown or misplaced
+//! flag, or a missing, unparsable or out-of-range value, is one line on
+//! stderr and exit 2. So is a configuration the kernel cannot run
+//! ([`ProfileConfig::check`], [`ServeConfig::check`]).
 //!
 //! Records are consumed, not stored. Every output is an observer of the
 //! record stream: the report's rollup (and `blame`'s tracker, `--series`'
@@ -84,8 +29,20 @@
 //! `--critical-path` describe the ring's contents, under a TRUNCATED
 //! banner when anything was evicted.
 //!
+//! `--shard-map profile` first runs a cheap single-threaded pilot of the
+//! same kernel, feeds its per-node busy time back as shard weights, and
+//! cuts shard boundaries by cumulative busy time — host-time load balance
+//! only, observables stay bit-identical.
+//!
 //! `--perfetto FILE` is opened once the command line has been validated
-//! and before the run; a run that fails removes the file if it created it.
+//! and before the run; a run that fails — a trap is one `hemprof: trap…`
+//! line and exit 1 — removes the file if it created it.
+//!
+//! `hemprof diff` exit codes: 0 — reports compared; 1 — an input is
+//! unreadable or not a rollup JSON; 2 — usage error; 3 — the reports
+//! profile different kernels or machine sizes (a configuration mismatch,
+//! not a breakage — CI can tell "regression signal is meaningless" apart
+//! from "the tool or its inputs are broken").
 //!
 //! Example: `hemprof serve --p 32 --rate 200 --deadline 4000 --report json`
 
@@ -93,59 +50,78 @@ use std::any::Any;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind};
 
+use hem_apps::em3d::Style;
 use hem_bench::profile::{Kernel, ProfileConfig, TraceBuffer};
 use hem_bench::serve::ServeConfig;
-use hem_bench::Args;
-use hem_core::{ExecMode, Observer, Runtime};
+use hem_bench::Kind::{Bare, Choice, Float, Int, Path};
+use hem_bench::{flag, usage, usage_error, Args, Flag};
+use hem_core::{ExecMode, Observer, Runtime, Trap};
 use hem_machine::arrival::ArrivalDist;
 use hem_machine::cost::CostModel;
 use hem_machine::fault::FaultPlan;
 use hem_machine::Cycles;
 use hem_obs::json::Json;
 use hem_obs::{
-    critpath, perfetto, Blame, Fanout, Report, Rollup, SegClass, Series, Timeline, TimelineBuilder,
+    critpath, perfetto, Blame, Fanout, Report, Rollup, SegClass, Series, ServiceSummary,
+    SpecSummary, Timeline, TimelineBuilder,
 };
 
-fn usage() -> ! {
-    eprintln!("usage: hemprof <sor|md|em3d|fib> [--p N] [--size N] [--iters N] [--seed S]");
-    eprintln!("               [--layout spatial|random] [--style pull|push|forward]");
-    eprintln!("       hemprof diff A.json B.json    (two `--report json` rollups)");
-    eprintln!("       hemprof serve [--p N] [--backends N] [--until H] [--warmup W] [--rate G]");
-    eprintln!("               [--arrival poisson|bursty|diurnal] [--clients N] [--deadline D]");
-    eprintln!("               [--max-queue Q] [--seed S] [--series] [--series-window W]");
-    eprintln!("               [--drop P] [--dup P] [--jitter J] [--fault-seed S]");
-    eprintln!("       hemprof blame [serve options]  (per-request blame decomposition)");
-    eprintln!("       common: [--mode hybrid|parallel] [--cost cm5|t3d|unit] [--threads N]");
-    eprintln!("               [--shard-map even|profile] [--speculative] [--ring N]");
-    eprintln!("               [--report table|json] [--perfetto FILE] [--critical-path]");
-    eprintln!("               [--events]");
-    eprintln!("       every output streams off the run; raw records are kept only for --events");
-    eprintln!("       (all) and --ring N (the last N, which the exports then describe)");
+/// The subcommand groups, as [`Flag::on`] bits.
+const KERNEL: u32 = 1;
+const SERVICE: u32 = 2;
+const DIFF: u32 = 4;
+const RUNS: u32 = KERNEL | SERVICE;
+
+const ARRIVALS: [&str; 3] = ["poisson", "bursty", "diurnal"];
+
+hem_bench::flags! { FLAGS:
+    P = flag("--p", Int(1, u32::MAX as u64), RUNS, "machine size (default 16)");
+    SIZE = flag("--size", Int(0, u32::MAX as u64), KERNEL, "problem size (kernel-specific default)");
+    ITERS = Flag { on: KERNEL, help: "iterations (default 1)", ..hem_bench::ITERS };
+    SEED = flag("--seed", Int(0, u64::MAX), RUNS, "generation / arrival seed (default 20260806)");
+    LAYOUT = flag("--layout", Choice(&["spatial|high", "random|low"]), KERNEL, "MD layout / EM3D locality (default spatial)");
+    STYLE = flag("--style", Choice(&["pull", "push", "forward"]), KERNEL, "EM3D communication style (default pull)");
+    BACKENDS = flag("--backends", Int(1, u32::MAX as u64), SERVICE, "backend population (default 32)");
+    UNTIL = flag("--until", Int(0, u64::MAX), SERVICE, "virtual-time horizon (default 100000)");
+    WARMUP = flag("--warmup", Int(0, u64::MAX), SERVICE, "steady-state cutoff, below --until (default 10000)");
+    RATE = flag("--rate", Float(1.0), SERVICE, "mean inter-arrival gap in cycles (default 500)");
+    ARRIVAL = flag("--arrival", Choice(&ARRIVALS), SERVICE, "arrival process (default poisson)");
+    CLIENTS = flag("--clients", Int(0, u32::MAX as u64), SERVICE, "independent arrival streams (default 4)");
+    DEADLINE = flag("--deadline", Int(0, u64::MAX), SERVICE, "shed when infeasible at arrival (default 0 = off)");
+    MAX_QUEUE = flag("--max-queue", Int(0, usize::MAX as u64), SERVICE, "shed when the target queue is this long (default 0 = off)");
+    SERIES = flag("--series", Bare, SERVICE, "windowed virtual-time series (report + Perfetto counter tracks)");
+    SERIES_WINDOW = flag("--series-window", Int(0, u64::MAX), SERVICE, "series window in cycles (default horizon/50; implies --series)");
+    DROP = flag("--drop", Int(0, u16::MAX as u64), SERVICE, "fault plan: drop N permille of messages");
+    DUP = flag("--dup", Int(0, u16::MAX as u64), SERVICE, "fault plan: duplicate N permille of deliveries");
+    JITTER = flag("--jitter", Int(0, u64::MAX - 1), SERVICE, "fault plan: up to N cycles extra latency");
+    FAULT_SEED = flag("--fault-seed", Int(0, u64::MAX), SERVICE, "fault-plan seed (default: the arrival seed)");
+    MODE = flag("--mode", Choice(&["hybrid", "parallel|parallel-only"]), RUNS, "execution mode (default hybrid)");
+    COST = flag("--cost", Choice(&["cm5", "t3d", "unit"]), RUNS, "cost model (default cm5)");
+    THREADS = flag("--threads", Int(0, usize::MAX as u64), RUNS, "host worker threads (sharded executor; default 1)");
+    SHARD_MAP = flag("--shard-map", Choice(&["even", "profile"]), KERNEL, "shard partition for --threads > 1 (profile: by a pilot run's busy time)");
+    SPECULATIVE = flag("--speculative", Bare, RUNS, "optimistic (Time-Warp) executor for --threads > 1");
+    RING = flag("--ring", Int(0, usize::MAX as u64), RUNS, "keep the last N records, and export from them");
+    REPORT = flag("--report", Choice(&["table", "json"]), RUNS, "report format (default table)");
+    PERFETTO = flag("--perfetto", Path, RUNS, "write a Perfetto trace_event JSON timeline");
+    CRITICAL_PATH = flag("--critical-path", Bare, RUNS, "print the longest virtual-time path");
+    EVENTS = flag("--events", Bare, RUNS, "dump the raw event log (small runs only)");
+}
+
+fn print_usage() -> ! {
+    for (on, synopsis) in [
+        (KERNEL, "hemprof <sor|md|em3d|fib> [options]"),
+        (SERVICE, "hemprof <serve|blame> [options]"),
+        (DIFF, "hemprof diff A.json B.json"),
+    ] {
+        eprint!("{}", usage(FLAGS, on, synopsis));
+    }
+    eprintln!("blame: serve with per-request latency blame; diff: two --report json rollups");
+    eprintln!("every output streams off the run; raw records are kept only for --events");
+    eprintln!("(all) and --ring N (the last N, which the exports then describe)");
     std::process::exit(2);
 }
 
-fn parse_mode(args: &Args) -> ExecMode {
-    match args.get::<String>("--mode").as_deref() {
-        None | Some("hybrid") => ExecMode::Hybrid,
-        Some("parallel") | Some("parallel-only") => ExecMode::ParallelOnly,
-        Some(_) => usage(),
-    }
-}
-
-fn parse_cost(args: &Args) -> CostModel {
-    match args.get::<String>("--cost").as_deref() {
-        None | Some("cm5") => CostModel::cm5(),
-        Some("t3d") => CostModel::t3d(),
-        // Every charge 1 cycle: the zero-lookahead regime, where the
-        // conservative sharded executor serializes and only the
-        // speculative one can form multi-event windows.
-        Some("unit") => CostModel::unit(),
-        Some(_) => usage(),
-    }
-}
-
-/// What to print and export once the run is over — parsed before it, so
-/// that every flag has been looked up when [`Args::finish`] runs.
+/// What to print and export once the run is over.
 struct Output {
     json: bool,
     events: bool,
@@ -156,26 +132,13 @@ struct Output {
 impl Output {
     fn parse(args: &Args) -> Output {
         Output {
-            json: match args.get::<String>("--report").as_deref() {
-                None | Some("table") => false,
-                Some("json") => true,
-                Some(_) => usage(),
-            },
-            events: args.has("--events"),
-            critical_path: args.has("--critical-path"),
+            json: args.pick(&REPORT, [false, true]),
+            events: args.has(&EVENTS),
+            critical_path: args.has(&CRITICAL_PATH),
             perfetto: args
-                .get("--perfetto")
+                .get(&PERFETTO)
                 .map(|path| PerfettoDest { path, file: None }),
         }
-    }
-
-    /// Call once every flag has been looked up: an unknown flag is a
-    /// usage error before anything is touched, and the Perfetto
-    /// destination is opened before the (potentially long) run, so a
-    /// typo'd path fails in milliseconds, not minutes.
-    fn validate(&mut self, args: &Args) {
-        args.finish();
-        self.perfetto = self.perfetto.take().map(PerfettoDest::open);
     }
 
     fn needs_timeline(&self) -> bool {
@@ -262,63 +225,151 @@ impl Drop for PerfettoDest {
     }
 }
 
-/// What the observers of a finished run built.
-struct Streamed {
-    /// The report, with every section that comes off the stream.
-    report: Report,
-    timeline: Option<Timeline>,
-    series: Option<hem_obs::SeriesSummary>,
+/// One run: a kernel to quiescence, or the service mix to its horizon.
+enum Job {
+    Kernel {
+        cfg: ProfileConfig,
+        /// `--shard-map profile`.
+        profile_shards: bool,
+    },
+    Serve {
+        cfg: ServeConfig,
+        /// Attach the blame tracker (`hemprof blame`).
+        blame: bool,
+        /// Attach the series collector, with this window (`--series`).
+        series: Option<Cycles>,
+    },
 }
 
-impl Streamed {
-    /// Detach the [`Output::observers`] tee and take its parts back.
-    fn take(rt: &mut Runtime, title: &str) -> Streamed {
-        let any: Box<dyn Any> = rt.take_observer().expect("observers attached");
-        let fan = any.downcast::<Fanout>().expect("a Fanout");
-        let (mut rollup, mut timeline, mut blame, mut series) = (None, None, None, None);
-        for part in fan.into_parts() {
-            let part: Box<dyn Any> = part;
-            let part = match part.downcast::<Rollup>() {
-                Ok(r) => {
-                    rollup = Some(r);
-                    continue;
-                }
-                Err(p) => p,
+/// What the shared tail needs from a finished [`Job`].
+struct Ran {
+    rt: Runtime,
+    title: String,
+    service: Option<ServiceSummary>,
+    /// Clamps the critical path of a horizon-bounded run.
+    horizon: Option<Cycles>,
+    spec: Option<SpecSummary>,
+}
+
+impl Job {
+    /// The configuration the command line asks for: the flags both
+    /// groups take read once, then each group's own.
+    fn parse(kernel: Option<Kernel>, blame: bool, args: &Args, output: &Output) -> Job {
+        let buffer = output.buffer(args.get(&RING));
+        let mode = args.pick(&MODE, [ExecMode::Hybrid, ExecMode::ParallelOnly]);
+        let cost = args.pick(
+            &COST,
+            [CostModel::cm5(), CostModel::t3d(), CostModel::unit()],
+        );
+        let threads = args.get(&THREADS).unwrap_or(1);
+        let speculative = args.has(&SPECULATIVE);
+        let Some(kernel) = kernel else {
+            let mut cfg = ServeConfig {
+                mode,
+                cost,
+                buffer,
+                threads,
+                speculative,
+                ..ServeConfig::new()
             };
-            let part = match part.downcast::<TimelineBuilder>() {
-                Ok(b) => {
-                    timeline = Some(b.finish());
-                    continue;
-                }
-                Err(p) => p,
+            args.set(&P, &mut cfg.p);
+            args.set(&SEED, &mut cfg.seed);
+            args.set(&BACKENDS, &mut cfg.backends);
+            args.set(&UNTIL, &mut cfg.horizon);
+            args.set(&WARMUP, &mut cfg.warmup);
+            args.set(&CLIENTS, &mut cfg.clients);
+            args.set(&DEADLINE, &mut cfg.deadline);
+            args.set(&MAX_QUEUE, &mut cfg.max_queue);
+            let rate = args.get(&RATE).unwrap_or(500.0);
+            cfg.dist = ArrivalDist::named(args.pick(&ARRIVAL, ARRIVALS), rate)
+                .expect("every --arrival choice names a distribution");
+            let fault_seed: Option<u64> = args.get(&FAULT_SEED);
+            let plan = FaultPlan {
+                drop_permille: args.get(&DROP).unwrap_or(0),
+                dup_permille: args.get(&DUP).unwrap_or(0),
+                jitter_max: args.get(&JITTER).unwrap_or(0),
+                ..FaultPlan::seeded(fault_seed.unwrap_or(cfg.seed))
             };
-            let part = match part.downcast::<Blame>() {
-                Ok(b) => {
-                    blame = Some(b.summary(0.99, 10));
-                    continue;
-                }
-                Err(p) => p,
+            cfg.fault = (plan.drop_permille > 0
+                || plan.dup_permille > 0
+                || plan.jitter_max > 0
+                || fault_seed.is_some())
+            .then_some(plan);
+            let series = args.has(&SERIES) || args.has(&SERIES_WINDOW);
+            let window = args
+                .get(&SERIES_WINDOW)
+                .unwrap_or((cfg.horizon / 50).max(1));
+            return Job::Serve {
+                cfg,
+                blame,
+                series: series.then_some(window),
             };
-            if let Ok(s) = part.downcast::<Series>() {
-                series = Some(s.summary());
+        };
+        let mut cfg = ProfileConfig {
+            mode,
+            cost,
+            buffer,
+            threads,
+            speculative,
+            high_locality: args.pick(&LAYOUT, [true, false]),
+            style: args.pick(&STYLE, [Style::Pull, Style::Push, Style::Forward]),
+            ..ProfileConfig::new(kernel)
+        };
+        args.set(&P, &mut cfg.p);
+        args.set(&SEED, &mut cfg.seed);
+        args.set(&SIZE, &mut cfg.size);
+        args.set(&ITERS, &mut cfg.iters);
+        Job::Kernel {
+            cfg,
+            profile_shards: args.pick(&SHARD_MAP, [false, true]),
+        }
+    }
+
+    fn check(&self) -> Result<(), String> {
+        match self {
+            Job::Kernel { cfg, .. } => cfg.check(),
+            Job::Serve { cfg, .. } => cfg.check(),
+        }
+    }
+
+    fn run(&mut self, output: &Output) -> Result<Ran, Trap> {
+        match self {
+            Job::Kernel {
+                cfg,
+                profile_shards,
+            } => {
+                if *profile_shards && cfg.threads > 1 {
+                    cfg.shard_weights = Some(pilot_weights(cfg)?);
+                }
+                let rt = cfg.run_with_observer(output.observers(cfg.buffer, cfg.p, []))?;
+                Ok(Ran {
+                    spec: spec_summary(&rt, cfg.speculative, cfg.threads),
+                    title: cfg.title(),
+                    service: None,
+                    horizon: None,
+                    rt,
+                })
             }
-        }
-        // The rollup observed the stream online — the report is exact
-        // even when a bounded ring evicted records.
-        let rollup = rollup.expect("a Rollup in the fanout");
-        let stats = rt.stats();
-        let mut report = Report::new(title, &rollup, &stats, rt.program(), rt.schemas())
-            .with_sched(hem_obs::SchedSummary::from_stats(&stats.sched));
-        if let Some(b) = blame {
-            report = report.with_blame(b);
-        }
-        if let Some(s) = &series {
-            report = report.with_series(s.clone());
-        }
-        Streamed {
-            report,
-            timeline,
-            series,
+            Job::Serve { cfg, blame, series } => {
+                // Beside the rollup (and the timeline, for an export) tee
+                // the blame tracker and the series collector.
+                let mut extra: Vec<Box<dyn Observer>> = Vec::new();
+                if *blame {
+                    extra.push(Box::new(Blame::new()));
+                }
+                if let Some(w) = *series {
+                    extra.push(Box::new(Series::new(w)));
+                }
+                let observers = output.observers(cfg.buffer, cfg.p, extra);
+                let (rt, out) = cfg.run_with_observer(observers)?;
+                Ok(Ran {
+                    spec: spec_summary(&rt, cfg.speculative, cfg.threads),
+                    title: cfg.title(),
+                    service: Some(cfg.summary(&out)),
+                    horizon: Some(cfg.horizon),
+                    rt,
+                })
+            }
         }
     }
 }
@@ -344,92 +395,144 @@ fn main() {
 }
 
 fn run() {
-    let args = Args::capture();
-    let sub = match std::env::args().nth(1) {
+    let mut argv = std::env::args().skip(1);
+    let sub = match argv.next() {
         Some(name) if !name.starts_with('-') => name,
-        _ => usage(),
+        _ => print_usage(),
     };
-
-    if sub == "diff" {
-        args.finish();
-        run_diff();
+    let kernel = Kernel::parse(&sub);
+    let (on, operands) = match sub.as_str() {
+        "diff" => (DIFF, 2),
+        "serve" | "blame" => (SERVICE, 0),
+        _ if kernel.is_some() => (KERNEL, 0),
+        _ => usage_error(&format!(
+            "unknown kernel '{sub}' (expected sor, md, em3d, fib, serve, blame, or diff)"
+        )),
+    };
+    let args = Args::parse(FLAGS, (&sub, on), operands, argv).unwrap_or_else(|e| usage_error(&e));
+    if on == DIFF {
+        run_diff(&args.operands[0], &args.operands[1]);
     }
+
     let mut output = Output::parse(&args);
-
-    if sub == "serve" || sub == "blame" {
-        run_serve(&args, output, sub == "blame");
-        return;
+    let mut job = Job::parse(kernel, sub == "blame", &args, &output);
+    if let Err(e) = job.check() {
+        usage_error(&e);
     }
-
-    let kernel = match Kernel::parse(&sub) {
-        Some(k) => k,
-        None => {
-            eprintln!(
-                "hemprof: unknown kernel '{sub}' (expected sor, md, em3d, fib, serve, or blame)"
-            );
-            std::process::exit(2);
+    // Opened before the (potentially long) run, so a typo'd path fails in
+    // milliseconds, not minutes.
+    output.perfetto = output.perfetto.take().map(PerfettoDest::open);
+    let ran = match job.run(&output) {
+        Ok(ran) => ran,
+        Err(trap) => {
+            eprintln!("hemprof: {trap}");
+            // `exit` runs no destructors, and the Perfetto file's must.
+            drop(output);
+            std::process::exit(1);
         }
     };
+    emit(output, ran);
+}
 
-    let mut cfg = ProfileConfig::new(kernel);
-    if let Some(p) = args.get("--p") {
-        cfg.p = p;
-    }
-    if let Some(s) = args.get("--size") {
-        cfg.size = s;
-    }
-    if let Some(i) = args.get("--iters") {
-        cfg.iters = i;
-    }
-    if let Some(s) = args.get("--seed") {
-        cfg.seed = s;
-    }
-    if let Some(l) = args.get::<String>("--layout") {
-        cfg.high_locality = match l.as_str() {
-            "spatial" | "high" => true,
-            "random" | "low" => false,
-            _ => usage(),
-        };
-    }
-    if let Some(s) = args.get::<String>("--style") {
-        cfg.style = match s.as_str() {
-            "pull" => hem_apps::em3d::Style::Pull,
-            "push" => hem_apps::em3d::Style::Push,
-            "forward" => hem_apps::em3d::Style::Forward,
-            _ => usage(),
-        };
-    }
-    cfg.mode = parse_mode(&args);
-    cfg.cost = parse_cost(&args);
-    cfg.buffer = output.buffer(args.get("--ring"));
-    if let Some(t) = args.get("--threads") {
-        cfg.threads = t;
-    }
-    cfg.speculative = args.has("--speculative");
-    let profile_shards = match args.get::<String>("--shard-map").as_deref() {
-        None | Some("even") => false,
-        Some("profile") => true,
-        Some(_) => usage(),
-    };
-    output.validate(&args);
-    if profile_shards && cfg.threads > 1 {
-        cfg.shard_weights = Some(pilot_weights(&cfg));
-    }
+/// How a `hemprof diff` row reads its JSON path and when it prints.
+#[derive(Clone, Copy, PartialEq)]
+enum Show {
+    /// One row per member the path's last `*` reaches, labelled with its
+    /// key; printed when either side is nonzero.
+    Each,
+    /// The sum over the path; printed when either side is nonzero.
+    Sum,
+    /// The largest value on the path; printed when either side is nonzero.
+    Peak,
+    /// The sum over the path, always printed.
+    Always,
+}
 
-    let mut rt = cfg.run_with_observer(output.observers(cfg.buffer, cfg.p, []));
-    let streamed = Streamed::take(&mut rt, &cfg.title());
-    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
-    emit(output, streamed, &mut rt, None, spec);
+use Show::{Always, Each, Peak, Sum};
+
+/// A `hemprof diff` row: its label, its JSON path, and how it shows.
+type Row = (&'static str, &'static str, Show);
+
+/// `hemprof diff`'s sections: the top-level key both reports must carry
+/// for the section to print (`""`: the makespan line, which always prints,
+/// unindented), its heading, the width its labels are padded to, and its
+/// rows, whose paths are `.`-separated keys where `*` steps into every
+/// member or item.
+const SECTIONS: &[(&str, &str, usize, &[Row])] = &[
+    ("", "", 14, &[("makespan", "makespan", Always)]),
+    (
+        "traffic",
+        "traffic (messages):",
+        12,
+        &[
+            ("", "traffic.*.msgs", Each),
+            ("TOTAL", "traffic.*.msgs", Always),
+        ],
+    ),
+    (
+        "traffic",
+        "traffic (wire words):",
+        12,
+        &[
+            ("", "traffic.*.words", Each),
+            ("TOTAL", "traffic.*.words", Always),
+        ],
+    ),
+    (
+        "sched",
+        "scheduler (host diagnostics):",
+        18,
+        &[("", "sched.*", Each)],
+    ),
+    (
+        "blame",
+        "blame (cycles per category over all completions):",
+        12,
+        &[
+            ("", "blame.totals.*", Each),
+            ("completed", "blame.completed", Always),
+            ("sojourn p50", "blame.sojourn.p50", Always),
+            ("sojourn p99", "blame.sojourn.p99", Always),
+        ],
+    ),
+    (
+        "series",
+        "",
+        15,
+        &[
+            ("arrived", "series.buckets.*.arrived", Sum),
+            ("done", "series.buckets.*.done", Sum),
+            ("shed", "series.buckets.*.shed", Sum),
+            ("peak in-flight", "series.buckets.*.in_flight", Peak),
+            ("peak queue-wait", "series.buckets.*.queue_wait", Peak),
+        ],
+    ),
+];
+
+/// The numbers at `path` in `d`, each with the key its last `*` took.
+fn at<'a>(d: &'a Json, path: &str) -> Vec<(&'a str, u64)> {
+    let mut found = vec![("", d)];
+    for step in path.split('.') {
+        found = found
+            .into_iter()
+            .flat_map(|(key, j)| match (step, j) {
+                ("*", Json::Obj(members)) => members.iter().map(|(k, v)| (k.as_str(), v)).collect(),
+                ("*", Json::Arr(items)) => items.iter().map(|v| (key, v)).collect(),
+                _ => j.get(step).map_or(vec![], |v| vec![(key, v)]),
+            })
+            .collect();
+    }
+    let num = |j: &Json| j.as_num().unwrap_or(0.0) as u64;
+    found.into_iter().map(|(k, j)| (k, num(j))).collect()
 }
 
 /// `hemprof diff A.json B.json` — compare two rollup JSON reports
-/// (produced with `--report json`) and print signed per-cause traffic
-/// deltas, total wire words, and the makespan change.
-fn run_diff() -> ! {
-    let a_path = std::env::args().nth(2).unwrap_or_else(|| usage());
-    let b_path = std::env::args().nth(3).unwrap_or_else(|| usage());
-    let a = load_rollup(&a_path);
-    let b = load_rollup(&b_path);
+/// (produced with `--report json`), section by section of [`SECTIONS`]:
+/// signed per-cause traffic deltas, total wire words, the makespan, and
+/// the scheduler, blame and series sections when both reports carry them.
+fn run_diff(a_path: &str, b_path: &str) -> ! {
+    let a = load_rollup(a_path);
+    let b = load_rollup(b_path);
     let title = |d: &Json| {
         d.get("title")
             .and_then(Json::as_str)
@@ -457,39 +560,6 @@ fn run_diff() -> ! {
         // the distinction.
         std::process::exit(3);
     }
-
-    println!("rollup diff: {ta} -> {tb}");
-    println!("  A: {a_path}");
-    println!("  B: {b_path}");
-    println!();
-
-    let makespan = |d: &Json| d.get("makespan").and_then(Json::as_num).unwrap_or(0.0) as u64;
-    let (ma, mb) = (makespan(&a), makespan(&b));
-    println!(
-        "{:<14} {:>12} -> {:>12}  {}",
-        "makespan",
-        ma,
-        mb,
-        delta(ma, mb)
-    );
-    println!();
-
-    const CAUSES: [&str; 7] = [
-        "requests",
-        "replies",
-        "acks",
-        "retransmits",
-        "multicasts",
-        "reduces",
-        "barriers",
-    ];
-    let cell = |d: &Json, cause: &str, key: &str| -> u64 {
-        d.get("traffic")
-            .and_then(|t| t.get(cause))
-            .and_then(|c| c.get(key))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0) as u64
-    };
     if a.get("traffic").is_none() || b.get("traffic").is_none() {
         eprintln!(
             "hemprof: inputs lack a \"traffic\" object — expected the output of \
@@ -498,147 +568,57 @@ fn run_diff() -> ! {
         std::process::exit(1);
     }
 
-    println!("traffic (messages):");
-    let (mut tma, mut tmb, mut twa, mut twb) = (0u64, 0u64, 0u64, 0u64);
-    for cause in CAUSES {
-        let (xa, xb) = (cell(&a, cause, "msgs"), cell(&b, cause, "msgs"));
-        tma += xa;
-        tmb += xb;
-        twa += cell(&a, cause, "words");
-        twb += cell(&b, cause, "words");
-        if xa > 0 || xb > 0 {
-            println!("  {cause:<12} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
+    println!("rollup diff: {ta} -> {tb}");
+    println!("  A: {a_path}");
+    println!("  B: {b_path}");
+    for &(key, heading, width, rows) in SECTIONS {
+        let has = |d: &Json| key.is_empty() || d.get(key).is_some();
+        if !has(&a) && !has(&b) {
+            continue;
         }
-    }
-    println!(
-        "  {:<12} {tma:>12} -> {tmb:>12}  {}",
-        "TOTAL",
-        delta(tma, tmb)
-    );
-    println!();
-
-    println!("traffic (wire words):");
-    for cause in CAUSES {
-        let (xa, xb) = (cell(&a, cause, "words"), cell(&b, cause, "words"));
-        if xa > 0 || xb > 0 {
-            println!("  {cause:<12} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
-        }
-    }
-    println!(
-        "  {:<12} {twa:>12} -> {twb:>12}  {}",
-        "TOTAL",
-        delta(twa, twb)
-    );
-
-    // Scheduler-window occupancy (host diagnostics; executor-dependent).
-    let sched = |d: &Json, key: &str| -> u64 {
-        d.get("sched")
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0) as u64
-    };
-    if a.get("sched").is_some() || b.get("sched").is_some() {
         println!();
-        println!("scheduler (host diagnostics):");
-        for key in [
-            "events_dispatched",
-            "windows",
-            "serial_steps",
-            "window_events",
-            "max_window_events",
-        ] {
-            let (xa, xb) = (sched(&a, key), sched(&b, key));
-            if xa > 0 || xb > 0 {
-                println!("  {key:<18} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
-            }
+        if !has(&a) || !has(&b) {
+            println!("{key}: only one side has a {key} section — skipped");
+            continue;
         }
-    }
-
-    // Blame decomposition, when both reports carry one (hemprof blame).
-    let blame = |d: &Json, path: &[&str]| -> u64 {
-        let mut cur = d.get("blame");
-        for k in path {
-            cur = cur.and_then(|c| c.get(k));
-        }
-        cur.and_then(Json::as_num).unwrap_or(0.0) as u64
-    };
-    match (a.get("blame").is_some(), b.get("blame").is_some()) {
-        (true, true) => {
-            println!();
-            println!("blame (cycles per category over all completions):");
-            for cat in ["queue", "exec", "wire", "lock", "retx"] {
-                let (xa, xb) = (blame(&a, &["totals", cat]), blame(&b, &["totals", cat]));
-                if xa > 0 || xb > 0 {
-                    println!("  {cat:<12} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
-                }
-            }
-            for (label, path) in [
-                ("completed", &["completed"] as &[&str]),
-                ("sojourn p50", &["sojourn", "p50"]),
-                ("sojourn p99", &["sojourn", "p99"]),
-            ] {
-                let (xa, xb) = (blame(&a, path), blame(&b, path));
-                println!("  {label:<12} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
-            }
-        }
-        (true, false) | (false, true) => {
-            println!();
-            println!("blame: only one side has a blame section — skipped");
-        }
-        (false, false) => {}
-    }
-
-    // Series rollup, when both reports carry one (--series).
-    let series_sum = |d: &Json, key: &str, peak: bool| -> u64 {
-        let mut acc = 0u64;
-        if let Some(buckets) = d
-            .get("series")
-            .and_then(|s| s.get("buckets"))
-            .and_then(Json::as_arr)
-        {
-            for b in buckets {
-                let v = b.get(key).and_then(Json::as_num).unwrap_or(0.0) as u64;
-                acc = if peak { acc.max(v) } else { acc + v };
-            }
-        }
-        acc
-    };
-    match (a.get("series").is_some(), b.get("series").is_some()) {
-        (true, true) => {
-            let win = |d: &Json| -> u64 {
-                d.get("series")
-                    .and_then(|s| s.get("window"))
-                    .and_then(Json::as_num)
-                    .unwrap_or(0.0) as u64
-            };
-            println!();
-            if win(&a) != win(&b) {
+        if key == "series" {
+            let window = |d: &Json| at(d, "series.window").first().map_or(0, |w| w.1);
+            let (wa, wb) = (window(&a), window(&b));
+            if wa != wb {
                 println!(
-                    "series: window mismatch ({} vs {} cycles) — totals still comparable:",
-                    win(&a),
-                    win(&b)
+                    "series: window mismatch ({wa} vs {wb} cycles) — totals still comparable:"
                 );
             } else {
-                println!("series (window {} cycles):", win(&a));
+                println!("series (window {wa} cycles):");
             }
-            for (label, key, peak) in [
-                ("arrived", "arrived", false),
-                ("done", "done", false),
-                ("shed", "shed", false),
-                ("peak in-flight", "in_flight", true),
-                ("peak queue-wait", "queue_wait", true),
-            ] {
-                let (xa, xb) = (series_sum(&a, key, peak), series_sum(&b, key, peak));
-                if xa > 0 || xb > 0 {
-                    println!("  {label:<15} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
+        } else if !heading.is_empty() {
+            println!("{heading}");
+        }
+        let indent = if key.is_empty() { "" } else { "  " };
+        for &(label, path, show) in rows {
+            let (va, vb) = (at(&a, path), at(&b, path));
+            let lines: Vec<(&str, u64, u64)> = match show {
+                Each => va
+                    .iter()
+                    .map(|&(k, x)| (k, x, vb.iter().find(|v| v.0 == k).map_or(0, |v| v.1)))
+                    .collect(),
+                Peak => {
+                    let peak = |v: &[(&str, u64)]| v.iter().map(|v| v.1).max().unwrap_or(0);
+                    vec![(label, peak(&va), peak(&vb))]
+                }
+                Sum | Always => {
+                    let sum = |v: &[(&str, u64)]| v.iter().map(|v| v.1).sum();
+                    vec![(label, sum(&va), sum(&vb))]
+                }
+            };
+            for (label, xa, xb) in lines {
+                if show == Always || xa > 0 || xb > 0 {
+                    let label = format!("{indent}{label}");
+                    let width = width + indent.len();
+                    println!("{label:<width$} {xa:>12} -> {xb:>12}  {}", delta(xa, xb));
                 }
             }
         }
-        (true, false) | (false, true) => {
-            println!();
-            println!("series: only one side has a series section — skipped");
-        }
-        (false, false) => {}
     }
     std::process::exit(0);
 }
@@ -669,116 +649,16 @@ fn delta(a: u64, b: u64) -> String {
     }
 }
 
-fn run_serve(args: &Args, mut output: Output, blame: bool) {
-    let mut cfg = ServeConfig::new();
-    if let Some(p) = args.get("--p") {
-        cfg.p = p;
-    }
-    if let Some(b) = args.get("--backends") {
-        cfg.backends = b;
-    }
-    if let Some(h) = args.get("--until") {
-        cfg.horizon = h;
-    }
-    if let Some(w) = args.get("--warmup") {
-        cfg.warmup = w;
-    }
-    let rate: f64 = args.get("--rate").unwrap_or(500.0);
-    if rate < 1.0 || rate.is_nan() {
-        eprintln!("hemprof: --rate must be >= 1 (mean inter-arrival gap in cycles)");
-        std::process::exit(2);
-    }
-    let arrival = args
-        .get::<String>("--arrival")
-        .unwrap_or_else(|| "poisson".into());
-    cfg.dist = match ArrivalDist::named(&arrival, rate) {
-        Some(d) => d,
-        None => usage(),
-    };
-    if let Some(c) = args.get("--clients") {
-        cfg.clients = c;
-    }
-    if let Some(d) = args.get("--deadline") {
-        cfg.deadline = d;
-    }
-    if let Some(q) = args.get("--max-queue") {
-        cfg.max_queue = q;
-    }
-    if let Some(s) = args.get("--seed") {
-        cfg.seed = s;
-    }
-    cfg.mode = parse_mode(args);
-    cfg.cost = parse_cost(args);
-    cfg.buffer = output.buffer(args.get("--ring"));
-    if let Some(t) = args.get("--threads") {
-        cfg.threads = t;
-    }
-    cfg.speculative = args.has("--speculative");
-    if cfg.warmup >= cfg.horizon {
-        eprintln!("hemprof: --warmup must be below --until");
-        std::process::exit(2);
-    }
-
-    let drop: u16 = args.get("--drop").unwrap_or(0);
-    let dup: u16 = args.get("--dup").unwrap_or(0);
-    let jitter: Cycles = args.get("--jitter").unwrap_or(0);
-    let fault_seed: Option<u64> = args.get("--fault-seed");
-    if drop > 0 || dup > 0 || jitter > 0 || fault_seed.is_some() {
-        let mut plan = FaultPlan::seeded(fault_seed.unwrap_or(cfg.seed));
-        plan.drop_permille = drop;
-        plan.dup_permille = dup;
-        plan.jitter_max = jitter;
-        cfg.fault = Some(plan);
-    }
-
-    let series_window: Option<Cycles> =
-        if args.has("--series") || args.get::<Cycles>("--series-window").is_some() {
-            Some(
-                args.get("--series-window")
-                    .unwrap_or((cfg.horizon / 50).max(1)),
-            )
-        } else {
-            None
-        };
-    output.validate(args);
-
-    // One observer slot on the runtime, several consumers of the stream:
-    // beside the rollup (and the timeline, for an export) tee the blame
-    // tracker (`blame` subcommand) and the series collector (`--series`).
-    let mut extra: Vec<Box<dyn Observer>> = Vec::new();
-    if blame {
-        extra.push(Box::new(Blame::new()));
-    }
-    if let Some(w) = series_window {
-        extra.push(Box::new(Series::new(w)));
-    }
-    let observers = output.observers(cfg.buffer, cfg.p, extra);
-    let (mut rt, out) = match cfg.run_with_observer(observers) {
-        Ok(ran) => ran,
-        Err(trap) => {
-            eprintln!("hemprof: {trap}");
-            // `exit` runs no destructors, and the Perfetto file's must.
-            std::mem::drop(output);
-            std::process::exit(1);
-        }
-    };
-
-    let mut streamed = Streamed::take(&mut rt, &cfg.title());
-    streamed.report = streamed.report.with_service(cfg.summary(&out));
-    let spec = spec_summary(&rt, cfg.speculative, cfg.threads);
-    emit(output, streamed, &mut rt, Some(cfg.horizon), spec);
-}
-
 /// `--shard-map profile`: run a cheap single-threaded pilot of the same
 /// kernel and return its per-node busy time as shard weights. The pilot
 /// keeps no records (the rollup is its only consumer) and no report is
 /// printed for it.
-fn pilot_weights(cfg: &ProfileConfig) -> Vec<u64> {
+fn pilot_weights(cfg: &ProfileConfig) -> Result<Vec<u64>, Trap> {
     let mut pilot = cfg.clone();
     pilot.threads = 1;
     pilot.speculative = false;
     pilot.buffer = TraceBuffer::Off;
-    let mut rt = pilot.run_with_observer(Box::new(Rollup::new()));
+    let mut rt = pilot.run_with_observer(Box::new(Rollup::new()))?;
     let any: Box<dyn Any> = rt.take_observer().expect("pilot rollup attached");
     let rollup = any.downcast::<Rollup>().expect("a Rollup");
     let w = rollup.node_busy_weights(cfg.p);
@@ -787,18 +667,18 @@ fn pilot_weights(cfg: &ProfileConfig) -> Vec<u64> {
         w.iter().sum::<u64>(),
         w.len()
     );
-    w
+    Ok(w)
 }
 
 /// Host-side speculation diagnostics for the report and the Perfetto
 /// counter track. `None` when the run wasn't speculative (the simulated
 /// stats are executor-invariant, so there is nothing to add).
-fn spec_summary(rt: &Runtime, speculative: bool, threads: usize) -> Option<hem_obs::SpecSummary> {
+fn spec_summary(rt: &Runtime, speculative: bool, threads: usize) -> Option<SpecSummary> {
     if !speculative || threads <= 1 {
         return None;
     }
     let s = rt.spec_stats();
-    Some(hem_obs::SpecSummary {
+    Some(SpecSummary {
         threads,
         windows: s.windows,
         serial_steps: s.serial_steps,
@@ -812,24 +692,43 @@ fn spec_summary(rt: &Runtime, speculative: bool, threads: usize) -> Option<hem_o
 /// Print the report, then the extras: the `--events` dump of whatever was
 /// buffered, and `--perfetto` / `--critical-path` off the timeline — the
 /// streamed one, or, under `--ring`, the one the ring's contents give.
-/// `horizon` clamps the critical path for horizon-bounded runs; `spec` is
-/// a speculative run's report section and Perfetto counter track.
-fn emit(
-    output: Output,
-    streamed: Streamed,
-    rt: &mut Runtime,
-    horizon: Option<Cycles>,
-    spec: Option<hem_obs::SpecSummary>,
-) {
-    let Streamed {
-        mut report,
-        timeline,
-        series,
-    } = streamed;
+fn emit(output: Output, ran: Ran) {
+    let Ran {
+        mut rt,
+        title,
+        service,
+        horizon,
+        spec,
+    } = ran;
+    // Detach the [`Output::observers`] tee and take its parts back.
+    let any: Box<dyn Any> = rt.take_observer().expect("observers attached");
+    let fan = any.downcast::<Fanout>().expect("a Fanout");
+    let mut parts: Vec<Box<dyn Any>> = fan.into_parts().into_iter().map(|p| p as _).collect();
+    fn part<T: 'static>(parts: &mut Vec<Box<dyn Any>>) -> Option<Box<T>> {
+        let i = parts.iter().position(|p| p.is::<T>())?;
+        parts.remove(i).downcast().ok()
+    }
+    // The rollup observed the stream online — the report is exact even
+    // when a bounded ring evicted records.
+    let rollup = part::<Rollup>(&mut parts).expect("a Rollup in the fanout");
+    let timeline = part::<TimelineBuilder>(&mut parts).map(|b| b.finish());
+    let blame = part::<Blame>(&mut parts).map(|b| b.summary(0.99, 10));
+    let series = part::<Series>(&mut parts).map(|s| s.summary());
+    let stats = rt.stats();
+    let mut report = Report::new(&title, &rollup, &stats, rt.program(), rt.schemas())
+        .with_sched(hem_obs::SchedSummary::from_stats(&stats.sched));
+    if let Some(b) = blame {
+        report = report.with_blame(b);
+    }
+    if let Some(s) = &series {
+        report = report.with_series(s.clone());
+    }
+    if let Some(s) = service {
+        report = report.with_service(s);
+    }
     if let Some(s) = &spec {
         report = report.with_speculative(s.clone());
     }
-    let stats = rt.stats();
     if stats.sched.dropped_events > 0 {
         eprintln!(
             "hemprof: WARNING: the trace ring evicted {} records; the rollup \
@@ -920,25 +819,9 @@ fn emit(
         let mut by_len: Vec<_> = cp.segments.iter().collect();
         by_len.sort_by_key(|s| std::cmp::Reverse(s.dur()));
         for s in by_len.iter().take(show) {
-            match s.from_node {
-                Some(f) => println!(
-                    "    [{:>10}..{:>10}] n{} <- n{} {} ({} cycles)",
-                    s.start,
-                    s.end,
-                    s.node,
-                    f,
-                    s.class,
-                    s.dur()
-                ),
-                None => println!(
-                    "    [{:>10}..{:>10}] n{} {} ({} cycles)",
-                    s.start,
-                    s.end,
-                    s.node,
-                    s.class,
-                    s.dur()
-                ),
-            }
+            let from = s.from_node.map_or(String::new(), |f| format!(" <- n{f}"));
+            let (start, end, node, class, dur) = (s.start, s.end, s.node, s.class, s.dur());
+            println!("    [{start:>10}..{end:>10}] n{node}{from} {class} ({dur} cycles)");
         }
 
         println!("\nper-node breakdown (cycles; every row sums to the makespan):");

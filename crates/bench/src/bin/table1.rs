@@ -25,6 +25,7 @@ fn dump(name: &str, program: &Program, t: &mut Table) {
 }
 
 fn main() {
+    hem_bench::Args::capture(&[]);
     println!("Table 1: invocation schemas (parallel version always exists;");
     println!("the sequential interface below is selected per method by the");
     println!("may-block / requires-continuation analyses)\n");

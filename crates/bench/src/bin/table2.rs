@@ -9,6 +9,7 @@ use hem_bench::report::Table;
 use hem_machine::cost::CostModel;
 
 fn main() {
+    hem_bench::Args::capture(&[]);
     let cost = CostModel::cm5();
     let suite = micro::build();
 

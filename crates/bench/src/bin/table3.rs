@@ -7,7 +7,7 @@
 
 use hem_analysis::InterfaceSet;
 use hem_bench::report::{secs, Table};
-use hem_bench::Args;
+use hem_bench::{Args, FULL};
 use hem_core::{ExecMode, Runtime};
 use hem_ir::{MethodId, Value};
 use hem_machine::cost::CostModel;
@@ -44,9 +44,7 @@ fn time_c(b: &Bench) -> f64 {
 }
 
 fn main() {
-    let args = Args::capture();
-    let full = args.has("--full");
-    args.finish();
+    let full = Args::capture(&[FULL]).has(&FULL);
     let suite = hem_apps::callintensive::build();
     let (fib_n, tak, nq, qs, nrev_n, ackmn) = if full {
         (

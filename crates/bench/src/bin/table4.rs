@@ -7,17 +7,23 @@
 use hem_analysis::InterfaceSet;
 use hem_apps::sor;
 use hem_bench::report::{secs, speedup, Table};
-use hem_bench::Args;
+use hem_bench::{flag, Args, Kind::Int, ALL};
 use hem_core::ExecMode;
 use hem_machine::cost::CostModel;
 use hem_machine::topology::ProcGrid;
 
+hem_bench::flags! { FLAGS:
+    FULL = hem_bench::FULL;
+    // The sweep's two largest blocks are n/16 and n/8.
+    N = flag("--n", Int(16, u32::MAX as u64), ALL, "grid side (default 192, 512 with --full)");
+    ITERS = hem_bench::ITERS;
+}
+
 fn main() {
-    let args = Args::capture();
-    let full = args.has("--full");
-    let n: u32 = args.get("--n").unwrap_or(if full { 512 } else { 192 });
-    let iters: u32 = args.get("--iters").unwrap_or(if full { 100 } else { 2 });
-    args.finish();
+    let args = Args::capture(FLAGS);
+    let full = args.has(&FULL);
+    let n: u32 = args.get(&N).unwrap_or(if full { 512 } else { 192 });
+    let iters: u32 = args.get(&ITERS).unwrap_or(if full { 100 } else { 2 });
     let procs = ProcGrid::square(64);
     // Block sizes from fully cyclic to pure block (n / 8 per processor).
     let mut blocks = vec![1u32, 2, 4, n / 16, n / 8];
@@ -52,7 +58,7 @@ fn main() {
                 .enumerate()
             {
                 let ids = sor::build();
-                let mut rt = hem_bench::rt(
+                let mut rt = hem_apps::make_runtime(
                     ids.program.clone(),
                     procs.len(),
                     cost.clone(),

@@ -7,18 +7,20 @@
 use hem_analysis::InterfaceSet;
 use hem_apps::md::{self, Layout};
 use hem_bench::report::{secs, speedup, Table};
-use hem_bench::Args;
+use hem_bench::{flag, Args, Kind::Int, ALL};
 use hem_core::ExecMode;
 use hem_machine::cost::CostModel;
 
+hem_bench::flags! { FLAGS:
+    FULL = hem_bench::FULL;
+    ATOMS = flag("--atoms", Int(1, u32::MAX as u64), ALL, "atoms (default 2000, 10503 with --full)");
+}
+
 fn main() {
-    let args = Args::capture();
-    let full = args.has("--full");
+    let args = Args::capture(FLAGS);
+    let full = args.has(&FULL);
     // Paper: 10503 atoms, 1 iteration.
-    let n_atoms: u32 = args
-        .get("--atoms")
-        .unwrap_or(if full { 10503 } else { 2000 });
-    args.finish();
+    let n_atoms: u32 = args.get(&ATOMS).unwrap_or(if full { 10503 } else { 2000 });
     let cutoff = 1.1f64;
     let nodes = 64u32;
 
@@ -52,7 +54,7 @@ fn main() {
                 let ids = md::build();
                 let sys = md::generate(n_atoms, cutoff, nodes, layout, 20260706);
                 pairs = sys.pairs.len();
-                let mut rt = hem_bench::rt(
+                let mut rt = hem_apps::make_runtime(
                     ids.program.clone(),
                     nodes,
                     cost.clone(),

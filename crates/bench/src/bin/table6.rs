@@ -7,20 +7,25 @@
 use hem_analysis::InterfaceSet;
 use hem_apps::em3d::{self, Style};
 use hem_bench::report::{secs, speedup, Table};
-use hem_bench::Args;
+use hem_bench::{flag, Args, Kind::Int, ALL};
 use hem_core::ExecMode;
 use hem_machine::cost::CostModel;
 
+hem_bench::flags! { FLAGS:
+    FULL = hem_bench::FULL;
+    NODES_EACH = flag("--nodes-each", Int(0, u32::MAX as u64), ALL, "graph nodes per side (default 512, 4096 with --full)");
+    ITERS = hem_bench::ITERS;
+}
+
 fn main() {
-    let args = Args::capture();
-    let full = args.has("--full");
+    let args = Args::capture(FLAGS);
+    let full = args.has(&FULL);
     // Paper: 8192 graph nodes of degree 16, 100 iterations.
     let n_each: u32 = args
-        .get("--nodes-each")
+        .get(&NODES_EACH)
         .unwrap_or(if full { 4096 } else { 512 });
     let degree = 16u32;
-    let iters: u32 = args.get("--iters").unwrap_or(if full { 100 } else { 2 });
-    args.finish();
+    let iters: u32 = args.get(&ITERS).unwrap_or(if full { 100 } else { 2 });
 
     println!(
         "Table 6: EM3D ({} graph nodes of degree {degree}, {iters} iterations)\n\
@@ -51,7 +56,7 @@ fn main() {
                 {
                     let ids = em3d::build(degree);
                     let g = em3d::generate(n_each, degree, machine_nodes, p_local, 424242);
-                    let mut rt = hem_bench::rt(
+                    let mut rt = hem_apps::make_runtime(
                         ids.program.clone(),
                         machine_nodes,
                         cost.clone(),

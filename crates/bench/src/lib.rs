@@ -12,11 +12,14 @@
 //! | `table6` | Table 6 — EM3D pull/push/forward, low/high locality, CM-5 + T3D |
 //! | `fig9`   | Fig. 9 — SOR heap contexts vs block perimeter |
 //!
-//! All binaries take `--full` to run at paper scale (slow) and print the
-//! scaled defaults otherwise. The `benches/` directory adds three
-//! criterion groups — `schemas`, `kernels` and the `ablations` harness;
-//! host-time benchmarking of the runtime itself is `benchmark/`
-//! (hembench), not here.
+//! `table3`–`table6` take `--full` to run at paper scale (slow) and print
+//! the scaled defaults otherwise. `benches/ablations.rs` is a plain
+//! `main` run by `cargo bench` that reports the design ablations in
+//! simulated cycles; host-time benchmarking of the runtime itself is
+//! `benchmark/` (hembench), not here.
+//!
+//! Every binary declares its flags once, in a [`flags!`] table that
+//! [`Args::parse`] checks the command line against and [`usage`] prints.
 
 #![warn(missing_docs)]
 
@@ -25,104 +28,224 @@ pub mod profile;
 pub mod report;
 pub mod serve;
 
-use hem_analysis::InterfaceSet;
-use hem_core::{ExecMode, Runtime};
-use hem_ir::Program;
-use hem_machine::cost::CostModel;
-
-/// Construct a runtime or abort with the validation errors.
-pub fn rt(
-    program: Program,
-    nodes: u32,
-    cost: CostModel,
-    mode: ExecMode,
-    ifaces: InterfaceSet,
-) -> Runtime {
-    hem_apps::make_runtime(program, nodes, cost, mode, ifaces)
+/// What a flag's value must be.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// No value: the flag is present or not.
+    Bare,
+    /// An integer in `min..=max`; `max` is at most the largest value of
+    /// the type [`Args::get`] reads it as.
+    Int(u64, u64),
+    /// A number no smaller than the bound (and not NaN).
+    Float(f64),
+    /// One of a fixed set of words. Each entry is one choice, with its
+    /// aliases separated by `|`; [`Args::pick`] maps it by position.
+    Choice(&'static [&'static str]),
+    /// A file path.
+    Path,
 }
 
-/// Flag scanner for the harness binaries: `has("--full")`, `get("--n")`,
-/// then [`Args::finish`] once everything has been looked up — a flag no
-/// lookup asked for is a usage error, not a silent no-op.
+/// One command-line flag, declared once: the command line is checked
+/// against it, the usage text prints it, and the typed lookups take it.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// `--name`.
+    pub name: &'static str,
+    /// What its value must be.
+    pub kind: Kind,
+    /// The subcommands that take it, as a set of the bits the binary
+    /// gives its subcommands ([`ALL`] in a binary without subcommands).
+    pub on: u32,
+    /// One line of usage text.
+    pub help: &'static str,
+}
+
+/// [`Flag::on`] for every subcommand.
+pub const ALL: u32 = u32::MAX;
+
+/// A [`Flag`], for the one-line entries of a [`flags!`] table.
+pub const fn flag(name: &'static str, kind: Kind, on: u32, help: &'static str) -> Flag {
+    Flag {
+        name,
+        kind,
+        on,
+        help,
+    }
+}
+
+/// `--full`, which the four kernel tables share.
+pub const FULL: Flag = flag("--full", Kind::Bare, ALL, "paper-scale inputs (slow)");
+
+/// `--iters`, which `table4`, `table6` and `hemprof` share.
+pub const ITERS: Flag = flag("--iters", Kind::Int(0, u32::MAX as u64), ALL, "iterations");
+
+/// A binary's flag table: `TABLE: NAME = flag(..); ...` makes each entry
+/// a [`Flag`] constant for the typed lookups and `TABLE` the list of all
+/// of them, in the order the usage text prints them.
+#[macro_export]
+macro_rules! flags {
+    ($table:ident: $($id:ident = $flag:expr;)*) => {
+        $(const $id: $crate::Flag = $flag;)*
+        const $table: &[$crate::Flag] = &[$($id),*];
+    };
+}
+
+impl Flag {
+    /// Is `v` a value this flag takes? The error is the reason it is not.
+    fn check(&self, v: &str) -> Result<(), String> {
+        let invalid = || format!("invalid value '{v}'");
+        match self.kind {
+            Kind::Bare | Kind::Path => Ok(()),
+            Kind::Int(min, max) => match v.parse::<u64>().map_err(|_| invalid())? {
+                n if n < min => Err(format!("{n} is out of range (at least {min})")),
+                n if n > max => Err(format!("{n} is out of range (at most {max})")),
+                _ => Ok(()),
+            },
+            Kind::Float(min) => match v.parse::<f64>().map_err(|_| invalid())? {
+                x if x >= min => Ok(()),
+                _ => Err(format!("{v} is out of range (at least {min})")),
+            },
+            Kind::Choice(_) if self.choice(v).is_some() => Ok(()),
+            Kind::Choice(words) => Err(format!("{} (expected {})", invalid(), words.join("|"))),
+        }
+    }
+
+    /// The position of the entry `v` names, for a [`Kind::Choice`] flag.
+    fn choice(&self, v: &str) -> Option<usize> {
+        let Kind::Choice(words) = self.kind else {
+            panic!("{} is not a choice", self.name)
+        };
+        words.iter().position(|w| w.split('|').any(|w| w == v))
+    }
+
+    /// The flag as usage spells it: its name and a placeholder for its value.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Kind::Bare => self.name.to_string(),
+            Kind::Int(..) => format!("{} N", self.name),
+            Kind::Float(_) => format!("{} X", self.name),
+            Kind::Choice(words) => format!("{} {}", self.name, words.join("|")),
+            Kind::Path => format!("{} FILE", self.name),
+        }
+    }
+}
+
+/// The usage text of a subcommand: `usage: synopsis`, then one line for
+/// each flag of `flags` it takes (`on`).
+pub fn usage(flags: &[Flag], on: u32, synopsis: &str) -> String {
+    let taken: Vec<_> = flags.iter().filter(|f| f.on & on != 0).collect();
+    let width = taken.iter().map(|f| f.synopsis().len()).max().unwrap_or(0);
+    let mut text = format!("usage: {synopsis}\n");
+    for f in taken {
+        text += &format!("  {:<width$}  {}\n", f.synopsis(), f.help);
+    }
+    text
+}
+
+/// A command line checked against a flag table: every flag known and
+/// taken by the subcommand, every value present, well-formed and in
+/// range, the operands counted. Lookups on it cannot fail.
 pub struct Args {
-    argv: Vec<String>,
-    /// `consumed[i]` — has a lookup matched `argv[i]` (as a flag or as a
-    /// flag's value)?
-    consumed: std::cell::RefCell<Vec<bool>>,
+    /// Each flag given, with the first value it was given (`""` for a
+    /// bare flag; a repeated flag keeps its first value).
+    given: Vec<(&'static str, String)>,
+    /// The positional arguments, in order.
+    pub operands: Vec<String>,
 }
 
 impl Args {
-    /// Capture the process arguments.
-    pub fn capture() -> Self {
-        let argv: Vec<String> = std::env::args().collect();
-        Args {
-            consumed: std::cell::RefCell::new(vec![false; argv.len()]),
-            argv,
-        }
-    }
-
-    /// Position of the first `flag`; every occurrence counts as consumed
-    /// (a repeated flag is not an unknown one).
-    fn find(&self, flag: &str) -> Option<usize> {
-        let mut consumed = self.consumed.borrow_mut();
-        let mut first = None;
-        for (i, a) in self.argv.iter().enumerate() {
-            if a == flag {
-                consumed[i] = true;
-                first = first.or(Some(i));
+    /// Check `args` — the command line after the binary's name and
+    /// subcommand — against `flags`, for the subcommand `sub` (its name
+    /// and its [`Flag::on`] bit), which takes exactly `operands`
+    /// positional arguments. The error is the one line to print.
+    pub fn parse(
+        flags: &[Flag],
+        sub: (&str, u32),
+        operands: usize,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let mut parsed = Args {
+            given: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                parsed.operands.push(arg);
+                continue;
+            }
+            let Some(flag) = flags.iter().find(|f| f.name == arg) else {
+                return Err(format!("unknown flag '{arg}'"));
+            };
+            if flag.on & sub.1 == 0 {
+                return Err(format!("{arg} does not apply to {}", sub.0));
+            }
+            let value = match flag.kind {
+                Kind::Bare => String::new(),
+                _ => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
+            };
+            flag.check(&value).map_err(|e| format!("{arg}: {e}"))?;
+            if parsed.value(flag).is_none() {
+                parsed.given.push((flag.name, value));
             }
         }
-        first
-    }
-
-    /// Is a bare flag present?
-    pub fn has(&self, flag: &str) -> bool {
-        self.find(flag).is_some()
-    }
-
-    /// Value of `--key <v>`, parsed; `None` when the flag is absent. A
-    /// flag that is present with a missing or unparsable value is a usage
-    /// error: one line on stderr, exit 2 (never a silent default).
-    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        let i = self.find(key)?;
-        let Some(v) = self.argv.get(i + 1) else {
-            bad_value(&self.argv[0], &format!("{key} needs a value"));
-        };
-        self.consumed.borrow_mut()[i + 1] = true;
-        match v.parse() {
-            Ok(parsed) => Some(parsed),
-            Err(_) => bad_value(&self.argv[0], &format!("{key}: invalid value '{v}'")),
+        match parsed.operands.get(operands) {
+            Some(extra) => Err(format!("unexpected argument '{extra}'")),
+            None if parsed.operands.len() < operands => {
+                Err(format!("{} takes {operands} operands", sub.0))
+            }
+            None => Ok(parsed),
         }
     }
 
-    /// The first `--flag` on the command line that no [`Self::has`] or
-    /// [`Self::get`] has asked for.
-    fn unknown(&self) -> Option<&str> {
-        let consumed = self.consumed.borrow();
-        (1..self.argv.len())
-            .find(|&i| !consumed[i] && self.argv[i].starts_with("--"))
-            .map(|i| self.argv[i].as_str())
+    /// The process's command line, for a binary without subcommands or
+    /// operands; one that does not check out is a [`usage_error`].
+    pub fn capture(flags: &[Flag]) -> Args {
+        Args::parse(flags, ("", ALL), 0, std::env::args().skip(1))
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Call once every flag the binary understands has been looked up:
-    /// an unknown `--flag` is a usage error (one line on stderr, exit 2).
-    pub fn finish(&self) {
-        if let Some(flag) = self.unknown() {
-            bad_value(&self.argv[0], &format!("unknown flag '{flag}'"));
+    fn value(&self, flag: &Flag) -> Option<&str> {
+        let given = self.given.iter().find(|(name, _)| *name == flag.name);
+        given.map(|(_, v)| v.as_str())
+    }
+
+    /// Was a bare flag given?
+    pub fn has(&self, flag: &Flag) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The flag's value as a `T`; `None` when it was not given.
+    pub fn get<T: std::str::FromStr>(&self, flag: &Flag) -> Option<T> {
+        let v = self.value(flag)?;
+        let parsed = v.parse().ok();
+        Some(parsed.unwrap_or_else(|| panic!("{}: '{v}' passed its check", flag.name)))
+    }
+
+    /// Overwrite `slot` with the flag's value, when it was given.
+    pub fn set<T: std::str::FromStr>(&self, flag: &Flag, slot: &mut T) {
+        if let Some(v) = self.get(flag) {
+            *slot = v;
         }
+    }
+
+    /// `values[i]` for the `i`-th choice of a [`Kind::Choice`] flag, the
+    /// first when the flag was not given.
+    pub fn pick<T, const N: usize>(&self, flag: &Flag, values: [T; N]) -> T {
+        let i = self
+            .value(flag)
+            .map_or(0, |v| flag.choice(v).expect("checked"));
+        values.into_iter().nth(i).expect("one value per choice")
     }
 }
 
-fn bad_value(argv0: &str, what: &str) -> ! {
-    let bin = std::path::Path::new(argv0)
+/// A usage error: one line on stderr, prefixed with the binary's name,
+/// and exit 2.
+pub fn usage_error(what: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
         .file_name()
-        .map_or(argv0.into(), |n| n.to_string_lossy());
+        .map_or(argv0.clone(), |n| n.to_string_lossy().into_owned());
     eprintln!("{bin}: {what}");
     std::process::exit(2)
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self::capture()
-    }
 }

@@ -8,7 +8,7 @@
 use hem_analysis::InterfaceSet;
 use hem_apps::md::Layout;
 use hem_apps::{em3d, md, sor};
-use hem_core::{ExecMode, Runtime};
+use hem_core::{ExecMode, Runtime, Trap};
 use hem_machine::cost::CostModel;
 
 /// Which kernel to profile.
@@ -171,39 +171,69 @@ impl ProfileConfig {
         )
     }
 
+    /// The rules that span several fields, each broken one as the line
+    /// `hemprof` prints for it: SOR and MD need an input (`size` ≥ 1), SOR
+    /// lays its grid over a square processor grid, and MD's spatial layout
+    /// bisects down to a power-of-two node count. The runs below panic on
+    /// a configuration this rejects, or on `p == 0`.
+    pub fn check(&self) -> Result<(), String> {
+        let side = (self.p as f64).sqrt().round() as u64;
+        let broken = |rule: &str| Err(format!("{}: {rule}", self.kernel.name()));
+        match self.kernel {
+            Kernel::Sor | Kernel::Md if self.size == 0 => broken("--size must be at least 1"),
+            Kernel::Sor if side * side != self.p as u64 => broken("--p must be a perfect square"),
+            Kernel::Md if self.high_locality && !self.p.is_power_of_two() => {
+                broken("--p must be a power of two under the spatial layout")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Build the kernel, arm [`ProfileConfig::buffer`], run it, and return
-    /// the runtime (whatever was buffered still inside). Panics on a trap
-    /// — the profiled kernels are deadlock-free by construction.
-    pub fn run(&self) -> Runtime {
+    /// the runtime (whatever was buffered still inside) or the trap that
+    /// ended the run: a deep enough `fib` passes the sequential depth
+    /// limit.
+    pub fn run(&self) -> Result<Runtime, Trap> {
         self.run_impl(None)
     }
 
     /// Same as [`ProfileConfig::run`], with a zero-virtual-time observer
     /// attached before the kernel starts, so it sees the full stream.
-    pub fn run_with_observer(&self, obs: Box<dyn hem_core::Observer>) -> Runtime {
+    pub fn run_with_observer(&self, obs: Box<dyn hem_core::Observer>) -> Result<Runtime, Trap> {
         self.run_impl(Some(obs))
     }
 
-    fn run_impl(&self, obs: Option<Box<dyn hem_core::Observer>>) -> Runtime {
+    fn run_impl(&self, obs: Option<Box<dyn hem_core::Observer>>) -> Result<Runtime, Trap> {
+        // The kernel's runtime, with everything armed before its setup runs.
+        let runtime = |program: &hem_ir::Program| {
+            let mut rt = hem_apps::make_runtime(
+                program.clone(),
+                self.p,
+                self.cost.clone(),
+                self.mode,
+                InterfaceSet::Full,
+            );
+            if self.shard_weights.is_some() {
+                rt.set_shard_weights(self.shard_weights.clone());
+            }
+            arm(&mut rt, self.threads, self.speculative, self.buffer);
+            if let Some(o) = obs {
+                rt.attach_observer(o);
+            }
+            rt
+        };
         match self.kernel {
             Kernel::Sor => {
                 let ids = sor::build();
-                let mut rt = crate::rt(
-                    ids.program.clone(),
-                    self.p,
-                    self.cost.clone(),
-                    self.mode,
-                    InterfaceSet::Full,
-                );
-                self.arm(&mut rt, obs);
+                let mut rt = runtime(&ids.program);
                 let params = sor::SorParams {
                     n: self.size,
                     block: 4,
                     procs: hem_machine::topology::ProcGrid::square(self.p),
                 };
                 let inst = sor::setup(&mut rt, &ids, params);
-                sor::run(&mut rt, &inst, self.iters).expect("sor run");
-                rt
+                sor::run(&mut rt, &inst, self.iters)?;
+                Ok(rt)
             }
             Kernel::Md => {
                 let ids = md::build();
@@ -213,72 +243,42 @@ impl ProfileConfig {
                     Layout::Random
                 };
                 let sys = md::generate(self.size, 1.1, self.p, layout, self.seed);
-                let mut rt = crate::rt(
-                    ids.program.clone(),
-                    self.p,
-                    self.cost.clone(),
-                    self.mode,
-                    InterfaceSet::Full,
-                );
-                self.arm(&mut rt, obs);
+                let mut rt = runtime(&ids.program);
                 let inst = md::setup(&mut rt, &ids, &sys);
                 for _ in 0..self.iters {
-                    md::run_iteration(&mut rt, &inst).expect("md iteration");
+                    md::run_iteration(&mut rt, &inst)?;
                 }
-                rt
+                Ok(rt)
             }
             Kernel::Em3d => {
                 let ids = em3d::build(4);
                 let p_local = if self.high_locality { 0.9 } else { 0.2 };
                 let g = em3d::generate(self.size, 4, self.p, p_local, self.seed);
-                let mut rt = crate::rt(
-                    ids.program.clone(),
-                    self.p,
-                    self.cost.clone(),
-                    self.mode,
-                    InterfaceSet::Full,
-                );
-                self.arm(&mut rt, obs);
+                let mut rt = runtime(&ids.program);
                 let inst = em3d::setup(&mut rt, &ids, &g);
-                em3d::run(&mut rt, &inst, self.style, self.iters).expect("em3d run");
-                rt
+                em3d::run(&mut rt, &inst, self.style, self.iters)?;
+                Ok(rt)
             }
             Kernel::Fib => {
                 let suite = hem_apps::callintensive::build();
-                let mut rt = crate::rt(
-                    suite.program.clone(),
-                    self.p,
-                    self.cost.clone(),
-                    self.mode,
-                    InterfaceSet::Full,
-                );
-                self.arm(&mut rt, obs);
+                let mut rt = runtime(&suite.program);
                 let o = rt.alloc_object_by_name("Math", hem_machine::NodeId(0));
-                rt.call(o, suite.fib, &[hem_ir::Value::Int(self.size as i64)])
-                    .expect("fib run");
-                rt
+                rt.call(o, suite.fib, &[hem_ir::Value::Int(self.size as i64)])?;
+                Ok(rt)
             }
         }
     }
+}
 
-    fn arm(&self, rt: &mut Runtime, obs: Option<Box<dyn hem_core::Observer>>) {
-        if self.shard_weights.is_some() {
-            rt.set_shard_weights(self.shard_weights.clone());
-        }
-        if self.threads > 1 {
-            rt.sched_impl = if self.speculative {
-                hem_core::SchedImpl::Speculative {
-                    threads: self.threads,
-                }
-            } else {
-                hem_core::SchedImpl::Sharded {
-                    threads: self.threads,
-                }
-            };
-        }
-        self.buffer.arm(rt);
-        if let Some(o) = obs {
-            rt.attach_observer(o);
-        }
+/// Arm what [`ProfileConfig`] and [`crate::serve::ServeConfig`] share: the
+/// executor `threads` and `speculative` pick, and the trace `buffer`.
+pub(crate) fn arm(rt: &mut Runtime, threads: usize, speculative: bool, buffer: TraceBuffer) {
+    if threads > 1 {
+        rt.sched_impl = if speculative {
+            hem_core::SchedImpl::Speculative { threads }
+        } else {
+            hem_core::SchedImpl::Sharded { threads }
+        };
     }
+    buffer.arm(rt);
 }

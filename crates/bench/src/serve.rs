@@ -98,6 +98,15 @@ impl ServeConfig {
         )
     }
 
+    /// The rule that spans two fields, as the line `hemprof` prints when
+    /// it is broken: the warm-up cutoff lies inside the horizon.
+    pub fn check(&self) -> Result<(), String> {
+        if self.warmup >= self.horizon {
+            return Err("--warmup must be below --until".into());
+        }
+        Ok(())
+    }
+
     /// Build the service world, arm [`ServeConfig::buffer`] plus a
     /// streaming rollup observer, and play the arrival stream. Returns the
     /// runtime (whatever was buffered still inside, observer still
@@ -116,25 +125,14 @@ impl ServeConfig {
         obs: Box<dyn hem_core::Observer>,
     ) -> Result<(Runtime, ServeOutcome), Trap> {
         let ids = service::build();
-        let mut rt = crate::rt(
+        let mut rt = hem_apps::make_runtime(
             ids.program.clone(),
             self.p,
             self.cost.clone(),
             self.mode,
             InterfaceSet::Full,
         );
-        if self.threads > 1 {
-            rt.sched_impl = if self.speculative {
-                hem_core::SchedImpl::Speculative {
-                    threads: self.threads,
-                }
-            } else {
-                hem_core::SchedImpl::Sharded {
-                    threads: self.threads,
-                }
-            };
-        }
-        self.buffer.arm(&mut rt);
+        crate::profile::arm(&mut rt, self.threads, self.speculative, self.buffer);
         if let Some(plan) = &self.fault {
             rt.set_fault_plan(plan.clone());
         }

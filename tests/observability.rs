@@ -39,7 +39,7 @@ fn small(kernel: Kernel) -> ProfileConfig {
 #[test]
 fn rollup_counts_match_machine_stats_on_all_kernels() {
     for kernel in Kernel::ALL {
-        let mut rt = small(kernel).run();
+        let mut rt = small(kernel).run().expect("no trap");
         let records = rt.take_trace();
         let stats = rt.stats();
         let totals = stats.totals();
@@ -149,7 +149,7 @@ fn rollup_counts_match_machine_stats_on_all_kernels() {
 fn report_renders_for_all_kernels_and_json_validates() {
     for kernel in Kernel::ALL {
         let cfg = small(kernel);
-        let mut rt = cfg.run();
+        let mut rt = cfg.run().expect("no trap");
         let records = rt.take_trace();
         let rollup = Rollup::from_records(&records);
         let report = Report::new(
@@ -180,7 +180,7 @@ fn report_renders_for_all_kernels_and_json_validates() {
 #[test]
 fn perfetto_export_validates_with_spans_on_every_node_and_flow_arrows() {
     let cfg = small(Kernel::Sor);
-    let mut rt = cfg.run();
+    let mut rt = cfg.run().expect("no trap");
     let records = rt.take_trace();
     let stats = rt.stats();
     let tl = Timeline::build(&records, stats.per_node.len());
@@ -216,7 +216,7 @@ fn perfetto_export_validates_with_spans_on_every_node_and_flow_arrows() {
 #[test]
 fn critical_path_total_equals_makespan_on_all_kernels() {
     for kernel in Kernel::ALL {
-        let mut rt = small(kernel).run();
+        let mut rt = small(kernel).run().expect("no trap");
         let records = rt.take_trace();
         let stats = rt.stats();
         let name = kernel.name();
@@ -322,10 +322,12 @@ fn take_observer_flushes_buffering_observers() {
         }
     }
 
-    let mut rt = small(Kernel::Fib).run_with_observer(Box::new(Buffering {
-        pending: 0,
-        published: 0,
-    }));
+    let mut rt = small(Kernel::Fib)
+        .run_with_observer(Box::new(Buffering {
+            pending: 0,
+            published: 0,
+        }))
+        .expect("no trap");
     let records = rt.take_trace().len() as u64;
     assert!(records > 0, "fib run generated records");
     let any: Box<dyn std::any::Any> = rt.take_observer().expect("attached");
@@ -337,7 +339,7 @@ fn take_observer_flushes_buffering_observers() {
 #[test]
 fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // Reference run: unbounded trace.
-    let mut rt = small(Kernel::Em3d).run();
+    let mut rt = small(Kernel::Em3d).run().expect("no trap");
     let full = rt.take_trace().len();
     assert!(full > 100, "em3d produces a real trace ({full} records)");
     assert_eq!(rt.stats().sched.dropped_events, 0);
@@ -345,7 +347,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // Exactly at capacity: nothing dropped (the boundary).
     let mut cfg = small(Kernel::Em3d);
     cfg.buffer = TraceBuffer::Ring(full);
-    let mut rt = cfg.run();
+    let mut rt = cfg.run().expect("no trap");
     assert_eq!(
         rt.stats().sched.dropped_events,
         0,
@@ -357,7 +359,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // after the buffer is drained.
     let mut cfg = small(Kernel::Em3d);
     cfg.buffer = TraceBuffer::Ring(full - 1);
-    let mut rt = cfg.run();
+    let mut rt = cfg.run().expect("no trap");
     assert_eq!(rt.stats().sched.dropped_events, 1, "cap == len-1 drops one");
     let kept = rt.take_trace();
     assert_eq!(kept.len(), full - 1);
@@ -372,7 +374,7 @@ fn truncated_ring_is_counted_exactly_and_surfaced_in_stats() {
     // the report shouts about it.
     let mut cfg = small(Kernel::Em3d);
     cfg.buffer = TraceBuffer::Ring(128);
-    let mut rt = cfg.run();
+    let mut rt = cfg.run().expect("no trap");
     let stats = rt.stats();
     assert_eq!(stats.sched.dropped_events as usize, full - 128);
     let records = rt.take_trace();
@@ -425,7 +427,7 @@ fn outputs(plan: &Plan, streamed: bool) -> Outputs {
         Plan::Kernel(cfg) => {
             let mut cfg = cfg.clone();
             cfg.buffer = buffer;
-            let rt = cfg.run_with_observer(Box::new(fan));
+            let rt = cfg.run_with_observer(Box::new(fan)).expect("no trap");
             let threads = (cfg.speculative && cfg.threads > 1).then_some(cfg.threads);
             (rt, cfg.title(), None, None, threads)
         }
