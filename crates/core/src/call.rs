@@ -37,7 +37,7 @@ use crate::seq::{self, Conv, SeqOutcome, SeqState};
 use crate::wrapper::par_invoke_ctx;
 use crate::ExecMode;
 use hem_analysis::Schema;
-use hem_ir::{MethodId, ObjRef, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Program, Slot, Value};
 use hem_machine::NodeId;
 
 /// The call site, as far as the protocol needs to know it.
@@ -220,6 +220,7 @@ impl Caller<'_> {
 #[inline(always)]
 pub(crate) fn invoke(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     mut caller: Caller<'_>,
     target: ObjRef,
@@ -258,13 +259,13 @@ pub(crate) fn invoke(
         // provably non-blocking method on a local unlocked object in place.
         if matches!(caller, Caller::HeapInvoke { .. })
             && rt.enable_inlining
-            && rt.program.method(callee).inlinable
+            && prog.method(callee).inlinable
             && rt.schemas.of(callee) == Schema::NonBlocking
             && !locked
         {
             rt.charge(node, rt.cost.inline_guard);
             rt.ctr(node).inlined += 1;
-            return match seq::run_seq(rt, node, target, callee, args, Conv::Nb)? {
+            return match seq::run_seq(rt, prog, node, target, callee, args, Conv::Nb)? {
                 SeqOutcome::Value(v) => caller.value(rt, node, v),
                 _ => Ok(None),
             };
@@ -303,7 +304,7 @@ pub(crate) fn invoke(
         _ => {}
     }
     let info = caller.info(rt, node);
-    let out = seq::call_seq_schema(rt, node, target, callee, args, info)?;
+    let out = seq::call_seq_schema(rt, prog, node, target, callee, args, info)?;
     settle_lock(rt, node, obj, locked, &out);
     match out {
         SeqOutcome::Value(v) => caller.value(rt, node, v),

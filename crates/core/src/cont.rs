@@ -248,7 +248,7 @@ impl Runtime {
             } => {
                 debug_assert_eq!(obj.node.idx(), node, "shell off-node");
                 let m = self.program.method(method);
-                let mut frame = ActFrame::new(method, obj, m.locals, m.slots, &[]);
+                let (nlocals, nslots) = (m.locals, m.slots);
                 // Mutant: mark slot 0 instead of the caller's declared
                 // return slot; adoption discards shell slots, so only the
                 // structural offset check sees it.
@@ -257,8 +257,11 @@ impl Runtime {
                 } else {
                     ret_slot as usize
                 };
-                frame.slots[mark] = SlotState::Pending;
-                let id = self.new_ctx(node, frame, Continuation::Unset, WaitState::Shell, true);
+                let shell = |f: &mut ActFrame| {
+                    f.reset(method, obj, nlocals, nslots, &[]);
+                    f.slots[mark] = SlotState::Pending;
+                };
+                let id = self.new_ctx(node, Continuation::Unset, WaitState::Shell, true, shell);
                 self.san_shell_check(node, id, ret_slot);
                 Ok((self.cont_into(node, id, ret_slot), Some(id)))
             }

@@ -50,10 +50,11 @@ impl SlotState {
 }
 
 /// The mutable core of an activation: identical for stack frames (the
-/// sequential interpreter keeps one on the host stack) and heap contexts
-/// (which wrap one in scheduling state). Falling back from stack to heap
-/// is *moving* an `ActFrame` into a [`Context`] — the mechanical heart of
-/// the paper's lazy context allocation.
+/// sequential interpreter builds one in the [`FrameStore`] level of its
+/// call depth) and heap contexts (which wrap one in scheduling state).
+/// Falling back from stack to heap is *copying* an `ActFrame` into a
+/// [`Context`]'s retained vectors — the mechanical heart of the paper's
+/// lazy context allocation.
 #[derive(Debug, PartialEq)]
 pub struct ActFrame {
     /// Executing method.
@@ -99,17 +100,41 @@ impl Clone for ActFrame {
 }
 
 impl ActFrame {
-    /// Fresh frame for invoking `method` on `obj` with `args`.
-    pub fn new(method: MethodId, obj: ObjRef, nlocals: u16, nslots: u16, args: &[Value]) -> Self {
-        let mut locals = vec![Value::Nil; nlocals as usize];
-        locals[..args.len()].copy_from_slice(args);
+    /// A frame without storage: a placeholder until [`Self::reset`] or
+    /// `clone_from` fills it.
+    pub fn empty(method: MethodId, obj: ObjRef) -> Self {
         ActFrame {
             method,
             obj,
             pc: 0,
-            locals,
-            slots: vec![SlotState::Empty; nslots as usize],
+            locals: Vec::new(),
+            slots: Vec::new(),
         }
+    }
+
+    /// Make this the fresh frame for invoking `method` on `obj` with
+    /// `args`, refilling the existing vectors in place.
+    #[inline]
+    pub fn reset(
+        &mut self,
+        method: MethodId,
+        obj: ObjRef,
+        nlocals: u16,
+        nslots: u16,
+        args: &[Value],
+    ) {
+        debug_assert!(
+            args.len() <= nlocals as usize,
+            "more arguments than registers"
+        );
+        self.method = method;
+        self.obj = obj;
+        self.pc = 0;
+        self.locals.clear();
+        self.locals.extend_from_slice(args);
+        self.locals.resize(nlocals as usize, Value::Nil);
+        self.slots.clear();
+        self.slots.resize(nslots as usize, SlotState::Empty);
     }
 
     /// Words of live state (locals + slots): the save/restore cost basis.
@@ -233,33 +258,46 @@ impl Clone for CtxTable {
 }
 
 impl CtxTable {
-    /// Allocate a context; returns its index.
-    pub fn alloc(&mut self, frame: ActFrame, cont: Continuation, wait: WaitState) -> u32 {
+    /// Allocate a context whose frame `init` fills — in the vectors a
+    /// recycled entry retained, so a warm table allocates nothing. Returns
+    /// its index.
+    pub fn alloc(
+        &mut self,
+        cont: Continuation,
+        wait: WaitState,
+        init: impl FnOnce(&mut ActFrame),
+    ) -> u32 {
         self.live += 1;
         self.peak = self.peak.max(self.live);
-        if let Some(i) = self.free.pop() {
-            let e = &mut self.entries[i as usize];
-            debug_assert_eq!(e.wait, WaitState::Free);
-            e.frame = frame;
-            e.cont = cont;
-            e.wait = wait;
-            e.holds_lock = false;
-            e.cont_consumed = false;
-            e.req = 0;
+        let i = match self.free.pop() {
             // gen was bumped at free time.
-            i
-        } else {
-            self.entries.push(Context {
-                frame,
-                cont,
-                wait,
-                gen: 0,
-                holds_lock: false,
-                cont_consumed: false,
-                req: 0,
-            });
-            (self.entries.len() - 1) as u32
-        }
+            Some(i) => i,
+            None => {
+                let none = ObjRef {
+                    node: NodeId(0),
+                    index: 0,
+                };
+                self.entries.push(Context {
+                    frame: ActFrame::empty(MethodId(0), none),
+                    cont,
+                    wait: WaitState::Free,
+                    gen: 0,
+                    holds_lock: false,
+                    cont_consumed: false,
+                    req: 0,
+                });
+                (self.entries.len() - 1) as u32
+            }
+        };
+        let e = &mut self.entries[i as usize];
+        debug_assert_eq!(e.wait, WaitState::Free);
+        init(&mut e.frame);
+        e.cont = cont;
+        e.wait = wait;
+        e.holds_lock = false;
+        e.cont_consumed = false;
+        e.req = 0;
+        i
     }
 
     /// Free a context, bumping its generation.
@@ -320,6 +358,104 @@ impl CtxTable {
             .filter(|(_, e)| e.wait != WaitState::Free)
             .map(|(i, _)| i as u32)
             .collect()
+    }
+}
+
+/// Storage for stack activations: one LIFO level per sequential call
+/// depth (`Runtime::seq_depth`). The activation at depth *d* builds its
+/// frame in the locals and slots vectors parked at *d*; the caller at
+/// depth *d* — a stack frame, or at depth 0 a heap context or an arrival —
+/// evaluates an `Invoke` / `Forward`'s operands into the argument vector
+/// parked at *d*, which the callee parks there again once it has copied
+/// the values into its locals (a remote send carries the vector in its
+/// message, and the receiving activation parks that one instead). After
+/// warm-up a plain call therefore touches no allocator.
+///
+/// The store lives on the `Runtime`, not on a `Node`: between events no
+/// level is in use (`seq_depth == 0`), so its vectors hold no live state
+/// and the store never enters a checkpoint.
+#[derive(Debug, Default)]
+pub(crate) struct FrameStore {
+    levels: Vec<Level>,
+}
+
+#[derive(Debug, Default)]
+struct Level {
+    locals: Vec<Value>,
+    slots: Vec<SlotState>,
+    args: Vec<Value>,
+}
+
+impl FrameStore {
+    #[inline]
+    fn level(&mut self, depth: u32) -> &mut Level {
+        let d = depth as usize;
+        if d >= self.levels.len() {
+            self.levels.resize_with(d + 1, Level::default);
+        }
+        &mut self.levels[d]
+    }
+
+    /// The argument vector parked at `depth`, emptied, for the caller
+    /// there to evaluate operands into.
+    #[inline]
+    pub(crate) fn take_args(&mut self, depth: u32) -> Vec<Value> {
+        let mut args = std::mem::take(&mut self.level(depth).args);
+        args.clear();
+        args
+    }
+
+    /// Park an argument vector at `depth` once its values are copied out;
+    /// of it and the vector already there, the larger stays.
+    #[inline]
+    pub(crate) fn park_args(&mut self, depth: u32, args: Vec<Value>) {
+        let parked = &mut self.level(depth).args;
+        if args.capacity() > parked.capacity() {
+            *parked = args;
+        }
+    }
+
+    /// The fresh frame of the activation of `method` on `obj` at `depth`,
+    /// built in the vectors parked there.
+    #[inline]
+    pub(crate) fn frame(
+        &mut self,
+        depth: u32,
+        method: MethodId,
+        obj: ObjRef,
+        nlocals: u16,
+        nslots: u16,
+        args: &[Value],
+    ) -> ActFrame {
+        let l = self.level(depth);
+        let mut fr = ActFrame {
+            locals: std::mem::take(&mut l.locals),
+            slots: std::mem::take(&mut l.slots),
+            ..ActFrame::empty(method, obj)
+        };
+        fr.reset(method, obj, nlocals, nslots, args);
+        fr
+    }
+
+    /// Park a finished activation's vectors at `depth`.
+    #[inline]
+    pub(crate) fn park_frame(&mut self, depth: u32, fr: ActFrame) {
+        let l = self.level(depth);
+        l.locals = fr.locals;
+        l.slots = fr.slots;
+    }
+
+    /// Overwrite every parked vector with junk — whatever an earlier or a
+    /// cancelled event could have left there — and return how many levels
+    /// there were.
+    #[cfg(test)]
+    pub(crate) fn scribble(&mut self) -> usize {
+        for l in &mut self.levels {
+            l.locals = vec![Value::Int(-1); 13];
+            l.slots = vec![SlotState::Full(Value::Int(-1)); 13];
+            l.args = vec![Value::Int(-1); 13];
+        }
+        self.levels.len()
     }
 }
 
@@ -426,30 +562,30 @@ impl Runtime {
         Ok(())
     }
 
-    /// Allocate a heap context, charging allocation + state-save costs.
-    /// `fallback` distinguishes lazy (stack-unwinding) creations from
-    /// eager parallel invocations in the counters.
+    /// Allocate a heap context whose frame `init` fills, charging
+    /// allocation + state-save costs. `fallback` distinguishes lazy
+    /// (stack-unwinding) creations from eager parallel invocations in the
+    /// counters.
     pub(crate) fn new_ctx(
         &mut self,
         node: usize,
-        frame: ActFrame,
         cont: Continuation,
         wait: WaitState,
         fallback: bool,
+        init: impl FnOnce(&mut ActFrame),
     ) -> u32 {
-        let words = frame.words();
-        let c = self.cost.ctx_alloc + self.cost.ctx_word * words;
-        self.charge(node, c);
-        let method = frame.method;
         let n = &mut self.nodes[node];
+        let id = n.ctxs.alloc(cont, wait, init);
+        let c = n.ctxs.get_mut(id);
+        // The context inherits the creating step's blame tag, so a later
+        // resume of it (a kind-1 ready dispatch) re-establishes the tag.
+        c.req = self.current_req;
+        let (words, method) = (c.frame.words(), c.frame.method);
         n.counters.ctx_alloc += 1;
         if fallback {
             n.counters.fallbacks += 1;
         }
-        let id = n.ctxs.alloc(frame, cont, wait);
-        // The context inherits the creating step's blame tag, so a later
-        // resume of it (a kind-1 ready dispatch) re-establishes the tag.
-        n.ctxs.get_mut(id).req = self.current_req;
+        self.charge(node, self.cost.ctx_alloc + self.cost.ctx_word * words);
         self.san_ctx_alloc(node, id, fallback);
         self.emit(
             node,
@@ -500,19 +636,21 @@ impl Runtime {
         self.san_ctx_free();
     }
 
-    /// Move a stack frame into a lazily allocated heap context: the
-    /// mechanical core of the paper's fallback (Fig. 6). The frame is left
-    /// empty; `next_pc` is where the parallel version resumes.
+    /// Copy a stack frame into a lazily allocated heap context: the
+    /// mechanical core of the paper's fallback (Fig. 6). The stack frame
+    /// keeps its vectors (they go back to the frame store as it unwinds);
+    /// `next_pc` is where the parallel version resumes.
     pub(crate) fn fallback_ctx(
         &mut self,
         node: usize,
-        fr: &mut ActFrame,
+        fr: &ActFrame,
         next_pc: u32,
         wait: WaitState,
     ) -> u32 {
-        let mut frame = std::mem::replace(fr, ActFrame::new(fr.method, fr.obj, 0, 0, &[]));
-        frame.pc = next_pc;
-        let id = self.new_ctx(node, frame, Continuation::Unset, wait, true);
+        let id = self.new_ctx(node, Continuation::Unset, wait, true, |f| {
+            f.clone_from(fr);
+            f.pc = next_pc;
+        });
         if wait == WaitState::Ready {
             self.enqueue_ready(node, id);
         } else {
@@ -525,7 +663,7 @@ impl Runtime {
     /// Populate a shell context created on our behalf by a CP callee
     /// (paper §3.2.3: "passing the continuation's future's context back to
     /// its caller") and schedule it.
-    pub(crate) fn adopt_shell(&mut self, node: usize, shell: u32, fr: &mut ActFrame, next_pc: u32) {
+    pub(crate) fn adopt_shell(&mut self, node: usize, shell: u32, fr: &ActFrame, next_pc: u32) {
         let words = fr.words();
         self.charge(node, self.cost.ctx_word * words);
         self.ctr(node).fallbacks += 1;
@@ -533,16 +671,14 @@ impl Runtime {
         let c = n.ctxs.get_mut(shell);
         debug_assert_eq!(c.wait, WaitState::Shell);
         debug_assert_eq!(c.frame.method, fr.method);
-        // Keep the shell's slot states where the callee marked the return
-        // future pending; the stack frame has the same marking plus any
+        debug_assert_eq!(c.frame.slots.len(), fr.slots.len());
+        // The shell's slots carry only the callee's pending mark on the
+        // return future; the stack frame has the same marking plus any
         // earlier resolved slots, so the stack frame's view wins.
-        c.frame.locals = std::mem::take(&mut fr.locals);
-        let shell_slots = std::mem::replace(&mut c.frame.slots, std::mem::take(&mut fr.slots));
-        debug_assert_eq!(shell_slots.len(), c.frame.slots.len());
+        c.frame.clone_from(fr);
         c.frame.pc = next_pc;
         let method = c.frame.method;
         c.wait = WaitState::Ready;
-        drop(shell_slots);
         self.emit(
             node,
             TraceEvent::ShellAdopted {
@@ -559,17 +695,19 @@ impl Runtime {
 mod tests {
     use super::*;
 
+    const OBJ: ObjRef = ObjRef {
+        node: NodeId(0),
+        index: 0,
+    };
+
+    fn init(f: &mut ActFrame) {
+        f.reset(MethodId(0), OBJ, 4, 2, &[Value::Int(7)]);
+    }
+
     fn frame() -> ActFrame {
-        ActFrame::new(
-            MethodId(0),
-            ObjRef {
-                node: NodeId(0),
-                index: 0,
-            },
-            4,
-            2,
-            &[Value::Int(7)],
-        )
+        let mut f = ActFrame::empty(MethodId(0), OBJ);
+        init(&mut f);
+        f
     }
 
     #[test]
@@ -597,12 +735,12 @@ mod tests {
     #[test]
     fn table_allocates_and_recycles_with_generation() {
         let mut t = CtxTable::default();
-        let a = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
+        let a = t.alloc(Continuation::Unset, WaitState::Ready, init);
         assert_eq!(t.live, 1);
         assert_eq!(t.gen(a), 0);
         t.release(a);
         assert_eq!(t.live, 0);
-        let b = t.alloc(frame(), Continuation::Root, WaitState::Shell);
+        let b = t.alloc(Continuation::Root, WaitState::Shell, init);
         assert_eq!(b, a, "free list reuses the slot");
         assert_eq!(t.gen(b), 1, "generation bumped");
         assert_eq!(t.get(b).wait, WaitState::Shell);
@@ -612,30 +750,94 @@ mod tests {
     #[test]
     fn retire_returns_frame_storage_to_a_free_entry_only() {
         let mut t = CtxTable::default();
-        let a = t.alloc(frame(), Continuation::Unset, WaitState::Running);
+        let a = t.alloc(Continuation::Unset, WaitState::Running, init);
         // The stepper holds the frame out of the table; the activation
         // releases itself, then hands the vectors back.
-        let out = std::mem::replace(
-            &mut t.get_mut(a).frame,
-            ActFrame::new(MethodId(0), frame().obj, 0, 0, &[]),
-        );
+        let out = std::mem::replace(&mut t.get_mut(a).frame, ActFrame::empty(MethodId(0), OBJ));
         t.release(a);
         t.retire(a, out);
         let f = &t.get(a).frame;
         assert!(f.locals.is_empty() && f.slots.is_empty(), "emptied");
         assert!(f.locals.capacity() >= 4 && f.slots.capacity() >= 2, "kept");
         // A reused entry is left alone.
-        let b = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
+        let b = t.alloc(Continuation::Unset, WaitState::Ready, init);
         assert_eq!(b, a);
-        t.retire(b, ActFrame::new(MethodId(0), frame().obj, 9, 9, &[]));
+        let mut big = ActFrame::empty(MethodId(0), OBJ);
+        big.reset(MethodId(0), OBJ, 9, 9, &[]);
+        t.retire(b, big);
         assert_eq!(t.get(b).frame, frame());
+    }
+
+    #[test]
+    fn alloc_refills_a_recycled_entry_in_place() {
+        let mut t = CtxTable::default();
+        let a = t.alloc(Continuation::Unset, WaitState::Ready, init);
+        let at = |t: &CtxTable| {
+            let f = &t.get(a).frame;
+            (f.locals.as_ptr(), f.slots.as_ptr())
+        };
+        let before = at(&t);
+        t.release(a);
+        let mut stack = frame();
+        stack.locals[3] = Value::Int(9);
+        stack.slots[1] = SlotState::Pending;
+        let b = t.alloc(Continuation::Unset, WaitState::Ready, |f| {
+            f.clone_from(&stack);
+            f.pc = 5;
+        });
+        assert_eq!(b, a);
+        assert_eq!(at(&t), before, "the retained vectors were refilled");
+        assert_eq!(t.get(b).frame.locals, stack.locals);
+        assert_eq!(t.get(b).frame.slots, stack.slots);
+        assert_eq!(t.get(b).frame.pc, 5);
+    }
+
+    #[test]
+    fn frame_store_levels_are_reused_lifo() {
+        let mut fs = FrameStore::default();
+        let mut args = fs.take_args(0);
+        args.extend_from_slice(&[Value::Int(1), Value::Int(2)]);
+        let parked = args.as_ptr();
+        let fr = fs.frame(1, MethodId(3), OBJ, 4, 1, &args);
+        fs.park_args(0, args);
+        assert_eq!(
+            fr.locals,
+            [1, 2]
+                .map(Value::Int)
+                .into_iter()
+                .chain([Value::Nil; 2])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(fr.slots, [SlotState::Empty]);
+        let locals = fr.locals.as_ptr();
+        fs.park_frame(1, fr);
+        // The next call at the same depths reuses all three vectors.
+        let args = fs.take_args(0);
+        assert!(args.is_empty());
+        assert_eq!(args.as_ptr(), parked);
+        let fr = fs.frame(1, MethodId(4), OBJ, 2, 0, &[]);
+        assert_eq!(fr.locals.as_ptr(), locals);
+        assert_eq!((fr.method, fr.pc, fr.words()), (MethodId(4), 0, 2));
+        // Whatever a level held, a frame built there is a fresh one.
+        fs.park_frame(1, fr);
+        assert_eq!(fs.scribble(), 2);
+        assert_eq!(
+            fs.frame(1, MethodId(0), OBJ, 4, 2, &[Value::Int(7)]),
+            frame()
+        );
+        assert!(fs.take_args(0).is_empty());
+        // A smaller vector parked over a larger one is dropped.
+        fs.park_args(0, args);
+        fs.park_args(0, Vec::new());
+        let kept = fs.take_args(0);
+        assert_eq!(kept.as_ptr(), parked);
     }
 
     #[test]
     fn live_indices_reports_leaks() {
         let mut t = CtxTable::default();
-        let a = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
-        let b = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
+        let a = t.alloc(Continuation::Unset, WaitState::Ready, init);
+        let b = t.alloc(Continuation::Unset, WaitState::Ready, init);
         t.release(a);
         assert_eq!(t.live_indices(), vec![b]);
     }
@@ -645,7 +847,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_caught() {
         let mut t = CtxTable::default();
-        let a = t.alloc(frame(), Continuation::Unset, WaitState::Ready);
+        let a = t.alloc(Continuation::Unset, WaitState::Ready, init);
         t.release(a);
         t.release(a);
     }

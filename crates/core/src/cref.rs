@@ -14,11 +14,11 @@
 
 use crate::context::SlotState;
 use crate::error::Trap;
-use crate::exec::{array_len, join_count};
+use crate::exec::{arity, array_len, bin, join_count};
 use crate::object::FieldKind;
 use crate::rt::Runtime;
 use hem_ir::value::{bin_op, un_op};
-use hem_ir::{Instr, MethodId, ObjRef, Operand, Value};
+use hem_ir::{Instr, MethodId, ObjRef, Operand, Program, Value};
 use hem_machine::Cycles;
 
 /// Run `method` on `obj` as the C baseline. Returns the reply (if the
@@ -29,8 +29,10 @@ pub fn call_c(
     method: MethodId,
     args: &[Value],
 ) -> Result<(Option<Value>, Cycles), Trap> {
+    let prog = rt.program.clone();
+    arity(&prog, method, args.len())?;
     let mut cycles = 0u64;
-    let v = eval(rt, &mut cycles, obj, method, args.to_vec(), 0)?;
+    let v = eval(rt, &prog, &mut cycles, obj, method, args.to_vec(), 0)?;
     Ok((v, cycles))
 }
 
@@ -48,6 +50,7 @@ impl Runtime {
 
 fn eval(
     rt: &mut Runtime,
+    prog: &Program,
     cycles: &mut Cycles,
     obj: ObjRef,
     method: MethodId,
@@ -57,7 +60,6 @@ fn eval(
     if depth > 200_000 {
         return Err(Trap::new("C-baseline recursion too deep"));
     }
-    let prog = rt.program.clone();
     let m = prog.method(method);
     let mut locals = vec![Value::Nil; m.locals as usize];
     locals[..args.len()].copy_from_slice(&args);
@@ -81,7 +83,7 @@ fn eval(
         match ins {
             Instr::Mov { dst, src } => locals[dst.idx()] = read(&locals, src),
             Instr::Bin { dst, op, a, b } => {
-                locals[dst.idx()] = bin_op(*op, read(&locals, a), read(&locals, b)).map_err(tv)?;
+                locals[dst.idx()] = bin(*op, read(&locals, a), read(&locals, b)).map_err(tv)?;
             }
             Instr::Un { dst, op, a } => {
                 locals[dst.idx()] = un_op(*op, read(&locals, a)).map_err(tv)?;
@@ -136,7 +138,7 @@ fn eval(
                 *cycles += rt.cost.plain_call;
                 let t = rt.resolve_ref(read(&locals, target).as_obj().map_err(tv)?);
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                let v = eval(rt, cycles, t, *callee, a, depth + 1)?;
+                let v = eval(rt, prog, cycles, t, *callee, a, depth + 1)?;
                 if let Some(s) = slot {
                     match &mut slots[s.idx()] {
                         SlotState::Join(k) if *k > 0 => *k -= 1,
@@ -153,7 +155,7 @@ fn eval(
                 *cycles += rt.cost.plain_call;
                 let t = rt.resolve_ref(read(&locals, target).as_obj().map_err(tv)?);
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                return eval(rt, cycles, t, *callee, a, depth + 1);
+                return eval(rt, prog, cycles, t, *callee, a, depth + 1);
             }
             Instr::Touch { slots: ss } => {
                 for s in ss {
@@ -187,7 +189,7 @@ fn eval(
                 for mref in group_refs(rt, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
-                    eval(rt, cycles, t, *callee, a.clone(), depth + 1)?;
+                    eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?;
                 }
                 if let Some(s) = slot {
                     fill_slot(&mut slots, *s, Value::Nil);
@@ -205,8 +207,8 @@ fn eval(
                 for mref in group_refs(rt, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
-                    let v =
-                        eval(rt, cycles, t, *callee, a.clone(), depth + 1)?.unwrap_or(Value::Nil);
+                    let v = eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?
+                        .unwrap_or(Value::Nil);
                     acc = Some(match acc {
                         None => v,
                         Some(prev) => {

@@ -12,8 +12,8 @@ use crate::error::Trap;
 use crate::msg::CollKind;
 use crate::object::FieldKind;
 use crate::rt::{Node, Runtime};
-use hem_ir::value::{bin_op, un_op};
-use hem_ir::{FieldId, Instr, MethodId, ObjRef, Operand, Slot, Value};
+use hem_ir::value::{bin_op, un_op, ValueError};
+use hem_ir::{BinOp, FieldId, Instr, MethodId, ObjRef, Operand, Program, Slot, Value};
 
 /// Where control goes after a simple instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,15 +33,12 @@ pub(crate) fn read(fr: &ActFrame, op: &Operand) -> Value {
     }
 }
 
-/// Evaluate a list of operands.
-pub(crate) fn read_args(fr: &ActFrame, ops: &[Operand]) -> Vec<Value> {
-    ops.iter().map(|o| read(fr, o)).collect()
-}
-
 /// Evaluate the operands of an `Invoke` / `Forward`: the target must be an
-/// object reference.
+/// object reference. The arguments go into the vector parked at the
+/// caller's depth in the frame store, which the callee parks again.
 #[inline]
 pub(crate) fn read_call(
+    rt: &mut Runtime,
     fr: &ActFrame,
     target: &Operand,
     args: &[Operand],
@@ -49,7 +46,54 @@ pub(crate) fn read_call(
     let tobj = read(fr, target)
         .as_obj()
         .map_err(|e| Trap::from_value(fr.method, fr.pc, e))?;
-    Ok((tobj, read_args(fr, args)))
+    let mut a = rt.frames.take_args(rt.seq_depth);
+    a.extend(args.iter().map(|o| read(fr, o)));
+    Ok((tobj, a))
+}
+
+/// A binary operation: the integer and float arithmetic and comparisons
+/// a kernel's inner loop runs — `Add`, `Sub`, `Mul`, `Lt`, `Le`, `Gt`,
+/// `Ge` on two ints or two floats — inline, everything else through
+/// [`bin_op`], the one definition of value semantics, which this equals
+/// on every input (the `fast_bin_matches_bin_op` property). Both
+/// interpreters and the C baseline evaluate `Bin` here.
+#[inline(always)]
+pub(crate) fn bin(op: BinOp, a: Value, b: Value) -> Result<Value, ValueError> {
+    use BinOp::{Add, Ge, Gt, Le, Lt, Mul, Sub};
+    Ok(match (op, a, b) {
+        (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(y)),
+        (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(y)),
+        (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(y)),
+        (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
+        (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
+        (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
+        (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
+        (Add, Value::Float(x), Value::Float(y)) => Value::Float(x + y),
+        (Sub, Value::Float(x), Value::Float(y)) => Value::Float(x - y),
+        (Mul, Value::Float(x), Value::Float(y)) => Value::Float(x * y),
+        (Lt, Value::Float(x), Value::Float(y)) => Value::Bool(x < y),
+        (Le, Value::Float(x), Value::Float(y)) => Value::Bool(x <= y),
+        (Gt, Value::Float(x), Value::Float(y)) => Value::Bool(x > y),
+        (Ge, Value::Float(x), Value::Float(y)) => Value::Bool(x >= y),
+        _ => return bin_op(op, a, b),
+    })
+}
+
+/// Check a root invocation's argument count against the method's
+/// parameters (shared with the C baseline). The IR validator checks every
+/// call site; only an invocation from outside the program — `call`,
+/// `inject_request`, `call_c` — can get it wrong.
+pub(crate) fn arity(prog: &Program, method: MethodId, got: usize) -> Result<(), Trap> {
+    let m = prog.method(method);
+    if got == m.params as usize {
+        return Ok(());
+    }
+    let class = &prog.class(m.class).name;
+    let s = if m.params == 1 { "" } else { "s" };
+    Err(Trap::new(format!(
+        "{class}::{} takes {} argument{s}, got {got}",
+        m.name, m.params
+    )))
 }
 
 /// Check an `ArrNew` length operand (shared with the C baseline, so all
@@ -103,7 +147,7 @@ pub(crate) fn exec_simple(
             fr.locals[dst.idx()] = read(fr, src);
         }
         Instr::Bin { dst, op, a, b } => {
-            let v = bin_op(*op, read(fr, a), read(fr, b)).map_err(trap_v)?;
+            let v = bin(*op, read(fr, a), read(fr, b)).map_err(trap_v)?;
             fr.locals[dst.idx()] = v;
         }
         Instr::Un { dst, op, a } => {
@@ -315,7 +359,7 @@ pub(crate) fn read_collective(
         kind,
         members: read_group(rt, fr, node, group)?,
         callee,
-        args: read_args(fr, args),
+        args: args.iter().map(|o| read(fr, o)).collect(),
         slot,
     })
 }
@@ -359,4 +403,96 @@ fn home<'a>(rt: &'a Runtime, fr: &ActFrame, node: usize) -> &'a Node {
 fn home_mut<'a>(rt: &'a mut Runtime, fr: &ActFrame, node: usize) -> &'a mut Node {
     debug_assert_eq!(fr.obj.node.idx(), node, "owner-computes violated");
     &mut rt.nodes[node]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const OPS: [BinOp; 20] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+        BinOp::Shl,
+        BinOp::Shr,
+    ];
+
+    /// An operand of kind `kind` drawn with `bits`: ints and floats from
+    /// their edge cases or at random, bools and nil.
+    fn operand(kind: u8, bits: u64) -> Value {
+        const INTS: [i64; 5] = [i64::MIN, i64::MAX, 0, -1, 1];
+        const FLOATS: [f64; 6] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        match kind {
+            0 => Value::Int(INTS[(bits % 5) as usize]),
+            1 => Value::Int(bits as i64 % 1000),
+            2 => Value::Int(bits as i64),
+            3 => Value::Float(FLOATS[(bits % 6) as usize]),
+            4 => Value::Float((bits % 2000) as f64 / 8.0 - 125.0),
+            5 => Value::Float(f64::from_bits(bits)),
+            6 => Value::Bool(bits & 1 == 1),
+            _ => Value::Nil,
+        }
+    }
+
+    /// Results compared with floats by bit pattern (NaN equals NaN, and
+    /// -0.0 differs from 0.0).
+    fn by_bits(r: Result<Value, ValueError>) -> Result<(u8, u64), ValueError> {
+        r.map(|v| match v {
+            Value::Int(i) => (1, i as u64),
+            Value::Float(f) => (2, f.to_bits()),
+            Value::Bool(b) => (3, b as u64),
+            Value::Nil => (4, 0),
+            other => unreachable!("bin of scalars produced {other:?}"),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn fast_bin_matches_bin_op(
+            op in 0usize..OPS.len(),
+            ka in 0u8..8,
+            a in any::<u64>(),
+            kb in 0u8..8,
+            b in any::<u64>(),
+        ) {
+            let (op, a, b) = (OPS[op], operand(ka, a), operand(kb, b));
+            prop_assert_eq!(by_bits(bin(op, a, b)), by_bits(bin_op(op, a, b)), "{:?} {:?} {:?}", op, a, b);
+        }
+    }
+
+    #[test]
+    fn fast_bin_covers_every_edge_pair() {
+        // Exhaustive over the edge cases the property draws from at random.
+        let edges: Vec<Value> = (0..8u8)
+            .flat_map(|k| (0..6u64).map(move |i| operand(k, i)))
+            .collect();
+        for op in OPS {
+            for &a in &edges {
+                for &b in &edges {
+                    assert_eq!(
+                        by_bits(bin(op, a, b)),
+                        by_bits(bin_op(op, a, b)),
+                        "{op:?} {a:?} {b:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -21,7 +21,7 @@ use crate::error::Trap;
 use crate::exec::{self, Next};
 use crate::rt::{ActiveCtx, Runtime};
 use crate::seq;
-use hem_ir::Instr;
+use hem_ir::{Instr, Program};
 use hem_machine::NodeId;
 
 /// Result of stepping a context.
@@ -46,13 +46,7 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
         let c = rt.nodes[node].ctxs.get_mut(id);
         debug_assert_eq!(c.wait, WaitState::Ready, "dispatch of non-ready context");
         c.wait = WaitState::Running;
-        let placeholder = ActFrame {
-            method: c.frame.method,
-            obj: c.frame.obj,
-            pc: 0,
-            locals: Vec::new(),
-            slots: Vec::new(),
-        };
+        let placeholder = ActFrame::empty(c.frame.method, c.frame.obj);
         (std::mem::replace(&mut c.frame, placeholder), c.gen)
     };
     debug_assert!(rt.active.is_none(), "nested context dispatch");
@@ -64,7 +58,8 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     });
 
     let mut fr = frame;
-    let res = step_loop(rt, node, id, &mut fr);
+    let prog = rt.program.clone();
+    let res = step_loop(rt, &prog, node, id, &mut fr);
     match res {
         Ok(StepEnd::Finished) => {
             rt.active = None;
@@ -94,8 +89,13 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     }
 }
 
-fn step_loop(rt: &mut Runtime, node: usize, id: u32, fr: &mut ActFrame) -> Result<StepEnd, Trap> {
-    let prog = rt.program.clone();
+fn step_loop(
+    rt: &mut Runtime,
+    prog: &Program,
+    node: usize,
+    id: u32,
+    fr: &mut ActFrame,
+) -> Result<StepEnd, Trap> {
     let m = prog.method(fr.method);
     loop {
         drain_fills(rt, fr)?;
@@ -114,13 +114,13 @@ fn step_loop(rt: &mut Runtime, node: usize, id: u32, fr: &mut ActFrame) -> Resul
                 args,
                 hint: _,
             } => {
-                let (tobj, a) = exec::read_call(fr, target, args)?;
+                let (tobj, a) = exec::read_call(rt, fr, target, args)?;
                 let caller = Caller::HeapInvoke {
                     fr,
                     ctx: id,
                     slot: *slot,
                 };
-                call::invoke(rt, node, caller, tobj, *callee, a)?;
+                call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
                 fr.pc += 1;
             }
             Instr::Touch { slots } => {
@@ -172,7 +172,7 @@ fn step_loop(rt: &mut Runtime, node: usize, id: u32, fr: &mut ActFrame) -> Resul
             } => {
                 // The context's own continuation is passed along (it
                 // already exists — no laziness needed).
-                let (tobj, a) = exec::read_call(fr, target, args)?;
+                let (tobj, a) = exec::read_call(rt, fr, target, args)?;
                 let c = rt.nodes[node].ctxs.get_mut(id);
                 if c.cont_consumed {
                     return Err(Trap::at(
@@ -183,7 +183,7 @@ fn step_loop(rt: &mut Runtime, node: usize, id: u32, fr: &mut ActFrame) -> Resul
                 }
                 c.cont_consumed = true;
                 let caller = Caller::HeapForward { cont: c.cont };
-                call::invoke(rt, node, caller, tobj, *callee, a)?;
+                call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
                 rt.finish_ctx(node, id);
                 return Ok(StepEnd::Finished);
             }

@@ -9,7 +9,7 @@
 
 use crate::coll::CollTable;
 use crate::cont::Continuation;
-use crate::context::CtxTable;
+use crate::context::{CtxTable, FrameStore};
 use crate::error::Trap;
 use crate::explore::Mutant;
 use crate::msg::{Msg, Packet};
@@ -204,7 +204,13 @@ pub struct Runtime {
     pub(crate) current_req: u64,
     pub(crate) result: Option<Value>,
     pub(crate) active: Option<ActiveCtx>,
+    /// Sequential (host-stack) nesting of the activation running now; 0
+    /// between events.
     pub(crate) seq_depth: u32,
+    /// Storage of the stack activations, one level per `seq_depth` (see
+    /// [`FrameStore`]). Empty of live state between events, so no
+    /// checkpoint copies it.
+    pub(crate) frames: FrameStore,
     /// Maximum sequential (host-stack) nesting before forcing a fallback
     /// (the analogue of a stack-overflow check; Olden and Stacklets do
     /// stack checks, the paper's C implementation relies on large stacks).
@@ -368,6 +374,7 @@ impl Runtime {
             result: None,
             active: None,
             seq_depth: 0,
+            frames: FrameStore::default(),
             max_seq_depth: 1200,
             enable_inlining: true,
             sched_impl: SchedImpl::default(),
@@ -837,12 +844,14 @@ impl Runtime {
         self.poll_floor = Cycles::MAX;
         self.san_step = Self::SAN_ROOT_STEP;
         self.current_req = 0;
+        let mut a = self.frames.take_args(self.seq_depth);
+        a.extend_from_slice(args);
         crate::wrapper::run_invocation(
             self,
             obj.node.idx(),
             obj.index,
             method,
-            args.to_vec(),
+            a,
             Continuation::Root,
             false,
         )?;

@@ -256,6 +256,10 @@ impl Runtime {
             self.reseed(0..self.nodes.len(), Cycles::MAX);
         }
         loop {
+            // Between events no stack activation is live, so no level of
+            // the frame store is in use: what it holds is storage, never
+            // state, and checkpoints need not copy it.
+            debug_assert_eq!(self.seq_depth, 0, "frame store in use between events");
             // A minimum at or past the limit means the whole machine is.
             // Stop *before* popping: the intact index (plus re-keys pushed
             // below for stale pops past the limit) is what makes the run

@@ -32,7 +32,7 @@ use crate::error::Trap;
 use crate::exec::{self, Next};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
-use hem_ir::{Instr, MethodId, ObjRef, Slot, Value};
+use hem_ir::{Instr, Method, MethodId, ObjRef, Program, Slot, Value};
 use hem_machine::NodeId;
 
 /// How a sequential execution ended.
@@ -87,36 +87,44 @@ pub(crate) struct SeqState {
     conv: Conv,
 }
 
-/// Run `method` on local object `obj` sequentially under `conv`.
+/// Run `method` on local object `obj` sequentially under `conv`: a plain
+/// call. The frame is built in the frame store's level for the new depth
+/// and parked there again on return; `args` is parked at the caller's.
 pub(crate) fn run_seq(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     obj: ObjRef,
     method: MethodId,
     args: Vec<Value>,
     conv: Conv,
 ) -> Result<SeqOutcome, Trap> {
-    rt.seq_depth += 1;
-    let r = run_inner(rt, node, obj, method, args, conv);
-    rt.seq_depth -= 1;
+    let m = prog.method(method);
+    let depth = rt.seq_depth;
+    rt.seq_depth = depth + 1;
+    let fr = rt
+        .frames
+        .frame(depth + 1, method, obj, m.locals, m.slots, &args);
+    rt.frames.park_args(depth, args);
+    let mut st = SeqState {
+        fr,
+        consumed: None,
+        conv,
+    };
+    let r = run_inner(rt, prog, m, node, &mut st);
+    rt.frames.park_frame(depth + 1, st.fr);
+    rt.seq_depth = depth;
     r
 }
 
 fn run_inner(
     rt: &mut Runtime,
+    prog: &Program,
+    m: &Method,
     node: usize,
-    obj: ObjRef,
-    method: MethodId,
-    args: Vec<Value>,
-    conv: Conv,
+    st: &mut SeqState,
 ) -> Result<SeqOutcome, Trap> {
-    let prog = rt.program.clone();
-    let m = prog.method(method);
-    let mut st = SeqState {
-        fr: ActFrame::new(method, obj, m.locals, m.slots, &args),
-        consumed: None,
-        conv,
-    };
+    let method = st.fr.method;
     loop {
         let ins = m
             .body
@@ -131,12 +139,9 @@ fn run_inner(
                 args,
                 hint: _,
             } => {
-                let (tobj, a) = exec::read_call(&st.fr, target, args)?;
-                let caller = Caller::StackInvoke {
-                    st: &mut st,
-                    slot: *slot,
-                };
-                if let Some(out) = call::invoke(rt, node, caller, tobj, *callee, a)? {
+                let (tobj, a) = exec::read_call(rt, &st.fr, target, args)?;
+                let caller = Caller::StackInvoke { st, slot: *slot };
+                if let Some(out) = call::invoke(rt, prog, node, caller, tobj, *callee, a)? {
                     return Ok(out);
                 }
                 st.fr.pc += 1;
@@ -156,10 +161,7 @@ fn run_inner(
             }
             Instr::Multicast { .. } | Instr::Reduce { .. } | Instr::Barrier { .. } => {
                 let op = exec::read_collective(rt, &st.fr, node, ins)?;
-                let caller = Caller::StackInvoke {
-                    slot: op.slot,
-                    st: &mut st,
-                };
+                let caller = Caller::StackInvoke { slot: op.slot, st };
                 if let Some(out) = call::collective(rt, node, caller, op)? {
                     return Ok(out);
                 }
@@ -199,8 +201,9 @@ fn run_inner(
                 }
                 // Fig. 7: our continuation — still implicit in `info` — goes
                 // to the next method.
-                let (tobj, a) = exec::read_call(&st.fr, target, args)?;
-                let out = call::invoke(rt, node, Caller::StackForward { info }, tobj, *callee, a)?;
+                let (tobj, a) = exec::read_call(rt, &st.fr, target, args)?;
+                let caller = Caller::StackForward { info };
+                let out = call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
                 return Ok(out.expect("a forward ends its frame"));
             }
             Instr::StoreCont { field, idx } => {
@@ -259,7 +262,7 @@ impl SeqState {
                 "non-blocking method attempted to block (locality hint violated?)",
             ));
         }
-        let ctx = rt.fallback_ctx(node, &mut self.fr, next_pc, wait);
+        let ctx = rt.fallback_ctx(node, &self.fr, next_pc, wait);
         Ok((ctx, self.blocked(rt, node, ctx)))
     }
 
@@ -271,7 +274,7 @@ impl SeqState {
         shell: u32,
         next_pc: u32,
     ) -> SeqOutcome {
-        rt.adopt_shell(node, shell, &mut self.fr, next_pc);
+        rt.adopt_shell(node, shell, &self.fr, next_pc);
         self.blocked(rt, node, shell)
     }
 
@@ -298,8 +301,18 @@ impl SeqState {
 /// schema's call cost (or the speculative-inlining guard) and counting the
 /// completion. Its one caller is the call protocol ([`crate::call::invoke`]),
 /// which stack callers, heap-context callers, wrappers and lock grants share.
+///
+/// Inlined into `invoke`'s call sites like `invoke` itself: out of line,
+/// `hemprof fib --p 1 --size 30` reads 10 % slower. Not in debug builds,
+/// which are unoptimized and keep every inlined copy's locals apart: there
+/// it grows the frame of `wrapper::run_invocation`, which sits once on
+/// the stack per nested send-time poll — and `tests/ckpt_alloc.rs` nests
+/// 255 arrivals deep (each request's reply polls in the next), which then
+/// outgrows a test thread's 2 MiB.
+#[cfg_attr(not(debug_assertions), inline(always))]
 pub(crate) fn call_seq_schema(
     rt: &mut Runtime,
+    prog: &Program,
     node: usize,
     target: ObjRef,
     callee: MethodId,
@@ -319,11 +332,12 @@ pub(crate) fn call_seq_schema(
                 rt.max_seq_depth
             )));
         }
-        let m = rt.program.method(callee);
-        let (l, s) = (m.locals, m.slots);
-        let frame = ActFrame::new(callee, target, l, s, &args);
+        let m = prog.method(callee);
         rt.charge(node, rt.cost.par_invoke_fixed);
-        let id = rt.new_ctx(node, frame, Continuation::Unset, WaitState::Ready, false);
+        let id = rt.new_ctx(node, Continuation::Unset, WaitState::Ready, false, |f| {
+            f.reset(callee, target, m.locals, m.slots, &args)
+        });
+        rt.frames.park_args(rt.seq_depth, args);
         rt.ctr(node).par_invokes += 1;
         rt.enqueue_ready(node, id);
         return Ok(SeqOutcome::Blocked {
@@ -334,7 +348,7 @@ pub(crate) fn call_seq_schema(
     }
 
     rt.san_seq_entry(node, target, callee);
-    let inlinable = rt.program.method(callee).inlinable && rt.enable_inlining;
+    let inlinable = prog.method(callee).inlinable && rt.enable_inlining;
     let inlined = inlinable && schema == Schema::NonBlocking;
     if inlined {
         rt.charge(node, rt.cost.inline_guard);
@@ -360,7 +374,7 @@ pub(crate) fn call_seq_schema(
         Schema::MayBlock => Conv::Mb,
         Schema::ContPassing => Conv::Cp(cp_info),
     };
-    let out = run_seq(rt, node, target, callee, args, conv)?;
+    let out = run_seq(rt, prog, node, target, callee, args, conv)?;
 
     if !inlined && !matches!(out, SeqOutcome::Blocked { .. }) {
         // Completed on the stack: count it under its schema.

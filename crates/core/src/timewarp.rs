@@ -479,17 +479,12 @@ mod tests {
         let (kind, x) = op;
         let n = &mut rt.nodes[0];
         let obj = (x % 2) as u32;
-        let frame = || {
-            ActFrame::new(
-                MethodId(0),
-                ObjRef {
-                    node: NodeId(0),
-                    index: obj,
-                },
-                3,
-                2,
-                &[Value::Int(x as i64)],
-            )
+        let frame = |f: &mut ActFrame| {
+            let o = ObjRef {
+                node: NodeId(0),
+                index: obj,
+            };
+            f.reset(MethodId(0), o, 3, 2, &[Value::Int(x as i64)]);
         };
         match kind % 10 {
             0 => n.scalars_mut(obj)[0] = Value::Int(x as i64),
@@ -526,7 +521,7 @@ mod tests {
                 }
             }
             5 => {
-                let i = n.ctxs.alloc(frame(), Continuation::Root, WaitState::Ready);
+                let i = n.ctxs.alloc(Continuation::Root, WaitState::Ready, frame);
                 n.ready.push_back(i);
             }
             6 => {

@@ -26,7 +26,7 @@
 
 use crate::call::{self, Caller};
 use crate::cont::Continuation;
-use crate::context::{ActFrame, WaitState};
+use crate::context::WaitState;
 use crate::error::Trap;
 use crate::object::{DeferredInvoke, LockHolder};
 use crate::rt::Runtime;
@@ -34,7 +34,10 @@ use hem_ir::{MethodId, ObjRef, Value};
 use hem_machine::NodeId;
 
 /// Run an invocation that arrived with a real continuation (message
-/// arrival, lock grant, or root call) on local object index `obj`.
+/// arrival, lock grant, or root call) on local object index `obj`. An
+/// argument count that does not match the method's parameters traps: only
+/// a root call or an injected request can get it wrong, so this is the
+/// one place it is checked. The event borrows the program from here on.
 pub(crate) fn run_invocation(
     rt: &mut Runtime,
     node: usize,
@@ -48,8 +51,10 @@ pub(crate) fn run_invocation(
         node: NodeId(node as u32),
         index: obj,
     };
+    let prog = rt.program.clone();
+    crate::exec::arity(&prog, method, args.len())?;
     let caller = Caller::Arrival { cont, forwarded };
-    let unwind = call::invoke(rt, node, caller, target, method, args)?;
+    let unwind = call::invoke(rt, &prog, node, caller, target, method, args)?;
     debug_assert!(unwind.is_none(), "an arrival has no stack frame to unwind");
     Ok(())
 }
@@ -82,10 +87,12 @@ pub(crate) fn par_invoke_ctx(
     }
     let m = rt.program.method(method);
     let (nlocals, nslots) = (m.locals, m.slots);
-    let frame = ActFrame::new(method, target, nlocals, nslots, &args);
     // Fixed bookkeeping + the conservatively eager continuation.
     rt.charge(node, rt.cost.par_invoke_fixed + rt.cost.cont_create);
-    let id = rt.new_ctx(node, frame, cont, WaitState::Ready, false);
+    let id = rt.new_ctx(node, cont, WaitState::Ready, false, |f| {
+        f.reset(method, target, nlocals, nslots, &args)
+    });
+    rt.frames.park_args(rt.seq_depth, args);
     rt.ctr(node).par_invokes += 1;
     if locked {
         let ok = rt.lock_try(node, target.index, LockHolder::Ctx(id));

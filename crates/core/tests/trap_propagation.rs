@@ -410,3 +410,56 @@ fn bad_operands_trap_alike_in_all_three_evaluators() {
         }
     }
 }
+
+/// A root call with the wrong number of arguments traps with one line
+/// naming the method — it never indexes past the callee's registers — and
+/// all three evaluators say the same.
+#[test]
+fn wrong_argument_count_traps_in_all_three_evaluators() {
+    let mut pb = ProgramBuilder::new();
+    let math = pb.class("Math", false);
+    let fib = pb.method(math, "fib", 1, |mb| mb.reply(mb.arg(0)));
+    let none = pb.method(math, "none", 0, |mb| mb.reply_nil());
+    let program = pb.finish();
+    let ten: Vec<Value> = (0..10).map(Value::Int).collect();
+    let rows = [
+        (fib, &ten[..], "Math::fib takes 1 argument, got 10"),
+        (fib, &[][..], "Math::fib takes 1 argument, got 0"),
+        (none, &ten[..1], "Math::none takes 0 arguments, got 1"),
+    ];
+    for (method, args, want) in rows {
+        let run = |mode, c_baseline: bool| {
+            let mut rt = Runtime::new(
+                program.clone(),
+                1,
+                CostModel::cm5(),
+                mode,
+                InterfaceSet::Full,
+            )
+            .unwrap();
+            let o = rt.alloc_object_by_name("Math", NodeId(0));
+            let r = if c_baseline {
+                rt.call_c_baseline(o, method, args).map(|(v, _)| v)
+            } else {
+                rt.call(o, method, args)
+            };
+            let err = r.expect_err(want);
+            // The runtime is left usable: a well-formed call still runs.
+            if !c_baseline {
+                let ok: Vec<Value> = (0..rt.program().method(method).params as i64)
+                    .map(Value::Int)
+                    .collect();
+                rt.call(o, method, &ok)
+                    .expect("a correct call after the trap");
+            }
+            err
+        };
+        for (name, err) in [
+            ("hybrid", run(ExecMode::Hybrid, false)),
+            ("parallel-only", run(ExecMode::ParallelOnly, false)),
+            ("C baseline", run(ExecMode::Hybrid, true)),
+        ] {
+            assert_eq!(err.to_string(), format!("trap: {want}"), "{name}");
+        }
+    }
+}
