@@ -16,7 +16,7 @@
 
 use hem_analysis::InterfaceSet;
 use hem_core::{ExecMode, Runtime};
-use hem_ir::{BinOp, LocalityHint, ProgramBuilder, Value};
+use hem_ir::{BinOp, LocalityHint, ProgramBuilder, UnOp, Value};
 use hem_machine::cost::CostModel;
 use hem_machine::fault::{FaultPlan, LinkWindow, NodeWindow};
 use hem_machine::NodeId;
@@ -343,9 +343,20 @@ fn stalled_node_delivers_deferred_trap() {
     );
 }
 
-/// A bad operand traps — it never unwinds the host — and it traps at the
-/// same method and pc whichever evaluator meets it: the hybrid runtime,
-/// the parallel-only runtime, or the C baseline.
+/// What the C baseline does with a row's instruction.
+enum InC {
+    /// Executes it and traps exactly like the interpreters.
+    Same,
+    /// Executes it and traps at the same place with its own message.
+    Says(&'static str),
+    /// Has no equivalent of it (continuation manipulation traps as such).
+    Skip,
+}
+
+/// A bad operand traps — it never unwinds the host — and it traps with
+/// the same method, pc and message whichever evaluator meets it: the
+/// hybrid runtime (stack interpreter), the parallel-only runtime (heap
+/// interpreter), and the C baseline wherever it executes the instruction.
 #[test]
 fn bad_operands_trap_alike_in_all_three_evaluators() {
     let mut pb = ProgramBuilder::new();
@@ -364,20 +375,166 @@ fn bad_operands_trap_alike_in_all_three_evaluators() {
         let v = mb.get_elem(cells, mb.arg(0));
         mb.reply(v);
     });
+    let set_elem = pb.method(bad, "set_elem", 1, |mb| {
+        mb.set_elem(cells, mb.arg(0), 7i64);
+        mb.reply_nil();
+    });
+    let add = pb.method(bad, "add", 1, |mb| {
+        let v = mb.binl(BinOp::Add, mb.arg(0), 1i64);
+        mb.reply(v);
+    });
+    let div = pb.method(bad, "div", 1, |mb| {
+        let v = mb.binl(BinOp::Div, 1i64, mb.arg(0));
+        mb.reply(v);
+    });
+    let neg = pb.method(bad, "neg", 1, |mb| {
+        let v = mb.unl(UnOp::Neg, mb.arg(0));
+        mb.reply(v);
+    });
+    let node_of = pb.method(bad, "node_of", 1, |mb| {
+        let v = mb.node_of(mb.arg(0));
+        mb.reply(v);
+    });
+    let br = pb.method(bad, "br", 1, |mb| {
+        mb.if_(mb.arg(0), |mb| mb.halt());
+        mb.reply_nil();
+    });
+    let get_slot = pb.method(bad, "get_slot", 1, |mb| {
+        let s = mb.slot();
+        let v = mb.get_slot(s);
+        mb.reply(v);
+    });
+    let send = pb.method(bad, "send", 1, |mb| {
+        mb.send_to_cont(mb.arg(0), 1i64);
+        mb.reply_nil();
+    });
     let program = pb.finish();
 
+    let (int, yes) = (Value::Int, Value::Bool(true));
     let rows = [
-        ("ArrNew -1", arr, -1i64),
+        (
+            "ArrNew -1",
+            arr,
+            int(-1),
+            "negative array length -1",
+            InC::Same,
+        ),
         // The node arena's spans are `u32`: one value is already there, so
         // `u32::MAX` more is the first length that cannot fit.
-        ("ArrNew u32::MAX", arr, u32::MAX as i64),
-        ("ArrNew 1<<32", arr, 1 << 32),
-        ("ArrNew 1<<40", arr, 1 << 40),
-        ("JoinInit -1", join, -1),
-        ("JoinInit 1<<32", join, 1 << 32),
-        ("GetElem out of range", elem, 99),
+        (
+            "ArrNew u32::MAX",
+            arr,
+            int(u32::MAX as i64),
+            "oversized array length 4294967295 (node arena holds 1 of 2^32 values)",
+            InC::Same,
+        ),
+        (
+            "ArrNew 1<<32",
+            arr,
+            int(1 << 32),
+            "oversized array length 4294967296 (node arena holds 1 of 2^32 values)",
+            InC::Same,
+        ),
+        (
+            "ArrNew 1<<40",
+            arr,
+            int(1 << 40),
+            "oversized array length 1099511627776 (node arena holds 1 of 2^32 values)",
+            InC::Same,
+        ),
+        (
+            "JoinInit -1",
+            join,
+            int(-1),
+            "negative join count -1",
+            InC::Same,
+        ),
+        (
+            "JoinInit 1<<32",
+            join,
+            int(1 << 32),
+            "oversized join count 4294967296",
+            InC::Same,
+        ),
+        (
+            "GetElem out of range",
+            elem,
+            int(99),
+            "array index 99 out of range (1)",
+            InC::Says("array index 99 out of range"),
+        ),
+        (
+            "GetElem non-int index",
+            elem,
+            yes,
+            "type error in as_int: got bool",
+            InC::Same,
+        ),
+        (
+            "SetElem out of range",
+            set_elem,
+            int(99),
+            "array index 99 out of range (1)",
+            InC::Same,
+        ),
+        (
+            "SetElem non-int index",
+            set_elem,
+            yes,
+            "type error in as_int: got bool",
+            InC::Same,
+        ),
+        (
+            "Bin type error",
+            add,
+            yes,
+            "type error in as_float: got bool",
+            InC::Same,
+        ),
+        (
+            "Bin division by zero",
+            div,
+            int(0),
+            "division by zero",
+            InC::Same,
+        ),
+        (
+            "Un type error",
+            neg,
+            yes,
+            "type error in neg: got bool",
+            InC::Same,
+        ),
+        (
+            "NodeOf non-object",
+            node_of,
+            int(3),
+            "type error in as_obj: got int",
+            InC::Same,
+        ),
+        (
+            "Br non-bool",
+            br,
+            int(1),
+            "type error in as_bool: got int",
+            InC::Same,
+        ),
+        (
+            "GetSlot unresolved",
+            get_slot,
+            int(0),
+            "get of unresolved slot 0 (Empty)",
+            InC::Says("get of unresolved slot in C baseline"),
+        ),
+        (
+            "SendToCont non-continuation",
+            send,
+            int(5),
+            "type error in as_cont: got int",
+            InC::Skip,
+        ),
     ];
-    for (what, method, operand) in rows {
+    for (label, method, operand, want, in_c) in rows {
         let run = |mode, c_baseline: bool| {
             let mut rt = Runtime::new(
                 program.clone(),
@@ -389,25 +546,31 @@ fn bad_operands_trap_alike_in_all_three_evaluators() {
             .unwrap();
             let o = rt.alloc_object_by_name("Bad", NodeId(0));
             rt.set_array(o, cells, vec![Value::Int(0)]);
-            let args = [Value::Int(operand)];
+            let args = [operand];
             let r = if c_baseline {
                 rt.call_c_baseline(o, method, &args).map(|(v, _)| v)
             } else {
                 rt.call(o, method, &args)
             };
-            r.expect_err(what)
+            r.expect_err(label)
         };
         let hybrid = run(ExecMode::Hybrid, false);
+        assert_eq!(hybrid.method, Some(method), "{label}: located: {hybrid}");
+        assert!(hybrid.pc.is_some(), "{label}: located: {hybrid}");
+        assert_eq!(hybrid.what, want, "{label}: hybrid");
         let parallel = run(ExecMode::ParallelOnly, false);
+        assert_eq!(parallel, hybrid, "{label}: parallel-only differs");
+        let c_want = match in_c {
+            InC::Same => want,
+            InC::Says(what) => what,
+            InC::Skip => continue,
+        };
         let c = run(ExecMode::Hybrid, true);
-        assert_eq!(hybrid.method, Some(method), "{what}: located: {hybrid}");
-        for (name, other) in [("parallel-only", parallel), ("C baseline", c)] {
-            assert_eq!(
-                (other.method, other.pc),
-                (hybrid.method, hybrid.pc),
-                "{what}: {name} traps elsewhere: {other} vs {hybrid}"
-            );
-        }
+        assert_eq!(
+            (c.method, c.pc, c.what.as_str()),
+            (hybrid.method, hybrid.pc, c_want),
+            "{label}: C baseline differs: {c} vs {hybrid}"
+        );
     }
 }
 
