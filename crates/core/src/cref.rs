@@ -14,11 +14,10 @@
 
 use crate::context::SlotState;
 use crate::error::Trap;
-use crate::exec::{arity, array_len, bin, join_count};
-use crate::object::FieldKind;
+use crate::exec::{arity, array_len, bin, elem_index, field_index, join_count, unresolved};
 use crate::rt::Runtime;
 use hem_ir::value::{bin_op, un_op};
-use hem_ir::{Instr, MethodId, ObjRef, Operand, Program, Value};
+use hem_ir::{FieldId, Instr, MethodId, ObjRef, Operand, Program, Value};
 use hem_machine::Cycles;
 
 /// Run `method` on `obj` as the C baseline. Returns the reply (if the
@@ -79,6 +78,7 @@ fn eval(
             .get(pc)
             .ok_or_else(|| Trap::at(method, pc as u32, "pc past end of body"))?;
         *cycles += rt.cost.op;
+        let at = (method, pc as u32);
         let tv = |e| Trap::from_value(method, pc as u32, e);
         match ins {
             Instr::Mov { dst, src } => locals[dst.idx()] = read(&locals, src),
@@ -103,30 +103,34 @@ fn eval(
                 });
             }
             Instr::GetField { dst, field } => {
-                locals[dst.idx()] = field_get(rt, obj, *field)?;
+                let f = field_index(rt, method, pc as u32, obj, *field, false)?;
+                locals[dst.idx()] = rt.nodes[obj.node.idx()].scalars(obj.index)[f as usize];
             }
             Instr::SetField { field, src } => {
-                let v = read(&locals, src);
-                field_set(rt, obj, *field, v)?;
+                let f = field_index(rt, method, pc as u32, obj, *field, false)?;
+                rt.nodes[obj.node.idx()].scalars_mut(obj.index)[f as usize] = read(&locals, src);
             }
             Instr::GetElem { dst, field, idx } => {
                 let i = read(&locals, idx).as_int().map_err(tv)?;
-                locals[dst.idx()] = elem_get(rt, obj, *field, i, method, pc as u32)?;
+                let arr = array(rt, at, obj, *field)?;
+                locals[dst.idx()] = arr[elem_index(method, pc as u32, i, arr.len())?];
             }
             Instr::SetElem { field, idx, src } => {
+                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
                 let i = read(&locals, idx).as_int().map_err(tv)?;
-                let v = read(&locals, src);
-                elem_set(rt, obj, *field, i, v, method, pc as u32)?;
+                let arr = rt.nodes[obj.node.idx()].array_mut(obj.index, f);
+                arr[elem_index(method, pc as u32, i, arr.len())?] = read(&locals, src);
             }
             Instr::ArrNew { field, len } => {
                 let l = read(&locals, len).as_int().map_err(tv)?;
                 let arena = rt.nodes[obj.node.idx()].arena.len();
                 let l = array_len(method, pc as u32, l, arena)?;
+                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
                 *cycles += rt.cost.ctx_alloc;
-                arr_new(rt, obj, *field, l)?;
+                rt.nodes[obj.node.idx()].arr_new(obj.index, f, l);
             }
             Instr::ArrLen { dst, field } => {
-                locals[dst.idx()] = Value::Int(arr_len(rt, obj, *field)? as i64);
+                locals[dst.idx()] = Value::Int(array(rt, at, obj, *field)?.len() as i64);
             }
             Instr::Invoke {
                 slot,
@@ -169,9 +173,9 @@ fn eval(
                 }
             }
             Instr::GetSlot { dst, slot } => {
-                locals[dst.idx()] = slots[slot.idx()].value().ok_or_else(|| {
-                    Trap::at(method, pc as u32, "get of unresolved slot in C baseline")
-                })?;
+                locals[dst.idx()] = slots[slot.idx()]
+                    .value()
+                    .ok_or_else(|| unresolved(method, pc as u32, &slots, *slot))?;
             }
             Instr::JoinInit { slot, count } => {
                 let c = read(&locals, count).as_int().map_err(tv)?;
@@ -186,7 +190,7 @@ fn eval(
                 // The C equivalent of a multicast is a plain for-loop of
                 // calls; the interconnect's fan-out tree has no analogue.
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                for mref in group_refs(rt, obj, *group)? {
+                for mref in group_refs(rt, at, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
                     eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?;
@@ -204,7 +208,7 @@ fn eval(
             } => {
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
                 let mut acc: Option<Value> = None;
-                for mref in group_refs(rt, obj, *group)? {
+                for mref in group_refs(rt, at, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
                     let v = eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?
@@ -253,96 +257,23 @@ fn fill_slot(slots: &mut [SlotState], s: hem_ir::Slot, v: Value) {
     }
 }
 
-fn group_refs(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<Vec<ObjRef>, Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Array(a) => rt.nodes[obj.node.idx()]
-            .array(obj.index, a)
-            .iter()
-            .map(|v| {
-                v.as_obj()
-                    .map_err(|_| Trap::new("collective group member is not an object"))
-            })
-            .collect(),
-        FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
-    }
+/// `self.field` as an array: the C baseline's receiver is `obj`.
+fn array(rt: &Runtime, at: (MethodId, u32), obj: ObjRef, field: FieldId) -> Result<&[Value], Trap> {
+    let a = field_index(rt, at.0, at.1, obj, field, true)?;
+    Ok(rt.nodes[obj.node.idx()].array(obj.index, a))
 }
 
-fn kind(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> FieldKind {
-    let class = rt.nodes[obj.node.idx()].objects[obj.index as usize].class;
-    rt.layouts[class.idx()].kinds[field.idx()]
-}
-
-fn field_get(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<Value, Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Scalar(i) => Ok(rt.nodes[obj.node.idx()].scalars(obj.index)[i as usize]),
-        FieldKind::Array(_) => Err(Trap::new("scalar access to array field")),
-    }
-}
-
-fn field_set(rt: &mut Runtime, obj: ObjRef, field: hem_ir::FieldId, v: Value) -> Result<(), Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Scalar(i) => {
-            rt.nodes[obj.node.idx()].scalars_mut(obj.index)[i as usize] = v;
-            Ok(())
-        }
-        FieldKind::Array(_) => Err(Trap::new("scalar access to array field")),
-    }
-}
-
-fn elem_get(
+fn group_refs(
     rt: &Runtime,
+    at: (MethodId, u32),
     obj: ObjRef,
-    field: hem_ir::FieldId,
-    i: i64,
-    m: MethodId,
-    pc: u32,
-) -> Result<Value, Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Array(a) => {
-            let arr = rt.nodes[obj.node.idx()].array(obj.index, a);
-            arr.get(i as usize)
-                .copied()
-                .ok_or_else(|| Trap::at(m, pc, format!("array index {i} out of range")))
-        }
-        FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
-    }
-}
-
-fn elem_set(
-    rt: &mut Runtime,
-    obj: ObjRef,
-    field: hem_ir::FieldId,
-    i: i64,
-    v: Value,
-    m: MethodId,
-    pc: u32,
-) -> Result<(), Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Array(a) => {
-            let arr = rt.nodes[obj.node.idx()].array_mut(obj.index, a);
-            let len = arr.len();
-            *arr.get_mut(i as usize).ok_or_else(|| {
-                Trap::at(m, pc, format!("array index {i} out of range ({len})"))
-            })? = v;
-            Ok(())
-        }
-        FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
-    }
-}
-
-fn arr_new(rt: &mut Runtime, obj: ObjRef, field: hem_ir::FieldId, len: usize) -> Result<(), Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Array(a) => {
-            rt.nodes[obj.node.idx()].arr_new(obj.index, a, len);
-            Ok(())
-        }
-        FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
-    }
-}
-
-fn arr_len(rt: &Runtime, obj: ObjRef, field: hem_ir::FieldId) -> Result<usize, Trap> {
-    match kind(rt, obj, field) {
-        FieldKind::Array(a) => Ok(rt.nodes[obj.node.idx()].array(obj.index, a).len()),
-        FieldKind::Scalar(_) => Err(Trap::new("array access to scalar field")),
-    }
+    field: FieldId,
+) -> Result<Vec<ObjRef>, Trap> {
+    array(rt, at, obj, field)?
+        .iter()
+        .map(|v| {
+            v.as_obj()
+                .map_err(|_| Trap::new("collective group member is not an object"))
+        })
+        .collect()
 }

@@ -1,32 +1,248 @@
-//! Instruction semantics shared by the sequential and parallel
-//! interpreters.
+//! The one instruction loop, and the instruction semantics it shares with
+//! the C baseline.
 //!
 //! The central correctness property of the hybrid model is that the two
-//! code versions compute the same results; everything except invocation,
-//! synchronization and termination is therefore implemented exactly once
-//! here and called from both interpreters.
+//! code versions compute the same results: they differ in how they call,
+//! synchronize and terminate, not in what a plain instruction does (paper
+//! §1). [`run`] is therefore the only loop over a method body. One `match`
+//! holds every instruction; the mode-independent ones are written there
+//! once, and the rest ask the [`Activation`] being stepped — a stack frame
+//! (`seq.rs`) or a heap context (`par.rs`). Each interpreter is a
+//! monomorphised copy of `run`, so an instruction costs one dispatch.
 
+use crate::call::{self, Caller};
 use crate::cont::Continuation;
-use crate::context::{ActFrame, SlotState};
+use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::msg::CollKind;
 use crate::object::FieldKind;
 use crate::rt::{Node, Runtime};
+use crate::seq::SeqOutcome;
 use hem_ir::value::{bin_op, un_op, ValueError};
-use hem_ir::{BinOp, FieldId, Instr, MethodId, ObjRef, Operand, Program, Slot, Value};
+use hem_ir::{BinOp, ClassId, FieldId, Instr, MethodId, ObjRef, Operand, Program, Slot, Value};
 
-/// Where control goes after a simple instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Next {
-    /// Fall through to `pc + 1`.
-    Advance,
-    /// Jump to an absolute instruction index.
-    Goto(u32),
+/// What a code version contributes to [`run`] (paper §3): which call site
+/// it is, what a touch that must wait does, how it ends and what becomes
+/// of its continuation — `seq::SeqState` as a stack frame, `par::HeapStep`
+/// as a heap context. The C baseline (`cref.rs`) also differs in price (a
+/// side counter, not the node clock), which it would take from here too.
+pub(crate) trait Activation {
+    /// How the activation ends.
+    type End;
+    /// The frame being stepped.
+    fn fr(&mut self) -> &mut ActFrame;
+
+    /// Before each instruction: apply what arrived for the frame meanwhile.
+    fn sync(&mut self, _rt: &mut Runtime) -> Result<(), Trap> {
+        Ok(())
+    }
+
+    /// The call site of an `Invoke` or collective replying into `slot`.
+    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_>;
+    /// The end of an activation a call unwound (only stack frames unwind).
+    fn unwound(out: SeqOutcome) -> Self::End;
+
+    /// `Forward`: pass the activation's continuation on, which ends it.
+    fn forward(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        target: &Operand,
+        callee: MethodId,
+        args: &[Operand],
+    ) -> Result<Self::End, Trap>;
+
+    /// A `Touch` that must wait.
+    fn suspend(&mut self, rt: &mut Runtime, node: usize, on: WaitState) -> Result<Self::End, Trap>;
+
+    /// `Reply v`.
+    fn reply(&mut self, rt: &mut Runtime, node: usize, v: Value) -> Result<Self::End, Trap>;
+    /// `Halt`.
+    fn halt(&mut self, rt: &mut Runtime, node: usize) -> Self::End;
+
+    /// `StoreCont`: store the activation's continuation, consuming it.
+    fn store_cont(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        field: FieldId,
+        idx: Option<&Operand>,
+    ) -> Result<(), Trap>;
+}
+
+/// Step `act` from its frame's pc until it ends. Every instruction pays
+/// the base `op` cost first; the arms add what is specific to them
+/// (object allocation, join init, touches, continuation sends) and leave
+/// calls and their prices to the call protocol.
+#[inline(always)]
+pub(crate) fn run<A: Activation>(
+    rt: &mut Runtime,
+    prog: &Program,
+    node: usize,
+    act: &mut A,
+) -> Result<A::End, Trap> {
+    let m = prog.method(act.fr().method);
+    loop {
+        act.sync(rt)?;
+        let fr = act.fr();
+        let (method, pc) = (fr.method, fr.pc);
+        let Some(ins) = m.body.get(pc as usize) else {
+            return Err(Trap::at(method, pc, "pc past end of body"));
+        };
+        rt.charge(node, rt.cost.op);
+        let trap_v = |e| Trap::from_value(method, pc, e);
+        match ins {
+            Instr::Mov { dst, src } => fr.locals[dst.idx()] = read(fr, src),
+            // Written as matches so the value goes straight to its register.
+            Instr::Bin { dst, op, a, b } => match bin(*op, read(fr, a), read(fr, b)) {
+                Ok(v) => fr.locals[dst.idx()] = v,
+                Err(e) => return Err(trap_v(e)),
+            },
+            Instr::Un { dst, op, a } => match un_op(*op, read(fr, a)) {
+                Ok(v) => fr.locals[dst.idx()] = v,
+                Err(e) => return Err(trap_v(e)),
+            },
+            Instr::SelfRef { dst } => fr.locals[dst.idx()] = Value::Obj(fr.obj),
+            Instr::MyNode { dst } => fr.locals[dst.idx()] = Value::Int(node as i64),
+            Instr::NodeOf { dst, obj } => {
+                let o = read(fr, obj).as_obj().map_err(trap_v)?;
+                fr.locals[dst.idx()] = Value::Int(o.node.0 as i64);
+            }
+            Instr::NewLocal { dst, class } => {
+                // Local allocation only; remote placement is harness business.
+                rt.charge(node, rt.cost.ctx_alloc);
+                let index = rt.nodes[node].new_object(&rt.layouts[class.idx()], *class);
+                let node = hem_machine::NodeId(node as u32);
+                fr.locals[dst.idx()] = Value::Obj(ObjRef { node, index });
+            }
+            Instr::GetField { dst, field } => {
+                let i = field_index(rt, method, pc, fr.obj, *field, false)?;
+                fr.locals[dst.idx()] = home(rt, fr, node).scalars(fr.obj.index)[i as usize];
+            }
+            Instr::SetField { field, src } => store(rt, node, fr, *field, None, read(fr, src))?,
+            Instr::GetElem { dst, field, idx } => {
+                let i = read(fr, idx).as_int().map_err(trap_v)?;
+                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                let arr = home(rt, fr, node).array(fr.obj.index, a);
+                fr.locals[dst.idx()] = arr[elem_index(method, pc, i, arr.len())?];
+            }
+            Instr::SetElem { field, idx, src } => {
+                store(rt, node, fr, *field, Some(idx), read(fr, src))?
+            }
+            Instr::ArrNew { field, len } => {
+                let l = read(fr, len).as_int().map_err(trap_v)?;
+                let l = array_len(method, pc, l, home(rt, fr, node).arena.len())?;
+                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                rt.charge(node, rt.cost.ctx_alloc);
+                home_mut(rt, fr, node).arr_new(fr.obj.index, a, l);
+            }
+            Instr::ArrLen { dst, field } => {
+                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                let len = home(rt, fr, node).array(fr.obj.index, a).len();
+                fr.locals[dst.idx()] = Value::Int(len as i64);
+            }
+            Instr::GetSlot { dst, slot } => match fr.slots[slot.idx()].value() {
+                Some(v) => fr.locals[dst.idx()] = v,
+                None => return Err(unresolved(method, pc, &fr.slots, *slot)),
+            },
+            Instr::JoinInit { slot, count } => {
+                let c = read(fr, count).as_int().map_err(trap_v)?;
+                let c = join_count(method, pc, c)?;
+                rt.charge(node, rt.cost.join_init);
+                fr.slots[slot.idx()] = SlotState::Join(c);
+            }
+            Instr::SendToCont { cont, value } => {
+                let c = read(fr, cont).as_cont().map_err(trap_v)?;
+                let v = read(fr, value);
+                rt.deliver_cont(node, Continuation::Into(c), v)?;
+            }
+            Instr::Jmp { to } => {
+                fr.pc = *to;
+                continue;
+            }
+            Instr::Br { cond, t, f } => {
+                let c = read(fr, cond).as_bool().map_err(trap_v)?;
+                fr.pc = if c { *t } else { *f };
+                continue;
+            }
+            Instr::Invoke {
+                slot,
+                target,
+                method: callee,
+                args,
+                hint: _,
+            } => {
+                let (tobj, a) = read_call(rt, fr, target, args)?;
+                let caller = act.caller(*slot);
+                if let Some(out) = call::invoke(rt, prog, node, caller, tobj, *callee, a)? {
+                    return Ok(A::unwound(out));
+                }
+            }
+            Instr::Forward {
+                target,
+                method: callee,
+                args,
+                hint: _,
+            } => return act.forward(rt, prog, node, target, *callee, args),
+            Instr::Touch { slots } => {
+                rt.ctr(node).touches += 1;
+                rt.charge(node, rt.cost.future_touch * slots.len() as u64);
+                let unresolved = slots.iter().filter(|s| !fr.slots[s.idx()].satisfied());
+                let mask = unresolved.fold(0u64, |mask, s| mask | 1 << s.0);
+                if mask != 0 {
+                    rt.ctr(node).touch_misses += 1;
+                    let missing = mask.count_ones() as u16;
+                    return act.suspend(rt, node, WaitState::Waiting { mask, missing });
+                }
+            }
+            Instr::Multicast {
+                slot,
+                group,
+                method: callee,
+                args,
+            } => {
+                let kind = match slot {
+                    None => CollKind::Cast,
+                    Some(_) => CollKind::CastAcked,
+                };
+                let op = CollOp::read(rt, fr, node, kind, *group, *callee, args)?;
+                if let Some(out) = call::collective(rt, node, act.caller(*slot), op)? {
+                    return Ok(A::unwound(out));
+                }
+            }
+            Instr::Reduce {
+                slot,
+                group,
+                method: callee,
+                args,
+                op,
+            } => {
+                let op = CollOp::read(rt, fr, node, CollKind::Reduce(*op), *group, *callee, args)?;
+                if let Some(out) = call::collective(rt, node, act.caller(Some(*slot)), op)? {
+                    return Ok(A::unwound(out));
+                }
+            }
+            Instr::Barrier { slot, group } => {
+                let op = CollOp::read(rt, fr, node, CollKind::Barrier, *group, MethodId(0), &[])?;
+                if let Some(out) = call::collective(rt, node, act.caller(Some(*slot)), op)? {
+                    return Ok(A::unwound(out));
+                }
+            }
+            Instr::Reply { src } => {
+                let v = read(fr, src);
+                return act.reply(rt, node, v);
+            }
+            Instr::Halt => return Ok(act.halt(rt, node)),
+            Instr::StoreCont { field, idx } => act.store_cont(rt, node, *field, idx.as_ref())?,
+        }
+        act.fr().pc = pc + 1;
+    }
 }
 
 /// Read an operand against a frame.
 #[inline]
-pub(crate) fn read(fr: &ActFrame, op: &Operand) -> Value {
+fn read(fr: &ActFrame, op: &Operand) -> Value {
     match op {
         Operand::L(l) => fr.locals[l.idx()],
         Operand::K(v) => *v,
@@ -127,130 +343,65 @@ pub(crate) fn join_count(method: MethodId, pc: u32, count: i64) -> Result<u32, T
     })
 }
 
-/// Execute one of the mode-independent instructions. The caller has
-/// already charged the base `op` cost; this adds any operation-specific
-/// cost (object allocation, join init, continuation sends).
-///
-/// # Panics
-/// On instructions that are mode-specific (`Invoke`, `Touch`, terminators,
-/// `StoreCont`) — the interpreters dispatch those before calling here.
-pub(crate) fn exec_simple(
-    rt: &mut Runtime,
-    node: usize,
-    fr: &mut ActFrame,
-    ins: &Instr,
-) -> Result<Next, Trap> {
-    let pc = fr.pc;
-    let trap_v = |e| Trap::from_value(fr.method, pc, e);
-    match ins {
-        Instr::Mov { dst, src } => {
-            fr.locals[dst.idx()] = read(fr, src);
-        }
-        Instr::Bin { dst, op, a, b } => {
-            let v = bin(*op, read(fr, a), read(fr, b)).map_err(trap_v)?;
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::Un { dst, op, a } => {
-            let v = un_op(*op, read(fr, a)).map_err(trap_v)?;
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::SelfRef { dst } => {
-            fr.locals[dst.idx()] = Value::Obj(fr.obj);
-        }
-        Instr::MyNode { dst } => {
-            fr.locals[dst.idx()] = Value::Int(node as i64);
-        }
-        Instr::NodeOf { dst, obj } => {
-            let o = read(fr, obj).as_obj().map_err(trap_v)?;
-            fr.locals[dst.idx()] = Value::Int(o.node.0 as i64);
-        }
-        Instr::NewLocal { dst, class } => {
-            // Local allocation only; remote placement is harness business.
-            rt.charge(node, rt.cost.ctx_alloc);
-            let index = rt.nodes[node].new_object(&rt.layouts[class.idx()], *class);
-            fr.locals[dst.idx()] = Value::Obj(ObjRef {
-                node: hem_machine::NodeId(node as u32),
-                index,
-            });
-        }
-        Instr::GetField { dst, field } => {
-            let v = match field_kind(rt, fr, *field) {
-                FieldKind::Scalar(i) => home(rt, fr, node).scalars(fr.obj.index)[i as usize],
-                FieldKind::Array(_) => unreachable!("validated"),
-            };
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::SetField { field, src } => store(rt, node, fr, *field, None, read(fr, src))?,
-        Instr::GetElem { dst, field, idx } => {
-            let i = read(fr, idx).as_int().map_err(trap_v)?;
-            let v = match field_kind(rt, fr, *field) {
-                FieldKind::Array(a) => {
-                    let arr = home(rt, fr, node).array(fr.obj.index, a);
-                    *arr.get(i as usize).ok_or_else(|| {
-                        Trap::at(
-                            fr.method,
-                            pc,
-                            format!("array index {i} out of range ({})", arr.len()),
-                        )
-                    })?
-                }
-                FieldKind::Scalar(_) => unreachable!("validated"),
-            };
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::SetElem { field, idx, src } => {
-            store(rt, node, fr, *field, Some(idx), read(fr, src))?
-        }
-        Instr::ArrNew { field, len } => {
-            let l = read(fr, len).as_int().map_err(trap_v)?;
-            let l = array_len(fr.method, pc, l, home(rt, fr, node).arena.len())?;
-            rt.charge(node, rt.cost.ctx_alloc);
-            match field_kind(rt, fr, *field) {
-                FieldKind::Array(a) => {
-                    home_mut(rt, fr, node).arr_new(fr.obj.index, a, l);
-                }
-                FieldKind::Scalar(_) => unreachable!("validated"),
-            }
-        }
-        Instr::ArrLen { dst, field } => {
-            let v = match field_kind(rt, fr, *field) {
-                FieldKind::Array(a) => {
-                    Value::Int(home(rt, fr, node).array(fr.obj.index, a).len() as i64)
-                }
-                FieldKind::Scalar(_) => unreachable!("validated"),
-            };
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::GetSlot { dst, slot } => {
-            let s = &fr.slots[slot.idx()];
-            let v = s.value().ok_or_else(|| {
-                Trap::at(
-                    fr.method,
-                    pc,
-                    format!("get of unresolved slot {} ({s:?})", slot.0),
-                )
-            })?;
-            fr.locals[dst.idx()] = v;
-        }
-        Instr::JoinInit { slot, count } => {
-            let c = read(fr, count).as_int().map_err(trap_v)?;
-            let c = join_count(fr.method, pc, c)?;
-            rt.charge(node, rt.cost.join_init);
-            fr.slots[slot.idx()] = SlotState::Join(c);
-        }
-        Instr::SendToCont { cont, value } => {
-            let c = read(fr, cont).as_cont().map_err(trap_v)?;
-            let v = read(fr, value);
-            rt.deliver_cont(node, crate::cont::Continuation::Into(c), v)?;
-        }
-        Instr::Jmp { to } => return Ok(Next::Goto(*to)),
-        Instr::Br { cond, t, f } => {
-            let c = read(fr, cond).as_bool().map_err(trap_v)?;
-            return Ok(Next::Goto(if c { *t } else { *f }));
-        }
-        other => unreachable!("exec_simple given mode-specific instruction {other:?}"),
+/// Check an element index against an array's length (shared with the C baseline).
+#[inline]
+pub(crate) fn elem_index(method: MethodId, pc: u32, i: i64, len: usize) -> Result<usize, Trap> {
+    if (i as usize) < len {
+        return Ok(i as usize);
     }
-    Ok(Next::Advance)
+    Err(out_of_range(method, pc, i, len))
+}
+
+#[cold]
+fn out_of_range(method: MethodId, pc: u32, i: i64, len: usize) -> Trap {
+    Trap::at(method, pc, format!("array index {i} out of range ({len})"))
+}
+
+/// The trap of a `GetSlot` of an unresolved slot (shared with the C baseline).
+#[cold]
+pub(crate) fn unresolved(method: MethodId, pc: u32, slots: &[SlotState], slot: Slot) -> Trap {
+    let s = &slots[slot.idx()];
+    let what = format!("get of unresolved slot {} ({s:?})", slot.0);
+    Trap::at(method, pc, what)
+}
+
+/// Where `field` of the receiver `obj` is stored: its index among the
+/// receiver's scalar (for an `array` access, array) fields. The IR does not
+/// type receivers, so a method can run on an object of another class; all
+/// three evaluators trap alike here, at no load the lookup did not make.
+#[inline]
+pub(crate) fn field_index(
+    rt: &Runtime,
+    method: MethodId,
+    pc: u32,
+    obj: ObjRef,
+    field: FieldId,
+    array: bool,
+) -> Result<u16, Trap> {
+    let class = rt.nodes[obj.node.idx()].objects[obj.index as usize].class;
+    match (rt.layouts[class.idx()].kinds.get(field.idx()), array) {
+        (Some(FieldKind::Scalar(i)), false) | (Some(FieldKind::Array(i)), true) => Ok(*i),
+        _ => Err(wrong_field(&rt.program, method, pc, class, field)),
+    }
+}
+
+/// The trap of a field access that does not fit the receiver's class,
+/// naming the field as the method's class declares it and the receiver's.
+#[cold]
+fn wrong_field(prog: &Program, method: MethodId, pc: u32, class: ClassId, field: FieldId) -> Trap {
+    let (own, recv) = (prog.class(prog.method(method).class), prog.class(class));
+    let (o, r) = (&own.name, &recv.name);
+    let name = own.fields.get(field.idx()).map_or("?", |f| &f.name);
+    let why = match recv.fields.get(field.idx()) {
+        None => format!("{r} has no field #{}", field.0),
+        Some(f) if f.array => format!("{r}::{} is an array", f.name),
+        Some(f) => format!("{r}::{} is a scalar", f.name),
+    };
+    Trap::at(
+        method,
+        pc,
+        format!("field {o}::{name} on a receiver of class {r}: {why}"),
+    )
 }
 
 /// Write `v` to `self.field` (scalar) or `self.field[idx]`: the store of
@@ -264,25 +415,18 @@ fn store(
     idx: Option<&Operand>,
     v: Value,
 ) -> Result<(), Trap> {
-    match (field_kind(rt, fr, field), idx) {
-        (FieldKind::Scalar(i), None) => {
-            home_mut(rt, fr, node).scalars_mut(fr.obj.index)[i as usize] = v;
-        }
-        (FieldKind::Array(a), Some(idx)) => {
+    let (method, pc) = (fr.method, fr.pc);
+    let f = field_index(rt, method, pc, fr.obj, field, idx.is_some())?;
+    let home = home_mut(rt, fr, node);
+    match idx {
+        None => home.scalars_mut(fr.obj.index)[f as usize] = v,
+        Some(idx) => {
             let i = read(fr, idx)
                 .as_int()
-                .map_err(|e| Trap::from_value(fr.method, fr.pc, e))?;
-            let arr = home_mut(rt, fr, node).array_mut(fr.obj.index, a);
-            let len = arr.len();
-            *arr.get_mut(i as usize).ok_or_else(|| {
-                Trap::at(
-                    fr.method,
-                    fr.pc,
-                    format!("array index {i} out of range ({len})"),
-                )
-            })? = v;
+                .map_err(|e| Trap::from_value(method, pc, e))?;
+            let arr = home.array_mut(fr.obj.index, f);
+            arr[elem_index(method, pc, i, arr.len())?] = v;
         }
-        _ => unreachable!("validated"),
     }
     Ok(())
 }
@@ -312,84 +456,32 @@ pub(crate) struct CollOp {
     pub(crate) members: Vec<ObjRef>,
     pub(crate) callee: MethodId,
     pub(crate) args: Vec<Value>,
-    /// The slot the completion is delivered to (`None`: fire-and-forget).
-    pub(crate) slot: Option<Slot>,
 }
 
-/// Decode a collective instruction against a frame; the interpreters
-/// differ only in the continuation they issue it with.
-pub(crate) fn read_collective(
-    rt: &Runtime,
-    fr: &ActFrame,
-    node: usize,
-    ins: &Instr,
-) -> Result<CollOp, Trap> {
-    let (kind, group, callee, args, slot) = match ins {
-        Instr::Multicast {
-            slot,
-            group,
-            method,
-            args,
-        } => {
-            let kind = match slot {
-                None => CollKind::Cast,
-                Some(_) => CollKind::CastAcked,
-            };
-            (kind, *group, *method, &args[..], *slot)
-        }
-        Instr::Reduce {
-            slot,
-            group,
-            method,
-            args,
-            op,
-        } => (
-            CollKind::Reduce(*op),
-            *group,
-            *method,
-            &args[..],
-            Some(*slot),
-        ),
-        Instr::Barrier { slot, group } => {
-            (CollKind::Barrier, *group, MethodId(0), &[][..], Some(*slot))
-        }
-        other => unreachable!("read_collective given {other:?}"),
-    };
-    Ok(CollOp {
-        kind,
-        members: read_group(rt, fr, node, group)?,
-        callee,
-        args: args.iter().map(|o| read(fr, o)).collect(),
-        slot,
-    })
-}
-
-/// Read a collective group: every element of `self.field` must be an
-/// object reference (collectives address objects, and their hosting nodes
-/// define the fan-out tree's membership).
-fn read_group(
-    rt: &Runtime,
-    fr: &ActFrame,
-    node: usize,
-    field: FieldId,
-) -> Result<Vec<ObjRef>, Trap> {
-    match field_kind(rt, fr, field) {
-        FieldKind::Array(a) => home(rt, fr, node)
-            .array(fr.obj.index, a)
-            .iter()
-            .map(|v| {
-                v.as_obj()
-                    .map_err(|e| Trap::from_value(fr.method, fr.pc, e))
-            })
-            .collect(),
-        FieldKind::Scalar(_) => unreachable!("validated"),
+impl CollOp {
+    /// Decode a collective against a frame. Every element of the group
+    /// field must be an object reference: collectives address objects, and
+    /// their hosting nodes define the fan-out tree's membership.
+    fn read(
+        rt: &Runtime,
+        fr: &ActFrame,
+        node: usize,
+        kind: CollKind,
+        group: FieldId,
+        callee: MethodId,
+        args: &[Operand],
+    ) -> Result<CollOp, Trap> {
+        let (method, pc) = (fr.method, fr.pc);
+        let a = field_index(rt, method, pc, fr.obj, group, true)?;
+        let members = home(rt, fr, node).array(fr.obj.index, a).iter();
+        let members = members.map(|v| v.as_obj().map_err(|e| Trap::from_value(method, pc, e)));
+        Ok(CollOp {
+            kind,
+            members: members.collect::<Result<_, _>>()?,
+            callee,
+            args: args.iter().map(|o| read(fr, o)).collect(),
+        })
     }
-}
-
-#[inline]
-fn field_kind(rt: &Runtime, fr: &ActFrame, field: FieldId) -> FieldKind {
-    let class = rt.nodes[fr.obj.node.idx()].objects[fr.obj.index as usize].class;
-    rt.layouts[class.idx()].kinds[field.idx()]
 }
 
 /// The executing node, which hosts the frame's receiver.

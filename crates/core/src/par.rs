@@ -16,25 +16,28 @@
 //! buffered for the context being stepped.
 
 use crate::call::{self, Caller};
+use crate::cont::Continuation;
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
-use crate::exec::{self, Next};
+use crate::exec::{self, Activation};
 use crate::rt::{ActiveCtx, Runtime};
-use crate::seq;
-use hem_ir::{Instr, Program};
+use crate::seq::SeqOutcome;
+use hem_ir::{FieldId, MethodId, Operand, Program, Slot, Value};
 use hem_machine::NodeId;
 
-/// Result of stepping a context.
+/// How stepping a context ended.
 enum StepEnd {
     /// Replied / forwarded / halted; the context was freed.
     Finished,
     /// Suspended on a touch; the frame must be stored with this wait set.
-    Suspend {
-        /// Awaited slot mask.
-        mask: u64,
-        /// Unresolved count.
-        missing: u16,
-    },
+    Suspend(WaitState),
+}
+
+/// A heap context being stepped: its frame, taken out of the slab entry
+/// for the step and put back (or retired) after it.
+struct HeapStep {
+    fr: ActFrame,
+    id: u32,
 }
 
 /// Dispatch one ready context.
@@ -42,7 +45,7 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     rt.charge(node, rt.cost.dispatch);
     rt.new_task();
     rt.san_dispatch_check(node, id);
-    let (frame, gen) = {
+    let (fr, gen) = {
         let c = rt.nodes[node].ctxs.get_mut(id);
         debug_assert_eq!(c.wait, WaitState::Ready, "dispatch of non-ready context");
         c.wait = WaitState::Running;
@@ -57,167 +60,114 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
         fills: Vec::new(),
     });
 
-    let mut fr = frame;
+    let mut step = HeapStep { fr, id };
     let prog = rt.program.clone();
-    let res = step_loop(rt, &prog, node, id, &mut fr);
-    match res {
-        Ok(StepEnd::Finished) => {
-            rt.active = None;
-            rt.nodes[node].ctxs.retire(id, fr);
-            Ok(())
-        }
-        Ok(StepEnd::Suspend { mask, missing }) => {
-            rt.active = None;
+    let res = exec::run(rt, &prog, node, &mut step);
+    rt.active = None;
+    match res? {
+        StepEnd::Finished => rt.nodes[node].ctxs.retire(id, step.fr),
+        StepEnd::Suspend(wait) => {
             rt.charge(node, rt.cost.suspend);
             rt.ctr(node).suspends += 1;
-            rt.emit(
-                node,
-                crate::trace::TraceEvent::Suspend {
-                    node: NodeId(node as u32),
-                    ctx: id,
-                },
-            );
+            let ev = crate::trace::TraceEvent::Suspend {
+                node: NodeId(node as u32),
+                ctx: id,
+            };
+            rt.emit(node, ev);
             let c = rt.nodes[node].ctxs.get_mut(id);
-            c.frame = fr;
-            c.wait = WaitState::Waiting { mask, missing };
-            Ok(())
-        }
-        Err(t) => {
-            rt.active = None;
-            Err(t)
+            c.frame = step.fr;
+            c.wait = wait;
         }
     }
+    Ok(())
 }
 
-fn step_loop(
-    rt: &mut Runtime,
-    prog: &Program,
-    node: usize,
-    id: u32,
-    fr: &mut ActFrame,
-) -> Result<StepEnd, Trap> {
-    let m = prog.method(fr.method);
-    loop {
-        drain_fills(rt, fr)?;
-        let ins = fr
-            .pc
-            .try_into()
-            .ok()
-            .and_then(|pc: usize| m.body.get(pc))
-            .ok_or_else(|| Trap::at(fr.method, fr.pc, "pc past end of body"))?;
-        rt.charge(node, rt.cost.op);
-        match ins {
-            Instr::Invoke {
-                slot,
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                let (tobj, a) = exec::read_call(rt, fr, target, args)?;
-                let caller = Caller::HeapInvoke {
-                    fr,
-                    ctx: id,
-                    slot: *slot,
-                };
-                call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
-                fr.pc += 1;
-            }
-            Instr::Touch { slots } => {
-                rt.ctr(node).touches += 1;
-                rt.charge(node, rt.cost.future_touch * slots.len() as u64);
-                drain_fills(rt, fr)?;
-                let (mask, missing) = seq::unsatisfied(fr, slots);
-                if missing == 0 {
-                    fr.pc += 1;
-                } else {
-                    rt.ctr(node).touch_misses += 1;
-                    return Ok(StepEnd::Suspend { mask, missing });
-                }
-            }
-            Instr::Multicast { .. } | Instr::Reduce { .. } | Instr::Barrier { .. } => {
-                let op = exec::read_collective(rt, fr, node, ins)?;
-                let caller = Caller::HeapInvoke {
-                    slot: op.slot,
-                    ctx: id,
-                    fr,
-                };
-                call::collective(rt, node, caller, op)?;
-                fr.pc += 1;
-            }
-            Instr::Reply { src } => {
-                let c = rt.nodes[node].ctxs.get(id);
-                if c.cont_consumed {
-                    return Err(Trap::at(
-                        fr.method,
-                        fr.pc,
-                        "reply after continuation consumed",
-                    ));
-                }
-                let cont = c.cont;
-                let v = exec::read(fr, src);
-                rt.deliver_cont(node, cont, v)?;
-                rt.finish_ctx(node, id);
-                return Ok(StepEnd::Finished);
-            }
-            Instr::Halt => {
-                rt.finish_ctx(node, id);
-                return Ok(StepEnd::Finished);
-            }
-            Instr::Forward {
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                // The context's own continuation is passed along (it
-                // already exists — no laziness needed).
-                let (tobj, a) = exec::read_call(rt, fr, target, args)?;
-                let c = rt.nodes[node].ctxs.get_mut(id);
-                if c.cont_consumed {
-                    return Err(Trap::at(
-                        fr.method,
-                        fr.pc,
-                        "forward after continuation consumed",
-                    ));
-                }
-                c.cont_consumed = true;
-                let caller = Caller::HeapForward { cont: c.cont };
-                call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
-                rt.finish_ctx(node, id);
-                return Ok(StepEnd::Finished);
-            }
-            Instr::StoreCont { field, idx } => {
-                let c = rt.nodes[node].ctxs.get(id);
-                if c.cont_consumed {
-                    return Err(Trap::at(fr.method, fr.pc, "continuation already consumed"));
-                }
-                let cont = c.cont;
-                rt.charge(node, rt.cost.cont_create);
-                rt.ctr(node).conts_created += 1;
-                exec::store_cont(rt, node, fr, *field, idx.as_ref(), cont)?;
-                rt.nodes[node].ctxs.get_mut(id).cont_consumed = true;
-                fr.pc += 1;
-            }
-            simple => match exec::exec_simple(rt, node, fr, simple)? {
-                Next::Advance => fr.pc += 1,
-                Next::Goto(t) => fr.pc = t,
-            },
-        }
+impl Activation for HeapStep {
+    type End = StepEnd;
+
+    fn fr(&mut self) -> &mut ActFrame {
+        &mut self.fr
     }
-}
 
-/// Apply fills buffered for the context being stepped.
-fn drain_fills(rt: &mut Runtime, fr: &mut ActFrame) -> Result<(), Trap> {
-    let fills = {
+    /// Apply the fills buffered for this context since the last step.
+    #[inline(always)]
+    fn sync(&mut self, rt: &mut Runtime) -> Result<(), Trap> {
         let a = rt.active.as_mut().expect("stepping without active record");
         if a.fills.is_empty() {
             return Ok(());
         }
-        std::mem::take(&mut a.fills)
-    };
-    for (slot, v) in fills {
-        Runtime::apply_fill(&mut fr.slots, slot, v).map_err(|e| Trap::at(fr.method, fr.pc, e))?;
+        for (slot, v) in std::mem::take(&mut a.fills) {
+            Runtime::apply_fill(&mut self.fr.slots, slot, v)
+                .map_err(|e| Trap::at(self.fr.method, self.fr.pc, e))?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_> {
+        let (fr, ctx) = (&mut self.fr, self.id);
+        Caller::HeapInvoke { fr, ctx, slot }
+    }
+
+    fn unwound(_: SeqOutcome) -> StepEnd {
+        unreachable!("a call never unwinds a heap context")
+    }
+
+    fn forward(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        target: &Operand,
+        callee: MethodId,
+        args: &[Operand],
+    ) -> Result<StepEnd, Trap> {
+        // The context's own continuation is passed along (it already
+        // exists — no laziness needed).
+        let (tobj, a) = exec::read_call(rt, &self.fr, target, args)?;
+        let cont = self.take_cont(rt, node, "forward after continuation consumed")?;
+        let caller = Caller::HeapForward { cont };
+        call::invoke(rt, prog, node, caller, tobj, callee, a)?;
+        rt.finish_ctx(node, self.id);
+        Ok(StepEnd::Finished)
+    }
+
+    fn suspend(&mut self, _: &mut Runtime, _: usize, wait: WaitState) -> Result<StepEnd, Trap> {
+        Ok(StepEnd::Suspend(wait))
+    }
+
+    fn reply(&mut self, rt: &mut Runtime, node: usize, v: Value) -> Result<StepEnd, Trap> {
+        let cont = self.take_cont(rt, node, "reply after continuation consumed")?;
+        rt.deliver_cont(node, cont, v)?;
+        Ok(self.halt(rt, node))
+    }
+
+    fn halt(&mut self, rt: &mut Runtime, node: usize) -> StepEnd {
+        rt.finish_ctx(node, self.id);
+        StepEnd::Finished
+    }
+
+    fn store_cont(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        field: FieldId,
+        idx: Option<&Operand>,
+    ) -> Result<(), Trap> {
+        let cont = self.take_cont(rt, node, "continuation already consumed")?;
+        rt.charge(node, rt.cost.cont_create);
+        rt.ctr(node).conts_created += 1;
+        exec::store_cont(rt, node, &self.fr, field, idx, cont)
+    }
+}
+
+impl HeapStep {
+    /// Consume the context's continuation, or trap with `twice` if it was.
+    fn take_cont(&self, rt: &mut Runtime, node: usize, twice: &str) -> Result<Continuation, Trap> {
+        let c = rt.nodes[node].ctxs.get_mut(self.id);
+        if c.cont_consumed {
+            return Err(Trap::at(self.fr.method, self.fr.pc, twice));
+        }
+        c.cont_consumed = true;
+        Ok(c.cont)
+    }
 }

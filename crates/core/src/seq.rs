@@ -29,10 +29,10 @@ use crate::call::{self, Caller};
 use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
-use crate::exec::{self, Next};
+use crate::exec::{self, Activation};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
-use hem_ir::{Instr, Method, MethodId, ObjRef, Program, Slot, Value};
+use hem_ir::{FieldId, MethodId, ObjRef, Operand, Program, Slot, Value};
 use hem_machine::NodeId;
 
 /// How a sequential execution ended.
@@ -111,136 +111,94 @@ pub(crate) fn run_seq(
         consumed: None,
         conv,
     };
-    let r = run_inner(rt, prog, m, node, &mut st);
+    let r = exec::run(rt, prog, node, &mut st);
     rt.frames.park_frame(depth + 1, st.fr);
     rt.seq_depth = depth;
     r
 }
 
-fn run_inner(
-    rt: &mut Runtime,
-    prog: &Program,
-    m: &Method,
-    node: usize,
-    st: &mut SeqState,
-) -> Result<SeqOutcome, Trap> {
-    let method = st.fr.method;
-    loop {
-        let ins = m
-            .body
-            .get(st.fr.pc as usize)
-            .ok_or_else(|| Trap::at(method, st.fr.pc, "pc past end of body"))?;
-        rt.charge(node, rt.cost.op);
-        match ins {
-            Instr::Invoke {
-                slot,
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                let (tobj, a) = exec::read_call(rt, &st.fr, target, args)?;
-                let caller = Caller::StackInvoke { st, slot: *slot };
-                if let Some(out) = call::invoke(rt, prog, node, caller, tobj, *callee, a)? {
-                    return Ok(out);
-                }
-                st.fr.pc += 1;
-            }
-            Instr::Touch { slots } => {
-                rt.ctr(node).touches += 1;
-                rt.charge(node, rt.cost.future_touch * slots.len() as u64);
-                let (mask, missing) = unsatisfied(&st.fr, slots);
-                if missing == 0 {
-                    st.fr.pc += 1;
-                } else {
-                    rt.ctr(node).touch_misses += 1;
-                    let pc = st.fr.pc;
-                    let wait = WaitState::Waiting { mask, missing };
-                    return Ok(st.fall_back(rt, node, pc, wait)?.1);
-                }
-            }
-            Instr::Multicast { .. } | Instr::Reduce { .. } | Instr::Barrier { .. } => {
-                let op = exec::read_collective(rt, &st.fr, node, ins)?;
-                let caller = Caller::StackInvoke { slot: op.slot, st };
-                if let Some(out) = call::collective(rt, node, caller, op)? {
-                    return Ok(out);
-                }
-                st.fr.pc += 1;
-            }
-            Instr::Reply { src } => {
-                if st.consumed.is_some() {
-                    return Err(Trap::at(
-                        method,
-                        st.fr.pc,
-                        "reply after continuation consumed",
-                    ));
-                }
-                return Ok(SeqOutcome::Value(exec::read(&st.fr, src)));
-            }
-            Instr::Halt => {
-                return Ok(match st.consumed.take() {
-                    Some(shell) => SeqOutcome::Consumed { shell },
-                    None => SeqOutcome::Halted,
-                });
-            }
-            Instr::Forward {
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                let Conv::Cp(info) = st.conv else {
-                    return Err(Trap::at(method, st.fr.pc, "forward outside CP convention"));
-                };
-                if st.consumed.is_some() {
-                    return Err(Trap::at(
-                        method,
-                        st.fr.pc,
-                        "forward after continuation consumed",
-                    ));
-                }
-                // Fig. 7: our continuation — still implicit in `info` — goes
-                // to the next method.
-                let (tobj, a) = exec::read_call(rt, &st.fr, target, args)?;
-                let caller = Caller::StackForward { info };
-                let out = call::invoke(rt, prog, node, caller, tobj, *callee, a)?;
-                return Ok(out.expect("a forward ends its frame"));
-            }
-            Instr::StoreCont { field, idx } => {
-                let Conv::Cp(info) = st.conv else {
-                    return Err(Trap::at(
-                        method,
-                        st.fr.pc,
-                        "store-cont outside CP convention",
-                    ));
-                };
-                if st.consumed.is_some() {
-                    return Err(Trap::at(method, st.fr.pc, "continuation already consumed"));
-                }
-                let (cont, shell) = rt.materialize_cont(node, info)?;
-                exec::store_cont(rt, node, &st.fr, *field, idx.as_ref(), cont)?;
-                st.consumed = Some(shell);
-                st.fr.pc += 1;
-            }
-            simple => match exec::exec_simple(rt, node, &mut st.fr, simple)? {
-                Next::Advance => st.fr.pc += 1,
-                Next::Goto(t) => st.fr.pc = t,
-            },
-        }
-    }
-}
+impl Activation for SeqState {
+    type End = SeqOutcome;
 
-/// Compute the awaited-slot mask of a touch against a frame.
-pub(crate) fn unsatisfied(fr: &ActFrame, slots: &[Slot]) -> (u64, u16) {
-    let mut mask = 0u64;
-    let mut missing = 0u16;
-    for s in slots {
-        if !fr.slots[s.idx()].satisfied() && mask & (1u64 << s.0) == 0 {
-            mask |= 1u64 << s.0;
-            missing += 1;
+    fn fr(&mut self) -> &mut ActFrame {
+        &mut self.fr
+    }
+
+    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_> {
+        Caller::StackInvoke { st: self, slot }
+    }
+
+    fn unwound(out: SeqOutcome) -> SeqOutcome {
+        out
+    }
+
+    fn forward(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        target: &Operand,
+        callee: MethodId,
+        args: &[Operand],
+    ) -> Result<SeqOutcome, Trap> {
+        let (method, pc) = (self.fr.method, self.fr.pc);
+        let Conv::Cp(info) = self.conv else {
+            return Err(Trap::at(method, pc, "forward outside CP convention"));
+        };
+        if self.consumed.is_some() {
+            return Err(Trap::at(method, pc, "forward after continuation consumed"));
+        }
+        // Fig. 7: our continuation — still implicit in `info` — goes to the
+        // next method.
+        let (tobj, a) = exec::read_call(rt, &self.fr, target, args)?;
+        let caller = Caller::StackForward { info };
+        let out = call::invoke(rt, prog, node, caller, tobj, callee, a)?;
+        Ok(out.expect("a forward ends its frame"))
+    }
+
+    fn suspend(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        wait: WaitState,
+    ) -> Result<SeqOutcome, Trap> {
+        Ok(self.fall_back(rt, node, self.fr.pc, wait)?.1)
+    }
+
+    fn reply(&mut self, _: &mut Runtime, _: usize, v: Value) -> Result<SeqOutcome, Trap> {
+        if self.consumed.is_some() {
+            let (method, pc) = (self.fr.method, self.fr.pc);
+            return Err(Trap::at(method, pc, "reply after continuation consumed"));
+        }
+        Ok(SeqOutcome::Value(v))
+    }
+
+    fn halt(&mut self, _: &mut Runtime, _: usize) -> SeqOutcome {
+        match self.consumed.take() {
+            Some(shell) => SeqOutcome::Consumed { shell },
+            None => SeqOutcome::Halted,
         }
     }
-    (mask, missing)
+
+    fn store_cont(
+        &mut self,
+        rt: &mut Runtime,
+        node: usize,
+        field: FieldId,
+        idx: Option<&Operand>,
+    ) -> Result<(), Trap> {
+        let (method, pc) = (self.fr.method, self.fr.pc);
+        let Conv::Cp(info) = self.conv else {
+            return Err(Trap::at(method, pc, "store-cont outside CP convention"));
+        };
+        if self.consumed.is_some() {
+            return Err(Trap::at(method, pc, "continuation already consumed"));
+        }
+        let (cont, shell) = rt.materialize_cont(node, info)?;
+        exec::store_cont(rt, node, &self.fr, field, idx, cont)?;
+        self.consumed = Some(shell);
+        Ok(())
+    }
 }
 
 impl SeqState {
