@@ -78,7 +78,6 @@ fn eval(
             .get(pc)
             .ok_or_else(|| Trap::at(method, pc as u32, "pc past end of body"))?;
         *cycles += rt.cost.op;
-        let at = (method, pc as u32);
         let tv = |e| Trap::from_value(method, pc as u32, e);
         match ins {
             Instr::Mov { dst, src } => locals[dst.idx()] = read(&locals, src),
@@ -112,7 +111,8 @@ fn eval(
             }
             Instr::GetElem { dst, field, idx } => {
                 let i = read(&locals, idx).as_int().map_err(tv)?;
-                let arr = array(rt, at, obj, *field)?;
+                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
+                let arr = rt.nodes[obj.node.idx()].array(obj.index, f);
                 locals[dst.idx()] = arr[elem_index(method, pc as u32, i, arr.len())?];
             }
             Instr::SetElem { field, idx, src } => {
@@ -130,7 +130,9 @@ fn eval(
                 rt.nodes[obj.node.idx()].arr_new(obj.index, f, l);
             }
             Instr::ArrLen { dst, field } => {
-                locals[dst.idx()] = Value::Int(array(rt, at, obj, *field)?.len() as i64);
+                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
+                let len = rt.nodes[obj.node.idx()].array(obj.index, f).len();
+                locals[dst.idx()] = Value::Int(len as i64);
             }
             Instr::Invoke {
                 slot,
@@ -190,7 +192,7 @@ fn eval(
                 // The C equivalent of a multicast is a plain for-loop of
                 // calls; the interconnect's fan-out tree has no analogue.
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                for mref in group_refs(rt, at, obj, *group)? {
+                for mref in group_refs(rt, method, pc as u32, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
                     eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?;
@@ -208,7 +210,7 @@ fn eval(
             } => {
                 let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
                 let mut acc: Option<Value> = None;
-                for mref in group_refs(rt, at, obj, *group)? {
+                for mref in group_refs(rt, method, pc as u32, obj, *group)? {
                     *cycles += rt.cost.plain_call;
                     let t = rt.resolve_ref(mref);
                     let v = eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?
@@ -257,19 +259,16 @@ fn fill_slot(slots: &mut [SlotState], s: hem_ir::Slot, v: Value) {
     }
 }
 
-/// `self.field` as an array: the C baseline's receiver is `obj`.
-fn array(rt: &Runtime, at: (MethodId, u32), obj: ObjRef, field: FieldId) -> Result<&[Value], Trap> {
-    let a = field_index(rt, at.0, at.1, obj, field, true)?;
-    Ok(rt.nodes[obj.node.idx()].array(obj.index, a))
-}
-
 fn group_refs(
     rt: &Runtime,
-    at: (MethodId, u32),
+    m: MethodId,
+    pc: u32,
     obj: ObjRef,
     field: FieldId,
 ) -> Result<Vec<ObjRef>, Trap> {
-    array(rt, at, obj, field)?
+    let a = field_index(rt, m, pc, obj, field, true)?;
+    rt.nodes[obj.node.idx()]
+        .array(obj.index, a)
         .iter()
         .map(|v| {
             v.as_obj()

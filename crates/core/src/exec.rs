@@ -4,9 +4,9 @@
 //! The central correctness property of the hybrid model is that the two
 //! code versions compute the same results: they differ in how they call,
 //! synchronize and terminate, not in what a plain instruction does (paper
-//! §1). [`run`] is therefore the only loop over a method body. One `match`
+//! §1). `run` is therefore the only loop over a method body. One `match`
 //! holds every instruction; the mode-independent ones are written there
-//! once, and the rest ask the [`Activation`] being stepped — a stack frame
+//! once, and the rest ask the `Activation` being stepped — a stack frame
 //! (`seq.rs`) or a heap context (`par.rs`). Each interpreter is a
 //! monomorphised copy of `run`, so an instruction costs one dispatch.
 

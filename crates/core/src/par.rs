@@ -12,8 +12,8 @@
 //! existing doesn't stop the callee from running on the stack (Table 2
 //! prices exactly these heap-caller/stack-callee combinations). That
 //! decision is the call protocol's (`call.rs`), shared with the stack
-//! interpreter; this file owns dispatch, the step loop, and the fills
-//! buffered for the context being stepped.
+//! interpreter; this file owns dispatch and what a heap context brings to
+//! `exec::run`: its continuation, its suspension and its buffered fills.
 
 use crate::call::{self, Caller};
 use crate::cont::Continuation;
@@ -127,8 +127,7 @@ impl Activation for HeapStep {
         let cont = self.take_cont(rt, node, "forward after continuation consumed")?;
         let caller = Caller::HeapForward { cont };
         call::invoke(rt, prog, node, caller, tobj, callee, a)?;
-        rt.finish_ctx(node, self.id);
-        Ok(StepEnd::Finished)
+        Ok(self.halt(rt, node))
     }
 
     fn suspend(&mut self, _: &mut Runtime, _: usize, wait: WaitState) -> Result<StepEnd, Trap> {

@@ -23,7 +23,7 @@
 //! conventions and their selection (`Conv`, `call_seq_schema`, with the
 //! §4.1 depth guard), and unwinding — the `SeqOutcome` enum, whose
 //! invariants are documented on its variants, and the frame's fallback and
-//! shell adoption (`SeqState`).
+//! shell adoption (`SeqState`, a stack frame's `exec::Activation`).
 
 use crate::call::{self, Caller};
 use crate::cont::{CallerInfo, Continuation};
