@@ -74,7 +74,8 @@ pub(crate) trait Activation {
 /// Step `act` from its frame's pc until it ends. Every instruction pays
 /// the base `op` cost first; the arms add what is specific to them
 /// (object allocation, join init, touches, continuation sends) and leave
-/// calls and their prices to the call protocol.
+/// calls and their prices to the call protocol. Inlined into `run_seq` and
+/// `dispatch` on purpose: out of line, `hemprof fib` reads 6 % slower.
 #[inline(always)]
 pub(crate) fn run<A: Activation>(
     rt: &mut Runtime,
