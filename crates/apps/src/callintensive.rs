@@ -594,11 +594,56 @@ mod tests {
         }
     }
 
+    /// The C baseline's exact price: Table 3's golden rounds to 0.01 ms
+    /// (~330 CM-5 cycles), so one mischarged `JoinInit` or touch per call
+    /// would still pass it. Its cycles go to a side counter — the runtime's
+    /// node clocks, counters and trace stay those of an untouched one.
     #[test]
     fn c_baseline_agrees() {
-        let (mut rt, suite, o) = rt(ExecMode::Hybrid);
-        let (v, cycles) = rt.call_c_baseline(o, suite.fib, &[Value::Int(18)]).unwrap();
-        assert_eq!(v, Some(Value::Int(fib_native(18) as i64)));
-        assert!(cycles > 0);
+        let suite = build();
+        let i = Value::Int;
+        // (program, method, arguments, value, [CM-5 cycles, T3D cycles])
+        let runs = [
+            ("fib", suite.fib, vec![i(18)], 2584, [104_503, 225_726]),
+            (
+                "tak",
+                suite.tak,
+                vec![i(12), i(8), i(4)],
+                5,
+                [19_921, 43_306],
+            ),
+            ("nqueens", suite.nqueens, vec![i(6)], 4, [4_856, 10_018]),
+            (
+                "qsort",
+                suite.qsort_run,
+                vec![i(300), i(42)],
+                335_799_348_878,
+                [41_555, 83_872],
+            ),
+            ("nrev", suite.nrev_run, vec![i(20)], 210, [24_225, 41_636]),
+            ("ack", suite.ack, vec![i(2), i(3)], 9, [611, 1_308]),
+        ];
+        for (name, method, args, value, cycles) in runs {
+            for (cost, want) in [CostModel::cm5(), CostModel::t3d()].into_iter().zip(cycles) {
+                let fresh = || {
+                    let p = suite.program.clone();
+                    let full = InterfaceSet::Full;
+                    let mut rt = crate::make_runtime(p, 1, cost.clone(), ExecMode::Hybrid, full);
+                    rt.enable_trace();
+                    let o = rt.alloc_object_by_name("Math", NodeId(0));
+                    (rt, o)
+                };
+                let at = format!("{name} on {}", cost.name);
+                let (mut rt, o) = fresh();
+                let got = rt.call_c_baseline(o, method, &args).unwrap();
+                assert_eq!(got, (Some(Value::Int(value)), want), "{at}");
+                let (mut untouched, _) = fresh();
+                assert_eq!(rt.makespan(), untouched.makespan(), "{at}");
+                let stats = |rt: &hem_core::Runtime| format!("{:?}", rt.stats());
+                assert_eq!(stats(&rt), stats(&untouched), "{at}");
+                let trace = rt.take_trace().len();
+                assert_eq!(trace, untouched.take_trace().len(), "{at}");
+            }
+        }
     }
 }
