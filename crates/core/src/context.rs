@@ -437,12 +437,12 @@ impl FrameStore {
         fr
     }
 
-    /// Park a finished activation's vectors at `depth`.
+    /// Park a finished activation's vectors at `depth`, emptying its frame.
     #[inline]
-    pub(crate) fn park_frame(&mut self, depth: u32, fr: ActFrame) {
+    pub(crate) fn park_frame(&mut self, depth: u32, fr: &mut ActFrame) {
         let l = self.level(depth);
-        l.locals = fr.locals;
-        l.slots = fr.slots;
+        l.locals = std::mem::take(&mut fr.locals);
+        l.slots = std::mem::take(&mut fr.slots);
     }
 
     /// Overwrite every parked vector with junk — whatever an earlier or a
@@ -798,7 +798,7 @@ mod tests {
         let mut args = fs.take_args(0);
         args.extend_from_slice(&[Value::Int(1), Value::Int(2)]);
         let parked = args.as_ptr();
-        let fr = fs.frame(1, MethodId(3), OBJ, 4, 1, &args);
+        let mut fr = fs.frame(1, MethodId(3), OBJ, 4, 1, &args);
         fs.park_args(0, args);
         assert_eq!(
             fr.locals,
@@ -810,16 +810,16 @@ mod tests {
         );
         assert_eq!(fr.slots, [SlotState::Empty]);
         let locals = fr.locals.as_ptr();
-        fs.park_frame(1, fr);
+        fs.park_frame(1, &mut fr);
         // The next call at the same depths reuses all three vectors.
         let args = fs.take_args(0);
         assert!(args.is_empty());
         assert_eq!(args.as_ptr(), parked);
-        let fr = fs.frame(1, MethodId(4), OBJ, 2, 0, &[]);
+        let mut fr = fs.frame(1, MethodId(4), OBJ, 2, 0, &[]);
         assert_eq!(fr.locals.as_ptr(), locals);
         assert_eq!((fr.method, fr.pc, fr.words()), (MethodId(4), 0, 2));
         // Whatever a level held, a frame built there is a fresh one.
-        fs.park_frame(1, fr);
+        fs.park_frame(1, &mut fr);
         assert_eq!(fs.scribble(), 2);
         assert_eq!(
             fs.frame(1, MethodId(0), OBJ, 4, 2, &[Value::Int(7)]),

@@ -1,23 +1,21 @@
-//! The "equivalent C program" baseline (Table 3's last column).
-//!
-//! The paper compares the hybrid model's sequential performance against
-//! the same algorithms written in plain C. The analogue here is a direct
-//! recursive evaluator over the same IR that prices only what C would pay:
-//! one `op` unit per instruction and one `plain_call` per invocation —
-//! no locality or concurrency checks, no futures, no contexts, no locks.
-//! Touch is free (every call completed synchronously), forwarding is a
-//! tail call. Cycles are accumulated separately and do **not** advance the
-//! simulated node clocks, so a baseline run can share a `Runtime` (and its
-//! object graph) with instrumented runs.
-//!
-//! Continuation manipulation (`StoreCont`) has no C equivalent and traps.
+//! The "equivalent C program" of Table 3: a third activation that
+//! `exec::run` steps, so an instruction does what it does in the
+//! interpreters and only price and calls differ. It pays what C pays — `op`
+//! per instruction, `ctx_alloc` per allocation, `plain_call` per call — into
+//! a side counter; no node clock or counter moves. A call recurses into `run`
+//! a frame-store level deeper, under the interpreters' `max_seq_depth`; a
+//! collective is a for-loop of calls. Calls are synchronous: a touch that
+//! would wait traps, as does continuation manipulation.
 
-use crate::context::SlotState;
+use crate::cont::Continuation;
+use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
-use crate::exec::{arity, array_len, bin, elem_index, field_index, join_count, unresolved};
+use crate::exec::{self, arity, Activation, CollOp, Price};
+use crate::msg::CollKind;
 use crate::rt::Runtime;
-use hem_ir::value::{bin_op, un_op};
-use hem_ir::{FieldId, Instr, MethodId, ObjRef, Operand, Program, Value};
+use crate::seq::depth_limit;
+use hem_ir::value::bin_op;
+use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
 use hem_machine::Cycles;
 
 /// Run `method` on `obj` as the C baseline. Returns the reply (if the
@@ -30,8 +28,8 @@ pub fn call_c(
 ) -> Result<(Option<Value>, Cycles), Trap> {
     let prog = rt.program.clone();
     arity(&prog, method, args.len())?;
-    let mut cycles = 0u64;
-    let v = eval(rt, &prog, &mut cycles, obj, method, args.to_vec(), 0)?;
+    let mut cycles = 0;
+    let v = CFrame::run(rt, &prog, &mut cycles, method, (obj, args.to_vec()))?;
     Ok((v, cycles))
 }
 
@@ -47,232 +45,136 @@ impl Runtime {
     }
 }
 
-fn eval(
-    rt: &mut Runtime,
-    prog: &Program,
-    cycles: &mut Cycles,
-    obj: ObjRef,
-    method: MethodId,
-    args: Vec<Value>,
-    depth: u32,
-) -> Result<Option<Value>, Trap> {
-    if depth > 200_000 {
-        return Err(Trap::new("C-baseline recursion too deep"));
-    }
-    let m = prog.method(method);
-    let mut locals = vec![Value::Nil; m.locals as usize];
-    locals[..args.len()].copy_from_slice(&args);
-    let mut slots = vec![SlotState::Empty; m.slots as usize];
-    let mut pc = 0usize;
+/// A C activation: its frame, and the counter its price goes to.
+struct CFrame<'a> {
+    fr: ActFrame,
+    cycles: &'a mut Cycles,
+}
 
-    let read = |locals: &[Value], op: &Operand| -> Value {
-        match op {
-            Operand::L(l) => locals[l.idx()],
-            Operand::K(v) => *v,
+impl CFrame<'_> {
+    /// Run `method` on `obj`, wherever it lives, with `a` to its end: a
+    /// plain call one level deeper on the frame store (`exec::run_nested`).
+    fn run(
+        rt: &mut Runtime,
+        prog: &Program,
+        cycles: &mut Cycles,
+        method: MethodId,
+        (obj, a): (ObjRef, Vec<Value>),
+    ) -> Result<Option<Value>, Trap> {
+        if rt.seq_depth >= rt.max_seq_depth {
+            return Err(depth_limit(rt));
         }
-    };
+        let obj = rt.resolve_ref(obj);
+        let node = obj.node.idx();
+        exec::run_nested(rt, prog, node, obj, method, a, |fr| CFrame { fr, cycles })
+    }
 
-    loop {
-        let ins = m
-            .body
-            .get(pc)
-            .ok_or_else(|| Trap::at(method, pc as u32, "pc past end of body"))?;
-        *cycles += rt.cost.op;
-        let tv = |e| Trap::from_value(method, pc as u32, e);
-        match ins {
-            Instr::Mov { dst, src } => locals[dst.idx()] = read(&locals, src),
-            Instr::Bin { dst, op, a, b } => {
-                locals[dst.idx()] = bin(*op, read(&locals, a), read(&locals, b)).map_err(tv)?;
-            }
-            Instr::Un { dst, op, a } => {
-                locals[dst.idx()] = un_op(*op, read(&locals, a)).map_err(tv)?;
-            }
-            Instr::SelfRef { dst } => locals[dst.idx()] = Value::Obj(obj),
-            Instr::MyNode { dst } => locals[dst.idx()] = Value::Int(obj.node.0 as i64),
-            Instr::NodeOf { dst, obj: o } => {
-                let r = read(&locals, o).as_obj().map_err(tv)?;
-                locals[dst.idx()] = Value::Int(r.node.0 as i64);
-            }
-            Instr::NewLocal { dst, class } => {
-                *cycles += rt.cost.ctx_alloc;
-                let index = rt.nodes[obj.node.idx()].new_object(&rt.layouts[class.idx()], *class);
-                locals[dst.idx()] = Value::Obj(ObjRef {
-                    node: obj.node,
-                    index,
-                });
-            }
-            Instr::GetField { dst, field } => {
-                let f = field_index(rt, method, pc as u32, obj, *field, false)?;
-                locals[dst.idx()] = rt.nodes[obj.node.idx()].scalars(obj.index)[f as usize];
-            }
-            Instr::SetField { field, src } => {
-                let f = field_index(rt, method, pc as u32, obj, *field, false)?;
-                rt.nodes[obj.node.idx()].scalars_mut(obj.index)[f as usize] = read(&locals, src);
-            }
-            Instr::GetElem { dst, field, idx } => {
-                let i = read(&locals, idx).as_int().map_err(tv)?;
-                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
-                let arr = rt.nodes[obj.node.idx()].array(obj.index, f);
-                locals[dst.idx()] = arr[elem_index(method, pc as u32, i, arr.len())?];
-            }
-            Instr::SetElem { field, idx, src } => {
-                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
-                let i = read(&locals, idx).as_int().map_err(tv)?;
-                let arr = rt.nodes[obj.node.idx()].array_mut(obj.index, f);
-                arr[elem_index(method, pc as u32, i, arr.len())?] = read(&locals, src);
-            }
-            Instr::ArrNew { field, len } => {
-                let l = read(&locals, len).as_int().map_err(tv)?;
-                let arena = rt.nodes[obj.node.idx()].arena.len();
-                let l = array_len(method, pc as u32, l, arena)?;
-                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
-                *cycles += rt.cost.ctx_alloc;
-                rt.nodes[obj.node.idx()].arr_new(obj.index, f, l);
-            }
-            Instr::ArrLen { dst, field } => {
-                let f = field_index(rt, method, pc as u32, obj, *field, true)?;
-                let len = rt.nodes[obj.node.idx()].array(obj.index, f).len();
-                locals[dst.idx()] = Value::Int(len as i64);
-            }
-            Instr::Invoke {
-                slot,
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                *cycles += rt.cost.plain_call;
-                let t = rt.resolve_ref(read(&locals, target).as_obj().map_err(tv)?);
-                let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                let v = eval(rt, prog, cycles, t, *callee, a, depth + 1)?;
-                if let Some(s) = slot {
-                    match &mut slots[s.idx()] {
-                        SlotState::Join(k) if *k > 0 => *k -= 1,
-                        st => *st = SlotState::Full(v.unwrap_or(Value::Nil)),
-                    }
-                }
-            }
-            Instr::Forward {
-                target,
-                method: callee,
-                args,
-                hint: _,
-            } => {
-                *cycles += rt.cost.plain_call;
-                let t = rt.resolve_ref(read(&locals, target).as_obj().map_err(tv)?);
-                let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                return eval(rt, prog, cycles, t, *callee, a, depth + 1);
-            }
-            Instr::Touch { slots: ss } => {
-                for s in ss {
-                    if !slots[s.idx()].satisfied() {
-                        return Err(Trap::at(
-                            method,
-                            pc as u32,
-                            "C baseline touched an unresolved future (program is not synchronous)",
-                        ));
-                    }
-                }
-            }
-            Instr::GetSlot { dst, slot } => {
-                locals[dst.idx()] = slots[slot.idx()]
-                    .value()
-                    .ok_or_else(|| unresolved(method, pc as u32, &slots, *slot))?;
-            }
-            Instr::JoinInit { slot, count } => {
-                let c = read(&locals, count).as_int().map_err(tv)?;
-                slots[slot.idx()] = SlotState::Join(join_count(method, pc as u32, c)?);
-            }
-            Instr::Multicast {
-                slot,
-                group,
-                method: callee,
-                args,
-            } => {
-                // The C equivalent of a multicast is a plain for-loop of
-                // calls; the interconnect's fan-out tree has no analogue.
-                let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                for mref in group_refs(rt, method, pc as u32, obj, *group)? {
-                    *cycles += rt.cost.plain_call;
-                    let t = rt.resolve_ref(mref);
-                    eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?;
-                }
-                if let Some(s) = slot {
-                    fill_slot(&mut slots, *s, Value::Nil);
-                }
-            }
-            Instr::Reduce {
-                slot,
-                group,
-                method: callee,
-                args,
-                op,
-            } => {
-                let a: Vec<Value> = args.iter().map(|o| read(&locals, o)).collect();
-                let mut acc: Option<Value> = None;
-                for mref in group_refs(rt, method, pc as u32, obj, *group)? {
-                    *cycles += rt.cost.plain_call;
-                    let t = rt.resolve_ref(mref);
-                    let v = eval(rt, prog, cycles, t, *callee, a.clone(), depth + 1)?
-                        .unwrap_or(Value::Nil);
-                    acc = Some(match acc {
-                        None => v,
-                        Some(prev) => {
-                            *cycles += rt.cost.op;
-                            bin_op(*op, prev, v).map_err(tv)?
-                        }
-                    });
-                }
-                fill_slot(&mut slots, *slot, acc.unwrap_or(Value::Nil));
-            }
-            Instr::Barrier { slot, .. } => {
-                // Synchronous execution is already barrier-ordered.
-                fill_slot(&mut slots, *slot, Value::Nil);
-            }
-            Instr::Reply { src } => return Ok(Some(read(&locals, src))),
-            Instr::Halt => return Ok(None),
-            Instr::StoreCont { .. } | Instr::SendToCont { .. } => {
-                return Err(Trap::at(
-                    method,
-                    pc as u32,
-                    "continuation manipulation has no C equivalent",
-                ));
-            }
-            Instr::Jmp { to } => {
-                pc = *to as usize;
-                continue;
-            }
-            Instr::Br { cond, t, f } => {
-                let c = read(&locals, cond).as_bool().map_err(tv)?;
-                pc = if c { *t as usize } else { *f as usize };
-                continue;
-            }
+    /// A call's reply into `slot` (a join counts down); the frame goes on.
+    fn fill(&mut self, slot: Option<Slot>, v: Option<Value>) -> Option<Option<Value>> {
+        match slot.map(|s| &mut self.fr.slots[s.idx()]) {
+            Some(SlotState::Join(k)) if *k > 0 => *k -= 1,
+            Some(s) => *s = SlotState::Full(v.unwrap_or(Value::Nil)),
+            None => {}
         }
-        pc += 1;
+        None
     }
 }
 
-fn fill_slot(slots: &mut [SlotState], s: hem_ir::Slot, v: Value) {
-    match &mut slots[s.idx()] {
-        SlotState::Join(k) if *k > 0 => *k -= 1,
-        st => *st = SlotState::Full(v),
+impl Activation for CFrame<'_> {
+    type End = Option<Value>;
+
+    fn fr(&mut self) -> &mut ActFrame {
+        &mut self.fr
+    }
+
+    fn charge(&mut self, rt: &mut Runtime, _: usize, price: Price) {
+        *self.cycles += match price {
+            Price::Op => rt.cost.op,
+            Price::CtxAlloc => rt.cost.ctx_alloc,
+            Price::JoinInit | Price::Touch { .. } => 0,
+        };
+    }
+
+    fn invoke(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        _: usize,
+        slot: Option<Slot>,
+        callee: MethodId,
+        call: (ObjRef, Vec<Value>),
+    ) -> Result<Option<Self::End>, Trap> {
+        *self.cycles += rt.cost.plain_call;
+        let v = CFrame::run(rt, prog, self.cycles, callee, call)?;
+        Ok(self.fill(slot, v))
+    }
+
+    fn collective(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        _: usize,
+        slot: Option<Slot>,
+        op: CollOp,
+    ) -> Result<Option<Self::End>, Trap> {
+        let (method, pc) = (self.fr.method, self.fr.pc);
+        let mut acc = None;
+        // No fan-out tree; a barrier calls nothing (calls are synchronous).
+        for &member in op.members.iter().filter(|_| op.kind != CollKind::Barrier) {
+            *self.cycles += rt.cost.plain_call;
+            let v = CFrame::run(rt, prog, self.cycles, op.callee, (member, op.args.clone()))?;
+            let v = v.unwrap_or(Value::Nil);
+            acc = Some(match (op.kind, acc) {
+                (CollKind::Reduce(f), Some(prev)) => {
+                    *self.cycles += rt.cost.op;
+                    bin_op(f, prev, v).map_err(|e| Trap::from_value(method, pc, e))?
+                }
+                _ => v,
+            });
+        }
+        Ok(self.fill(slot, acc.filter(|_| matches!(op.kind, CollKind::Reduce(_)))))
+    }
+
+    fn forward(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        _: usize,
+        target: &Operand,
+        callee: MethodId,
+        args: &[Operand],
+    ) -> Result<Option<Value>, Trap> {
+        let call = exec::read_call(rt, &self.fr, target, args)?;
+        *self.cycles += rt.cost.plain_call;
+        CFrame::run(rt, prog, self.cycles, callee, call)
+    }
+
+    fn suspend(&mut self, _: &mut Runtime, _: usize, _: WaitState) -> Result<Option<Value>, Trap> {
+        Err(Trap::at(self.fr.method, self.fr.pc, NOT_SYNC))
+    }
+
+    fn reply(&mut self, _: &mut Runtime, _: usize, v: Value) -> Result<Option<Value>, Trap> {
+        Ok(Some(v))
+    }
+
+    fn halt(&mut self, _: &mut Runtime, _: usize) -> Option<Value> {
+        None
+    }
+
+    fn store_cont(&mut self, _: &mut Runtime, _: usize) -> Result<Continuation, Trap> {
+        Err(Trap::at(self.fr.method, self.fr.pc, NO_CONT))
+    }
+
+    fn send_to_cont(
+        &mut self,
+        _: &mut Runtime,
+        _: usize,
+        _: &Operand,
+        _: &Operand,
+    ) -> Result<(), Trap> {
+        Err(Trap::at(self.fr.method, self.fr.pc, NO_CONT))
     }
 }
 
-fn group_refs(
-    rt: &Runtime,
-    m: MethodId,
-    pc: u32,
-    obj: ObjRef,
-    field: FieldId,
-) -> Result<Vec<ObjRef>, Trap> {
-    let a = field_index(rt, m, pc, obj, field, true)?;
-    rt.nodes[obj.node.idx()]
-        .array(obj.index, a)
-        .iter()
-        .map(|v| {
-            v.as_obj()
-                .map_err(|_| Trap::new("collective group member is not an object"))
-        })
-        .collect()
-}
+const NOT_SYNC: &str = "C baseline touched an unresolved future (program is not synchronous)";
+const NO_CONT: &str = "continuation manipulation has no C equivalent";

@@ -1,46 +1,96 @@
-//! The one instruction loop, and the instruction semantics it shares with
-//! the C baseline.
+//! The one instruction loop: the only definition of what an instruction
+//! does.
 //!
 //! The central correctness property of the hybrid model is that the two
 //! code versions compute the same results: they differ in how they call,
 //! synchronize and terminate, not in what a plain instruction does (paper
 //! §1). `run` is therefore the only loop over a method body. One `match`
 //! holds every instruction; the mode-independent ones are written there
-//! once, and the rest ask the `Activation` being stepped — a stack frame
-//! (`seq.rs`) or a heap context (`par.rs`). Each interpreter is a
-//! monomorphised copy of `run`, so an instruction costs one dispatch.
+//! once, and the rest — and every price — ask the `Activation` being
+//! stepped: a stack frame (`seq.rs`), a heap context (`par.rs`), or the
+//! "equivalent C program" of Table 3 (`cref.rs`). Each is a monomorphised
+//! copy of `run`, so an instruction costs one dispatch.
 
-use crate::call::{self, Caller};
 use crate::cont::Continuation;
 use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::msg::CollKind;
 use crate::object::FieldKind;
 use crate::rt::{Node, Runtime};
-use crate::seq::SeqOutcome;
 use hem_ir::value::{bin_op, un_op, ValueError};
 use hem_ir::{BinOp, ClassId, FieldId, Instr, MethodId, ObjRef, Operand, Program, Slot, Value};
 
-/// What a code version contributes to [`run`] (paper §3): which call site
-/// it is, what a touch that must wait does, how it ends and what becomes
-/// of its continuation — `seq::SeqState` as a stack frame, `par::HeapStep`
-/// as a heap context. The C baseline (`cref.rs`) also differs in price (a
-/// side counter, not the node clock), which it would take from here too.
+/// A charge [`run`] makes, priced by the activation.
+#[derive(Clone, Copy)]
+pub(crate) enum Price {
+    /// Every instruction.
+    Op,
+    /// An object or array allocation (`NewLocal`, `ArrNew`).
+    CtxAlloc,
+    /// `JoinInit`.
+    JoinInit,
+    /// A `Touch` of `slots` futures; `miss`: one of them was unresolved.
+    Touch { slots: usize, miss: bool },
+}
+
+/// What a code version contributes to [`run`] (paper §3): what it pays,
+/// how it calls, what a touch that must wait does, how it ends and what
+/// becomes of its continuation — `seq::SeqState` as a stack frame,
+/// `par::HeapStep` as a heap context, `cref::CFrame` as the C baseline.
 pub(crate) trait Activation {
     /// How the activation ends.
     type End;
     /// The frame being stepped.
     fn fr(&mut self) -> &mut ActFrame;
 
+    /// Pay `price`. The interpreters charge the node clock and count
+    /// touches; the C baseline keeps a side counter.
+    #[inline(always)]
+    fn charge(&mut self, rt: &mut Runtime, node: usize, price: Price) {
+        let cycles = match price {
+            Price::Op => rt.cost.op,
+            Price::CtxAlloc => rt.cost.ctx_alloc,
+            Price::JoinInit => rt.cost.join_init,
+            Price::Touch { slots, miss } => {
+                let c = rt.ctr(node);
+                c.touches += 1;
+                c.touch_misses += miss as u64;
+                rt.cost.future_touch * slots as u64
+            }
+        };
+        rt.charge(node, cycles);
+    }
+
     /// Before each instruction: apply what arrived for the frame meanwhile.
     fn sync(&mut self, _rt: &mut Runtime) -> Result<(), Trap> {
         Ok(())
     }
 
-    /// The call site of an `Invoke` or collective replying into `slot`.
-    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_>;
-    /// The end of an activation a call unwound (only stack frames unwind).
-    fn unwound(out: SeqOutcome) -> Self::End;
+    /// `Invoke` of `callee` on the target with the arguments [`read_call`]
+    /// decoded, replying into `slot`. `Some(end)`: the call ended the
+    /// activation (a stack frame unwinds). The interpreters inline it, and
+    /// not `collective`: one method for both inlined the call protocol at
+    /// all four call sites, doubling `run_seq`'s code and its unoptimized
+    /// frame.
+    fn invoke(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        callee: MethodId,
+        call: (ObjRef, Vec<Value>),
+    ) -> Result<Option<Self::End>, Trap>;
+
+    /// A `Multicast` / `Reduce` / `Barrier` replying into `slot`; as `invoke`.
+    fn collective(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        op: CollOp,
+    ) -> Result<Option<Self::End>, Trap>;
 
     /// `Forward`: pass the activation's continuation on, which ends it.
     fn forward(
@@ -61,21 +111,29 @@ pub(crate) trait Activation {
     /// `Halt`.
     fn halt(&mut self, rt: &mut Runtime, node: usize) -> Self::End;
 
-    /// `StoreCont`: store the activation's continuation, consuming it.
-    fn store_cont(
+    /// `StoreCont`: the activation's continuation, consumed to be stored.
+    fn store_cont(&mut self, rt: &mut Runtime, node: usize) -> Result<Continuation, Trap>;
+
+    /// `SendToCont`: deliver `value` to the continuation `cont`.
+    fn send_to_cont(
         &mut self,
         rt: &mut Runtime,
         node: usize,
-        field: FieldId,
-        idx: Option<&Operand>,
-    ) -> Result<(), Trap>;
+        cont: &Operand,
+        value: &Operand,
+    ) -> Result<(), Trap> {
+        let fr = self.fr();
+        let c = read(fr, cont).as_cont();
+        let c = c.map_err(|e| Trap::from_value(fr.method, fr.pc, e))?;
+        rt.deliver_cont(node, Continuation::Into(c), read(fr, value))
+    }
 }
 
 /// Step `act` from its frame's pc until it ends. Every instruction pays
-/// the base `op` cost first; the arms add what is specific to them
-/// (object allocation, join init, touches, continuation sends) and leave
-/// calls and their prices to the call protocol. Inlined into `run_seq` and
-/// `dispatch` on purpose: out of line, `hemprof fib` reads 6 % slower.
+/// the base `op` price first; the arms add what is specific to them
+/// (object allocation, join init, touches) and leave calls and their
+/// prices to the activation. Inlined into `run_seq`, `dispatch` and the C
+/// baseline on purpose: out of line, `hemprof fib` reads 6 % slower.
 #[inline(always)]
 pub(crate) fn run<A: Activation>(
     rt: &mut Runtime,
@@ -86,12 +144,12 @@ pub(crate) fn run<A: Activation>(
     let m = prog.method(act.fr().method);
     loop {
         act.sync(rt)?;
-        let fr = act.fr();
-        let (method, pc) = (fr.method, fr.pc);
+        let (method, pc) = (act.fr().method, act.fr().pc);
         let Some(ins) = m.body.get(pc as usize) else {
             return Err(Trap::at(method, pc, "pc past end of body"));
         };
-        rt.charge(node, rt.cost.op);
+        act.charge(rt, node, Price::Op);
+        let fr = act.fr();
         let trap_v = |e| Trap::from_value(method, pc, e);
         match ins {
             Instr::Mov { dst, src } => fr.locals[dst.idx()] = read(fr, src),
@@ -112,10 +170,10 @@ pub(crate) fn run<A: Activation>(
             }
             Instr::NewLocal { dst, class } => {
                 // Local allocation only; remote placement is harness business.
-                rt.charge(node, rt.cost.ctx_alloc);
+                act.charge(rt, node, Price::CtxAlloc);
                 let index = rt.nodes[node].new_object(&rt.layouts[class.idx()], *class);
                 let node = hem_machine::NodeId(node as u32);
-                fr.locals[dst.idx()] = Value::Obj(ObjRef { node, index });
+                act.fr().locals[dst.idx()] = Value::Obj(ObjRef { node, index });
             }
             Instr::GetField { dst, field } => {
                 let i = field_index(rt, method, pc, fr.obj, *field, false)?;
@@ -135,8 +193,8 @@ pub(crate) fn run<A: Activation>(
                 let l = read(fr, len).as_int().map_err(trap_v)?;
                 let l = array_len(method, pc, l, home(rt, fr, node).arena.len())?;
                 let a = field_index(rt, method, pc, fr.obj, *field, true)?;
-                rt.charge(node, rt.cost.ctx_alloc);
                 home_mut(rt, fr, node).arr_new(fr.obj.index, a, l);
+                act.charge(rt, node, Price::CtxAlloc);
             }
             Instr::ArrLen { dst, field } => {
                 let a = field_index(rt, method, pc, fr.obj, *field, true)?;
@@ -149,15 +207,10 @@ pub(crate) fn run<A: Activation>(
             },
             Instr::JoinInit { slot, count } => {
                 let c = read(fr, count).as_int().map_err(trap_v)?;
-                let c = join_count(method, pc, c)?;
-                rt.charge(node, rt.cost.join_init);
-                fr.slots[slot.idx()] = SlotState::Join(c);
+                fr.slots[slot.idx()] = SlotState::Join(join_count(method, pc, c)?);
+                act.charge(rt, node, Price::JoinInit);
             }
-            Instr::SendToCont { cont, value } => {
-                let c = read(fr, cont).as_cont().map_err(trap_v)?;
-                let v = read(fr, value);
-                rt.deliver_cont(node, Continuation::Into(c), v)?;
-            }
+            Instr::SendToCont { cont, value } => act.send_to_cont(rt, node, cont, value)?,
             Instr::Jmp { to } => {
                 fr.pc = *to;
                 continue;
@@ -174,10 +227,9 @@ pub(crate) fn run<A: Activation>(
                 args,
                 hint: _,
             } => {
-                let (tobj, a) = read_call(rt, fr, target, args)?;
-                let caller = act.caller(*slot);
-                if let Some(out) = call::invoke(rt, prog, node, caller, tobj, *callee, a)? {
-                    return Ok(A::unwound(out));
+                let call = read_call(rt, fr, target, args)?;
+                if let Some(end) = act.invoke(rt, prog, node, *slot, *callee, call)? {
+                    return Ok(end);
                 }
             }
             Instr::Forward {
@@ -187,12 +239,11 @@ pub(crate) fn run<A: Activation>(
                 hint: _,
             } => return act.forward(rt, prog, node, target, *callee, args),
             Instr::Touch { slots } => {
-                rt.ctr(node).touches += 1;
-                rt.charge(node, rt.cost.future_touch * slots.len() as u64);
                 let unresolved = slots.iter().filter(|s| !fr.slots[s.idx()].satisfied());
                 let mask = unresolved.fold(0u64, |mask, s| mask | 1 << s.0);
-                if mask != 0 {
-                    rt.ctr(node).touch_misses += 1;
+                let (slots, miss) = (slots.len(), mask != 0);
+                act.charge(rt, node, Price::Touch { slots, miss });
+                if miss {
                     let missing = mask.count_ones() as u16;
                     return act.suspend(rt, node, WaitState::Waiting { mask, missing });
                 }
@@ -208,8 +259,8 @@ pub(crate) fn run<A: Activation>(
                     Some(_) => CollKind::CastAcked,
                 };
                 let op = CollOp::read(rt, fr, node, kind, *group, *callee, args)?;
-                if let Some(out) = call::collective(rt, node, act.caller(*slot), op)? {
-                    return Ok(A::unwound(out));
+                if let Some(end) = act.collective(rt, prog, node, *slot, op)? {
+                    return Ok(end);
                 }
             }
             Instr::Reduce {
@@ -219,15 +270,16 @@ pub(crate) fn run<A: Activation>(
                 args,
                 op,
             } => {
-                let op = CollOp::read(rt, fr, node, CollKind::Reduce(*op), *group, *callee, args)?;
-                if let Some(out) = call::collective(rt, node, act.caller(Some(*slot)), op)? {
-                    return Ok(A::unwound(out));
+                let kind = CollKind::Reduce(*op);
+                let op = CollOp::read(rt, fr, node, kind, *group, *callee, args)?;
+                if let Some(end) = act.collective(rt, prog, node, Some(*slot), op)? {
+                    return Ok(end);
                 }
             }
             Instr::Barrier { slot, group } => {
                 let op = CollOp::read(rt, fr, node, CollKind::Barrier, *group, MethodId(0), &[])?;
-                if let Some(out) = call::collective(rt, node, act.caller(Some(*slot)), op)? {
-                    return Ok(A::unwound(out));
+                if let Some(end) = act.collective(rt, prog, node, Some(*slot), op)? {
+                    return Ok(end);
                 }
             }
             Instr::Reply { src } => {
@@ -235,10 +287,45 @@ pub(crate) fn run<A: Activation>(
                 return act.reply(rt, node, v);
             }
             Instr::Halt => return Ok(act.halt(rt, node)),
-            Instr::StoreCont { field, idx } => act.store_cont(rt, node, *field, idx.as_ref())?,
+            Instr::StoreCont { field, idx } => {
+                let Continuation::Into(c) = act.store_cont(rt, node)? else {
+                    let what = "cannot store a root/discard continuation into a data structure";
+                    return Err(Trap::at(method, pc, what));
+                };
+                store(rt, node, act.fr(), *field, idx.as_ref(), Value::Cont(c))?
+            }
         }
         act.fr().pc = pc + 1;
     }
+}
+
+/// Run the activation `act` makes of a fresh frame for `method` on `obj`
+/// as a plain call, one level deeper on the frame store: the frame is built
+/// in that level's vectors and parked there again on return, and `args`,
+/// evaluated into the caller's level, is parked back there. A stack frame
+/// and the C baseline enter every activation here.
+#[inline(always)]
+pub(crate) fn run_nested<A: Activation>(
+    rt: &mut Runtime,
+    prog: &Program,
+    node: usize,
+    obj: ObjRef,
+    method: MethodId,
+    args: Vec<Value>,
+    act: impl FnOnce(ActFrame) -> A,
+) -> Result<A::End, Trap> {
+    let m = prog.method(method);
+    let depth = rt.seq_depth;
+    rt.seq_depth = depth + 1;
+    let fr = rt
+        .frames
+        .frame(depth + 1, method, obj, m.locals, m.slots, &args);
+    rt.frames.park_args(depth, args);
+    let mut act = act(fr);
+    let r = run(rt, prog, node, &mut act);
+    rt.frames.park_frame(depth + 1, act.fr());
+    rt.seq_depth = depth;
+    r
 }
 
 /// Read an operand against a frame.
@@ -406,7 +493,7 @@ fn wrong_field(prog: &Program, method: MethodId, pc: u32, class: ClassId, field:
 }
 
 /// Write `v` to `self.field` (scalar) or `self.field[idx]`: the store of
-/// `SetField` / `SetElem`, and of `StoreCont` in both interpreters.
+/// `SetField` / `SetElem` / `StoreCont`.
 #[inline]
 fn store(
     rt: &mut Runtime,
@@ -430,25 +517,6 @@ fn store(
         }
     }
     Ok(())
-}
-
-/// `StoreCont`: put a (by now real) continuation into a field of `self`.
-pub(crate) fn store_cont(
-    rt: &mut Runtime,
-    node: usize,
-    fr: &ActFrame,
-    field: FieldId,
-    idx: Option<&Operand>,
-    cont: Continuation,
-) -> Result<(), Trap> {
-    let Continuation::Into(cr) = cont else {
-        return Err(Trap::at(
-            fr.method,
-            fr.pc,
-            "cannot store a root/discard continuation into a data structure",
-        ));
-    };
-    store(rt, node, fr, field, idx, Value::Cont(cr))
 }
 
 /// A decoded `Multicast` / `Reduce` / `Barrier`.

@@ -27,8 +27,9 @@
 //! The runtime executes `hem-ir` programs under a [`SchemaMap`] produced by
 //! `hem-analysis`, in one of two [`ExecMode`]s: `ParallelOnly` (the paper's
 //! baseline: every invocation gets a heap context) or `Hybrid` (the paper's
-//! contribution). A third evaluator, [`cref`], prices an "equivalent C
-//! program" for Table 3's baseline column.
+//! contribution). [`cref`] runs the same instruction loop a third way, as
+//! the "equivalent C program" of Table 3's baseline column, priced on a
+//! side counter.
 //!
 //! ## Quick start
 //!

@@ -19,10 +19,9 @@ use crate::call::{self, Caller};
 use crate::cont::Continuation;
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
-use crate::exec::{self, Activation};
+use crate::exec::{self, Activation, CollOp};
 use crate::rt::{ActiveCtx, Runtime};
-use crate::seq::SeqOutcome;
-use hem_ir::{FieldId, MethodId, Operand, Program, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
 use hem_machine::NodeId;
 
 /// How stepping a context ended.
@@ -103,13 +102,32 @@ impl Activation for HeapStep {
         Ok(())
     }
 
-    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_> {
-        let (fr, ctx) = (&mut self.fr, self.id);
-        Caller::HeapInvoke { fr, ctx, slot }
+    #[inline(always)]
+    fn invoke(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        callee: MethodId,
+        (target, args): (ObjRef, Vec<Value>),
+    ) -> Result<Option<StepEnd>, Trap> {
+        let out = call::invoke(rt, prog, node, self.caller(slot), target, callee, args)?;
+        debug_assert!(out.is_none(), "a call never unwinds a heap context");
+        Ok(None)
     }
 
-    fn unwound(_: SeqOutcome) -> StepEnd {
-        unreachable!("a call never unwinds a heap context")
+    fn collective(
+        &mut self,
+        rt: &mut Runtime,
+        _: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        op: CollOp,
+    ) -> Result<Option<StepEnd>, Trap> {
+        let out = call::collective(rt, node, self.caller(slot), op)?;
+        debug_assert!(out.is_none(), "a call never unwinds a heap context");
+        Ok(None)
     }
 
     fn forward(
@@ -145,21 +163,21 @@ impl Activation for HeapStep {
         StepEnd::Finished
     }
 
-    fn store_cont(
-        &mut self,
-        rt: &mut Runtime,
-        node: usize,
-        field: FieldId,
-        idx: Option<&Operand>,
-    ) -> Result<(), Trap> {
+    fn store_cont(&mut self, rt: &mut Runtime, node: usize) -> Result<Continuation, Trap> {
         let cont = self.take_cont(rt, node, "continuation already consumed")?;
         rt.charge(node, rt.cost.cont_create);
         rt.ctr(node).conts_created += 1;
-        exec::store_cont(rt, node, &self.fr, field, idx, cont)
+        Ok(cont)
     }
 }
 
 impl HeapStep {
+    /// The call site of an `Invoke` or collective replying into `slot`.
+    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_> {
+        let (fr, ctx) = (&mut self.fr, self.id);
+        Caller::HeapInvoke { fr, ctx, slot }
+    }
+
     /// Consume the context's continuation, or trap with `twice` if it was.
     fn take_cont(&self, rt: &mut Runtime, node: usize, twice: &str) -> Result<Continuation, Trap> {
         let c = rt.nodes[node].ctxs.get_mut(self.id);

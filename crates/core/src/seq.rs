@@ -29,10 +29,10 @@ use crate::call::{self, Caller};
 use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
-use crate::exec::{self, Activation};
+use crate::exec::{self, Activation, CollOp};
 use crate::rt::Runtime;
 use hem_analysis::Schema;
-use hem_ir::{FieldId, MethodId, ObjRef, Operand, Program, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
 use hem_machine::NodeId;
 
 /// How a sequential execution ended.
@@ -88,8 +88,7 @@ pub(crate) struct SeqState {
 }
 
 /// Run `method` on local object `obj` sequentially under `conv`: a plain
-/// call. The frame is built in the frame store's level for the new depth
-/// and parked there again on return; `args` is parked at the caller's.
+/// call on the frame store (`exec::run_nested`).
 pub(crate) fn run_seq(
     rt: &mut Runtime,
     prog: &Program,
@@ -99,22 +98,12 @@ pub(crate) fn run_seq(
     args: Vec<Value>,
     conv: Conv,
 ) -> Result<SeqOutcome, Trap> {
-    let m = prog.method(method);
-    let depth = rt.seq_depth;
-    rt.seq_depth = depth + 1;
-    let fr = rt
-        .frames
-        .frame(depth + 1, method, obj, m.locals, m.slots, &args);
-    rt.frames.park_args(depth, args);
-    let mut st = SeqState {
+    let st = |fr| SeqState {
         fr,
         consumed: None,
         conv,
     };
-    let r = exec::run(rt, prog, node, &mut st);
-    rt.frames.park_frame(depth + 1, st.fr);
-    rt.seq_depth = depth;
-    r
+    exec::run_nested(rt, prog, node, obj, method, args, st)
 }
 
 impl Activation for SeqState {
@@ -124,12 +113,29 @@ impl Activation for SeqState {
         &mut self.fr
     }
 
-    fn caller(&mut self, slot: Option<Slot>) -> Caller<'_> {
-        Caller::StackInvoke { st: self, slot }
+    #[inline(always)]
+    fn invoke(
+        &mut self,
+        rt: &mut Runtime,
+        prog: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        callee: MethodId,
+        (target, args): (ObjRef, Vec<Value>),
+    ) -> Result<Option<SeqOutcome>, Trap> {
+        let caller = Caller::StackInvoke { st: self, slot };
+        call::invoke(rt, prog, node, caller, target, callee, args)
     }
 
-    fn unwound(out: SeqOutcome) -> SeqOutcome {
-        out
+    fn collective(
+        &mut self,
+        rt: &mut Runtime,
+        _: &Program,
+        node: usize,
+        slot: Option<Slot>,
+        op: CollOp,
+    ) -> Result<Option<SeqOutcome>, Trap> {
+        call::collective(rt, node, Caller::StackInvoke { st: self, slot }, op)
     }
 
     fn forward(
@@ -180,13 +186,7 @@ impl Activation for SeqState {
         }
     }
 
-    fn store_cont(
-        &mut self,
-        rt: &mut Runtime,
-        node: usize,
-        field: FieldId,
-        idx: Option<&Operand>,
-    ) -> Result<(), Trap> {
+    fn store_cont(&mut self, rt: &mut Runtime, node: usize) -> Result<Continuation, Trap> {
         let (method, pc) = (self.fr.method, self.fr.pc);
         let Conv::Cp(info) = self.conv else {
             return Err(Trap::at(method, pc, "store-cont outside CP convention"));
@@ -195,9 +195,8 @@ impl Activation for SeqState {
             return Err(Trap::at(method, pc, "continuation already consumed"));
         }
         let (cont, shell) = rt.materialize_cont(node, info)?;
-        exec::store_cont(rt, node, &self.fr, field, idx, cont)?;
         self.consumed = Some(shell);
-        Ok(())
+        Ok(cont)
     }
 }
 
@@ -285,10 +284,7 @@ pub(crate) fn call_seq_schema(
     // Mutant: bypass the guard; deep chains keep recursing sequentially.
     if rt.seq_depth >= rt.max_seq_depth && !rt.mutant_is(crate::explore::Mutant::SkipDepthGuard) {
         if schema == Schema::NonBlocking {
-            return Err(Trap::new(format!(
-                "sequential depth limit {} exceeded in non-blocking chain",
-                rt.max_seq_depth
-            )));
+            return Err(depth_limit(rt));
         }
         let m = prog.method(callee);
         rt.charge(node, rt.cost.par_invoke_fixed);
@@ -352,4 +348,16 @@ pub(crate) fn call_seq_schema(
         );
     }
     Ok(out)
+}
+
+/// The trap of a stack chain past `max_seq_depth` that cannot divert
+/// through the heap: a non-blocking chain, or the C baseline's. Inlined on
+/// purpose: as a `#[cold]` call it moves `call_seq_schema`'s code, and
+/// `hemprof fib` reads ~11 % slower.
+#[inline(always)]
+pub(crate) fn depth_limit(rt: &Runtime) -> Trap {
+    let max = rt.max_seq_depth;
+    Trap::new(format!(
+        "sequential depth limit {max} exceeded in non-blocking chain"
+    ))
 }

@@ -426,12 +426,12 @@ fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
 
 /// Host stack reserved per nested sequential activation on a worker
 /// thread. The interpreter recurses on the host stack up to
-/// `Runtime::max_seq_depth` activations deep. One level of a plain
-/// may-block call chain — `run_seq` with the instruction loop
+/// `Runtime::max_seq_depth` activations deep. One level of a plain call
+/// chain — `run_seq` with the instruction loop
 /// (`exec::run`) and `call::invoke` inlined, then `call_seq_schema`
 /// (inlined too in release builds) — measured as the distance between the
-/// stack addresses of two consecutive activations on x86-64, takes 1 136 B
-/// in release builds and 14 416 B unoptimized, where every arm of the loop
+/// stack addresses of two consecutive activations on x86-64, takes 1 280 B
+/// in release builds and 15 136 B unoptimized, where every arm of the loop
 /// keeps its temporaries in the frame (registers and slots live in the
 /// frame store's vectors, not on this stack). The rest is headroom for
 /// nested poll handling, and for the unoptimized test builds that

@@ -76,6 +76,19 @@ fn stale_references_forward_and_results_are_unchanged() {
     assert_eq!(rt.live_contexts(), 0);
 }
 
+/// The C baseline called through a stale root reference runs on the
+/// object where it lives now, as `Runtime::call` does, not on the stub
+/// (whose fields moved with the object).
+#[test]
+fn c_baseline_follows_a_migrated_root() {
+    let (mut rt, _driver, cell, _poke, _n, _peer) = world();
+    let (_, bump, ..) = program();
+    rt.migrate_object(cell, NodeId(0));
+    let (v, _) = rt.call_c_baseline(cell, bump, &[]).unwrap();
+    assert_eq!(v, Some(Value::Int(1)));
+    assert_eq!(rt.call(cell, bump, &[]).unwrap(), Some(Value::Int(2)));
+}
+
 /// A `Forward` executed on the stack translates its target's name like
 /// every other call: through a stale *local* reference it follows the
 /// forwarding address instead of entering the callee on the stub.

@@ -110,6 +110,11 @@ fn nb_depth_overflow_traps_cleanly() {
     let o = rt.alloc_object_by_name("C", NodeId(0));
     let e = rt.call(o, down, &[Value::Int(1000)]).unwrap_err();
     assert!(e.what.contains("depth limit"), "{e}");
+    // The C baseline recurses on the host stack too, under the same limit.
+    let c = rt
+        .call_c_baseline(o, down, &[Value::Int(1000)])
+        .unwrap_err();
+    assert_eq!(c, e, "C baseline");
 }
 
 #[test]

@@ -622,6 +622,14 @@ fn bad_operands_trap_alike_in_all_three_evaluators() {
             InC::Same,
         ),
         (
+            "Multicast over a group member that is not an object",
+            "Bad",
+            cast,
+            int(0),
+            "type error in as_obj: got int",
+            InC::Same,
+        ),
+        (
             "Multicast over a receiver whose field is a scalar",
             "Scalars",
             cast,
