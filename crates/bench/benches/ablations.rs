@@ -25,7 +25,7 @@ fn sor_cycles(cost: CostModel, mode: ExecMode, ifaces: InterfaceSet, inline: boo
     let ids = sor::build();
     let procs = ProcGrid::square(16);
     let mut rt = hem_apps::make_runtime(ids.program.clone(), 16, cost, mode, ifaces);
-    rt.enable_inlining = inline;
+    rt.set_inlining(inline);
     let inst = sor::setup(
         &mut rt,
         &ids,
@@ -42,7 +42,7 @@ fn sor_cycles(cost: CostModel, mode: ExecMode, ifaces: InterfaceSet, inline: boo
 fn fib_cycles(cost: CostModel, ifaces: InterfaceSet, inline: bool) -> u64 {
     let suite = callintensive::build();
     let mut rt = Runtime::new(suite.program.clone(), 1, cost, ExecMode::Hybrid, ifaces).unwrap();
-    rt.enable_inlining = inline;
+    rt.set_inlining(inline);
     let o = rt.alloc_object_by_name("Math", NodeId(0));
     rt.call(o, suite.fib, &[Value::Int(20)]).unwrap();
     rt.makespan()

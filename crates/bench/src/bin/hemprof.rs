@@ -55,7 +55,7 @@ use hem_bench::profile::{Kernel, ProfileConfig, TraceBuffer};
 use hem_bench::serve::ServeConfig;
 use hem_bench::Kind::{Bare, Choice, Float, Int, Path};
 use hem_bench::{flag, usage, usage_error, Args, Flag};
-use hem_core::{ExecMode, Observer, Runtime, Trap};
+use hem_core::{ExecMode, Observer, Runtime, Trap, MAX_NODES};
 use hem_machine::arrival::ArrivalDist;
 use hem_machine::cost::CostModel;
 use hem_machine::fault::FaultPlan;
@@ -75,7 +75,7 @@ const RUNS: u32 = KERNEL | SERVICE;
 const ARRIVALS: [&str; 3] = ["poisson", "bursty", "diurnal"];
 
 hem_bench::flags! { FLAGS:
-    P = flag("--p", Int(1, u32::MAX as u64), RUNS, "machine size (default 16)");
+    P = flag("--p", Int(1, MAX_NODES as u64), RUNS, "machine size (default 16)");
     SIZE = flag("--size", Int(0, u32::MAX as u64), KERNEL, "problem size (kernel-specific default)");
     ITERS = Flag { on: KERNEL, help: "iterations (default 1)", ..hem_bench::ITERS };
     SEED = flag("--seed", Int(0, u64::MAX), RUNS, "generation / arrival seed (default 20260806)");

@@ -24,7 +24,7 @@ fn time_run(mode: ExecMode, ifaces: InterfaceSet, cost: CostModel, b: &Bench) ->
     let mut rt = Runtime::new(suite.program.clone(), 1, cost, mode, ifaces).expect("valid");
     let o = rt.alloc_object_by_name("Math", NodeId(0));
     rt.call(o, b.method, &b.args).expect("no trap");
-    rt.cost.seconds(rt.makespan())
+    rt.cost().seconds(rt.makespan())
 }
 
 fn time_c(b: &Bench) -> f64 {

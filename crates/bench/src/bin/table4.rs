@@ -67,7 +67,7 @@ fn main() {
                 );
                 let inst = sor::setup(&mut rt, &ids, sor::SorParams { n, block, procs });
                 sor::run(&mut rt, &inst, iters).expect("sor");
-                times[i] = rt.cost.seconds(rt.makespan());
+                times[i] = rt.cost().seconds(rt.makespan());
                 let tot = rt.stats().totals();
                 ratio = tot.local_invokes as f64 / tot.remote_invokes.max(1) as f64;
                 frac = tot.local_fraction();

@@ -63,7 +63,7 @@ fn main() {
                 );
                 let inst = md::setup(&mut rt, &ids, &sys);
                 md::run_iteration(&mut rt, &inst).expect("md");
-                times[i] = rt.cost.seconds(rt.makespan());
+                times[i] = rt.cost().seconds(rt.makespan());
                 if mode == ExecMode::Hybrid {
                     frac = rt.stats().totals().local_fraction();
                 }

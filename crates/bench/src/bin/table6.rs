@@ -65,7 +65,7 @@ fn main() {
                     );
                     let inst = em3d::setup(&mut rt, &ids, &g);
                     em3d::run(&mut rt, &inst, style, iters).expect("em3d");
-                    times[i] = rt.cost.seconds(rt.makespan());
+                    times[i] = rt.cost().seconds(rt.makespan());
                     let tot = rt.stats().totals();
                     ratio = tot.local_invokes as f64 / tot.remote_invokes.max(1) as f64;
                 }

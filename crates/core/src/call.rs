@@ -32,12 +32,12 @@ use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::exec::CollOp;
 use crate::object::{DeferredInvoke, LockHolder};
-use crate::rt::Runtime;
+use crate::rt::{Image, Runtime};
 use crate::seq::{self, Conv, SeqOutcome, SeqState};
 use crate::wrapper::par_invoke_ctx;
 use crate::ExecMode;
 use hem_analysis::Schema;
-use hem_ir::{MethodId, ObjRef, Program, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Slot, Value};
 use hem_machine::NodeId;
 
 /// The call site, as far as the protocol needs to know it.
@@ -155,7 +155,7 @@ impl Caller<'_> {
                 let next_pc = st.fr.pc + 1;
                 let (ctx, out) = st.fall_back(rt, node, next_pc, WaitState::Ready)?;
                 if keep {
-                    rt.charge(node, rt.cost.cont_create);
+                    rt.charge(node, rt.cost().cont_create);
                 }
                 (rt.cont_into(node, ctx, s.0), Some(out))
             }
@@ -220,7 +220,7 @@ impl Caller<'_> {
 #[inline(always)]
 pub(crate) fn invoke(
     rt: &mut Runtime,
-    prog: &Program,
+    img: &Image,
     node: usize,
     mut caller: Caller<'_>,
     target: ObjRef,
@@ -230,7 +230,7 @@ pub(crate) fn invoke(
     let arrival = caller.is_arrival();
     let target = rt.resolve_local(node, target);
     if !arrival {
-        rt.charge(node, rt.cost.locality_check);
+        rt.charge(node, img.cost.locality_check);
     }
     caller.mark_pending();
 
@@ -249,23 +249,23 @@ pub(crate) fn invoke(
         rt.ctr(node).local_invokes += 1;
     }
     if !arrival || locked {
-        rt.charge(node, rt.cost.concurrency_check);
+        rt.charge(node, img.cost.concurrency_check);
     }
 
-    if rt.mode == ExecMode::ParallelOnly && !caller.on_stack() {
+    if img.mode == ExecMode::ParallelOnly && !caller.on_stack() {
         // The baseline (§3.1): every invocation allocates a context —
         // except that the paper includes speculative inlining in *all*
         // measurements (§4.2), so even here an `Invoke` runs a tiny
         // provably non-blocking method on a local unlocked object in place.
         if matches!(caller, Caller::HeapInvoke { .. })
-            && rt.enable_inlining
-            && prog.method(callee).inlinable
-            && rt.schemas.of(callee) == Schema::NonBlocking
+            && img.enable_inlining
+            && img.program.method(callee).inlinable
+            && img.schemas.of(callee) == Schema::NonBlocking
             && !locked
         {
-            rt.charge(node, rt.cost.inline_guard);
+            rt.charge(node, img.cost.inline_guard);
             rt.ctr(node).inlined += 1;
-            return match seq::run_seq(rt, prog, node, target, callee, args, Conv::Nb)? {
+            return match seq::run_seq(rt, img, node, target, callee, args, Conv::Nb)? {
                 SeqOutcome::Value(v) => caller.value(rt, node, v),
                 _ => Ok(None),
             };
@@ -298,13 +298,13 @@ pub(crate) fn invoke(
         Caller::StackForward { .. } | Caller::HeapForward { .. } => {
             rt.ctr(node).stack_forwards += 1;
         }
-        Caller::Arrival { .. } if rt.schemas.of(callee) == Schema::ContPassing => {
+        Caller::Arrival { .. } if img.schemas.of(callee) == Schema::ContPassing => {
             rt.ctr(node).proxy_conts += 1;
         }
         _ => {}
     }
     let info = caller.info(rt, node);
-    let out = seq::call_seq_schema(rt, prog, node, target, callee, args, info)?;
+    let out = seq::call_seq_schema(rt, img, node, target, callee, args, info)?;
     settle_lock(rt, node, obj, locked, &out);
     match out {
         SeqOutcome::Value(v) => caller.value(rt, node, v),
@@ -322,7 +322,7 @@ pub(crate) fn invoke(
             // is linked into the callee's fresh context (Fig. 6).
             debug_assert!(shell.is_none());
             let (cont, unwind) = caller.real_cont(rt, node, true)?;
-            rt.charge(node, rt.cost.cont_link);
+            rt.charge(node, img.cost.cont_link);
             rt.nodes[node].ctxs.get_mut(child).cont = cont;
             Ok(unwind)
         }

@@ -128,7 +128,7 @@ impl Runtime {
         };
         let plan = match kind {
             CollKind::Cast | CollKind::CastAcked => self.net.multicast(src, &dests, leg_words),
-            CollKind::Reduce(_) => self.net.reduce(&dests, src, leg_words, self.cost.op),
+            CollKind::Reduce(_) => self.net.reduce(&dests, src, leg_words, self.cost().op),
             CollKind::Barrier => self.net.barrier(src, &dests),
         };
         self.ctr(node).coll_initiated += 1;
@@ -148,7 +148,7 @@ impl Runtime {
         }
         // One compose charge for the whole collective; each leg then
         // charges only word-injection cost.
-        self.charge(node, self.cost.msg_send);
+        self.charge(node, self.cost().msg_send);
         // Mutant: price every leg at one hop, ignoring its tree depth.
         let skip_hops = self.mutant_is(Mutant::CollectiveSkipsHopCost);
         for leg in &plan.legs {
@@ -168,8 +168,8 @@ impl Runtime {
             let hops = if skip_hops { 1 } else { leg.depth } as Cycles;
             let price = Price {
                 fixed: 0,
-                per_word: self.cost.msg_word,
-                latency: self.cost.msg_latency * hops,
+                per_word: self.cost().msg_word,
+                latency: self.cost().msg_latency * hops,
             };
             self.send(node, leg.dest, price, msg);
         }
@@ -272,7 +272,7 @@ impl Runtime {
         st.acc[ix as usize] = Some(v);
         st.filled |= 1 << ix;
         let done = st.filled == st.need;
-        self.charge(node, self.cost.future_store);
+        self.charge(node, self.cost().future_store);
         self.ctr(node).coll_contribs += 1;
         if !done {
             return Ok(());
@@ -292,7 +292,7 @@ impl Runtime {
                     acc = Some(match acc {
                         None => *v,
                         Some(a) => {
-                            self.charge(node, self.cost.op);
+                            self.charge(node, self.cost().op);
                             hem_ir::value::bin_op(op, a, *v).map_err(|e| {
                                 Trap::new(format!("collective reduce combine: {e:?}"))
                             })?

@@ -217,7 +217,7 @@ impl Runtime {
         node: usize,
         info: CallerInfo,
     ) -> Result<(Continuation, Option<u32>), Trap> {
-        self.charge(node, self.cost.cont_create);
+        self.charge(node, self.cost().cont_create);
         self.ctr(node).conts_created += 1;
         self.emit(
             node,
@@ -247,7 +247,7 @@ impl Runtime {
                 ret_slot,
             } => {
                 debug_assert_eq!(obj.node.idx(), node, "shell off-node");
-                let m = self.program.method(method);
+                let m = self.img.program.method(method);
                 let (nlocals, nslots) = (m.locals, m.slots);
                 // Mutant: mark slot 0 instead of the caller's declared
                 // return slot; adoption discards shell slots, so only the

@@ -50,7 +50,7 @@ impl SlotState {
 }
 
 /// The mutable core of an activation: identical for stack frames (the
-/// sequential interpreter builds one in the [`FrameStore`] level of its
+/// sequential interpreter builds one in the `FrameStore` level of its
 /// call depth) and heap contexts (which wrap one in scheduling state).
 /// Falling back from stack to heap is *copying* an `ActFrame` into a
 /// [`Context`]'s retained vectors — the mechanical heart of the paper's
@@ -496,12 +496,12 @@ impl Runtime {
                     return Err(Trap::new("stale continuation (active context)"));
                 }
                 a.fills.push((slot, v));
-                self.charge(tnode, self.cost.future_store);
+                self.charge(tnode, self.cost().future_store);
                 return Ok(());
             }
         }
-        let cost_store = self.cost.future_store;
-        let cost_enqueue = self.cost.enqueue;
+        let cost_store = self.cost().future_store;
+        let cost_enqueue = self.cost().enqueue;
         let eager_wake = self.mutant_is(Mutant::EagerWake);
         let drop_join = self.mutant_is(Mutant::DropJoinDecrement);
         let n = &mut self.nodes[tnode];
@@ -585,7 +585,7 @@ impl Runtime {
         if fallback {
             n.counters.fallbacks += 1;
         }
-        self.charge(node, self.cost.ctx_alloc + self.cost.ctx_word * words);
+        self.charge(node, self.cost().ctx_alloc + self.cost().ctx_word * words);
         self.san_ctx_alloc(node, id, fallback);
         self.emit(
             node,
@@ -608,7 +608,7 @@ impl Runtime {
 
     /// Put a context on its node's ready queue.
     pub(crate) fn enqueue_ready(&mut self, node: usize, ctx: u32) {
-        self.charge(node, self.cost.enqueue);
+        self.charge(node, self.cost().enqueue);
         let n = &mut self.nodes[node];
         debug_assert_eq!(n.ctxs.get(ctx).wait, WaitState::Ready);
         n.ready.push_back(ctx);
@@ -622,7 +622,7 @@ impl Runtime {
             let obj = self.nodes[node].ctxs.get(ctx).frame.obj.index;
             self.lock_release(node, obj);
         }
-        self.charge(node, self.cost.ctx_free);
+        self.charge(node, self.cost().ctx_free);
         self.emit(
             node,
             TraceEvent::CtxFreed {
@@ -654,7 +654,7 @@ impl Runtime {
         if wait == WaitState::Ready {
             self.enqueue_ready(node, id);
         } else {
-            self.charge(node, self.cost.suspend);
+            self.charge(node, self.cost().suspend);
             self.ctr(node).suspends += 1;
         }
         id
@@ -665,7 +665,7 @@ impl Runtime {
     /// its caller") and schedule it.
     pub(crate) fn adopt_shell(&mut self, node: usize, shell: u32, fr: &ActFrame, next_pc: u32) {
         let words = fr.words();
-        self.charge(node, self.cost.ctx_word * words);
+        self.charge(node, self.cost().ctx_word * words);
         self.ctr(node).fallbacks += 1;
         let n = &mut self.nodes[node];
         let c = n.ctxs.get_mut(shell);

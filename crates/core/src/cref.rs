@@ -12,36 +12,26 @@ use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, arity, Activation, CollOp, Price};
 use crate::msg::CollKind;
-use crate::rt::Runtime;
+use crate::rt::{Image, Runtime};
 use crate::seq::depth_limit;
 use hem_ir::value::bin_op;
-use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Operand, Slot, Value};
 use hem_machine::Cycles;
 
-/// Run `method` on `obj` as the C baseline. Returns the reply (if the
-/// method replied) and the cycle count charged.
-pub fn call_c(
-    rt: &mut Runtime,
-    obj: ObjRef,
-    method: MethodId,
-    args: &[Value],
-) -> Result<(Option<Value>, Cycles), Trap> {
-    let prog = rt.program.clone();
-    arity(&prog, method, args.len())?;
-    let mut cycles = 0;
-    let v = CFrame::run(rt, &prog, &mut cycles, method, (obj, args.to_vec()))?;
-    Ok((v, cycles))
-}
-
 impl Runtime {
-    /// See [`call_c`].
+    /// Run `method` on `obj` as the C baseline. Returns the reply (if the
+    /// method replied) and the cycle count charged.
     pub fn call_c_baseline(
         &mut self,
         obj: ObjRef,
         method: MethodId,
         args: &[Value],
     ) -> Result<(Option<Value>, Cycles), Trap> {
-        call_c(self, obj, method, args)
+        let img = self.img.clone();
+        arity(&img.program, method, args.len())?;
+        let mut cycles = 0;
+        let v = CFrame::run(self, &img, &mut cycles, method, (obj, args.to_vec()))?;
+        Ok((v, cycles))
     }
 }
 
@@ -56,17 +46,17 @@ impl CFrame<'_> {
     /// plain call one level deeper on the frame store (`exec::run_nested`).
     fn run(
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         cycles: &mut Cycles,
         method: MethodId,
         (obj, a): (ObjRef, Vec<Value>),
     ) -> Result<Option<Value>, Trap> {
-        if rt.seq_depth >= rt.max_seq_depth {
-            return Err(depth_limit(rt));
+        if rt.seq_depth >= img.max_seq_depth {
+            return Err(depth_limit(img));
         }
         let obj = rt.resolve_ref(obj);
         let node = obj.node.idx();
-        exec::run_nested(rt, prog, node, obj, method, a, |fr| CFrame { fr, cycles })
+        exec::run_nested(rt, img, node, obj, method, a, |fr| CFrame { fr, cycles })
     }
 
     /// A call's reply into `slot` (a join counts down); the frame goes on.
@@ -87,10 +77,10 @@ impl Activation for CFrame<'_> {
         &mut self.fr
     }
 
-    fn charge(&mut self, rt: &mut Runtime, _: usize, price: Price) {
+    fn charge(&mut self, _: &mut Runtime, img: &Image, _: usize, price: Price) {
         *self.cycles += match price {
-            Price::Op => rt.cost.op,
-            Price::CtxAlloc => rt.cost.ctx_alloc,
+            Price::Op => img.cost.op,
+            Price::CtxAlloc => img.cost.ctx_alloc,
             Price::JoinInit | Price::Touch { .. } => 0,
         };
     }
@@ -98,21 +88,21 @@ impl Activation for CFrame<'_> {
     fn invoke(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         _: usize,
         slot: Option<Slot>,
         callee: MethodId,
         call: (ObjRef, Vec<Value>),
     ) -> Result<Option<Self::End>, Trap> {
-        *self.cycles += rt.cost.plain_call;
-        let v = CFrame::run(rt, prog, self.cycles, callee, call)?;
+        *self.cycles += img.cost.plain_call;
+        let v = CFrame::run(rt, img, self.cycles, callee, call)?;
         Ok(self.fill(slot, v))
     }
 
     fn collective(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         _: usize,
         slot: Option<Slot>,
         op: CollOp,
@@ -121,12 +111,12 @@ impl Activation for CFrame<'_> {
         let mut acc = None;
         // No fan-out tree; a barrier calls nothing (calls are synchronous).
         for &member in op.members.iter().filter(|_| op.kind != CollKind::Barrier) {
-            *self.cycles += rt.cost.plain_call;
-            let v = CFrame::run(rt, prog, self.cycles, op.callee, (member, op.args.clone()))?;
+            *self.cycles += img.cost.plain_call;
+            let v = CFrame::run(rt, img, self.cycles, op.callee, (member, op.args.clone()))?;
             let v = v.unwrap_or(Value::Nil);
             acc = Some(match (op.kind, acc) {
                 (CollKind::Reduce(f), Some(prev)) => {
-                    *self.cycles += rt.cost.op;
+                    *self.cycles += img.cost.op;
                     bin_op(f, prev, v).map_err(|e| Trap::from_value(method, pc, e))?
                 }
                 _ => v,
@@ -138,15 +128,15 @@ impl Activation for CFrame<'_> {
     fn forward(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         _: usize,
         target: &Operand,
         callee: MethodId,
         args: &[Operand],
     ) -> Result<Option<Value>, Trap> {
         let call = exec::read_call(rt, &self.fr, target, args)?;
-        *self.cycles += rt.cost.plain_call;
-        CFrame::run(rt, prog, self.cycles, callee, call)
+        *self.cycles += img.cost.plain_call;
+        CFrame::run(rt, img, self.cycles, callee, call)
     }
 
     fn suspend(&mut self, _: &mut Runtime, _: usize, _: WaitState) -> Result<Option<Value>, Trap> {

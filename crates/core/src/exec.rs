@@ -16,7 +16,7 @@ use crate::context::{ActFrame, SlotState, WaitState};
 use crate::error::Trap;
 use crate::msg::CollKind;
 use crate::object::FieldKind;
-use crate::rt::{Node, Runtime};
+use crate::rt::{Image, Node, Runtime};
 use hem_ir::value::{bin_op, un_op, ValueError};
 use hem_ir::{BinOp, ClassId, FieldId, Instr, MethodId, ObjRef, Operand, Program, Slot, Value};
 
@@ -46,16 +46,16 @@ pub(crate) trait Activation {
     /// Pay `price`. The interpreters charge the node clock and count
     /// touches; the C baseline keeps a side counter.
     #[inline(always)]
-    fn charge(&mut self, rt: &mut Runtime, node: usize, price: Price) {
+    fn charge(&mut self, rt: &mut Runtime, img: &Image, node: usize, price: Price) {
         let cycles = match price {
-            Price::Op => rt.cost.op,
-            Price::CtxAlloc => rt.cost.ctx_alloc,
-            Price::JoinInit => rt.cost.join_init,
+            Price::Op => img.cost.op,
+            Price::CtxAlloc => img.cost.ctx_alloc,
+            Price::JoinInit => img.cost.join_init,
             Price::Touch { slots, miss } => {
                 let c = rt.ctr(node);
                 c.touches += 1;
                 c.touch_misses += miss as u64;
-                rt.cost.future_touch * slots as u64
+                img.cost.future_touch * slots as u64
             }
         };
         rt.charge(node, cycles);
@@ -75,7 +75,7 @@ pub(crate) trait Activation {
     fn invoke(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         slot: Option<Slot>,
         callee: MethodId,
@@ -86,7 +86,7 @@ pub(crate) trait Activation {
     fn collective(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         slot: Option<Slot>,
         op: CollOp,
@@ -96,7 +96,7 @@ pub(crate) trait Activation {
     fn forward(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         target: &Operand,
         callee: MethodId,
@@ -137,18 +137,18 @@ pub(crate) trait Activation {
 #[inline(always)]
 pub(crate) fn run<A: Activation>(
     rt: &mut Runtime,
-    prog: &Program,
+    img: &Image,
     node: usize,
     act: &mut A,
 ) -> Result<A::End, Trap> {
-    let m = prog.method(act.fr().method);
+    let m = img.program.method(act.fr().method);
     loop {
         act.sync(rt)?;
         let (method, pc) = (act.fr().method, act.fr().pc);
         let Some(ins) = m.body.get(pc as usize) else {
             return Err(Trap::at(method, pc, "pc past end of body"));
         };
-        act.charge(rt, node, Price::Op);
+        act.charge(rt, img, node, Price::Op);
         let fr = act.fr();
         let trap_v = |e| Trap::from_value(method, pc, e);
         match ins {
@@ -170,34 +170,36 @@ pub(crate) fn run<A: Activation>(
             }
             Instr::NewLocal { dst, class } => {
                 // Local allocation only; remote placement is harness business.
-                act.charge(rt, node, Price::CtxAlloc);
-                let index = rt.nodes[node].new_object(&rt.layouts[class.idx()], *class);
+                act.charge(rt, img, node, Price::CtxAlloc);
+                let index = rt.nodes[node].new_object(&img.layouts[class.idx()], *class);
                 let node = hem_machine::NodeId(node as u32);
                 act.fr().locals[dst.idx()] = Value::Obj(ObjRef { node, index });
             }
             Instr::GetField { dst, field } => {
-                let i = field_index(rt, method, pc, fr.obj, *field, false)?;
+                let i = field_index(rt, img, method, pc, fr.obj, *field, false)?;
                 fr.locals[dst.idx()] = home(rt, fr, node).scalars(fr.obj.index)[i as usize];
             }
-            Instr::SetField { field, src } => store(rt, node, fr, *field, None, read(fr, src))?,
+            Instr::SetField { field, src } => {
+                store(rt, img, node, fr, *field, None, read(fr, src))?
+            }
             Instr::GetElem { dst, field, idx } => {
                 let i = read(fr, idx).as_int().map_err(trap_v)?;
-                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                let a = field_index(rt, img, method, pc, fr.obj, *field, true)?;
                 let arr = home(rt, fr, node).array(fr.obj.index, a);
                 fr.locals[dst.idx()] = arr[elem_index(method, pc, i, arr.len())?];
             }
             Instr::SetElem { field, idx, src } => {
-                store(rt, node, fr, *field, Some(idx), read(fr, src))?
+                store(rt, img, node, fr, *field, Some(idx), read(fr, src))?
             }
             Instr::ArrNew { field, len } => {
                 let l = read(fr, len).as_int().map_err(trap_v)?;
                 let l = array_len(method, pc, l, home(rt, fr, node).arena.len())?;
-                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                let a = field_index(rt, img, method, pc, fr.obj, *field, true)?;
                 home_mut(rt, fr, node).arr_new(fr.obj.index, a, l);
-                act.charge(rt, node, Price::CtxAlloc);
+                act.charge(rt, img, node, Price::CtxAlloc);
             }
             Instr::ArrLen { dst, field } => {
-                let a = field_index(rt, method, pc, fr.obj, *field, true)?;
+                let a = field_index(rt, img, method, pc, fr.obj, *field, true)?;
                 let len = home(rt, fr, node).array(fr.obj.index, a).len();
                 fr.locals[dst.idx()] = Value::Int(len as i64);
             }
@@ -208,7 +210,7 @@ pub(crate) fn run<A: Activation>(
             Instr::JoinInit { slot, count } => {
                 let c = read(fr, count).as_int().map_err(trap_v)?;
                 fr.slots[slot.idx()] = SlotState::Join(join_count(method, pc, c)?);
-                act.charge(rt, node, Price::JoinInit);
+                act.charge(rt, img, node, Price::JoinInit);
             }
             Instr::SendToCont { cont, value } => act.send_to_cont(rt, node, cont, value)?,
             Instr::Jmp { to } => {
@@ -228,7 +230,7 @@ pub(crate) fn run<A: Activation>(
                 hint: _,
             } => {
                 let call = read_call(rt, fr, target, args)?;
-                if let Some(end) = act.invoke(rt, prog, node, *slot, *callee, call)? {
+                if let Some(end) = act.invoke(rt, img, node, *slot, *callee, call)? {
                     return Ok(end);
                 }
             }
@@ -237,12 +239,12 @@ pub(crate) fn run<A: Activation>(
                 method: callee,
                 args,
                 hint: _,
-            } => return act.forward(rt, prog, node, target, *callee, args),
+            } => return act.forward(rt, img, node, target, *callee, args),
             Instr::Touch { slots } => {
                 let unresolved = slots.iter().filter(|s| !fr.slots[s.idx()].satisfied());
                 let mask = unresolved.fold(0u64, |mask, s| mask | 1 << s.0);
                 let (slots, miss) = (slots.len(), mask != 0);
-                act.charge(rt, node, Price::Touch { slots, miss });
+                act.charge(rt, img, node, Price::Touch { slots, miss });
                 if miss {
                     let missing = mask.count_ones() as u16;
                     return act.suspend(rt, node, WaitState::Waiting { mask, missing });
@@ -259,7 +261,7 @@ pub(crate) fn run<A: Activation>(
                     Some(_) => CollKind::CastAcked,
                 };
                 let op = CollOp::read(rt, fr, node, kind, *group, *callee, args)?;
-                if let Some(end) = act.collective(rt, prog, node, *slot, op)? {
+                if let Some(end) = act.collective(rt, img, node, *slot, op)? {
                     return Ok(end);
                 }
             }
@@ -272,13 +274,13 @@ pub(crate) fn run<A: Activation>(
             } => {
                 let kind = CollKind::Reduce(*op);
                 let op = CollOp::read(rt, fr, node, kind, *group, *callee, args)?;
-                if let Some(end) = act.collective(rt, prog, node, Some(*slot), op)? {
+                if let Some(end) = act.collective(rt, img, node, Some(*slot), op)? {
                     return Ok(end);
                 }
             }
             Instr::Barrier { slot, group } => {
                 let op = CollOp::read(rt, fr, node, CollKind::Barrier, *group, MethodId(0), &[])?;
-                if let Some(end) = act.collective(rt, prog, node, Some(*slot), op)? {
+                if let Some(end) = act.collective(rt, img, node, Some(*slot), op)? {
                     return Ok(end);
                 }
             }
@@ -292,7 +294,8 @@ pub(crate) fn run<A: Activation>(
                     let what = "cannot store a root/discard continuation into a data structure";
                     return Err(Trap::at(method, pc, what));
                 };
-                store(rt, node, act.fr(), *field, idx.as_ref(), Value::Cont(c))?
+                let v = Value::Cont(c);
+                store(rt, img, node, act.fr(), *field, idx.as_ref(), v)?
             }
         }
         act.fr().pc = pc + 1;
@@ -307,14 +310,14 @@ pub(crate) fn run<A: Activation>(
 #[inline(always)]
 pub(crate) fn run_nested<A: Activation>(
     rt: &mut Runtime,
-    prog: &Program,
+    img: &Image,
     node: usize,
     obj: ObjRef,
     method: MethodId,
     args: Vec<Value>,
     act: impl FnOnce(ActFrame) -> A,
 ) -> Result<A::End, Trap> {
-    let m = prog.method(method);
+    let m = img.program.method(method);
     let depth = rt.seq_depth;
     rt.seq_depth = depth + 1;
     let fr = rt
@@ -322,7 +325,7 @@ pub(crate) fn run_nested<A: Activation>(
         .frame(depth + 1, method, obj, m.locals, m.slots, &args);
     rt.frames.park_args(depth, args);
     let mut act = act(fr);
-    let r = run(rt, prog, node, &mut act);
+    let r = run(rt, img, node, &mut act);
     rt.frames.park_frame(depth + 1, act.fr());
     rt.seq_depth = depth;
     r
@@ -386,7 +389,7 @@ pub(crate) fn bin(op: BinOp, a: Value, b: Value) -> Result<Value, ValueError> {
 /// Check a root invocation's argument count against the method's
 /// parameters (shared with the C baseline). The IR validator checks every
 /// call site; only an invocation from outside the program — `call`,
-/// `inject_request`, `call_c` — can get it wrong.
+/// `inject_request`, `call_c_baseline` — can get it wrong.
 pub(crate) fn arity(prog: &Program, method: MethodId, got: usize) -> Result<(), Trap> {
     let m = prog.method(method);
     if got == m.params as usize {
@@ -460,6 +463,7 @@ pub(crate) fn unresolved(method: MethodId, pc: u32, slots: &[SlotState], slot: S
 #[inline]
 pub(crate) fn field_index(
     rt: &Runtime,
+    img: &Image,
     method: MethodId,
     pc: u32,
     obj: ObjRef,
@@ -467,9 +471,9 @@ pub(crate) fn field_index(
     array: bool,
 ) -> Result<u16, Trap> {
     let class = rt.nodes[obj.node.idx()].objects[obj.index as usize].class;
-    match (rt.layouts[class.idx()].kinds.get(field.idx()), array) {
+    match (img.layouts[class.idx()].kinds.get(field.idx()), array) {
         (Some(FieldKind::Scalar(i)), false) | (Some(FieldKind::Array(i)), true) => Ok(*i),
-        _ => Err(wrong_field(&rt.program, method, pc, class, field)),
+        _ => Err(wrong_field(&img.program, method, pc, class, field)),
     }
 }
 
@@ -497,6 +501,7 @@ fn wrong_field(prog: &Program, method: MethodId, pc: u32, class: ClassId, field:
 #[inline]
 fn store(
     rt: &mut Runtime,
+    img: &Image,
     node: usize,
     fr: &ActFrame,
     field: FieldId,
@@ -504,7 +509,7 @@ fn store(
     v: Value,
 ) -> Result<(), Trap> {
     let (method, pc) = (fr.method, fr.pc);
-    let f = field_index(rt, method, pc, fr.obj, field, idx.is_some())?;
+    let f = field_index(rt, img, method, pc, fr.obj, field, idx.is_some())?;
     let home = home_mut(rt, fr, node);
     match idx {
         None => home.scalars_mut(fr.obj.index)[f as usize] = v,
@@ -541,7 +546,7 @@ impl CollOp {
         args: &[Operand],
     ) -> Result<CollOp, Trap> {
         let (method, pc) = (fr.method, fr.pc);
-        let a = field_index(rt, method, pc, fr.obj, group, true)?;
+        let a = field_index(rt, &rt.img, method, pc, fr.obj, group, true)?;
         let members = home(rt, fr, node).array(fr.obj.index, a).iter();
         let members = members.map(|v| v.as_obj().map_err(|e| Trap::from_value(method, pc, e)));
         Ok(CollOp {

@@ -3,7 +3,7 @@
 //! over tie-break decisions.
 //!
 //! The selection rule is one sentence: dispatch the minimum `(virtual
-//! time, kind, node)` candidate. [`Runtime::run_reference`] implements
+//! time, kind, node)` candidate. `Runtime::run_reference` implements
 //! that sentence literally — re-scan every node per event, keep the
 //! candidates at the minimum time, sort them by `(kind, node)`, take the
 //! first — at O(P) per event, and the production loop

@@ -100,7 +100,7 @@ pub use error::Trap;
 pub use explore::{Explorer, Mutant, TieBreak, TieChoice};
 pub use msg::CollKind;
 pub use object::Object;
-pub use rt::{NodeObjectState, Runtime};
+pub use rt::{NodeObjectState, Runtime, MAX_NODES};
 pub use sanitize::Sanitizer;
 pub use sched::SchedImpl;
 pub use timewarp::SpecStats;

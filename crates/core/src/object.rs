@@ -362,7 +362,7 @@ impl Runtime {
     /// Try to acquire `obj`'s lock for `who`. Unlocked classes always
     /// succeed at no cost; the *check* cost is charged at the invoke site.
     pub(crate) fn lock_try(&mut self, node: usize, obj: u32, who: LockHolder) -> bool {
-        let cost = self.cost.lock_acquire;
+        let cost = self.cost().lock_acquire;
         let n = &mut self.nodes[node];
         match &mut n.objects[obj as usize].lock {
             None => true,
@@ -382,7 +382,7 @@ impl Runtime {
     /// Release one level of `obj`'s lock; if it becomes free and waiters
     /// exist, schedule a grant.
     pub(crate) fn lock_release(&mut self, node: usize, obj: u32) {
-        let cost = self.cost.lock_release;
+        let cost = self.cost().lock_release;
         let n = &mut self.nodes[node];
         let Some(l) = &mut n.objects[obj as usize].lock else {
             return;
@@ -403,7 +403,7 @@ impl Runtime {
 
     /// Defer an invocation on a held lock.
     pub(crate) fn lock_defer(&mut self, node: usize, obj: u32, mut d: DeferredInvoke) {
-        self.charge(node, self.cost.lock_enqueue);
+        self.charge(node, self.cost().lock_enqueue);
         self.emit(
             node,
             TraceEvent::LockDeferred {

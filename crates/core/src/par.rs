@@ -20,8 +20,8 @@ use crate::cont::Continuation;
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Activation, CollOp};
-use crate::rt::{ActiveCtx, Runtime};
-use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
+use crate::rt::{ActiveCtx, Image, Runtime};
+use hem_ir::{MethodId, ObjRef, Operand, Slot, Value};
 use hem_machine::NodeId;
 
 /// How stepping a context ended.
@@ -41,7 +41,8 @@ struct HeapStep {
 
 /// Dispatch one ready context.
 pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Trap> {
-    rt.charge(node, rt.cost.dispatch);
+    let img = rt.img.clone();
+    rt.charge(node, img.cost.dispatch);
     rt.new_task();
     rt.san_dispatch_check(node, id);
     let (fr, gen) = {
@@ -60,13 +61,12 @@ pub(crate) fn dispatch(rt: &mut Runtime, node: usize, id: u32) -> Result<(), Tra
     });
 
     let mut step = HeapStep { fr, id };
-    let prog = rt.program.clone();
-    let res = exec::run(rt, &prog, node, &mut step);
+    let res = exec::run(rt, &img, node, &mut step);
     rt.active = None;
     match res? {
         StepEnd::Finished => rt.nodes[node].ctxs.retire(id, step.fr),
         StepEnd::Suspend(wait) => {
-            rt.charge(node, rt.cost.suspend);
+            rt.charge(node, img.cost.suspend);
             rt.ctr(node).suspends += 1;
             let ev = crate::trace::TraceEvent::Suspend {
                 node: NodeId(node as u32),
@@ -106,13 +106,13 @@ impl Activation for HeapStep {
     fn invoke(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         slot: Option<Slot>,
         callee: MethodId,
         (target, args): (ObjRef, Vec<Value>),
     ) -> Result<Option<StepEnd>, Trap> {
-        let out = call::invoke(rt, prog, node, self.caller(slot), target, callee, args)?;
+        let out = call::invoke(rt, img, node, self.caller(slot), target, callee, args)?;
         debug_assert!(out.is_none(), "a call never unwinds a heap context");
         Ok(None)
     }
@@ -120,7 +120,7 @@ impl Activation for HeapStep {
     fn collective(
         &mut self,
         rt: &mut Runtime,
-        _: &Program,
+        _: &Image,
         node: usize,
         slot: Option<Slot>,
         op: CollOp,
@@ -133,7 +133,7 @@ impl Activation for HeapStep {
     fn forward(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         target: &Operand,
         callee: MethodId,
@@ -144,7 +144,7 @@ impl Activation for HeapStep {
         let (tobj, a) = exec::read_call(rt, &self.fr, target, args)?;
         let cont = self.take_cont(rt, node, "forward after continuation consumed")?;
         let caller = Caller::HeapForward { cont };
-        call::invoke(rt, prog, node, caller, tobj, callee, a)?;
+        call::invoke(rt, img, node, caller, tobj, callee, a)?;
         Ok(self.halt(rt, node))
     }
 
@@ -165,7 +165,7 @@ impl Activation for HeapStep {
 
     fn store_cont(&mut self, rt: &mut Runtime, node: usize) -> Result<Continuation, Trap> {
         let cont = self.take_cont(rt, node, "continuation already consumed")?;
-        rt.charge(node, rt.cost.cont_create);
+        rt.charge(node, rt.cost().cont_create);
         rt.ctr(node).conts_created += 1;
         Ok(cont)
     }

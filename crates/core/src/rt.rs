@@ -179,17 +179,44 @@ pub(crate) struct ActiveCtx {
 /// allocation order; see [`Runtime::object_state`].
 pub type NodeObjectState = Vec<(u32, Vec<Value>, Vec<Vec<Value>>)>;
 
+/// The largest machine [`Runtime::new`] builds: a wire sequence number
+/// packs the sender's node id into its low 20 bits.
+pub const MAX_NODES: u32 = (1 << 20) - 1;
+
+/// What is fixed while the machine runs (paper §1): the program, its class
+/// layouts and the schema chosen for each method, and the run knobs. The
+/// coordinator and every shard worker read one `Arc<Image>`; a knob
+/// changes between runs, copy-on-write ([`Runtime::set_cost`] and
+/// friends), so a pool built from another image is never reused.
+#[derive(Clone)]
+pub(crate) struct Image {
+    pub program: Program,
+    pub layouts: Vec<ClassLayout>,
+    pub schemas: SchemaMap,
+    pub cost: CostModel,
+    pub mode: ExecMode,
+    /// Speculative inlining of local, unlocked, non-blocking leaf calls
+    /// (§4.2 includes it in all measurements; ablations turn it off).
+    pub enable_inlining: bool,
+    /// Maximum sequential (host-stack) nesting before forcing a fallback
+    /// (the analogue of a stack-overflow check; Olden and Stacklets do
+    /// stack checks, the paper's C implementation relies on large stacks).
+    pub max_seq_depth: u32,
+    /// Reliable transport (seq/ack/retransmit framing) engaged? Off by
+    /// default: the raw framing is bit-identical to the pre-transport
+    /// runtime and correct on a fault-free wire.
+    pub reliable: bool,
+    /// Base retransmission timeout in virtual cycles (attempt 0 waits this
+    /// long; each retry doubles it up to `retx_cap`).
+    pub retx_base: Cycles,
+    pub retx_cap: Cycles,
+}
+
 /// The hybrid-execution-model runtime over a simulated multicomputer.
 ///
 /// See the [crate docs](crate) for the model and an example.
 pub struct Runtime {
-    pub(crate) program: Arc<Program>,
-    pub(crate) layouts: Vec<ClassLayout>,
-    pub(crate) schemas: SchemaMap,
-    /// The cost model in force.
-    pub cost: CostModel,
-    /// The execution mode in force.
-    pub mode: ExecMode,
+    pub(crate) img: Arc<Image>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) net: Network<Packet>,
     pub(crate) next_task: u64,
@@ -211,14 +238,6 @@ pub struct Runtime {
     /// [`FrameStore`]). Empty of live state between events, so no
     /// checkpoint copies it.
     pub(crate) frames: FrameStore,
-    /// Maximum sequential (host-stack) nesting before forcing a fallback
-    /// (the analogue of a stack-overflow check; Olden and Stacklets do
-    /// stack checks, the paper's C implementation relies on large stacks).
-    pub max_seq_depth: u32,
-    /// Speculative inlining of local, unlocked, non-blocking leaf calls
-    /// (§4.2 includes it in all measurements; ablation benches turn it
-    /// off).
-    pub enable_inlining: bool,
     /// The executor [`Self::run_until`] drives the machine with. May be
     /// switched between `run_until` chunks: every executor resumes
     /// exactly where the previous one stopped.
@@ -245,16 +264,6 @@ pub struct Runtime {
     /// [`Mutant`]. Test/mutants builds only.
     #[cfg(any(test, feature = "mutants"))]
     pub(crate) mutant: Option<Mutant>,
-    /// Reliable transport (seq/ack/retransmit framing) engaged? Off by
-    /// default: the raw framing is bit-identical to the pre-transport
-    /// runtime and correct on a fault-free wire.
-    pub(crate) reliable: bool,
-    /// Base retransmission timeout in virtual cycles (attempt 0 waits this
-    /// long; each retry doubles it up to [`Self::retx_cap`]). Zero means
-    /// "derive from the cost model" at [`Self::enable_reliable_transport`].
-    pub retx_base: Cycles,
-    /// Upper bound on the retransmission backoff.
-    pub retx_cap: Cycles,
     /// Arrival cutoff for send-time network polls: the start time of the
     /// event currently being dispatched ([`Cycles::MAX`] outside the
     /// dispatch loop, e.g. during a root invocation). A poll services only
@@ -305,13 +314,8 @@ pub struct Runtime {
     /// steady-state window edge is an atomic epoch publication with zero
     /// runtime moves and zero coordinator channel round-trips (see
     /// [`crate::shard`]). Built lazily on the first windowed run, rebuilt
-    /// when [`Self::pool_gen`] or the pool key changes.
+    /// when its workers were built from other inputs (`ensure_pool`).
     pub(crate) pool: Option<crate::shard::ShardPool>,
-    /// Generation counter for pool-invalidating configuration changes
-    /// (fault plan, reliable-transport parameters, shard weights). Worker
-    /// runtimes snapshot that configuration when the pool is built, so
-    /// any later change must force a rebuild.
-    pub(crate) pool_gen: u64,
 }
 
 impl Runtime {
@@ -325,12 +329,13 @@ impl Runtime {
         interfaces: InterfaceSet,
     ) -> Result<Runtime, Vec<ValidationError>> {
         program.validate()?;
-        // Wire sequence numbers pack the sender id into their low 20 bits
-        // (see `Node::wire_seq`).
-        assert!(
-            n_nodes < (1 << 20),
-            "node count {n_nodes} exceeds the 2^20 wire-sequence id space"
-        );
+        if n_nodes > MAX_NODES {
+            return Err(vec![ValidationError {
+                method: None,
+                at: None,
+                what: format!("node count {n_nodes} exceeds the 2^20 wire-sequence id space"),
+            }]);
+        }
         for (i, m) in program.methods.iter().enumerate() {
             if m.slots > 64 {
                 return Err(vec![ValidationError {
@@ -340,32 +345,27 @@ impl Runtime {
                 }]);
             }
         }
-        let analysis = Analysis::analyze(&program);
-        let schemas = analysis.schemas(interfaces);
-        let layouts = program.classes.iter().map(ClassLayout::of).collect();
-        let program = Arc::new(program);
-        Ok(Self::assemble(
-            program, layouts, schemas, cost, mode, n_nodes,
-        ))
-    }
-
-    /// An idle `n_nodes` machine over an already-analysed program, every
-    /// field at its initial value ([`Self::new`], and the shard pool's
-    /// worker runtimes, which share the coordinator's program).
-    pub(crate) fn assemble(
-        program: Arc<Program>,
-        layouts: Vec<ClassLayout>,
-        schemas: SchemaMap,
-        cost: CostModel,
-        mode: ExecMode,
-        n_nodes: u32,
-    ) -> Runtime {
-        Runtime {
+        let img = Image {
+            schemas: Analysis::analyze(&program).schemas(interfaces),
+            layouts: program.classes.iter().map(ClassLayout::of).collect(),
             program,
-            layouts,
-            schemas,
             cost,
             mode,
+            enable_inlining: true,
+            max_seq_depth: 1200,
+            reliable: false,
+            retx_base: 0,
+            retx_cap: 0,
+        };
+        Ok(Self::assemble(Arc::new(img), n_nodes))
+    }
+
+    /// An idle `n_nodes` machine over `img`, every field at its initial
+    /// value ([`Self::new`], and the shard pool's worker runtimes, which
+    /// share the coordinator's image).
+    pub(crate) fn assemble(img: Arc<Image>, n_nodes: u32) -> Runtime {
+        Runtime {
+            img,
             nodes: (0..n_nodes).map(|i| Node::new(NodeId(i))).collect(),
             net: Network::new(),
             next_task: 0,
@@ -375,8 +375,6 @@ impl Runtime {
             active: None,
             seq_depth: 0,
             frames: FrameStore::default(),
-            max_seq_depth: 1200,
-            enable_inlining: true,
             sched_impl: SchedImpl::default(),
             sched: Some(BinaryHeap::new()),
             sched_stats: SchedStats::default(),
@@ -386,9 +384,6 @@ impl Runtime {
             explore: None,
             #[cfg(any(test, feature = "mutants"))]
             mutant: Mutant::from_env(),
-            reliable: false,
-            retx_base: 0,
-            retx_cap: 0,
             poll_floor: Cycles::MAX,
             san_step: Self::SAN_ROOT_STEP,
             shard: None,
@@ -397,7 +392,6 @@ impl Runtime {
             spec: crate::timewarp::SpecStats::default(),
             shard_weights: None,
             pool: None,
-            pool_gen: 0,
         }
     }
 
@@ -410,24 +404,18 @@ impl Runtime {
     /// sequenced data frame, is acknowledged by the receiver, retransmitted
     /// on a capped exponential backoff (in virtual time) until acked, and
     /// duplicate-suppressed at the receiver. Call before the first `call`;
-    /// idempotent. Unless already set, the timeout base is derived as 4×
-    /// the cost model's round trip and capped at 64× that.
+    /// idempotent. The timeout base is 4× the cost model's round trip,
+    /// capped at 64× that.
     pub fn enable_reliable_transport(&mut self) {
-        if !self.reliable {
-            // Worker runtimes in a live shard pool snapshot the transport
-            // configuration; force a rebuild on the next windowed run.
-            self.pool_gen += 1;
+        if self.img.reliable {
+            return;
         }
-        self.reliable = true;
-        if self.retx_base == 0 {
-            let rtt = self.cost.msg_latency
-                + self.cost.handler
-                + self.cost.ack_overhead
-                + self.cost.reply_latency
-                + self.cost.msg_send;
-            self.retx_base = 4 * rtt.max(1);
-            self.retx_cap = 64 * self.retx_base;
-        }
+        let img = self.knobs();
+        let c = &img.cost;
+        let rtt = c.msg_latency + c.handler + c.ack_overhead + c.reply_latency + c.msg_send;
+        img.reliable = true;
+        img.retx_base = 4 * rtt.max(1);
+        img.retx_cap = 64 * img.retx_base;
     }
 
     /// Install a deterministic fault schedule on the interconnect and
@@ -435,7 +423,6 @@ impl Runtime {
     /// would wedge the machine or silently corrupt the run).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.net.set_plan(Some(plan));
-        self.pool_gen += 1; // worker networks hold a plan copy
         self.enable_reliable_transport();
     }
 
@@ -451,7 +438,6 @@ impl Runtime {
     /// rollups stay bit-identical under any weighting.
     pub fn set_shard_weights(&mut self, weights: Option<Vec<u64>>) {
         self.shard_weights = weights;
-        self.pool_gen += 1; // the pool pins the node→shard map
     }
 
     /// The contiguous node→shard map the threaded executors use at
@@ -464,7 +450,7 @@ impl Runtime {
 
     /// Is the reliable transport engaged?
     pub fn reliable_transport(&self) -> bool {
-        self.reliable
+        self.img.reliable
     }
 
     /// Is the named protocol mutant active? Always false outside
@@ -486,12 +472,50 @@ impl Runtime {
 
     /// The program being executed.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.img.program
     }
 
     /// The selected sequential schemas.
     pub fn schemas(&self) -> &SchemaMap {
-        &self.schemas
+        &self.img.schemas
+    }
+
+    /// The cost model in force.
+    pub fn cost(&self) -> &CostModel {
+        &self.img.cost
+    }
+
+    /// The sequential (host-stack) nesting past which an invocation falls
+    /// back to the heap, and a non-blocking chain traps (default 1200).
+    pub fn max_seq_depth(&self) -> u32 {
+        self.img.max_seq_depth
+    }
+
+    /// The run knobs, for a setter: copied first if a shard pool still
+    /// shares them, which then rebuilds on its next run.
+    fn knobs(&mut self) -> &mut Image {
+        Arc::make_mut(&mut self.img)
+    }
+
+    /// Set the cost model for the runs that follow.
+    pub fn set_cost(&mut self, cost: CostModel) {
+        self.knobs().cost = cost;
+    }
+
+    /// Set the execution mode for the runs that follow.
+    pub fn set_mode(&mut self, mode: ExecMode) {
+        self.knobs().mode = mode;
+    }
+
+    /// Turn speculative inlining of local non-blocking leaf calls on or off
+    /// (on by default: §4.2 includes it in all measurements).
+    pub fn set_inlining(&mut self, on: bool) {
+        self.knobs().enable_inlining = on;
+    }
+
+    /// Set [`Self::max_seq_depth`] for the runs that follow.
+    pub fn set_max_seq_depth(&mut self, depth: u32) {
+        self.knobs().max_seq_depth = depth;
     }
 
     /// Number of nodes.
@@ -501,19 +525,20 @@ impl Runtime {
 
     /// Look up a method id by class and method name.
     pub fn find_method(&self, class: &str, name: &str) -> Option<MethodId> {
-        self.program.find_method(class, name)
+        self.img.program.find_method(class, name)
     }
 
     /// Allocate an object of `class` on `node` (harness-side placement —
     /// data layout is an input to the execution model).
     pub fn alloc_object(&mut self, class: ClassId, node: NodeId) -> ObjRef {
-        let index = self.nodes[node.idx()].new_object(&self.layouts[class.idx()], class);
+        let index = self.nodes[node.idx()].new_object(&self.img.layouts[class.idx()], class);
         ObjRef { node, index }
     }
 
     /// Allocate by class name; panics on unknown class (harness error).
     pub fn alloc_object_by_name(&mut self, class: &str, node: NodeId) -> ObjRef {
         let cid = self
+            .img
             .program
             .classes
             .iter()
@@ -542,7 +567,7 @@ impl Runtime {
         while o.node.idx() == node {
             match self.nodes[node].objects[o.index as usize].moved_to {
                 Some(n) => {
-                    self.charge(node, self.cost.locality_check);
+                    self.charge(node, self.cost().locality_check);
                     o = n;
                 }
                 None => break,
@@ -604,7 +629,7 @@ impl Runtime {
     fn field_slot(&self, obj: ObjRef, field: FieldId) -> FieldKind {
         let obj = self.resolve_ref(obj);
         let o = &self.nodes[obj.node.idx()].objects[obj.index as usize];
-        self.layouts[o.class.idx()].kinds[field.idx()]
+        self.img.layouts[o.class.idx()].kinds[field.idx()]
     }
 
     /// Harness-side scalar field write (follows forwarding addresses).
@@ -929,5 +954,27 @@ mod tests {
         .err()
         .expect("should reject >64 slots");
         assert!(err[0].what.contains("64-slot"));
+    }
+
+    #[test]
+    fn node_count_cap_enforced() {
+        let build = |n| {
+            let mut pb = hem_ir::ProgramBuilder::new();
+            let c = pb.class("C", false);
+            pb.method(c, "id", 0, |mb| mb.reply_nil());
+            Runtime::new(
+                pb.finish(),
+                n,
+                CostModel::unit(),
+                ExecMode::Hybrid,
+                InterfaceSet::Full,
+            )
+        };
+        let err = build(MAX_NODES + 1).err().expect("2^20 nodes rejected");
+        assert_eq!(
+            err[0].to_string(),
+            "node count 1048576 exceeds the 2^20 wire-sequence id space"
+        );
+        assert!(build(4).is_ok());
     }
 }

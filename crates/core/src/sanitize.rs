@@ -7,7 +7,7 @@
 //! (`Err(Trap)`) unconditionally:
 //!
 //! * join counters never go negative and a future is never filled twice
-//!   ([`crate::Runtime::apply_fill`]: "reply to completed join", "double
+//!   (`Runtime::apply_fill`: "reply to completed join", "double
 //!   reply to future");
 //! * a future is read only when resolved (`GetSlot` traps on an
 //!   unresolved slot) — a toucher that cannot proceed suspends instead;
@@ -286,12 +286,12 @@ impl Runtime {
             return;
         }
         self.san_receiver_check(node, target, callee);
-        let depth_ok = self.seq_depth < self.max_seq_depth;
+        let depth_ok = self.seq_depth < self.img.max_seq_depth;
         let lock_ok = match &self.nodes[node].objects[target.index as usize].lock {
             Some(l) => l.holder.is_some(),
             None => true,
         };
-        let (depth, max) = (self.seq_depth, self.max_seq_depth);
+        let (depth, max) = (self.seq_depth, self.img.max_seq_depth);
         let s = self.sanitizer.as_deref_mut().unwrap();
         if !depth_ok {
             s.violation(format!(

@@ -4,7 +4,7 @@
 //! Every node offers at most one candidate per kind — handle its inbox
 //! head (0), run a lock grant or ready context (1), fire its due
 //! retransmission timers (2) — and the machine always dispatches the
-//! minimum `(virtual time, kind, node)` candidate ([`EventKey`]). Two
+//! minimum `(virtual time, kind, node)` candidate (`EventKey`). Two
 //! loops implement that rule. `Runtime::run_index` is the production one:
 //! the single-threaded executor runs it to the caller's horizon over an
 //! index it maintains incrementally, and every shard worker of the
@@ -445,8 +445,8 @@ mod tests {
         let pending = Pending {
             words: msg.words(),
             msg,
-            latency: rt.cost.msg_latency,
-            send_cost: rt.cost.msg_send,
+            latency: rt.cost().msg_latency,
+            send_cost: rt.cost().msg_send,
             deadline: 100,
             attempt: 0,
             req: 0,

@@ -30,9 +30,9 @@ use crate::cont::{CallerInfo, Continuation};
 use crate::context::{ActFrame, WaitState};
 use crate::error::Trap;
 use crate::exec::{self, Activation, CollOp};
-use crate::rt::Runtime;
+use crate::rt::{Image, Runtime};
 use hem_analysis::Schema;
-use hem_ir::{MethodId, ObjRef, Operand, Program, Slot, Value};
+use hem_ir::{MethodId, ObjRef, Operand, Slot, Value};
 use hem_machine::NodeId;
 
 /// How a sequential execution ended.
@@ -91,7 +91,7 @@ pub(crate) struct SeqState {
 /// call on the frame store (`exec::run_nested`).
 pub(crate) fn run_seq(
     rt: &mut Runtime,
-    prog: &Program,
+    img: &Image,
     node: usize,
     obj: ObjRef,
     method: MethodId,
@@ -103,7 +103,7 @@ pub(crate) fn run_seq(
         consumed: None,
         conv,
     };
-    exec::run_nested(rt, prog, node, obj, method, args, st)
+    exec::run_nested(rt, img, node, obj, method, args, st)
 }
 
 impl Activation for SeqState {
@@ -117,20 +117,20 @@ impl Activation for SeqState {
     fn invoke(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         slot: Option<Slot>,
         callee: MethodId,
         (target, args): (ObjRef, Vec<Value>),
     ) -> Result<Option<SeqOutcome>, Trap> {
         let caller = Caller::StackInvoke { st: self, slot };
-        call::invoke(rt, prog, node, caller, target, callee, args)
+        call::invoke(rt, img, node, caller, target, callee, args)
     }
 
     fn collective(
         &mut self,
         rt: &mut Runtime,
-        _: &Program,
+        _: &Image,
         node: usize,
         slot: Option<Slot>,
         op: CollOp,
@@ -141,7 +141,7 @@ impl Activation for SeqState {
     fn forward(
         &mut self,
         rt: &mut Runtime,
-        prog: &Program,
+        img: &Image,
         node: usize,
         target: &Operand,
         callee: MethodId,
@@ -158,7 +158,7 @@ impl Activation for SeqState {
         // next method.
         let (tobj, a) = exec::read_call(rt, &self.fr, target, args)?;
         let caller = Caller::StackForward { info };
-        let out = call::invoke(rt, prog, node, caller, tobj, callee, a)?;
+        let out = call::invoke(rt, img, node, caller, tobj, callee, a)?;
         Ok(out.expect("a forward ends its frame"))
     }
 
@@ -269,25 +269,25 @@ impl SeqState {
 #[cfg_attr(not(debug_assertions), inline(always))]
 pub(crate) fn call_seq_schema(
     rt: &mut Runtime,
-    prog: &Program,
+    img: &Image,
     node: usize,
     target: ObjRef,
     callee: MethodId,
     args: Vec<Value>,
     cp_info: CallerInfo,
 ) -> Result<SeqOutcome, Trap> {
-    let schema = rt.schemas.of(callee);
+    let schema = img.schemas.of(callee);
 
     // Host-stack depth guard: deep MB/CP chains divert through the heap
     // (the moral equivalent of a stack-limit check); a deep NB chain is a
     // genuine stack overflow, as it would be for the generated C.
     // Mutant: bypass the guard; deep chains keep recursing sequentially.
-    if rt.seq_depth >= rt.max_seq_depth && !rt.mutant_is(crate::explore::Mutant::SkipDepthGuard) {
+    if rt.seq_depth >= img.max_seq_depth && !rt.mutant_is(crate::explore::Mutant::SkipDepthGuard) {
         if schema == Schema::NonBlocking {
-            return Err(depth_limit(rt));
+            return Err(depth_limit(img));
         }
-        let m = prog.method(callee);
-        rt.charge(node, rt.cost.par_invoke_fixed);
+        let m = img.program.method(callee);
+        rt.charge(node, img.cost.par_invoke_fixed);
         let id = rt.new_ctx(node, Continuation::Unset, WaitState::Ready, false, |f| {
             f.reset(callee, target, m.locals, m.slots, &args)
         });
@@ -302,10 +302,10 @@ pub(crate) fn call_seq_schema(
     }
 
     rt.san_seq_entry(node, target, callee);
-    let inlinable = prog.method(callee).inlinable && rt.enable_inlining;
+    let inlinable = img.program.method(callee).inlinable && img.enable_inlining;
     let inlined = inlinable && schema == Schema::NonBlocking;
     if inlined {
-        rt.charge(node, rt.cost.inline_guard);
+        rt.charge(node, img.cost.inline_guard);
         rt.ctr(node).inlined += 1;
         rt.emit(
             node,
@@ -316,11 +316,11 @@ pub(crate) fn call_seq_schema(
         );
     } else {
         let extra = match schema {
-            Schema::NonBlocking => rt.cost.nb_call_extra,
-            Schema::MayBlock => rt.cost.mb_call_extra,
-            Schema::ContPassing => rt.cost.cp_call_extra,
+            Schema::NonBlocking => img.cost.nb_call_extra,
+            Schema::MayBlock => img.cost.mb_call_extra,
+            Schema::ContPassing => img.cost.cp_call_extra,
         };
-        rt.charge(node, rt.cost.plain_call + extra);
+        rt.charge(node, img.cost.plain_call + extra);
     }
 
     let conv = match schema {
@@ -328,7 +328,7 @@ pub(crate) fn call_seq_schema(
         Schema::MayBlock => Conv::Mb,
         Schema::ContPassing => Conv::Cp(cp_info),
     };
-    let out = run_seq(rt, prog, node, target, callee, args, conv)?;
+    let out = run_seq(rt, img, node, target, callee, args, conv)?;
 
     if !inlined && !matches!(out, SeqOutcome::Blocked { .. }) {
         // Completed on the stack: count it under its schema.
@@ -355,8 +355,8 @@ pub(crate) fn call_seq_schema(
 /// purpose: as a `#[cold]` call it moves `call_seq_schema`'s code, and
 /// `hemprof fib` reads ~11 % slower.
 #[inline(always)]
-pub(crate) fn depth_limit(rt: &Runtime) -> Trap {
-    let max = rt.max_seq_depth;
+pub(crate) fn depth_limit(img: &Image) -> Trap {
+    let max = img.max_seq_depth;
     Trap::new(format!(
         "sequential depth limit {max} exceeded in non-blocking chain"
     ))

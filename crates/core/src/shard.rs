@@ -7,7 +7,7 @@
 //! same dispatch loop the single-threaded executor runs
 //! (`Runtime::run_index` in [`crate::sched`]), stopped at the window end
 //! instead of the caller's horizon. A
-//! [`WindowPolicy`], derived from the [`crate::SchedImpl`], decides how far a
+//! `WindowPolicy`, derived from the [`crate::SchedImpl`], decides how far a
 //! window reaches and whether its outcome has to be checked:
 //! [`crate::SchedImpl::Sharded`] runs **conservative** windows (below), whose
 //! validation cannot fail; [`crate::SchedImpl::Speculative`] runs **optimistic**
@@ -41,7 +41,7 @@
 //!   windowed workers never do.
 //!
 //! **Coordinator-free steady state.** Worker state is *persistent*: a
-//! [`ShardPool`] pins each shard's worker runtime (and the nodes it
+//! `ShardPool` pins each shard's worker runtime (and the nodes it
 //! owns) to one OS thread for the lifetime of the pool — across windows
 //! and across `run_until` chunks. The window edge is a seqlock-style
 //! **epoch publication**, not a channel rendezvous: the coordinator
@@ -56,7 +56,7 @@
 //! happens** — `SchedStats::{runtime_moves, coord_roundtrips}` assert
 //! exactly that, and `SchedStats::pool_reuses` counts chunks served by
 //! one pool. Each wait is graded (spin → `yield_now` → park, see
-//! [`spin_tiers`]) so oversubscribed hosts degrade to parking instead of
+//! `spin_tiers`) so oversubscribed hosts degrade to parking instead of
 //! burning full spin budgets against each other.
 //!
 //! The per-shard published minima replace the coordinator's O(P) scan:
@@ -68,7 +68,7 @@
 //! **Profile-guided shard maps.** The partition is contiguous but not
 //! necessarily equal-sized: [`Runtime::set_shard_weights`] installs
 //! per-node busy weights (exported by `hem_obs::Rollup`) and
-//! [`shard_partition`] cuts shard boundaries by cumulative weight, so a
+//! `shard_partition` cuts shard boundaries by cumulative weight, so a
 //! placement whose hot nodes sit in one contiguous slice no longer idles
 //! most workers. The merge rule below is partition-independent, so any
 //! weighting is observationally invisible.
@@ -430,8 +430,8 @@ fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
 /// chain — `run_seq` with the instruction loop
 /// (`exec::run`) and `call::invoke` inlined, then `call_seq_schema`
 /// (inlined too in release builds) — measured as the distance between the
-/// stack addresses of two consecutive activations on x86-64, takes 1 280 B
-/// in release builds and 15 136 B unoptimized, where every arm of the loop
+/// stack addresses of two consecutive activations on x86-64, takes 1 488 B
+/// in release builds and 15 088 B unoptimized, where every arm of the loop
 /// keeps its temporaries in the frame (registers and slots live in the
 /// frame store's vectors, not on this stack). The rest is headroom for
 /// nested poll handling, and for the unoptimized test builds that
@@ -451,21 +451,6 @@ pub(crate) enum WindowPolicy {
     Optimistic(Delta),
 }
 
-/// Pool identity: a pool is reusable by a later chunk only if nothing a
-/// worker runtime snapshots at build time has changed. The window policy
-/// is not part of it — it travels with each epoch publication, so
-/// conservative and optimistic chunks share one pool.
-#[derive(PartialEq, Eq, Clone, Copy)]
-struct PoolKey {
-    threads: usize,
-    p: usize,
-    record: bool,
-    san: bool,
-    /// `Runtime::pool_gen` at build time: bumped by every
-    /// pool-invalidating mutation (fault plan, transport, shard weights).
-    gen: u64,
-}
-
 /// The persistent worker pool: pinned worker threads, the node→shard
 /// map, and the epoch state. Lives on the coordinator [`Runtime`] and
 /// survives across `run_until` chunks; dropped (joining its threads)
@@ -474,16 +459,14 @@ struct PoolKey {
 /// coordinator so the public API (`inject_request`, `stats`,
 /// `queue_depth`, …) keeps working unchanged.
 pub(crate) struct ShardPool {
-    threads: usize,
     owner: Vec<usize>,
     shared: Arc<PoolShared>,
     /// Park/unpark handles for workers `1..threads` (index 0 is a
-    /// placeholder for the inline shard).
+    /// placeholder for the inline shard), one per shard.
     worker_threads: Vec<Thread>,
     handles: Vec<JoinHandle<()>>,
     /// The coordinator's view of the published epoch.
     epoch: u64,
-    key: PoolKey,
 }
 
 impl ShardPool {
@@ -540,7 +523,7 @@ impl ShardPool {
         }
         // Safety: cell 0 is always coordinator-owned.
         run_shard_window(unsafe { &mut *self.shared.cells[0].get() }, end, arm);
-        let tiers = spin_tiers(self.threads);
+        let tiers = spin_tiers(self.worker_threads.len());
         for ack in &self.shared.acks[1..] {
             graded_wait(&tiers, || {
                 if ack.load(Ordering::Acquire) == self.epoch {
@@ -596,9 +579,9 @@ impl Runtime {
     /// delivery, so any plan-derived slack is additive (today always
     /// zero; the call records the dependency).
     pub(crate) fn lookahead(&self) -> Cycles {
-        let wire = self.cost.min_wire_latency();
-        let base = if self.reliable {
-            wire.min(self.retx_base)
+        let wire = self.img.cost.min_wire_latency();
+        let base = if self.img.reliable {
+            wire.min(self.img.retx_base)
         } else {
             wire
         };
@@ -632,8 +615,8 @@ impl Runtime {
 
     /// Build the worker runtime for shard `s`: a full machine husk (every
     /// node present so global indexing works, but only owned nodes ever
-    /// hold state during a window) sharing the program and fault plan,
-    /// with tracing redirected into the shard capture.
+    /// hold state during a window) over the coordinator's image and a copy
+    /// of its fault plan, with tracing redirected into the shard capture.
     pub(crate) fn make_worker(&self, s: usize, owner: &[usize], record: bool) -> Runtime {
         let mut net = Network::new();
         net.set_plan(self.net.plan().cloned());
@@ -643,14 +626,9 @@ impl Runtime {
             // identities, live only within one dispatched event) never
             // collide with the coordinator's or another shard's.
             next_task: (s as u64 + 1) << 48,
-            max_seq_depth: self.max_seq_depth,
-            enable_inlining: self.enable_inlining,
             sanitizer: self.sanitizer.as_ref().map(|_| Box::default()),
             #[cfg(any(test, feature = "mutants"))]
             mutant: self.mutant,
-            reliable: self.reliable,
-            retx_base: self.retx_base,
-            retx_cap: self.retx_cap,
             shard: Some(Box::new(ShardCtx {
                 owns: owner.iter().map(|&o| o == s).collect(),
                 capture: Vec::new(),
@@ -662,37 +640,36 @@ impl Runtime {
                 dispatched: Vec::new(),
                 min_timer: Cycles::MAX,
             })),
-            ..Runtime::assemble(
-                Arc::clone(&self.program),
-                self.layouts.clone(),
-                self.schemas.clone(),
-                self.cost.clone(),
-                self.mode,
-                owner.len() as u32,
-            )
+            ..Runtime::assemble(Arc::clone(&self.img), owner.len() as u32)
         }
     }
 
-    /// Reuse the persistent pool when its build-time snapshot still
-    /// matches, else (re)build it: partition the nodes (honoring any
-    /// installed shard weights), construct one pinned worker runtime per
-    /// shard, and spawn the worker threads for shards `1..threads`
-    /// (shard 0 runs inline on the coordinating thread).
+    /// Reuse the persistent pool when its workers were built from what
+    /// [`Self::make_worker`] would build them from now — this image (the
+    /// same `Arc`: a knob change copies it), fault plan, sanitizer hook,
+    /// record mode and partition (which fixes the thread count); the window
+    /// policy travels with each epoch, so both policies share one pool.
+    /// Else (re)build it: construct one pinned worker runtime per shard of
+    /// the partition (which honors any installed shard weights), and spawn
+    /// the worker threads for shards `1..threads` (shard 0 runs inline on
+    /// the coordinating thread).
     fn ensure_pool(&mut self, threads: usize, record: bool) {
-        let key = PoolKey {
-            threads,
-            p: self.nodes.len(),
-            record,
-            san: self.sanitizer.is_some(),
-            gen: self.pool_gen,
-        };
-        if self.pool.as_ref().is_some_and(|pool| pool.key == key) {
+        let p = self.nodes.len();
+        let owner = shard_partition(p, threads, self.shard_weights.as_deref());
+        let reuse = self.pool.as_mut().is_some_and(|pool| {
+            pool.owner == owner && {
+                let wk = &pool.cells().next().expect("shard 0").rt;
+                Arc::ptr_eq(&wk.img, &self.img)
+                    && wk.net.plan() == self.net.plan()
+                    && wk.sanitizer.is_some() == self.sanitizer.is_some()
+                    && wk.shard.as_ref().is_some_and(|sh| sh.record == record)
+            }
+        });
+        if reuse {
             self.sched_stats.pool_reuses += 1;
             return;
         }
         self.pool = None; // joins any stale pool's workers first
-        let p = self.nodes.len();
-        let owner = shard_partition(p, threads, self.shard_weights.as_deref());
         let cells: Vec<UnsafeCell<WorkerCell>> = (0..threads)
             .map(|s| {
                 UnsafeCell::new(WorkerCell {
@@ -725,7 +702,7 @@ impl Runtime {
             let shared = Arc::clone(&shared);
             let h = std::thread::Builder::new()
                 .name(format!("hem-shard-{s}"))
-                .stack_size(self.max_seq_depth as usize * SEQ_FRAME_BYTES)
+                .stack_size(self.img.max_seq_depth as usize * SEQ_FRAME_BYTES)
                 .spawn(move || {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_loop(&shared, s, threads)
@@ -740,13 +717,11 @@ impl Runtime {
             handles.push(h);
         }
         self.pool = Some(ShardPool {
-            threads,
             owner,
             shared,
             worker_threads,
             handles,
             epoch: 0,
-            key,
         });
     }
 
@@ -1283,17 +1258,33 @@ mod tests {
     }
 
     #[test]
-    fn pool_rebuilds_when_the_fault_plan_changes() {
+    fn pool_rebuilds_when_its_inputs_change() {
         let (mut rt, root, method) = ring_runtime(4, CostModel::cm5());
         rt.sched_impl = SchedImpl::Sharded { threads: 2 };
-        rt.call(root, method, &[Value::Int(5)]).expect("chunk 1");
-        rt.set_fault_plan(FaultPlan::seeded(7));
-        rt.call(root, method, &[Value::Int(5)]).expect("chunk 2");
-        // The plan change invalidated the pool (worker networks hold a
-        // plan copy), so the second chunk built a fresh one.
-        assert_eq!(rt.stats().sched.pool_reuses, 0);
-        rt.call(root, method, &[Value::Int(5)]).expect("chunk 3");
+        // Every worker reads the coordinator's image, not a copy of it.
+        let shared = |rt: &mut Runtime| {
+            let img = Arc::clone(&rt.img);
+            let mut cells = rt.pool.as_mut().expect("pool").cells();
+            cells.all(|c| Arc::ptr_eq(&c.rt.img, &img))
+        };
+        let changes: [fn(&mut Runtime); 3] = [
+            // Worker networks hold a plan copy.
+            |rt| rt.set_fault_plan(FaultPlan::seeded(7)),
+            // Copies the image the workers share.
+            |rt| rt.set_inlining(false),
+            |rt| rt.set_shard_weights(Some(vec![9, 1, 1, 1])),
+        ];
+        rt.call(root, method, &[Value::Int(5)])
+            .expect("first chunk");
+        for (i, change) in changes.into_iter().enumerate() {
+            assert!(shared(&mut rt), "change {i}: one image");
+            change(&mut rt);
+            rt.call(root, method, &[Value::Int(5)]).expect("rebuilt");
+            assert_eq!(rt.stats().sched.pool_reuses, 0, "change {i}");
+        }
+        rt.call(root, method, &[Value::Int(5)]).expect("reused");
         assert_eq!(rt.stats().sched.pool_reuses, 1);
+        assert!(shared(&mut rt), "one image after the rebuilds");
     }
 
     #[test]

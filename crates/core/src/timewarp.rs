@@ -3,7 +3,7 @@
 //!
 //! [`crate::SchedImpl::Speculative`] runs on the sharded executor's engine —
 //! the same pool, partition, epoch/ack window edge, barrier and commit
-//! merge — and differs only in its [`crate::shard::WindowPolicy`]: it
+//! merge — and differs only in its `WindowPolicy`: it
 //! drops the conservative premise that a window may only extend as far
 //! as the lookahead guarantees no cross-shard message can land. (A
 //! conservative window is an optimistic one whose validation cannot
@@ -18,7 +18,7 @@
 //!    a node, the node is copied whole — objects and their field arena,
 //!    contexts, inbox, transport maps, and the wire-sequence counter —
 //!    into that node's standing snapshot buffer, which the worker keeps
-//!    for the life of the pool ([`crate::rt::Node`]'s `clone_from`
+//!    for the life of the pool (`Node`'s `clone_from`
 //!    refills it in place: a handful of slice copies, no allocation once
 //!    the buffer has grown to the node's size). Untouched nodes cost
 //!    nothing.
@@ -550,7 +550,7 @@ mod tests {
             }
             _ => {
                 let class = n.objects[0].class;
-                n.new_object(&rt.layouts[class.idx()], class);
+                n.new_object(&rt.img.layouts[class.idx()], class);
             }
         }
     }

@@ -264,11 +264,11 @@ impl Runtime {
         class: WireClass,
         msg: Msg,
     ) {
-        if !self.reliable {
+        if !self.img.reliable {
             self.inject(from, dest, deliver, words, class, Packet::Raw(msg));
             return;
         }
-        let deadline = self.nodes[from].time + self.retx_base;
+        let deadline = self.nodes[from].time + self.img.retx_base;
         if let Some(sh) = &mut self.shard {
             if sh.ckpt.armed {
                 // Speculative window: a timer armed mid-window may come
@@ -357,10 +357,11 @@ impl Runtime {
             cont,
             forwarded,
         };
+        let c = self.cost();
         let price = Price {
-            fixed: self.cost.msg_send,
-            per_word: self.cost.msg_word,
-            latency: self.cost.msg_latency,
+            fixed: c.msg_send,
+            per_word: c.msg_word,
+            latency: c.msg_latency,
         };
         self.send(from, target.node, price, msg);
         self.poll_network(from)
@@ -370,10 +371,11 @@ impl Runtime {
     /// (priced like a reply, but classed and attributed as collective wire
     /// words). Trap propagation as for [`Self::send_invoke`].
     pub(crate) fn send_reply(&mut self, from: usize, dest: NodeId, msg: Msg) -> Result<(), Trap> {
+        let c = self.cost();
         let price = Price {
-            fixed: self.cost.reply_send,
-            per_word: self.cost.reply_word,
-            latency: self.cost.reply_latency,
+            fixed: c.reply_send,
+            per_word: c.reply_word,
+            latency: c.reply_latency,
         };
         self.send(from, dest, price, msg);
         self.poll_network(from)
@@ -428,14 +430,14 @@ impl Runtime {
         self.current_req = req;
         let msg = match e.msg {
             Packet::Raw(msg) => {
-                self.charge(node, self.cost.handler);
+                self.charge(node, self.cost().handler);
                 msg
             }
             Packet::Data { seq, msg } => {
-                self.charge(node, self.cost.handler);
+                self.charge(node, self.cost().handler);
                 // Ack every copy, duplicate or not: acks confirm *receipt*,
                 // and a duplicate often means the original's ack was lost.
-                self.charge(node, self.cost.ack_overhead);
+                self.charge(node, self.cost().ack_overhead);
                 self.ctr(node).acks_sent += 1;
                 self.emit(
                     node,
@@ -447,7 +449,7 @@ impl Runtime {
                         req,
                     },
                 );
-                let deliver_ack = self.nodes[node].time + self.cost.reply_latency;
+                let deliver_ack = self.nodes[node].time + self.cost().reply_latency;
                 let ack = Packet::Ack { seq };
                 self.inject(node, src, deliver_ack, 1, WireClass::Ack, ack);
                 if self.nodes[node].tx.rx_mark(src.0, seq) {
@@ -464,7 +466,7 @@ impl Runtime {
                 msg
             }
             Packet::Ack { seq } => {
-                self.charge(node, self.cost.ack_overhead);
+                self.charge(node, self.cost().ack_overhead);
                 self.ctr(node).acks_handled += 1;
                 self.emit_handled(node, src, None, req, deliver, retx);
                 self.nodes[node].tx.ack(src.0, seq);
@@ -594,9 +596,10 @@ impl Runtime {
             }
             let now = self.nodes[node].time;
             let backoff = self
+                .img
                 .retx_base
                 .saturating_mul(1u64 << attempt.min(20))
-                .min(self.retx_cap)
+                .min(self.img.retx_cap)
                 .max(1);
             self.nodes[node].tx.rearm(dest, seq, now + backoff);
             if let Some(msg) = resend {

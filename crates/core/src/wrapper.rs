@@ -37,7 +37,7 @@ use hem_machine::NodeId;
 /// arrival, lock grant, or root call) on local object index `obj`. An
 /// argument count that does not match the method's parameters traps: only
 /// a root call or an injected request can get it wrong, so this is the
-/// one place it is checked. The event borrows the program from here on.
+/// one place it is checked. The event borrows the image from here on.
 pub(crate) fn run_invocation(
     rt: &mut Runtime,
     node: usize,
@@ -51,10 +51,10 @@ pub(crate) fn run_invocation(
         node: NodeId(node as u32),
         index: obj,
     };
-    let prog = rt.program.clone();
-    crate::exec::arity(&prog, method, args.len())?;
+    let img = rt.img.clone();
+    crate::exec::arity(&img.program, method, args.len())?;
     let caller = Caller::Arrival { cont, forwarded };
-    let unwind = call::invoke(rt, &prog, node, caller, target, method, args)?;
+    let unwind = call::invoke(rt, &img, node, caller, target, method, args)?;
     debug_assert!(unwind.is_none(), "an arrival has no stack frame to unwind");
     Ok(())
 }
@@ -85,10 +85,10 @@ pub(crate) fn par_invoke_ctx(
             return Ok(None);
         }
     }
-    let m = rt.program.method(method);
+    let m = rt.img.program.method(method);
     let (nlocals, nslots) = (m.locals, m.slots);
     // Fixed bookkeeping + the conservatively eager continuation.
-    rt.charge(node, rt.cost.par_invoke_fixed + rt.cost.cont_create);
+    rt.charge(node, rt.cost().par_invoke_fixed + rt.cost().cont_create);
     let id = rt.new_ctx(node, cont, WaitState::Ready, false, |f| {
         f.reset(method, target, nlocals, nslots, &args)
     });

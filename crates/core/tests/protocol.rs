@@ -106,7 +106,7 @@ fn nb_depth_overflow_traps_cleanly() {
     });
     let p = pb.finish();
     let mut rt = rt_for(p, 1, ExecMode::Hybrid, InterfaceSet::Full);
-    rt.max_seq_depth = 64;
+    rt.set_max_seq_depth(64);
     let o = rt.alloc_object_by_name("C", NodeId(0));
     let e = rt.call(o, down, &[Value::Int(1000)]).unwrap_err();
     assert!(e.what.contains("depth limit"), "{e}");

@@ -602,7 +602,7 @@ fn deep_mb_recursion_diverts_through_heap() {
     });
     let p = pb.finish();
     let mut rt = rt_with(p, 1, ExecMode::Hybrid, InterfaceSet::Full);
-    rt.max_seq_depth = 50;
+    rt.set_max_seq_depth(50);
     let o = rt.alloc_object_by_name("C", NodeId(0));
     let r = rt.call(o, down, &[Value::Int(3000)]).unwrap();
     assert_eq!(r, Some(Value::Int(3000)));

@@ -16,7 +16,7 @@ const DEFAULT_BASE_SEED: u64 = 0xD1B54A32D192ED03;
 
 /// The base seed all per-case RNGs derive from: the `HYBRID_TEST_SEED`
 /// environment variable when set (so a CI soak or a failure reproduction
-/// can pin the whole stream), else [`DEFAULT_BASE_SEED`]. Read once.
+/// can pin the whole stream), else `DEFAULT_BASE_SEED`. Read once.
 pub fn base_seed() -> u64 {
     static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *SEED.get_or_init(|| match std::env::var("HYBRID_TEST_SEED") {

@@ -28,7 +28,7 @@ fn run(g: &em3d::Em3dGraph, nodes: u32) -> (f64, f64) {
         );
         let inst = em3d::setup(&mut rt, &ids, g);
         em3d::run(&mut rt, &inst, Style::Pull, 2).expect("em3d");
-        out[i] = rt.cost.seconds(rt.makespan()) * 1e3;
+        out[i] = rt.cost().seconds(rt.makespan()) * 1e3;
     }
     (out[0], out[1])
 }

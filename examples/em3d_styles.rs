@@ -37,7 +37,7 @@ fn main() {
                     );
                     let inst = em3d::setup(&mut rt, &ids, &g);
                     em3d::run(&mut rt, &inst, style, iters).expect("em3d");
-                    times.push(rt.cost.seconds(rt.makespan()) * 1e3);
+                    times.push(rt.cost().seconds(rt.makespan()) * 1e3);
                     if mode == ExecMode::Hybrid {
                         let t = rt.stats().totals();
                         msgs = t.msgs_sent;

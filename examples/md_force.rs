@@ -35,7 +35,7 @@ fn main() {
             );
             let inst = md::setup(&mut rt, &ids, &sys);
             md::run_iteration(&mut rt, &inst).expect("md");
-            times.push(rt.cost.seconds(rt.makespan()) * 1e3);
+            times.push(rt.cost().seconds(rt.makespan()) * 1e3);
             if mode == ExecMode::Hybrid {
                 frac = rt.stats().totals().local_fraction();
                 // Sanity: forces must match the plain-Rust reference.

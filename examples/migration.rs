@@ -63,7 +63,7 @@ fn main() {
         let t = rt.stats().totals();
         println!(
             "{label:<34} {:>9.3} ms   msgs={:<4} stack={:<4} ctxs={}",
-            rt.cost.seconds(dt) * 1e3,
+            rt.cost().seconds(dt) * 1e3,
             t.msgs_sent,
             t.stack_nb + t.stack_mb + t.stack_cp,
             t.ctx_alloc

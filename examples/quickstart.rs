@@ -64,7 +64,7 @@ fn main() {
         println!("  result                = {result:?}");
         println!(
             "  simulated time        = {:.1} ms ({} cycles)",
-            rt.cost.seconds(rt.makespan()) * 1e3,
+            rt.cost().seconds(rt.makespan()) * 1e3,
             rt.makespan()
         );
         println!("  heap contexts         = {}", t.ctx_alloc);
@@ -90,7 +90,7 @@ fn main() {
     println!("  result                = {v:?}");
     println!(
         "  simulated time        = {:.1} ms ({} cycles)",
-        rt.cost.seconds(cycles) * 1e3,
+        rt.cost().seconds(cycles) * 1e3,
         cycles
     );
     println!();

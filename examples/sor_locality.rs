@@ -34,7 +34,7 @@ fn main() {
             );
             let inst = sor::setup(&mut rt, &ids, sor::SorParams { n, block, procs });
             sor::run(&mut rt, &inst, iters).expect("sor");
-            times.push(rt.cost.seconds(rt.makespan()) * 1e3);
+            times.push(rt.cost().seconds(rt.makespan()) * 1e3);
             let t = rt.stats().totals();
             ratio = t.local_invokes as f64 / t.remote_invokes.max(1) as f64;
             if mode == ExecMode::Hybrid {

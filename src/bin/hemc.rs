@@ -168,10 +168,10 @@ fn main() {
                     println!("result    = {r:?}");
                     println!(
                         "time      = {:.3} ms ({} cycles, {} nodes, {mode}, {})",
-                        rt.cost.seconds(rt.makespan()) * 1e3,
+                        rt.cost().seconds(rt.makespan()) * 1e3,
                         rt.makespan(),
                         nodes,
-                        rt.cost.name
+                        rt.cost().name
                     );
                     if show_stats {
                         let t = rt.stats().totals();

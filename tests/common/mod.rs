@@ -410,7 +410,7 @@ pub fn run_micro_sched(
     )
     .unwrap();
     if let Some(d) = m.max_seq_depth {
-        rt.max_seq_depth = d;
+        rt.set_max_seq_depth(d);
     }
     rt.enable_sanitizer();
     rt.set_tie_break(tie);

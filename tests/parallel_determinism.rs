@@ -59,7 +59,7 @@ fn run_kernel(kernel: &str, seed: u64, sched: SchedImpl, plan: Option<&FaultPlan
             rt.set_fault_plan(p.clone());
         }
     };
-    let mut rt = match kernel {
+    let rt = match kernel {
         "sor" => {
             let ids = sor::build();
             let mut rt = Runtime::new(
@@ -136,6 +136,11 @@ fn run_kernel(kernel: &str, seed: u64, sched: SchedImpl, plan: Option<&FaultPlan
         }
         other => panic!("unknown kernel {other}"),
     };
+    outcome(kernel, rt)
+}
+
+/// The observables of a finished run whose `Rollup` observer is attached.
+fn outcome(kernel: &str, mut rt: Runtime) -> Outcome {
     let stats = rt.stats();
     let any: Box<dyn std::any::Any> = rt.take_observer().expect("rollup attached");
     let rollup = any.downcast::<Rollup>().expect("a Rollup");
@@ -227,11 +232,71 @@ fn degenerate_thread_counts_match() {
     }
 }
 
+/// A knob changed between two chunks reaches every shard worker: SOR
+/// 20×20 at P=16 runs one iteration, the knob changes, a second iteration
+/// runs — on both threaded executors bit-identical to the event index
+/// under the same change. (A pool kept from the first chunk used to run
+/// the second with the old cost model, mode and inlining switch.)
+#[test]
+fn knob_changes_between_chunks_reach_the_workers() {
+    type Change = fn(&mut Runtime);
+    let changes: [(&str, Change); 4] = [
+        ("cost.op x3", |rt| {
+            let mut cost = rt.cost().clone();
+            cost.op *= 3;
+            rt.set_cost(cost);
+        }),
+        ("parallel-only", |rt| rt.set_mode(ExecMode::ParallelOnly)),
+        ("no inlining", |rt| rt.set_inlining(false)),
+        ("deeper stack", |rt| rt.set_max_seq_depth(4000)),
+    ];
+    let ids = sor::build();
+    let run = |sched: SchedImpl, change: Change| {
+        let mut rt = Runtime::new(
+            ids.program.clone(),
+            16,
+            CostModel::cm5(),
+            ExecMode::Hybrid,
+            InterfaceSet::Full,
+        )
+        .unwrap();
+        rt.sched_impl = sched;
+        rt.enable_trace();
+        rt.attach_observer(Box::new(Rollup::new()));
+        let procs = ProcGrid::square(16);
+        let inst = sor::setup(
+            &mut rt,
+            &ids,
+            sor::SorParams {
+                n: 20,
+                block: 2,
+                procs,
+            },
+        );
+        sor::run(&mut rt, &inst, 1).unwrap();
+        change(&mut rt);
+        sor::run(&mut rt, &inst, 1).unwrap();
+        outcome("sor", rt)
+    };
+    for (what, change) in changes {
+        let base = run(SchedImpl::EventIndex, change);
+        for sched in [
+            SchedImpl::Sharded { threads: 2 },
+            SchedImpl::Speculative { threads: 2 },
+        ] {
+            let got = run(sched, change);
+            assert_bit_identical(&format!("{what}/{sched:?}"), &base, &got);
+        }
+    }
+}
+
 /// A sequential call chain as deep as `max_seq_depth` allows, on a node
 /// owned by shard 1: the worker thread's host stack must hold it under
 /// both threaded executors. (The 2 MiB spawn default did not — `hemprof
 /// sor --p 64 --size 512 --threads 2` aborted with a stack overflow while
-/// the serial run passed on the 8 MiB main stack.)
+/// the serial run passed on the 8 MiB main stack.) Then, on the same
+/// runtime, the limit is doubled and a chain that deep runs: the workers'
+/// depth guard and stacks must follow the knob, not keep the pool's.
 #[test]
 fn deep_local_chain_fits_the_worker_stack() {
     let mut pb = ProgramBuilder::new();
@@ -278,9 +343,12 @@ fn deep_local_chain_fits_the_worker_stack() {
         let root = rt.alloc_object_by_name("C", NodeId(0));
         let far = rt.alloc_object_by_name("C", NodeId(1));
         rt.set_field(root, peer, Value::Obj(far));
-        let depth = rt.max_seq_depth as i64 - 8;
-        let result = rt.call(root, relay, &[Value::Int(depth)]).expect("runs");
-        assert_eq!(result, Some(Value::Int(depth)));
+        for limit in [rt.max_seq_depth(), 2 * rt.max_seq_depth()] {
+            rt.set_max_seq_depth(limit);
+            let depth = limit as i64 - 8;
+            let result = rt.call(root, relay, &[Value::Int(depth)]).expect("runs");
+            assert_eq!(result, Some(Value::Int(depth)));
+        }
         let stats = rt.stats();
         assert_eq!(stats.per_node[1].fallbacks, 0, "chain stayed on the stack");
         (rt.makespan(), rt.take_trace(), stats)
