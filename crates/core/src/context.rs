@@ -32,6 +32,9 @@ pub enum SlotState {
     Join(u32),
 }
 
+// The other variants live in `Value`'s unused tags: a slot is one `Value`.
+const _: () = assert!(std::mem::size_of::<SlotState>() == 16);
+
 impl SlotState {
     /// Is the slot resolved (a touch of it would not block)?
     pub fn satisfied(&self) -> bool {

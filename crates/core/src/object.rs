@@ -256,7 +256,7 @@ impl Arena {
             class,
             scalars,
             arrays,
-            lock: layout.locked.then(LockState::default),
+            lock: layout.locked.then(Box::default),
             moved_to: None,
         }
     }
@@ -287,9 +287,8 @@ impl Arena {
 /// [`Arena`], optional lock.
 ///
 /// Field storage is split by kind; the per-class [`ClassLayout`] maps
-/// declared field ids to a scalar index or an array index. The derived
-/// `clone_from` allocates nothing unless a lock has queued waiters.
-#[derive(Debug, Clone)]
+/// declared field ids to a scalar index or an array index.
+#[derive(Debug)]
 pub struct Object {
     /// The object's class.
     pub class: ClassId,
@@ -300,12 +299,47 @@ pub struct Object {
     /// of the arena's span table; empty once the object has migrated
     /// away).
     pub arrays: Span,
-    /// Lock (present iff the class is locked).
-    pub lock: Option<LockState>,
+    /// Lock (present iff the class is locked). Out of line: most classes
+    /// are unlocked, and an inline lock would more than double every
+    /// object.
+    pub lock: Option<Box<LockState>>,
     /// Forwarding address left behind by migration: invocations (and
     /// harness field access) through a stale reference chase this chain
     /// during name translation.
     pub moved_to: Option<hem_ir::ObjRef>,
+}
+
+const _: () = assert!(std::mem::size_of::<Object>() == 40);
+
+/// `clone_from` refills an existing lock box in place (`Option` and `Box`
+/// both forward it), so a standing checkpoint buffer (see
+/// [`crate::timewarp`]) allocates nothing unless a lock has queued
+/// waiters.
+impl Clone for Object {
+    fn clone(&self) -> Self {
+        Object {
+            class: self.class,
+            scalars: self.scalars,
+            arrays: self.arrays,
+            lock: self.lock.clone(),
+            moved_to: self.moved_to,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Object {
+            class,
+            scalars,
+            arrays,
+            lock,
+            moved_to,
+        } = src;
+        self.class = *class;
+        self.scalars = *scalars;
+        self.arrays = *arrays;
+        self.lock.clone_from(lock);
+        self.moved_to = *moved_to;
+    }
 }
 
 /// Where a declared field lives.
@@ -501,6 +535,21 @@ mod tests {
     fn locked_class_gets_lock() {
         let o = Arena::default().instantiate(&layout(true), ClassId(0));
         assert!(o.lock.is_some());
+    }
+
+    #[test]
+    fn clone_from_refills_the_lock_box_in_place() {
+        let mut o = Arena::default().instantiate(&layout(true), ClassId(0));
+        let mut snap = o.clone();
+        let boxed = |o: &Object| std::ptr::from_ref::<LockState>(o.lock.as_deref().unwrap());
+        let before = boxed(&snap);
+        assert!(o.lock.as_mut().unwrap().acquire(LockHolder::Task(3)));
+        snap.clone_from(&o);
+        assert_eq!(boxed(&snap), before, "the snapshot's lock box is reused");
+        assert_eq!(
+            snap.lock.as_ref().unwrap().holder,
+            Some(LockHolder::Task(3))
+        );
     }
 
     #[test]

@@ -329,11 +329,18 @@ impl Runtime {
         interfaces: InterfaceSet,
     ) -> Result<Runtime, Vec<ValidationError>> {
         program.validate()?;
-        if n_nodes > MAX_NODES {
+        let bad_count = match n_nodes {
+            0 => Some("node count 0: a machine needs at least one node".to_string()),
+            n if n > MAX_NODES => Some(format!(
+                "node count {n} exceeds the 2^20 wire-sequence id space"
+            )),
+            _ => None,
+        };
+        if let Some(what) = bad_count {
             return Err(vec![ValidationError {
                 method: None,
                 at: None,
-                what: format!("node count {n_nodes} exceeds the 2^20 wire-sequence id space"),
+                what,
             }]);
         }
         for (i, m) in program.methods.iter().enumerate() {
@@ -975,6 +982,12 @@ mod tests {
             err[0].to_string(),
             "node count 1048576 exceeds the 2^20 wire-sequence id space"
         );
+        let err = build(0).err().expect("0 nodes rejected");
+        assert_eq!(
+            err[0].to_string(),
+            "node count 0: a machine needs at least one node"
+        );
+        assert!(build(1).is_ok());
         assert!(build(4).is_ok());
     }
 }

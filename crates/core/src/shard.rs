@@ -430,8 +430,8 @@ fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
 /// chain — `run_seq` with the instruction loop
 /// (`exec::run`) and `call::invoke` inlined, then `call_seq_schema`
 /// (inlined too in release builds) — measured as the distance between the
-/// stack addresses of two consecutive activations on x86-64, takes 1 488 B
-/// in release builds and 15 088 B unoptimized, where every arm of the loop
+/// stack addresses of two consecutive activations on x86-64, takes 1 392 B
+/// in release builds and 14 864 B unoptimized, where every arm of the loop
 /// keeps its temporaries in the frame (registers and slots live in the
 /// frame store's vectors, not on this stack). The rest is headroom for
 /// nested poll handling, and for the unoptimized test builds that

@@ -23,7 +23,13 @@ pub struct ObjRef {
 /// `slot` of context `ctx` on `node`. The generation field guards against
 /// stale continuations outliving a recycled context (a runtime invariant,
 /// checked on every reply).
+///
+/// Packed to 2-byte alignment: its 14 bytes of fields would pad to 16 at
+/// 4-byte alignment and push [`Value`]'s tag into a third word. At 2 the
+/// tag fits in front of it and a `Value` is two words. Fields are read by
+/// copy (`c.ctx`); taking `&c.ctx` is a compile error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(C, packed(2))]
 pub struct ContRef {
     /// Node owning the target context.
     pub node: NodeId,
@@ -52,6 +58,10 @@ pub enum Value {
     /// First-class continuation.
     Cont(ContRef),
 }
+
+// Every register, field, future slot and message argument is a `Value`:
+// a regrown payload must be a decision, not an accident.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 /// Type errors raised by value operations. The interpreters convert these
 /// into traps carrying source position.
@@ -346,5 +356,53 @@ mod tests {
             slot: 2,
         };
         assert_eq!(Value::Cont(c).as_cont(), Ok(c));
+    }
+
+    /// The packed `ContRef` is still the plain `(node, ctx, gen, slot)`
+    /// record: it round-trips through `Value` at every field's extremes,
+    /// its derived order, equality and hash are the tuple's, and its
+    /// `Debug` (which goldens print) reads as before.
+    #[test]
+    fn packed_cont_ref_is_the_field_tuple() {
+        use std::cmp::Ordering;
+        use std::hash::{BuildHasher, RandomState};
+        let (w, h) = ([0, 1, u32::MAX - 1, u32::MAX], [0, 1, u16::MAX]);
+        let mut all = Vec::new();
+        for node in w {
+            for ctx in w {
+                for gen in w {
+                    for slot in h {
+                        all.push(ContRef {
+                            node: NodeId(node),
+                            ctx,
+                            gen,
+                            slot,
+                        });
+                    }
+                }
+            }
+        }
+        let tuple = |c: ContRef| (c.node, c.ctx, c.gen, c.slot);
+        let hasher = RandomState::new();
+        for &a in &all {
+            assert_eq!(Value::Cont(a).as_cont(), Ok(a));
+            assert_eq!(hasher.hash_one(a), hasher.hash_one(tuple(a)));
+            for &b in &all {
+                let ord: Ordering = a.cmp(&b);
+                assert_eq!(ord, tuple(a).cmp(&tuple(b)));
+                assert_eq!(a.partial_cmp(&b), Some(ord));
+                assert_eq!(a == b, tuple(a) == tuple(b));
+            }
+        }
+        let c = ContRef {
+            node: NodeId(3),
+            ctx: u32::MAX,
+            gen: 7,
+            slot: u16::MAX,
+        };
+        assert_eq!(
+            format!("{:?}", Value::Cont(c)),
+            "Cont(ContRef { node: NodeId(3), ctx: 4294967295, gen: 7, slot: 65535 })"
+        );
     }
 }

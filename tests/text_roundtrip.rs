@@ -343,3 +343,39 @@ proptest! {
         prop_assert_eq!(print_program(&back), text, "fuzz print not canonical");
     }
 }
+
+/// `hemc run` on a kernel printed in the text format: a machine size the
+/// runtime rejects is one `hemc: …` line and exit 1, not a panic.
+#[test]
+fn hemc_run_rejects_zero_nodes() {
+    let path = std::env::temp_dir().join(format!("hemc_zero_nodes_{}.hem", std::process::id()));
+    std::fs::write(
+        &path,
+        print_program(&hem::apps::callintensive::build().program),
+    )
+    .expect("write kernel text");
+    let run = |nodes: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_hemc"))
+            .args([
+                "run",
+                path.to_str().unwrap(),
+                "Math::fib",
+                "10",
+                "--nodes",
+                nodes,
+            ])
+            .output()
+            .expect("spawn hemc")
+    };
+    let out = run("0");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "hemc: node count 0: a machine needs at least one node\n"
+    );
+    assert!(out.stdout.is_empty());
+    let out = run("1");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("result    = Some(Int(55))\n"));
+    std::fs::remove_file(&path).ok();
+}
