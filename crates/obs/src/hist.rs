@@ -177,19 +177,6 @@ impl Log2Hist {
         }
         parts.join(" ")
     }
-
-    /// Fold another histogram into this one. Bucket counts, the sample
-    /// count, and the sum are plain sums and `max` is a max, so merging is
-    /// associative and commutative — per-shard histograms folded in any
-    /// order equal the histogram a single stream would have built.
-    pub fn merge(&mut self, other: &Log2Hist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -265,34 +252,6 @@ mod tests {
             !s.contains(&format!("{})", u64::MAX)),
             "no exclusive u64::MAX bound: {s}"
         );
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let samples = [0u64, 1, 1, 5, 16, 1 << 40, u64::MAX];
-        let mut whole = Log2Hist::default();
-        for &v in &samples {
-            whole.add(v);
-        }
-        let mut a = Log2Hist::default();
-        let mut b = Log2Hist::default();
-        for (i, &v) in samples.iter().enumerate() {
-            if i % 2 == 0 {
-                a.add(v)
-            } else {
-                b.add(v)
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for m in [&ab, &ba] {
-            assert_eq!(m.count(), whole.count());
-            assert_eq!(m.max(), whole.max());
-            assert_eq!(m.summary(), whole.summary());
-            assert!((m.mean() - whole.mean()).abs() < 1e-12);
-        }
     }
 
     /// Brute-force nearest-rank quantile over the raw samples.

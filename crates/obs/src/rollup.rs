@@ -221,16 +221,6 @@ impl LinkTable {
             .filter(|(k, _)| **k != Self::EMPTY)
             .map(|(k, v)| (((k >> 32) as u32, *k as u32), v))
     }
-
-    fn merge(&mut self, other: &LinkTable) {
-        for ((from, to), cell) in other.iter() {
-            let mine = self.entry(from, to);
-            for i in 0..7 {
-                mine.msgs[i] += cell.msgs[i];
-                mine.words[i] += cell.words[i];
-            }
-        }
-    }
 }
 
 /// Marker for "no open span" in the per-`(node, ctx)` span stores.
@@ -272,21 +262,6 @@ impl SpanStore {
 
     fn open(&self) -> usize {
         self.at.iter().filter(|&&a| a != NO_SPAN).count()
-    }
-
-    /// Copy every open span from `other` in. Callers guarantee the two
-    /// stores never hold an open span for the same `(node, idx)` (shards
-    /// partition nodes), so this is conflict-free.
-    fn merge(&mut self, other: &SpanStore) {
-        for n in 0..other.rows {
-            for i in 0..other.stride {
-                let at = other.at[n * other.stride + i];
-                if at != NO_SPAN {
-                    debug_assert_eq!(*self.slot(n as u32, i as u32), NO_SPAN);
-                    *self.slot(n as u32, i as u32) = at;
-                }
-            }
-        }
     }
 }
 
@@ -336,12 +311,6 @@ pub struct Rollup {
     pub requests_completed: u64,
     /// External requests refused by admission control.
     pub requests_shed: u64,
-    /// Request sojourn time (arrival → reply), in virtual cycles.
-    pub request_latency: Log2Hist,
-    /// Arrival stamp of each in-flight request, by request id. Unlike
-    /// contexts, request ids are globally unique and never reused, so a
-    /// map (not a per-node slab) is the right store.
-    req_open: BTreeMap<u64, Cycles>,
     /// Allocation time of each open context (contexts are slab indices,
     /// dense and reused per node).
     open_ctx: SpanStore,
@@ -448,16 +417,8 @@ impl Rollup {
             TraceEvent::Retransmit { .. } => self.retransmits += 1,
             TraceEvent::DupSuppressed { .. } => self.dups_suppressed += 1,
             TraceEvent::MsgDropped { .. } => self.msgs_dropped += 1,
-            TraceEvent::RequestArrived { req, .. } => {
-                self.requests_arrived += 1;
-                self.req_open.insert(req, rec.at);
-            }
-            TraceEvent::RequestDone { req, .. } => {
-                self.requests_completed += 1;
-                if let Some(t0) = self.req_open.remove(&req) {
-                    self.request_latency.add(rec.at.saturating_sub(t0));
-                }
-            }
+            TraceEvent::RequestArrived { .. } => self.requests_arrived += 1,
+            TraceEvent::RequestDone { .. } => self.requests_completed += 1,
             TraceEvent::RequestShed { .. } => self.requests_shed += 1,
             TraceEvent::EventStart { node, .. } => {
                 let n = node.0 as usize;
@@ -571,11 +532,6 @@ impl Rollup {
         out
     }
 
-    /// Messages handled on `node`, by cause index.
-    pub fn handled_on(&self, node: u32) -> [u64; 7] {
-        self.handled.get(node as usize).copied().unwrap_or([0; 7])
-    }
-
     /// Total payload words injected, split `(data, ack, retx, coll)` to
     /// line up with `NetStats` (collective legs of all three kinds share
     /// one wire class).
@@ -591,69 +547,6 @@ impl Rollup {
             coll += l.words[4] + l.words[5] + l.words[6];
         }
         (data, ack, retx, coll)
-    }
-
-    /// Fold another rollup into this one — deterministically: every
-    /// aggregate is either an order-independent sum (counts, cells, link
-    /// traffic, histograms via [`Log2Hist::merge`]) or a max (`last_at`),
-    /// so folding per-shard rollups in *any* order reproduces exactly the
-    /// rollup a single observer over the merged stream would have built.
-    ///
-    /// Precondition: the two rollups observed disjoint node sets (as shards
-    /// do), so the per-`(node, ctx)` open-span stores cannot conflict —
-    /// debug-asserted in the span merge.
-    pub fn merge(&mut self, other: &Rollup) {
-        for n in 0..other.cell_rows {
-            for m in 0..other.cell_stride {
-                let c = &other.cells[n * other.cell_stride + m];
-                if !c.is_empty() {
-                    self.cell(m as u32, n as u32).merge(c);
-                }
-            }
-        }
-        self.links.merge(&other.links);
-        if self.handled.len() < other.handled.len() {
-            self.handled.resize(other.handled.len(), [0; 7]);
-        }
-        for (mine, theirs) in self.handled.iter_mut().zip(&other.handled) {
-            for i in 0..7 {
-                mine[i] += theirs[i];
-            }
-        }
-        if self.conts_created.len() < other.conts_created.len() {
-            self.conts_created.resize(other.conts_created.len(), 0);
-        }
-        for (mine, theirs) in self.conts_created.iter_mut().zip(&other.conts_created) {
-            *mine += theirs;
-        }
-        self.residency.merge(&other.residency);
-        self.touch_latency.merge(&other.touch_latency);
-        self.requests_arrived += other.requests_arrived;
-        self.requests_completed += other.requests_completed;
-        self.requests_shed += other.requests_shed;
-        self.request_latency.merge(&other.request_latency);
-        // Request pairing is per-stream: a request whose arrival and
-        // completion were observed by *different* rollups contributes no
-        // latency sample (the runtime's own observer hook always sees the
-        // full merged stream, so this only affects offline splits).
-        for (req, t0) in &other.req_open {
-            self.req_open.entry(*req).or_insert(*t0);
-        }
-        self.suspends += other.suspends;
-        self.lock_deferrals += other.lock_deferrals;
-        self.retransmits += other.retransmits;
-        self.dups_suppressed += other.dups_suppressed;
-        self.msgs_dropped += other.msgs_dropped;
-        self.records += other.records;
-        self.last_at = self.last_at.max(other.last_at);
-        self.open_ctx.merge(&other.open_ctx);
-        self.suspended_at.merge(&other.suspended_at);
-        if self.node_busy.len() < other.node_busy.len() {
-            self.node_busy.resize(other.node_busy.len(), 0);
-        }
-        for (mine, theirs) in self.node_busy.iter_mut().zip(&other.node_busy) {
-            *mine += theirs;
-        }
     }
 
     /// Virtual cycles node `i` spent dispatching events.
@@ -678,8 +571,9 @@ impl Rollup {
 
     /// Requests still in flight (arrived but not completed) when
     /// observation ended — pending work at the horizon of a bounded run.
-    pub fn requests_in_flight(&self) -> usize {
-        self.req_open.len()
+    pub fn requests_in_flight(&self) -> u64 {
+        self.requests_arrived
+            .saturating_sub(self.requests_completed)
     }
 
     /// Total lazily-materialized continuations.
@@ -899,108 +793,6 @@ mod tests {
         assert_eq!(r.methods(), vec![0, 2, 9, 33]);
         for m in [0u32, 9, 33, 2] {
             assert_eq!(r.method_totals(m).par_invokes, 1);
-        }
-    }
-
-    #[test]
-    fn sharded_merge_equals_single_stream() {
-        // A stream touching several nodes, split by node into two
-        // "shard" rollups, must merge back to the single-stream rollup —
-        // in either merge order.
-        let m = hem_ir::MethodId(2);
-        let mut recs = Vec::new();
-        for n in 0..4u32 {
-            recs.push(rec(
-                n as u64,
-                TraceEvent::ParInvoke {
-                    node: NodeId(n),
-                    method: m,
-                    ctx: 1,
-                },
-            ));
-            recs.push(rec(
-                10 + n as u64,
-                TraceEvent::MsgSent {
-                    from: NodeId(n),
-                    to: NodeId((n + 1) % 4),
-                    words: 3,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ));
-            recs.push(rec(
-                20 + n as u64,
-                TraceEvent::MsgHandled {
-                    node: NodeId(n),
-                    from: NodeId((n + 3) % 4),
-                    words: 3,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ));
-            recs.push(rec(
-                25,
-                TraceEvent::Suspend {
-                    node: NodeId(n),
-                    ctx: 1,
-                },
-            ));
-            recs.push(rec(
-                40,
-                TraceEvent::Resume {
-                    node: NodeId(n),
-                    ctx: 1,
-                },
-            ));
-            // Nodes 0 and 1 free their context; 2 and 3 leave it open.
-            if n < 2 {
-                recs.push(rec(
-                    50,
-                    TraceEvent::CtxFreed {
-                        node: NodeId(n),
-                        ctx: 1,
-                    },
-                ));
-            }
-        }
-        recs.push(rec(60, TraceEvent::ContMaterialized { node: NodeId(3) }));
-        let whole = Rollup::from_records(&recs);
-
-        let by_node = |rec: &TraceRecord| -> u32 {
-            match rec.event {
-                TraceEvent::ParInvoke { node, .. }
-                | TraceEvent::MsgHandled { node, .. }
-                | TraceEvent::Suspend { node, .. }
-                | TraceEvent::Resume { node, .. }
-                | TraceEvent::CtxFreed { node, .. }
-                | TraceEvent::ContMaterialized { node } => node.0,
-                TraceEvent::MsgSent { from, .. } => from.0,
-                _ => 0,
-            }
-        };
-        let shard_a = Rollup::from_records(recs.iter().filter(|r| by_node(r) % 2 == 0));
-        let shard_b = Rollup::from_records(recs.iter().filter(|r| by_node(r) % 2 == 1));
-
-        for (first, second) in [(&shard_a, &shard_b), (&shard_b, &shard_a)] {
-            let mut merged = Rollup::new();
-            merged.merge(first);
-            merged.merge(second);
-            assert_eq!(merged.records, whole.records);
-            assert_eq!(merged.last_at, whole.last_at);
-            assert_eq!(merged.grand_total(), whole.grand_total());
-            assert_eq!(merged.per_link(), whole.per_link());
-            assert_eq!(merged.handled_by_cause(), whole.handled_by_cause());
-            assert_eq!(merged.residency.summary(), whole.residency.summary());
-            assert_eq!(
-                merged.touch_latency.summary(),
-                whole.touch_latency.summary()
-            );
-            assert_eq!(merged.suspends, whole.suspends);
-            assert_eq!(merged.open_contexts(), whole.open_contexts());
-            assert_eq!(merged.total_conts(), whole.total_conts());
-            assert_eq!(merged.methods(), whole.methods());
         }
     }
 

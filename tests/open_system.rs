@@ -397,6 +397,11 @@ fn shedding_reconciles_with_the_rollup() {
         .iter()
         .filter(|r| matches!(r.disposition, Disposition::Completed(_)))
         .count() as u64;
+    let pending = out
+        .records
+        .iter()
+        .filter(|r| r.disposition == Disposition::Pending)
+        .count() as u64;
     assert!(shed > 0, "overload must shed");
     let any: Box<dyn std::any::Any> = rt.take_observer().unwrap();
     let rollup = any.downcast::<Rollup>().unwrap();
@@ -408,7 +413,8 @@ fn shedding_reconciles_with_the_rollup() {
         "arrived counts only admitted requests"
     );
     assert_eq!(
-        rollup.requests_in_flight() as u64,
-        rollup.requests_arrived - completed
+        rollup.requests_in_flight(),
+        pending,
+        "in flight at the horizon = the driver's pending requests"
     );
 }
