@@ -24,6 +24,7 @@
 //! hierarchy (Table 3's "1 interface" / "2 interfaces" / "3 interfaces"
 //! configurations).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;

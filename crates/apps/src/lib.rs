@@ -26,6 +26,7 @@
 //! for a given layout, a `run()` driver, and a native reference
 //! implementation for validating results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callintensive;

@@ -21,6 +21,7 @@
 //! Every binary declares its flags once, in a [`flags!`] table that
 //! [`Args::parse`] checks the command line against and [`usage`] prints.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod micro;

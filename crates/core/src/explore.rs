@@ -313,11 +313,21 @@ pub enum Mutant {
     /// explicit assertion on the collective delivery schedule
     /// (`tests/collectives.rs`).
     CollectiveSkipsHopCost,
+    /// A shard worker acks its window while it still holds its cell (see
+    /// `crate::edge`). Invisible to every determinism suite when the
+    /// coordinator happens to look late; the edge's DFS finds the
+    /// interleaving where it takes the cell back too early.
+    AckBeforeRelease,
+    /// The window edge publishes an epoch without unparking the workers:
+    /// a worker that already parked sleeps through the window and the
+    /// coordinator waits on its ack forever. Only the edge's DFS, which
+    /// models park tokens, kills it deterministically.
+    DropUnpark,
 }
 
 impl Mutant {
     /// Every mutant, for smoke-check loops.
-    pub const ALL: [Mutant; 7] = [
+    pub const ALL: [Mutant; 9] = [
         Mutant::EagerWake,
         Mutant::DoubleRootReply,
         Mutant::ShellSlotZero,
@@ -325,6 +335,8 @@ impl Mutant {
         Mutant::SkipDepthGuard,
         Mutant::SkipWireSeqRestore,
         Mutant::CollectiveSkipsHopCost,
+        Mutant::AckBeforeRelease,
+        Mutant::DropUnpark,
     ];
 
     /// The `HEM_MUTANT` spelling of this mutant.
@@ -337,13 +349,18 @@ impl Mutant {
             Mutant::SkipDepthGuard => "skip-depth-guard",
             Mutant::SkipWireSeqRestore => "skip-wire-seq-restore",
             Mutant::CollectiveSkipsHopCost => "collective-skips-hop-cost",
+            Mutant::AckBeforeRelease => "ack-before-release",
+            Mutant::DropUnpark => "drop-unpark",
         }
     }
 
     /// Read `HEM_MUTANT`; unset means no mutation, an unknown name is a
     /// loud error (a typo must never silently run the unmutated runtime).
-    #[cfg(any(test, feature = "mutants"))]
+    /// Always `None` outside test/mutants builds.
     pub fn from_env() -> Option<Mutant> {
+        if !cfg!(any(test, feature = "mutants")) {
+            return None;
+        }
         let v = std::env::var("HEM_MUTANT").ok()?;
         let v = v.trim();
         if v.is_empty() {

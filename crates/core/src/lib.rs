@@ -69,6 +69,7 @@
 //! assert_eq!(result, Some(Value::Int(55)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod call;
@@ -76,6 +77,7 @@ mod coll;
 pub mod cont;
 pub mod context;
 pub mod cref;
+mod edge;
 pub mod error;
 pub mod exec;
 pub mod explore;

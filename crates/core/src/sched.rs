@@ -330,16 +330,12 @@ impl Runtime {
     /// ready context, 2 fires due retransmission timers.
     pub(crate) fn dispatch_event(&mut self, t: Cycles, kind: u8, i: usize) -> Result<(), Trap> {
         if let Some(sh) = &mut self.shard {
-            // Every record emitted during this step is captured under the
-            // event's (time, kind, node) key for the deterministic merge.
-            // The per-shard ordinal marks event boundaries within equal
-            // keys (zero-cost steps can repeat a key). The dispatch log
-            // is what the commit merge replays to reconstruct the serial
-            // schedule (and pick the serial-first trap) even when tracing
-            // is off (see `crate::shard`).
-            sh.cur = (t, kind, i as u32);
-            sh.ord += 1;
-            sh.dispatched.push(sh.cur);
+            // The dispatch log is what the commit merge replays to
+            // reconstruct the serial schedule (and pick the serial-first
+            // trap) even when tracing is off; the records this step emits
+            // start at the capture's current end (see `crate::shard`).
+            sh.dispatched
+                .push(((t, kind, i as u32), sh.capture.len() as u32));
         }
         self.tw_save(i);
         self.poll_floor = t;

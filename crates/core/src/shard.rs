@@ -2,109 +2,59 @@
 //! window engine, two window policies.
 //!
 //! The engine partitions the simulated nodes into contiguous shards, one
-//! OS worker thread per shard, and advances each shard with its own
-//! `(time, kind, node)` event index inside virtual-time windows — by the
-//! same dispatch loop the single-threaded executor runs
-//! (`Runtime::run_index` in [`crate::sched`]), stopped at the window end
-//! instead of the caller's horizon. A
-//! `WindowPolicy`, derived from the [`crate::SchedImpl`], decides how far a
-//! window reaches and whether its outcome has to be checked:
-//! [`crate::SchedImpl::Sharded`] runs **conservative** windows (below), whose
-//! validation cannot fail; [`crate::SchedImpl::Speculative`] runs **optimistic**
-//! ones, which checkpoint, validate at the barrier and roll back on a
-//! straggler (see [`crate::timewarp`] for that policy and its proofs).
-//! Everything else — pool, partition, window edge, barrier fold, outbox
-//! routing, commit merge, serial steps — is this module's, once.
+//! OS worker thread per shard, and advances each shard inside virtual-time
+//! windows with the single-threaded executor's own dispatch loop
+//! (`Runtime::run_index` in [`crate::sched`]), stopped at the window end.
+//! A `WindowPolicy`, derived from the [`crate::SchedImpl`], decides how
+//! far a window reaches: [`crate::SchedImpl::Sharded`] runs
+//! **conservative** windows, whose validation cannot fail;
+//! [`crate::SchedImpl::Speculative`] runs **optimistic** ones, which
+//! checkpoint, validate at the barrier and roll back on a straggler (see
+//! [`crate::timewarp`]). Pool, partition, barrier fold, outbox routing,
+//! commit merge and serial steps are this module's, once; the hand-off at
+//! the window edge lives in `edge.rs`.
 //!
-//! Conservative windows are the classical conservative-PDES discipline,
-//! specialized to this machine's structure:
-//!
-//! - **Lookahead** `L` is the minimum latency any packet can spend on the
-//!   wire: `CostModel::min_wire_latency()`, capped by the retransmission
-//!   timeout base when the reliable transport is engaged (an in-window
-//!   send may arm a timer no earlier than `now + retx_base`), and never
-//!   *reduced* by an installed [`hem_machine::fault::FaultPlan`] — fault
-//!   plans only delay delivery (`FaultPlan::min_extra_latency` is the
-//!   hook that records this).
-//! - Each **window** is `[W, E)` where `W` is the global minimum
-//!   candidate time and `E = min(W + L, TB)`, with `TB` the earliest
-//!   retransmission-timer candidate anywhere. Every message sent at or
-//!   after `W` is delivered at or after `W + L ≥ E`, and every timer due
-//!   before `E` would contradict `E ≤ TB` — so inside a window the
-//!   shards are causally independent: each may dispatch every candidate
-//!   with key `< E` in its local key order, and the union is exactly the
-//!   set of events a single-threaded run dispatches in `[W, E)`.
-//! - When the window is empty (`E ≤ W`, i.e. a retransmission timer *is*
-//!   the next event), the coordinator pulls every node back and runs one
-//!   **serial step** with exact single-threaded semantics — retransmit
-//!   logic may inspect remote inboxes (`frame_in_flight`), which the
-//!   windowed workers never do.
-//!
-//! **Coordinator-free steady state.** Worker state is *persistent*: a
-//! `ShardPool` pins each shard's worker runtime (and the nodes it
-//! owns) to one OS thread for the lifetime of the pool — across windows
-//! and across `run_until` chunks. The window edge is a seqlock-style
-//! **epoch publication**, not a channel rendezvous: the coordinator
-//! writes the window end and bumps an atomic epoch (Release); each
-//! worker observes the bump (Acquire), reseeds its index from its own
-//! nodes, runs the window, publishes its post-window minimum candidate
-//! key and earliest timer into its cell, and stores the epoch into its
-//! ack slot (Release). Cell ownership alternates with the protocol:
-//! worker `s` owns `cells[s]` while `acks[s] < epoch`, the coordinator
-//! owns it while `acks[s] == epoch`. On the steady-state path **no
-//! worker `Runtime` ever moves and no coordinator channel round-trip
-//! happens** — `SchedStats::{runtime_moves, coord_roundtrips}` assert
-//! exactly that, and `SchedStats::pool_reuses` counts chunks served by
-//! one pool. Each wait is graded (spin → `yield_now` → park, see
-//! `spin_tiers`) so oversubscribed hosts degrade to parking instead of
-//! burning full spin budgets against each other.
-//!
-//! The per-shard published minima replace the coordinator's O(P) scan:
-//! the next window base is the min over `T` published keys, adjusted
-//! during outbox routing (delivering a packet into node `d` can only add
-//! the candidate `(max(node time, deliver), 0, d)`, which the
-//! coordinator mins into the destination shard's slot as it routes).
-//!
-//! **Profile-guided shard maps.** The partition is contiguous but not
-//! necessarily equal-sized: [`Runtime::set_shard_weights`] installs
-//! per-node busy weights (exported by `hem_obs::Rollup`) and
-//! `shard_partition` cuts shard boundaries by cumulative weight, so a
-//! placement whose hot nodes sit in one contiguous slice no longer idles
-//! most workers. The merge rule below is partition-independent, so any
-//! weighting is observationally invisible.
-//!
-//! **Determinism.** Worker shards log every dispatched event's `(time,
-//! kind, node)` key in dispatch order and capture every trace record
-//! under it. At each window barrier the coordinator **heads-merges** the
-//! shard logs — repeatedly committing, among the shards' next
-//! undispatched events, the one with the minimum key (equal keys across
-//! shards are impossible: the node id is part of the key and nodes are
-//! partitioned) — and replays each event's records through the
-//! coordinator's trace buffer and observer, reconstructing the exact
-//! single-threaded emission order, including bounded-ring truncation
-//! counts. A conservative shard dispatches in non-decreasing key order,
-//! where the merge is an ordinary sorted merge; an optimistic
-//! zero-lookahead window need not (a dispatched event can create a
-//! smaller-key candidate via a zero-latency send), which is why the merge
-//! follows the dispatch logs instead of sorting. Cross-shard packets are
-//! parked in per-shard outboxes and routed into destination inboxes at
-//! the barrier (inbox order is a deterministic function of
-//! `(delivery time, wire seq)`, so routing order is irrelevant). Wire
-//! sequence numbers are per-sender (see `Node::wire_seq`), so fault
-//! fates and same-cycle tie-breaks are identical at every thread count.
-//! The result: traces, makespan, `MachineStats`, and observer rollups
-//! are bit-identical between `threads = 1` and any other thread count —
-//! with the single documented exception of the scheduler heap
-//! diagnostics, which read 0 under `Sharded` (as under the reference loop).
-//!
-//! **Traps.** If any shard traps, the merge stops at the first trapping
-//! event it reaches (the trap a single-threaded run would hit first),
-//! having replayed exactly the records emitted up to and during it, and
-//! the coordinator returns that error.
-//! Machine *state* past the trapping event (work other shards completed
-//! inside the same window) is not rolled back; only the error and the
-//! trace are normative after a trap.
+//! - **Conservative windows.** The lookahead `L` is the minimum latency
+//!   any packet can spend on the wire (`CostModel::min_wire_latency()`),
+//!   capped by the retransmission timeout base when the reliable transport
+//!   is engaged; fault plans only delay delivery. A window is `[W, E)`
+//!   with `W` the global minimum candidate time and `E = min(W + L, TB)`,
+//!   `TB` the earliest retransmission timer anywhere: a message sent at or
+//!   after `W` arrives at or after `E`, so the shards are causally
+//!   independent inside it. When `E ≤ W` (a timer is next) the coordinator
+//!   pulls every node home and runs one exact **serial step**: retransmit
+//!   logic inspects remote inboxes, which workers never do.
+//! - **Persistent pool, one edge.** A `ShardPool` pins each shard's worker
+//!   runtime and nodes to one OS thread across windows and `run_until`
+//!   chunks, so no worker `Runtime` moves
+//!   (`SchedStats::{runtime_moves, coord_roundtrips}` read 0, `pool_reuses`
+//!   counts chunks served by one pool). `edge.rs` hands each window
+//!   to the workers and their cells back: an epoch publication with
+//!   per-worker acks over cells taken only with `try_lock`, checked by an
+//!   exhaustive interleaving search. The next `W` is the minimum over the
+//!   shards' published minima, lowered while packets are routed. A busy
+//!   profile may weight the partition ([`Runtime::set_shard_weights`]);
+//!   no observable depends on it.
+//! - **Determinism.** Each shard logs every dispatched event's `(time,
+//!   kind, node)` key with the offset of its first trace record in the
+//!   shard's capture. At the barrier the coordinator **heads-merges** the
+//!   logs, always committing the minimum key among the shards' next events
+//!   (keys never tie across shards: the node is in the key), and replays
+//!   each event's records through its own trace buffer and observer: the
+//!   exact single-threaded emission order, ring truncation included. The
+//!   merge follows the logs instead of sorting them because an optimistic
+//!   zero-lookahead shard need not dispatch in key order. Cross-shard
+//!   packets wait in outboxes until the barrier; inbox order and fault
+//!   fates depend only on the delivery time and the per-sender wire
+//!   sequence. Traces, makespan, `MachineStats` and rollups are
+//!   bit-identical at every thread count; only the scheduler heap
+//!   diagnostics read 0.
+//! - **Traps.** The merge stops at the first trapping event it reaches
+//!   (the one a single-threaded run would hit), having replayed exactly
+//!   the records up to it, and returns that error. Machine state past it
+//!   is not rolled back: only the error and the trace are normative.
 
+use crate::edge::{graded_wait, spin_tiers, Edge, SpinTiers, Turn};
 use crate::error::Trap;
 use crate::rt::Runtime;
 use crate::sched::EventKey;
@@ -114,10 +64,8 @@ use crate::transport::InboxEntry;
 use hem_machine::net::Network;
 use hem_machine::stats::NetStats;
 use hem_machine::Cycles;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, MutexGuard};
+use std::thread::JoinHandle;
 
 /// Shard-worker state hung off a worker [`Runtime`] (absent on every
 /// user-constructed runtime). Holds the node-ownership map, the trace
@@ -125,18 +73,12 @@ use std::thread::{JoinHandle, Thread};
 pub(crate) struct ShardCtx {
     /// `owns[i]` — does this shard own global node `i`?
     pub owns: Vec<bool>,
-    /// Records emitted this window, each under its dispatching event's
-    /// key and shard-local dispatch ordinal, appended in dispatch order.
-    pub capture: Vec<(EventKey, u32, TraceRecord)>,
+    /// Records emitted this window, in dispatch order; event `i`'s are
+    /// `capture[dispatched[i].1..dispatched[i + 1].1]`.
+    pub capture: Vec<TraceRecord>,
     /// Packets addressed to nodes of other shards, parked for the
     /// coordinator to route at the window barrier.
     pub outbox: Vec<(u32, InboxEntry)>,
-    /// Key of the event currently being dispatched (capture tag; also
-    /// identifies the trapping event when a dispatch returns an error).
-    pub cur: EventKey,
-    /// Shard-local dispatch ordinal of the current event (monotone per
-    /// worker; distinguishes back-to-back events that share a key).
-    pub ord: u32,
     /// Capture records at all? Mirrors "trace buffer enabled or observer
     /// attached" on the coordinator.
     pub record: bool,
@@ -145,10 +87,10 @@ pub(crate) struct ShardCtx {
     /// [`crate::timewarp`]); disarmed inside conservative ones, where
     /// `Runtime::tw_save` is a no-op.
     pub ckpt: crate::timewarp::TwCkpt,
-    /// Event keys of this window in shard-local dispatch order: the
-    /// commit merge's master order (available even when tracing is off,
-    /// unlike `capture`).
-    pub dispatched: Vec<EventKey>,
+    /// This window's event keys in dispatch order, each with the offset of
+    /// its first record in `capture`: the commit merge's master order,
+    /// kept even when tracing is off. A trapping event is the last entry.
+    pub dispatched: Vec<(EventKey, u32)>,
     /// Earliest retransmission-timer deadline armed during the current
     /// speculative window (`Cycles::MAX` when none). Conservative
     /// windows cannot outrun `retx_base`, so a mid-window timer is never
@@ -158,91 +100,12 @@ pub(crate) struct ShardCtx {
     pub min_timer: Cycles,
 }
 
-/// Full spin budget before yielding on a cross-thread wait. Windows are
-/// short (microseconds of host time), so the other side usually responds
-/// within the spin budget; parking is the slow path.
-const SPIN: u32 = 20_000;
-
-/// Iterations of the `yield_now` tier between spinning and parking: long
-/// enough to cover a descheduled peer's timeslice on a busy host, short
-/// enough that an idle pool parks almost immediately.
-const YIELDS: u32 = 64;
-
-fn host_cores() -> usize {
-    use std::sync::OnceLock;
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Graded wait budget for a pool of `threads` workers (coordinator
-/// included). Three tiers: spin (`spin_loop` hint), `yield_now`, park.
-///
-/// The spin budget is graded by oversubscription: with `threads` at or
-/// under the host's `available_parallelism` every waiter may burn the
-/// full [`SPIN`] budget (the peer is genuinely running on another core),
-/// but with more workers than cores the surplus waiters would only spin
-/// *against* the threads they are waiting for — so the budget shrinks
-/// proportionally (`SPIN · cores / threads`) and collapses to zero on a
-/// single-core host, where the yield tier hands the timeslice straight
-/// to the producer.
-pub(crate) struct SpinTiers {
-    pub spin: u32,
-    pub yields: u32,
-}
-
-pub(crate) fn spin_tiers(threads: usize) -> SpinTiers {
-    let cores = host_cores();
-    if cores <= 1 {
-        return SpinTiers {
-            spin: 0,
-            yields: YIELDS / 2,
-        };
-    }
-    let spin = if threads <= cores {
-        SPIN
-    } else {
-        ((SPIN as u64 * cores as u64) / threads as u64) as u32
-    };
-    SpinTiers {
-        spin,
-        yields: YIELDS,
-    }
-}
-
-/// The one graded wait (see [`spin_tiers`]): spin, then `yield_now`, then
-/// park until `ready` holds; returns whether it had to park. Whoever
-/// makes `ready` hold unparks the waiter afterwards; park tokens
-/// saturate, so an unpark that races a not-yet-parked waiter is not lost.
-fn graded_wait(tiers: &SpinTiers, mut ready: impl FnMut() -> bool) -> bool {
-    let (mut spins, mut yields, mut parked) = (0u32, 0u32, false);
-    while !ready() {
-        if spins < tiers.spin {
-            spins += 1;
-            std::hint::spin_loop();
-        } else if yields < tiers.yields {
-            yields += 1;
-            std::thread::yield_now();
-        } else {
-            parked = true;
-            std::thread::park();
-        }
-    }
-    parked
-}
-
 /// Contiguous node→shard partition. With `weights == None`, shard `s`
 /// owns the equal slice `[s·p/T, (s+1)·p/T)`. With weights, shard
 /// boundaries cut by cumulative weight (each node weighs at least 1, so
 /// all-zero or short weight vectors degrade to near-equal slices), and
-/// every shard is guaranteed at least one node when `p ≥ threads`.
-///
-/// The partition only shapes host-time balance: the window protocol and
-/// the capture merge are partition-independent, so observables are
-/// bit-identical under every return value of this function.
+/// every shard is guaranteed at least one node when `p ≥ threads`. It
+/// shapes host-time balance only: no observable depends on it.
 pub(crate) fn shard_partition(p: usize, threads: usize, weights: Option<&[u64]>) -> Vec<usize> {
     let threads = threads.clamp(1, p.max(1));
     let mut owner = vec![0usize; p];
@@ -279,9 +142,8 @@ pub(crate) fn shard_partition(p: usize, threads: usize, weights: Option<&[u64]>)
     owner
 }
 
-/// One shard's slot in the pool: the pinned worker runtime plus the
-/// results it publishes at each window edge. Ownership alternates with
-/// the epoch protocol (see [`PoolShared`]).
+/// One shard's cell on the [`Edge`]: the pinned worker runtime plus the
+/// results it publishes at each window edge.
 struct WorkerCell {
     rt: Runtime,
     /// Global indices of the nodes this shard owns (the dense form of
@@ -291,66 +153,8 @@ struct WorkerCell {
     min_key: Option<EventKey>,
     /// Earliest retransmission-timer candidate over owned nodes.
     min_timer: Cycles,
-    /// The window's trap, if any (the trapping event is the last entry
-    /// of the shard's dispatch log).
+    /// The window's trap, if any.
     trap: Option<Trap>,
-}
-
-/// State shared between the coordinator and the pinned worker threads.
-///
-/// # Safety protocol
-///
-/// `cells[s]` (for `s ≥ 1`) is owned by worker `s` from the moment the
-/// coordinator publishes an epoch `e > acks[s]` until the worker stores
-/// `acks[s] = e`; at every other time the coordinator owns it.
-/// `cells[0]` is only ever touched by the coordinator (shard 0 runs
-/// inline on the coordinating thread). All cell writes are published by
-/// the Release store that transfers ownership (`epoch` coordinator →
-/// worker, `acks[s]` worker → coordinator) and read after the matching
-/// Acquire load — hence the manual `Sync`. A window is in flight only
-/// inside [`ShardPool::run_attempt`], which returns once every ack is in:
-/// everywhere else on the coordinating thread, the coordinator owns every
-/// cell.
-struct PoolShared {
-    /// Window-publication epoch: the seqlock edge. Strictly monotone;
-    /// bumped only while the coordinator owns every cell.
-    epoch: AtomicU64,
-    /// Window end `E` for the current epoch (written before the bump).
-    end: AtomicU64,
-    /// Arm a checkpoint for the current epoch's window? (Optimistic
-    /// policy; written before the bump, like `end`.)
-    arm: AtomicBool,
-    /// Per-worker ack: the last epoch worker `s` finished. Slot 0 is
-    /// unused (shard 0 is inline).
-    acks: Vec<AtomicU64>,
-    cells: Vec<UnsafeCell<WorkerCell>>,
-    /// Coordinator thread to unpark after an ack. Rewritten at every
-    /// chunk entry — a `Runtime` may migrate between user threads.
-    coord: Mutex<Option<Thread>>,
-    /// A worker panicked; waits panic instead of hanging.
-    died: AtomicBool,
-    /// Tear the pool down (set by `Drop`, observed after an epoch bump).
-    shutdown: AtomicBool,
-}
-
-// Safety: see the protocol above — every cell access is serialized by
-// the epoch/ack handoff, and all other fields are atomics or a Mutex.
-unsafe impl Sync for PoolShared {}
-
-impl PoolShared {
-    /// Safety: the caller must own every cell under the epoch/ack
-    /// protocol (the coordinator, with no window in flight) and must not
-    /// hold two of these views at once.
-    unsafe fn all_cells(&self) -> impl Iterator<Item = &mut WorkerCell> {
-        self.cells.iter().map(|c| &mut *c.get())
-    }
-}
-
-fn unpark_coord(shared: &PoolShared) {
-    let guard = shared.coord.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(t) = guard.as_ref() {
-        t.unpark();
-    }
 }
 
 /// Recompute a cell's published minima from its owned nodes (O(P/T)).
@@ -388,12 +192,10 @@ fn run_shard_window(cell: &mut WorkerCell, end: Cycles, arm: bool) {
 }
 
 /// The pinned worker's whole life: wait for an epoch bump, run the
-/// published window on the owned cell, ack, repeat — no channels, no
-/// runtime moves.
-fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
-    let tiers = spin_tiers(threads);
-    let mut seen = 0u64;
-    let mut parked = false;
+/// published window on its cell, ack, repeat.
+fn worker_loop(edge: &Edge<WorkerCell>, s: usize) {
+    let tiers = spin_tiers(edge.parties());
+    let (mut seen, mut parked) = (0, false);
     loop {
         // Parks between windows and across chunk gaps; the coordinator
         // unparks unconditionally at publication. A wait that ended in a
@@ -405,22 +207,19 @@ fn worker_loop(shared: &PoolShared, s: usize, threads: usize) {
             spin: if parked { 0 } else { tiers.spin },
             yields: tiers.yields,
         };
-        let mut e = seen;
+        let mut turn = Turn::Wait;
         parked = graded_wait(&tiers, || {
-            e = shared.epoch.load(Ordering::Acquire);
-            e != seen
+            turn = edge.observe(seen);
+            !matches!(turn, Turn::Wait)
         });
-        seen = e;
-        if shared.shutdown.load(Ordering::Acquire) {
+        let Turn::Run { epoch, end, arm } = turn else {
             return;
-        }
-        let end = shared.end.load(Ordering::Relaxed);
-        let arm = shared.arm.load(Ordering::Relaxed);
-        // Safety: `acks[s] < epoch` here, so this worker owns its cell.
-        let cell = unsafe { &mut *shared.cells[s].get() };
-        run_shard_window(cell, end, arm);
-        shared.acks[s].store(e, Ordering::Release);
-        unpark_coord(shared);
+        };
+        seen = epoch;
+        let mut cell = edge.take(s, s);
+        run_shard_window(&mut cell, end, arm);
+        edge.ack(s, epoch, cell);
+        edge.unpark(0);
     }
 }
 
@@ -452,7 +251,7 @@ pub(crate) enum WindowPolicy {
 }
 
 /// The persistent worker pool: pinned worker threads, the node→shard
-/// map, and the epoch state. Lives on the coordinator [`Runtime`] and
+/// map, and the edge they share. Lives on the coordinator [`Runtime`] and
 /// survives across `run_until` chunks; dropped (joining its threads)
 /// when invalidated or when the runtime is dropped. Between chunks every
 /// cell holds only node husks — the real nodes are swapped back into the
@@ -460,30 +259,18 @@ pub(crate) enum WindowPolicy {
 /// `queue_depth`, …) keeps working unchanged.
 pub(crate) struct ShardPool {
     owner: Vec<usize>,
-    shared: Arc<PoolShared>,
-    /// Park/unpark handles for workers `1..threads` (index 0 is a
-    /// placeholder for the inline shard), one per shard.
-    worker_threads: Vec<Thread>,
+    edge: Arc<Edge<WorkerCell>>,
     handles: Vec<JoinHandle<()>>,
-    /// The coordinator's view of the published epoch.
-    epoch: u64,
 }
 
 impl ShardPool {
-    /// Every cell, for the coordinator between windows (see the
-    /// [`PoolShared`] protocol; `&mut self` keeps two views from
-    /// coexisting).
-    fn cells(&mut self) -> impl Iterator<Item = &mut WorkerCell> {
-        // Safety: no window is in flight outside `run_attempt`.
-        unsafe { self.shared.all_cells() }
-    }
-
     /// Swap every owned node between the coordinator and its shard cell.
     /// An involution: called once at chunk entry (nodes → cells) and
     /// once at chunk exit (nodes → coordinator); also brackets serial
     /// steps, which need full-machine visibility.
     fn swap_nodes(&mut self, rt: &mut Runtime) {
-        for cell in self.cells() {
+        for mut guard in self.edge.cells() {
+            let cell = &mut *guard;
             for &i in &cell.owned {
                 std::mem::swap(&mut rt.nodes[i as usize], &mut cell.rt.nodes[i as usize]);
             }
@@ -494,7 +281,7 @@ impl ShardPool {
     /// entry and after anything but a window changed them (a serial
     /// step, a rollback).
     fn republish_minima(&mut self) {
-        self.cells().for_each(publish_minima);
+        self.edge.cells().for_each(|mut c| publish_minima(&mut c));
     }
 
     /// The next window base `W` (the minimum candidate key anywhere) and
@@ -502,37 +289,21 @@ impl ShardPool {
     /// — O(T), not a scan over nodes. `None` when the machine is
     /// quiescent.
     fn minima(&mut self) -> Option<(EventKey, Cycles)> {
-        let wkey = self.cells().filter_map(|c| c.min_key).min()?;
-        let timer = self.cells().map(|c| c.min_timer).min();
+        let wkey = self.edge.cells().filter_map(|c| c.min_key).min()?;
+        let timer = self.edge.cells().map(|c| c.min_timer).min();
         Some((wkey, timer.unwrap_or(Cycles::MAX)))
     }
 
-    /// Run one attempt at window `[_, end)` on every shard: publish it
-    /// to the pinned workers (the seqlock edge — the Release bump
-    /// transfers cell ownership to them, and the unconditional unparks
-    /// cover parked ones), run shard 0 inline, then wait until every
-    /// worker has acked, which transfers all cells back to the
-    /// coordinator.
+    /// Run one attempt at window `[_, end)` on every shard: publish it on
+    /// the edge, run shard 0 inline, then wait until every worker has
+    /// acked and released its cell.
     fn run_attempt(&mut self, end: Cycles, arm: bool) {
-        self.shared.end.store(end, Ordering::Relaxed);
-        self.shared.arm.store(arm, Ordering::Relaxed);
-        self.epoch += 1;
-        self.shared.epoch.store(self.epoch, Ordering::Release);
-        for t in &self.worker_threads[1..] {
-            t.unpark();
-        }
-        // Safety: cell 0 is always coordinator-owned.
-        run_shard_window(unsafe { &mut *self.shared.cells[0].get() }, end, arm);
-        let tiers = spin_tiers(self.worker_threads.len());
-        for ack in &self.shared.acks[1..] {
+        self.edge.publish(end, arm);
+        run_shard_window(&mut self.edge.take(0, 0), end, arm);
+        let tiers = spin_tiers(self.edge.parties());
+        for s in 1..self.edge.parties() {
             graded_wait(&tiers, || {
-                if ack.load(Ordering::Acquire) == self.epoch {
-                    return true;
-                }
-                if self.shared.died.load(Ordering::Relaxed) {
-                    panic!("shard worker thread died");
-                }
-                false
+                self.edge.acked(s).expect("shard worker thread died")
             });
         }
     }
@@ -540,7 +311,10 @@ impl ShardPool {
     /// Optimistic validation: the earliest straggler of the attempt that
     /// just ran to `end`, over all shards (`None`: the window is clean).
     fn first_straggler(&mut self, end: Cycles) -> Option<Cycles> {
-        self.cells().filter_map(|c| c.rt.tw_straggler(end)).min()
+        self.edge
+            .cells()
+            .filter_map(|c| c.rt.tw_straggler(end))
+            .min()
     }
 
     /// Cancel the attempt that just ran: roll every shard back to the
@@ -550,10 +324,10 @@ impl ShardPool {
     /// one). Returns the number of anti-messages.
     fn rollback(&mut self) -> u64 {
         let mut anti = 0;
-        for cell in self.cells() {
+        for mut cell in self.edge.cells() {
             anti += cell.rt.tw_rollback();
             cell.trap = None;
-            publish_minima(cell);
+            publish_minima(&mut cell);
         }
         anti
     }
@@ -561,11 +335,7 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        for t in &self.worker_threads[1..] {
-            t.unpark();
-        }
+        self.edge.shutdown();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -573,11 +343,8 @@ impl Drop for ShardPool {
 }
 
 impl Runtime {
-    /// The conservative lookahead `L`: the minimum latency any packet can
-    /// spend on the wire, capped by the retransmission timeout base when
-    /// the reliable transport is engaged. Fault plans may only *delay*
-    /// delivery, so any plan-derived slack is additive (today always
-    /// zero; the call records the dependency).
+    /// The conservative lookahead `L` (module docs). A fault plan's slack
+    /// is additive (today always zero; the call records the dependency).
     pub(crate) fn lookahead(&self) -> Cycles {
         let wire = self.img.cost.min_wire_latency();
         let base = if self.img.reliable {
@@ -633,8 +400,6 @@ impl Runtime {
                 owns: owner.iter().map(|&o| o == s).collect(),
                 capture: Vec::new(),
                 outbox: Vec::new(),
-                cur: (0, 0, 0),
-                ord: 0,
                 record,
                 ckpt: crate::timewarp::TwCkpt::new(owner.len()),
                 dispatched: Vec::new(),
@@ -648,17 +413,15 @@ impl Runtime {
     /// [`Self::make_worker`] would build them from now — this image (the
     /// same `Arc`: a knob change copies it), fault plan, sanitizer hook,
     /// record mode and partition (which fixes the thread count); the window
-    /// policy travels with each epoch, so both policies share one pool.
-    /// Else (re)build it: construct one pinned worker runtime per shard of
-    /// the partition (which honors any installed shard weights), and spawn
-    /// the worker threads for shards `1..threads` (shard 0 runs inline on
-    /// the coordinating thread).
+    /// policy travels with each epoch. Else rebuild it: one worker runtime
+    /// per shard, and a thread for each but shard 0, which runs inline.
     fn ensure_pool(&mut self, threads: usize, record: bool) {
         let p = self.nodes.len();
         let owner = shard_partition(p, threads, self.shard_weights.as_deref());
-        let reuse = self.pool.as_mut().is_some_and(|pool| {
+        let reuse = self.pool.as_ref().is_some_and(|pool| {
             pool.owner == owner && {
-                let wk = &pool.cells().next().expect("shard 0").rt;
+                let cell0 = pool.edge.take(0, 0);
+                let wk = &cell0.rt;
                 Arc::ptr_eq(&wk.img, &self.img)
                     && wk.net.plan() == self.net.plan()
                     && wk.sanitizer.is_some() == self.sanitizer.is_some()
@@ -670,58 +433,35 @@ impl Runtime {
             return;
         }
         self.pool = None; // joins any stale pool's workers first
-        let cells: Vec<UnsafeCell<WorkerCell>> = (0..threads)
+        let cells = (0..threads).map(|s| WorkerCell {
+            rt: self.make_worker(s, &owner, record),
+            owned: (0..p as u32).filter(|&i| owner[i as usize] == s).collect(),
+            min_key: None,
+            min_timer: Cycles::MAX,
+            trap: None,
+        });
+        let edge = Arc::new(Edge::new(cells.collect()));
+        let handles = (1..threads)
             .map(|s| {
-                UnsafeCell::new(WorkerCell {
-                    rt: self.make_worker(s, &owner, record),
-                    owned: owner
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &o)| o == s)
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                    min_key: None,
-                    min_timer: Cycles::MAX,
-                    trap: None,
-                })
+                let mine = Arc::clone(&edge);
+                let h = std::thread::Builder::new()
+                    .name(format!("hem-shard-{s}"))
+                    .stack_size(self.img.max_seq_depth as usize * SEQ_FRAME_BYTES)
+                    .spawn(move || {
+                        let run = std::panic::AssertUnwindSafe(|| worker_loop(&mine, s));
+                        if std::panic::catch_unwind(run).is_err() {
+                            mine.die();
+                        }
+                    })
+                    .expect("spawn shard worker");
+                edge.register(s, h.thread().clone());
+                h
             })
             .collect();
-        let shared = Arc::new(PoolShared {
-            epoch: AtomicU64::new(0),
-            end: AtomicU64::new(0),
-            arm: AtomicBool::new(false),
-            acks: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            cells,
-            coord: Mutex::new(None),
-            died: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-        });
-        let mut worker_threads = vec![std::thread::current(); 1]; // slot 0: inline shard
-        let mut handles = Vec::with_capacity(threads.saturating_sub(1));
-        for s in 1..threads {
-            let shared = Arc::clone(&shared);
-            let h = std::thread::Builder::new()
-                .name(format!("hem-shard-{s}"))
-                .stack_size(self.img.max_seq_depth as usize * SEQ_FRAME_BYTES)
-                .spawn(move || {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(&shared, s, threads)
-                    }));
-                    if r.is_err() {
-                        shared.died.store(true, Ordering::SeqCst);
-                        unpark_coord(&shared);
-                    }
-                })
-                .expect("spawn shard worker");
-            worker_threads.push(h.thread().clone());
-            handles.push(h);
-        }
         self.pool = Some(ShardPool {
             owner,
-            shared,
-            worker_threads,
+            edge,
             handles,
-            epoch: 0,
         });
     }
 
@@ -742,7 +482,7 @@ impl Runtime {
         let record = self.trace_buf.enabled() || self.observer.is_some();
         self.ensure_pool(threads, record);
         let mut pool = self.pool.take().expect("pool just ensured");
-        *pool.shared.coord.lock().unwrap_or_else(|e| e.into_inner()) = Some(std::thread::current());
+        pool.edge.register(0, std::thread::current());
         // Chunk entry: pin the nodes into their shard cells.
         pool.swap_nodes(self);
         pool.republish_minima();
@@ -813,7 +553,7 @@ impl Runtime {
         // draining it so the next chunk's fold doesn't double-count. The
         // pool itself — threads, shard map, worker husks — stays put.
         pool.swap_nodes(self);
-        for cell in pool.cells() {
+        for mut cell in pool.edge.cells() {
             let wk = &mut cell.rt;
             self.net.absorb_counters(&wk.net);
             wk.net.restore_counters(&NetStats::default());
@@ -834,9 +574,7 @@ impl Runtime {
     /// returning the serial-first trap if any shard trapped.
     fn commit_window(&mut self, pool: &mut ShardPool) -> Result<(), Trap> {
         let owner = &pool.owner;
-        // Safety: the window's acks are all in, so the coordinator owns
-        // every cell, and this is the only view of them.
-        let mut cells: Vec<&mut WorkerCell> = unsafe { pool.shared.all_cells() }.collect();
+        let mut cells: Vec<_> = pool.edge.cells().collect();
         let mut wevents = 0u64;
         for cell in &mut cells {
             let wk = &mut cell.rt;
@@ -886,7 +624,7 @@ impl Runtime {
     /// serial order — always the minimum key among the shards'
     /// next-undispatched events — flushing each event's records as it
     /// commits, and stop at the serial-first trap, which is returned.
-    fn replay_in_serial_order(&mut self, cells: &mut [&mut WorkerCell]) -> Option<Trap> {
+    fn replay_in_serial_order(&mut self, cells: &mut [MutexGuard<'_, WorkerCell>]) -> Option<Trap> {
         // The order only matters to records and traps: with tracing off
         // and nothing trapped there is nothing to replay.
         if cells
@@ -895,35 +633,31 @@ impl Runtime {
         {
             return None;
         }
-        let mut cursors = vec![(0usize, 0usize); cells.len()]; // (event, record) per shard
+        let mut next = vec![0usize; cells.len()]; // each shard's next event
         loop {
-            let (key, s) = cells
+            let (_, s) = cells
                 .iter()
-                .zip(&cursors)
+                .zip(&next)
                 .enumerate()
-                .filter_map(|(s, (cell, &(ev, _)))| {
+                .filter_map(|(s, (cell, &ev))| {
                     let sh = cell.rt.shard.as_ref().expect("shard ctx");
-                    sh.dispatched.get(ev).map(|&k| (k, s))
+                    sh.dispatched.get(ev).map(|&(k, _)| (k, s))
                 })
                 .min()?;
             let sh = cells[s].rt.shard.as_ref().expect("shard ctx");
-            let (ev, rec) = &mut cursors[s];
-            *ev += 1;
-            // This event's records sit at the shard's record cursor,
-            // under its key and one ordinal (the ordinal splits
-            // back-to-back events that share a key).
-            if let Some(&(k0, o0, _)) = sh.capture.get(*rec).filter(|r| r.0 == key) {
-                while let Some(&(k, o, record)) = sh.capture.get(*rec) {
-                    if (k, o) != (k0, o0) {
-                        break;
-                    }
-                    self.flush_record(record);
-                    *rec += 1;
-                }
+            let ev = next[s];
+            next[s] += 1;
+            let start = sh.dispatched[ev].1 as usize;
+            let stop = sh
+                .dispatched
+                .get(ev + 1)
+                .map_or(sh.capture.len(), |d| d.1 as usize);
+            for &record in &sh.capture[start..stop] {
+                self.flush_record(record);
             }
             // A trapping dispatch ends its shard's log: nothing a
             // single-threaded run would have emitted lies past it.
-            if *ev == sh.dispatched.len() && cells[s].trap.is_some() {
+            if next[s] == sh.dispatched.len() && cells[s].trap.is_some() {
                 return cells[s].trap.take();
             }
         }
@@ -1051,11 +785,14 @@ mod tests {
         let mut rt = start_ring(SchedImpl::EventIndex, CostModel::unit(), None);
         rt.ensure_pool(2, true);
         let mut pool = rt.pool.take().expect("pool");
-        *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
+        pool.edge.register(0, std::thread::current());
         pool.swap_nodes(&mut rt);
         pool.republish_minima();
         let published = |pool: &mut ShardPool| -> Vec<(Option<EventKey>, Cycles)> {
-            pool.cells().map(|c| (c.min_key, c.min_timer)).collect()
+            pool.edge
+                .cells()
+                .map(|c| (c.min_key, c.min_timer))
+                .collect()
         };
         let edge = published(&mut pool);
         let (wkey, _) = pool.minima().expect("work pending");
@@ -1087,13 +824,14 @@ mod tests {
         let mut rt = start_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
         rt.ensure_pool(2, true);
         let mut pool = rt.pool.take().expect("pool");
-        *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
+        pool.edge.register(0, std::thread::current());
         pool.swap_nodes(&mut rt);
         pool.republish_minima();
         // Where the buffer table and each node's two field arenas (live
         // and snapshot; a rollback trades them) sit in memory.
         let storage = |pool: &mut ShardPool| -> Vec<(usize, Vec<[usize; 2]>)> {
-            pool.cells()
+            pool.edge
+                .cells()
                 .map(|c| {
                     let bufs = c.rt.shard.as_ref().expect("shard ctx").ckpt.bufs();
                     let arenas = c
@@ -1159,11 +897,12 @@ mod tests {
         let mut rt = start_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
         rt.ensure_pool(2, true);
         let mut pool = rt.pool.take().expect("pool");
-        *pool.shared.coord.lock().unwrap() = Some(std::thread::current());
+        pool.edge.register(0, std::thread::current());
         pool.swap_nodes(&mut rt);
         pool.republish_minima();
-        let scribble =
-            |pool: &mut ShardPool| -> usize { pool.cells().map(|c| c.rt.frames.scribble()).sum() };
+        let scribble = |pool: &mut ShardPool| -> usize {
+            pool.edge.cells().map(|mut c| c.rt.frames.scribble()).sum()
+        };
         let (mut rollbacks, mut levels) = (0, 0);
         while rollbacks < 4 {
             let (wkey, _) = pool.minima().expect("the ring is still bouncing");
@@ -1264,7 +1003,7 @@ mod tests {
         // Every worker reads the coordinator's image, not a copy of it.
         let shared = |rt: &mut Runtime| {
             let img = Arc::clone(&rt.img);
-            let mut cells = rt.pool.as_mut().expect("pool").cells();
+            let mut cells = rt.pool.as_mut().expect("pool").edge.cells();
             cells.all(|c| Arc::ptr_eq(&c.rt.img, &img))
         };
         let changes: [fn(&mut Runtime); 3] = [
@@ -1339,20 +1078,5 @@ mod tests {
             let skew = Outcome::of(rt);
             assert_bit_identical(&base, &skew, &format!("weighted threads={threads}"));
         }
-    }
-
-    #[test]
-    fn spin_tiers_shrink_under_oversubscription() {
-        let cores = host_cores();
-        let matched = spin_tiers(cores.max(2));
-        let oversub = spin_tiers(cores.max(2) * 8);
-        assert!(oversub.spin <= matched.spin, "budget never grows");
-        if cores > 1 {
-            assert_eq!(matched.spin, SPIN, "at-or-under cores spins fully");
-            assert!(oversub.spin < SPIN, "oversubscribed budget shrinks");
-        } else {
-            assert_eq!(matched.spin, 0, "single-core hosts never spin");
-        }
-        assert!(oversub.yields > 0, "yield tier precedes parking");
     }
 }

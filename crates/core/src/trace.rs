@@ -455,17 +455,18 @@ impl crate::rt::Runtime {
 
     /// Record an event against a node's current virtual time.
     ///
-    /// In a shard worker the record is instead captured under the
-    /// dispatching event's `(time, kind, node)` key; the coordinator
-    /// merges all shards' captures in key order at each window barrier
-    /// and replays them through [`Self::flush_record`], reconstructing
-    /// the exact single-threaded emission order.
+    /// In a shard worker the record is instead appended to the shard's
+    /// capture, behind the dispatching event's entry in its dispatch log;
+    /// the coordinator merges all shards' logs in serial order at each
+    /// window barrier and replays each event's records through
+    /// [`Self::flush_record`], reconstructing the exact single-threaded
+    /// emission order.
     #[inline]
     pub(crate) fn emit(&mut self, node: usize, event: TraceEvent) {
         let at = self.nodes[node].time;
         if let Some(sh) = &mut self.shard {
             if sh.record {
-                sh.capture.push((sh.cur, sh.ord, TraceRecord { at, event }));
+                sh.capture.push(TraceRecord { at, event });
             }
             return;
         }

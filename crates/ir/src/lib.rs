@@ -29,6 +29,7 @@
 //! Programs are constructed with [`build::ProgramBuilder`] and checked by
 //! [`Program::validate`] before execution.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;

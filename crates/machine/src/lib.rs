@@ -31,6 +31,7 @@
 //! is a pure function of (program, layout, cost model, seed), which is what
 //! makes the property-based tests in `hem-core` possible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

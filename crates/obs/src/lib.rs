@@ -26,6 +26,7 @@
 //! records kept: a run whose consumers are all attached as observers can
 //! leave the runtime's trace buffer off.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blame;

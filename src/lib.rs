@@ -25,6 +25,7 @@
 //! `hem-bench` regenerate every table and figure of the paper's
 //! evaluation section.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use hem_analysis as analysis;
