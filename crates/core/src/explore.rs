@@ -262,11 +262,13 @@ impl Explorer {
 }
 
 /// Seeded single-point mutants of the runtime's protocol code, for
-/// proving the conformance harness has teeth. Compiled only under
-/// `cfg(test)` or the `mutants` cargo feature, and selected at
-/// [`crate::Runtime::new`] time from the `HEM_MUTANT` environment
-/// variable — so `HEM_MUTANT=<name> cargo test --features mutants` runs
-/// the *entire* suite against the mutated runtime.
+/// proving the conformance harness has teeth. Active only under
+/// `cfg(test)` or the `mutants` cargo feature, and selected from the
+/// `HEM_MUTANT` environment variable when a [`crate::Runtime`] (or a
+/// shard pool's window edge) is built — so `HEM_MUTANT=<name> cargo test
+/// --features mutants` runs the *entire* suite against the mutated
+/// runtime. The two window-edge mutants are killed by that module's own
+/// interleaving search, not by a suite.
 ///
 /// Each mutant is chosen to be silent along the default deterministic
 /// schedule (same final state, or a divergence only a structural check
