@@ -16,11 +16,20 @@
 //! The decomposition is a *frontier cursor*: each request keeps a single
 //! virtual-time cursor starting at its arrival; every tagged event that
 //! lands past the cursor pushes it forward and charges the gap to one
-//! category. Concurrent branches (fan-out requests) therefore never
-//! double-count — overlapped work hides behind the frontier — and the
-//! segments sum to the sojourn *exactly*, by construction (the finalize
-//! step pads a trailing `Exec` remainder or trims overshoot from the
-//! tail). That hard invariant is what the property tests pin.
+//! category, merged into the last segment when the category repeats.
+//! Concurrent branches (fan-out requests) therefore never double-count —
+//! overlapped work hides behind the frontier — and the segments sum to
+//! the sojourn *exactly*, by construction (the finalize step pads a
+//! trailing `Exec` remainder or trims overshoot from the tail). That hard
+//! invariant is what the property tests pin.
+//!
+//! Memory is bounded by what is in flight, not by what has finished. Only
+//! live requests (a map keyed by request id under a one-multiply hash)
+//! carry segment lists. At its `RequestDone` a request is folded into
+//! the running sojourn histogram, the per-category totals and one
+//! per-category record per *distinct* sojourn (the tail view's threshold
+//! is a quantile only known at the end); it keeps its segments only if it
+//! ranks among the [`Blame::SLOWEST`] slowest completions so far.
 //!
 //! Like every observer, the blame tracker is zero-virtual-time: traces,
 //! clocks and makespan are bit-identical with it attached or not, and
@@ -30,6 +39,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use hem_core::{Observer, TraceEvent, TraceRecord};
 
@@ -89,22 +99,60 @@ impl std::fmt::Display for BlameCat {
     }
 }
 
+/// Hashes a `u64` key with one multiply (the Fibonacci constant), then
+/// rotates the well-mixed high bits down to where the table takes its
+/// bucket index. Request ids are dense counters and sojourns are small,
+/// so SipHash's flood resistance buys nothing on this per-record path;
+/// any `u64` still hashes, and the table grows with the keys present,
+/// never with their values.
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulHasher>>;
+
+type Segs = Vec<(BlameCat, u64)>;
+
+/// Push `d` cycles of `cat`, merged into the last segment when it has the
+/// same category, so a segment list is always maximal runs.
+fn push_seg(segs: &mut Segs, cat: BlameCat, d: u64) {
+    match segs.last_mut() {
+        Some(last) if last.0 == cat => last.1 += d,
+        _ => segs.push((cat, d)),
+    }
+}
+
 /// A request still in flight.
 #[derive(Debug)]
 struct LiveReq {
     arrived: u64,
-    node: u32,
     cursor: u64,
+    node: u32,
     /// What the gap up to the next local-work dispatch is: `Queue`
     /// normally, `Lock` after a lock deferral.
     pending: BlameCat,
-    segs: Vec<(BlameCat, u64)>,
+    segs: Segs,
 }
 
 impl LiveReq {
     fn advance(&mut self, cat: BlameCat, to: u64) {
         if to > self.cursor {
-            self.segs.push((cat, to - self.cursor));
+            push_seg(&mut self.segs, cat, to - self.cursor);
             self.cursor = to;
         }
     }
@@ -121,8 +169,9 @@ pub struct RequestBlame {
     pub arrived: u64,
     /// Reply-delivery time.
     pub done: u64,
-    /// Tiling segments, causal order, adjacent categories merged.
-    /// Invariant: the durations sum to exactly `done − arrived`.
+    /// Tiling segments, causal order, adjacent categories merged, none of
+    /// zero width. Invariant: the durations sum to exactly
+    /// `done − arrived`.
     pub segs: Vec<(BlameCat, u64)>,
 }
 
@@ -136,6 +185,19 @@ impl RequestBlame {
     pub fn total(&self, cat: BlameCat) -> u64 {
         self.segs.iter().filter(|s| s.0 == cat).map(|s| s.1).sum()
     }
+
+    /// Slowest first, ties by request id: the order of
+    /// [`BlameSummary::slowest`].
+    fn rank(&self) -> (std::cmp::Reverse<u64>, u64) {
+        (std::cmp::Reverse(self.sojourn()), self.req)
+    }
+}
+
+/// Completions of one sojourn, for the tail view.
+#[derive(Debug, Default)]
+struct SojournBin {
+    count: u64,
+    totals: [u64; 5],
 }
 
 /// The streaming blame tracker. Attach with
@@ -145,13 +207,29 @@ impl RequestBlame {
 /// identical output.
 #[derive(Debug, Default)]
 pub struct Blame {
-    live: HashMap<u64, LiveReq>,
-    finished: Vec<RequestBlame>,
-    shed: u64,
+    live: U64Map<LiveReq>,
     arrived: u64,
+    shed: u64,
+    /// Sojourns of every completion.
+    sojourn: Log2Hist,
+    /// Cycles per category over every completion.
+    totals: [u64; 5],
+    /// Per-category cycles and count of the completions of each sojourn.
+    by_sojourn: U64Map<SojournBin>,
+    /// The [`Blame::SLOWEST`] slowest completions, in
+    /// [`RequestBlame::rank`] order; equal ranks in completion order.
+    slowest: Vec<RequestBlame>,
+    /// The most recent completion, which [`Blame::feed`] hands out.
+    last: Option<RequestBlame>,
+    /// Emptied segment lists, reused by the next arrivals.
+    spare: Vec<Segs>,
 }
 
 impl Blame {
+    /// How many of the slowest completions keep their segments: the cap
+    /// on [`Blame::summary`]'s `top`.
+    pub const SLOWEST: usize = 10;
+
     /// An empty tracker.
     pub fn new() -> Blame {
         Blame::default()
@@ -166,8 +244,9 @@ impl Blame {
         b
     }
 
-    /// Feed one record (the observer hook calls this).
-    pub fn feed(&mut self, rec: &TraceRecord) {
+    /// Feed one record (the observer hook calls this). Returns the
+    /// request the record completed, if it completed one.
+    pub fn feed(&mut self, rec: &TraceRecord) -> Option<&RequestBlame> {
         match rec.event {
             TraceEvent::RequestArrived { node, req } => {
                 self.arrived += 1;
@@ -175,10 +254,10 @@ impl Blame {
                     req,
                     LiveReq {
                         arrived: rec.at,
-                        node: node.0,
                         cursor: rec.at,
+                        node: node.0,
                         pending: BlameCat::Queue,
-                        segs: Vec::new(),
+                        segs: self.spare.pop().unwrap_or_default(),
                     },
                 );
             }
@@ -224,60 +303,74 @@ impl Blame {
                     l.pending = BlameCat::Lock;
                 }
             }
-            TraceEvent::RequestDone { req, .. } => self.finalize(req, rec.at),
+            TraceEvent::RequestDone { req, .. } => return self.finalize(req, rec.at),
             _ => {}
         }
+        None
     }
 
     /// Close a request: make the segments tile `[arrived, done]` exactly,
-    /// merge adjacent categories, move it to the finished list.
-    fn finalize(&mut self, req: u64, done: u64) {
-        let Some(mut l) = self.live.remove(&req) else {
-            return; // arrival fell outside the observed stream
-        };
-        let target = done.saturating_sub(l.arrived);
-        let sum: u64 = l.segs.iter().map(|s| s.1).sum();
-        if sum < target {
+    /// then fold it into the aggregates and drop its segments unless it
+    /// is among the slowest.
+    fn finalize(&mut self, req: u64, done: u64) -> Option<&RequestBlame> {
+        // No entry: the arrival fell outside the observed stream.
+        let LiveReq {
+            arrived,
+            node,
+            mut segs,
+            ..
+        } = self.live.remove(&req)?;
+        let sojourn = done.saturating_sub(arrived);
+        let sum: u64 = segs.iter().map(|s| s.1).sum();
+        if sum < sojourn {
             // The frontier trails the reply delivery: the remainder is
             // the final on-node stretch that produced the reply.
-            l.segs.push((BlameCat::Exec, target - sum));
-        } else if sum > target {
+            push_seg(&mut segs, BlameCat::Exec, sojourn - sum);
+        } else if sum > sojourn {
             // A concurrent branch (fan-out) pushed the frontier past the
             // reply; trim the overshoot off the tail.
-            let mut over = sum - target;
+            let mut over = sum - sojourn;
             while over > 0 {
-                let last = l.segs.last_mut().expect("overshoot implies segments");
+                let last = segs.last_mut().expect("overshoot implies segments");
                 if last.1 > over {
                     last.1 -= over;
                     over = 0;
                 } else {
                     over -= last.1;
-                    l.segs.pop();
+                    segs.pop();
                 }
             }
         }
-        let mut segs: Vec<(BlameCat, u64)> = Vec::with_capacity(l.segs.len());
-        for (cat, d) in l.segs {
-            if d == 0 {
-                continue;
-            }
-            match segs.last_mut() {
-                Some(last) if last.0 == cat => last.1 += d,
-                _ => segs.push((cat, d)),
-            }
+        debug_assert!(
+            segs.iter().map(|s| s.1).sum::<u64>() == sojourn && segs.iter().all(|s| s.1 > 0),
+            "req {req}: segments {segs:?} do not tile [{arrived}, {done}]"
+        );
+
+        let bin = self.by_sojourn.entry(sojourn).or_default();
+        bin.count += 1;
+        for &(cat, d) in &segs {
+            bin.totals[cat.index()] += d;
+            self.totals[cat.index()] += d;
         }
-        self.finished.push(RequestBlame {
+        self.sojourn.add(sojourn);
+        let r = RequestBlame {
             req,
-            node: l.node,
-            arrived: l.arrived,
+            node,
+            arrived,
             done,
             segs,
-        });
-    }
-
-    /// Completed requests, in completion (stream) order.
-    pub fn finished(&self) -> &[RequestBlame] {
-        &self.finished
+        };
+        // After every kept completion of equal rank: a stable order.
+        let at = self.slowest.partition_point(|s| s.rank() <= r.rank());
+        if at < Blame::SLOWEST {
+            self.slowest.insert(at, r.clone());
+            self.slowest.truncate(Blame::SLOWEST);
+        }
+        if let Some(mut prev) = self.last.replace(r) {
+            prev.segs.clear();
+            self.spare.push(prev.segs);
+        }
+        self.last.as_ref()
     }
 
     /// Requests that arrived but had not completed when the stream ended.
@@ -288,34 +381,28 @@ impl Blame {
     /// Aggregate into a report section. `tail_q` is the sojourn quantile
     /// (e.g. `0.99`) above which requests are folded into the tail view;
     /// `top` bounds the per-request rows kept (slowest first, ties by
-    /// request id).
+    /// request id) and is capped at [`Blame::SLOWEST`].
     pub fn summary(&self, tail_q: f64, top: usize) -> BlameSummary {
         let mut s = BlameSummary {
             arrived: self.arrived,
-            completed: self.finished.len() as u64,
+            completed: self.sojourn.count(),
             shed: self.shed,
             incomplete: self.incomplete(),
+            totals: self.totals,
+            sojourn: self.sojourn.clone(),
             tail_quantile: tail_q,
             ..BlameSummary::default()
         };
-        for r in &self.finished {
-            s.sojourn.add(r.sojourn());
-            for &(cat, d) in &r.segs {
-                s.totals[cat.index()] += d;
-            }
-        }
         s.tail_threshold = s.sojourn.try_quantile(tail_q);
-        for r in &self.finished {
-            if Some(r.sojourn()) >= s.tail_threshold {
-                s.tail_count += 1;
-                for &(cat, d) in &r.segs {
-                    s.tail_totals[cat.index()] += d;
+        if let Some(threshold) = s.tail_threshold {
+            for (_, bin) in self.by_sojourn.iter().filter(|b| *b.0 >= threshold) {
+                s.tail_count += bin.count;
+                for (t, d) in s.tail_totals.iter_mut().zip(bin.totals) {
+                    *t += d;
                 }
             }
         }
-        let mut slow: Vec<&RequestBlame> = self.finished.iter().collect();
-        slow.sort_by(|a, b| b.sojourn().cmp(&a.sojourn()).then(a.req.cmp(&b.req)));
-        s.slowest = slow.into_iter().take(top).cloned().collect();
+        s.slowest = self.slowest.iter().take(top).cloned().collect();
         s
     }
 }
@@ -483,6 +570,13 @@ mod tests {
         TraceRecord { at, event }
     }
 
+    /// Every completion of a replay, in completion order, as
+    /// [`Blame::feed`] hands them out.
+    fn completions(recs: &[TraceRecord]) -> Vec<RequestBlame> {
+        let mut b = Blame::new();
+        recs.iter().filter_map(|r| b.feed(r).cloned()).collect()
+    }
+
     fn arrived(at: u64, node: u32, req: u64) -> TraceRecord {
         rec(
             at,
@@ -543,9 +637,9 @@ mod tests {
             handled(160, 0, 0, 150, false),
             done(170, 0, 0),
         ];
-        let b = Blame::from_records(&recs);
-        assert_eq!(b.finished().len(), 1);
-        let r = &b.finished()[0];
+        let out = completions(&recs);
+        assert_eq!(out.len(), 1);
+        let r = &out[0];
         assert_eq!(r.sojourn(), 70);
         assert_eq!(r.segs.iter().map(|s| s.1).sum::<u64>(), 70, "exact tiling");
         // 100..110 wire, 110..120 queue, 120..130 exec, 130..150 wire,
@@ -564,8 +658,8 @@ mod tests {
             handled(500, 0, 0, 480, true),
             done(520, 0, 0),
         ];
-        let b = Blame::from_records(&recs);
-        let r = &b.finished()[0];
+        let out = completions(&recs);
+        let r = &out[0];
         assert_eq!(r.sojourn(), 520);
         assert_eq!(r.total(BlameCat::Retx), 480);
         assert_eq!(r.total(BlameCat::Wire), 0);
@@ -597,8 +691,8 @@ mod tests {
             ),
             done(100, 0, 0),
         ];
-        let b = Blame::from_records(&recs);
-        let r = &b.finished()[0];
+        let out = completions(&recs);
+        let r = &out[0];
         assert_eq!(r.sojourn(), 100);
         assert_eq!(r.total(BlameCat::Lock), 70, "deferral 20 -> grant 90");
         assert_eq!(r.total(BlameCat::Exec), 20 - 10 + 10);
@@ -620,8 +714,8 @@ mod tests {
             sent(300, 0, 0), // concurrent branch, far frontier
             done(250, 0, 0),
         ];
-        let b = Blame::from_records(&recs);
-        let r = &b.finished()[0];
+        let out = completions(&recs);
+        let r = &out[0];
         assert_eq!(r.sojourn(), 250);
         assert_eq!(r.segs.iter().map(|s| s.1).sum::<u64>(), 250);
     }
@@ -645,10 +739,32 @@ mod tests {
             done(50, 0, 99),
             done(60, 0, 7),
         ];
-        let b = Blame::from_records(&recs);
-        assert_eq!(b.finished().len(), 1);
-        assert_eq!(b.finished()[0].req, 7);
-        assert_eq!(b.finished()[0].sojourn(), 60);
+        let out = completions(&recs);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].req, 7);
+        assert_eq!(out[0].sojourn(), 60);
+    }
+
+    #[test]
+    fn any_u64_id_is_tracked() {
+        // `inject_request` takes arbitrary ids: sparse, huge and sharing
+        // their low bits must all be followed, and cost only their entry.
+        let ids = [0, 1 << 40, 2 << 40, 1 << 63, u64::MAX - 1];
+        let mut recs = Vec::new();
+        for (i, &id) in ids.iter().enumerate() {
+            recs.push(arrived(i as u64, 0, id));
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            recs.push(handled(100 + i as u64, 0, id, 90, false));
+            recs.push(done(200 + 2 * i as u64, 0, id));
+        }
+        let out = completions(&recs);
+        let got: Vec<u64> = out.iter().map(|r| r.req).collect();
+        assert_eq!(got, ids);
+        for (i, r) in out.iter().enumerate() {
+            assert_eq!(r.sojourn(), 200 + i as u64);
+            assert_eq!(r.total(BlameCat::Wire), 90 - i as u64, "req {}", r.req);
+        }
     }
 
     #[test]
@@ -740,5 +856,303 @@ mod tests {
         obs.on_flush();
         let replay = Blame::from_records(&recs);
         assert_eq!(obs.summary(0.99, 4).json(), replay.summary(0.99, 4).json());
+    }
+
+    /// The tracker as it was before completions were folded at
+    /// `RequestDone`: it keeps every completion with its segments, merges
+    /// them only at finalize, looks requests up under the default hasher,
+    /// and computes every aggregate in `summary`. [`Blame`] must give the
+    /// same bytes.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        struct Live {
+            arrived: u64,
+            node: u32,
+            cursor: u64,
+            pending: BlameCat,
+            segs: Vec<(BlameCat, u64)>,
+        }
+
+        impl Live {
+            fn advance(&mut self, cat: BlameCat, to: u64) {
+                if to > self.cursor {
+                    self.segs.push((cat, to - self.cursor));
+                    self.cursor = to;
+                }
+            }
+        }
+
+        #[derive(Default)]
+        struct Reference {
+            live: HashMap<u64, Live>,
+            finished: Vec<RequestBlame>,
+            shed: u64,
+            arrived: u64,
+        }
+
+        impl Reference {
+            fn feed(&mut self, rec: &TraceRecord) {
+                let tagged = |req: u64| req.checked_sub(1);
+                match rec.event {
+                    TraceEvent::RequestArrived { node, req } => {
+                        self.arrived += 1;
+                        let l = Live {
+                            arrived: rec.at,
+                            node: node.0,
+                            cursor: rec.at,
+                            pending: BlameCat::Queue,
+                            segs: Vec::new(),
+                        };
+                        self.live.insert(req, l);
+                    }
+                    TraceEvent::RequestShed { .. } => self.shed += 1,
+                    TraceEvent::EventStart { kind: 1, req, .. } => {
+                        if let Some(l) = tagged(req).and_then(|r| self.live.get_mut(&r)) {
+                            l.advance(l.pending, rec.at);
+                            l.pending = BlameCat::Queue;
+                        }
+                    }
+                    TraceEvent::MsgHandled {
+                        req, deliver, retx, ..
+                    } => {
+                        if let Some(l) = tagged(req).and_then(|r| self.live.get_mut(&r)) {
+                            l.advance(if retx { BlameCat::Retx } else { BlameCat::Wire }, deliver);
+                            l.advance(BlameCat::Queue, rec.at);
+                        }
+                    }
+                    TraceEvent::MsgSent { req, cause, .. } => {
+                        if let Some(l) = tagged(req).and_then(|r| self.live.get_mut(&r)) {
+                            match cause {
+                                MsgCause::Ack => {}
+                                MsgCause::Retransmit => l.advance(BlameCat::Retx, rec.at),
+                                _ => l.advance(BlameCat::Exec, rec.at),
+                            }
+                        }
+                    }
+                    TraceEvent::LockDeferred { req, .. } => {
+                        if let Some(l) = tagged(req).and_then(|r| self.live.get_mut(&r)) {
+                            l.advance(BlameCat::Exec, rec.at);
+                            l.pending = BlameCat::Lock;
+                        }
+                    }
+                    TraceEvent::RequestDone { req, .. } => self.finalize(req, rec.at),
+                    _ => {}
+                }
+            }
+
+            fn finalize(&mut self, req: u64, done: u64) {
+                let Some(mut l) = self.live.remove(&req) else {
+                    return;
+                };
+                let target = done.saturating_sub(l.arrived);
+                let sum: u64 = l.segs.iter().map(|s| s.1).sum();
+                if sum < target {
+                    l.segs.push((BlameCat::Exec, target - sum));
+                } else {
+                    let mut over = sum - target;
+                    while over > 0 {
+                        let last = l.segs.last_mut().unwrap();
+                        if last.1 > over {
+                            last.1 -= over;
+                            over = 0;
+                        } else {
+                            over -= last.1;
+                            l.segs.pop();
+                        }
+                    }
+                }
+                let mut segs: Vec<(BlameCat, u64)> = Vec::new();
+                for (cat, d) in l.segs {
+                    if d == 0 {
+                        continue;
+                    }
+                    match segs.last_mut() {
+                        Some(last) if last.0 == cat => last.1 += d,
+                        _ => segs.push((cat, d)),
+                    }
+                }
+                self.finished.push(RequestBlame {
+                    req,
+                    node: l.node,
+                    arrived: l.arrived,
+                    done,
+                    segs,
+                });
+            }
+
+            fn summary(&self, tail_q: f64, top: usize) -> BlameSummary {
+                let mut s = BlameSummary {
+                    arrived: self.arrived,
+                    completed: self.finished.len() as u64,
+                    shed: self.shed,
+                    incomplete: self.live.len() as u64,
+                    tail_quantile: tail_q,
+                    ..BlameSummary::default()
+                };
+                for r in &self.finished {
+                    s.sojourn.add(r.sojourn());
+                    for &(cat, d) in &r.segs {
+                        s.totals[cat.index()] += d;
+                    }
+                }
+                s.tail_threshold = s.sojourn.try_quantile(tail_q);
+                for r in &self.finished {
+                    if Some(r.sojourn()) >= s.tail_threshold {
+                        s.tail_count += 1;
+                        for &(cat, d) in &r.segs {
+                            s.tail_totals[cat.index()] += d;
+                        }
+                    }
+                }
+                let mut slow: Vec<&RequestBlame> = self.finished.iter().collect();
+                slow.sort_by(|a, b| b.sojourn().cmp(&a.sojourn()).then(a.req.cmp(&b.req)));
+                s.slowest = slow.into_iter().take(top).cloned().collect();
+                s
+            }
+        }
+
+        /// A tagged record stream from `(op, a, b)` draws. Twelve request
+        /// ids and steps of 0–5 cycles make id reuse, sojourn ties,
+        /// requests that never complete and `RequestDone`s with no live
+        /// arrival common; op 8 is a fan-out branch stamped past the
+        /// present, whose frontier overshoots a later reply.
+        fn stream(ops: &[(u8, u64, u64)]) -> Vec<TraceRecord> {
+            let mut at = 0u64;
+            let mut out = Vec::with_capacity(ops.len());
+            for &(op, a, b) in ops {
+                at += (b >> 8) % 6;
+                let req = a % 12;
+                let node = NodeId((a % 4) as u32);
+                // A tenth of the traffic is untagged.
+                let tag = if (a >> 8) % 10 == 0 { 0 } else { req + 1 };
+                let sent = |cause| TraceEvent::MsgSent {
+                    from: node,
+                    to: NodeId(1),
+                    words: 3,
+                    cause,
+                    req: tag,
+                };
+                let causes = [
+                    MsgCause::Request,
+                    MsgCause::Reply,
+                    MsgCause::Ack,
+                    MsgCause::Retransmit,
+                    MsgCause::Multicast,
+                ];
+                let (t, event) = match op {
+                    0 | 1 => (at, TraceEvent::RequestArrived { node, req }),
+                    2 => (at, TraceEvent::RequestDone { node, req }),
+                    3 => (
+                        at,
+                        TraceEvent::MsgHandled {
+                            node,
+                            from: NodeId(0),
+                            words: 3,
+                            cause: MsgCause::Request,
+                            req: tag,
+                            deliver: at.saturating_sub(b % 40),
+                            retx: b % 5 == 0,
+                        },
+                    ),
+                    4 => (at, sent(causes[(b % 5) as usize])),
+                    5 => (
+                        at,
+                        TraceEvent::LockDeferred {
+                            node,
+                            obj: 1,
+                            req: tag,
+                        },
+                    ),
+                    6 => (
+                        at,
+                        TraceEvent::EventStart {
+                            node,
+                            kind: (b % 3) as u8,
+                            req: tag,
+                        },
+                    ),
+                    7 => (at, TraceEvent::RequestShed { node, req }),
+                    _ => (at + b % 200, sent(MsgCause::Request)),
+                };
+                out.push(rec(t, event));
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Folding at `RequestDone` and keeping only the slowest
+            /// segment lists gives the bytes of keeping everything, for
+            /// every tail quantile and every `top` up to the cap.
+            #[test]
+            fn folded_summary_equals_keeping_every_completion(
+                ops in proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 0..400),
+            ) {
+                let recs = stream(&ops);
+                let mut reference = Reference::default();
+                let mut blame = Blame::new();
+                for r in &recs {
+                    reference.feed(r);
+                    if let Some(done) = blame.feed(r) {
+                        let last = reference.finished.last().expect("both close it");
+                        prop_assert_eq!(format!("{done:?}"), format!("{last:?}"));
+                    }
+                }
+                prop_assert_eq!(blame.summary(0.5, 0).completed, reference.finished.len() as u64);
+                for q in [0.0, 0.5, 0.99, 1.0] {
+                    for top in 0..=Blame::SLOWEST {
+                        let (got, want) = (blame.summary(q, top), reference.summary(q, top));
+                        prop_assert_eq!(got.json(), want.json(), "q {} top {}", q, top);
+                        prop_assert_eq!(got.text(), want.text(), "q {} top {}", q, top);
+                    }
+                }
+                // A larger `top` is capped: the summary keeps the cap's rows.
+                let capped = blame.summary(0.99, Blame::SLOWEST + 5);
+                prop_assert_eq!(capped.json(), reference.summary(0.99, Blame::SLOWEST).json());
+            }
+        }
+
+        #[test]
+        fn generated_streams_reach_every_case() {
+            // The oracle is only as good as the streams it sees: over the
+            // cases the proptest draws, each edge it names must occur.
+            let strat = proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 0..400);
+            let (mut overshoot, mut ties, mut incomplete, mut orphan_done) = (0, 0, 0, 0);
+            let mut cats = [0u64; 5];
+            for case in 0..96 {
+                let recs = stream(&strat.generate(&mut proptest::TestRng::for_case(case)));
+                let mut reference = Reference::default();
+                for r in &recs {
+                    if let TraceEvent::RequestDone { req, .. } = r.event {
+                        match reference.live.get(&req) {
+                            Some(l) => overshoot += u64::from(l.cursor > r.at),
+                            None => orphan_done += 1,
+                        }
+                    }
+                    reference.feed(r);
+                }
+                incomplete += reference.live.len();
+                let mut sojourns: Vec<u64> =
+                    reference.finished.iter().map(|r| r.sojourn()).collect();
+                sojourns.sort_unstable();
+                ties += sojourns.windows(2).filter(|w| w[0] == w[1]).count();
+                for r in &reference.finished {
+                    for cat in BlameCat::ALL {
+                        cats[cat.index()] += r.total(cat);
+                    }
+                }
+            }
+            assert!(
+                overshoot > 0 && ties > 0 && incomplete > 0 && orphan_done > 0,
+                "overshoot {overshoot} ties {ties} incomplete {incomplete} orphan {orphan_done}"
+            );
+            assert!(
+                cats.iter().all(|&c| c > 0),
+                "every category blamed: {cats:?}"
+            );
+        }
     }
 }

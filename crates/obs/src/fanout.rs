@@ -100,7 +100,8 @@ mod tests {
         assert_eq!(rollup.total_sent(), 1);
         let blame: Box<dyn std::any::Any> = parts.next().unwrap();
         let blame = blame.downcast::<Blame>().expect("a Blame");
-        assert_eq!(blame.finished().len(), 1);
-        assert_eq!(blame.finished()[0].sojourn(), 8);
+        let s = blame.summary(0.99, Blame::SLOWEST);
+        assert_eq!((s.completed, s.slowest.len()), (1, 1));
+        assert_eq!(s.slowest[0].sojourn(), 8);
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! * **Exact tiling** — for every completed request, on every executor,
 //!   the blame segments (queue/exec/wire/lock/retx) sum to exactly
-//!   `done.at − arrived.at`, with and without a fault plan. This is the
+//!   `done.at − arrived.at` with no zero-width segment, with and without
+//!   a fault plan: every completion as `Blame::feed` hands it back, and
+//!   every row of the summary's `slowest` list. This is the
 //!   hard invariant the frontier-cursor decomposition guarantees by
 //!   construction; the suite pins it against regressions in either the
 //!   decomposition or the tag plumbing.
@@ -21,7 +23,7 @@ mod common;
 
 use common::Exec;
 use hem::apps::service::{self, ServeParams};
-use hem::core::{Runtime, SchedImpl};
+use hem::core::{Observer, Runtime, SchedImpl, TraceRecord};
 use hem::machine::arrival::ArrivalDist;
 use hem::machine::fault::FaultPlan;
 use hem::obs::{Blame, BlameSummary, Fanout, RequestBlame, Series, SeriesSummary};
@@ -59,6 +61,22 @@ fn executors() -> Vec<(String, Exec)> {
     v
 }
 
+/// The blame tracker, plus every completion it hands back as it closes
+/// it: the tracker itself keeps segments only for the slowest few.
+#[derive(Default)]
+struct Tiled {
+    blame: Blame,
+    finished: Vec<RequestBlame>,
+}
+
+impl Observer for Tiled {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        if let Some(r) = self.blame.feed(rec) {
+            self.finished.push(r.clone());
+        }
+    }
+}
+
 struct Observed {
     finished: Vec<RequestBlame>,
     blame: BlameSummary,
@@ -84,7 +102,7 @@ fn run_observed(seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -> O
     }
     rt.attach_observer(Box::new(
         Fanout::new()
-            .with(Box::new(Blame::new()))
+            .with(Box::new(Tiled::default()))
             .with(Box::new(Series::new(1_000))),
     ));
     let inst = service::setup(&mut rt, &ids, 16);
@@ -101,12 +119,12 @@ fn run_observed(seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -> O
     let fan = any.downcast::<Fanout>().expect("a Fanout");
     let mut parts = fan.into_parts().into_iter();
     let blame: Box<dyn std::any::Any> = parts.next().unwrap();
-    let blame = blame.downcast::<Blame>().expect("a Blame");
+    let tiled = blame.downcast::<Tiled>().expect("a Tiled");
     let series: Box<dyn std::any::Any> = parts.next().unwrap();
     let series = series.downcast::<Series>().expect("a Series");
     Observed {
-        finished: blame.finished().to_vec(),
-        blame: blame.summary(0.99, 8),
+        finished: tiled.finished,
+        blame: tiled.blame.summary(0.99, 8),
         series: series.summary(),
     }
 }
@@ -116,7 +134,9 @@ fn assert_tiling(label: &str, obs: &Observed) {
         !obs.finished.is_empty(),
         "{label}: the mix completed no requests — the invariant would be vacuous"
     );
-    for r in &obs.finished {
+    assert_eq!(obs.finished.len() as u64, obs.blame.completed, "{label}");
+    assert!(!obs.blame.slowest.is_empty(), "{label}: no slowest rows");
+    for r in obs.finished.iter().chain(&obs.blame.slowest) {
         let sum: u64 = r.segs.iter().map(|s| s.1).sum();
         assert_eq!(
             sum,

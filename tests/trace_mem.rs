@@ -4,8 +4,12 @@
 //! Checked, not argued: this binary tracks live heap bytes.
 //!
 //! The buffer is 48 bytes a record in a power-of-two `VecDeque`; what an
-//! unbuffered run keeps per request is the service driver's completion
-//! log and the blame tracker's finished list, which the report is made of.
+//! unbuffered run keeps per request is the service driver's request
+//! records (40 B each in a doubling `Vec`) and the runtime's completion
+//! log (a `BTreeMap`, drained into a `Vec` at the end of the run). The
+//! rollup and the series are fixed-size, and the blame tracker keeps
+//! segments only for requests in flight and its few slowest completions:
+//! attaching it adds at most [`BLAME_BYTES_PER_REQUEST`] a request.
 //!
 //! One `#[test]` only: a second test thread would allocate into the same
 //! counters.
@@ -54,10 +58,16 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static GLOBAL: Tracking = Tracking;
 
+/// What attaching the blame tracker may add to an unbuffered run's peak,
+/// per offered request. Keeping every completion's segments took about
+/// 280 B.
+const BLAME_BYTES_PER_REQUEST: usize = 96;
+
 /// Peak live heap bytes, above what was live at entry, of one service
-/// run with `hemprof blame --series`'s observers — `serve_p32`'s
-/// configuration at a shorter horizon.
-fn peak_bytes(buffer: TraceBuffer, horizon: u64) -> usize {
+/// run with `hemprof blame --series`'s observers (`blame: false` leaves
+/// the blame tracker out) — `serve_p32`'s configuration at a shorter
+/// horizon — and the number of requests it offered.
+fn peak_bytes(buffer: TraceBuffer, horizon: u64, blame: bool) -> (usize, usize) {
     let mut cfg = ServeConfig::new();
     cfg.p = 32;
     cfg.dist = ArrivalDist::Poisson { mean_gap: 200.0 };
@@ -66,23 +76,25 @@ fn peak_bytes(buffer: TraceBuffer, horizon: u64) -> usize {
     cfg.buffer = buffer;
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
-    let fan = Fanout::new()
-        .with(Box::new(Rollup::new()))
-        .with(Box::new(Blame::new()))
-        .with(Box::new(Series::new(horizon / 50)));
+    let mut fan = Fanout::new().with(Box::new(Rollup::new()));
+    if blame {
+        fan = fan.with(Box::new(Blame::new()));
+    }
+    let fan = fan.with(Box::new(Series::new(horizon / 50)));
     let (rt, out) = cfg.run_with_observer(Box::new(fan)).expect("no trap");
-    assert!(out.records.len() > 100, "a real request stream");
+    let offered = out.records.len();
+    assert!(offered > 100, "a real request stream");
     drop((rt, out));
-    PEAK.load(Ordering::Relaxed) - base
+    (PEAK.load(Ordering::Relaxed) - base, offered)
 }
 
 #[test]
 fn an_unbuffered_run_keeps_no_records() {
     const H: u64 = 300_000;
-    let off = peak_bytes(TraceBuffer::Off, H);
-    let off2 = peak_bytes(TraceBuffer::Off, 2 * H);
-    let kept = peak_bytes(TraceBuffer::Unbounded, H);
-    let kept2 = peak_bytes(TraceBuffer::Unbounded, 2 * H);
+    let (off, _) = peak_bytes(TraceBuffer::Off, H, true);
+    let (off2, _) = peak_bytes(TraceBuffer::Off, 2 * H, true);
+    let (kept, _) = peak_bytes(TraceBuffer::Unbounded, H, true);
+    let (kept2, _) = peak_bytes(TraceBuffer::Unbounded, 2 * H, true);
     eprintln!(
         "peak live bytes: unbuffered {off} -> {off2} (+{}), buffered {kept} -> {kept2} (+{})",
         off2 - off,
@@ -98,4 +110,15 @@ fn an_unbuffered_run_keeps_no_records() {
         off2 - off,
         kept2 - kept
     );
+    for (h, with) in [(H, off), (2 * H, off2)] {
+        let (without, offered) = peak_bytes(TraceBuffer::Off, h, false);
+        let per_request = with.saturating_sub(without) / offered;
+        eprintln!(
+            "horizon {h}: blame adds {per_request} B per offered request ({offered} offered)"
+        );
+        assert!(
+            per_request <= BLAME_BYTES_PER_REQUEST,
+            "horizon {h}: the blame tracker adds {per_request} B per request, above {BLAME_BYTES_PER_REQUEST}"
+        );
+    }
 }
