@@ -130,6 +130,9 @@ pub enum TraceEvent {
         from: NodeId,
         /// Destination.
         to: NodeId,
+        /// The injection's wire number, `(per-sender count << 20) | from`:
+        /// unique in the run and the same on every executor.
+        wire: u64,
         /// Payload size in words (drives the per-word wire cost).
         words: u64,
         /// What the message is (request/reply/ack/retransmit).
@@ -150,8 +153,11 @@ pub enum TraceEvent {
         node: NodeId,
         /// The message's sender.
         from: NodeId,
-        /// Payload size in words.
-        words: u64,
+        /// Wire number of the consumed copy: the `wire` of the `MsgSent`
+        /// that injected it (a fault-plan duplicate shares its original's
+        /// number). External arrivals carry `(1 << 63) | n`, which names
+        /// no send.
+        wire: u64,
         /// Payload kind; never [`MsgCause::Retransmit`] (a delivered
         /// retransmission carries its original payload).
         cause: MsgCause,
@@ -192,6 +198,8 @@ pub enum TraceEvent {
     },
     /// The fault plan lost an injected packet (never enqueued).
     MsgDropped {
+        /// Wire number of the lost injection.
+        wire: u64,
         /// Sender.
         from: NodeId,
         /// Intended destination.
@@ -201,6 +209,8 @@ pub enum TraceEvent {
     },
     /// The fault plan enqueued a second wire-level copy of a packet.
     MsgDuplicated {
+        /// Wire number both copies carry.
+        wire: u64,
         /// Sender.
         from: NodeId,
         /// Destination.
@@ -217,6 +227,8 @@ pub enum TraceEvent {
     },
     /// A received data frame was discarded as a duplicate.
     DupSuppressed {
+        /// Wire number of the discarded copy.
+        wire: u64,
         /// Receiver.
         node: NodeId,
         /// The frame's sender.
@@ -291,6 +303,11 @@ pub struct TraceRecord {
     /// The event.
     pub event: TraceEvent,
 }
+
+// Every buffered, captured and observed record is one of these: a new
+// field must fit in the space the largest variant already takes.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 40);
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 48);
 
 /// A zero-virtual-time trace consumer, fed every [`TraceRecord`] as it is
 /// generated — the online analogue of draining the trace buffer, without

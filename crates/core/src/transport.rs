@@ -1,7 +1,10 @@
 //! The message path. Everything a node sends goes through
-//! [`Runtime::send`] — price, charge, count, record, frame (seq/ack/
-//! retransmit when the reliable transport is on), inject — and everything
-//! it receives comes out of its inbox through [`Runtime::handle_packet`].
+//! [`Runtime::send`] — price, charge, count, frame (seq/ack/retransmit
+//! when the reliable transport is on), inject — and everything it receives
+//! comes out of its inbox through [`Runtime::handle_packet`]. Every wire
+//! copy, acks and retransmissions included, is injected by
+//! `Runtime::inject`, which numbers it and records its `MsgSent`; each
+//! later record about that copy carries the same number.
 //! The per-node protocol state is a [`Transport`], private to this module.
 
 use crate::cont::Continuation;
@@ -166,8 +169,11 @@ pub(crate) struct Price {
 }
 
 impl Runtime {
-    /// Inject a packet into the interconnect and drain it straight into
-    /// the destination inbox. The wire is drained once per injection — the
+    /// Inject a packet into the interconnect, record its `MsgSent`, and
+    /// drain it straight into the destination inbox. The record's cause is
+    /// `Ack` for an ack frame, `Retransmit` for a retransmitted copy, and
+    /// the payload's cause otherwise. The wire is drained once per
+    /// injection — the
     /// `Network` heap assigns the global sequence number, applies the fault
     /// plan, and keeps traffic stats, but packets never sit in it across
     /// scheduler iterations, so the dispatch loop does not need to re-drain
@@ -189,6 +195,22 @@ impl Runtime {
         let wseq = self.nodes[from].wire_seq;
         self.nodes[from].wire_seq += 1;
         let seq = (wseq << 20) | src.0 as u64;
+        let cause = match &pkt {
+            Packet::Ack { .. } => MsgCause::Ack,
+            _ if class == WireClass::Retx => MsgCause::Retransmit,
+            Packet::Raw(msg) | Packet::Data { msg, .. } => msg.cause(),
+        };
+        self.emit(
+            from,
+            TraceEvent::MsgSent {
+                from: src,
+                to: dest,
+                wire: seq,
+                words,
+                cause,
+                req: self.current_req,
+            },
+        );
         let fate = self
             .net
             .send_tagged(seq, src, dest, deliver, words, class, pkt);
@@ -198,6 +220,7 @@ impl Runtime {
                 TraceEvent::MsgDropped {
                     from: src,
                     to: dest,
+                    wire: seq,
                     partitioned: fate.partitioned,
                 },
             );
@@ -207,6 +230,7 @@ impl Runtime {
                 TraceEvent::MsgDuplicated {
                     from: src,
                     to: dest,
+                    wire: seq,
                 },
             );
         }
@@ -294,7 +318,7 @@ impl Runtime {
     }
 
     /// The one send path: price `msg`, charge the sender, count it under
-    /// its kind's counters, record the `MsgSent`, and put it on the wire.
+    /// its kind's counters, and put it on the wire.
     /// The transport's sequence number rides in the active-message header
     /// word the wire format already reserves, so reliable mode adds no
     /// payload words to data frames. Does not poll — the wrappers below
@@ -322,16 +346,6 @@ impl Runtime {
                 WireClass::Coll
             }
         };
-        self.emit(
-            from,
-            TraceEvent::MsgSent {
-                from: self.nodes[from].id,
-                to: dest,
-                words,
-                cause: msg.cause(),
-                req: self.current_req,
-            },
-        );
         let deliver = self.nodes[from].time + price.latency;
         self.transmit(from, dest, deliver, words, price.latency, c, class, msg);
     }
@@ -425,6 +439,7 @@ impl Runtime {
             req,
             deliver,
             retx,
+            seq: wire,
             ..
         } = e;
         self.current_req = req;
@@ -439,16 +454,6 @@ impl Runtime {
                 // and a duplicate often means the original's ack was lost.
                 self.charge(node, self.cost().ack_overhead);
                 self.ctr(node).acks_sent += 1;
-                self.emit(
-                    node,
-                    TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: src,
-                        words: 1,
-                        cause: MsgCause::Ack,
-                        req,
-                    },
-                );
                 let deliver_ack = self.nodes[node].time + self.cost().reply_latency;
                 let ack = Packet::Ack { seq };
                 self.inject(node, src, deliver_ack, 1, WireClass::Ack, ack);
@@ -459,6 +464,7 @@ impl Runtime {
                         TraceEvent::DupSuppressed {
                             node: NodeId(node as u32),
                             from: src,
+                            wire,
                         },
                     );
                     return Ok(());
@@ -468,23 +474,25 @@ impl Runtime {
             Packet::Ack { seq } => {
                 self.charge(node, self.cost().ack_overhead);
                 self.ctr(node).acks_handled += 1;
-                self.emit_handled(node, src, None, req, deliver, retx);
+                self.emit_handled(node, src, wire, None, req, deliver, retx);
                 self.nodes[node].tx.ack(src.0, seq);
                 return Ok(());
             }
         };
         self.ctr(node).msgs_handled += 1;
-        self.emit_handled(node, src, Some(&msg), req, deliver, retx);
+        self.emit_handled(node, src, wire, Some(&msg), req, deliver, retx);
         self.handle_msg(node, msg)
     }
 
-    /// Emit the [`TraceEvent::MsgHandled`] record for a delivered
-    /// application payload, or (`None`) for a one-word ack frame.
+    /// Emit the [`TraceEvent::MsgHandled`] record for wire copy `wire`: a
+    /// delivered application payload, or (`None`) an ack frame.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     fn emit_handled(
         &mut self,
         node: usize,
         src: NodeId,
+        wire: u64,
         payload: Option<&Msg>,
         req: u64,
         deliver: Cycles,
@@ -493,13 +501,13 @@ impl Runtime {
         if !self.tracing_active() {
             return;
         }
-        let (words, cause) = payload.map_or((1, MsgCause::Ack), |m| (m.words(), m.cause()));
+        let cause = payload.map_or(MsgCause::Ack, Msg::cause);
         self.emit(
             node,
             TraceEvent::MsgHandled {
                 node: NodeId(node as u32),
                 from: src,
-                words,
+                wire,
                 cause,
                 req,
                 deliver,
@@ -578,19 +586,6 @@ impl Runtime {
                         node: NodeId(node as u32),
                         to: NodeId(dest),
                         attempt,
-                    },
-                );
-                // The wire-accounting record for the fresh copy (one
-                // `MsgSent` per injection; the `Retransmit` event above is
-                // the protocol-level record).
-                self.emit(
-                    node,
-                    TraceEvent::MsgSent {
-                        from: NodeId(node as u32),
-                        to: NodeId(dest),
-                        words,
-                        cause: MsgCause::Retransmit,
-                        req,
                     },
                 );
             }

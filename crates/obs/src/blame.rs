@@ -37,14 +37,13 @@
 //! stream, its output is bit-identical across all four executors and
 //! every thread count.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use hem_core::{Observer, TraceEvent, TraceRecord};
 
 use crate::hist::Log2Hist;
 use crate::json::{self, obj, Value, Writer};
+use crate::U64Map;
 
 /// Where a slice of a request's sojourn went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,33 +97,6 @@ impl std::fmt::Display for BlameCat {
         f.write_str(self.name())
     }
 }
-
-/// Hashes a `u64` key with one multiply (the Fibonacci constant), then
-/// rotates the well-mixed high bits down to where the table takes its
-/// bucket index. Request ids are dense counters and sojourns are small,
-/// so SipHash's flood resistance buys nothing on this per-record path;
-/// any `u64` still hashes, and the table grows with the keys present,
-/// never with their values.
-#[derive(Debug, Default, Clone, Copy)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulHasher>>;
 
 type Segs = Vec<(BlameCat, u64)>;
 
@@ -603,7 +575,7 @@ mod tests {
             TraceEvent::MsgHandled {
                 node: NodeId(node),
                 from: NodeId(0),
-                words: 3,
+                wire: 0,
                 cause: MsgCause::Request,
                 req: req + 1,
                 deliver,
@@ -618,6 +590,7 @@ mod tests {
             TraceEvent::MsgSent {
                 from: NodeId(from),
                 to: NodeId(1),
+                wire: 0,
                 words: 7,
                 cause: MsgCause::Request,
                 req: req + 1,
@@ -730,6 +703,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: NodeId(0),
                     to: NodeId(1),
+                    wire: 0,
                     words: 7,
                     cause: MsgCause::Request,
                     req: 0,
@@ -866,6 +840,7 @@ mod tests {
     mod oracle {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::HashMap;
 
         struct Live {
             arrived: u64,
@@ -1030,6 +1005,7 @@ mod tests {
                 let sent = |cause| TraceEvent::MsgSent {
                     from: node,
                     to: NodeId(1),
+                    wire: 0,
                     words: 3,
                     cause,
                     req: tag,
@@ -1049,7 +1025,7 @@ mod tests {
                         TraceEvent::MsgHandled {
                             node,
                             from: NodeId(0),
-                            words: 3,
+                            wire: 0,
                             cause: MsgCause::Request,
                             req: tag,
                             deliver: at.saturating_sub(b % 40),

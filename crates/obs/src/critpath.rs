@@ -21,7 +21,7 @@
 
 use hem_machine::Cycles;
 
-use crate::model::{Step, SuspendSpan, Timeline, KIND_MSG, KIND_TIMERS};
+use crate::model::{SuspendSpan, Timeline, KIND_MSG, KIND_TIMERS};
 
 /// What a critical-path segment (or a slice of a node's time) was spent
 /// on.
@@ -207,7 +207,10 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
             // the node itself was the constraint).
             let had_gap = si == 1 || steps[si - 2].end < s.start;
             if s.kind == KIND_MSG && had_gap {
-                if let Some((sender, sent_at)) = binding_arrival(s) {
+                // The step's *dispatched* message is the first one
+                // handled in it (later ones are nested deliveries during
+                // sends).
+                if let Some((sender, sent_at)) = s.arrival {
                     if sent_at < time {
                         segments.push(Segment {
                             node,
@@ -232,13 +235,6 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
     segments.reverse();
     let total = segments.iter().map(|s| s.dur()).sum();
     CriticalPath { segments, total }
-}
-
-/// The message whose arrival bound the step's start time: the step's
-/// *dispatched* message is the first one handled in it (later entries are
-/// opportunistic nested deliveries during sends).
-fn binding_arrival(s: &Step) -> Option<(u32, Cycles)> {
-    s.msgs.iter().find_map(|m| m.sent_at.map(|at| (m.from, at)))
 }
 
 fn gap_segment(suspended: &[(Cycles, Cycles)], node: u32, a: Cycles, b: Cycles) -> Segment {
@@ -378,6 +374,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: a,
                     to: b,
+                    wire: 0,
                     words: 2,
                     cause: MsgCause::Request,
                     req: 0,
@@ -397,7 +394,7 @@ mod tests {
                 TraceEvent::MsgHandled {
                     node: b,
                     from: a,
-                    words: 2,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 0,
                     deliver: 0,
@@ -463,7 +460,7 @@ mod tests {
                 TraceEvent::MsgHandled {
                     node: b,
                     from: NodeId(9),
-                    words: 1,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 0,
                     deliver: 0,

@@ -51,7 +51,39 @@ pub use report::{Report, SchedSummary, ServiceSummary, SpecSummary};
 pub use rollup::Rollup;
 pub use series::{Series, SeriesBucket, SeriesSummary};
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use hem_core::TraceEvent;
+
+/// Hashes a `u64` key with one multiply (the Fibonacci constant), then
+/// rotates the well-mixed high bits down to where the table takes its
+/// bucket index. Request ids and sojourns are small, wire numbers are a
+/// per-sender count above the node id; SipHash's flood resistance buys
+/// nothing on these per-record paths. Any `u64` still hashes, and a table
+/// grows with the keys present, never with their values.
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by `u64` under [`MulHasher`] (blame's live requests, the
+/// timeline's sends in flight).
+type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulHasher>>;
 
 /// The node a record is charged to: the node whose clock stamped it (the
 /// acting node — sender for sends, receiver for handles).
@@ -123,6 +155,7 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
             words,
             cause,
             req,
+            ..
         } => format!(
             "n{} -> n{} {} ({} words){}",
             from.0,
@@ -134,17 +167,15 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
         TraceEvent::MsgHandled {
             node,
             from,
-            words,
             cause,
             req,
             retx,
             ..
         } => format!(
-            "n{} handled {} from n{} ({} words){}{}",
+            "n{} handled {} from n{}{}{}",
             node.0,
             cause,
             from.0,
-            words,
             if retx { " [retx copy]" } else { "" },
             req_suffix(req)
         ),
@@ -157,19 +188,20 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
             from,
             to,
             partitioned,
+            ..
         } => format!(
             "n{} -> n{} DROPPED{}",
             from.0,
             to.0,
             if partitioned { " (partition)" } else { "" }
         ),
-        TraceEvent::MsgDuplicated { from, to } => {
+        TraceEvent::MsgDuplicated { from, to, .. } => {
             format!("n{} -> n{} duplicated on the wire", from.0, to.0)
         }
         TraceEvent::Retransmit { node, to, attempt } => {
             format!("n{} retransmit -> n{} (attempt {})", node.0, to.0, attempt)
         }
-        TraceEvent::DupSuppressed { node, from } => {
+        TraceEvent::DupSuppressed { node, from, .. } => {
             format!("n{} suppressed duplicate from n{}", node.0, from.0)
         }
         TraceEvent::CtxFreed { node, ctx } => format!("n{} freed ctx{}", node.0, ctx),

@@ -11,19 +11,25 @@
 //! a pair belong to the step. Records emitted *outside* any step come from
 //! root invocations driven by the harness (`Runtime::call` runs the first
 //! activation inline before the dispatch loop starts) and are folded into
-//! synthetic *root* steps. Message sends are matched to their handles
-//! FIFO per `(from, to, cause)` — exact on fault-free runs, where the
-//! interconnect delivers each link's traffic in order and nothing is
-//! dropped or duplicated; under an active fault plan the matching is best
-//! effort.
+//! synthetic *root* steps.
+//!
+//! Flows are exact. Every message record carries the wire number of the
+//! copy it describes, and the runtime numbers each injection once: a
+//! `MsgSent` enters the number in a map of copies in flight, the
+//! `MsgHandled` that consumes it takes it out as a flow, and a
+//! `DupSuppressed` or `MsgDropped` forgets it. A fault-plan duplicate
+//! shares its original's number, so at most one of the two copies draws
+//! an arrow; an external arrival names no send and draws none. Drops,
+//! duplicates, jitter and retransmissions therefore never pair a handle
+//! with the wrong send, and no flow is shorter than the wire.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use hem_core::{MsgCause, Observer, TraceEvent, TraceRecord};
 use hem_ir::MethodId;
 use hem_machine::Cycles;
 
-use crate::rollup::cause_idx;
+use crate::U64Map;
 
 /// Step kinds: the dispatch-loop candidate kinds plus the synthetic root.
 pub const KIND_MSG: u8 = 0;
@@ -33,21 +39,6 @@ pub const KIND_LOCAL: u8 = 1;
 pub const KIND_TIMERS: u8 = 2;
 /// Synthetic: harness-driven root invocation outside the dispatch loop.
 pub const KIND_ROOT: u8 = 3;
-
-/// A message arrival consumed by a step, with its matched send when known.
-#[derive(Debug, Clone, Copy)]
-pub struct MsgIn {
-    /// Sender node.
-    pub from: u32,
-    /// Payload words.
-    pub words: u64,
-    /// Payload kind.
-    pub cause: MsgCause,
-    /// Receiver-side handle time.
-    pub at: Cycles,
-    /// Matched send time on the sender, when the send was in the trace.
-    pub sent_at: Option<Cycles>,
-}
 
 /// One scheduler step (or synthetic root span) on a node.
 #[derive(Debug, Clone)]
@@ -61,7 +52,10 @@ pub struct Step {
     /// Clock after all work charged in the step.
     pub end: Cycles,
     /// Messages handled within the step.
-    pub msgs: Vec<MsgIn>,
+    pub handled: u32,
+    /// `(sender, send time)` of the first message handled in the step
+    /// whose send is in the trace.
+    pub arrival: Option<(u32, Cycles)>,
 }
 
 impl Step {
@@ -108,8 +102,6 @@ pub struct Flow {
     pub handled_at: Cycles,
     /// Payload kind.
     pub cause: MsgCause,
-    /// Payload words.
-    pub words: u64,
 }
 
 /// An external request's sojourn through the machine (open-system mode):
@@ -218,7 +210,8 @@ pub struct TimelineBuilder {
     ctx_spans: Vec<CtxSpan>,
     open_ctx: HashMap<(u32, u32), usize>,
     flows: Vec<Flow>,
-    pending: HashMap<(u32, u32, usize), VecDeque<(Cycles, u64)>>,
+    /// Send time of each wire copy still in flight, by wire number.
+    in_flight: U64Map<Cycles>,
     suspends: Vec<Vec<SuspendSpan>>,
     open_susp: HashMap<(u32, u32), usize>,
     requests: Vec<ReqSpan>,
@@ -244,7 +237,7 @@ impl TimelineBuilder {
             ctx_spans: Vec::new(),
             open_ctx: HashMap::new(),
             flows: Vec::new(),
-            pending: HashMap::new(),
+            in_flight: U64Map::default(),
             suspends: vec![Vec::new(); n_nodes],
             open_susp: HashMap::new(),
             requests: Vec::new(),
@@ -285,7 +278,8 @@ impl TimelineBuilder {
                     kind: KIND_ROOT,
                     start: at,
                     end: at,
-                    msgs: Vec::new(),
+                    handled: 0,
+                    arrival: None,
                 });
                 self.open_is_root[ni] = true;
             }
@@ -358,40 +352,26 @@ impl TimelineBuilder {
                     kind,
                     start: rec.at,
                     end: rec.at,
-                    msgs: Vec::new(),
+                    handled: 0,
+                    arrival: None,
                 });
             }
             TraceEvent::EventEnd { .. } => {
                 self.close_open(node, rec.at);
             }
-            TraceEvent::MsgSent {
-                from,
-                to,
-                words,
-                cause,
-                ..
-            } => {
+            TraceEvent::MsgSent { wire, .. } => {
                 self.touch_activity(node, rec.at);
-                self.pending
-                    .entry((from.0, to.0, cause_idx(cause)))
-                    .or_default()
-                    .push_back((rec.at, words));
+                self.in_flight.insert(wire, rec.at);
             }
             TraceEvent::MsgHandled {
                 node: n,
                 from,
-                words,
+                wire,
                 cause,
                 ..
             } => {
                 self.touch_activity(node, rec.at);
-                // FIFO match; a handle with no same-cause send left tries
-                // the retransmit queue (the original was lost, a retried
-                // copy delivered the payload).
-                let sent_at = self
-                    .pop_pending(from.0, n.0, cause_idx(cause))
-                    .or_else(|| self.pop_pending(from.0, n.0, cause_idx(MsgCause::Retransmit)))
-                    .map(|(at, _)| at);
+                let sent_at = self.in_flight.remove(&wire);
                 if let Some(sent_at) = sent_at {
                     self.flows.push(Flow {
                         from: from.0,
@@ -399,34 +379,19 @@ impl TimelineBuilder {
                         to: n.0,
                         handled_at: rec.at,
                         cause,
-                        words,
                     });
                 }
-                let m = MsgIn {
-                    from: from.0,
-                    words,
-                    cause,
-                    at: rec.at,
-                    sent_at,
+                let Some(s) = &mut self.open[ni] else {
+                    unreachable!("touch_activity opened a step")
                 };
-                match &mut self.open[ni] {
-                    Some(s) => s.msgs.push(m),
-                    None => unreachable!("touch_activity opened a step"),
+                s.handled += 1;
+                if s.arrival.is_none() {
+                    s.arrival = sent_at.map(|at| (from.0, at));
                 }
             }
-            TraceEvent::DupSuppressed { node: n, from } => {
+            TraceEvent::DupSuppressed { wire, .. } | TraceEvent::MsgDropped { wire, .. } => {
                 self.touch_activity(node, rec.at);
-                // The duplicate consumed a wire copy; prefer eating a
-                // retransmitted send so later real handles still match.
-                if self
-                    .pop_pending(from.0, n.0, cause_idx(MsgCause::Retransmit))
-                    .is_none()
-                    && self
-                        .pop_pending(from.0, n.0, cause_idx(MsgCause::Request))
-                        .is_none()
-                {
-                    let _ = self.pop_pending(from.0, n.0, cause_idx(MsgCause::Reply));
-                }
+                self.in_flight.remove(&wire);
             }
             TraceEvent::ParInvoke { node, method, ctx }
             | TraceEvent::Fallback { node, method, ctx } => {
@@ -484,10 +449,6 @@ impl TimelineBuilder {
             Some(s) => s.end = s.end.max(at),
             None => self.touch_root(node, at),
         }
-    }
-
-    fn pop_pending(&mut self, from: u32, to: u32, cause: usize) -> Option<(Cycles, u64)> {
-        self.pending.get_mut(&(from, to, cause))?.pop_front()
     }
 
     /// Close the steps still open and hand the timeline over.
@@ -561,16 +522,7 @@ mod tests {
                     method: MethodId(1),
                 },
             ),
-            rec(
-                7,
-                TraceEvent::MsgSent {
-                    from: n,
-                    to: NodeId(1),
-                    words: 3,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
+            sent(7, 0, 1, 0, MsgCause::Request),
             rec(
                 10,
                 TraceEvent::EventStart {
@@ -588,142 +540,113 @@ mod tests {
         assert_eq!(tl.steps[0][1].kind, KIND_MSG);
     }
 
-    #[test]
-    fn sends_match_handles_fifo_per_link_and_cause() {
-        let a = NodeId(0);
-        let b = NodeId(1);
-        let recs = vec![
+    fn sent(at: Cycles, from: u32, to: u32, wire: u64, cause: MsgCause) -> TraceRecord {
+        rec(
+            at,
+            TraceEvent::MsgSent {
+                from: NodeId(from),
+                to: NodeId(to),
+                wire,
+                words: 2,
+                cause,
+                req: 0,
+            },
+        )
+    }
+
+    fn handled(at: Cycles, node: u32, from: u32, wire: u64) -> TraceRecord {
+        rec(
+            at,
+            TraceEvent::MsgHandled {
+                node: NodeId(node),
+                from: NodeId(from),
+                wire,
+                cause: MsgCause::Request,
+                req: 0,
+                deliver: 0,
+                retx: false,
+            },
+        )
+    }
+
+    /// A one-message step on node `node` at `at`, handling copy `wire`.
+    fn msg_step(at: Cycles, node: u32, from: u32, wire: u64) -> [TraceRecord; 3] {
+        let kind = KIND_MSG;
+        [
             rec(
-                1,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                4,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 9,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                6,
+                at,
                 TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
+                    node: NodeId(node),
+                    kind,
                     req: 0,
                 },
             ),
-            rec(
-                6,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(8, TraceEvent::EventEnd { node: b }),
-            rec(
-                9,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                9,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 9,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(10, TraceEvent::EventEnd { node: b }),
-        ];
-        let tl = Timeline::build(&recs, 2);
-        assert_eq!(tl.flows.len(), 2);
-        assert_eq!((tl.flows[0].sent_at, tl.flows[0].handled_at), (1, 6));
-        assert_eq!((tl.flows[1].sent_at, tl.flows[1].handled_at), (4, 9));
-        assert_eq!(tl.steps[1][0].msgs[0].sent_at, Some(1));
+            handled(at, node, from, wire),
+            rec(at + 1, TraceEvent::EventEnd { node: NodeId(node) }),
+        ]
     }
 
     #[test]
-    fn handle_of_a_lost_original_matches_the_retransmit() {
-        let a = NodeId(0);
-        let b = NodeId(1);
-        let recs = vec![
+    fn handles_match_their_send_by_wire_number() {
+        // Two sends on one link and cause, handled in the opposite order
+        // (jitter overtook): each handle still finds its own send.
+        let mut recs = vec![
+            sent(1, 0, 1, 10, MsgCause::Request),
+            sent(4, 0, 1, 11, MsgCause::Request),
+        ];
+        recs.extend(msg_step(6, 1, 0, 11));
+        recs.extend(msg_step(9, 1, 0, 10));
+        let tl = Timeline::build(&recs, 2);
+        let flows: Vec<_> = tl.flows.iter().map(|f| (f.sent_at, f.handled_at)).collect();
+        assert_eq!(flows, [(4, 6), (1, 9)]);
+        let s = &tl.steps[1][0];
+        assert_eq!((s.handled, s.arrival), (1, Some((0, 4))));
+    }
+
+    #[test]
+    fn lost_and_duplicated_copies_draw_no_second_arrow() {
+        let mut recs = vec![
+            sent(1, 0, 1, 10, MsgCause::Request),
             rec(
                 1,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 5,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(
-                2,
                 TraceEvent::MsgDropped {
-                    from: a,
-                    to: b,
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    wire: 10,
                     partitioned: false,
                 },
             ),
+            sent(40, 0, 1, 11, MsgCause::Retransmit),
             rec(
                 40,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    words: 5,
-                    cause: MsgCause::Retransmit,
-                    req: 0,
+                TraceEvent::MsgDuplicated {
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    wire: 11,
                 },
             ),
-            rec(
-                45,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                45,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    words: 5,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(46, TraceEvent::EventEnd { node: b }),
         ];
-        let tl = Timeline::build(&recs, 2);
-        // The Request send at t=1 matches first (FIFO in cause class) —
-        // best-effort under faults; what matters is *a* flow exists and
-        // both queues drain.
+        recs.extend(msg_step(45, 1, 0, 11));
+        recs.push(rec(
+            50,
+            TraceEvent::DupSuppressed {
+                node: NodeId(1),
+                from: NodeId(0),
+                wire: 11,
+            },
+        ));
+        // An external arrival names no send.
+        recs.extend(msg_step(60, 1, 1, (1 << 63) | 3));
+        let mut b = TimelineBuilder::new(2);
+        for r in &recs {
+            b.feed(r);
+        }
+        assert!(b.in_flight.is_empty(), "every copy was consumed or lost");
+        let tl = b.finish();
         assert_eq!(tl.flows.len(), 1);
-        assert_eq!(tl.flows[0].handled_at, 45);
+        assert_eq!((tl.flows[0].sent_at, tl.flows[0].handled_at), (40, 45));
+        assert_eq!(tl.steps[1][2].arrival, None);
+        assert_eq!(tl.steps[1][2].handled, 1);
     }
 
     #[test]

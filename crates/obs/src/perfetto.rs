@@ -147,7 +147,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
     for s in tl.steps.iter().flatten() {
         obj!(w, "ph": "X", "cat": "sched", "name": s.kind_name(), "pid": s.node,
             "tid": TID_SCHED, "ts": s.start, "dur": s.end - s.start,
-            "args": { "msgs": s.msgs.len() });
+            "args": { "msgs": s.handled });
     }
 
     // Context residency as async spans (id = span index; ids are unique
@@ -303,6 +303,7 @@ mod tests {
                 event: TraceEvent::MsgSent {
                     from: a,
                     to: b,
+                    wire: 0,
                     words: 3,
                     cause: MsgCause::Request,
                     req: 0,
@@ -329,7 +330,7 @@ mod tests {
                 event: TraceEvent::MsgHandled {
                     node: b,
                     from: a,
-                    words: 3,
+                    wire: 0,
                     cause: MsgCause::Request,
                     req: 0,
                     deliver: 0,

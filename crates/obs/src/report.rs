@@ -585,6 +585,7 @@ mod tests {
                 event: TraceEvent::MsgSent {
                     from: NodeId(0),
                     to: NodeId(1),
+                    wire: 0,
                     words: 4,
                     cause: MsgCause::Request,
                     req: 0,

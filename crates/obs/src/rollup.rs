@@ -665,6 +665,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: NodeId(0),
                     to: NodeId(1),
+                    wire: 0,
                     words: 4,
                     cause: MsgCause::Request,
                     req: 0,
@@ -675,6 +676,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: NodeId(1),
                     to: NodeId(0),
+                    wire: 0,
                     words: 2,
                     cause: MsgCause::Reply,
                     req: 0,
@@ -685,6 +687,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: NodeId(0),
                     to: NodeId(1),
+                    wire: 0,
                     words: 1,
                     cause: MsgCause::Ack,
                     req: 0,
@@ -713,6 +716,7 @@ mod tests {
                     TraceEvent::MsgSent {
                         from: NodeId(from),
                         to: NodeId(to),
+                        wire: 0,
                         words: (from + to) as u64,
                         cause: MsgCause::Request,
                         req: 0,
@@ -742,6 +746,7 @@ mod tests {
                 TraceEvent::MsgSent {
                     from: NodeId(3),
                     to: NodeId(4),
+                    wire: 0,
                     words: 2,
                     cause: MsgCause::Request,
                     req: 0,
@@ -753,6 +758,7 @@ mod tests {
             TraceEvent::MsgSent {
                 from: NodeId(4),
                 to: NodeId(3),
+                wire: 0,
                 words: 1,
                 cause: MsgCause::Reply,
                 req: 0,

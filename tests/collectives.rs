@@ -351,17 +351,27 @@ fn multicast_legs_pay_per_hop_latency() {
     }
 
     let trace = rt.take_trace();
-    // First Multicast handled on each member node, with its payload size.
+    // First Multicast handled on each member node, with the payload size
+    // its send (the `MsgSent` of the same wire copy) put on the wire.
+    let sent_words = |wire: u64| {
+        trace
+            .iter()
+            .find_map(|r| match r.event {
+                TraceEvent::MsgSent { wire: w, words, .. } if w == wire => Some(words),
+                _ => None,
+            })
+            .expect("a handled leg names its send")
+    };
     let handled = |node: u32| -> (u64, u64) {
         trace
             .iter()
             .find_map(|r| match r.event {
                 TraceEvent::MsgHandled {
                     node: n,
-                    words,
+                    wire,
                     cause: MsgCause::Multicast,
                     ..
-                } if n.0 == node => Some((r.at, words)),
+                } if n.0 == node => Some((r.at, sent_words(wire))),
                 _ => None,
             })
             .unwrap_or_else(|| panic!("no multicast leg handled on node {node}"))

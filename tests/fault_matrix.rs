@@ -20,6 +20,11 @@
 //!    (`msgs_sent + replies_sent == msgs_handled`), every received data
 //!    copy acked (`acks_sent == msgs_handled + dups_suppressed`), and no
 //!    context leaks.
+//! 5. **Every message record names its wire copy**: each handled or
+//!    suppressed copy names an earlier `MsgSent`, no copy is consumed
+//!    more often than the wire delivered it, and every flow the timeline
+//!    draws is at least one wire latency long — on every plan and every
+//!    executor.
 //!
 //! Seeds come from `HYBRID_TEST_SEED` when set (the CI fault-soak job
 //! pins three), else a built-in trio.
@@ -29,15 +34,17 @@ mod common;
 use common::{assert_same_trace, seeds, Exec};
 use hem::analysis::InterfaceSet;
 use hem::apps::{em3d, md, sor, sync};
-use hem::core::trace::TraceRecord;
+use hem::core::trace::{TraceEvent, TraceRecord};
 use hem::core::{ExecMode, NodeObjectState, Runtime, SchedImpl};
 use hem::ir::Value;
 use hem::machine::cost::CostModel;
 use hem::machine::fault::{FaultPlan, LinkWindow, NodeWindow};
 use hem::machine::stats::MachineStats;
 use hem::machine::topology::ProcGrid;
+use hem::obs::Timeline;
 use hem::NodeId;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Everything observable about one run.
 struct Outcome {
@@ -275,6 +282,98 @@ fn assert_conservation(label: &str, o: &Outcome) {
         t.acks_handled <= t.acks_sent + o.stats.net.faults.duplicated,
         "{label}: acks cannot be conjured"
     );
+}
+
+/// The wire-number contract of one run's trace (property 5).
+fn assert_wire_contract(label: &str, kernel: &str, o: &Outcome) {
+    // What the wire did with each copy: when it was sent, how many
+    // deliveries it allows (0 lost, 2 duplicated, else 1), how many
+    // handled or suppressed records consumed it.
+    struct Copy {
+        at: u64,
+        allowed: u32,
+        consumed: u32,
+    }
+    let mut copies: HashMap<u64, Copy> = HashMap::new();
+    for r in &o.trace {
+        let consumed = match r.event {
+            TraceEvent::MsgSent { wire, .. } => {
+                let copy = Copy {
+                    at: r.at,
+                    allowed: 1,
+                    consumed: 0,
+                };
+                assert!(
+                    copies.insert(wire, copy).is_none(),
+                    "{label}: wire number {wire:#x} injected twice"
+                );
+                continue;
+            }
+            TraceEvent::MsgDropped { wire, .. } => {
+                copies.get_mut(&wire).expect("a lost copy was sent").allowed = 0;
+                continue;
+            }
+            TraceEvent::MsgDuplicated { wire, .. } => {
+                copies.get_mut(&wire).expect("a duplicate was sent").allowed = 2;
+                continue;
+            }
+            TraceEvent::MsgHandled { wire, .. } | TraceEvent::DupSuppressed { wire, .. } => wire,
+            _ => continue,
+        };
+        let copy = copies.get_mut(&consumed).unwrap_or_else(|| {
+            panic!(
+                "{label}: {:?} at {} names no earlier MsgSent",
+                r.event, r.at
+            )
+        });
+        assert!(copy.at <= r.at, "{label}: {:?} before its send", r.event);
+        copy.consumed += 1;
+        assert!(
+            copy.consumed <= copy.allowed,
+            "{label}: wire copy {consumed:#x} consumed {} times, the wire delivered {}",
+            copy.consumed,
+            copy.allowed
+        );
+    }
+    let cost = if kernel == "em3d" {
+        CostModel::t3d()
+    } else {
+        CostModel::cm5()
+    };
+    let tl = Timeline::build(&o.trace, 16);
+    assert!(!tl.flows.is_empty(), "{label}: no flows");
+    for f in &tl.flows {
+        assert!(
+            f.handled_at >= f.sent_at + cost.min_wire_latency(),
+            "{label}: flow {f:?} is shorter than the wire"
+        );
+    }
+}
+
+/// Property 5 on every kernel × fault plan × executor, with the
+/// fault-free transport run as plan "clean".
+#[test]
+fn message_records_name_their_wire_copy() {
+    let execs: [(&str, Exec); 4] = [
+        ("index", SchedImpl::EventIndex.into()),
+        ("reference", Exec::Reference),
+        ("sharded2", SchedImpl::Sharded { threads: 2 }.into()),
+        ("spec2", SchedImpl::Speculative { threads: 2 }.into()),
+    ];
+    let seed = seeds()[0];
+    let mut plans: Vec<(String, Option<FaultPlan>)> = vec![("clean".into(), None)];
+    for (pi, plan) in fault_grid(seed).into_iter().enumerate() {
+        plans.push((format!("plan{pi}"), Some(plan)));
+    }
+    for kernel in KERNELS {
+        for (name, plan) in &plans {
+            for (exec_name, exec) in execs {
+                let o = run_kernel(kernel, ExecMode::Hybrid, exec, plan.as_ref());
+                let label = format!("{kernel}/seed{seed}/{name}/{exec_name}");
+                assert_wire_contract(&label, kernel, &o);
+            }
+        }
+    }
 }
 
 /// The full matrix: every kernel × every fault plan × every seed, checked

@@ -651,3 +651,42 @@ fn reliable_transport_traffic_is_attributed_to_ack_frames() {
         }
     )));
 }
+
+#[test]
+fn faulty_serve_flows_are_never_shorter_than_the_wire() {
+    // `hemprof serve --p 8 --until 200000 --warmup 10000 --drop 100
+    // --dup 50 --jitter 300`: each handle names the wire copy it consumed,
+    // so drops, duplicates, jitter and retransmissions never pair it with
+    // another send, and every flow spans at least one wire latency.
+    let mut cfg = ServeConfig::new();
+    cfg.p = 8;
+    cfg.horizon = 200_000;
+    cfg.warmup = 10_000;
+    cfg.buffer = TraceBuffer::Off;
+    cfg.fault = Some(hem::machine::fault::FaultPlan {
+        drop_permille: 100,
+        dup_permille: 50,
+        jitter_max: 300,
+        ..hem::machine::fault::FaultPlan::seeded(cfg.seed)
+    });
+    let builder = Box::new(TimelineBuilder::new(cfg.p as usize));
+    let (mut rt, _) = cfg.run_with_observer(builder).expect("no trap");
+    let stats = rt.stats();
+    assert!(stats.net.faults.lost() > 0 && stats.net.faults.duplicated > 0);
+    let any: Box<dyn std::any::Any> = rt.take_observer().expect("attached");
+    let tl = any
+        .downcast::<TimelineBuilder>()
+        .expect("the builder")
+        .finish();
+    let wire = cfg.cost.min_wire_latency();
+    let short: Vec<_> = tl
+        .flows
+        .iter()
+        .filter(|f| f.handled_at < f.sent_at + wire)
+        .collect();
+    assert!(tl.flows.len() > 20_000, "{} flows", tl.flows.len());
+    assert!(
+        short.is_empty(),
+        "flows shorter than {wire} cycles: {short:?}"
+    );
+}
