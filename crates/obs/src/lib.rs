@@ -123,6 +123,16 @@ fn req_suffix(req: u64) -> String {
     }
 }
 
+/// Render a wire number: `#s.n` for the `s`-th injection by node `n`,
+/// `#ext.k` for the `k`-th external arrival.
+fn wire_name(wire: u64) -> String {
+    if wire >> 63 == 1 {
+        format!("#ext.{}", wire & !(1 << 63))
+    } else {
+        format!("#{}.{}", wire >> 20, wire & 0xF_FFFF)
+    }
+}
+
 /// One-line human description of an event, with method names resolved
 /// against the program. The `trace_adaptation` example and `hemprof`'s
 /// `--events` dump print these.
@@ -152,30 +162,33 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
         TraceEvent::MsgSent {
             from,
             to,
+            wire,
             words,
             cause,
             req,
-            ..
         } => format!(
-            "n{} -> n{} {} ({} words){}",
+            "n{} -> n{} {} ({} words) {}{}",
             from.0,
             to.0,
             cause,
             words,
+            wire_name(wire),
             req_suffix(req)
         ),
         TraceEvent::MsgHandled {
             node,
             from,
+            wire,
             cause,
             req,
             retx,
             ..
         } => format!(
-            "n{} handled {} from n{}{}{}",
+            "n{} handled {} from n{} {}{}{}",
             node.0,
             cause,
             from.0,
+            wire_name(wire),
             if retx { " [retx copy]" } else { "" },
             req_suffix(req)
         ),
@@ -187,23 +200,30 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
         TraceEvent::MsgDropped {
             from,
             to,
+            wire,
             partitioned,
-            ..
         } => format!(
-            "n{} -> n{} DROPPED{}",
+            "n{} -> n{} {} DROPPED{}",
             from.0,
             to.0,
+            wire_name(wire),
             if partitioned { " (partition)" } else { "" }
         ),
-        TraceEvent::MsgDuplicated { from, to, .. } => {
-            format!("n{} -> n{} duplicated on the wire", from.0, to.0)
-        }
+        TraceEvent::MsgDuplicated { from, to, wire } => format!(
+            "n{} -> n{} {} duplicated on the wire",
+            from.0,
+            to.0,
+            wire_name(wire)
+        ),
         TraceEvent::Retransmit { node, to, attempt } => {
             format!("n{} retransmit -> n{} (attempt {})", node.0, to.0, attempt)
         }
-        TraceEvent::DupSuppressed { node, from, .. } => {
-            format!("n{} suppressed duplicate from n{}", node.0, from.0)
-        }
+        TraceEvent::DupSuppressed { node, from, wire } => format!(
+            "n{} suppressed duplicate from n{} {}",
+            node.0,
+            from.0,
+            wire_name(wire)
+        ),
         TraceEvent::CtxFreed { node, ctx } => format!("n{} freed ctx{}", node.0, ctx),
         TraceEvent::EventStart { node, kind, req } => {
             let k = match kind {
@@ -223,5 +243,17 @@ pub fn describe(e: &TraceEvent, program: &hem_ir::Program) -> String {
         TraceEvent::RequestShed { node, req } => {
             format!("n{} request {req} SHED", node.0)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wire_name;
+
+    #[test]
+    fn wire_names_spell_the_count_and_the_sender() {
+        assert_eq!(wire_name(3), "#0.3");
+        assert_eq!(wire_name((12 << 20) | 0xF_FFFF), "#12.1048575");
+        assert_eq!(wire_name((1 << 63) | 5), "#ext.5");
     }
 }
