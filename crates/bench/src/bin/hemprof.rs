@@ -29,11 +29,6 @@
 //! `--critical-path` describe the ring's contents, under a TRUNCATED
 //! banner when anything was evicted.
 //!
-//! `--shard-map profile` first runs a cheap single-threaded pilot of the
-//! same kernel, feeds its per-node busy time back as shard weights, and
-//! cuts shard boundaries by cumulative busy time — host-time load balance
-//! only, observables stay bit-identical.
-//!
 //! `--perfetto FILE` is opened once the command line has been validated
 //! and before the run; a run that fails — a trap is one `hemprof: trap…`
 //! line and exit 1 — removes the file if it created it.
@@ -98,7 +93,6 @@ hem_bench::flags! { FLAGS:
     MODE = flag("--mode", Choice(&["hybrid", "parallel|parallel-only"]), RUNS, "execution mode (default hybrid)");
     COST = flag("--cost", Choice(&["cm5", "t3d", "unit"]), RUNS, "cost model (default cm5)");
     THREADS = flag("--threads", Int(0, usize::MAX as u64), RUNS, "host worker threads (sharded executor; default 1)");
-    SHARD_MAP = flag("--shard-map", Choice(&["even", "profile"]), KERNEL, "shard partition for --threads > 1 (profile: by a pilot run's busy time)");
     SPECULATIVE = flag("--speculative", Bare, RUNS, "optimistic (Time-Warp) executor for --threads > 1");
     RING = flag("--ring", Int(0, usize::MAX as u64), RUNS, "keep the last N records, and export from them");
     REPORT = flag("--report", Choice(&["table", "json"]), RUNS, "report format (default table)");
@@ -227,11 +221,7 @@ impl Drop for PerfettoDest {
 
 /// One run: a kernel to quiescence, or the service mix to its horizon.
 enum Job {
-    Kernel {
-        cfg: ProfileConfig,
-        /// `--shard-map profile`.
-        profile_shards: bool,
-    },
+    Kernel(ProfileConfig),
     Serve {
         cfg: ServeConfig,
         /// Attach the blame tracker (`hemprof blame`).
@@ -319,28 +309,19 @@ impl Job {
         args.set(&SEED, &mut cfg.seed);
         args.set(&SIZE, &mut cfg.size);
         args.set(&ITERS, &mut cfg.iters);
-        Job::Kernel {
-            cfg,
-            profile_shards: args.pick(&SHARD_MAP, [false, true]),
-        }
+        Job::Kernel(cfg)
     }
 
     fn check(&self) -> Result<(), String> {
         match self {
-            Job::Kernel { cfg, .. } => cfg.check(),
+            Job::Kernel(cfg) => cfg.check(),
             Job::Serve { cfg, .. } => cfg.check(),
         }
     }
 
     fn run(&mut self, output: &Output) -> Result<Ran, Trap> {
         match self {
-            Job::Kernel {
-                cfg,
-                profile_shards,
-            } => {
-                if *profile_shards && cfg.threads > 1 {
-                    cfg.shard_weights = Some(pilot_weights(cfg)?);
-                }
+            Job::Kernel(cfg) => {
                 let rt = cfg.run_with_observer(output.observers(cfg.buffer, cfg.p, []))?;
                 Ok(Ran {
                     spec: spec_summary(&rt, cfg.speculative, cfg.threads),
@@ -664,27 +645,6 @@ fn delta(a: u64, b: u64) -> String {
     } else {
         format!("({:+}, {:+.1}%)", d, 100.0 * d as f64 / a as f64)
     }
-}
-
-/// `--shard-map profile`: run a cheap single-threaded pilot of the same
-/// kernel and return its per-node busy time as shard weights. The pilot
-/// keeps no records (the rollup is its only consumer) and no report is
-/// printed for it.
-fn pilot_weights(cfg: &ProfileConfig) -> Result<Vec<u64>, Trap> {
-    let mut pilot = cfg.clone();
-    pilot.threads = 1;
-    pilot.speculative = false;
-    pilot.buffer = TraceBuffer::Off;
-    let mut rt = pilot.run_with_observer(Box::new(Rollup::new()))?;
-    let any: Box<dyn Any> = rt.take_observer().expect("pilot rollup attached");
-    let rollup = any.downcast::<Rollup>().expect("a Rollup");
-    let w = rollup.node_busy_weights(cfg.p);
-    eprintln!(
-        "hemprof: profile-guided shard map from pilot run (busy-time total {} cycles over {} nodes)",
-        w.iter().sum::<u64>(),
-        w.len()
-    );
-    Ok(w)
 }
 
 /// Host-side speculation diagnostics for the report and the Perfetto

@@ -125,12 +125,6 @@ pub struct ProfileConfig {
     /// stragglers. Still bit-identical; the speculation diagnostics land
     /// in the report's speculative section.
     pub speculative: bool,
-    /// Per-node busy-time weights steering the sharded executor's
-    /// contiguous partition (`Runtime::set_shard_weights`); `None` keeps
-    /// the equal-slice map. Host-time tuning only — every weighting
-    /// yields a bit-identical trace and report. Typically filled from a
-    /// pilot run's `Rollup::node_busy_weights`.
-    pub shard_weights: Option<Vec<u64>>,
 }
 
 impl ProfileConfig {
@@ -149,7 +143,6 @@ impl ProfileConfig {
             buffer: TraceBuffer::default(),
             threads: 1,
             speculative: false,
-            shard_weights: None,
         }
     }
 
@@ -213,9 +206,6 @@ impl ProfileConfig {
                 self.mode,
                 InterfaceSet::Full,
             );
-            if self.shard_weights.is_some() {
-                rt.set_shard_weights(self.shard_weights.clone());
-            }
             arm(&mut rt, self.threads, self.speculative, self.buffer);
             if let Some(o) = obs {
                 rt.attach_observer(o);

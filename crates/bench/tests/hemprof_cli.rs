@@ -122,40 +122,6 @@ fn unknown_kernel_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-#[test]
-fn profile_shard_map_is_observationally_invisible() {
-    // `--shard-map profile` re-cuts the shard boundaries by pilot busy
-    // time — under either threaded executor — and the JSON report
-    // (makespan, traffic, every rollup cell) must be byte-identical to
-    // the default even map, up to the trailing `speculative`/`sched`
-    // host-diagnostics sections (rollback patterns follow the partition).
-    let invariant = |out: &Output| -> String {
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        let cut = text.find(",\"speculative\":").unwrap_or(text.len());
-        text[..cut].to_string()
-    };
-    for executor in [&[] as &[&str], &["--speculative"]] {
-        let base = [
-            &["sor", "--p", "4", "--size", "8", "--threads", "2"],
-            executor,
-            &["--report", "json"],
-        ]
-        .concat();
-        let even = hemprof(&base);
-        let prof = hemprof(&[&base[..], &["--shard-map", "profile"]].concat());
-        assert!(even.status.success() && prof.status.success());
-        assert_eq!(
-            invariant(&even),
-            invariant(&prof),
-            "{executor:?}: profile-guided map changed an observable"
-        );
-        assert!(
-            String::from_utf8_lossy(&prof.stderr).contains("profile-guided shard map"),
-            "{executor:?}: pilot run announced on stderr"
-        );
-    }
-}
-
 /// A flag that is present with a missing or unparsable value is a usage
 /// error (one line on stderr, exit 2) — never a silent fall-back to the
 /// default — in `hemprof` and in the table binaries alike.
@@ -271,7 +237,7 @@ fn perfetto_destination_failures() {
     // A usage error: nothing created, and an existing file left alone.
     let trace = temp_path("usage.json");
     let args = ["sor", "--perfetto", trace.to_str().unwrap(), "--bogus"];
-    let bad_value = ["sor", "--perfetto", args[2], "--shard-map", "bogus"];
+    let bad_value = ["sor", "--perfetto", args[2], "--mode", "bogus"];
     for args in [&args[..], &bad_value[..]] {
         assert_eq!(hemprof(args).status.code(), Some(2), "{args:?}");
         assert!(!trace.exists(), "{args:?}: a usage error creates no file");

@@ -303,11 +303,6 @@ pub struct Runtime {
     /// [`MachineStats`]: the counts depend on the thread count, like the
     /// heap diagnostics. See [`crate::timewarp::SpecStats`].
     pub(crate) spec: crate::timewarp::SpecStats,
-    /// Optional per-node busy-time weights for the sharded partition (see
-    /// [`Self::set_shard_weights`]); `None` partitions into equal
-    /// contiguous slices. Host-time tuning only — any contiguous
-    /// partition yields bit-identical observables.
-    pub(crate) shard_weights: Option<Vec<u64>>,
     /// Persistent shard pool, shared by both threaded executors: worker
     /// threads with nodes pinned to shards,
     /// kept alive across windows *and* across `run_until` chunks so the
@@ -397,7 +392,6 @@ impl Runtime {
             ext_seq: 0,
             completions: std::collections::BTreeMap::new(),
             spec: crate::timewarp::SpecStats::default(),
-            shard_weights: None,
             pool: None,
         }
     }
@@ -431,28 +425,6 @@ impl Runtime {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.net.set_plan(Some(plan));
         self.enable_reliable_transport();
-    }
-
-    /// Install (or clear, with `None`) per-node busy-time weights for the
-    /// threaded executors' partition. The partition stays contiguous but
-    /// cuts shard boundaries by cumulative weight instead of node count,
-    /// so a placement whose hot nodes sit in one contiguous slice no
-    /// longer idles most workers. Feed this from a profile —
-    /// `hem_obs::Rollup::node_busy_weights` exports exactly this vector.
-    ///
-    /// Host-time tuning only: the window protocol and the merge-by-key
-    /// rule are partition-independent, so traces, makespan, stats, and
-    /// rollups stay bit-identical under any weighting.
-    pub fn set_shard_weights(&mut self, weights: Option<Vec<u64>>) {
-        self.shard_weights = weights;
-    }
-
-    /// The contiguous node→shard map the threaded executors use at
-    /// this thread count, honoring any installed
-    /// [`Self::set_shard_weights`]. Diagnostic: lets callers and tests
-    /// inspect how a profile-guided weighting splits the machine.
-    pub fn shard_plan(&self, threads: usize) -> Vec<usize> {
-        crate::shard::shard_partition(self.nodes.len(), threads, self.shard_weights.as_deref())
     }
 
     /// Is the reliable transport engaged?

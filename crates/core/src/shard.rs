@@ -32,9 +32,9 @@
 //!   to the workers and their cells back: an epoch publication with
 //!   per-worker acks over cells taken only with `try_lock`, checked by an
 //!   exhaustive interleaving search. The next `W` is the minimum over the
-//!   shards' published minima, lowered while packets are routed. A busy
-//!   profile may weight the partition ([`Runtime::set_shard_weights`]);
-//!   no observable depends on it.
+//!   shards' published minima, lowered while packets are routed. Shard
+//!   `s` of `T` owns the contiguous slice `[s·P/T, (s+1)·P/T)`; no
+//!   observable depends on the partition.
 //! - **Determinism.** Each shard logs every dispatched event's `(time,
 //!   kind, node)` key with the offset of its first trace record in the
 //!   shard's capture. At the barrier the coordinator **heads-merges** the
@@ -100,43 +100,16 @@ pub(crate) struct ShardCtx {
     pub min_timer: Cycles,
 }
 
-/// Contiguous node→shard partition. With `weights == None`, shard `s`
-/// owns the equal slice `[s·p/T, (s+1)·p/T)`. With weights, shard
-/// boundaries cut by cumulative weight (each node weighs at least 1, so
-/// all-zero or short weight vectors degrade to near-equal slices), and
-/// every shard is guaranteed at least one node when `p ≥ threads`. It
-/// shapes host-time balance only: no observable depends on it.
-pub(crate) fn shard_partition(p: usize, threads: usize, weights: Option<&[u64]>) -> Vec<usize> {
+/// Contiguous node→shard partition: shard `s` owns the equal slice
+/// `[s·p/T, (s+1)·p/T)`, and every shard at least one node when
+/// `p ≥ threads`. It shapes host-time balance only: no observable depends
+/// on it.
+pub(crate) fn shard_partition(p: usize, threads: usize) -> Vec<usize> {
     let threads = threads.clamp(1, p.max(1));
     let mut owner = vec![0usize; p];
-    let Some(w) = weights else {
-        for s in 0..threads {
-            for o in &mut owner[s * p / threads..(s + 1) * p / threads] {
-                *o = s;
-            }
-        }
-        return owner;
-    };
-    let weight = |i: usize| -> u128 { w.get(i).copied().unwrap_or(0).max(1) as u128 };
-    let total: u128 = (0..p).map(weight).sum();
-    let mut s = 0usize;
-    let mut acc: u128 = 0;
-    for (i, o) in owner.iter_mut().enumerate() {
-        *o = s;
-        acc += weight(i);
-        if s + 1 >= threads || i + 1 >= p {
-            continue;
-        }
-        // Nearest-boundary cut: advance when the next node's weight
-        // midpoint lies at or past shard s's quota — i.e. keeping node
-        // i+1 here would land us farther from the ideal boundary than
-        // cutting now. (The plain "quota met" rule cuts one node late
-        // whenever a boundary falls mid-node, e.g. two near-equal hot
-        // nodes would both land in shard 0.)
-        let over_quota = (2 * acc + weight(i + 1)) * threads as u128 >= 2 * (s as u128 + 1) * total;
-        let must_cut = p - i - 1 == threads - s - 1; // one node per remaining shard
-        if over_quota || must_cut {
-            s += 1;
+    for s in 0..threads {
+        for o in &mut owner[s * p / threads..(s + 1) * p / threads] {
+            *o = s;
         }
     }
     owner
@@ -417,7 +390,7 @@ impl Runtime {
     /// per shard, and a thread for each but shard 0, which runs inline.
     fn ensure_pool(&mut self, threads: usize, record: bool) {
         let p = self.nodes.len();
-        let owner = shard_partition(p, threads, self.shard_weights.as_deref());
+        let owner = shard_partition(p, threads);
         let reuse = self.pool.as_ref().is_some_and(|pool| {
             pool.owner == owner && {
                 let cell0 = pool.edge.take(0, 0);
@@ -1011,7 +984,8 @@ mod tests {
             |rt| rt.set_fault_plan(FaultPlan::seeded(7)),
             // Copies the image the workers share.
             |rt| rt.set_inlining(false),
-            |rt| rt.set_shard_weights(Some(vec![9, 1, 1, 1])),
+            // A new thread count re-cuts the partition.
+            |rt| rt.sched_impl = SchedImpl::Sharded { threads: 4 },
         ];
         rt.call(root, method, &[Value::Int(5)])
             .expect("first chunk");
@@ -1027,56 +1001,14 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_defaults_to_equal_slices() {
+    fn partition_is_equal_contiguous_slices() {
         for (p, threads) in [(8, 2), (10, 4), (7, 3), (4, 4), (5, 1)] {
-            let plain = shard_partition(p, threads, None);
+            let owner = shard_partition(p, threads);
             for s in 0..threads {
-                for o in &plain[s * p / threads..(s + 1) * p / threads] {
+                for o in &owner[s * p / threads..(s + 1) * p / threads] {
                     assert_eq!(*o, s, "p={p} threads={threads}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn weighted_partition_splits_hot_slices_and_keeps_shards_nonempty() {
-        // All the heat in the first quarter: the weighted cut must split
-        // it instead of handing it to one shard.
-        let mut w = vec![1u64; 16];
-        for x in &mut w[0..4] {
-            *x = 1000;
-        }
-        let owner = shard_partition(16, 4, Some(&w));
-        assert!(owner.windows(2).all(|ab| ab[0] <= ab[1]), "contiguous");
-        assert!(
-            owner[0..4]
-                .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                > 1,
-            "hot slice split across shards: {owner:?}"
-        );
-        for s in 0..4 {
-            assert!(owner.contains(&s), "shard {s} nonempty: {owner:?}");
-        }
-        // Degenerate weights (zeros, short vectors) still partition.
-        let owner = shard_partition(6, 3, Some(&[0, 0]));
-        for s in 0..3 {
-            assert!(owner.contains(&s), "shard {s} nonempty: {owner:?}");
-        }
-    }
-
-    #[test]
-    fn weighted_runs_stay_bit_identical() {
-        // The shard map is host-time tuning: a wildly skewed weighting
-        // must not change a single observable bit.
-        let base = run_ring(SchedImpl::EventIndex, CostModel::cm5(), None);
-        for threads in [2, 4] {
-            let mut rt = start_ring(SchedImpl::Sharded { threads }, CostModel::cm5(), None);
-            rt.set_shard_weights(Some(vec![1_000_000, 1, 1, 1]));
-            rt.run_to_quiescence().expect("ring runs");
-            let skew = Outcome::of(rt);
-            assert_bit_identical(&base, &skew, &format!("weighted threads={threads}"));
         }
     }
 }

@@ -316,14 +316,6 @@ pub struct Rollup {
     open_ctx: SpanStore,
     /// Suspension time of each suspended context.
     suspended_at: SpanStore,
-    /// Virtual cycles each node spent dispatching events
-    /// (`EventStart`→`EventEnd` spans, which never nest per node). This
-    /// is the busy-time profile the sharded executor's profile-guided
-    /// shard map consumes — see [`Rollup::node_busy_weights`].
-    node_busy: Vec<u64>,
-    /// `EventStart` stamp of the event currently open on each node
-    /// ([`NO_SPAN`] when idle).
-    busy_open: Vec<Cycles>,
 }
 
 impl Rollup {
@@ -420,27 +412,9 @@ impl Rollup {
             TraceEvent::RequestArrived { .. } => self.requests_arrived += 1,
             TraceEvent::RequestDone { .. } => self.requests_completed += 1,
             TraceEvent::RequestShed { .. } => self.requests_shed += 1,
-            TraceEvent::EventStart { node, .. } => {
-                let n = node.0 as usize;
-                if self.busy_open.len() <= n {
-                    self.busy_open.resize(n + 1, NO_SPAN);
-                }
-                self.busy_open[n] = rec.at;
-            }
-            TraceEvent::EventEnd { node } => {
-                // `rec.at` is the node clock *after* the step, so the
-                // span is the event's whole virtual-time footprint.
-                let n = node.0 as usize;
-                let start = self.busy_open.get(n).copied().unwrap_or(NO_SPAN);
-                if start != NO_SPAN {
-                    if self.node_busy.len() <= n {
-                        self.node_busy.resize(n + 1, 0);
-                    }
-                    self.node_busy[n] += rec.at.saturating_sub(start);
-                    self.busy_open[n] = NO_SPAN;
-                }
-            }
-            TraceEvent::MsgDuplicated { .. } => {}
+            TraceEvent::EventStart { .. }
+            | TraceEvent::EventEnd { .. }
+            | TraceEvent::MsgDuplicated { .. } => {}
         }
     }
 
@@ -547,20 +521,6 @@ impl Rollup {
             coll += l.words[4] + l.words[5] + l.words[6];
         }
         (data, ack, retx, coll)
-    }
-
-    /// Virtual cycles node `i` spent dispatching events.
-    pub fn node_busy(&self, node: u32) -> u64 {
-        self.node_busy.get(node as usize).copied().unwrap_or(0)
-    }
-
-    /// Per-node busy time as a dense weight vector for all `p` nodes —
-    /// the feedback signal for the sharded executor's profile-guided
-    /// partition (`Runtime::set_shard_weights`). Nodes the profile never
-    /// saw weigh 0; the partitioner clamps every node to weight ≥ 1, so
-    /// a sparse profile still yields a total partition.
-    pub fn node_busy_weights(&self, p: u32) -> Vec<u64> {
-        (0..p).map(|i| self.node_busy(i)).collect()
     }
 
     /// Contexts still open (allocated, never freed) when observation ended
