@@ -474,19 +474,19 @@ impl Runtime {
             Packet::Ack { seq } => {
                 self.charge(node, self.cost().ack_overhead);
                 self.ctr(node).acks_handled += 1;
-                self.emit_handled(node, src, wire, None, req, deliver, retx);
+                self.emit_handled(node, src, wire, None, deliver, retx);
                 self.nodes[node].tx.ack(src.0, seq);
                 return Ok(());
             }
         };
         self.ctr(node).msgs_handled += 1;
-        self.emit_handled(node, src, wire, Some(&msg), req, deliver, retx);
+        self.emit_handled(node, src, wire, Some(&msg), deliver, retx);
         self.handle_msg(node, msg)
     }
 
     /// Emit the [`TraceEvent::MsgHandled`] record for wire copy `wire`: a
-    /// delivered application payload, or (`None`) an ack frame.
-    #[allow(clippy::too_many_arguments)]
+    /// delivered application payload, or (`None`) an ack frame. The blame
+    /// tag is the copy's, which `handle_packet` has made current.
     #[inline]
     fn emit_handled(
         &mut self,
@@ -494,7 +494,6 @@ impl Runtime {
         src: NodeId,
         wire: u64,
         payload: Option<&Msg>,
-        req: u64,
         deliver: Cycles,
         retx: bool,
     ) {
@@ -509,7 +508,7 @@ impl Runtime {
                 from: src,
                 wire,
                 cause,
-                req,
+                req: self.current_req,
                 deliver,
                 retx,
             },
