@@ -167,8 +167,8 @@ pub struct ServeParams {
 /// What became of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
-    /// Reply delivered at this virtual time.
-    Completed(Cycles),
+    /// Reply delivered at [`ReqRecord::done`].
+    Completed,
     /// Still in flight when the horizon hit.
     Pending,
     /// Refused: target queue over `max_queue`.
@@ -177,13 +177,15 @@ pub enum Disposition {
     ShedDeadline,
 }
 
-/// One request's record: identity, arrival, target, kind, outcome.
+/// One request's record: arrival, target, kind, outcome. The request's
+/// id is its index in [`ServeOutcome::records`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReqRecord {
-    /// Request id (dense, arrival-ordered).
-    pub req: u64,
     /// Arrival time.
     pub arrived: Cycles,
+    /// Reply delivery time; meaningful only when `disposition` is
+    /// [`Disposition::Completed`].
+    pub done: Cycles,
     /// Target node.
     pub node: NodeId,
     /// Request kind: 0 = lookup, 1 = compute, 2 = fanout.
@@ -192,12 +194,16 @@ pub struct ReqRecord {
     pub disposition: Disposition,
 }
 
+// A service run keeps one record per offered request for its whole
+// horizon; keep it at three words.
+const _: () = assert!(std::mem::size_of::<ReqRecord>() == 24);
+
 /// The driver's raw result. Aggregation (histograms, quantiles, warm-up
 /// trimming) belongs to the observability layer; this crate only reports
 /// what happened.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOutcome {
-    /// One record per offered request, in arrival order.
+    /// One record per offered request, in arrival (= id) order.
     pub records: Vec<ReqRecord>,
 }
 
@@ -212,10 +218,8 @@ impl ServeOutcome {
     pub fn latencies(&self) -> Vec<(Cycles, Cycles)> {
         self.records
             .iter()
-            .filter_map(|r| match r.disposition {
-                Disposition::Completed(done) => Some((r.arrived, done.saturating_sub(r.arrived))),
-                _ => None,
-            })
+            .filter(|r| r.disposition == Disposition::Completed)
+            .map(|r| (r.arrived, r.done.saturating_sub(r.arrived)))
             .collect()
     }
 }
@@ -239,22 +243,22 @@ pub fn run_service(
         if a.at >= params.horizon {
             break;
         }
-        rt.run_until(a.at)?;
+        run_and_land(rt, a.at, &mut out.records)?;
         let fe = inst.frontends[(a.key % inst.frontends.len() as u64) as usize];
         let pick = (a.key >> 32) % 100;
-        let (kind, method, args): (u8, MethodId, Vec<Value>) = if pick < 60 {
+        let (kind, method, args): (u8, MethodId, &[Value]) = if pick < 60 {
             let i = (a.key >> 16) as i64 & 0xFFFF;
-            (0, inst.ids.lookup, vec![Value::Int(i)])
+            (0, inst.ids.lookup, &[Value::Int(i)])
         } else if pick < 90 {
             let n = 4 + ((a.key >> 24) as i64 & 0x7);
-            (1, inst.ids.compute, vec![Value::Int(n)])
+            (1, inst.ids.compute, &[Value::Int(n)])
         } else {
-            (2, inst.ids.fanout, vec![])
+            (2, inst.ids.fanout, &[])
         };
         let req = out.records.len() as u64;
         let mut rec = ReqRecord {
-            req,
             arrived: a.at,
+            done: 0,
             node: fe.node,
             kind,
             disposition: Disposition::Pending,
@@ -266,15 +270,31 @@ pub fn run_service(
             rec.disposition = Disposition::ShedDeadline;
             rt.note_request_shed(a.at, fe.node, req);
         } else {
-            rt.inject_request(a.at, req, fe, method, &args);
+            rt.inject_request(a.at, req, fe, method, args);
         }
         out.records.push(rec);
     }
-    rt.run_until(params.horizon)?;
-    for (req, done) in rt.take_completed_requests() {
-        out.records[req as usize].disposition = Disposition::Completed(done);
-    }
+    run_and_land(rt, params.horizon, &mut out.records)?;
     Ok(out)
+}
+
+/// Run to `horizon`, then move the completions that became visible into
+/// their requests' records, so the runtime's log never holds more than
+/// one chunk's worth. Request ids are dense indices, and a request is
+/// injected (its record pushed) before it can complete.
+fn run_and_land(rt: &mut Runtime, horizon: Cycles, records: &mut [ReqRecord]) -> Result<(), Trap> {
+    rt.run_until(horizon)?;
+    for (req, done) in rt.take_completed_requests() {
+        let r = &mut records[req as usize];
+        debug_assert_eq!(
+            r.disposition,
+            Disposition::Pending,
+            "request {req} completes once, and only if it was admitted"
+        );
+        r.disposition = Disposition::Completed;
+        r.done = done;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -313,7 +333,7 @@ mod tests {
         let (mut rt, inst) = world(4);
         let out = run_service(&mut rt, &inst, &params(60_000)).unwrap();
         assert!(out.records.len() > 50, "offered {}", out.records.len());
-        let completed = out.count(|r| matches!(r.disposition, Disposition::Completed(_)));
+        let completed = out.count(|r| r.disposition == Disposition::Completed);
         assert!(completed > 0, "some requests complete");
         for (arrived, lat) in out.latencies() {
             assert!(arrived < 60_000);
@@ -333,7 +353,7 @@ mod tests {
             (
                 out.records
                     .iter()
-                    .map(|r| (r.req, r.arrived, r.node.0, r.kind))
+                    .map(|r| (r.arrived, r.node.0, r.kind))
                     .collect::<Vec<_>>(),
                 out.latencies(),
             )

@@ -169,10 +169,10 @@ impl ServeConfig {
                     s.admitted += 1;
                     s.pending += 1;
                 }
-                Disposition::Completed(done) => {
+                Disposition::Completed => {
                     s.admitted += 1;
                     s.completed += 1;
-                    let sojourn = done.saturating_sub(r.arrived);
+                    let sojourn = r.done.saturating_sub(r.arrived);
                     if self.deadline > 0 && sojourn > self.deadline {
                         s.missed_deadline += 1;
                     }

@@ -295,7 +295,8 @@ pub struct Runtime {
     /// Completion log for [`Continuation::Request`] replies: request id →
     /// serving node's clock at reply delivery. A `BTreeMap` so iteration
     /// order is the id order, independent of completion order (and of
-    /// which shard worker logged it).
+    /// which shard worker logged it). The service driver drains it after
+    /// every `run_until`, so it holds one chunk's completions.
     pub(crate) completions: std::collections::BTreeMap<u64, Cycles>,
     /// Speculation diagnostics for [`SchedImpl::Speculative`] runs
     /// (windows, rollbacks, anti-messages, checkpointed nodes); all zero
@@ -767,7 +768,8 @@ impl Runtime {
     ///
     /// Only call between runs (never from inside a dispatched event);
     /// the typical open-loop driver alternates `run_until(next_arrival)`
-    /// with `inject_request(next_arrival, ..)`.
+    /// and a drain of the completion log with
+    /// `inject_request(next_arrival, ..)`.
     pub fn inject_request(
         &mut self,
         at: Cycles,

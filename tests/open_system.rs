@@ -35,7 +35,7 @@ struct Outcome {
     stats: MachineStats,
     trace: Vec<TraceRecord>,
     report: String,
-    dispositions: Vec<(u64, u64, u32, u8, service::Disposition)>,
+    dispositions: Vec<(u64, u64, u32, u8, Disposition, u64)>,
 }
 
 const THREADS: [usize; 2] = [2, 4];
@@ -80,7 +80,17 @@ fn run_service_mix(seed: u64, exec: impl Into<Exec>, plan: Option<&FaultPlan>) -
         dispositions: out
             .records
             .iter()
-            .map(|r| (r.req, r.arrived, r.node.0, r.kind, r.disposition))
+            .enumerate()
+            .map(|(id, r)| {
+                (
+                    id as u64,
+                    r.arrived,
+                    r.node.0,
+                    r.kind,
+                    r.disposition,
+                    r.done,
+                )
+            })
             .collect(),
     }
 }
@@ -113,7 +123,7 @@ fn open_system_is_bit_identical_across_executors() {
         assert!(
             base.dispositions
                 .iter()
-                .any(|d| matches!(d.4, Disposition::Completed(_))),
+                .any(|d| d.4 == Disposition::Completed),
             "seed {seed}: some requests complete"
         );
         let lin = run_service_mix(seed, Exec::Reference, None);
@@ -154,12 +164,16 @@ fn open_system_is_bit_identical_under_faults() {
 
 /// `run_until` is resumable: many small horizons compose to the same
 /// state as one big one, on every executor — and across executors, with
-/// a different one taking over at every chunk.
+/// a different one taking over at every chunk. The completion log
+/// composes too: draining it after every `run_until` (as the service
+/// driver does) yields, concatenated, exactly one end-of-run drain.
 #[test]
 fn run_until_composes_across_chunked_horizons() {
     // Open-loop drive: run to each arrival, inject it, carry on; `chunks`
-    // adds `(executor, horizon)` stops in between.
-    let drive = |chunks: &[(Exec, u64)]| {
+    // adds `(executor, horizon)` stops in between. With `drain_each`, the
+    // completion log is drained after every `run_until`, else once at
+    // the end.
+    let drive = |chunks: &[(Exec, u64)], drain_each: bool| {
         let ids = service::build();
         let mut rt = Runtime::new(
             ids.program.clone(),
@@ -171,17 +185,24 @@ fn run_until_composes_across_chunked_horizons() {
         .unwrap();
         rt.enable_trace();
         let inst = service::setup(&mut rt, &ids, 8);
+        let mut completions = Vec::new();
+        let mut run_until = |rt: &mut Runtime, horizon: u64| {
+            rt.run_until(horizon).unwrap();
+            if drain_each {
+                completions.extend(rt.take_completed_requests());
+            }
+        };
         let mut arrivals = [100u64, 230, 360, 520].into_iter().enumerate().peekable();
         for &(exec, horizon) in chunks {
             exec.arm(&mut rt);
             while let Some((i, at)) = arrivals.next_if(|&(_, at)| at <= horizon) {
-                rt.run_until(at).unwrap();
+                run_until(&mut rt, at);
                 let fe = inst.frontends[i % inst.frontends.len()];
                 rt.inject_request(at, i as u64, fe, inst.ids.lookup, &[Value::Int(i as i64)]);
             }
-            rt.run_until(horizon).unwrap();
+            run_until(&mut rt, horizon);
         }
-        let completions = rt.take_completed_requests();
+        completions.extend(rt.take_completed_requests());
         (rt.stats(), rt.take_trace(), completions)
     };
     type Run = (MachineStats, Vec<TraceRecord>, Vec<(u64, u64)>);
@@ -197,14 +218,18 @@ fn run_until_composes_across_chunked_horizons() {
         SchedImpl::Sharded { threads: 2 }.into(),
         SchedImpl::Speculative { threads: 2 }.into(),
     ];
-    let whole = drive(&[(execs[0], 20_000)]);
+    let whole = drive(&[(execs[0], 20_000)], false);
     assert_eq!(whole.2.len(), 4, "all four requests completed");
     for exec in execs {
         let stops = [150, 151, 400, 2_000, 2_001, 20_000].map(|h| (exec, h));
-        same(&format!("{exec:?}"), &whole, &drive(&stops));
+        for drain_each in [false, true] {
+            let label = format!("{exec:?} drain_each={drain_each}");
+            same(&label, &whole, &drive(&stops, drain_each));
+        }
     }
     // Random horizons, a random executor per chunk: the index, the pool
-    // and the injected arrivals are handed over mid-run every time.
+    // and the injected arrivals are handed over mid-run every time, and
+    // the log is drained at every boundary.
     for seed in seeds() {
         let mut rng = seed;
         for round in 0..6 {
@@ -219,7 +244,7 @@ fn run_until_composes_across_chunked_horizons() {
             same(
                 &format!("seed {seed} round {round}: {stops:?}"),
                 &whole,
-                &drive(&stops),
+                &drive(&stops, true),
             );
         }
     }
@@ -395,7 +420,7 @@ fn shedding_reconciles_with_the_rollup() {
     let completed = out
         .records
         .iter()
-        .filter(|r| matches!(r.disposition, Disposition::Completed(_)))
+        .filter(|r| r.disposition == Disposition::Completed)
         .count() as u64;
     let pending = out
         .records

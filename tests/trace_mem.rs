@@ -3,11 +3,13 @@
 //! buffered one, and what it holds barely grows with the horizon.
 //! Checked, not argued: this binary tracks live heap bytes.
 //!
-//! The buffer is 48 bytes a record in a power-of-two `VecDeque`; what an
+//! The buffer is 48 bytes a record in a power-of-two `VecDeque`. What an
 //! unbuffered run keeps per request is the service driver's request
-//! records (40 B each in a doubling `Vec`) and the runtime's completion
-//! log (a `BTreeMap`, drained into a `Vec` at the end of the run). The
-//! rollup and the series are fixed-size, and the blame tracker keeps
+//! record: 24 B in a doubling `Vec`, so at most
+//! [`BYTES_PER_REQUEST`] a request counting the spare capacity. The
+//! runtime's completion log is drained into those records at every
+//! `run_until` boundary, so it holds one chunk's completions at a time.
+//! The rollup and the series are fixed-size, and the blame tracker keeps
 //! segments only for requests in flight and its few slowest completions:
 //! attaching it adds at most [`BLAME_BYTES_PER_REQUEST`] a request.
 //!
@@ -57,6 +59,11 @@ unsafe impl GlobalAlloc for Tracking {
 
 #[global_allocator]
 static GLOBAL: Tracking = Tracking;
+
+/// What an unbuffered run without the blame tracker may grow by, per
+/// offered request. Keeping 40 B records and the whole-run completion
+/// log, with its end-of-run copy, took about 99 B.
+const BYTES_PER_REQUEST: usize = 48;
 
 /// What attaching the blame tracker may add to an unbuffered run's peak,
 /// per offered request. Keeping every completion's segments took about
@@ -110,9 +117,11 @@ fn an_unbuffered_run_keeps_no_records() {
         off2 - off,
         kept2 - kept
     );
-    for (h, with) in [(H, off), (2 * H, off2)] {
-        let (without, offered) = peak_bytes(TraceBuffer::Off, h, false);
-        let per_request = with.saturating_sub(without) / offered;
+    let mut without = [(0, 0); 2];
+    for (i, (h, with)) in [(H, off), (2 * H, off2)].into_iter().enumerate() {
+        let (bytes, offered) = peak_bytes(TraceBuffer::Off, h, false);
+        without[i] = (bytes, offered);
+        let per_request = with.saturating_sub(bytes) / offered;
         eprintln!(
             "horizon {h}: blame adds {per_request} B per offered request ({offered} offered)"
         );
@@ -121,4 +130,14 @@ fn an_unbuffered_run_keeps_no_records() {
             "horizon {h}: the blame tracker adds {per_request} B per request, above {BLAME_BYTES_PER_REQUEST}"
         );
     }
+    let [(bytes, offered), (bytes2, offered2)] = without;
+    let per_request = bytes2.saturating_sub(bytes) / (offered2 - offered);
+    eprintln!(
+        "without blame: {bytes} -> {bytes2}, {per_request} B per offered request ({offered} -> {offered2} offered)"
+    );
+    assert!(
+        per_request <= BYTES_PER_REQUEST,
+        "horizon {H} -> {}: an unbuffered run grows {per_request} B per request, above {BYTES_PER_REQUEST}",
+        2 * H
+    );
 }
