@@ -246,6 +246,9 @@ impl ProfileConfig {
                 let g = em3d::generate(self.size, 4, self.p, p_local, self.seed);
                 let mut rt = runtime(&ids.program);
                 let inst = em3d::setup(&mut rt, &ids, &g);
+                // The objects now hold the graph: free the generated copy
+                // before the run grows the heap.
+                drop(g);
                 em3d::run(&mut rt, &inst, self.style, self.iters)?;
                 Ok(rt)
             }

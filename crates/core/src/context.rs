@@ -73,7 +73,7 @@ pub struct ActFrame {
 }
 
 /// `clone_from` refills the target's register and slot vectors in place:
-/// a standing checkpoint buffer (see [`crate::timewarp`]) is re-used
+/// a context table's journal buffer (see [`crate::timewarp`]) is re-used
 /// window after window without touching the allocator.
 impl Clone for ActFrame {
     fn clone(&self) -> Self {
@@ -187,8 +187,8 @@ pub struct Context {
     pub cont_consumed: bool,
     /// Blame tag (originating external request id + 1; 0 = untagged) of
     /// the step that created this context; dispatching the context later
-    /// re-establishes the tag. Rides the node-checkpoint `Clone` so
-    /// Time-Warp rollback rewinds it with the rest of the table.
+    /// re-establishes the tag. Saved with the rest of the entry by the
+    /// table's undo journal, so Time-Warp rollback rewinds it.
     pub req: u64,
 }
 
@@ -220,12 +220,13 @@ impl Clone for Context {
     }
 }
 
-/// Per-node context table: slab with free list and generations. `Clone`
-/// (used by the speculative executor's node checkpoints) captures the
-/// slab, free list, and generation counters exactly, so a restored table
-/// re-allocates the same indices and generations on re-execution;
-/// `clone_from` does so into the target's existing storage.
-#[derive(Debug, Default)]
+/// Per-node context table: slab with free list and generations, plus the
+/// Time-Warp undo journal of its entries (see [`crate::timewarp`]).
+/// `entries` are private, so every mutation goes through [`Self::alloc`],
+/// [`Self::release`], [`Self::retire`] or [`Self::get_mut`] — the four
+/// places where an armed journal saves an entry before its first change
+/// in a window.
+#[derive(Default)]
 pub struct CtxTable {
     entries: Vec<Context>,
     free: Vec<u32>,
@@ -233,8 +234,24 @@ pub struct CtxTable {
     pub live: u64,
     /// High-water mark of simultaneously live contexts.
     pub peak: u64,
+    journal: CtxJournal,
 }
 
+/// The journal is not table state: two tables that differ only in it
+/// print alike (rollback tests compare tables by their `Debug` text).
+impl std::fmt::Debug for CtxTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CtxTable")
+            .field("entries", &self.entries)
+            .field("free", &self.free)
+            .field("live", &self.live)
+            .field("peak", &self.peak)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The whole table, journal left empty: the rollback tests' oracle.
+#[cfg(test)]
 impl Clone for CtxTable {
     fn clone(&self) -> Self {
         CtxTable {
@@ -242,25 +259,107 @@ impl Clone for CtxTable {
             free: self.free.clone(),
             live: self.live,
             peak: self.peak,
+            journal: CtxJournal::default(),
         }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        let CtxTable {
-            entries,
-            free,
-            live,
-            peak,
-        } = src;
-        // Element-wise `Context::clone_from` over the common prefix.
-        self.entries.clone_from(entries);
-        self.free.clone_from(free);
-        self.live = *live;
-        self.peak = *peak;
     }
 }
 
+/// A context table's undo journal for one speculative window: the
+/// entries the window changed, each saved once before its first change,
+/// and the slab length, free list and counters at the window edge.
+/// Its vectors are standing buffers — cleared, refilled and swapped,
+/// never dropped — so a steady-state window does not allocate.
+#[derive(Default)]
+struct CtxJournal {
+    /// Save entries before alloc / release / retire change them?
+    armed: bool,
+    /// Save entries [`CtxTable::get_mut`] hands out? (`armed`, unless
+    /// the `skip-ctx-journal` mutant is under test.)
+    armed_get_mut: bool,
+    /// Slab length at the edge: entries past it are new in the window.
+    len: usize,
+    /// Free list, `live` and `peak` at the edge.
+    free: Vec<u32>,
+    live: u64,
+    peak: u64,
+    /// `saved[i]` — was entry `i` saved in this window? (Sized to the
+    /// edge's slab length.)
+    saved: Vec<bool>,
+    /// `undo[..used]` — `(index, entry as it stood at the edge)`, in save
+    /// order; the rest are spare buffers an earlier window left.
+    undo: Vec<(u32, Context)>,
+    used: usize,
+}
+
 impl CtxTable {
+    /// Arm the journal at a window edge. `get_mut` is `false` only for the
+    /// `skip-ctx-journal` mutant, whose journal misses the entries
+    /// [`Self::get_mut`] hands out.
+    pub(crate) fn arm_journal(&mut self, get_mut: bool) {
+        let j = &mut self.journal;
+        debug_assert!(!j.armed && j.used == 0, "journal armed twice");
+        j.armed = true;
+        j.armed_get_mut = get_mut;
+        j.len = self.entries.len();
+        j.free.clone_from(&self.free);
+        (j.live, j.peak) = (self.live, self.peak);
+        if j.saved.len() < j.len {
+            j.saved.resize(j.len, false);
+        }
+    }
+
+    /// The window stands: forget the saved entries (their buffers stay).
+    pub(crate) fn commit_journal(&mut self) {
+        let j = &mut self.journal;
+        for (i, _) in &j.undo[..j.used] {
+            j.saved[*i as usize] = false;
+        }
+        j.used = 0;
+        j.armed = false;
+        j.armed_get_mut = false;
+    }
+
+    /// The window falls: put every saved entry back (trading it with its
+    /// journal buffer), drop the entries the window appended, and restore
+    /// the free list and counters of the edge.
+    pub(crate) fn roll_back_journal(&mut self) {
+        let j = &mut self.journal;
+        debug_assert!(j.armed, "rollback of an unarmed journal");
+        for (i, c) in j.undo[..j.used].iter_mut().rev() {
+            std::mem::swap(&mut self.entries[*i as usize], c);
+        }
+        self.entries.truncate(j.len);
+        std::mem::swap(&mut self.free, &mut j.free);
+        (self.live, self.peak) = (j.live, j.peak);
+        self.commit_journal();
+    }
+
+    /// Save entry `i` into the journal unless the window already did or
+    /// the entry is new in it. Called only while the journal is armed.
+    #[inline]
+    fn save(&mut self, i: u32) {
+        let ix = i as usize;
+        if ix < self.journal.len && !self.journal.saved[ix] {
+            self.save_entry(ix);
+        }
+    }
+
+    #[inline(never)]
+    fn save_entry(&mut self, ix: usize) {
+        let j = &mut self.journal;
+        let i = ix as u32;
+        j.saved[ix] = true;
+        let src = &self.entries[ix];
+        match j.undo.get_mut(j.used) {
+            Some((at, buf)) => {
+                *at = i;
+                buf.clone_from(src);
+            }
+            None => j.undo.push((i, src.clone())),
+        }
+        j.used += 1;
+    }
+
     /// Allocate a context whose frame `init` fills — in the vectors a
     /// recycled entry retained, so a warm table allocates nothing. Returns
     /// its index.
@@ -292,6 +391,9 @@ impl CtxTable {
                 (self.entries.len() - 1) as u32
             }
         };
+        if self.journal.armed {
+            self.save(i);
+        }
         let e = &mut self.entries[i as usize];
         debug_assert_eq!(e.wait, WaitState::Free);
         init(&mut e.frame);
@@ -305,6 +407,9 @@ impl CtxTable {
 
     /// Free a context, bumping its generation.
     pub fn release(&mut self, i: u32) {
+        if self.journal.armed {
+            self.save(i);
+        }
         let e = &mut self.entries[i as usize];
         debug_assert_ne!(e.wait, WaitState::Free, "double free of context {i}");
         e.wait = WaitState::Free;
@@ -319,23 +424,26 @@ impl CtxTable {
     /// A running context's frame is out of the table, so when the
     /// activation releases itself the entry holds only an empty
     /// placeholder; returning the (emptied) vectors keeps one set of
-    /// frame storage per slab entry whatever its state. That shape is
-    /// what lets a Time-Warp snapshot buffer that traded places with the
-    /// live node on rollback be refilled in place (see
-    /// [`crate::timewarp`]). No-op if the entry is no longer free.
+    /// frame storage per slab entry whatever its state, so the entry
+    /// allocates nothing when it is recycled. No-op if the entry is no
+    /// longer free.
     pub fn retire(&mut self, i: u32, frame: ActFrame) {
-        let e = &mut self.entries[i as usize];
-        if e.wait == WaitState::Free {
-            let ActFrame {
-                mut locals,
-                mut slots,
-                ..
-            } = frame;
-            locals.clear();
-            slots.clear();
-            e.frame.locals = locals;
-            e.frame.slots = slots;
+        if self.entries[i as usize].wait != WaitState::Free {
+            return;
         }
+        if self.journal.armed {
+            self.save(i);
+        }
+        let e = &mut self.entries[i as usize];
+        let ActFrame {
+            mut locals,
+            mut slots,
+            ..
+        } = frame;
+        locals.clear();
+        slots.clear();
+        e.frame.locals = locals;
+        e.frame.slots = slots;
     }
 
     /// Borrow a context.
@@ -344,7 +452,11 @@ impl CtxTable {
     }
 
     /// Borrow a context mutably.
+    #[inline]
     pub fn get_mut(&mut self, i: u32) -> &mut Context {
+        if self.journal.armed_get_mut {
+            self.save(i);
+        }
         &mut self.entries[i as usize]
     }
 

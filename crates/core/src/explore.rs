@@ -307,6 +307,13 @@ pub enum Mutant {
     /// scheduler (no rollbacks happen), caught only by diffing the
     /// speculative path against `SchedImpl::EventIndex`.
     SkipWireSeqRestore,
+    /// Leave the context entries reached through `CtxTable::get_mut` out
+    /// of a Time-Warp window's undo journal (see `crate::timewarp`):
+    /// entries changed only through `alloc`, `release` or `retire` are
+    /// still saved, but a dispatched context's frame, a filled future
+    /// slot or a linked continuation survives a rollback. Invisible under
+    /// every non-speculative scheduler (no journal is armed there).
+    SkipCtxJournal,
     /// Price every modeled-collective down leg at one wire hop instead of
     /// its fan-out-tree depth (see `Runtime::issue_collective`). A pure,
     /// uniform timing change: traces stay internally consistent and every
@@ -329,13 +336,14 @@ pub enum Mutant {
 
 impl Mutant {
     /// Every mutant, for smoke-check loops.
-    pub const ALL: [Mutant; 9] = [
+    pub const ALL: [Mutant; 10] = [
         Mutant::EagerWake,
         Mutant::DoubleRootReply,
         Mutant::ShellSlotZero,
         Mutant::DropJoinDecrement,
         Mutant::SkipDepthGuard,
         Mutant::SkipWireSeqRestore,
+        Mutant::SkipCtxJournal,
         Mutant::CollectiveSkipsHopCost,
         Mutant::AckBeforeRelease,
         Mutant::DropUnpark,
@@ -350,6 +358,7 @@ impl Mutant {
             Mutant::DropJoinDecrement => "drop-join-decrement",
             Mutant::SkipDepthGuard => "skip-depth-guard",
             Mutant::SkipWireSeqRestore => "skip-wire-seq-restore",
+            Mutant::SkipCtxJournal => "skip-ctx-journal",
             Mutant::CollectiveSkipsHopCost => "collective-skips-hop-cost",
             Mutant::AckBeforeRelease => "ack-before-release",
             Mutant::DropUnpark => "drop-unpark",

@@ -128,34 +128,131 @@ impl Span {
 /// One node's object field storage: every scalar block and every array
 /// of every object on the node lives in one value vector, addressed by
 /// [`Span`]s. A bump allocator — storage is never returned (an array
-/// re-created at a larger length leaves its old span behind), which is
-/// what makes a node snapshot two slice copies instead of a walk over a
-/// vector per field: `clone_from` reuses the target's capacity, so a
-/// standing Time-Warp checkpoint buffer (see [`crate::timewarp`]) is
-/// refilled at memcpy cost.
-#[derive(Debug, Default)]
+/// re-created at a larger length leaves its old span behind).
+///
+/// It also keeps the Time-Warp undo journal of that storage (see
+/// [`crate::timewarp`]): while armed, the first mutable access to a span
+/// in a window ([`Self::scalars_mut`], [`Self::array_mut`],
+/// [`Self::arr_new`]) copies the span's values out once, and an `ArrNew`
+/// that moves an array records the span-table entry it overwrites. Bump
+/// allocations need no entry: the value and span-table lengths at the
+/// edge truncate them away on rollback.
+#[derive(Default)]
 pub struct Arena {
     values: Vec<Value>,
     /// Array-field spans: array `a` of object `o` is
     /// `spans[o.arrays.off + a]`.
     spans: Vec<Span>,
+    journal: ArenaJournal,
 }
 
+/// The journal is not field storage: two arenas that differ only in it
+/// print alike (rollback tests compare arenas by their `Debug` text).
+impl std::fmt::Debug for Arena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Arena")
+            .field("values", &self.values)
+            .field("spans", &self.spans)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The whole arena, journal left empty: the rollback tests' oracle.
+#[cfg(test)]
 impl Clone for Arena {
     fn clone(&self) -> Self {
         Arena {
             values: self.values.clone(),
             spans: self.spans.clone(),
+            journal: ArenaJournal::default(),
         }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.values.clone_from(&src.values);
-        self.spans.clone_from(&src.spans);
     }
 }
 
+/// An arena's undo journal for one speculative window. Its vectors are
+/// standing buffers, cleared and refilled, so a steady-state window does
+/// not allocate.
+#[derive(Default)]
+struct ArenaJournal {
+    armed: bool,
+    /// Value and span-table lengths at the edge: storage past them was
+    /// bump-allocated in the window.
+    values: usize,
+    spans: usize,
+    /// `saved[off]` — was the span starting at value `off` saved in this
+    /// window? (Sized to the edge's value count; empty spans are never
+    /// saved, so a non-empty span owns its offset.)
+    saved: Vec<bool>,
+    /// The saved spans in save order; their values, concatenated, are
+    /// `old`.
+    runs: Vec<Span>,
+    old: Vec<Value>,
+    /// `(index, entry)` of every span-table entry the window overwrote,
+    /// in write order.
+    moved: Vec<(u32, Span)>,
+}
+
 impl Arena {
+    /// Arm the journal at a window edge.
+    pub(crate) fn arm_journal(&mut self) {
+        let j = &mut self.journal;
+        debug_assert!(!j.armed && j.runs.is_empty(), "journal armed twice");
+        j.armed = true;
+        (j.values, j.spans) = (self.values.len(), self.spans.len());
+        if j.saved.len() < j.values {
+            j.saved.resize(j.values, false);
+        }
+    }
+
+    /// The window stands: forget the saved spans.
+    pub(crate) fn commit_journal(&mut self) {
+        let j = &mut self.journal;
+        for sp in &j.runs {
+            j.saved[sp.off as usize] = false;
+        }
+        j.runs.clear();
+        j.old.clear();
+        j.moved.clear();
+        j.armed = false;
+    }
+
+    /// The window falls: copy every saved span back, restore the
+    /// span-table entries it overwrote, and truncate what it allocated.
+    pub(crate) fn roll_back_journal(&mut self) {
+        let j = &mut self.journal;
+        debug_assert!(j.armed, "rollback of an unarmed journal");
+        let mut end = j.old.len();
+        for sp in j.runs.iter().rev() {
+            let from = end - sp.len as usize;
+            self.values[sp.range()].copy_from_slice(&j.old[from..end]);
+            end = from;
+        }
+        for &(ix, sp) in j.moved.iter().rev() {
+            self.spans[ix as usize] = sp;
+        }
+        self.values.truncate(j.values);
+        self.spans.truncate(j.spans);
+        self.commit_journal();
+    }
+
+    /// Save `sp`'s values unless the window already did, the span is
+    /// new in it, or it is empty.
+    #[inline]
+    fn save(&mut self, sp: Span) {
+        let j = &self.journal;
+        if j.armed && (sp.off as usize) < j.values && sp.len > 0 && !j.saved[sp.off as usize] {
+            self.save_span(sp);
+        }
+    }
+
+    #[inline(never)]
+    fn save_span(&mut self, sp: Span) {
+        let j = &mut self.journal;
+        j.saved[sp.off as usize] = true;
+        j.runs.push(sp);
+        j.old.extend_from_slice(&self.values[sp.range()]);
+    }
+
     /// Bump-allocate `len` nil values.
     fn alloc(&mut self, len: usize) -> Span {
         let off = self.values.len();
@@ -203,6 +300,7 @@ impl Arena {
     /// Mutable view of [`Self::scalars`].
     #[inline]
     pub fn scalars_mut(&mut self, o: &Object) -> &mut [Value] {
+        self.save(o.scalars);
         &mut self.values[o.scalars.range()]
     }
 
@@ -223,6 +321,7 @@ impl Arena {
     #[inline]
     pub fn array_mut(&mut self, o: &Object, a: u16) -> &mut [Value] {
         let sp = self.spans[self.array_span(o, a)];
+        self.save(sp);
         &mut self.values[sp.range()]
     }
 
@@ -231,9 +330,15 @@ impl Arena {
     /// per phase), else by bump allocation.
     pub fn arr_new(&mut self, o: &Object, a: u16, len: usize) -> &mut [Value] {
         let ix = self.array_span(o, a);
-        if self.spans[ix].len as usize == len {
-            self.values[self.spans[ix].range()].fill(Value::Nil);
+        let sp = self.spans[ix];
+        if sp.len as usize == len {
+            self.save(sp);
+            self.values[sp.range()].fill(Value::Nil);
         } else {
+            let j = &mut self.journal;
+            if j.armed && ix < j.spans {
+                j.moved.push((ix as u32, sp));
+            }
             self.spans[ix] = self.alloc(len);
         }
         &mut self.values[self.spans[ix].range()]

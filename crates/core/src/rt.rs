@@ -27,12 +27,12 @@ use hem_machine::{Cycles, NodeId};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-/// One simulated processor. `Clone::clone_from` is the speculative
-/// executor's checkpoint primitive: it copies the complete per-node state
-/// — objects and their field arena, contexts, inbox, transport maps, and
-/// the wire sequence counter — into a standing buffer, reusing the
-/// buffer's storage, so swapping the buffer back rewinds everything a
-/// rolled-back window could have touched (see [`crate::timewarp`]).
+/// One simulated processor. A Time-Warp checkpoint of a node (see
+/// [`crate::timewarp`]) is two undo journals — the context slab's
+/// ([`CtxTable`]) and the field arena's ([`Arena`]), which save only the
+/// entries and spans a window changes — plus a whole copy of everything
+/// else, taken by [`Node::save_rest`] and put back by
+/// [`Node::swap_rest`].
 #[derive(Debug)]
 pub(crate) struct Node {
     pub id: NodeId,
@@ -63,48 +63,16 @@ pub(crate) struct Node {
     pub coll: CollTable,
 }
 
+/// The whole node, journals left empty: the oracle the rollback tests
+/// compare a restored node with.
+#[cfg(test)]
 impl Clone for Node {
     fn clone(&self) -> Self {
         let mut n = Node::new(self.id);
-        n.clone_from(self);
+        self.save_rest(&mut n);
+        n.arena = self.arena.clone();
+        n.ctxs = self.ctxs.clone();
         n
-    }
-
-    /// Field-wise, so every vector, deque and heap refills its existing
-    /// storage: once a buffer has held a node, snapshotting that node
-    /// into it again allocates only if the node has grown past it. (The
-    /// transport and collective maps re-clone; they are empty on a
-    /// fault-free run.) The destructuring makes a forgotten field a
-    /// compile error.
-    fn clone_from(&mut self, src: &Self) {
-        let Node {
-            id,
-            time,
-            objects,
-            arena,
-            ctxs,
-            ready,
-            granted,
-            inbox,
-            counters,
-            sched_noted,
-            tx,
-            wire_seq,
-            coll,
-        } = src;
-        self.id = *id;
-        self.time = *time;
-        self.objects.clone_from(objects);
-        self.arena.clone_from(arena);
-        self.ctxs.clone_from(ctxs);
-        self.ready.clone_from(ready);
-        self.granted.clone_from(granted);
-        self.inbox.clone_from(inbox);
-        self.counters.clone_from(counters);
-        self.sched_noted = *sched_noted;
-        self.tx.clone_from(tx);
-        self.wire_seq = *wire_seq;
-        self.coll.clone_from(coll);
     }
 }
 
@@ -125,6 +93,74 @@ impl Node {
             wire_seq: 0,
             coll: CollTable::default(),
         }
+    }
+
+    /// Copy every field but the journaled two — the arena and the
+    /// context slab — into the snapshot buffer `buf`. Field-wise, so every
+    /// vector, deque and heap refills its existing storage: once a buffer
+    /// has held a node, snapshotting that node into it again allocates
+    /// only if the node has grown past it. (The transport and collective
+    /// maps re-clone; they are empty on a fault-free run.) The
+    /// destructuring makes a forgotten field a compile error.
+    pub(crate) fn save_rest(&self, buf: &mut Node) {
+        let Node {
+            id,
+            time,
+            objects,
+            arena: _,
+            ctxs: _,
+            ready,
+            granted,
+            inbox,
+            counters,
+            sched_noted,
+            tx,
+            wire_seq,
+            coll,
+        } = self;
+        buf.id = *id;
+        buf.time = *time;
+        buf.objects.clone_from(objects);
+        buf.ready.clone_from(ready);
+        buf.granted.clone_from(granted);
+        buf.inbox.clone_from(inbox);
+        buf.counters.clone_from(counters);
+        buf.sched_noted = *sched_noted;
+        buf.tx.clone_from(tx);
+        buf.wire_seq = *wire_seq;
+        buf.coll.clone_from(coll);
+    }
+
+    /// Trade every field [`Self::save_rest`] copies with the snapshot
+    /// buffer `buf`: the node gets its window-edge state back, and the
+    /// buffer keeps the cancelled one's storage for the next save.
+    pub(crate) fn swap_rest(&mut self, buf: &mut Node) {
+        let Node {
+            id,
+            time,
+            objects,
+            arena: _,
+            ctxs: _,
+            ready,
+            granted,
+            inbox,
+            counters,
+            sched_noted,
+            tx,
+            wire_seq,
+            coll,
+        } = self;
+        debug_assert_eq!(*id, buf.id, "snapshot of another node");
+        std::mem::swap(time, &mut buf.time);
+        std::mem::swap(objects, &mut buf.objects);
+        std::mem::swap(ready, &mut buf.ready);
+        std::mem::swap(granted, &mut buf.granted);
+        std::mem::swap(inbox, &mut buf.inbox);
+        std::mem::swap(counters, &mut buf.counters);
+        std::mem::swap(sched_noted, &mut buf.sched_noted);
+        std::mem::swap(tx, &mut buf.tx);
+        std::mem::swap(wire_seq, &mut buf.wire_seq);
+        std::mem::swap(coll, &mut buf.coll);
     }
 
     pub(crate) fn has_local_work(&self) -> bool {

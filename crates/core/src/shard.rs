@@ -82,8 +82,8 @@ pub(crate) struct ShardCtx {
     /// Capture records at all? Mirrors "trace buffer enabled or observer
     /// attached" on the coordinator.
     pub record: bool,
-    /// Copy-on-dirty window checkpoint with its standing snapshot
-    /// buffers, armed only for optimistic windows (see
+    /// Journaled window checkpoint with its standing snapshot buffers,
+    /// armed only for optimistic windows (see
     /// [`crate::timewarp`]); disarmed inside conservative ones, where
     /// `Runtime::tw_save` is a no-op.
     pub ckpt: crate::timewarp::TwCkpt,
@@ -558,7 +558,7 @@ impl Runtime {
             // Request ids are unique, so folding worker logs into the
             // id-ordered coordinator map is insertion-order independent.
             self.completions.append(&mut wk.completions);
-            wk.shard.as_mut().expect("shard ctx").ckpt.disarm();
+            wk.tw_commit();
         }
         self.sched_stats.events_dispatched += wevents;
         self.sched_stats.windows += 1;
@@ -800,24 +800,25 @@ mod tests {
         pool.edge.register(0, std::thread::current());
         pool.swap_nodes(&mut rt);
         pool.republish_minima();
-        // Where the buffer table and each node's two field arenas (live
-        // and snapshot; a rollback trades them) sit in memory.
-        let storage = |pool: &mut ShardPool| -> Vec<(usize, Vec<[usize; 2]>)> {
+        // Where the buffer table, each node's field arena (journaled in
+        // place) and its two object tables (live and snapshot; a rollback
+        // trades them) sit in memory.
+        let storage = |pool: &mut ShardPool| -> Vec<(usize, Vec<[usize; 3]>)> {
             pool.edge
                 .cells()
                 .map(|c| {
                     let bufs = c.rt.shard.as_ref().expect("shard ctx").ckpt.bufs();
-                    let arenas = c
+                    let nodes = c
                         .owned
                         .iter()
                         .map(|&i| {
-                            let at = |n: &Node| n.scalars(0).as_ptr() as usize;
-                            let mut pair = [at(&c.rt.nodes[i as usize]), at(&bufs[i as usize])];
-                            pair.sort();
-                            pair
+                            let (live, buf) = (&c.rt.nodes[i as usize], &bufs[i as usize]);
+                            let at = |n: &Node| n.objects.as_ptr() as usize;
+                            let (lo, hi) = (at(live).min(at(buf)), at(live).max(at(buf)));
+                            [live.scalars(0).as_ptr() as usize, lo, hi]
                         })
                         .collect();
-                    (bufs.as_ptr() as usize, arenas)
+                    (bufs.as_ptr() as usize, nodes)
                 })
                 .collect()
         };
@@ -845,7 +846,7 @@ mod tests {
         assert_eq!(
             Some(storage(&mut pool)),
             warm,
-            "later windows reused the same buffers and arenas"
+            "later windows reused the same buffers, arenas and object tables"
         );
         // Back to the production loop, on the same pool.
         pool.swap_nodes(&mut rt);

@@ -13,15 +13,21 @@
 //! why it is all invisible. Each window *speculates*:
 //!
 //! 1. **Checkpoint.** The epoch publication tells every worker to arm a
-//!    copy-on-dirty checkpoint for its owned nodes: the
-//!    first time a window dispatch (or an intra-shard delivery) touches
-//!    a node, the node is copied whole — objects and their field arena,
-//!    contexts, inbox, transport maps, and the wire-sequence counter —
-//!    into that node's standing snapshot buffer, which the worker keeps
-//!    for the life of the pool (`Node`'s `clone_from`
-//!    refills it in place: a handful of slice copies, no allocation once
-//!    the buffer has grown to the node's size). Untouched nodes cost
-//!    nothing.
+//!    checkpoint for its owned nodes. The first time a window dispatch
+//!    (or an intra-shard delivery) touches a node, the node's two large
+//!    parts arm undo journals, and everything else in it — objects,
+//!    queues, inbox, counters, transport and collective maps, the
+//!    wire-sequence counter — is copied whole into that node's standing
+//!    snapshot buffer (`Node::save_rest`: a handful of slice copies, no
+//!    allocation once the buffer has grown to the node's size). The
+//!    context slab's journal saves an entry, frame included, before its
+//!    first change in the window, and keeps the slab length, free list
+//!    and counters of the edge; the field arena's saves a span's values
+//!    before its first write and keeps the value and span-table lengths
+//!    of the edge, so what the window bump-allocates truncates away. A
+//!    window that touches 21 of a node's 181 contexts copies 21.
+//!    Untouched nodes cost nothing. The journals are standing buffers
+//!    too, cleared on commit and traded on rollback, never dropped.
 //! 2. **Optimistic advance.** Shards run the ordinary index loop
 //!    (`Runtime::run_index`, see [`crate::sched`]) to a window edge `end = W + δ`
 //!    with `δ` well past the conservative lookahead (adaptively sized,
@@ -33,8 +39,9 @@
 //!    **straggler** — its destination shard just ran the window without
 //!    it, so the optimistic run is invalid.
 //! 4. **Rollback + anti-messages.** On any straggler, *all* shards roll
-//!    back, in their cells: checkpointed nodes are swapped with their
-//!    snapshot buffers, parked outbox
+//!    back, in their cells: checkpointed nodes trade their unjournaled
+//!    fields with their snapshot buffers and undo their journals in
+//!    reverse, parked outbox
 //!    packets are discarded (each one an **anti-message** — the send
 //!    never happened; the per-node wire-sequence counters rewind with
 //!    the node snapshots, so a re-send re-draws the *same* sequence
@@ -114,13 +121,16 @@ use crate::shard::WindowPolicy;
 use hem_machine::stats::NetStats;
 use hem_machine::{Cycles, NodeId};
 
-/// A worker's window checkpoint, standing for the life of the pool:
-/// copy-on-dirty node snapshots plus the window-edge values of the
-/// worker-global state a rollback must rewind (network counters,
-/// sanitizer state, task-token counter). Arming, saving, committing and
-/// rolling back move no storage in or out — the snapshot buffers are
-/// refilled in place ([`Node::clone_from`]) and swapped with the live
-/// nodes on rollback — so steady-state windows do not allocate.
+/// A worker's window checkpoint, standing for the life of the pool: per
+/// dirty node, a snapshot of the fields its journals do not cover (the
+/// context slab and the field arena journal themselves, see
+/// [`crate::context::CtxTable`] and [`crate::object::Arena`]), plus the
+/// window-edge values of the worker-global state a rollback must rewind
+/// (network counters, sanitizer state, task-token counter). Arming,
+/// saving, committing and rolling back move no storage in or out — the
+/// snapshot buffers are refilled in place ([`Node::save_rest`]) and
+/// traded with the live fields on rollback ([`Node::swap_rest`]) — so
+/// steady-state windows do not allocate.
 pub(crate) struct TwCkpt {
     /// Is a checkpoint armed for the window in flight? Conservative
     /// windows and everything between windows run disarmed, where
@@ -128,13 +138,14 @@ pub(crate) struct TwCkpt {
     pub armed: bool,
     /// `bufs[i]` — the snapshot buffer of node `i` (global index, like
     /// the worker's `nodes`; only this worker's owned nodes are ever
-    /// written, the rest stay empty husks). Meaningful only while
-    /// `saved[i]`: otherwise it holds whatever an earlier window left.
+    /// written, the rest stay empty husks, and no buffer's arena or
+    /// context slab is ever filled). Meaningful only while `saved[i]`:
+    /// otherwise it holds whatever an earlier window left.
     bufs: Vec<Node>,
     /// `saved[i]` — does `bufs[i]` hold node `i` as it stood at the
-    /// current window's edge? Set by [`Runtime::tw_save`] the first time
-    /// the window touches the node (which makes it the window's dirty
-    /// mark).
+    /// current window's edge, with its journals armed? Set by
+    /// [`Runtime::tw_save`] the first time the window touches the node
+    /// (which makes it the window's dirty mark).
     saved: Vec<bool>,
     /// The worker network's counter snapshot at the window edge.
     net: NetStats,
@@ -164,14 +175,6 @@ impl TwCkpt {
     pub fn bufs(&self) -> &[Node] {
         &self.bufs
     }
-
-    /// The window stands (or was cancelled): forget its snapshots. The
-    /// buffers keep their contents and capacity for the next window to
-    /// overwrite; nothing is dropped.
-    pub fn disarm(&mut self) {
-        self.armed = false;
-        self.saved.fill(false);
-    }
 }
 
 /// Speculation diagnostics for [`crate::SchedImpl::Speculative`] runs;
@@ -190,7 +193,7 @@ pub struct SpecStats {
     pub rollbacks: u64,
     /// Speculatively sent cross-shard packets cancelled by rollbacks.
     pub anti_messages: u64,
-    /// Copy-on-dirty node snapshots taken.
+    /// Node checkpoints taken (one per node a window attempt touches).
     pub ckpt_nodes: u64,
     /// Widest committed window, in cycles.
     pub max_window: Cycles,
@@ -273,22 +276,42 @@ impl Runtime {
         sh.min_timer = Cycles::MAX;
     }
 
-    /// Copy-on-dirty checkpoint hook: called before the first mutation
-    /// of node `i` in a speculative window (at dispatch, and at
-    /// intra-shard message delivery — cross-node state only ever changes
-    /// through those two paths). No-op unless this runtime is a shard
-    /// worker with an armed checkpoint.
+    /// Checkpoint hook: called before the first mutation of node `i` in
+    /// a speculative window (at dispatch, and at intra-shard message
+    /// delivery — cross-node state only ever changes through those two
+    /// paths). Arms the node's journals and snapshots the rest of it.
+    /// No-op unless this runtime is a shard worker with an armed
+    /// checkpoint.
     #[inline]
     pub(crate) fn tw_save(&mut self, i: usize) {
+        let skip_get_mut = self.mutant_is(Mutant::SkipCtxJournal);
         let Some(sh) = self.shard.as_deref_mut() else {
             return;
         };
         let ck = &mut sh.ckpt;
         if ck.armed && !ck.saved[i] {
-            ck.bufs[i].clone_from(&self.nodes[i]);
+            let node = &mut self.nodes[i];
+            node.save_rest(&mut ck.bufs[i]);
+            node.ctxs.arm_journal(!skip_get_mut);
+            node.arena.arm_journal();
             ck.saved[i] = true;
             self.spec.ckpt_nodes += 1;
         }
+    }
+
+    /// The window stands: every dirty node forgets its journals (their
+    /// buffers stay) and the checkpoint disarms. The snapshot buffers
+    /// keep their contents and capacity for the next window to
+    /// overwrite; nothing is dropped.
+    pub(crate) fn tw_commit(&mut self) {
+        let ck = &mut self.shard.as_mut().expect("shard ctx").ckpt;
+        for (i, saved) in ck.saved.iter_mut().enumerate().filter(|(_, s)| **s) {
+            let node = &mut self.nodes[i];
+            node.ctxs.commit_journal();
+            node.arena.commit_journal();
+            *saved = false;
+        }
+        ck.armed = false;
     }
 
     /// Validate this worker's attempt at a window ending at `end`: a
@@ -307,11 +330,12 @@ impl Runtime {
     }
 
     /// Roll this worker back to the window edge and cancel its attempt:
-    /// every dirty node trades places with its snapshot (the buffer is
-    /// left holding the cancelled state, which the next save overwrites),
-    /// parked packets are dropped (anti-messages; their count is
-    /// returned), the capture and the dispatch log are discarded, and the
-    /// worker-global state rewinds.
+    /// every dirty node trades its unjournaled fields with its snapshot
+    /// (the buffer is left holding the cancelled state, which the next
+    /// save overwrites) and undoes its journals, parked packets are
+    /// dropped (anti-messages; their count is returned), the capture and
+    /// the dispatch log are discarded, and the worker-global state
+    /// rewinds.
     pub(crate) fn tw_rollback(&mut self) -> u64 {
         let keep_wseq = self.mutant_is(Mutant::SkipWireSeqRestore);
         let sh = self.shard.as_mut().expect("shard ctx");
@@ -321,9 +345,9 @@ impl Runtime {
         sh.dispatched.clear();
         let ck = &mut sh.ckpt;
         debug_assert!(ck.armed, "rollback of an unarmed window");
-        for (i, _) in ck.saved.iter().enumerate().filter(|(_, &saved)| saved) {
+        for (i, saved) in ck.saved.iter_mut().enumerate().filter(|(_, s)| **s) {
             let (node, buf) = (&mut self.nodes[i], &mut ck.bufs[i]);
-            std::mem::swap(node, buf);
+            node.swap_rest(buf);
             if keep_wseq {
                 // Mutation site (`skip-wire-seq-restore`): keep the
                 // speculatively advanced counter, so re-sends draw
@@ -331,13 +355,16 @@ impl Runtime {
                 // fates.
                 node.wire_seq = buf.wire_seq;
             }
+            node.ctxs.roll_back_journal();
+            node.arena.roll_back_journal();
+            *saved = false;
         }
+        ck.armed = false;
         self.net.restore_counters(&ck.net);
         if let (Some(sn), Some(snap)) = (self.sanitizer.as_deref_mut(), ck.san.as_ref()) {
             sn.rollback(snap);
         }
         self.next_task = ck.next_task;
-        ck.disarm();
         self.result = None;
         self.completions.clear();
         self.sched_stats.events_dispatched = 0;
@@ -349,7 +376,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::cont::Continuation;
-    use crate::context::{ActFrame, WaitState};
+    use crate::context::{ActFrame, SlotState, WaitState};
     use crate::fixture::{assert_bit_identical, run_ring, start_ring, Exec, Outcome};
     use crate::msg::{Msg, Packet};
     use crate::object::DeferredInvoke;
@@ -452,8 +479,10 @@ mod tests {
 
     /// A two-node machine whose node 0 hosts two instances of a locked
     /// class with a scalar and an array field — every kind of per-node
-    /// storage a snapshot has to carry.
-    fn storage_runtime() -> Runtime {
+    /// storage a checkpoint has to carry — as the one shard worker that
+    /// owns both nodes, so `tw_save` / `tw_commit` / `tw_rollback` drive
+    /// it exactly as a window does.
+    fn storage_worker() -> Runtime {
         let mut pb = ProgramBuilder::new();
         let c = pb.class("C", true);
         pb.field(c, "a");
@@ -470,7 +499,39 @@ mod tests {
         .expect("valid program");
         rt.alloc_object_by_name("C", NodeId(0));
         rt.alloc_object_by_name("C", NodeId(0));
-        rt
+        let mut wk = rt.make_worker(0, &[0, 0], false);
+        std::mem::swap(&mut wk.nodes, &mut rt.nodes);
+        wk
+    }
+
+    /// A fresh frame for a context on node 0's object `obj`.
+    fn frame_of(obj: u32, x: i64) -> impl FnOnce(&mut ActFrame) {
+        move |f: &mut ActFrame| {
+            let o = ObjRef {
+                node: NodeId(0),
+                index: obj,
+            };
+            f.reset(MethodId(0), o, 3, 2, &[Value::Int(x)]);
+        }
+    }
+
+    /// Allocate a ready context on node 0's object `obj`.
+    fn alloc_ctx(n: &mut Node, obj: u32, x: i64) -> u32 {
+        n.ctxs
+            .alloc(Continuation::Root, WaitState::Ready, frame_of(obj, x))
+    }
+
+    /// Step context `i` the way `par::dispatch` does: take its frame out
+    /// of the slab, run (here: write a register), finish — free the
+    /// entry, then hand the frame's vectors back.
+    fn run_to_end(n: &mut Node, i: u32, x: i64) {
+        let c = n.ctxs.get_mut(i);
+        c.wait = WaitState::Running;
+        let empty = ActFrame::empty(c.frame.method, c.frame.obj);
+        let mut fr = std::mem::replace(&mut c.frame, empty);
+        fr.locals[0] = Value::Int(x);
+        n.ctxs.release(i);
+        n.ctxs.retire(i, fr);
     }
 
     /// One random mutation against node 0 — the kinds of writes a
@@ -479,14 +540,7 @@ mod tests {
         let (kind, x) = op;
         let n = &mut rt.nodes[0];
         let obj = (x % 2) as u32;
-        let frame = |f: &mut ActFrame| {
-            let o = ObjRef {
-                node: NodeId(0),
-                index: obj,
-            };
-            f.reset(MethodId(0), o, 3, 2, &[Value::Int(x as i64)]);
-        };
-        match kind % 10 {
+        match kind % 13 {
             0 => n.scalars_mut(obj)[0] = Value::Int(x as i64),
             1 => n.inbox.push(InboxEntry {
                 deliver: x % 1000,
@@ -521,7 +575,7 @@ mod tests {
                 }
             }
             5 => {
-                let i = n.ctxs.alloc(Continuation::Root, WaitState::Ready, frame);
+                let i = alloc_ctx(n, obj, x as i64);
                 n.ready.push_back(i);
             }
             6 => {
@@ -548,48 +602,122 @@ mod tests {
             8 => {
                 n.granted.pop_front();
             }
-            _ => {
+            9 => {
                 let class = n.objects[0].class;
                 n.new_object(&rt.img.layouts[class.idx()], class);
+            }
+            // A context runs to its end: frame out, entry freed, frame
+            // storage retired into it.
+            10 => {
+                if let Some(i) = n.ready.pop_front() {
+                    run_to_end(n, i, x as i64);
+                }
+            }
+            // A future slot of a queued context is filled.
+            11 => {
+                if let Some(&i) = n.ready.front() {
+                    n.ctxs.get_mut(i).frame.slots[0] = SlotState::Full(Value::Int(x as i64));
+                }
+            }
+            _ => {
+                if let Some(v) = n.array_mut(obj, 0).first_mut() {
+                    *v = Value::Int(x as i64);
+                }
             }
         }
     }
 
+    #[test]
+    fn rollback_restores_the_node_cloned_at_arm() {
+        let mut wk = storage_worker();
+        // Before the window: four contexts, two of them freed again (a
+        // free list of two with bumped generations), a filled array and
+        // a written scalar.
+        let n = &mut wk.nodes[0];
+        let ids: Vec<u32> = (0..4).map(|k| alloc_ctx(n, 0, k)).collect();
+        n.ctxs.release(ids[3]);
+        n.ctxs.release(ids[1]);
+        n.arr_new(0, 0, 3).fill(Value::Int(4));
+        n.scalars_mut(1)[0] = Value::Int(5);
+        let oracle = wk.nodes[0].clone();
+        let objects = oracle.objects.len();
+
+        wk.tw_arm();
+        wk.tw_save(0);
+        let class = wk.nodes[0].objects[0].class;
+        let layout = &wk.img.layouts[class.idx()];
+        let n = &mut wk.nodes[0];
+        // Allocate, free and re-allocate the same slab index.
+        let a = alloc_ctx(n, 1, 7);
+        assert_eq!(a, ids[1], "the free list's head");
+        let gen = n.ctxs.gen(a);
+        n.ctxs.release(a);
+        let b = alloc_ctx(n, 0, 8);
+        let next = (b, n.ctxs.gen(b));
+        assert_eq!(next, (a, gen + 1), "same index, next generation");
+        // Grow the slab past its edge length.
+        let (c, d) = (alloc_ctx(n, 0, 9), alloc_ctx(n, 0, 10));
+        assert_eq!((c, d), (ids[3], 4), "the last free entry, then a new one");
+        // Take a running frame out and retire it.
+        run_to_end(n, ids[0], 11);
+        // Write scalars, grow an array through `ArrNew`, instantiate an
+        // object.
+        n.scalars_mut(0)[0] = Value::Int(12);
+        n.scalars_mut(1)[0] = Value::Int(13);
+        n.arr_new(0, 0, 8)[7] = Value::Int(14);
+        n.arr_new(1, 0, 2)[0] = Value::Int(15);
+        let o = n.new_object(layout, class);
+        n.scalars_mut(o)[0] = Value::Int(16);
+        assert_ne!(fingerprint(&wk.nodes[0]), fingerprint(&oracle), "changed");
+
+        wk.tw_rollback();
+        let n = &wk.nodes[0];
+        assert_eq!(fingerprint(n), fingerprint(&oracle));
+        assert_eq!(n.objects.len(), objects, "the new object is gone");
+        // Free-list order and generations, spelled out.
+        let (a, b) = (oracle.ctxs.get(ids[1]), n.ctxs.get(ids[1]));
+        assert_eq!((a.gen, a.wait), (b.gen, b.wait));
+        let fresh = alloc_ctx(&mut wk.nodes[0], 0, 0);
+        assert_eq!(fresh, ids[1], "the same free-list head again");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// One standing buffer, several windows: each window checkpoints
-        /// into whatever the buffer last held — nothing, an earlier
-        /// committed state, or (after a rollback's swap) the *later*
-        /// cancelled state — and `clone_from` must still equal a fresh
-        /// `clone`; a rolled-back window's swap must restore the
-        /// window-edge fingerprint exactly, arena length and span table
-        /// included.
+        /// One node's journals and one standing snapshot buffer, several
+        /// windows: each window arms over whatever the buffers last held
+        /// — nothing, an earlier committed window's saves, or (after a
+        /// rollback's trade) the cancelled state — and a rolled-back
+        /// window must restore the fingerprint of a whole clone taken at
+        /// the edge exactly: arena length and span table, slab length,
+        /// free list and generations included. A committed window must
+        /// leave the node as it ran.
         #[test]
         fn standing_snapshot_buffer_round_trips(
-            pre in proptest::collection::vec((0u8..10, 0u64..10_000), 0..24),
+            pre in proptest::collection::vec((0u8..13, 0u64..10_000), 0..24),
             windows in proptest::collection::vec(
-                (proptest::collection::vec((0u8..10, 0u64..10_000), 1..24), 0u8..2),
+                (proptest::collection::vec((0u8..13, 0u64..10_000), 1..24), 0u8..2),
                 1..5,
             ),
         ) {
-            let mut rt = storage_runtime();
+            let mut wk = storage_worker();
             for op in pre {
-                apply_op(&mut rt, op);
+                apply_op(&mut wk, op);
             }
-            let mut buf = Node::new(NodeId(0));
             for (ops, rolls_back) in windows {
-                let at_edge = fingerprint(&rt.nodes[0]);
-                // Checkpoint exactly as tw_save does.
-                buf.clone_from(&rt.nodes[0]);
-                prop_assert_eq!(&fingerprint(&buf), &fingerprint(&rt.nodes[0].clone()));
-                prop_assert_eq!(&fingerprint(&buf), &at_edge);
+                let at_edge = fingerprint(&wk.nodes[0].clone());
+                prop_assert_eq!(&fingerprint(&wk.nodes[0]), &at_edge);
+                wk.tw_arm();
+                wk.tw_save(0);
                 for op in ops {
-                    apply_op(&mut rt, op);
+                    apply_op(&mut wk, op);
                 }
+                let ran = fingerprint(&wk.nodes[0]);
                 if rolls_back == 1 {
-                    // Rollback exactly as the straggler path does.
-                    std::mem::swap(&mut rt.nodes[0], &mut buf);
-                    prop_assert_eq!(&fingerprint(&rt.nodes[0]), &at_edge);
+                    wk.tw_rollback();
+                    prop_assert_eq!(&fingerprint(&wk.nodes[0]), &at_edge);
+                } else {
+                    wk.tw_commit();
+                    prop_assert_eq!(&fingerprint(&wk.nodes[0]), &ran);
                 }
             }
         }

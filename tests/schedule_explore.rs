@@ -432,8 +432,8 @@ fn speculative_config_conforms() {
 /// rollbacks (asserted via its diagnostics) while every cancelled
 /// window's re-sent packets must re-draw *identical* fault fates — which
 /// holds only because rollback restores the per-sender wire sequence
-/// counters along with the node snapshots. The sixth seeded mutant
-/// (`skip-wire-seq-restore`) keeps the speculatively advanced counters
+/// counters along with the node snapshots. The seeded mutant
+/// `skip-wire-seq-restore` keeps the speculatively advanced counters
 /// across rollback instead; its re-sends then draw fresh sequence
 /// numbers, the fault plan re-rolls their fates, and this test's trace /
 /// stats diff catches the divergence.
