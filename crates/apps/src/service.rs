@@ -12,10 +12,11 @@
 //! `(seed, client, k)` and the machine's deterministic state, so the same
 //! parameters reproduce the same trace on every executor.
 
-use hem_core::{Runtime, Trap};
+use hem_core::{Observer, Runtime, TraceEvent, TraceRecord, Trap};
 use hem_ir::{BinOp, FieldId, MethodId, ObjRef, Program, ProgramBuilder, Value};
 use hem_machine::arrival::{ArrivalDist, OpenLoop};
 use hem_machine::{Cycles, NodeId};
+use std::any::Any;
 
 /// Program + handles for the service mix.
 #[derive(Debug, Clone)]
@@ -179,7 +180,7 @@ pub enum Disposition {
 
 /// One request's record: arrival, target, kind, outcome. The request's
 /// id is its index in [`ServeOutcome::records`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReqRecord {
     /// Arrival time.
     pub arrived: Cycles,
@@ -232,18 +233,31 @@ impl ServeOutcome {
 /// `key mod nodes`. Shedding happens *before* injection and is itself
 /// deterministic: both tests (queue depth, deadline feasibility) read
 /// machine state that is bit-identical across executors at the arrival's
-/// `run_until` boundary.
+/// `run_until` boundary. Completions land through an observer wrapped
+/// around the caller's, which is re-attached on return, trap or not.
 pub fn run_service(
     rt: &mut Runtime,
     inst: &ServiceInstance,
     params: &ServeParams,
 ) -> Result<ServeOutcome, Trap> {
-    let mut out = ServeOutcome::default();
-    for a in OpenLoop::new(params.dist, params.clients, params.seed) {
+    let inner = rt.take_observer();
+    rt.attach_observer(Box::new(Landing(Vec::new(), inner)));
+    let run = drive(rt, inst, params);
+    let any: Box<dyn Any> = rt.take_observer().expect("landing observer attached");
+    let Landing(records, inner) = *any.downcast().expect("a Landing");
+    if let Some(o) = inner {
+        rt.attach_observer(o);
+    }
+    run.map(|()| ServeOutcome { records })
+}
+
+/// [`run_service`]'s arrival loop, under a [`Landing`].
+fn drive(rt: &mut Runtime, inst: &ServiceInstance, params: &ServeParams) -> Result<(), Trap> {
+    for (req, a) in (0u64..).zip(OpenLoop::new(params.dist, params.clients, params.seed)) {
         if a.at >= params.horizon {
             break;
         }
-        run_and_land(rt, a.at, &mut out.records)?;
+        rt.run_until(a.at)?;
         let fe = inst.frontends[(a.key % inst.frontends.len() as u64) as usize];
         let pick = (a.key >> 32) % 100;
         let (kind, method, args): (u8, MethodId, &[Value]) = if pick < 60 {
@@ -255,7 +269,6 @@ pub fn run_service(
         } else {
             (2, inst.ids.fanout, &[])
         };
-        let req = out.records.len() as u64;
         let mut rec = ReqRecord {
             arrived: a.at,
             done: 0,
@@ -272,36 +285,40 @@ pub fn run_service(
         } else {
             rt.inject_request(a.at, req, fe, method, args);
         }
-        out.records.push(rec);
+        let any: &mut dyn Any = rt.observer_mut().expect("landing observer attached");
+        let landing = any.downcast_mut::<Landing>().expect("a Landing");
+        landing.0.push(rec);
     }
-    run_and_land(rt, params.horizon, &mut out.records)?;
-    Ok(out)
+    rt.run_until(params.horizon)
 }
 
-/// Run to `horizon`, then move the completions that became visible into
-/// their requests' records, so the runtime's log never holds more than
-/// one chunk's worth. Request ids are dense indices, and a request is
-/// injected (its record pushed) before it can complete.
-fn run_and_land(rt: &mut Runtime, horizon: Cycles, records: &mut [ReqRecord]) -> Result<(), Trap> {
-    rt.run_until(horizon)?;
-    for (req, done) in rt.take_completed_requests() {
-        let r = &mut records[req as usize];
-        debug_assert_eq!(
-            r.disposition,
-            Disposition::Pending,
-            "request {req} completes once, and only if it was admitted"
-        );
-        r.disposition = Disposition::Completed;
-        r.done = done;
+/// The driver's observer, holding the run's request records and the
+/// caller's observer: lands each `RequestDone` in its request's record
+/// and forwards every record to the caller's. Observers see only
+/// committed records, so a rolled-back completion never lands.
+struct Landing(Vec<ReqRecord>, Option<Box<dyn Observer>>);
+
+impl Observer for Landing {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        if let TraceEvent::RequestDone { req, .. } = rec.event {
+            let r = &mut self.0[req as usize];
+            debug_assert_eq!(
+                r.disposition,
+                Disposition::Pending,
+                "request {req} completes once, and only if it was admitted"
+            );
+            r.disposition = Disposition::Completed;
+            r.done = rec.at;
+        }
+        self.1.iter_mut().for_each(|o| o.on_record(rec));
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hem_analysis::InterfaceSet;
-    use hem_core::ExecMode;
+    use hem_core::{ExecMode, SchedImpl};
     use hem_machine::cost::CostModel;
 
     fn world(nodes: u32) -> (Runtime, ServiceInstance) {
@@ -332,6 +349,7 @@ mod tests {
     fn requests_complete_and_latencies_are_positive() {
         let (mut rt, inst) = world(4);
         let out = run_service(&mut rt, &inst, &params(60_000)).unwrap();
+        assert!(!rt.observer_attached(), "the driver's observer is gone");
         assert!(out.records.len() > 50, "offered {}", out.records.len());
         let completed = out.count(|r| r.disposition == Disposition::Completed);
         assert!(completed > 0, "some requests complete");
@@ -359,6 +377,36 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// A caller's observer: counts the records it is fed.
+    struct Seen(u64);
+
+    impl Observer for Seen {
+        fn on_record(&mut self, _: &TraceRecord) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn a_trap_leaves_the_callers_observer_attached() {
+        for sched in [
+            SchedImpl::EventIndex,
+            SchedImpl::Sharded { threads: 2 },
+            SchedImpl::Speculative { threads: 2 },
+        ] {
+            let (mut rt, inst) = world(4);
+            rt.sched_impl = sched;
+            // No stack frame at all: the first non-blocking call traps.
+            rt.set_max_seq_depth(0);
+            rt.attach_observer(Box::new(Seen(0)));
+            let run = run_service(&mut rt, &inst, &params(40_000));
+            assert!(run.is_err(), "{sched:?}: the run traps");
+            assert!(rt.observer_attached(), "{sched:?}: observer attached");
+            let any: Box<dyn Any> = rt.take_observer().unwrap();
+            let seen = any.downcast::<Seen>().expect("the caller's observer");
+            assert!(seen.0 > 0, "{sched:?}: it saw the run's records");
+        }
     }
 
     #[test]

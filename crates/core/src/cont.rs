@@ -34,9 +34,9 @@ pub enum Continuation {
     Root,
     /// Discard the reply (fire-and-forget invocations).
     Discard,
-    /// Deliver to the open-system completion log under this request id
-    /// (external client requests injected by `Runtime::inject_request`;
-    /// the reply time, minus the arrival time, is the request's latency).
+    /// Complete the open-system request with this id (injected by
+    /// `Runtime::inject_request`): a `RequestDone` record at the serving
+    /// node's clock, which minus the arrival time is its latency.
     Request(u64),
     /// Deliver into a modeled collective's fold state: the member (or
     /// root) record keyed `(init, id, pos)` on `node`. Filling slot 0
@@ -180,12 +180,8 @@ impl Runtime {
                 }
             }
             Continuation::Request(req) => {
-                // Open-system completion: log the serving node's clock
-                // under the request id. The reply value itself is not
-                // retained — service-mode experiments measure sojourn
-                // time, not payloads.
-                let done = self.nodes[node].time;
-                self.completions.insert(req, done);
+                // Open-system completion: a record at the serving node's
+                // clock, nothing more. The reply value is not retained.
                 self.emit(
                     node,
                     TraceEvent::RequestDone {

@@ -328,12 +328,6 @@ pub struct Runtime {
     /// above any wire sequence (`(wire_seq << 20) | node`, which stays
     /// below `2^63` until a single node sends `2^43` messages).
     pub(crate) ext_seq: u64,
-    /// Completion log for [`Continuation::Request`] replies: request id →
-    /// serving node's clock at reply delivery. A `BTreeMap` so iteration
-    /// order is the id order, independent of completion order (and of
-    /// which shard worker logged it). The service driver drains it after
-    /// every `run_until`, so it holds one chunk's completions.
-    pub(crate) completions: std::collections::BTreeMap<u64, Cycles>,
     /// Speculation diagnostics for [`SchedImpl::Speculative`] runs
     /// (windows, rollbacks, anti-messages, checkpointed nodes); all zero
     /// under every other scheduler. Deliberately *not* part of
@@ -427,7 +421,6 @@ impl Runtime {
             san_step: Self::SAN_ROOT_STEP,
             shard: None,
             ext_seq: 0,
-            completions: std::collections::BTreeMap::new(),
             spec: crate::timewarp::SpecStats::default(),
             pool: None,
         }
@@ -790,8 +783,8 @@ impl Runtime {
 
     /// Inject an external client request: a root invocation of `method`
     /// on `obj` whose message arrives at the target node at virtual time
-    /// `at`, delivering its reply into the completion log under `req`
-    /// (drain with [`Self::take_completed_requests`]).
+    /// `at`, whose reply is recorded as
+    /// [`crate::trace::TraceEvent::RequestDone`] under `req`.
     ///
     /// External arrivals enter through the node's inbox like any other
     /// message — one `MsgHandled` and one handler charge each — but they
@@ -804,8 +797,8 @@ impl Runtime {
     ///
     /// Only call between runs (never from inside a dispatched event);
     /// the typical open-loop driver alternates `run_until(next_arrival)`
-    /// and a drain of the completion log with
-    /// `inject_request(next_arrival, ..)`.
+    /// with `inject_request(next_arrival, ..)` and reads completions from
+    /// an attached observer.
     pub fn inject_request(
         &mut self,
         at: Cycles,
@@ -862,13 +855,6 @@ impl Runtime {
     pub fn queue_depth(&self, node: NodeId) -> usize {
         let n = &self.nodes[node.idx()];
         n.inbox.len() + n.ready.len() + n.granted.len()
-    }
-
-    /// Drain the completion log: `(request id, completion time)` pairs in
-    /// request-id order, where the completion time is the serving node's
-    /// clock when the request's reply was delivered.
-    pub fn take_completed_requests(&mut self) -> Vec<(u64, Cycles)> {
-        std::mem::take(&mut self.completions).into_iter().collect()
     }
 
     // ================= root invocation =================

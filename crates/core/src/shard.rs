@@ -207,8 +207,10 @@ fn worker_loop(edge: &Edge<WorkerCell>, s: usize) {
 /// keeps its temporaries in the frame (registers and slots live in the
 /// frame store's vectors, not on this stack). The rest is headroom for
 /// nested poll handling, and for the unoptimized test builds that
-/// `deep_local_chain_fits_the_worker_stack` runs. The reservation is
-/// virtual: it costs nothing until a chain actually goes that deep.
+/// `deep_local_chain_fits_the_worker_stack` runs. A worker reserves at
+/// least 64 levels (2 MiB, a std thread's default): the dispatch path
+/// below the first activation needs room at any depth limit. The
+/// reservation is virtual: it costs nothing until a chain goes that deep.
 const SEQ_FRAME_BYTES: usize = 32 << 10;
 
 /// How far a window reaches and whether its outcome has to be checked:
@@ -419,7 +421,7 @@ impl Runtime {
                 let mine = Arc::clone(&edge);
                 let h = std::thread::Builder::new()
                     .name(format!("hem-shard-{s}"))
-                    .stack_size(self.img.max_seq_depth as usize * SEQ_FRAME_BYTES)
+                    .stack_size((self.img.max_seq_depth as usize).max(64) * SEQ_FRAME_BYTES)
                     .spawn(move || {
                         let run = std::panic::AssertUnwindSafe(|| worker_loop(&mine, s));
                         if std::panic::catch_unwind(run).is_err() {
@@ -555,9 +557,6 @@ impl Runtime {
             if wk.result.is_some() {
                 self.result = wk.result.take();
             }
-            // Request ids are unique, so folding worker logs into the
-            // id-ordered coordinator map is insertion-order independent.
-            self.completions.append(&mut wk.completions);
             wk.tw_commit();
         }
         self.sched_stats.events_dispatched += wevents;

@@ -366,7 +366,6 @@ impl Runtime {
         }
         self.next_task = ck.next_task;
         self.result = None;
-        self.completions.clear();
         self.sched_stats.events_dispatched = 0;
         anti
     }

@@ -455,6 +455,12 @@ impl crate::rt::Runtime {
         obs
     }
 
+    /// The attached observer, if any, for a driver that feeds it between
+    /// runs; it downcasts through `dyn Any` to its concrete type.
+    pub fn observer_mut(&mut self) -> Option<&mut (dyn Observer + 'static)> {
+        self.observer.as_deref_mut()
+    }
+
     /// Is an observer attached?
     pub fn observer_attached(&self) -> bool {
         self.observer.is_some()
@@ -488,10 +494,7 @@ impl crate::rt::Runtime {
             return;
         }
         if self.trace_buf.enabled() || self.observer.is_some() {
-            if let Some(o) = self.observer.as_deref_mut() {
-                o.on_record(&TraceRecord { at, event });
-            }
-            self.trace_buf.emit(at, event);
+            self.flush_record(TraceRecord { at, event });
         }
     }
 

@@ -20,10 +20,10 @@
 mod common;
 
 use common::{assert_same_trace, seeds, Exec};
-use hem::apps::service::{self, Disposition, ServeParams};
-use hem::core::trace::TraceRecord;
-use hem::core::{Runtime, SchedImpl};
-use hem::machine::arrival::ArrivalDist;
+use hem::apps::service::{self, Disposition, ReqRecord, ServeParams, ServiceInstance};
+use hem::core::trace::{TraceEvent, TraceRecord};
+use hem::core::{Observer, Runtime, SchedImpl};
+use hem::machine::arrival::{ArrivalDist, OpenLoop};
 use hem::machine::fault::FaultPlan;
 use hem::machine::stats::MachineStats;
 use hem::obs::{Report, Rollup};
@@ -164,16 +164,14 @@ fn open_system_is_bit_identical_under_faults() {
 
 /// `run_until` is resumable: many small horizons compose to the same
 /// state as one big one, on every executor — and across executors, with
-/// a different one taking over at every chunk. The completion log
-/// composes too: draining it after every `run_until` (as the service
-/// driver does) yields, concatenated, exactly one end-of-run drain.
+/// a different one taking over at every chunk. Completions compose too:
+/// the `(request, time)` pairs of the `RequestDone` records are those of
+/// the one-chunk run.
 #[test]
 fn run_until_composes_across_chunked_horizons() {
     // Open-loop drive: run to each arrival, inject it, carry on; `chunks`
-    // adds `(executor, horizon)` stops in between. With `drain_each`, the
-    // completion log is drained after every `run_until`, else once at
-    // the end.
-    let drive = |chunks: &[(Exec, u64)], drain_each: bool| {
+    // adds `(executor, horizon)` stops in between.
+    let drive = |chunks: &[(Exec, u64)]| {
         let ids = service::build();
         let mut rt = Runtime::new(
             ids.program.clone(),
@@ -185,25 +183,25 @@ fn run_until_composes_across_chunked_horizons() {
         .unwrap();
         rt.enable_trace();
         let inst = service::setup(&mut rt, &ids, 8);
-        let mut completions = Vec::new();
-        let mut run_until = |rt: &mut Runtime, horizon: u64| {
-            rt.run_until(horizon).unwrap();
-            if drain_each {
-                completions.extend(rt.take_completed_requests());
-            }
-        };
         let mut arrivals = [100u64, 230, 360, 520].into_iter().enumerate().peekable();
         for &(exec, horizon) in chunks {
             exec.arm(&mut rt);
             while let Some((i, at)) = arrivals.next_if(|&(_, at)| at <= horizon) {
-                run_until(&mut rt, at);
+                rt.run_until(at).unwrap();
                 let fe = inst.frontends[i % inst.frontends.len()];
                 rt.inject_request(at, i as u64, fe, inst.ids.lookup, &[Value::Int(i as i64)]);
             }
-            run_until(&mut rt, horizon);
+            rt.run_until(horizon).unwrap();
         }
-        completions.extend(rt.take_completed_requests());
-        (rt.stats(), rt.take_trace(), completions)
+        let trace = rt.take_trace();
+        let done: Vec<(u64, u64)> = trace
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RequestDone { req, .. } => Some((req, r.at)),
+                _ => None,
+            })
+            .collect();
+        (rt.stats(), trace, done)
     };
     type Run = (MachineStats, Vec<TraceRecord>, Vec<(u64, u64)>);
     let same = |label: &str, whole: &Run, got: &Run| {
@@ -218,18 +216,14 @@ fn run_until_composes_across_chunked_horizons() {
         SchedImpl::Sharded { threads: 2 }.into(),
         SchedImpl::Speculative { threads: 2 }.into(),
     ];
-    let whole = drive(&[(execs[0], 20_000)], false);
+    let whole = drive(&[(execs[0], 20_000)]);
     assert_eq!(whole.2.len(), 4, "all four requests completed");
     for exec in execs {
         let stops = [150, 151, 400, 2_000, 2_001, 20_000].map(|h| (exec, h));
-        for drain_each in [false, true] {
-            let label = format!("{exec:?} drain_each={drain_each}");
-            same(&label, &whole, &drive(&stops, drain_each));
-        }
+        same(&format!("{exec:?}"), &whole, &drive(&stops));
     }
     // Random horizons, a random executor per chunk: the index, the pool
-    // and the injected arrivals are handed over mid-run every time, and
-    // the log is drained at every boundary.
+    // and the injected arrivals are handed over mid-run every time.
     for seed in seeds() {
         let mut rng = seed;
         for round in 0..6 {
@@ -244,19 +238,176 @@ fn run_until_composes_across_chunked_horizons() {
             same(
                 &format!("seed {seed} round {round}: {stops:?}"),
                 &whole,
-                &drive(&stops, true),
+                &drive(&stops),
             );
         }
     }
-    // The service driver drains at every arrival's boundary. On this
-    // arrival seed, Time-Warp windows roll back completions that the
-    // re-executed window does not repeat, so a worker that kept a
-    // cancelled completion would land it on its record early (or twice).
+    // The service driver lands completions from the committed record
+    // stream. On this arrival seed, Time-Warp windows roll back
+    // completions that the re-executed window does not repeat, so a
+    // cancelled completion that reached the driver would land on its
+    // record early (or twice).
     const ROLLBACK_SEED: u64 = 70;
     let base = run_service_mix(ROLLBACK_SEED, SchedImpl::EventIndex, None);
     for exec in &execs[1..] {
         let got = run_service_mix(ROLLBACK_SEED, *exec, None);
         assert_bit_identical(&format!("seed {ROLLBACK_SEED} {exec:?}"), &base, &got);
+    }
+}
+
+/// Play `params`'s arrival stream in one `run_until`: inject every
+/// arrival first, then run to the horizon once (admission off, so every
+/// request is admitted). Returns the request records, with each
+/// completion landed from the `RequestDone` records an observer saw.
+fn serve_in_one_run_until(
+    rt: &mut Runtime,
+    inst: &ServiceInstance,
+    params: &ServeParams,
+) -> Vec<ReqRecord> {
+    assert!(
+        params.deadline == 0 && params.max_queue == 0,
+        "admission off"
+    );
+    let mut records = Vec::new();
+    for a in OpenLoop::new(params.dist, params.clients, params.seed) {
+        if a.at >= params.horizon {
+            break;
+        }
+        // `run_service`'s request mix.
+        let fe = inst.frontends[(a.key % inst.frontends.len() as u64) as usize];
+        let pick = (a.key >> 32) % 100;
+        let (kind, method, args) = if pick < 60 {
+            let i = (a.key >> 16) as i64 & 0xFFFF;
+            (0, inst.ids.lookup, vec![Value::Int(i)])
+        } else if pick < 90 {
+            let n = 4 + ((a.key >> 24) as i64 & 0x7);
+            (1, inst.ids.compute, vec![Value::Int(n)])
+        } else {
+            (2, inst.ids.fanout, vec![])
+        };
+        rt.inject_request(a.at, records.len() as u64, fe, method, &args);
+        records.push(ReqRecord {
+            arrived: a.at,
+            done: 0,
+            node: fe.node,
+            kind,
+            disposition: Disposition::Pending,
+        });
+    }
+    rt.attach_observer(Box::new(Done(Vec::new())));
+    rt.run_until(params.horizon).unwrap();
+    let any: Box<dyn std::any::Any> = rt.take_observer().unwrap();
+    for (req, at) in any.downcast::<Done>().unwrap().0 {
+        let r = &mut records[req as usize];
+        assert_eq!(
+            r.disposition,
+            Disposition::Pending,
+            "request {req} lands once"
+        );
+        r.disposition = Disposition::Completed;
+        r.done = at;
+    }
+    records
+}
+
+/// An observer keeping the `(request, time)` of every `RequestDone`.
+struct Done(Vec<(u64, u64)>);
+
+impl Observer for Done {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        if let TraceEvent::RequestDone { req, .. } = rec.event {
+            self.0.push((req, rec.at));
+        }
+    }
+}
+
+/// The service world at P=8 with 16 backends, armed with `exec`.
+fn service_world(exec: Exec) -> (Runtime, ServiceInstance) {
+    let ids = service::build();
+    let mut rt = Runtime::new(
+        ids.program.clone(),
+        8,
+        CostModel::cm5(),
+        ExecMode::Hybrid,
+        InterfaceSet::Full,
+    )
+    .unwrap();
+    exec.arm(&mut rt);
+    let inst = service::setup(&mut rt, &ids, 16);
+    (rt, inst)
+}
+
+/// A whole service run in one `run_until` — every arrival injected up
+/// front, no chunk per arrival — lands the same records as
+/// `run_service`, on every executor. A threaded executor commits many
+/// windows of completions in that one call.
+#[test]
+fn one_run_until_lands_the_service_records() {
+    for seed in seeds() {
+        let params = ServeParams {
+            horizon: 30_000,
+            dist: ArrivalDist::Poisson { mean_gap: 150.0 },
+            clients: 4,
+            seed,
+            deadline: 0,
+            max_queue: 0,
+        };
+        let (mut rt, inst) = service_world(SchedImpl::EventIndex.into());
+        let want = service::run_service(&mut rt, &inst, &params)
+            .unwrap()
+            .records;
+        assert!(
+            want.iter().any(|r| r.disposition == Disposition::Completed),
+            "seed {seed}: some requests complete"
+        );
+        for exec in [
+            SchedImpl::EventIndex.into(),
+            Exec::Reference,
+            SchedImpl::Sharded { threads: 2 }.into(),
+            SchedImpl::Speculative { threads: 2 }.into(),
+        ] {
+            let (mut rt, inst) = service_world(exec);
+            let got = serve_in_one_run_until(&mut rt, &inst, &params);
+            assert_eq!(want, got, "seed {seed} {exec:?}: request records");
+        }
+    }
+}
+
+/// Host wall time of the one-`run_until` shape on the sharded executor
+/// at 2 threads, at 2 M, 4 M and 8 M cycles of `hemprof serve`'s default
+/// world; it should grow linearly with the horizon. A reading, not a
+/// check: `cargo test --release --test open_system -- --ignored
+/// --nocapture one_run_until_wall_time`.
+#[test]
+#[ignore]
+fn one_run_until_wall_time() {
+    for horizon in [2_000_000, 4_000_000, 8_000_000] {
+        let cfg = ServeConfig::new();
+        let ids = service::build();
+        let mut rt = hem::apps::make_runtime(
+            ids.program.clone(),
+            cfg.p,
+            cfg.cost.clone(),
+            cfg.mode,
+            InterfaceSet::Full,
+        );
+        rt.sched_impl = SchedImpl::Sharded { threads: 2 };
+        let inst = service::setup(&mut rt, &ids, cfg.backends);
+        let params = ServeParams {
+            horizon,
+            dist: cfg.dist,
+            clients: cfg.clients,
+            seed: cfg.seed,
+            deadline: 0,
+            max_queue: 0,
+        };
+        let t = std::time::Instant::now();
+        let records = serve_in_one_run_until(&mut rt, &inst, &params);
+        eprintln!(
+            "horizon {horizon}: {:.3} s, {} requests",
+            t.elapsed().as_secs_f64(),
+            records.len()
+        );
     }
 }
 

@@ -7,8 +7,8 @@
 //! unbuffered run keeps per request is the service driver's request
 //! record: 24 B in a doubling `Vec`, so at most
 //! [`BYTES_PER_REQUEST`] a request counting the spare capacity. The
-//! runtime's completion log is drained into those records at every
-//! `run_until` boundary, so it holds one chunk's completions at a time.
+//! runtime keeps no completion log: the driver's observer lands each
+//! completion from its `RequestDone` record into the request's record.
 //! The rollup and the series are fixed-size, and the blame tracker keeps
 //! segments only for requests in flight and its few slowest completions:
 //! attaching it adds at most [`BLAME_BYTES_PER_REQUEST`] a request.
