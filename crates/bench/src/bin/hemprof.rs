@@ -43,7 +43,7 @@
 
 use std::any::Any;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, ErrorKind};
+use std::io::ErrorKind;
 
 use hem_apps::em3d::Style;
 use hem_bench::profile::{Kernel, ProfileConfig, TraceBuffer};
@@ -744,10 +744,9 @@ fn emit(output: Output, ran: Ran) {
 
     if let Some(mut dest) = output.perfetto {
         let (file, _) = dest.file.as_ref().expect("opened before the run");
-        // Event by event through a buffer, flushed by the writer — its
-        // error is the write's error.
-        let out = BufWriter::with_capacity(1 << 16, file);
-        match perfetto::write_json(out, &tl, rt.program(), spec.as_ref(), series.as_ref()) {
+        // Event by event: the JSON writer hands the file chunks of at
+        // least 64 KiB, and its error is the write's error.
+        match perfetto::write_json(file, &tl, rt.program(), spec.as_ref(), series.as_ref()) {
             Ok(bytes) => {
                 dest.file = None;
                 eprintln!(

@@ -112,7 +112,7 @@ fn work_class(kind: u8) -> SegClass {
 /// overlap or touch become one interval; one still open when the run
 /// ended extends to `Cycles::MAX`, which every query clips (no gap
 /// reaches past the makespan).
-fn merge_suspends(spans: &[SuspendSpan]) -> Vec<(Cycles, Cycles)> {
+fn merge_suspends(spans: impl IntoIterator<Item = SuspendSpan>) -> Vec<(Cycles, Cycles)> {
     let mut merged: Vec<(Cycles, Cycles)> = Vec::new();
     for s in spans {
         let end = s.end.unwrap_or(Cycles::MAX);
@@ -154,39 +154,35 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
     // lowest index, matching the unbounded rule.
     let mut node = 0u32;
     let mut best: Cycles = 0;
-    for (i, steps) in tl.steps.iter().enumerate() {
-        let act = steps
-            .iter()
-            .rev()
-            .find(|s| s.start < end)
-            .map(|s| s.end.min(end))
-            .unwrap_or(0);
+    for i in 0..tl.n_nodes {
+        let act = tl
+            .last_step_before(i, end)
+            .map_or(0, |(s, _)| s.end.min(end));
         if act > best {
             best = act;
             node = i as u32;
         }
     }
     let mut time = end;
-    let suspended: Vec<_> = tl.suspends.iter().map(|s| merge_suspends(s)).collect();
+    let suspended: Vec<_> = (0..tl.n_nodes)
+        .map(|n| merge_suspends(tl.suspends(n)))
+        .collect();
 
     // Every iteration emits at least one segment ending at `time` and
     // strictly decreases `time`, so the walk terminates; the cap is pure
     // defence against an accounting bug.
-    let cap = 16 + 2 * tl.steps.iter().map(|s| s.len()).sum::<usize>() + tl.flows.len();
-    for _ in 0..cap {
+    let steps: usize = (0..tl.n_nodes).map(|n| tl.steps(n).len()).sum();
+    for _ in 0..16 + 2 * steps + tl.flows().len() {
         if time == 0 {
             break;
         }
-        let steps = &tl.steps[node as usize];
         // Last step beginning strictly before `time`: the activity
         // occupying the instant just before it.
-        let si = steps.partition_point(|s| s.start < time);
-        if si == 0 {
+        let Some((s, prev_end)) = tl.last_step_before(node as usize, time) else {
             // Nothing earlier on this node.
             segments.push(gap_segment(&suspended[node as usize], node, 0, time));
             break;
-        }
-        let s = &steps[si - 1];
+        };
         if s.end >= time {
             // Inside the step (`start < time <= end`): charge its work,
             // then decide what bound the step's start — a matched message
@@ -205,7 +201,7 @@ pub fn critical_path_until(tl: &Timeline, horizon: Cycles) -> CriticalPath {
             // The arrival was binding only if the node was not already
             // busy right up to the step's start (back-to-back steps mean
             // the node itself was the constraint).
-            let had_gap = si == 1 || steps[si - 2].end < s.start;
+            let had_gap = prev_end.is_none_or(|e| e < s.start);
             if s.kind == KIND_MSG && had_gap {
                 // The step's *dispatched* message is the first one
                 // handled in it (later ones are nested deliveries during
@@ -316,10 +312,10 @@ pub fn node_breakdowns(tl: &Timeline) -> Vec<NodeBreakdown> {
                 node: ni as u32,
                 ..Default::default()
             };
-            let suspended = merge_suspends(&tl.suspends[ni]);
+            let suspended = merge_suspends(tl.suspends(ni));
             let mut swept = 0;
             let mut cursor: Cycles = 0;
-            for s in &tl.steps[ni] {
+            for s in tl.steps(ni) {
                 if s.start > cursor {
                     let blk = suspended_overlap(&suspended, &mut swept, cursor, s.start);
                     b.blocked += blk;
@@ -347,61 +343,21 @@ pub fn node_breakdowns(tl: &Timeline) -> Vec<NodeBreakdown> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::{end, handled, rec, sent, start};
     use crate::model::{KIND_LOCAL, KIND_ROOT};
-    use hem_core::{MsgCause, TraceEvent, TraceRecord};
+    use hem_core::{MsgCause, TraceEvent};
     use hem_machine::NodeId;
     use proptest::prelude::*;
 
-    fn rec(at: Cycles, event: TraceEvent) -> TraceRecord {
-        TraceRecord { at, event }
-    }
-
     /// Two nodes: n0 computes 0..10, sends at 7, n1 handles 15..20.
     fn two_node_tl() -> Timeline {
-        let a = NodeId(0);
-        let b = NodeId(1);
         let recs = vec![
-            rec(
-                0,
-                TraceEvent::EventStart {
-                    node: a,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
-            rec(
-                7,
-                TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    wire: 0,
-                    words: 2,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            ),
-            rec(10, TraceEvent::EventEnd { node: a }),
-            rec(
-                15,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                15,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    wire: 0,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(20, TraceEvent::EventEnd { node: b }),
+            start(0, 0, KIND_LOCAL),
+            sent(7, 0, 1, 0, MsgCause::Request),
+            end(10, 0),
+            start(15, 1, KIND_MSG),
+            handled(15, 1, 0, 0),
+            end(20, 1),
         ];
         Timeline::build(&recs, 2)
     }
@@ -445,30 +401,7 @@ mod tests {
     fn unmatched_start_falls_back_to_gap_classification() {
         // A handle with no recorded send (truncated ring): the walk can't
         // hop, so the pre-step gap is charged to the handling node.
-        let b = NodeId(0);
-        let recs = vec![
-            rec(
-                15,
-                TraceEvent::EventStart {
-                    node: b,
-                    kind: KIND_MSG,
-                    req: 0,
-                },
-            ),
-            rec(
-                15,
-                TraceEvent::MsgHandled {
-                    node: b,
-                    from: NodeId(9),
-                    wire: 0,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            ),
-            rec(20, TraceEvent::EventEnd { node: b }),
-        ];
+        let recs = vec![start(15, 0, KIND_MSG), handled(15, 0, 9, 0), end(20, 0)];
         let tl = Timeline::build(&recs, 1);
         let cp = critical_path(&tl);
         assert_eq!(cp.total, tl.makespan);
@@ -480,26 +413,12 @@ mod tests {
     fn blocked_gaps_are_recognized() {
         let n = NodeId(0);
         let recs = vec![
-            rec(
-                0,
-                TraceEvent::EventStart {
-                    node: n,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
+            start(0, 0, KIND_LOCAL),
             rec(4, TraceEvent::Suspend { node: n, ctx: 0 }),
-            rec(5, TraceEvent::EventEnd { node: n }),
-            rec(
-                30,
-                TraceEvent::EventStart {
-                    node: n,
-                    kind: KIND_LOCAL,
-                    req: 0,
-                },
-            ),
+            end(5, 0),
+            start(30, 0, KIND_LOCAL),
             rec(30, TraceEvent::Resume { node: n, ctx: 0 }),
-            rec(42, TraceEvent::EventEnd { node: n }),
+            end(42, 0),
         ];
         let tl = Timeline::build(&recs, 1);
         let cp = critical_path(&tl);
@@ -573,7 +492,7 @@ mod tests {
                 .filter(|(a, b)| a < b)
                 .collect();
 
-            let merged = merge_suspends(&spans);
+            let merged = merge_suspends(spans.iter().copied());
             prop_assert!(
                 merged.windows(2).all(|w| w[0].1 < w[1].0),
                 "disjoint and sorted: {merged:?}"
@@ -632,7 +551,7 @@ mod tests {
             },
         )];
         let tl = Timeline::build(&recs, 1);
-        assert_eq!(tl.steps[0][0].kind, KIND_ROOT);
+        assert_eq!(tl.steps(0).next().unwrap().kind, KIND_ROOT);
         let cp = critical_path(&tl);
         assert_eq!(cp.total, tl.makespan);
     }

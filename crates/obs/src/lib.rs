@@ -12,9 +12,9 @@
 //! | [`blame`] | per-request sojourn decomposition (queue/exec/wire/lock/retx), exact tiling, p99-tail view |
 //! | [`series`] | windowed virtual-time series: offered/completed rate, in-flight, queue depth, per-node occupancy |
 //! | [`fanout`] | an observer tee so one run can stream several of the above |
-//! | [`model`]  | a [`model::Timeline`] — scheduler steps, context spans, matched message flows, adaptation instants — built by [`model::TimelineBuilder`], an observer like the three above (or fed a slice: [`model::Timeline::build`]) |
-//! | [`perfetto`] | Chrome/Perfetto `trace_event` JSON of the timeline (plus series counter tracks), written through any `io::Write` |
-//! | [`critpath`] | the longest virtual-time path through the happens-before DAG, plus per-node time breakdowns |
+//! | [`model`]  | a [`model::Timeline`] — scheduler steps, context spans, matched message flows, adaptation instants — kept as varint byte logs (a few bytes an item; a sparse index marks every 64th step) and read through decoding accessors, built by [`model::TimelineBuilder`], an observer like the three above (or fed a slice: [`model::Timeline::build`]) |
+//! | [`perfetto`] | Chrome/Perfetto `trace_event` JSON of the timeline (plus series counter tracks), decoded front to back and written through any `io::Write` |
+//! | [`critpath`] | the longest virtual-time path through the happens-before DAG (each hop a search of a step index and a decode of one block), plus per-node time breakdowns |
 //! | [`report`] | paper-Table-style text / JSON summaries built from a rollup |
 //! | [`json`] | the one JSON writer (reports, Perfetto) and reader (`hemprof diff`, tests), dependency-free |
 //!

@@ -133,7 +133,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
         (TID_CTX, "contexts"),
         (TID_REQ, "requests"),
     ];
-    let tracks = &tracks[..if tl.requests.is_empty() { 2 } else { 3 }];
+    let tracks = &tracks[..if tl.requests().next().is_none() { 2 } else { 3 }];
     for n in 0..tl.n_nodes {
         obj!(w, "ph": "M", "name": "process_name", "pid": n, "tid": 0u32,
             "args": { "name": format_args!("node {n}") });
@@ -144,7 +144,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
     }
 
     // Scheduler steps as complete slices.
-    for s in tl.steps.iter().flatten() {
+    for s in (0..tl.n_nodes).flat_map(|n| tl.steps(n)) {
         obj!(w, "ph": "X", "cat": "sched", "name": s.kind_name(), "pid": s.node,
             "tid": TID_SCHED, "ts": s.start, "dur": s.end - s.start,
             "args": { "msgs": s.handled });
@@ -152,7 +152,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
 
     // Context residency as async spans (id = span index; ids are unique
     // trace-wide so `cat`+`id` matching never collides across reuse).
-    for (i, c) in tl.ctx_spans.iter().enumerate() {
+    for (i, c) in tl.ctx_spans().enumerate() {
         let fallback = if c.fallback { "fallback " } else { "" };
         let method = &program.method(c.method).name;
         for (ph, ts) in [("b", c.start), ("e", c.end.unwrap_or(tl.makespan))] {
@@ -165,7 +165,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
     // External request sojourns (open-system runs) as async spans on the
     // target node's "requests" track; shed requests are instants. Ids are
     // unique within `cat` "req", so they never collide with ctx spans.
-    for (i, r) in tl.requests.iter().enumerate() {
+    for (i, r) in tl.requests().enumerate() {
         if r.shed {
             obj!(w, "ph": "i", "s": "t", "cat": "req", "name": format_args!("shed req{}", r.req),
                 "pid": r.node, "tid": TID_REQ, "ts": r.start);
@@ -179,7 +179,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
     }
 
     // Message flows as arrows between sched tracks.
-    for (i, f) in tl.flows.iter().enumerate() {
+    for (i, f) in tl.flows().enumerate() {
         obj!(w, "ph": "s", "cat": "msg", "name": format_args!("{}", f.cause), "id": i,
             "pid": f.from, "tid": TID_SCHED, "ts": f.sent_at);
         obj!(w, "ph": "f", "bp": "e", "cat": "msg", "name": format_args!("{}", f.cause),
@@ -187,7 +187,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
     }
 
     // Adaptation instants.
-    for i in &tl.instants {
+    for i in tl.instants() {
         let mut instant = |name: std::fmt::Arguments<'_>| {
             obj!(w, "ph": "i", "s": "t", "cat": "adapt", "name": name, "pid": i.node,
                 "tid": TID_SCHED, "ts": i.at);
@@ -210,6 +210,7 @@ fn events(w: &mut Writer<'_>, &Export(tl, program, spec, series): &Export<'_>) {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::model::tests::{end, handled, rec, sent, start};
     use hem_core::{MsgCause, TraceEvent};
     use hem_machine::NodeId;
 
@@ -223,21 +224,7 @@ mod tests {
 
     #[test]
     fn spec_counter_track_is_optional_and_parses() {
-        let a = NodeId(0);
-        let recs = vec![
-            TraceRecord {
-                at: 0,
-                event: TraceEvent::EventStart {
-                    node: a,
-                    kind: 1,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 6,
-                event: TraceEvent::EventEnd { node: a },
-            },
-        ];
+        let recs = vec![start(0, 0, 1), end(6, 0)];
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
         // Without a summary the output is unchanged: no counter events.
@@ -279,68 +266,23 @@ mod tests {
 
     #[test]
     fn exports_valid_json_with_slices_flows_and_spans() {
-        let a = NodeId(0);
-        let b = NodeId(1);
+        let (node, method) = (NodeId(0), hem_ir::MethodId(0));
         let recs = vec![
-            TraceRecord {
-                at: 0,
-                event: TraceEvent::EventStart {
-                    node: a,
-                    kind: 1,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 1,
-                event: TraceEvent::ParInvoke {
-                    node: a,
-                    method: hem_ir::MethodId(0),
+            start(0, 0, 1),
+            rec(
+                1,
+                TraceEvent::ParInvoke {
+                    node,
+                    method,
                     ctx: 0,
                 },
-            },
-            TraceRecord {
-                at: 2,
-                event: TraceEvent::MsgSent {
-                    from: a,
-                    to: b,
-                    wire: 0,
-                    words: 3,
-                    cause: MsgCause::Request,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 5,
-                event: TraceEvent::CtxFreed { node: a, ctx: 0 },
-            },
-            TraceRecord {
-                at: 6,
-                event: TraceEvent::EventEnd { node: a },
-            },
-            TraceRecord {
-                at: 9,
-                event: TraceEvent::EventStart {
-                    node: b,
-                    kind: 0,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 9,
-                event: TraceEvent::MsgHandled {
-                    node: b,
-                    from: a,
-                    wire: 0,
-                    cause: MsgCause::Request,
-                    req: 0,
-                    deliver: 0,
-                    retx: false,
-                },
-            },
-            TraceRecord {
-                at: 12,
-                event: TraceEvent::EventEnd { node: b },
-            },
+            ),
+            sent(2, 0, 1, 0, MsgCause::Request),
+            rec(5, TraceEvent::CtxFreed { node, ctx: 0 }),
+            end(6, 0),
+            start(9, 1, 0),
+            handled(9, 1, 0, 0),
+            end(12, 1),
         ];
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
@@ -403,36 +345,26 @@ mod tests {
             }
         }
 
-        let a = NodeId(0);
+        let (node, method, to) = (NodeId(0), hem_ir::MethodId(0), NodeId(1));
         let recs = vec![
-            TraceRecord {
-                at: 0,
-                event: TraceEvent::EventStart {
-                    node: a,
-                    kind: 1,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 3,
-                event: TraceEvent::Fallback {
-                    node: a,
-                    method: hem_ir::MethodId(0),
+            start(0, 0, 1),
+            rec(
+                3,
+                TraceEvent::Fallback {
+                    node,
+                    method,
                     ctx: 0,
                 },
-            },
-            TraceRecord {
-                at: 4,
-                event: TraceEvent::Retransmit {
-                    node: a,
-                    to: NodeId(1),
+            ),
+            rec(
+                4,
+                TraceEvent::Retransmit {
+                    node,
+                    to,
                     attempt: 2,
                 },
-            },
-            TraceRecord {
-                at: 6,
-                event: TraceEvent::EventEnd { node: a },
-            },
+            ),
+            end(6, 0),
         ];
         let tl = Timeline::build(&recs, 2);
         let program = program_with_one_method();
@@ -467,30 +399,11 @@ mod tests {
     fn request_spans_export_on_their_own_track() {
         let n = NodeId(0);
         let recs = vec![
-            TraceRecord {
-                at: 10,
-                event: TraceEvent::RequestArrived { node: n, req: 1 },
-            },
-            TraceRecord {
-                at: 12,
-                event: TraceEvent::RequestShed { node: n, req: 2 },
-            },
-            TraceRecord {
-                at: 11,
-                event: TraceEvent::EventStart {
-                    node: n,
-                    kind: 0,
-                    req: 0,
-                },
-            },
-            TraceRecord {
-                at: 30,
-                event: TraceEvent::RequestDone { node: n, req: 1 },
-            },
-            TraceRecord {
-                at: 30,
-                event: TraceEvent::EventEnd { node: n },
-            },
+            rec(10, TraceEvent::RequestArrived { node: n, req: 1 }),
+            rec(12, TraceEvent::RequestShed { node: n, req: 2 }),
+            start(11, 0, 0),
+            rec(30, TraceEvent::RequestDone { node: n, req: 1 }),
+            end(30, 0),
         ];
         let tl = Timeline::build(&recs, 1);
         let program = program_with_one_method();

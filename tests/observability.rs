@@ -680,11 +680,10 @@ fn faulty_serve_flows_are_never_shorter_than_the_wire() {
         .finish();
     let wire = cfg.cost.min_wire_latency();
     let short: Vec<_> = tl
-        .flows
-        .iter()
+        .flows()
         .filter(|f| f.handled_at < f.sent_at + wire)
         .collect();
-    assert!(tl.flows.len() > 20_000, "{} flows", tl.flows.len());
+    assert!(tl.flows().len() > 20_000, "{} flows", tl.flows().len());
     assert!(
         short.is_empty(),
         "flows shorter than {wire} cycles: {short:?}"
